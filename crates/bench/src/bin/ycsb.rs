@@ -1,9 +1,9 @@
 //! YCSB-style mixed read/write benchmark for the `pam-store` versioned
 //! snapshot store.
 //!
-//! Reproduces the shape of the standard YCSB core workloads against
-//! `VersionedStore` (reads pin the current version; writes flow through
-//! the group-commit pipeline):
+//! Reproduces the shape of the standard YCSB core workloads against a
+//! 1-shard volatile `Store` (reads pin the current version; writes flow
+//! through the group-commit pipeline):
 //!
 //! * **A** — 50% reads / 50% writes (update-heavy),
 //! * **B** — 95% reads /  5% writes (read-heavy),
@@ -24,8 +24,8 @@
 //! (`SyncEveryBytes(256 KiB)`), reporting the commit-latency deltas.
 //! (`all` runs the full comparison.)
 //!
-//! With `--shards N[,M,...]` the driver sweeps workload A across sharded
-//! stores (`ShardedStore`, N independent group-commit pipelines), making
+//! With `--shards N[,M,...]` the driver sweeps workload A across shard
+//! counts (N independent group-commit pipelines), making
 //! the 1-committer-vs-N-committers delta measurable. Add `--json <path>`
 //! to also emit the rows as machine-readable JSON (the CI bench-smoke
 //! artifact). `--threads N` pins the client-thread count (default:
@@ -60,10 +60,7 @@ use pam_bench::*;
 use pam_obs::{
     chrome_trace, FlightRecorder, Histogram, MetricsRegistry, ObsServer, TelemetrySource,
 };
-use pam_store::{
-    DurabilityConfig, DurableStore, Health, ShardedConfig, ShardedStore, StoreConfig, StoreRead,
-    StoreStats, StoreWrite, SyncPolicy, VersionedStore,
-};
+use pam_store::{DurabilityConfig, Health, ShardedConfig, StoreConfig, StoreStats, SyncPolicy};
 use std::io::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -102,52 +99,17 @@ fn fmt_quantiles_us(h: &pam_obs::HistogramSnapshot) -> String {
     )
 }
 
-type Store = VersionedStore<SumAug<u64, u64>>;
-type Durable = DurableStore<SumAug<u64, u64>>;
-type Sharded = ShardedStore<SumAug<u64, u64>>;
+type Store = pam_store::Store<SumAug<u64, u64>>;
 
-/// The operations the mixed-workload driver needs, implemented by both
-/// the single store and the sharded store so one `drive` loop measures
-/// either.
-trait KvTarget: Send + Sync + 'static {
-    fn kv_get(&self, k: &u64) -> Option<u64>;
-    fn kv_put(&self, k: u64, v: u64);
-    fn kv_scan_count(&self, lo: u64, hi: u64) -> usize;
-    fn kv_sum(&self, lo: u64, hi: u64) -> u64;
-    fn kv_flush(&self);
-    fn kv_stats(&self) -> StoreStats;
-    fn kv_health(&self) -> Health;
-}
-
-/// One blanket impl over the unified store API (`pam_store::api`): every
-/// flavor — versioned, sharded, durable, durable-sharded — is drivable by
-/// the same loop, with no per-type macro body to keep in sync.
-impl<T> KvTarget for T
-where
-    T: StoreRead<SumAug<u64, u64>> + StoreWrite<SumAug<u64, u64>> + Send + Sync + 'static,
-{
-    fn kv_get(&self, k: &u64) -> Option<u64> {
-        StoreRead::get(self, k)
-    }
-    fn kv_put(&self, k: u64, v: u64) {
-        StoreWrite::put(self, k, v);
-    }
-    fn kv_scan_count(&self, lo: u64, hi: u64) -> usize {
-        let mut n = 0;
-        StoreRead::range_for_each(self, &lo, &hi, &mut |_, _| n += 1);
-        n
-    }
-    fn kv_sum(&self, lo: u64, hi: u64) -> u64 {
-        StoreRead::aug_range(self, &lo, &hi)
-    }
-    fn kv_flush(&self) {
-        StoreWrite::flush(self);
-    }
-    fn kv_stats(&self) -> StoreStats {
-        StoreRead::stats(self)
-    }
-    fn kv_health(&self) -> Health {
-        StoreRead::health(self)
+/// The configuration every in-process run uses: `shards` shards, each
+/// with the given group-commit window.
+fn config(shards: usize, window: Duration) -> ShardedConfig {
+    ShardedConfig {
+        shards,
+        store: StoreConfig {
+            batch_window: window,
+            ..StoreConfig::default()
+        },
     }
 }
 
@@ -167,9 +129,9 @@ fn obs_slot() -> &'static Mutex<Option<StatsProvider>> {
 
 /// Point the live endpoint at `store` (replacing whatever previous row's
 /// store it was scraping).
-fn obs_install<T: KvTarget>(store: &Arc<T>) {
+fn obs_install(store: &Arc<Store>) {
     let s = store.clone();
-    *obs_slot().lock().unwrap() = Some(Box::new(move || (s.kv_stats(), s.kv_health())));
+    *obs_slot().lock().unwrap() = Some(Box::new(move || (s.stats(), s.health())));
 }
 
 /// Bind the live telemetry endpoint (`--obs-addr`). The source reads the
@@ -265,8 +227,8 @@ const MIXES: &[Mix] = &[
 
 /// Drive `threads × ops_per_thread` mixed operations against a store
 /// handle; returns the wall-clock seconds (including the final flush).
-fn drive<T: KvTarget>(
-    store: &Arc<T>,
+fn drive(
+    store: &Arc<Store>,
     mix: &Mix,
     threads: usize,
     ops_per_thread: usize,
@@ -285,13 +247,13 @@ fn drive<T: KvTarget>(
                         let k = hash64(r) % key_space;
                         let dice = (r % 100) as u32;
                         if dice < read_pct {
-                            acc = acc.wrapping_add(s.kv_get(&k).unwrap_or(0));
+                            acc = acc.wrapping_add(s.get(&k).unwrap_or(0));
                         } else if dice < read_pct + scan_pct {
-                            acc = acc.wrapping_add(s.kv_scan_count(k, k + 1000) as u64);
+                            s.range_for_each(&k, &(k + 1000), |_, _| acc = acc.wrapping_add(1));
                         } else if dice < read_pct + scan_pct + sum_pct {
-                            acc = acc.wrapping_add(s.kv_sum(k, k + 100_000));
+                            acc = acc.wrapping_add(s.aug_range(&k, &(k + 100_000)));
                         } else {
-                            s.kv_put(k, i as u64);
+                            s.put(k, i as u64);
                         }
                     }
                     std::hint::black_box(acc)
@@ -301,7 +263,7 @@ fn drive<T: KvTarget>(
         for h in handles {
             h.join().unwrap();
         }
-        store.kv_flush();
+        store.flush();
     });
     secs
 }
@@ -314,17 +276,10 @@ fn run_mix(
     ops_per_thread: usize,
     key_space: u64,
 ) -> (f64, pam_store::StoreStats) {
-    let store = Arc::new(Store::from_map(
-        pam::AugMap::build(
-            (0..preload as u64)
-                .map(|i| (hash64(i) % key_space, i))
-                .collect(),
-        ),
-        StoreConfig {
-            batch_window: window,
-            ..StoreConfig::default()
-        },
-    ));
+    let store = Arc::new(Store::volatile(config(1, window)));
+    store
+        .put_all((0..preload as u64).map(|i| (hash64(i) % key_space, i)))
+        .wait();
     let secs = drive(&store, mix, threads, ops_per_thread, key_space);
     (secs, store.stats())
 }
@@ -335,10 +290,6 @@ fn run_durability(mode: &str, threads: usize, preload: usize, ops_per_thread: us
     let key_space = (preload as u64) * 4;
     let window = Duration::from_micros(200);
     let mix = &MIXES[0]; // A: 50r/50w — the write-heavy stressor
-    let store_config = StoreConfig {
-        batch_window: window,
-        ..StoreConfig::default()
-    };
     let modes: Vec<&str> = match mode {
         "all" => vec!["off", "wal", "wal-fsync", "wal-bytes"],
         "off" => vec!["off"],
@@ -360,26 +311,24 @@ fn run_durability(mode: &str, threads: usize, preload: usize, ops_per_thread: us
         // durable stores live in a scratch dir wiped per run
         let dir = std::env::temp_dir().join(format!("pam-ycsb-wal-{}-{m}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (durable, store): (Option<Durable>, Arc<Store>) = match m {
-            "off" => (None, Arc::new(Store::with_config(store_config.clone()))),
+        let store = match m {
+            "off" => Store::volatile(config(1, window)),
             "wal" | "wal-fsync" | "wal-bytes" => {
                 let sync = match m {
                     "wal" => SyncPolicy::NoSync,
                     "wal-bytes" => SyncPolicy::SyncEveryBytes(256 << 10),
                     _ => SyncPolicy::SyncEachEpoch,
                 };
-                let d = Durable::open(
+                Store::open(
                     &dir,
-                    store_config.clone(),
+                    config(1, window),
                     DurabilityConfig {
                         sync,
                         checkpoint_every_bytes: None, // measure the log alone
                         ..DurabilityConfig::default()
                     },
                 )
-                .expect("open durable store");
-                let handle = d.handle();
-                (Some(d), handle)
+                .expect("open durable store")
             }
             other => {
                 eprintln!(
@@ -388,13 +337,12 @@ fn run_durability(mode: &str, threads: usize, preload: usize, ops_per_thread: us
                 std::process::exit(2);
             }
         };
+        let store = Arc::new(store);
         store
             .put_all((0..preload as u64).map(|i| (hash64(i) % key_space, i)))
             .wait();
         let secs = drive(&store, mix, threads, ops_per_thread, key_space);
-        let stats = durable
-            .as_ref()
-            .map_or_else(|| store.stats(), |d| d.stats());
+        let stats = store.stats();
         let delta = match (m, baseline_p99) {
             ("off", _) => {
                 baseline_p99 = Some(stats.commit.p99());
@@ -415,7 +363,8 @@ fn run_durability(mode: &str, threads: usize, preload: usize, ops_per_thread: us
             stats.durability.wal_fsyncs.to_string(),
             delta,
         ]);
-        drop(durable);
+        obs_slot().lock().unwrap().take(); // the endpoint holds the other handle
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
     table.print();
@@ -454,13 +403,7 @@ fn run_xbatch(counts: &[usize], preload: usize, ops: usize) -> Vec<XbatchRow> {
         "global epochs",
     ]);
     for &n in counts {
-        let store = Arc::new(Sharded::with_config(ShardedConfig {
-            shards: n,
-            store: StoreConfig {
-                batch_window: Duration::ZERO,
-                ..StoreConfig::default()
-            },
-        }));
+        let store = Arc::new(Store::volatile(config(n, Duration::ZERO)));
         obs_install(&store);
         store
             .put_all((0..preload as u64).map(|i| (hash64(i) % key_space, i)))
@@ -792,13 +735,7 @@ fn run_contend(counts: &[usize], preload: usize, ops: usize) -> Vec<ContendRow> 
         "fence p99 µs",
     ]);
     for &n in counts {
-        let store = Arc::new(Sharded::with_config(ShardedConfig {
-            shards: n,
-            store: StoreConfig {
-                batch_window: Duration::ZERO,
-                ..StoreConfig::default()
-            },
-        }));
+        let store = Arc::new(Store::volatile(config(n, Duration::ZERO)));
         obs_install(&store);
         store
             .put_all((0..preload as u64).map(|i| (hash64(i) % key_space, i)))
@@ -936,13 +873,7 @@ fn run_shards(
     ]);
     let mut baseline: Option<f64> = None;
     for &n in counts {
-        let store = Arc::new(Sharded::with_config(ShardedConfig {
-            shards: n,
-            store: StoreConfig {
-                batch_window: window,
-                ..StoreConfig::default()
-            },
-        }));
+        let store = Arc::new(Store::volatile(config(n, window)));
         store
             .put_all((0..preload as u64).map(|i| (hash64(i) % key_space, i)))
             .wait();

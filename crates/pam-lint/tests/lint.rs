@@ -173,6 +173,26 @@ fn workspace_self_check_is_clean() {
     assert!(text.contains("pam-lint: clean"), "got:\n{text}");
 }
 
+#[test]
+fn every_ranked_lock_names_a_live_field() {
+    // A LOCKS.toml row whose file was renamed (or whose field is gone)
+    // matches nothing, and the lock-order rule silently stops checking
+    // it — so every row must point at a file that still takes that lock.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let locks = pam_lint::locks::parse(pam_lint::DEFAULT_LOCKS_TOML).expect("shipped table");
+    for lock in locks {
+        let source = std::fs::read_to_string(crates.join(&lock.file))
+            .unwrap_or_else(|e| panic!("LOCKS.toml names {}: {e}", lock.file));
+        assert!(
+            source.contains(&format!("{}.", lock.name))
+                || source.contains(&format!("{}:", lock.name)),
+            "{} no longer mentions a `{}` lock",
+            lock.file,
+            lock.name
+        );
+    }
+}
+
 // ── library-level lexer checks on the tricky constructs ─────────────────
 
 #[test]

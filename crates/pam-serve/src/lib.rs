@@ -1,4 +1,4 @@
-//! # pam-serve — a network front end over the unified `Store` API
+//! # pam-serve — a network front end over `pam_store::Store`
 //!
 //! PAM's headline result (Sun, Ferizovic & Blelloch, PPoPP 2018) is that
 //! batched bulk operations over a purely functional tree scale with
@@ -16,14 +16,14 @@
 //!   not need.
 //! * [`server`] — a hand-rolled threaded accept loop (std `TcpListener`,
 //!   bounded worker pool — the `pam_obs::ObsServer` idiom, no async
-//!   runtime), generic over [`pam_store::StoreRead`] +
-//!   [`pam_store::StoreWrite`]; includes the graceful-drain protocol.
+//!   runtime) over an `Arc<`[`pam_store::Store`]`>`; includes the
+//!   graceful-drain protocol.
 //! * [`client`] — a small blocking client used by `ycsb --remote` and
 //!   the integration tests.
 //!
-//! The binary (`pam-serve`) serves a
-//! [`pam_store::DurableShardedStore`]`<NoAug<Vec<u8>, Vec<u8>>>`: opaque
-//! byte keys/values, per-shard WALs, cross-shard atomic batches, and an
+//! The binary (`pam-serve`) serves a durable
+//! [`pam_store::Store`]`<NoAug<Vec<u8>, Vec<u8>>>`: opaque byte
+//! keys/values, per-shard WALs, cross-shard atomic batches, and an
 //! optional `--obs-addr` telemetry endpoint. It drains gracefully when
 //! its stdin reaches EOF.
 

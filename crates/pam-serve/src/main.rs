@@ -1,4 +1,4 @@
-//! The `pam-serve` binary: a durable sharded store behind TCP.
+//! The `pam-serve` binary: a durable `pam_store::Store` behind TCP.
 //!
 //! ```text
 //! pam-serve --dir DIR [--addr 127.0.0.1:7878] [--shards 4] [--workers 4]
@@ -14,7 +14,7 @@
 
 use pam::NoAug;
 use pam_serve::{serve, ServeConfig};
-use pam_store::{DurabilityConfig, DurableShardedStore, ShardedConfig, SyncPolicy};
+use pam_store::{DurabilityConfig, ShardedConfig, Store, SyncPolicy};
 use std::io::{self, Read};
 use std::process::exit;
 use std::sync::Arc;
@@ -79,8 +79,7 @@ fn run() -> Result<(), String> {
     }
 
     let store = Arc::new(
-        DurableShardedStore::<Spec>::open(&dir, cfg, dur.build())
-            .map_err(|e| format!("open {dir}: {e}"))?,
+        Store::<Spec>::open(&dir, cfg, dur.build()).map_err(|e| format!("open {dir}: {e}"))?,
     );
     let mut server = serve(
         Arc::clone(&store),

@@ -8,10 +8,8 @@
 //! session read-your-writes against the live store: its `put` ack returns
 //! only after the epoch is published).
 //!
-//! The server is generic over the unified store API
-//! ([`StoreRead`] + [`StoreWrite`]), so the same dispatcher serves an
-//! in-memory [`pam_store::ShardedStore`] in tests and a
-//! [`pam_store::DurableShardedStore`] in production.
+//! The server serves a [`pam_store::Store`]: a volatile one in tests,
+//! a durable one in production — the same type, so the same dispatcher.
 //!
 //! ## Drain protocol
 //!
@@ -30,12 +28,12 @@ use crate::wire::{
     MAX_SCAN,
 };
 use pam::AugSpec;
-use pam_store::api::{StoreRead, StoreSnapshot, StoreWrite, WriteTicket};
-use pam_store::WriteOp;
+use pam_store::{Snapshot, Store, WriteOp};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -76,6 +74,9 @@ pub struct Server {
     on_drain: Option<Box<dyn FnOnce() + Send>>,
 }
 
+/// Named snapshot pins, shared by every session.
+type Pins<S> = Mutex<HashMap<String, Arc<Snapshot<S>>>>;
+
 /// State shared between the acceptor, the workers, and `drain`.
 struct Shared {
     draining: AtomicBool,
@@ -95,11 +96,13 @@ struct Shared {
 /// # Errors
 ///
 /// Propagates the bind failure.
-pub fn serve<S, T>(store: Arc<T>, addr: impl ToSocketAddrs, cfg: ServeConfig) -> io::Result<Server>
+pub fn serve<S>(
+    store: Arc<Store<S>>,
+    addr: impl ToSocketAddrs,
+    cfg: ServeConfig,
+) -> io::Result<Server>
 where
     S: AugSpec<K = Vec<u8>, V = Vec<u8>>,
-    T: StoreRead<S> + StoreWrite<S> + Send + Sync + 'static,
-    T::Snapshot: Send + Sync + 'static,
 {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -107,7 +110,7 @@ where
         draining: AtomicBool::new(false),
         conns: Mutex::new(HashMap::new()),
     });
-    let pins: Arc<Mutex<HashMap<String, Arc<T::Snapshot>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let pins: Arc<Pins<S>> = Arc::new(Mutex::new(HashMap::new()));
 
     let (tx, rx) = sync_channel::<(u64, TcpStream)>(cfg.backlog.max(1));
     let rx = Arc::new(Mutex::new(rx));
@@ -206,21 +209,20 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop<S, T>(
+fn worker_loop<S>(
     rx: Arc<Mutex<Receiver<(u64, TcpStream)>>>,
-    store: Arc<T>,
+    store: Arc<Store<S>>,
     shared: Arc<Shared>,
-    pins: Arc<Mutex<HashMap<String, Arc<T::Snapshot>>>>,
+    pins: Arc<Pins<S>>,
     max_frame: usize,
 ) where
     S: AugSpec<K = Vec<u8>, V = Vec<u8>>,
-    T: StoreRead<S> + StoreWrite<S>,
 {
     loop {
         // hold the receiver lock only for the dequeue, not the serve
         let next = rx.lock().recv();
         let Ok((id, stream)) = next else { break };
-        serve_connection(&*store, &pins, stream, max_frame);
+        serve_connection(&store, &pins, stream, max_frame);
         shared.conns.lock().remove(&id);
     }
 }
@@ -228,17 +230,12 @@ fn worker_loop<S, T>(
 /// Serve one connection to completion: read a frame, decode, dispatch,
 /// reply — until clean EOF, a protocol error (answered with
 /// [`Response::Err`], then the connection closes), or drain.
-fn serve_connection<S, T>(
-    store: &T,
-    pins: &Mutex<HashMap<String, Arc<T::Snapshot>>>,
-    mut stream: TcpStream,
-    max_frame: usize,
-) where
+fn serve_connection<S>(store: &Store<S>, pins: &Pins<S>, mut stream: TcpStream, max_frame: usize)
+where
     S: AugSpec<K = Vec<u8>, V = Vec<u8>>,
-    T: StoreRead<S> + StoreWrite<S>,
 {
     let _ = stream.set_nodelay(true);
-    let mut session: Option<Arc<T::Snapshot>> = None;
+    let mut session: Option<Arc<Snapshot<S>>> = None;
     loop {
         match read_frame_capped(&mut stream, max_frame) {
             Ok(None) => break,
@@ -271,15 +268,14 @@ fn serve_connection<S, T>(
     }
 }
 
-fn dispatch<S, T>(
-    store: &T,
-    pins: &Mutex<HashMap<String, Arc<T::Snapshot>>>,
-    session: &mut Option<Arc<T::Snapshot>>,
+fn dispatch<S>(
+    store: &Store<S>,
+    pins: &Pins<S>,
+    session: &mut Option<Arc<Snapshot<S>>>,
     req: Request,
 ) -> Response
 where
     S: AugSpec<K = Vec<u8>, V = Vec<u8>>,
-    T: StoreRead<S> + StoreWrite<S>,
 {
     match req {
         Request::Ping => Response::Pong,
@@ -294,15 +290,20 @@ where
         Request::Scan { lo, hi, limit } => {
             let limit = limit.min(MAX_SCAN) as usize;
             let mut entries = Vec::new();
-            {
-                let mut collect = |k: &Vec<u8>, v: &Vec<u8>| {
+            if limit > 0 {
+                // Break as soon as the limit is reached: the merge pulls
+                // no further entry, however wide `[lo, hi]` is.
+                let collect = |k: &Vec<u8>, v: &Vec<u8>| {
+                    entries.push((k.clone(), v.clone()));
                     if entries.len() < limit {
-                        entries.push((k.clone(), v.clone()));
+                        ControlFlow::Continue(())
+                    } else {
+                        ControlFlow::Break(())
                     }
                 };
                 match session {
-                    Some(snap) => snap.range_for_each(&lo, &hi, &mut collect),
-                    None => store.range_for_each(&lo, &hi, &mut collect),
+                    Some(snap) => snap.range_try_for_each(&lo, &hi, collect),
+                    None => store.range_try_for_each(&lo, &hi, collect),
                 }
             }
             Response::Entries(entries)
@@ -311,8 +312,8 @@ where
             Some(snap) => snap.len() as u64,
             None => store.len() as u64,
         }),
-        Request::Put(key, value) => acked(store.put(key, value)),
-        Request::Delete(key) => acked(store.delete(key)),
+        Request::Put(key, value) => acked(store.put(key, value).wait(), None),
+        Request::Delete(key) => acked(store.delete(key).wait(), None),
         Request::Batch(ops) => {
             let ops: Vec<WriteOp<S>> = ops
                 .into_iter()
@@ -321,18 +322,22 @@ where
                     WireOp::Delete(k) => WriteOp::Delete(k),
                 })
                 .collect();
-            acked(store.write_batch(ops))
+            let ticket = store.write_batch(ops);
+            // per-shard version ids are independent sequences: report
+            // the highest slice version
+            let version = ticket.wait().into_iter().max().unwrap_or(0);
+            acked(version, ticket.global_epoch())
         }
         Request::Pin(name) => {
             let snap = Arc::new(store.snapshot());
-            let epoch = snap.snapshot_epoch();
+            let epoch = snap.global_epoch();
             pins.lock().insert(name, Arc::clone(&snap));
             *session = Some(snap);
             Response::Pinned(epoch)
         }
         Request::UsePin(name) => match pins.lock().get(&name) {
             Some(snap) => {
-                let epoch = snap.snapshot_epoch();
+                let epoch = snap.global_epoch();
                 *session = Some(Arc::clone(snap));
                 Response::Pinned(epoch)
             }
@@ -352,12 +357,12 @@ where
     }
 }
 
-/// Block on the ticket — the write is committed, published, and (on a
-/// durable store) logged per the sync policy — then ack it.
-fn acked(ticket: impl WriteTicket) -> Response {
-    let version = ticket.wait_committed();
+/// The reply to a write whose ticket has resolved: the write is
+/// committed, published, and (on a durable store) logged per the sync
+/// policy.
+fn acked(version: u64, global_epoch: Option<u64>) -> Response {
     Response::Acked {
         version,
-        global_epoch: ticket.global_epoch(),
+        global_epoch,
     }
 }

@@ -6,7 +6,7 @@
 
 use pam::NoAug;
 use pam_serve::{Client, WireOp};
-use pam_store::{DurabilityConfig, DurableShardedStore, ShardedConfig};
+use pam_store::{DurabilityConfig, ShardedConfig, Store};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::process::{Command, Stdio};
@@ -111,7 +111,7 @@ fn every_acked_remote_write_survives_a_server_kill() {
 
     // reopen the directory in-process (the dead server's dir lock is
     // stale and gets broken) and hold recovery to its promises
-    let store = DurableShardedStore::<Spec>::open(
+    let store = Store::<Spec>::open(
         &dir,
         ShardedConfig::builder().shards(2).build(),
         DurabilityConfig::default(),

@@ -6,7 +6,7 @@
 use pam::NoAug;
 use pam_serve::wire::{self, read_frame_capped, Response, MAX_FRAME};
 use pam_serve::{serve, Client, ServeConfig, Server};
-use pam_store::{Health, ShardedConfig, ShardedStore};
+use pam_store::{Health, ShardedConfig, Store};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -14,8 +14,8 @@ use std::time::Duration;
 
 type Spec = NoAug<Vec<u8>, Vec<u8>>;
 
-fn start() -> (Arc<ShardedStore<Spec>>, Server, SocketAddr) {
-    let store = Arc::new(ShardedStore::with_config(
+fn start() -> (Arc<Store<Spec>>, Server, SocketAddr) {
+    let store = Arc::new(Store::volatile(
         ShardedConfig::builder()
             .shards(2)
             .batch_window(Duration::ZERO)

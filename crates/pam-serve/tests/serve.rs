@@ -3,15 +3,16 @@
 
 use pam::NoAug;
 use pam_serve::{serve, Client, ServeConfig, Server, WireOp};
-use pam_store::{DurabilityConfig, DurableShardedStore, ShardedConfig, ShardedStore};
+use pam_store::{DurabilityConfig, ShardedConfig, Store};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 type Spec = NoAug<Vec<u8>, Vec<u8>>;
 
-fn eager_store(shards: usize) -> Arc<ShardedStore<Spec>> {
-    Arc::new(ShardedStore::with_config(
+fn eager_store(shards: usize) -> Arc<Store<Spec>> {
+    Arc::new(Store::volatile(
         ShardedConfig::builder()
             .shards(shards)
             .batch_window(Duration::ZERO)
@@ -19,7 +20,10 @@ fn eager_store(shards: usize) -> Arc<ShardedStore<Spec>> {
     ))
 }
 
-fn start(store: Arc<ShardedStore<Spec>>) -> (Server, SocketAddr) {
+fn start<S>(store: Arc<Store<S>>) -> (Server, SocketAddr)
+where
+    S: pam::AugSpec<K = Vec<u8>, V = Vec<u8>>,
+{
     let server = serve(store, "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = server.local_addr();
     (server, addr)
@@ -127,7 +131,7 @@ fn named_pins_freeze_reads_until_release() {
 
 #[test]
 fn concurrent_clients_coalesce_into_the_group_commit_pipeline() {
-    let store = Arc::new(ShardedStore::<Spec>::with_config(
+    let store = Arc::new(Store::<Spec>::volatile(
         ShardedConfig::builder()
             .shards(2)
             .batch_window(Duration::from_micros(200))
@@ -166,7 +170,7 @@ fn drain_stops_accepting_and_flushes_acked_writes() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let open = || {
-        DurableShardedStore::<Spec>::open(
+        Store::<Spec>::open(
             &dir,
             ShardedConfig::builder()
                 .shards(2)
@@ -209,4 +213,71 @@ fn drain_stops_accepting_and_flushes_acked_writes() {
     }
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A plain byte-keyed map that counts key comparisons against [`HI`].
+/// A range iterator compares each entry it pulls with the scan's upper
+/// bound exactly once, and nothing else on the scan path compares with
+/// it, so with `HI` as the bound the counter is the number of entries a
+/// scan walked — observed from outside, through the real wire path.
+struct CountingSpec;
+
+/// Above every 8-byte key.
+const HI: &[u8] = &[0xff; 9];
+static HI_COMPARES: AtomicUsize = AtomicUsize::new(0);
+
+impl pam::AugSpec for CountingSpec {
+    type K = Vec<u8>;
+    type V = Vec<u8>;
+    type A = ();
+    fn compare(a: &Vec<u8>, b: &Vec<u8>) -> std::cmp::Ordering {
+        if a == HI || b == HI {
+            HI_COMPARES.fetch_add(1, Ordering::Relaxed);
+        }
+        a.cmp(b)
+    }
+    fn identity() {}
+    fn base(_: &Vec<u8>, _: &Vec<u8>) {}
+    fn combine(_: &(), _: &()) {}
+}
+
+#[test]
+fn scan_with_a_limit_stops_walking_at_the_limit() {
+    const SHARDS: usize = 4;
+    const ENTRIES: u64 = 50_000;
+    const LIMIT: u64 = 10;
+    let store = Arc::new(Store::<CountingSpec>::volatile(
+        ShardedConfig::builder()
+            .shards(SHARDS)
+            .batch_window(Duration::ZERO)
+            .build(),
+    ));
+    store
+        .put_all((0..ENTRIES).map(|i| (key(i), b"v".to_vec())))
+        .wait();
+    let (_server, addr) = start(Arc::clone(&store));
+    let mut c = Client::connect(addr).unwrap();
+    assert_eq!(c.len().unwrap(), ENTRIES);
+
+    let first: Vec<Vec<u8>> = (0..LIMIT).map(key).collect();
+    let scan_and_count = |c: &mut Client, what: &str| {
+        HI_COMPARES.store(0, Ordering::Relaxed);
+        let got = c.scan(&key(0), HI, LIMIT).unwrap();
+        let walked = HI_COMPARES.load(Ordering::Relaxed);
+        let keys: Vec<Vec<u8>> = got.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, first, "{what}");
+        assert!(
+            (LIMIT as usize..=LIMIT as usize + SHARDS).contains(&walked),
+            "{what}: an open-ended limit-{LIMIT} scan over {ENTRIES} entries walked \
+             {walked} of them; the k-way merge needs at most limit + shards"
+        );
+    };
+    scan_and_count(&mut c, "live scan");
+    // the same bound through a pinned session's snapshot
+    c.pin("cut").unwrap();
+    scan_and_count(&mut c, "pinned scan");
+    // limit 0 walks nothing at all
+    HI_COMPARES.store(0, Ordering::Relaxed);
+    assert_eq!(c.scan(&key(0), HI, 0).unwrap(), vec![]);
+    assert_eq!(HI_COMPARES.load(Ordering::Relaxed), 0);
 }

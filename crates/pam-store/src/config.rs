@@ -18,14 +18,15 @@
 //! # let _ = (cfg, dur);
 //! ```
 //!
-//! The structs keep public fields and `Default` impls as a
-//! backward-compatibility shim for existing field-mutation call sites;
-//! the handful of pre-builder convenience constructors are deprecated.
+//! The structs also keep public fields and `Default` impls, so struct
+//! update syntax (`StoreConfig { batch_window, ..Default::default() }`)
+//! works too.
 
 use pam_wal::SyncPolicy;
 use std::time::Duration;
 
-/// Configuration for a [`crate::VersionedStore`].
+/// Per-shard tuning: the configuration of one [`crate::VersionedStore`]
+/// engine.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// How long the committer lingers after the first enqueued operation
@@ -53,9 +54,8 @@ impl Default for StoreConfig {
     }
 }
 
-/// Configuration for a [`crate::ShardedStore`]: how many independent
-/// roots the key space is hash-partitioned into, plus the per-shard
-/// store tuning.
+/// Configuration for a [`crate::Store`]: how many independent shards the
+/// key space is hash-partitioned into, plus the per-shard tuning.
 ///
 /// The shard count is the write-parallelism knob: each shard runs its own
 /// group-commit pipeline (its own committer thread, and — when durable —
@@ -64,7 +64,7 @@ impl Default for StoreConfig {
 /// by a manifest; reopening with a different count is refused.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
-    /// Number of hash shards (independent `VersionedStore` roots).
+    /// Number of hash shards (independent engines; 0 is clamped to 1).
     pub shards: usize,
     /// Per-shard store configuration (every shard gets the same tuning).
     pub store: StoreConfig,
@@ -79,7 +79,7 @@ impl Default for ShardedConfig {
     }
 }
 
-/// Durability tuning for a [`crate::DurableStore`].
+/// Durability tuning for [`crate::Store::open`].
 ///
 /// The write-amplification story is unusually good here: group commit
 /// means one WAL record (and at most one fsync) per *epoch*, not per
@@ -90,12 +90,11 @@ pub struct DurabilityConfig {
     /// When the WAL fsyncs (see [`SyncPolicy`]). Default:
     /// [`SyncPolicy::SyncEachEpoch`] — an acked write is on disk.
     ///
-    /// In a sharded durable store, **cross-shard batch slices are
-    /// force-synced regardless of this policy**: recovery's atomicity
-    /// vote treats "logged on all participants" as durable, so a relaxed
-    /// policy may not leave a slice in page cache after its batch's
-    /// decision is recorded. Single-shard epochs honor the policy as
-    /// configured.
+    /// **Cross-shard batch slices are force-synced regardless of this
+    /// policy**: recovery's atomicity vote treats "logged on all
+    /// participants" as durable, so a relaxed policy may not leave a
+    /// slice in page cache after its batch's decision is recorded.
+    /// Single-shard epochs honor the policy as configured.
     pub sync: SyncPolicy,
     /// WAL segment rotation threshold in bytes. Smaller segments mean
     /// finer-grained space reclamation after checkpoints.
@@ -113,13 +112,11 @@ pub struct DurabilityConfig {
     pub keep_checkpoints: usize,
     /// Bind a live telemetry endpoint (`pam_obs::ObsServer`) on this
     /// address at open — e.g. `"127.0.0.1:9184"`, or port `0` to pick a
-    /// free port (read it back with `DurableStore::obs_addr`). The server
-    /// serves `/metrics`, `/metrics.json`, `/events`, `/health`, and
-    /// `/trace` for this store and shuts down when the store drops.
-    /// `None` (the default): no listener.
-    ///
-    /// A [`crate::DurableShardedStore`] binds **one** aggregated endpoint
-    /// for the whole store, not one per shard.
+    /// free port (read it back with [`crate::Store::obs_addr`]). The
+    /// server serves `/metrics`, `/metrics.json`, `/events`, `/health`,
+    /// and `/trace` for this store — **one** aggregated endpoint, not one
+    /// per shard — and shuts down when the store drops. `None` (the
+    /// default): no listener.
     pub obs_addr: Option<String>,
 }
 
@@ -145,15 +142,6 @@ impl StoreConfig {
     pub fn builder() -> StoreConfigBuilder {
         StoreConfigBuilder {
             cfg: StoreConfig::default(),
-        }
-    }
-
-    /// Defaults with a custom group-commit window.
-    #[deprecated(note = "use StoreConfig::builder().batch_window(..).build()")]
-    pub fn with_batch_window(window: Duration) -> Self {
-        StoreConfig {
-            batch_window: window,
-            ..StoreConfig::default()
         }
     }
 }
@@ -195,15 +183,6 @@ impl ShardedConfig {
     pub fn builder() -> ShardedConfigBuilder {
         ShardedConfigBuilder {
             cfg: ShardedConfig::default(),
-        }
-    }
-
-    /// Defaults with a custom shard count.
-    #[deprecated(note = "use ShardedConfig::builder().shards(..).build()")]
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedConfig {
-            shards,
-            ..ShardedConfig::default()
         }
     }
 }
@@ -259,15 +238,6 @@ impl DurabilityConfig {
     pub fn builder() -> DurabilityConfigBuilder {
         DurabilityConfigBuilder {
             cfg: DurabilityConfig::default(),
-        }
-    }
-
-    /// Defaults with a custom [`SyncPolicy`].
-    #[deprecated(note = "use DurabilityConfig::builder().sync(..).build()")]
-    pub fn with_sync(sync: SyncPolicy) -> Self {
-        DurabilityConfig {
-            sync,
-            ..DurabilityConfig::default()
         }
     }
 }
@@ -381,19 +351,5 @@ mod tests {
         assert_eq!(store.batch_window, Duration::ZERO);
         assert_eq!(store.max_batch, 64);
         assert_eq!(store.keep_versions, 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        assert_eq!(
-            StoreConfig::with_batch_window(Duration::ZERO).batch_window,
-            Duration::ZERO
-        );
-        assert_eq!(ShardedConfig::with_shards(2).shards, 2);
-        assert!(matches!(
-            DurabilityConfig::with_sync(SyncPolicy::NoSync).sync,
-            SyncPolicy::NoSync
-        ));
     }
 }

@@ -1,4 +1,4 @@
-//! [`DurableStore`]: the versioned store with a disk underneath it.
+//! The durability part of a [`crate::Store`]: a disk underneath every shard.
 //!
 //! The design exploits the two properties PAM gives us for free:
 //!
@@ -14,24 +14,44 @@
 //!   for on-disk tree blocks. Afterwards, WAL segments wholly covered by
 //!   the checkpoint are unlinked.
 //!
-//! Recovery ([`DurableStore::open`]) is the composition: load the newest
-//! valid checkpoint with the bulk `AugMap::from_sorted_distinct` (O(n)
-//! work, parallel), then replay newer WAL epochs through the same
-//! `multi_insert`/`multi_delete` path the committer uses. Because logged
+//! There is one on-disk layout, whatever the shard count:
+//!
+//! ```text
+//! <dir>/MANIFEST            shard count (pinned at creation), the global
+//!                           epoch watermark, the discard list
+//! <dir>/LOCK.pid            one writer per store directory
+//! <dir>/shard-0/            wal-*.seg, ckpt-*.ckpt, LOCK.pid — one
+//! <dir>/shard-1/            shard's log and checkpoints
+//! ...
+//! ```
+//!
+//! Recovery ([`crate::Store::open`]) is per shard — load the newest valid
+//! checkpoint with the bulk `AugMap::from_sorted_distinct` (O(n) work,
+//! parallel), then replay newer WAL epochs through the same
+//! `multi_insert`/`multi_delete` path the committer uses; because logged
 //! epochs are normalized (sorted, LWW-resolved), replay is idempotent and
-//! may safely overlap the checkpoint's coverage; a torn final record —
-//! the signature of a crash mid-append — is truncated away by
-//! [`pam_wal::Wal::open`].
+//! may safely overlap the checkpoint's coverage, and a torn final record
+//! — the signature of a crash mid-append — is truncated away by
+//! [`pam_wal::Wal::open`] — but **cross-shard batches recover
+//! atomically**. Every slice of a multi-shard `write_batch` is logged
+//! with its global epoch stamp, and `open` first pre-scans all shards'
+//! logs and runs a 2PC-style presence vote: a global epoch logged on
+//! *every* participant commits; one logged on some-but-not-all (a crash
+//! tore the tail mid-batch) is **discarded on every shard**. The store
+//! therefore recovers to the maximum global epoch fully present on all
+//! shards — a prefix-consistent cut of the epoch clock — and pins that
+//! watermark (plus the discard list) in the `MANIFEST` before serving
+//! traffic, so re-opens re-apply the same decisions even after other
+//! shards' checkpoints truncate the evidence.
 
 use crate::config::{DurabilityConfig, ShardedConfig, StoreConfig};
+use crate::engine::VersionedStore;
 use crate::op::NormalizedBatch;
 use crate::pipeline::CommitHook;
-use crate::shard::{GlobalClock, ShardKey, ShardedStore};
-use crate::stats::{DurabilityStats, StoreStats};
-use crate::store::VersionedStore;
-use pam::balance::Balance;
-use pam::{AugMap, AugSpec, WeightBalanced};
-use pam_obs::{event, flight, Health, Histogram, Level, ObsServer, TelemetrySource};
+use crate::shard::ShardKey;
+use crate::stats::DurabilityStats;
+use pam::{AugMap, AugSpec};
+use pam_obs::{event, flight, Health, Histogram, Level};
 use pam_wal::wal::WalObs;
 use pam_wal::{checkpoint, manifest, record, Codec, DirLock, GlobalStamp, Wal, WalConfig};
 use parking_lot::{Condvar, Mutex};
@@ -42,7 +62,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What [`DurableStore::open`] found on disk.
+/// What [`crate::Store::open`] found on disk, per shard.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryInfo {
     /// WAL epoch the loaded checkpoint claimed (0: no checkpoint).
@@ -54,8 +74,7 @@ pub struct RecoveryInfo {
     /// Highest durable WAL epoch after recovery.
     pub last_epoch: u64,
     /// WAL records skipped because their cross-shard batch was voted
-    /// torn (logged on some-but-not-all participants) — sharded recovery
-    /// only; always 0 for a standalone [`DurableStore`].
+    /// torn (logged on some-but-not-all participants).
     pub discarded_epochs: u64,
     /// Where the recovery wall time went, phase by phase.
     pub timings: RecoveryTimings,
@@ -65,12 +84,12 @@ pub struct RecoveryInfo {
 /// phases that did not run).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryTimings {
-    /// Sharded only: read-only pre-scan of every shard's WAL for
-    /// cross-shard batch stamps. Store-wide — the same value is stamped
-    /// into every shard's entry.
+    /// Read-only pre-scan of every shard's WAL for cross-shard batch
+    /// stamps. Store-wide — the same value is stamped into every
+    /// shard's entry.
     pub prescan: Duration,
-    /// Sharded only: the 2PC presence vote deciding torn batches.
-    /// Store-wide, like `prescan`.
+    /// The 2PC presence vote deciding torn batches. Store-wide, like
+    /// `prescan`.
     pub vote: Duration,
     /// Streaming the newest checkpoint into the map (bulk load).
     pub bulk_load: Duration,
@@ -98,10 +117,9 @@ impl RecoveryTimings {
 /// and a failed checkpoint is non-fatal (the WAL still has everything).
 const DECISION_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Shared 2PC bookkeeping for a [`DurableShardedStore`]'s global epoch
-/// clock.
+/// Shared 2PC bookkeeping for a durable [`crate::Store`]'s global epoch clock.
 ///
-/// * **Stamping** — the sharded store mints global epochs through
+/// * **Stamping** — the store mints global epochs through
 ///   [`GlobalTracker::stamp`], which records the batch as *outstanding*
 ///   until every participant shard's WAL hook reports its slice logged.
 /// * **Watermark** — `watermark()` is the largest `W` such that every
@@ -116,7 +134,7 @@ const DECISION_TIMEOUT: Duration = Duration::from_secs(10);
 ///   for any `g` above the manifest watermark, every participant's
 ///   record is still in some WAL.
 pub(crate) struct GlobalTracker {
-    /// The sharded store's root directory (where `MANIFEST` lives).
+    /// The store's root directory (where `MANIFEST` lives).
     dir: PathBuf,
     shards: u64,
     state: Mutex<TrackerState>,
@@ -172,7 +190,7 @@ impl GlobalTracker {
     pub(crate) fn stamp(&self, participants: u32) -> GlobalStamp {
         let mut s = self.state.lock();
         let epoch = s.next_stamp;
-        crate::shard::check_clock_epoch(epoch);
+        crate::store::check_clock_epoch(epoch);
         s.next_stamp += 1;
         s.outstanding.insert(epoch, participants);
         GlobalStamp {
@@ -198,7 +216,7 @@ impl GlobalTracker {
     }
 
     /// Largest `W` with every global epoch `<= W` fully logged.
-    fn watermark(&self) -> u64 {
+    pub(crate) fn watermark(&self) -> u64 {
         watermark_of(&self.state.lock())
     }
 
@@ -244,12 +262,8 @@ struct DurCounters {
     ckpt_pin_nanos: Histogram,
 }
 
-/// The [`CommitHook`] that gives `VersionedStore` its WAL.
-struct WalHook<S: AugSpec>
-where
-    S::K: Codec,
-    S::V: Codec,
-{
+/// The [`CommitHook`] that gives a shard's engine its WAL.
+pub(crate) struct WalHook {
     wal: Mutex<Wal>,
     /// Serializes checkpoints: a manual `checkpoint()` racing the
     /// background checkpointer must not interleave writes into the same
@@ -261,8 +275,8 @@ where
     /// Highest WAL epoch whose version is published — the most a
     /// checkpoint may claim to contain.
     published: AtomicU64,
-    /// The sharded store's 2PC bookkeeping (None for standalone stores).
-    tracker: Option<Arc<GlobalTracker>>,
+    /// The store's 2PC bookkeeping, shared by every shard.
+    tracker: Arc<GlobalTracker>,
     /// Stamped slices this shard has logged whose batch is (possibly)
     /// still undecided: WAL epoch → global epoch. Pruned against the
     /// tracker watermark at checkpoint time; what remains gates how far
@@ -280,19 +294,27 @@ where
     /// next success): surfaces as `Health::Degraded` on `/health` before
     /// an unbounded WAL becomes an outage.
     last_ckpt_error: Mutex<Option<String>>,
-    _spec: std::marker::PhantomData<fn(S)>,
 }
 
-impl<S: AugSpec> WalHook<S>
-where
-    S::K: Codec,
-    S::V: Codec,
-{
-    fn last_ckpt_error(&self) -> Option<String> {
-        self.last_ckpt_error.lock().clone()
+impl WalHook {
+    /// Fold the engine's fail-stop verdict with the background
+    /// checkpointer's: poisoned beats degraded beats healthy.
+    pub(crate) fn health(&self, engine: Health) -> Health {
+        let ckpt_error = self.last_ckpt_error.lock().clone();
+        match ckpt_error {
+            Some(e) => engine.worse(Health::Degraded(format!(
+                "background checkpoint failing: {e}"
+            ))),
+            None => engine,
+        }
     }
 
-    fn durability_stats(&self) -> DurabilityStats {
+    /// Highest WAL epoch that is both durable and published.
+    pub(crate) fn published(&self) -> u64 {
+        self.published.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn durability_stats(&self) -> DurabilityStats {
         let segments = self.wal.lock().segments() as u64;
         DurabilityStats {
             // relaxed: a monitoring snapshot — each counter is
@@ -316,7 +338,7 @@ where
     }
 }
 
-impl<S: AugSpec> CommitHook<S> for WalHook<S>
+impl<S: AugSpec> CommitHook<S> for WalHook
 where
     S::K: Codec,
     S::V: Codec,
@@ -347,7 +369,7 @@ where
             // then trust a decision whose evidence is gone (a sibling
             // may already have baked its slice into a checkpoint).
             // Single-shard epochs keep the relaxed policy untouched.
-            if self.tracker.is_some() && global.is_some() && !synced {
+            if global.is_some() && !synced {
                 wal.sync()?;
                 synced = true;
             }
@@ -357,14 +379,14 @@ where
             // relaxed: monitoring counter only
             self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
-        if let (Some(tracker), Some(stamp)) = (&self.tracker, global) {
+        if let Some(stamp) = global {
             // Record the slice as pending *before* reporting it logged:
             // a checkpoint that races us must either see the pending
             // entry or see the batch already decided.
             // lint: allow(lock-order) the wal guard above is scoped to
             // the `synced` block and already dropped here
             self.pending.lock().insert(wal_epoch, stamp.epoch);
-            tracker.logged(stamp.epoch);
+            self.tracker.logged(stamp.epoch);
         }
         Ok(())
     }
@@ -381,91 +403,39 @@ struct StopSignal {
     cv: Condvar,
 }
 
-/// A [`VersionedStore`] whose commits survive restarts and crashes.
-///
-/// Derefs to the inner [`VersionedStore`], so the whole read/write/version
-/// API is available unchanged; writes flow through the same group-commit
-/// pipeline, now logged by a [`CommitHook`] before they are acknowledged.
-///
-/// ```
-/// use pam::SumAug;
-/// use pam_store::{DurabilityConfig, DurableStore, StoreConfig};
-///
-/// let dir = std::env::temp_dir().join(format!("pam-doc-{}", std::process::id()));
-/// let open = || -> DurableStore<SumAug<u64, u64>> {
-///     DurableStore::open(&dir, StoreConfig::default(), DurabilityConfig::default()).unwrap()
-/// };
-///
-/// let store = open();
-/// store.put(1, 10).wait(); // on disk when wait() returns
-/// drop(store); // releases the directory lock
-///
-/// let store = open();
-/// assert_eq!(store.get(&1), Some(10)); // recovered
-/// # drop(store);
-/// # std::fs::remove_dir_all(&dir).unwrap();
-/// ```
-pub struct DurableStore<S: AugSpec, B: Balance = WeightBalanced>
-where
-    S::K: Codec,
-    S::V: Codec,
-{
-    /// Declared first: the telemetry server's source closures hold store
-    /// and hook handles, so the server must shut down (and drain its
-    /// in-flight scrapes) before the store below begins its teardown.
-    obs: Option<ObsServer>,
-    store: Arc<VersionedStore<S, B>>,
-    hook: Arc<WalHook<S>>,
+/// One shard's durable part: the engine wired to its WAL hook, the
+/// background checkpointer, and the shard directory's lock.
+struct DurableShard<S: AugSpec> {
+    engine: Arc<VersionedStore<S>>,
+    hook: Arc<WalHook>,
     config: DurabilityConfig,
     dir: PathBuf,
-    recovery: RecoveryInfo,
     stop: Arc<StopSignal>,
     checkpointer: Option<std::thread::JoinHandle<()>>,
-    /// Stays registered through the drain: a panic while the final
-    /// epochs flush still leaves its black box next to the WAL.
-    _dump_dir: Option<flight::DumpDirGuard>,
-    /// Declared last: released only after the store above has drained
+    /// Declared last: released only after the engine above has drained
     /// its final epochs into the WAL.
     _lock: DirLock,
 }
 
-impl<S: AugSpec, B: Balance> DurableStore<S, B>
+impl<S: AugSpec> DurableShard<S>
 where
     S::K: Codec,
     S::V: Codec,
 {
-    /// Open (or create) a durable store in `dir`: load the newest valid
-    /// checkpoint, replay newer WAL epochs, and start accepting traffic.
-    /// A torn final WAL record (crash mid-append) is tolerated and
-    /// truncated; see the module docs for the recovery contract.
-    ///
-    /// # Errors
-    ///
-    /// * `WouldBlock` — another live process holds the directory lock;
-    /// * `InvalidData` — corruption outside the tolerated torn tail, or
-    ///   a WAL gap (acknowledged epochs missing from the log);
-    /// * other kinds pass through from the filesystem.
-    pub fn open(
-        dir: impl AsRef<Path>,
+    /// Recover one shard from `dir` (`<root>/shard-<i>/`): load the
+    /// newest valid checkpoint, replay newer WAL epochs — skipping the
+    /// records of every batch in `discard`, the global epochs the
+    /// cross-shard vote rejected — and start the engine with the WAL
+    /// hook (reporting logged slices to `tracker`) and the background
+    /// checkpointer. A torn final WAL record (crash mid-append) is
+    /// tolerated and truncated.
+    fn open(
+        dir: PathBuf,
         config: StoreConfig,
         durability: DurabilityConfig,
-    ) -> io::Result<Self> {
-        Self::open_with(dir, config, durability, None, &BTreeSet::new())
-    }
-
-    /// [`Self::open`] with the sharded layer's recovery inputs: the
-    /// shared 2PC `tracker` (wired into the WAL hook so logged slices
-    /// report in and checkpoints gate/persist), and the `discard` set —
-    /// global epochs whose batches the cross-shard vote rejected, whose
-    /// records replay must skip.
-    pub(crate) fn open_with(
-        dir: impl AsRef<Path>,
-        config: StoreConfig,
-        durability: DurabilityConfig,
-        tracker: Option<Arc<GlobalTracker>>,
+        tracker: Arc<GlobalTracker>,
         discard: &BTreeSet<u64>,
-    ) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
+    ) -> io::Result<(Self, RecoveryInfo)> {
         std::fs::create_dir_all(&dir)?;
         // one writer per directory: a second open (double-started
         // service) must fail fast, not interleave WAL frames
@@ -479,7 +449,7 @@ where
         //    chunk, never the whole checkpoint vector.
         let mut timings = RecoveryTimings::default();
         let phase_start = Instant::now();
-        let loaded = checkpoint::load_latest_with::<S::K, S::V, AugMap<S, B>>(
+        let loaded = checkpoint::load_latest_with::<S::K, S::V, AugMap<S>>(
             &dir,
             AugMap::new,
             |m, chunk| {
@@ -594,10 +564,9 @@ where
             timings.replay
         );
 
-        // 3. hand the recovered map to a fresh pipeline with the WAL hook
-        let standalone = tracker.is_none();
+        // 3. hand the recovered map to a fresh engine with the WAL hook
         let wal_obs = wal.obs();
-        let hook = Arc::new(WalHook::<S> {
+        let hook = Arc::new(WalHook {
             wal: Mutex::new(wal),
             ckpt_mutex: Mutex::new(()),
             base: last_epoch,
@@ -608,9 +577,8 @@ where
             wal_obs,
             last_ckpt_at: Mutex::new(None),
             last_ckpt_error: Mutex::new(None),
-            _spec: std::marker::PhantomData,
         });
-        let store = Arc::new(VersionedStore::with_commit_hook(
+        let engine = Arc::new(VersionedStore::with_commit_hook(
             map,
             config,
             hook.clone() as Arc<dyn CommitHook<S>>,
@@ -621,8 +589,8 @@ where
         let checkpointer = if durability.checkpoint_every_bytes.is_some()
             || durability.checkpoint_interval.is_some()
         {
-            let (store2, hook2, stop2, dir2, cfg2) = (
-                store.clone(),
+            let (engine2, hook2, stop2, dir2, cfg2) = (
+                engine.clone(),
                 hook.clone(),
                 stop.clone(),
                 dir.clone(),
@@ -631,131 +599,49 @@ where
             Some(
                 std::thread::Builder::new()
                     .name("pam-store-checkpointer".into())
-                    .spawn(move || run_checkpointer(&store2, &hook2, &stop2, &dir2, &cfg2))?,
+                    .spawn(move || run_checkpointer(&engine2, &hook2, &stop2, &dir2, &cfg2))?,
             )
         } else {
             None
         };
 
-        // 5. observability: register the WAL dir for flight dumps (the
-        //    sharded store registers its root directory once instead of
-        //    per shard), and bind the live telemetry endpoint if asked.
-        let dump_dir = standalone.then(|| flight::register_dump_dir(&dir));
-        let obs = match &durability.obs_addr {
-            Some(addr) => {
-                let (st, hk) = (store.clone(), hook.clone());
-                let (st2, hk2) = (store.clone(), hook.clone());
-                let source = TelemetrySource {
-                    export: Box::new(move |reg| {
-                        let mut s = st.stats();
-                        s.durability = hk.durability_stats();
-                        s.export_into(reg);
-                    }),
-                    health: Box::new(move || durable_health(st2.health(), hk2.last_ckpt_error())),
-                };
-                Some(ObsServer::bind(addr.as_str(), source).map_err(|e| {
-                    io::Error::new(e.kind(), format!("binding obs_addr {addr}: {e}"))
-                })?)
-            }
-            None => None,
+        let recovery = RecoveryInfo {
+            checkpoint_epoch: ckpt_epoch,
+            checkpoint_entries,
+            replayed_epochs: replayed,
+            last_epoch,
+            discarded_epochs: discarded,
+            timings,
         };
-
-        Ok(DurableStore {
-            obs,
-            store,
+        let shard = DurableShard {
+            engine,
             hook,
             config: durability,
             dir,
-            recovery: RecoveryInfo {
-                checkpoint_epoch: ckpt_epoch,
-                checkpoint_entries,
-                replayed_epochs: replayed,
-                last_epoch,
-                discarded_epochs: discarded,
-                timings,
-            },
             stop,
             checkpointer,
-            _dump_dir: dump_dir,
             _lock: lock,
-        })
-    }
-
-    /// Write a checkpoint now: pin the head, stream it to disk (writers
-    /// keep committing), then truncate WAL segments the checkpoint
-    /// covers. Returns the WAL epoch the checkpoint claims.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors pass through; a sharded store's shard
-    /// additionally fails with `TimedOut` if a cross-shard batch stays
-    /// undecided (a sibling shard wedged mid-log) — a failed checkpoint
-    /// is never fatal, the WAL still holds everything.
-    pub fn checkpoint(&self) -> io::Result<u64> {
-        do_checkpoint(&self.store, &self.hook, &self.dir, &self.config)
-    }
-
-    /// What recovery found when this store was opened.
-    pub fn recovery(&self) -> &RecoveryInfo {
-        &self.recovery
-    }
-
-    /// Highest WAL epoch that is both durable and published.
-    pub fn wal_epoch(&self) -> u64 {
-        self.hook.published.load(Ordering::Acquire)
-    }
-
-    /// The directory holding the WAL and checkpoints.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// A cloneable, `'static` handle to the underlying versioned store —
-    /// convenient for spawning reader/writer threads. Writes through the
-    /// handle flow through the same logged pipeline and are just as
-    /// durable.
-    pub fn handle(&self) -> Arc<VersionedStore<S, B>> {
-        self.store.clone()
-    }
-
-    /// Store statistics including the durability counters (shadows
-    /// [`VersionedStore::stats`], which reports them as zeros).
-    pub fn stats(&self) -> StoreStats {
-        let mut stats = self.store.stats();
-        stats.durability = self.hook.durability_stats();
-        stats
-    }
-
-    /// Liveness including durability (shadows [`VersionedStore::health`]):
-    /// `Poisoned` with the original WAL error after a fail-stop,
-    /// `Degraded` while the background checkpointer keeps failing,
-    /// `Healthy` otherwise.
-    pub fn health(&self) -> Health {
-        durable_health(self.store.health(), self.hook.last_ckpt_error())
-    }
-
-    /// The live telemetry endpoint's bound address, when
-    /// [`DurabilityConfig::obs_addr`] was configured (resolves port 0).
-    pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
-        self.obs.as_ref().map(|o| o.local_addr())
+        };
+        Ok((shard, recovery))
     }
 }
 
-/// Fold the pipeline's fail-stop verdict with the background
-/// checkpointer's: poisoned beats degraded beats healthy.
-fn durable_health(store: Health, ckpt_error: Option<String>) -> Health {
-    match ckpt_error {
-        Some(e) => store.worse(Health::Degraded(format!(
-            "background checkpoint failing: {e}"
-        ))),
-        None => store,
+impl<S: AugSpec> Drop for DurableShard<S> {
+    fn drop(&mut self) {
+        *self.stop.stop.lock() = true;
+        self.stop.cv.notify_all();
+        if let Some(h) = self.checkpointer.take() {
+            let _ = h.join();
+        }
+        // `self.engine` drops after this, draining (and logging) every
+        // buffered write; the WAL's own Drop then flushes the tail.
     }
 }
 
 /// Shared by `checkpoint()` and the background thread.
-fn do_checkpoint<S: AugSpec, B: Balance>(
-    store: &VersionedStore<S, B>,
-    hook: &WalHook<S>,
+fn do_checkpoint<S: AugSpec>(
+    engine: &VersionedStore<S>,
+    hook: &WalHook,
     dir: &Path,
     config: &DurabilityConfig,
 ) -> io::Result<u64>
@@ -771,34 +657,32 @@ where
     // order). The pin may contain later epochs too — harmless, replay is
     // idempotent.
     let ckpt_start = Instant::now();
-    let epoch = hook.published.load(Ordering::Acquire);
-    let pin = store.pin();
+    let epoch = hook.published();
+    let pin = engine.pin();
     let pin_start = Instant::now();
-    if let Some(tracker) = &hook.tracker {
-        // Epoch-clock gating. The pin may contain slices of cross-shard
-        // batches not yet logged by every sibling shard. Baking such a
-        // slice into the checkpoint would make it un-discardable if the
-        // batch later loses the recovery vote, so wait (decisions land
-        // as fast as the siblings' committers append — microseconds)
-        // until the watermark passes every stamp that can be in the pin.
-        // Every such stamp is in `pending` right now: slices log before
-        // they publish, and pruning only removes already-decided ones.
-        let gate = hook.pending.lock().values().copied().max();
-        if let Some(newest_stamp) = gate {
-            let deadline = Instant::now() + DECISION_TIMEOUT;
-            while tracker.watermark() < newest_stamp {
-                if Instant::now() > deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "checkpoint blocked: a cross-shard batch is still awaiting \
-                         its sibling shards' WAL appends (is a sibling wedged?)",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(1));
+    // Epoch-clock gating. The pin may contain slices of cross-shard
+    // batches not yet logged by every sibling shard. Baking such a
+    // slice into the checkpoint would make it un-discardable if the
+    // batch later loses the recovery vote, so wait (decisions land
+    // as fast as the siblings' committers append — microseconds)
+    // until the watermark passes every stamp that can be in the pin.
+    // Every such stamp is in `pending` right now: slices log before
+    // they publish, and pruning only removes already-decided ones.
+    let gate = hook.pending.lock().values().copied().max();
+    if let Some(newest_stamp) = gate {
+        let deadline = Instant::now() + DECISION_TIMEOUT;
+        while hook.tracker.watermark() < newest_stamp {
+            if Instant::now() > deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "checkpoint blocked: a cross-shard batch is still awaiting \
+                     its sibling shards' WAL appends (is a sibling wedged?)",
+                ));
             }
-            let w = tracker.watermark();
-            hook.pending.lock().retain(|_, g| *g > w);
+            std::thread::sleep(Duration::from_millis(1));
         }
+        let w = hook.tracker.watermark();
+        hook.pending.lock().retain(|_, g| *g > w);
     }
     let map = pin.map();
     let ckpt_bytes = checkpoint::write(
@@ -812,13 +696,11 @@ where
     hook.counters
         .ckpt_pin_nanos
         .record_duration(pin_start.elapsed());
-    if let Some(tracker) = &hook.tracker {
-        // Pin the clock in the manifest *before* truncation may reclaim
-        // stamped records: recovery's presence vote only runs for stamps
-        // above the manifest watermark, so a record may vanish from the
-        // log only once its batch's decision is persisted.
-        tracker.persist()?;
-    }
+    // Pin the clock in the manifest *before* truncation may reclaim
+    // stamped records: recovery's presence vote only runs for stamps
+    // above the manifest watermark, so a record may vanish from the
+    // log only once its batch's decision is persisted.
+    hook.tracker.persist()?;
     hook.wal.lock().truncate_through(epoch)?;
     // relaxed: checkpoint bookkeeping counters — the checkpointer is the
     // only writer (ckpt_mutex) and readers tolerate sampling skew; the
@@ -849,9 +731,9 @@ where
     Ok(epoch)
 }
 
-fn run_checkpointer<S: AugSpec, B: Balance>(
-    store: &VersionedStore<S, B>,
-    hook: &WalHook<S>,
+fn run_checkpointer<S: AugSpec>(
+    engine: &VersionedStore<S>,
+    hook: &WalHook,
     stop: &StopSignal,
     dir: &Path,
     config: &DurabilityConfig,
@@ -871,7 +753,7 @@ fn run_checkpointer<S: AugSpec, B: Balance>(
             return;
         }
 
-        let published = hook.published.load(Ordering::Acquire);
+        let published = hook.published();
         // relaxed: freshness heuristics — a stale counter read at worst
         // delays or repeats one checkpoint poll (all loads below alike)
         if published == hook.counters.last_ckpt_epoch.load(Ordering::Relaxed) {
@@ -893,7 +775,7 @@ fn run_checkpointer<S: AugSpec, B: Balance>(
             continue;
         }
         drop(g);
-        match do_checkpoint(store, hook, dir, config) {
+        match do_checkpoint(engine, hook, dir, config) {
             Ok(_) => {
                 *hook.last_ckpt_error.lock() = None;
             }
@@ -916,118 +798,49 @@ fn run_checkpointer<S: AugSpec, B: Balance>(
     }
 }
 
-impl<S: AugSpec, B: Balance> std::ops::Deref for DurableStore<S, B>
-where
-    S::K: Codec,
-    S::V: Codec,
-{
-    type Target = VersionedStore<S, B>;
-    fn deref(&self) -> &Self::Target {
-        &self.store
-    }
-}
-
-impl<S: AugSpec, B: Balance> Drop for DurableStore<S, B>
-where
-    S::K: Codec,
-    S::V: Codec,
-{
-    fn drop(&mut self) {
-        *self.stop.stop.lock() = true;
-        self.stop.cv.notify_all();
-        if let Some(h) = self.checkpointer.take() {
-            let _ = h.join();
-        }
-        // `self.store` drops after this, draining (and logging) every
-        // buffered write; the WAL's own Drop then flushes the tail.
-    }
-}
-
-impl<S: AugSpec, B: Balance> std::fmt::Debug for DurableStore<S, B>
-where
-    S::K: Codec,
-    S::V: Codec,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "DurableStore({}, v{}, len {}, wal epoch {})",
-            self.dir.display(),
-            self.head_version(),
-            self.len(),
-            self.wal_epoch(),
-        )
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Sharded durability
+// The store-wide part: manifest, vote, tracker
 // ---------------------------------------------------------------------------
 
-/// Does `dir` contain any `shard-<i>` subdirectory?
-fn has_shard_dirs(dir: &Path) -> io::Result<bool> {
+/// What a directory without a `MANIFEST` holds that only a store could
+/// have written, if anything: `shard-<i>` subdirectories (the manifest
+/// was lost), or top-level `wal-*.seg` / `ckpt-*.ckpt` files (the retired
+/// single-directory layout). Either way there is acknowledged data here
+/// and no manifest saying how it is laid out.
+fn unmanifested_data(dir: &Path) -> io::Result<Option<&'static str>> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name
-            .strip_prefix("shard-")
-            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
-            && entry.file_type()?.is_dir()
+        let is_dir = entry.file_type()?.is_dir();
+        if is_dir
+            && name
+                .strip_prefix("shard-")
+                .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
         {
-            return Ok(true);
+            return Ok(Some("shard directories but no manifest"));
+        }
+        let bare_wal = name.starts_with("wal-") && name.ends_with(".seg");
+        let bare_ckpt = name.starts_with("ckpt-") && name.ends_with(".ckpt");
+        if !is_dir && (bare_wal || bare_ckpt) {
+            return Ok(Some(
+                "WAL segments or checkpoints at its top level (the retired \
+                 single-directory layout, which this version cannot open)",
+            ));
         }
     }
-    Ok(false)
+    Ok(None)
 }
 
-/// A [`ShardedStore`] whose shards each carry their own WAL and
-/// checkpointer — N independent durability pipelines under one directory:
-///
-/// ```text
-/// <dir>/MANIFEST            shard count, pinned at creation
-/// <dir>/LOCK.pid            one writer per sharded directory
-/// <dir>/shard-0/            a full DurableStore dir: wal-*.seg, ckpt-*,
-/// <dir>/shard-1/            LOCK.pid — recovered independently
-/// ...
-/// ```
-///
-/// Because the shard assignment is a pure function of the key and the
-/// shard count ([`ShardKey`]), the count is part of the on-disk format:
-/// [`DurableShardedStore::open`] refuses a directory whose manifest
-/// disagrees with the requested count rather than silently routing keys
-/// to WALs that never held them.
-///
-/// Recovery is per shard (checkpoint bulk-load + WAL replay, torn tails
-/// tolerated) — but **cross-shard batches recover atomically**. Every
-/// slice of a multi-shard `write_batch` is logged with its global epoch
-/// stamp, and `open` first pre-scans all shards' logs and runs a
-/// 2PC-style presence vote: a global epoch logged on *every* participant
-/// commits; one logged on some-but-not-all (a crash tore the tail
-/// mid-batch) is **discarded on every shard**. The store therefore
-/// recovers to the maximum global epoch fully present on all shards — a
-/// prefix-consistent cut of the epoch clock — and pins that watermark
-/// (plus the discard list) in the `MANIFEST` before serving traffic, so
-/// re-opens re-apply the same decisions even after other shards'
-/// checkpoints truncate the evidence. Derefs to [`ShardedStore`] for the
-/// whole read/write/snapshot API.
-pub struct DurableShardedStore<S: AugSpec, B: Balance = WeightBalanced>
-where
-    S::K: Codec + ShardKey,
-    S::V: Codec,
-{
-    /// Declared first: the telemetry server's source closures hold
-    /// sharded-store and hook handles, so the server must shut down
-    /// before the shards below begin their teardown.
-    obs: Option<ObsServer>,
-    /// Declared before `shards`: drops its shard handles before the
-    /// `DurableStore`s below join their checkpointers and drain their
-    /// pipelines.
-    sharded: Arc<ShardedStore<S, B>>,
-    shards: Vec<DurableStore<S, B>>,
-    tracker: Arc<GlobalTracker>,
-    recovery: Vec<RecoveryInfo>,
-    dir: PathBuf,
+/// The optional durability part of a [`crate::Store`]: every shard's
+/// [`DurableShard`], the shared 2PC tracker, and the root directory's
+/// manifest and lock.
+pub(crate) struct Durability<S: AugSpec> {
+    shards: Vec<DurableShard<S>>,
+    pub(crate) tracker: Arc<GlobalTracker>,
+    /// What recovery found, shard order.
+    pub(crate) recovery: Vec<RecoveryInfo>,
+    pub(crate) dir: PathBuf,
     /// The root directory receives the flight dump for the whole store
     /// (one black box, not one per shard); stays registered through the
     /// shards' drain.
@@ -1037,41 +850,22 @@ where
     _lock: DirLock,
 }
 
-impl<S: AugSpec, B: Balance> DurableShardedStore<S, B>
+impl<S: AugSpec> Durability<S>
 where
     S::K: Codec + ShardKey,
     S::V: Codec,
 {
-    /// Open (or create) a sharded durable store in `dir`: verify the
-    /// shard-count manifest, **vote on cross-shard batches**, then
-    /// recover every shard **in parallel** — checkpoint bulk-load plus
-    /// WAL replay, reusing the single-store path per shard.
-    ///
-    /// The vote is the cross-shard half of recovery: a read-only
-    /// pre-scan collects every global epoch stamp from every shard's
-    /// log; stamps above the manifest's persisted watermark that are
-    /// missing on at least one of their participants mark torn batches,
-    /// which every shard's replay then skips. The advanced watermark and
-    /// the discard list are pinned back into the manifest *before* any
-    /// shard serves traffic, and the global epoch clock resumes past the
-    /// watermark.
-    ///
-    /// # Errors
-    ///
-    /// * `InvalidInput` — the manifest pins a different shard count (the
-    ///   hash routing is part of the on-disk format);
-    /// * `InvalidData` — shard directories without a manifest (guessing
-    ///   a layout could route keys into the wrong WAL), or corruption /
-    ///   WAL gaps inside a shard;
-    /// * `WouldBlock` — another live process holds the directory lock.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        config: ShardedConfig,
-        durability: DurabilityConfig,
+    /// Open (or create) the store directory `dir`: verify the manifest,
+    /// vote on cross-shard batches, then recover every shard in
+    /// parallel. See [`crate::Store::open`] for the contract and the errors.
+    pub(crate) fn open(
+        dir: &Path,
+        config: &ShardedConfig,
+        durability: &DurabilityConfig,
     ) -> io::Result<Self> {
         use rayon::prelude::*;
 
-        let dir = dir.as_ref().to_path_buf();
+        let dir = dir.to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let lock = DirLock::acquire(&dir)?;
         manifest::clean_temp_file(&dir)?;
@@ -1093,18 +887,20 @@ where
             }
             // any surviving shard-<i> subdir (not just shard-0 — partial
             // restores can lose arbitrary shards along with the manifest)
-            // means there is a layout we would be guessing at
-            None if has_shard_dirs(&dir)? => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{} has shard directories but no manifest — refusing to guess \
-                         the layout",
-                        dir.display()
-                    ),
-                ));
+            // or bare-layout file means there is data we would be
+            // guessing the layout of — or silently shadowing with an
+            // empty store
+            None => {
+                if let Some(found) = unmanifested_data(&dir)? {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{} has {found} — refusing to guess the layout",
+                            dir.display()
+                        ),
+                    ));
+                }
             }
-            None => {}
         }
         let (prev_watermark, prev_discarded) = existing
             .map(|m| (m.global_epoch, m.discarded))
@@ -1160,7 +956,7 @@ where
         event!(
             Level::Info,
             "pam_store::recovery",
-            "sharded vote over {want} shards: watermark {watermark}, {} discarded \
+            "vote over {want} shards: watermark {watermark}, {} discarded \
              (pre-scan {prescan_took:?}, vote {vote_took:?})",
             discard.len()
         );
@@ -1178,207 +974,56 @@ where
         // the discarded batches. The parallel driver keeps the results
         // in shard order; the first error wins (already-opened shards
         // shut down cleanly when dropped).
-        // Shards never bind their own telemetry endpoint: one aggregated
-        // server (below) covers the whole store.
-        let shard_durability = DurabilityConfig {
-            obs_addr: None,
-            ..durability.clone()
-        };
-        let shards = (0..want as usize)
+        let (shards, mut recovery): (Vec<_>, Vec<_>) = (0..want as usize)
             .into_par_iter()
             .map(|i| {
-                DurableStore::open_with(
+                DurableShard::open(
                     manifest::shard_dir(&dir, i),
                     config.store.clone(),
-                    shard_durability.clone(),
-                    Some(tracker.clone()),
+                    durability.clone(),
+                    tracker.clone(),
                     &discard,
                 )
             })
-            .collect::<Vec<io::Result<DurableStore<S, B>>>>()
+            .collect::<Vec<io::Result<(DurableShard<S>, RecoveryInfo)>>>()
             .into_iter()
-            .collect::<io::Result<Vec<_>>>()?;
+            .collect::<io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         // The pre-scan and vote are store-wide phases; stamp the same
         // wall times into every shard's entry (documented on
         // `RecoveryTimings`).
-        let recovery = shards
-            .iter()
-            .map(|s| {
-                let mut info = s.recovery().clone();
-                info.timings.prescan = prescan_took;
-                info.timings.vote = vote_took;
-                info
-            })
-            .collect();
-        let sharded = Arc::new(ShardedStore::from_stores_with_clock(
-            shards.iter().map(|s| s.handle()).collect(),
-            GlobalClock::tracked(tracker.clone()),
-        ));
+        for info in &mut recovery {
+            info.timings.prescan = prescan_took;
+            info.timings.vote = vote_took;
+        }
 
-        // Observability: the root directory gets the flight dump, and one
-        // aggregated telemetry endpoint serves the whole store (per-shard
-        // stats folded + fence overlay, worst shard health wins).
-        let dump_dir = flight::register_dump_dir(&dir);
-        let obs = match &durability.obs_addr {
-            Some(addr) => {
-                let hooks: Vec<Arc<WalHook<S>>> = shards.iter().map(|s| s.hook.clone()).collect();
-                let (sh, hooks2) = (sharded.clone(), hooks.clone());
-                let sh2 = sharded.clone();
-                let source = TelemetrySource {
-                    export: Box::new(move |reg| {
-                        let mut per = sh.stats_per_shard();
-                        for (s, h) in per.iter_mut().zip(&hooks) {
-                            s.durability = h.durability_stats();
-                        }
-                        let mut agg = StoreStats::aggregate(per.iter());
-                        sh.overlay_fence_stats(&mut agg);
-                        agg.export_into(reg);
-                    }),
-                    health: Box::new(move || sharded_health(&sh2, &hooks2)),
-                };
-                Some(ObsServer::bind(addr.as_str(), source).map_err(|e| {
-                    io::Error::new(e.kind(), format!("binding obs_addr {addr}: {e}"))
-                })?)
-            }
-            None => None,
-        };
-
-        Ok(DurableShardedStore {
-            obs,
-            sharded,
+        Ok(Durability {
             shards,
             tracker,
             recovery,
+            _dump_dir: flight::register_dump_dir(&dir),
             dir,
-            _dump_dir: dump_dir,
             _lock: lock,
         })
     }
 
-    /// Checkpoint every shard (each pins its own head and streams it
-    /// concurrently with writers); returns the per-shard WAL epochs the
-    /// checkpoints claim. Each shard persists the global epoch
-    /// watermark to the manifest before truncating its WAL.
-    ///
-    /// # Errors
-    ///
-    /// The first failing shard's error (see [`DurableStore::checkpoint`]);
-    /// earlier shards' checkpoints remain valid.
-    pub fn checkpoint(&self) -> io::Result<Vec<u64>> {
-        self.shards.iter().map(|s| s.checkpoint()).collect()
-    }
-
-    /// What recovery found per shard when this store was opened.
-    pub fn recovery(&self) -> &[RecoveryInfo] {
-        &self.recovery
-    }
-
-    /// Highest durable-and-published WAL epoch per shard.
-    pub fn wal_epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.wal_epoch()).collect()
-    }
-
-    /// The global epoch clock's committed watermark: every cross-shard
-    /// batch stamped `<=` this value is decided (durable on all its
-    /// shards, or discarded on all of them). At open this is the
-    /// *maximum global epoch fully present on all shards* — the
-    /// prefix-consistent cut recovery restored.
-    pub fn global_watermark(&self) -> u64 {
-        self.tracker.watermark()
-    }
-
-    /// The directory holding the manifest and shard subdirectories.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of shards (as pinned by the manifest).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// A cloneable, `'static` handle to the sharded store — for spawning
-    /// reader/writer threads. Writes through the handle flow through the
-    /// same per-shard logged pipelines.
-    pub fn handle(&self) -> Arc<ShardedStore<S, B>> {
-        self.sharded.clone()
-    }
-
-    /// Store-wide statistics with durability counters aggregated across
-    /// shards (see [`StoreStats::aggregate`] for the folding rules),
-    /// overlaid with the sharded-layer fence metrics.
-    pub fn stats(&self) -> StoreStats {
-        let per = self.stats_per_shard();
-        let mut s = StoreStats::aggregate(per.iter());
-        self.sharded.overlay_fence_stats(&mut s);
-        s
-    }
-
-    /// Per-shard statistics including each shard's durability counters.
-    pub fn stats_per_shard(&self) -> Vec<StoreStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
-    /// The worst health over all shards, durability included: a poisoned
-    /// shard's WAL error (prefixed with its index) beats a failing
-    /// background checkpointer's `Degraded`, which beats `Healthy`.
-    pub fn health(&self) -> Health {
-        let hooks: Vec<Arc<WalHook<S>>> = self.shards.iter().map(|s| s.hook.clone()).collect();
-        sharded_health(&self.sharded, &hooks)
-    }
-
-    /// The live telemetry endpoint's bound address, when
-    /// [`DurabilityConfig::obs_addr`] was configured (resolves port 0).
-    pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
-        self.obs.as_ref().map(|o| o.local_addr())
+    /// Checkpoint every shard; see [`crate::Store::checkpoint`].
+    pub(crate) fn checkpoint(&self) -> io::Result<Vec<u64>> {
+        self.shards
+            .iter()
+            .map(|s| do_checkpoint(&s.engine, &s.hook, &s.dir, &s.config))
+            .collect()
     }
 }
 
-/// The sharded health fold shared by [`DurableShardedStore::health`] and
-/// its telemetry source: worst shard wins, checkpointer failures surface
-/// as `Degraded` with the shard index prefixed.
-fn sharded_health<S: AugSpec, B: Balance>(
-    sharded: &ShardedStore<S, B>,
-    hooks: &[Arc<WalHook<S>>],
-) -> Health
-where
-    S::K: Codec + ShardKey,
-    S::V: Codec,
-{
-    let mut health = sharded.health();
-    for (i, hook) in hooks.iter().enumerate() {
-        if let Some(e) = hook.last_ckpt_error() {
-            health = health.worse(Health::Degraded(format!(
-                "shard {i}: background checkpoint failing: {e}"
-            )));
-        }
-    }
-    health
-}
-
-impl<S: AugSpec, B: Balance> std::ops::Deref for DurableShardedStore<S, B>
-where
-    S::K: Codec + ShardKey,
-    S::V: Codec,
-{
-    type Target = ShardedStore<S, B>;
-    fn deref(&self) -> &Self::Target {
-        &self.sharded
-    }
-}
-
-impl<S: AugSpec, B: Balance> std::fmt::Debug for DurableShardedStore<S, B>
-where
-    S::K: Codec + ShardKey,
-    S::V: Codec,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "DurableShardedStore({}, {} shards, len {})",
-            self.dir.display(),
-            self.num_shards(),
-            self.sharded.len(),
-        )
+impl<S: AugSpec> Durability<S> {
+    /// Every shard's engine and WAL hook, shard order.
+    pub(crate) fn parts(
+        &self,
+    ) -> impl Iterator<Item = (Arc<VersionedStore<S>>, Arc<WalHook>)> + '_ {
+        self.shards
+            .iter()
+            .map(|s| (s.engine.clone(), s.hook.clone()))
     }
 }

@@ -23,9 +23,10 @@
 //!    published version, or none is);
 //! 3. normalizes the batch (parallel sort + last-write-wins dedup, see
 //!    [`crate::op`]) and applies it as one work-optimal
-//!    `multi_insert` + `multi_delete` on a snapshot — **outside** any
-//!    lock — publishing the result via `SharedMap::commit_cas`;
-//! 4. publishes the new version in the registry, then wakes every ticket
+//!    `multi_insert` + `multi_delete` to the current map, which the
+//!    committer alone owns — no lock, no compare-and-swap;
+//! 4. publishes the result in the registry as version `previous + 1` —
+//!    the one place a new root becomes visible — then wakes every ticket
 //!    of the epoch.
 //!
 //! Tree work per epoch is O(m log(n/m + 1)) for m deduplicated operations
@@ -36,8 +37,7 @@ use crate::config::StoreConfig;
 use crate::op::{normalize, NormalizedBatch, WriteOp};
 use crate::registry::Registry;
 use crate::stats::{CommitTiming, StatsInner};
-use pam::balance::Balance;
-use pam::{AugSpec, SharedMap};
+use pam::{AugMap, AugSpec};
 use pam_obs::{event, flight, EpochTrace, FlightRecorder, Level};
 use pam_wal::GlobalStamp;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -46,8 +46,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The committer's durability extension point (implemented by
-/// `DurableStore`'s WAL writer; see [`crate::VersionedStore::with_commit_hook`]).
+/// The committer's durability extension point (implemented by the WAL
+/// writer of a durable [`crate::Store`]; see
+/// [`crate::VersionedStore::with_commit_hook`]).
 ///
 /// Ordering contract, per epoch:
 ///
@@ -142,8 +143,8 @@ pub(crate) struct Pipeline<S: AugSpec> {
     /// into it directly.
     stats: Arc<StatsInner>,
     /// Track id (shard index) stamped onto the [`EpochTrace`]s this
-    /// pipeline records into the process flight ring; 0 for unsharded
-    /// stores, set by the sharded store at assembly time.
+    /// pipeline records into the process flight ring; set by the store
+    /// at assembly time.
     trace_shard: AtomicU32,
 }
 
@@ -173,9 +174,9 @@ impl<S: AugSpec> Pipeline<S> {
         }
     }
 
-    /// Stamp all future flight-ring traces with `shard` (the sharded
-    /// store labels each member pipeline with its index so the Chrome
-    /// export gets one track per shard).
+    /// Stamp all future flight-ring traces with `shard` (the store
+    /// labels each member pipeline with its index so the Chrome export
+    /// gets one track per shard).
     pub fn set_trace_shard(&self, shard: u32) {
         // relaxed: a trace label set once at construction; readers only
         // stamp diagnostics with it
@@ -291,8 +292,8 @@ impl<S: AugSpec> Pipeline<S> {
 
     /// Enqueue a **sealed** epoch: `ops` get a segment of their own —
     /// one epoch, one WAL record — tagged with the cross-shard batch
-    /// stamp. The sharded store submits each shard's slice of a
-    /// multi-shard `write_batch` this way so recovery can commit or
+    /// stamp. The store submits each shard's slice of a multi-shard
+    /// `write_batch` this way so recovery can commit or
     /// discard the batch at record granularity. An empty `ops` is
     /// vacuously durable (ticket epoch 0), mirroring [`Self::submit_all`].
     pub fn submit_sealed(
@@ -365,7 +366,7 @@ impl<S: AugSpec> Pipeline<S> {
     /// against each other. This is the per-shard half of a consistent
     /// cross-shard snapshot: barrier every shard, flush, pin, release.
     /// (The cross-shard half — no batch may be *half-submitted* when the
-    /// barriers go up — is the sharded store's epoch fence.)
+    /// barriers go up — is the store's epoch fence.)
     pub fn begin_barrier(&self) {
         let mut g = self.state.lock();
         while g.barrier {
@@ -382,13 +383,19 @@ impl<S: AugSpec> Pipeline<S> {
 
     /// The committer loop. Runs on its own thread until shutdown *and*
     /// empty queue (or until the commit hook fails — see [`CommitHook`]).
-    pub fn run_committer<B: Balance>(
+    /// `registry`'s head is the map the first epoch applies to; from then
+    /// on this loop is the only holder of the current map between
+    /// publishes, and the only caller of [`Registry::publish`].
+    pub fn run_committer(
         &self,
-        head: &SharedMap<S, B>,
-        registry: &Registry<S, B>,
+        registry: &Registry<S>,
         config: &StoreConfig,
         hook: Option<&dyn CommitHook<S>>,
     ) {
+        let (mut current, mut version): (AugMap<S>, u64) = {
+            let head = registry.pin_head();
+            (head.map().clone(), head.id())
+        };
         let mut g = self.state.lock();
         loop {
             let Some(front) = g.queue.front() else {
@@ -457,26 +464,20 @@ impl<S: AugSpec> Pipeline<S> {
                 }
             }
             let t_logged = Instant::now();
-            // Apply on a snapshot outside any lock; publish with the
-            // optimistic swap (the write lock is held only for the O(1)
-            // pointer exchange). The batch vectors are *moved* into the
-            // tree ops — no per-commit clone — which is safe because the
-            // pipeline is the head's only writer (the store never exposes
-            // it), so the swap cannot lose a race.
-            let (snap, ver) = head.snapshot_versioned();
-            let mut m = snap;
+            // Apply outside any lock: this thread is the only writer, so
+            // the current map is a plain local and the batch vectors are
+            // *moved* into the tree ops — no per-commit clone. Published
+            // versions are untouched (path copying).
             if !normalized.puts.is_empty() {
-                m.multi_insert(normalized.puts);
+                current.multi_insert(normalized.puts);
             }
             if !normalized.deletes.is_empty() {
-                m.multi_delete(normalized.deletes);
+                current.multi_delete(normalized.deletes);
             }
-            let applied = m.clone(); // O(1) snapshot of the result
-            let version = head
-                .try_swap(ver, m)
-                .unwrap_or_else(|_| unreachable!("pipeline is the sole head writer"));
+            version += 1;
             let t_applied = Instant::now();
-            registry.publish(version, applied, batch_len);
+            // O(1) snapshot of the result: the one publication point
+            registry.publish(version, current.clone(), batch_len);
             if let Some(h) = hook {
                 // after publish, before tickets wake: the hook's notion of
                 // "published through epoch E" stays conservative

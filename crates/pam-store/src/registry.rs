@@ -12,8 +12,7 @@
 //! (named pins like `"daily-backup"`), pruning the rest as the head
 //! advances.
 
-use pam::balance::Balance;
-use pam::{AugMap, AugSpec, WeightBalanced};
+use pam::{AugMap, AugSpec};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -24,9 +23,9 @@ use std::time::Instant;
 pub type VersionId = u64;
 
 /// One published version.
-pub(crate) struct VersionEntry<S: AugSpec, B: Balance> {
+pub(crate) struct VersionEntry<S: AugSpec> {
     pub id: VersionId,
-    pub map: AugMap<S, B>,
+    pub map: AugMap<S>,
     pub created: Instant,
     /// Operations (after dedup) the commit producing this version applied.
     pub batch_len: usize,
@@ -34,11 +33,11 @@ pub(crate) struct VersionEntry<S: AugSpec, B: Balance> {
 
 /// A pinned, immutable view of one version. Holding it keeps the version
 /// readable forever; dropping it releases the pin. Cloning is O(1).
-pub struct PinnedVersion<S: AugSpec, B: Balance = WeightBalanced> {
-    entry: Arc<VersionEntry<S, B>>,
+pub struct PinnedVersion<S: AugSpec> {
+    entry: Arc<VersionEntry<S>>,
 }
 
-impl<S: AugSpec, B: Balance> Clone for PinnedVersion<S, B> {
+impl<S: AugSpec> Clone for PinnedVersion<S> {
     fn clone(&self) -> Self {
         PinnedVersion {
             entry: self.entry.clone(),
@@ -46,14 +45,14 @@ impl<S: AugSpec, B: Balance> Clone for PinnedVersion<S, B> {
     }
 }
 
-impl<S: AugSpec, B: Balance> PinnedVersion<S, B> {
+impl<S: AugSpec> PinnedVersion<S> {
     /// The version id this pin refers to.
     pub fn id(&self) -> VersionId {
         self.entry.id
     }
 
     /// The immutable map of this version.
-    pub fn map(&self) -> &AugMap<S, B> {
+    pub fn map(&self) -> &AugMap<S> {
         &self.entry.map
     }
 
@@ -69,13 +68,13 @@ impl<S: AugSpec, B: Balance> PinnedVersion<S, B> {
     }
 }
 
-impl<S: AugSpec, B: Balance> std::fmt::Debug for PinnedVersion<S, B> {
+impl<S: AugSpec> std::fmt::Debug for PinnedVersion<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "PinnedVersion(v{}, len {})", self.id(), self.map().len())
     }
 }
 
-/// Summary of a live registry entry (see `VersionedStore::versions`).
+/// Summary of a live registry entry (see [`crate::VersionedStore::versions`]).
 #[derive(Clone, Debug)]
 pub struct VersionInfo {
     /// Version id.
@@ -88,21 +87,21 @@ pub struct VersionInfo {
     pub tags: Vec<String>,
 }
 
-pub(crate) struct Registry<S: AugSpec, B: Balance> {
-    inner: Mutex<RegistryInner<S, B>>,
+pub(crate) struct Registry<S: AugSpec> {
+    inner: Mutex<RegistryInner<S>>,
     keep_versions: usize,
 }
 
-struct RegistryInner<S: AugSpec, B: Balance> {
+struct RegistryInner<S: AugSpec> {
     /// Live versions, oldest first. Always non-empty; back is the head.
-    versions: VecDeque<Arc<VersionEntry<S, B>>>,
+    versions: VecDeque<Arc<VersionEntry<S>>>,
     /// Named pins.
-    tags: HashMap<String, Arc<VersionEntry<S, B>>>,
+    tags: HashMap<String, Arc<VersionEntry<S>>>,
     retired: u64,
 }
 
-impl<S: AugSpec, B: Balance> Registry<S, B> {
-    pub fn new(initial: AugMap<S, B>, keep_versions: usize) -> Self {
+impl<S: AugSpec> Registry<S> {
+    pub fn new(initial: AugMap<S>, keep_versions: usize) -> Self {
         let entry = Arc::new(VersionEntry {
             id: 0,
             map: initial,
@@ -122,7 +121,7 @@ impl<S: AugSpec, B: Balance> Registry<S, B> {
     }
 
     /// Publish a new head version and prune old unpinned entries.
-    pub fn publish(&self, id: VersionId, map: AugMap<S, B>, batch_len: usize) {
+    pub fn publish(&self, id: VersionId, map: AugMap<S>, batch_len: usize) {
         let mut g = self.inner.lock();
         debug_assert!(g.versions.back().is_none_or(|b| b.id < id));
         g.versions.push_back(Arc::new(VersionEntry {
@@ -147,7 +146,7 @@ impl<S: AugSpec, B: Balance> Registry<S, B> {
     }
 
     /// Pin the current head.
-    pub fn pin_head(&self) -> PinnedVersion<S, B> {
+    pub fn pin_head(&self) -> PinnedVersion<S> {
         let g = self.inner.lock();
         PinnedVersion {
             // lint: allow(panic) publish() never leaves the registry
@@ -157,7 +156,7 @@ impl<S: AugSpec, B: Balance> Registry<S, B> {
     }
 
     /// Pin a specific (still live) version.
-    pub fn pin_version(&self, id: VersionId) -> Option<PinnedVersion<S, B>> {
+    pub fn pin_version(&self, id: VersionId) -> Option<PinnedVersion<S>> {
         let g = self.inner.lock();
         g.versions
             .iter()
@@ -187,7 +186,7 @@ impl<S: AugSpec, B: Balance> Registry<S, B> {
     }
 
     /// Pin the version a tag refers to.
-    pub fn pin_tagged(&self, name: &str) -> Option<PinnedVersion<S, B>> {
+    pub fn pin_tagged(&self, name: &str) -> Option<PinnedVersion<S>> {
         let g = self.inner.lock();
         g.tags.get(name).map(|entry| PinnedVersion {
             entry: entry.clone(),
@@ -227,9 +226,9 @@ impl<S: AugSpec, B: Balance> Registry<S, B> {
     }
 
     /// Roots of every live version (for memory accounting).
-    pub fn with_live_maps<R>(&self, f: impl FnOnce(&[&AugMap<S, B>]) -> R) -> R {
+    pub fn with_live_maps<R>(&self, f: impl FnOnce(&[&AugMap<S>]) -> R) -> R {
         let g = self.inner.lock();
-        let maps: Vec<&AugMap<S, B>> = g
+        let maps: Vec<&AugMap<S>> = g
             .versions
             .iter()
             .map(|e| &e.map)
@@ -239,10 +238,7 @@ impl<S: AugSpec, B: Balance> Registry<S, B> {
     }
 }
 
-fn tag_refs<S: AugSpec, B: Balance>(
-    tags: &HashMap<String, Arc<VersionEntry<S, B>>>,
-    id: VersionId,
-) -> usize {
+fn tag_refs<S: AugSpec>(tags: &HashMap<String, Arc<VersionEntry<S>>>, id: VersionId) -> usize {
     tags.values().filter(|t| t.id == id).count()
 }
 
@@ -251,7 +247,7 @@ mod tests {
     use super::*;
     use pam::SumAug;
 
-    type R = Registry<SumAug<u64, u64>, WeightBalanced>;
+    type R = Registry<SumAug<u64, u64>>;
 
     fn map_of(pairs: &[(u64, u64)]) -> AugMap<SumAug<u64, u64>> {
         AugMap::build(pairs.to_vec())

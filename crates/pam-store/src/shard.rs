@@ -1,90 +1,19 @@
-//! [`ShardedStore`]: write parallelism across multiple store roots.
+//! Stable key→shard routing, and the one read discipline built on it.
 //!
-//! A single [`VersionedStore`] funnels every write through one
-//! group-commit pipeline — one committer thread normalizes, (optionally)
-//! logs, and applies each epoch, so write throughput caps out at one core
-//! no matter how many writers enqueue. But PAM maps *compose*: a map
-//! hash-partitioned into N independent maps supports `multi_insert`,
-//! WAL append, and root swap on each partition concurrently, which is the
-//! same observation the paper exploits inside one `multi_insert` (split
-//! the batch, recurse in parallel, `join`) lifted to the serving layer.
-//!
-//! `ShardedStore` is that lift: N fully independent [`VersionedStore`]
-//! roots, keys routed by a *stable* hash ([`ShardKey`] — stable because
-//! for a durable store the assignment is part of the on-disk format), and
-//! the read API reassembled on top:
-//!
-//! * point reads route to one shard; [`ShardedStore::get_many`] scatters
-//!   to the owning shards and gathers results back in input order;
-//! * ordered scans ([`ShardedStore::range_for_each`]) k-way merge the
-//!   per-shard streaming ranges — hash partitioning interleaves the key
-//!   space, so every shard contributes to every range;
-//! * augmented queries combine the per-shard monoid values. Because the
-//!   hash interleaves keys, the per-shard values arrive out of key order:
-//!   **aug queries on a sharded store require a commutative `combine`**
-//!   (all built-in specs — sum, max, min — are commutative).
-//!
-//! ## Consistency: the global epoch clock and the epoch fence
-//!
-//! Each shard keeps the single-store guarantees (atomic epochs, snapshot
-//! reads, read-your-writes). Cross-shard operations are coordinated by a
-//! **global epoch clock** and an **epoch fence**:
-//!
-//! * a multi-shard [`ShardedStore::write_batch`] is stamped with a fresh
-//!   **global epoch** ([`GlobalStamp`]), split per shard, and each
-//!   shard's slice commits as its own *sealed* pipeline epoch carrying
-//!   the stamp. The slices are submitted while holding the read side of
-//!   the fence, so no epoch-fenced reader can ever observe the batch
-//!   half-submitted. A batch whose operations all route to **one** shard
-//!   skips the clock and the fence entirely (the fast path — a
-//!   single-shard epoch is already atomic);
-//! * [`ShardedStore::snapshot`] and the live
-//!   [`ShardedStore::range_for_each`] / [`ShardedStore::range`] cut at a
-//!   global epoch boundary: they take the fence's write side (waiting
-//!   out any in-flight batch submission), raise a brief *submit barrier*
-//!   on every shard (new writes park, buffered epochs drain), flush and
-//!   pin every head, and release. The resulting [`ShardedSnapshot`]
-//!   contains every write acknowledged before the cut, none submitted
-//!   after it, and **every cross-shard batch wholly or not at all** —
-//!   the paper's one-root-pointer snapshot guarantee, restored across N
-//!   roots;
-//! * point reads (`get`, `get_many`), `len`, and aug queries still pin
-//!   each shard's head independently (a concurrent commit may land
-//!   between two pins — they trade the fence for zero coordination); use
-//!   [`ShardedStore::snapshot`] when cross-shard atomicity matters for
-//!   point reads.
-//!
-//! Durability extends the same stamp: each slice's WAL record carries
-//! the global epoch, and [`crate::DurableShardedStore`] recovers to the
-//! maximum global epoch fully present on all shards — a batch whose
-//! crash-torn log lost a slice on one shard is discarded on every shard
-//! (see the `durable` module docs).
+//! A [`crate::Store`] hash-partitions its key space across N shards. For
+//! a durable store each shard has its own WAL directory, so the
+//! assignment `hash(key) % N` is part of the on-disk format: the hash
+//! ([`ShardKey`]) must never change, and the shard count is pinned by the
+//! manifest.
 
-use crate::config::ShardedConfig;
-use crate::durable::GlobalTracker;
-use crate::pipeline::CommitTicket;
-use crate::registry::{PinnedVersion, VersionId};
-use crate::stats::StoreStats;
-use crate::store::VersionedStore;
-use crate::WriteOp;
-use pam::balance::Balance;
-use pam::{AugSpec, WeightBalanced};
-use pam_obs::Histogram;
-use pam_wal::GlobalStamp;
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Stable shard routing
-// ---------------------------------------------------------------------------
+use crate::registry::PinnedVersion;
+use pam::{AugMap, AugSpec};
 
 /// A key that can be routed to a shard.
 ///
 /// The hash must be **stable across processes and runs**: a durable
-/// sharded store persists each shard's data under its own WAL directory,
-/// so the key→shard assignment is part of the on-disk format. (This is
+/// store persists each shard's data under its own WAL directory, so the
+/// key→shard assignment is part of the on-disk format. (This is
 /// why `std::hash::Hash` is not used — `DefaultHasher` makes no
 /// cross-version stability promise.) Implementations must also spread
 /// adjacent keys: range scans already pay a k-way merge, and a hash that
@@ -190,748 +119,61 @@ impl<A: ShardKey, B: ShardKey> ShardKey for (A, B) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The global epoch clock
-// ---------------------------------------------------------------------------
-
-/// The clock refuses to hand out stamps in the last 2^32 of the u64
-/// range: a store minting a million cross-shard batches per second would
-/// take half a million years to get here, so hitting the guard means a
-/// corrupted clock value — panicking beats wrapping to stamps that
-/// compare *older* than every persisted decision.
-pub(crate) const CLOCK_OVERFLOW_MARGIN: u64 = 1 << 32;
-
-/// Panic if `epoch` is inside the overflow margin (see
-/// [`CLOCK_OVERFLOW_MARGIN`]).
+/// The one key→shard routing expression (`hash % shards`), shared by the
+/// live store and the snapshot so the two can never diverge.
 #[inline]
-pub(crate) fn check_clock_epoch(epoch: u64) {
-    assert!(
-        epoch < u64::MAX - CLOCK_OVERFLOW_MARGIN,
-        "global epoch clock overflow: epoch {epoch} is inside the reserved margin"
-    );
+pub(crate) fn route(hash: u64, shards: usize) -> usize {
+    (hash % shards as u64) as usize
 }
 
-/// The store-wide monotone clock that stamps cross-shard batches.
-///
-/// A plain in-memory store only needs the counter; a durable sharded
-/// store routes stamping through its `GlobalTracker`, which additionally
-/// records each stamp as *outstanding* until every participant shard has
-/// logged its slice (the input to checkpoint gating and the recovery
-/// vote).
-pub(crate) enum GlobalClock {
-    /// In-memory counter of the last stamped epoch.
-    Untracked(AtomicU64),
-    /// Durable stores stamp through the tracker (same monotone sequence,
-    /// plus outstanding-batch accounting).
-    Tracked(Arc<GlobalTracker>),
-}
-
-impl GlobalClock {
-    fn new() -> Self {
-        GlobalClock::Untracked(AtomicU64::new(0))
-    }
-
-    /// A clock whose next stamp is `last + 1` — tests seed it near the
-    /// overflow margin to exercise the guard (recovery seeds the tracked
-    /// variant with the persisted watermark instead).
-    #[cfg(test)]
-    pub(crate) fn starting_at(last: u64) -> Self {
-        GlobalClock::Untracked(AtomicU64::new(last))
-    }
-
-    pub(crate) fn tracked(tracker: Arc<GlobalTracker>) -> Self {
-        GlobalClock::Tracked(tracker)
-    }
-
-    /// Mint the next global epoch for a batch spanning `participants`
-    /// shards.
-    ///
-    /// # Panics
-    ///
-    /// On clock overflow (see [`CLOCK_OVERFLOW_MARGIN`]).
-    fn stamp(&self, participants: u32) -> GlobalStamp {
-        match self {
-            GlobalClock::Untracked(last) => {
-                // relaxed: uniqueness + monotonicity come from fetch_add
-                // atomicity alone; stamps order batches under the
-                // xbatch_gate mutex, which supplies the happens-before
-                let epoch = last.fetch_add(1, Ordering::Relaxed) + 1;
-                check_clock_epoch(epoch);
-                GlobalStamp {
-                    epoch,
-                    participants,
-                }
-            }
-            GlobalClock::Tracked(t) => t.stamp(participants),
-        }
-    }
-
-    /// The most recently stamped global epoch (0: none yet).
-    fn current(&self) -> u64 {
-        match self {
-            // relaxed: monitoring read; a slightly stale epoch is fine
-            GlobalClock::Untracked(last) => last.load(Ordering::Relaxed),
-            GlobalClock::Tracked(t) => t.last_stamped(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The sharded store
-// ---------------------------------------------------------------------------
-
-/// A key-value store hash-partitioned across N independent
-/// [`VersionedStore`] roots, each with its own group-commit pipeline.
-///
-/// Writes to different shards batch, normalize, and apply concurrently —
-/// N committer threads instead of one — while every read API of the
-/// single store is reassembled on top (see the module docs for the exact
-/// consistency contract).
-///
-/// ```
-/// use pam_store::{ShardedConfig, ShardedStore};
-/// use pam::SumAug;
-/// use std::time::Duration;
-///
-/// let store: ShardedStore<SumAug<u64, u64>> =
-///     ShardedStore::with_config(ShardedConfig {
-///         shards: 4,
-///         ..ShardedConfig::default()
-///     });
-/// store.put_all((0..1000u64).map(|k| (k, 1))).wait();
-/// assert_eq!(store.get(&17), Some(1));
-/// assert_eq!(store.aug_range(&0, &999), 1000); // merged across shards
-///
-/// let snap = store.snapshot(); // consistent cross-shard cut
-/// store.delete(17).wait();
-/// assert_eq!(snap.get(&17), Some(1));
-/// assert_eq!(store.get(&17), None);
-/// ```
-pub struct ShardedStore<S: AugSpec, B: Balance = WeightBalanced> {
-    shards: Vec<Arc<VersionedStore<S, B>>>,
-    /// Serializes [`ShardedStore::snapshot`] barriers (one at a time).
-    snapshot_gate: Mutex<()>,
-    /// Stamps cross-shard batches with monotone global epochs.
-    clock: GlobalClock,
-    /// The epoch fence. A multi-shard `write_batch` holds the **read**
-    /// side while it submits its per-shard slices; an epoch-fenced
-    /// reader ([`ShardedStore::snapshot`]) takes the **write** side
-    /// before raising the shard barriers, so at the instant the barriers
-    /// go up every cross-shard batch is either submitted to *all* its
-    /// shards or to none — the other half of torn-batch freedom (the
-    /// barriers + flush then turn "submitted everywhere" into
-    /// "committed everywhere" before any head is pinned).
-    fence: RwLock<()>,
-    /// Serializes the stamp + enqueue phase of cross-shard batches:
-    /// without it, two concurrent batches could enqueue their slices in
-    /// opposite orders on different shards (shard 0 sees [B1, B2],
-    /// shard 1 sees [B2, B1]) and the acked state would match *no*
-    /// serial order of the batches. Held only across the N queue pushes
-    /// — commits still run in parallel per shard — so per-shard epoch
-    /// order always equals global stamp order.
-    xbatch_gate: Mutex<()>,
-    /// Fence contention metrics (see [`ShardObs`]).
-    obs: ShardObs,
-}
-
-/// Sharded-layer observability: how often the epoch fence is exercised
-/// and how long acquirers wait on it. Per-shard pipeline stats live in
-/// each [`VersionedStore`]; these counters belong to the *coordination*
-/// layer above them, so [`ShardedStore::stats`] overlays them onto the
-/// aggregated per-shard view.
-#[derive(Debug, Default)]
-struct ShardObs {
-    /// Epoch-fenced snapshots cut ([`ShardedStore::snapshot`], including
-    /// the ones live `range`/`range_for_each` scans take internally) —
-    /// each pays one fence write acquisition and one all-shard barrier.
-    snapshots_taken: AtomicU64,
-    /// Write-side acquisitions of the epoch fence (currently 1:1 with
-    /// snapshots; tracked separately so future write-side users stay
-    /// visible).
-    fence_write_acquisitions: AtomicU64,
-    /// Nanoseconds spent waiting to acquire the epoch fence, both sides:
-    /// cross-shard batches blocked behind a snapshot cut (read side) and
-    /// snapshots waiting out in-flight submissions (write side).
-    fence_wait: Histogram,
-}
-
-/// Ends the raised barriers even if a flush panics mid-snapshot (a
-/// poisoned shard must not leave every other shard's writers parked).
-struct BarrierGuard<'a, S: AugSpec, B: Balance> {
-    shards: &'a [Arc<VersionedStore<S, B>>],
-    raised: usize,
-}
-
-impl<S: AugSpec, B: Balance> Drop for BarrierGuard<'_, S, B> {
-    fn drop(&mut self) {
-        for s in &self.shards[..self.raised] {
-            s.pipeline().end_barrier();
-        }
-    }
-}
-
-impl<S: AugSpec, B: Balance> ShardedStore<S, B>
-where
-    S::K: ShardKey,
-{
-    /// An empty store with `shards` roots and default per-shard tuning.
-    pub fn new(shards: usize) -> Self {
-        Self::with_config(ShardedConfig {
-            shards,
-            ..ShardedConfig::default()
-        })
-    }
-
-    /// An empty store with the given configuration.
-    pub fn with_config(config: ShardedConfig) -> Self {
-        Self::from_stores(
-            (0..config.shards.max(1))
-                .map(|_| Arc::new(VersionedStore::with_config(config.store.clone())))
-                .collect(),
-        )
-    }
-
-    /// Assemble a sharded store from pre-built roots (the durable layer
-    /// uses this to wrap recovered [`crate::DurableStore`] handles).
-    /// Shard `i` must hold exactly the keys with `shard_hash() % n == i`
-    /// — feeding arbitrary maps in breaks routing.
-    pub fn from_stores(shards: Vec<Arc<VersionedStore<S, B>>>) -> Self {
-        Self::from_stores_with_clock(shards, GlobalClock::new())
-    }
-
-    /// Like [`Self::from_stores`], with an explicit clock — recovery
-    /// seeds it past the persisted watermark (durable stores pass a
-    /// tracker-backed clock).
-    pub(crate) fn from_stores_with_clock(
-        shards: Vec<Arc<VersionedStore<S, B>>>,
-        clock: GlobalClock,
-    ) -> Self {
-        assert!(!shards.is_empty(), "a sharded store needs >= 1 shard");
-        // Label every member pipeline with its shard index so the
-        // flight-recorder ring (and its Chrome export) gets one track
-        // per shard.
-        for (i, s) in shards.iter().enumerate() {
-            s.pipeline().set_trace_shard(i as u32);
-        }
-        ShardedStore {
-            shards,
-            snapshot_gate: Mutex::new(()),
-            clock,
-            fence: RwLock::new(()),
-            xbatch_gate: Mutex::new(()),
-            obs: ShardObs::default(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard index `key` routes to.
-    pub fn shard_of(&self, key: &S::K) -> usize {
-        crate::api::route(key.shard_hash(), self.shards.len())
-    }
-
-    /// Direct handle to one shard's store (diagnostics, per-shard stats).
-    pub fn shard(&self, i: usize) -> &Arc<VersionedStore<S, B>> {
-        &self.shards[i]
-    }
-
-    // -- writes -----------------------------------------------------------
-
-    /// Insert or overwrite `key` on its owning shard. The ticket resolves
-    /// when that shard's epoch commits.
-    pub fn put(&self, key: S::K, value: S::V) -> CommitTicket<S> {
-        let shard = self.shard_of(&key);
-        self.shards[shard].put(key, value)
-    }
-
-    /// Remove `key` (no-op if absent).
-    pub fn delete(&self, key: S::K) -> CommitTicket<S> {
-        let shard = self.shard_of(&key);
-        self.shards[shard].delete(key)
-    }
-
-    /// Enqueue several operations as one **cross-shard atomic batch**.
-    ///
-    /// A batch spanning several shards is stamped with a fresh global
-    /// epoch and split per shard; each slice commits as its own sealed
-    /// epoch carrying the stamp, and the slices are submitted under the
-    /// epoch fence — so [`Self::snapshot`] / [`Self::range_for_each`]
-    /// readers see the whole batch or none of it, and (when durable)
-    /// crash recovery keeps or discards it on all shards together. A
-    /// batch whose operations all route to one shard takes the fast
-    /// path: no stamp, no fence, one ordinary group-committed epoch.
-    ///
-    /// Point reads (`get`, `get_many`) bypass the fence and may observe
-    /// a batch's shards at different instants; use a snapshot when that
-    /// matters.
-    ///
-    /// # Panics
-    ///
-    /// On global-epoch-clock overflow (after ~2^63 cross-shard batches).
-    pub fn write_batch(&self, ops: impl IntoIterator<Item = WriteOp<S>>) -> ShardedTicket<S> {
-        let mut per_shard: Vec<Vec<WriteOp<S>>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for op in ops {
-            per_shard[self.shard_of(op.key())].push(op);
-        }
-        let participants = per_shard.iter().filter(|ops| !ops.is_empty()).count();
-        if participants <= 1 {
-            // Fast path: an empty batch is vacuously committed; a
-            // single-shard batch is already atomic as one ordinary epoch
-            // (it may share that epoch with concurrent writers — group
-            // commit). Neither consults the clock or the fence.
-            return ShardedTicket {
-                tickets: per_shard
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, ops)| !ops.is_empty())
-                    .map(|(i, ops)| self.shards[i].write_batch(ops))
-                    .collect(),
-                global: None,
-            };
-        }
-        // Hold the fence's read side across the stamp AND every
-        // per-shard submit: an epoch-fenced reader (fence write side)
-        // can never cut between two slices of this batch — and because
-        // stamping happens under the fence, a snapshot's
-        // `global_epoch()` (read under the write side) never names a
-        // batch the snapshot does not contain. The xbatch gate then
-        // orders concurrent batches: stamping and enqueueing are one
-        // atomic step, so every shard's pipeline sees cross-shard
-        // batches in global stamp order (the committed state is always
-        // the serial order of the stamps). Safe to hold across the
-        // submits: with the fence read held no barrier can be up, so
-        // `submit_sealed` never blocks.
-        let parked = Instant::now();
-        let _in_flight = self.fence.read();
-        self.obs.fence_wait.record_duration(parked.elapsed());
-        let _ordered = self.xbatch_gate.lock();
-        let stamp = self.clock.stamp(participants as u32);
-        ShardedTicket {
-            tickets: per_shard
-                .into_iter()
-                .enumerate()
-                .filter(|(_, ops)| !ops.is_empty())
-                .map(|(i, ops)| self.shards[i].submit_sealed(ops, Some(stamp)))
-                .collect(),
-            global: Some(stamp.epoch),
-        }
-    }
-
-    /// Upsert many pairs (convenience over [`Self::write_batch`]).
-    pub fn put_all(&self, pairs: impl IntoIterator<Item = (S::K, S::V)>) -> ShardedTicket<S> {
-        self.write_batch(pairs.into_iter().map(|(k, v)| WriteOp::Put(k, v)))
-    }
-
-    /// Block until every previously enqueued operation on every shard is
-    /// committed; returns the per-shard versions containing them.
-    pub fn flush(&self) -> Vec<VersionId> {
-        self.shards.iter().map(|s| s.flush()).collect()
-    }
-
-    // -- reads ------------------------------------------------------------
-
-    /// The value at `key` in its shard's current version.
-    pub fn get(&self, key: &S::K) -> Option<S::V> {
-        self.shards[self.shard_of(key)].get(key)
-    }
-
-    /// The values at several keys, scattered to their owning shards and
-    /// gathered back in input order. Each shard is read from one pinned
-    /// snapshot (per-shard consistent); for a cut that is consistent
-    /// *across* shards, use [`Self::snapshot`] + [`ShardedSnapshot::get_many`].
-    pub fn get_many(&self, keys: &[S::K]) -> Vec<Option<S::V>> {
-        crate::api::scatter_gather_get_many(self.shards.len(), keys, |i| self.shards[i].pin())
-    }
-
-    /// All entries with keys in `[lo, hi]`, merged across shards in key
-    /// order, read from one epoch-fenced cut (see
-    /// [`Self::range_for_each`]). Prefer `range_for_each` for large
-    /// ranges.
-    pub fn range(&self, lo: &S::K, hi: &S::K) -> Vec<(S::K, S::V)> {
-        let mut out = Vec::new();
-        self.range_for_each(lo, hi, |k, v| out.push((k.clone(), v.clone())));
-        out
-    }
-
-    /// Stream the entries with keys in `[lo, hi]` to `f` in global key
-    /// order: a k-way merge over every shard's streaming range (hash
-    /// partitioning interleaves the key space, so all shards
-    /// participate).
-    ///
-    /// The scan reads from an **epoch-fenced cut** — internally it takes
-    /// a [`Self::snapshot`] (fence + brief all-shard barrier), so a
-    /// cross-shard `write_batch` can never appear torn mid-scan. Writers
-    /// park for one flush per scan start; a scan over an already-held
-    /// [`ShardedSnapshot`] avoids that cost entirely.
-    pub fn range_for_each(&self, lo: &S::K, hi: &S::K, f: impl FnMut(&S::K, &S::V)) {
-        self.snapshot().range_for_each(lo, hi, f);
-    }
-
-    /// Augmented value over keys in `[lo, hi]`: the combine of the
-    /// per-shard `aug_range` results (O(shards × log n)). Requires a
-    /// **commutative** combine — see the module docs.
-    pub fn aug_range(&self, lo: &S::K, hi: &S::K) -> S::A {
-        self.shards.iter().fold(S::identity(), |acc, s| {
-            S::combine(&acc, &s.aug_range(lo, hi))
-        })
-    }
-
-    /// Augmented value of the whole store (O(shards)). Requires a
-    /// commutative combine.
-    pub fn aug_val(&self) -> S::A {
-        self.shards
-            .iter()
-            .fold(S::identity(), |acc, s| S::combine(&acc, &s.aug_val()))
-    }
-
-    /// Total entries across shards (each shard's head read independently).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Is every shard empty?
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    // -- snapshots ---------------------------------------------------------
-
-    /// Take a **consistent cross-shard snapshot** at a global epoch
-    /// boundary: take the epoch fence's write side (waiting out any
-    /// in-flight cross-shard batch submission), raise a submit barrier
-    /// on every shard (new writes park; epochs already buffered drain),
-    /// flush and pin every shard's head, release. The result contains
-    /// every write acknowledged before the call, none submitted after
-    /// the barrier was up, and every cross-shard batch **wholly or not
-    /// at all** — a consistent cut of the version vector, stamped with
-    /// the global epoch it cut at ([`ShardedSnapshot::global_epoch`]).
-    ///
-    /// The fence + barrier are brief (one flush per shard) but do park
-    /// writers; for read paths that tolerate per-shard consistency,
-    /// `get`/`get_many`/aug queries avoid them entirely.
-    pub fn snapshot(&self) -> ShardedSnapshot<S, B> {
-        let _serialize = self.snapshot_gate.lock();
-        // Write side of the epoch fence: once held, no cross-shard batch
-        // is half-submitted anywhere.
-        let parked = Instant::now();
-        let _fence = self.fence.write();
-        self.obs.fence_wait.record_duration(parked.elapsed());
-        self.obs
-            .fence_write_acquisitions
-            // relaxed: monitoring counters only (both below)
-            .fetch_add(1, Ordering::Relaxed);
-        self.obs.snapshots_taken.fetch_add(1, Ordering::Relaxed); // relaxed: see above
-        let mut guard = BarrierGuard {
-            shards: &self.shards,
-            raised: 0,
-        };
-        for s in &self.shards {
-            s.pipeline().begin_barrier();
-            guard.raised += 1;
-        }
-        // Every fully-submitted batch flushes through on every shard
-        // before any head is pinned: the pins form one global-epoch cut.
-        let pins = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.flush();
-                s.pin()
-            })
-            .collect();
-        let global_epoch = self.clock.current();
-        drop(guard); // lowers every barrier
-        ShardedSnapshot { pins, global_epoch }
-    }
-
-    /// The most recently minted global epoch (0: no cross-shard batch
-    /// stamped yet). Monotone; durable stores persist its committed
-    /// watermark in the `MANIFEST`.
-    pub fn global_epoch(&self) -> u64 {
-        self.clock.current()
-    }
-
-    // -- observability -----------------------------------------------------
-
-    /// Store-wide statistics: the per-shard stats folded with
-    /// [`StoreStats::aggregate`], overlaid with the sharded-layer fence
-    /// metrics ([`StoreStats::fence_wait`],
-    /// [`StoreStats::snapshots_taken`],
-    /// [`StoreStats::fence_write_acquisitions`] — always zero on an
-    /// unsharded store).
-    pub fn stats(&self) -> StoreStats {
-        let per: Vec<StoreStats> = self.stats_per_shard();
-        let mut s = StoreStats::aggregate(per.iter());
-        self.overlay_fence_stats(&mut s);
-        s
-    }
-
-    /// Overlay the sharded-layer fence metrics onto an aggregated
-    /// snapshot (shared with the durable wrapper, whose `stats()`
-    /// aggregates shard + durability stats itself).
-    pub(crate) fn overlay_fence_stats(&self, s: &mut StoreStats) {
-        s.fence_wait = self.obs.fence_wait.snapshot();
-        // relaxed: stats snapshot; sampling skew is inherent
-        s.snapshots_taken = self.obs.snapshots_taken.load(Ordering::Relaxed);
-        // relaxed: see above
-        s.fence_write_acquisitions = self.obs.fence_write_acquisitions.load(Ordering::Relaxed);
-    }
-
-    /// The worst health over all shards: the first poisoned shard's
-    /// reason wins, prefixed with its index.
-    pub fn health(&self) -> pam_obs::Health {
-        let mut health = pam_obs::Health::Healthy;
-        for (i, s) in self.shards.iter().enumerate() {
-            let h = match s.health() {
-                pam_obs::Health::Poisoned(r) => {
-                    pam_obs::Health::Poisoned(format!("shard {i}: {r}"))
-                }
-                pam_obs::Health::Degraded(r) => {
-                    pam_obs::Health::Degraded(format!("shard {i}: {r}"))
-                }
-                pam_obs::Health::Healthy => pam_obs::Health::Healthy,
-            };
-            health = health.worse(h);
-        }
-        health
-    }
-
-    /// Per-shard statistics, shard order (spot imbalanced partitions).
-    pub fn stats_per_shard(&self) -> Vec<StoreStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Exact heap bytes reachable from all live versions of all shards
-    /// (shards share no nodes, so the per-shard numbers sum).
-    pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.memory_bytes()).sum()
-    }
-}
-
-impl<S: AugSpec, B: Balance> std::fmt::Debug for ShardedStore<S, B>
-where
-    S::K: ShardKey,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ShardedStore({} shards, len {})",
-            self.num_shards(),
-            self.len()
-        )
-    }
-}
-
-/// A receipt for a cross-shard batch: one sub-ticket per shard that
-/// received operations, plus the batch's global epoch stamp (when it
-/// spanned more than one shard).
-pub struct ShardedTicket<S: AugSpec> {
-    tickets: Vec<CommitTicket<S>>,
-    global: Option<u64>,
-}
-
-impl<S: AugSpec> ShardedTicket<S> {
-    /// Block until every shard's slice of the batch is committed;
-    /// returns the per-slice version ids (shard order, shards that
-    /// received no operations omitted).
-    ///
-    /// # Panics
-    ///
-    /// If a shard's store was poisoned by a failed commit hook.
-    pub fn wait(&self) -> Vec<u64> {
-        self.tickets.iter().map(|t| t.wait()).collect()
-    }
-
-    /// Have all slices committed (non-blocking)?
-    pub fn is_done(&self) -> bool {
-        self.tickets.iter().all(|t| t.is_done())
-    }
-
-    /// The global epoch this batch was stamped with, or `None` for the
-    /// single-shard (and empty) fast path that needs no stamp.
-    pub fn global_epoch(&self) -> Option<u64> {
-        self.global
-    }
-
-    /// Wrap one shard's [`CommitTicket`] as a (stampless) sharded
-    /// acknowledgement — the `crate::api` write traits route
-    /// single-key writes through this.
-    pub(crate) fn single(ticket: CommitTicket<S>) -> Self {
-        ShardedTicket {
-            tickets: vec![ticket],
-            global: None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Consistent snapshots
-// ---------------------------------------------------------------------------
-
-/// A consistent cross-shard snapshot: one pinned version per shard, taken
-/// under the epoch fence and an all-shard submit barrier (see
-/// [`ShardedStore::snapshot`]) — cross-shard batches appear wholly or
-/// not at all. Holding it keeps every pinned version readable; reads
-/// never block and never change.
-pub struct ShardedSnapshot<S: AugSpec, B: Balance = WeightBalanced> {
-    pins: Vec<PinnedVersion<S, B>>,
-    global_epoch: u64,
-}
-
-impl<S: AugSpec, B: Balance> ShardedSnapshot<S, B>
-where
-    S::K: ShardKey,
-{
-    /// The pinned per-shard version ids — the snapshot's coordinate.
-    pub fn version_vector(&self) -> Vec<VersionId> {
-        self.pins.iter().map(|p| p.id()).collect()
-    }
-
-    /// The global epoch this snapshot cut at: every cross-shard batch
-    /// stamped `<=` this epoch is wholly contained; none stamped after
-    /// it is visible.
-    pub fn global_epoch(&self) -> u64 {
-        self.global_epoch
-    }
-
-    /// The pinned version of one shard.
-    pub fn shard(&self, i: usize) -> &PinnedVersion<S, B> {
-        &self.pins[i]
-    }
-
-    /// The value at `key` in the snapshot.
-    pub fn get(&self, key: &S::K) -> Option<S::V> {
-        let shard = crate::api::route(key.shard_hash(), self.pins.len());
-        self.pins[shard].map().get(key).cloned()
-    }
-
-    /// The values at several keys (input order) — all from this one
-    /// consistent cut, probed with the same scatter/sorted-gather
-    /// discipline as the live stores (see `crate::api`).
-    pub fn get_many(&self, keys: &[S::K]) -> Vec<Option<S::V>> {
-        crate::api::scatter_gather_get_many(self.pins.len(), keys, |i| self.pins[i].clone())
-    }
-
-    /// Total entries in the snapshot.
-    pub fn len(&self) -> usize {
-        self.pins.iter().map(|p| p.map().len()).sum()
-    }
-
-    /// Is the snapshot empty?
-    pub fn is_empty(&self) -> bool {
-        self.pins.iter().all(|p| p.map().is_empty())
-    }
-
-    /// All entries with keys in `[lo, hi]`, merged in key order.
-    pub fn range(&self, lo: &S::K, hi: &S::K) -> Vec<(S::K, S::V)> {
-        let mut out = Vec::new();
-        self.range_for_each(lo, hi, |k, v| out.push((k.clone(), v.clone())));
-        out
-    }
-
-    /// Stream the entries with keys in `[lo, hi]` in global key order
-    /// (k-way merge over the pinned shards).
-    pub fn range_for_each(&self, lo: &S::K, hi: &S::K, f: impl FnMut(&S::K, &S::V)) {
-        merged_range_for_each(&self.pins, lo, hi, f);
-    }
-
-    /// Augmented value over `[lo, hi]` (commutative combine required).
-    pub fn aug_range(&self, lo: &S::K, hi: &S::K) -> S::A {
-        self.pins.iter().fold(S::identity(), |acc, p| {
-            S::combine(&acc, &p.map().aug_range(lo, hi))
-        })
-    }
-
-    /// Augmented value of the whole snapshot (commutative combine
-    /// required).
-    pub fn aug_val(&self) -> S::A {
-        self.pins
-            .iter()
-            .fold(S::identity(), |acc, p| S::combine(&acc, &p.map().aug_val()))
-    }
-}
-
-impl<S: AugSpec, B: Balance> Clone for ShardedSnapshot<S, B> {
-    fn clone(&self) -> Self {
-        ShardedSnapshot {
-            pins: self.pins.clone(),
-            global_epoch: self.global_epoch,
-        }
-    }
-}
-
-impl<S: AugSpec, B: Balance> std::fmt::Debug for ShardedSnapshot<S, B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ShardedSnapshot(v{:?})",
-            self.pins.iter().map(|p| p.id()).collect::<Vec<_>>()
-        )
-    }
-}
-
-/// K-way merge of the pinned shards' streaming ranges: shards partition
-/// the key space disjointly, so repeatedly emitting the smallest head is
-/// a strict global key order. O(total × shards) comparisons — shard
-/// counts are small (≤ cores), so a linear head scan beats a heap.
-fn merged_range_for_each<S: AugSpec, B: Balance>(
-    pins: &[PinnedVersion<S, B>],
-    lo: &S::K,
-    hi: &S::K,
-    mut f: impl FnMut(&S::K, &S::V),
+/// Probe `map` for `keys[i]` at each `i` in `idxs`, writing the results
+/// into `out[i]`. Probes run in sorted key order so successive lookups
+/// share their upper tree path in cache.
+fn gather_in_key_order<S: AugSpec>(
+    map: &AugMap<S>,
+    keys: &[S::K],
+    idxs: &mut [usize],
+    out: &mut [Option<S::V>],
 ) {
-    let mut iters: Vec<_> = pins.iter().map(|p| p.map().iter_range(lo, hi)).collect();
-    let mut heads: Vec<Option<(&S::K, &S::V)>> = iters.iter_mut().map(|it| it.next()).collect();
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            let Some((k, _)) = head else { continue };
-            best = match best {
-                Some(j) => {
-                    // lint: allow(panic) j was only stored after its
-                    // head matched `Some` in an earlier iteration
-                    let (bk, _) = heads[j].as_ref().expect("best head present");
-                    if S::compare(k, bk).is_lt() {
-                        Some(i)
-                    } else {
-                        Some(j)
-                    }
-                }
-                None => Some(i),
-            };
-        }
-        let Some(i) = best else { break };
-        // lint: allow(panic) `best` indexes a head the scan above saw
-        // as `Some`, and nothing has taken it since
-        let (k, v) = heads[i].take().expect("chosen head present");
-        f(k, v);
-        heads[i] = iters[i].next();
+    idxs.sort_by(|&a, &b| S::compare(&keys[a], &keys[b]));
+    for &i in idxs.iter() {
+        out[i] = map.get(&keys[i]).cloned();
     }
+}
+
+/// Scatter `keys` to their owning shards, probe each involved shard from
+/// one pinned version (obtained via `pin`), and gather the results back
+/// in input order — the shared body of [`crate::Store::get_many`] (pins
+/// each involved shard's live head) and [`crate::Snapshot::get_many`]
+/// (reuses the snapshot's pins).
+pub(crate) fn scatter_gather_get_many<S, F>(
+    shards: usize,
+    keys: &[S::K],
+    pin: F,
+) -> Vec<Option<S::V>>
+where
+    S: AugSpec,
+    S::K: ShardKey,
+    F: Fn(usize) -> PinnedVersion<S>,
+{
+    let mut index_of: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
+    for (i, k) in keys.iter().enumerate() {
+        index_of[route(k.shard_hash(), shards)].push(i);
+    }
+    let mut out: Vec<Option<S::V>> = vec![None; keys.len()];
+    for (shard, idxs) in index_of.iter_mut().enumerate() {
+        if idxs.is_empty() {
+            continue;
+        }
+        let pinned = pin(shard);
+        gather_in_key_order(pinned.map(), keys, idxs, &mut out);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StoreConfig;
-    use pam::SumAug;
-    use std::collections::BTreeMap;
-    use std::time::Duration;
-
-    type Sharded = ShardedStore<SumAug<u64, u64>>;
-
-    fn eager(shards: usize) -> Sharded {
-        Sharded::with_config(ShardedConfig {
-            shards,
-            store: StoreConfig {
-                batch_window: Duration::ZERO,
-                ..StoreConfig::default()
-            },
-        })
-    }
 
     #[test]
     fn mix64_spreads_sequential_keys() {
@@ -951,7 +193,7 @@ mod tests {
     #[test]
     fn string_and_tuple_hashes_are_stable() {
         // Pinned values: the hash is part of the durable format — if one
-        // of these changes, existing sharded directories break.
+        // of these changes, existing store directories break.
         assert_eq!(42u64.shard_hash(), mix64(42));
         assert_eq!(
             "user:alice".shard_hash(),
@@ -959,210 +201,5 @@ mod tests {
         );
         assert_eq!(vec![1u8, 2, 3].shard_hash(), [1u8, 2, 3][..].shard_hash());
         assert_ne!((1u64, 2u64).shard_hash(), (2u64, 1u64).shard_hash());
-    }
-
-    #[test]
-    fn routing_partitions_every_key_once() {
-        let store = eager(5);
-        store.put_all((0..500u64).map(|k| (k, k))).wait();
-        let total: usize = (0..5).map(|i| store.shard(i).len()).sum();
-        assert_eq!(total, 500);
-        for i in 0..5 {
-            let pin = store.shard(i).pin();
-            pin.map().for_each(|k, _| assert_eq!(store.shard_of(k), i));
-            assert!(!pin.map().is_empty(), "shard {i} got no keys");
-        }
-    }
-
-    #[test]
-    fn point_reads_and_scatter_gather() {
-        let store = eager(4);
-        store.put_all((0..200u64).map(|k| (k, k * 2))).wait();
-        assert_eq!(store.get(&77), Some(154));
-        assert_eq!(store.get(&999), None);
-        let keys = vec![5u64, 500, 17, 5, 0];
-        assert_eq!(
-            store.get_many(&keys),
-            vec![Some(10), None, Some(34), Some(10), Some(0)]
-        );
-        assert_eq!(store.get_many(&[]), Vec::<Option<u64>>::new());
-    }
-
-    #[test]
-    fn merged_range_is_globally_ordered() {
-        let store = eager(4);
-        store.put_all((0..1000u64).map(|k| (k, k))).wait();
-        let got = store.range(&100, &199);
-        assert_eq!(got, (100..=199).map(|k| (k, k)).collect::<Vec<_>>());
-        // empty range
-        let mut n = 0;
-        store.range_for_each(&5000, &6000, |_, _| n += 1);
-        assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn aug_queries_combine_across_shards() {
-        let store = eager(3);
-        store.put_all((1..=100u64).map(|k| (k, k))).wait();
-        assert_eq!(store.aug_val(), 5050);
-        assert_eq!(store.aug_range(&10, &19), (10..=19).sum::<u64>());
-        assert_eq!(store.len(), 100);
-        assert!(!store.is_empty());
-    }
-
-    #[test]
-    fn cross_shard_batch_commits_atomically_with_a_stamp() {
-        let store = eager(2);
-        let t = store.write_batch(
-            (0..100u64)
-                .map(|k| WriteOp::Put(k, k))
-                .chain(std::iter::once(WriteOp::Delete(50))),
-        );
-        assert_eq!(
-            t.global_epoch(),
-            Some(1),
-            "a multi-shard batch mints the first global epoch"
-        );
-        let versions = t.wait();
-        assert!(t.is_done());
-        assert_eq!(versions.len(), 2, "both shards received ops");
-        assert_eq!(store.len(), 99);
-        assert_eq!(store.get(&50), None);
-        assert_eq!(store.global_epoch(), 1);
-        let snap = store.snapshot();
-        assert_eq!(snap.global_epoch(), 1, "the snapshot cut at the stamp");
-    }
-
-    #[test]
-    fn single_shard_batch_takes_the_fast_path_without_a_stamp() {
-        let store = eager(4);
-        // all ops on one key → one shard → no clock tick, no fence
-        let t = store.write_batch(vec![WriteOp::Put(7, 1), WriteOp::Put(7, 2)]);
-        assert_eq!(
-            t.global_epoch(),
-            None,
-            "single-shard batches skip the clock"
-        );
-        t.wait();
-        assert_eq!(store.global_epoch(), 0);
-        // plain puts skip it too
-        store.put(8, 8).wait();
-        store.put_all(std::iter::once((9u64, 9u64))).wait();
-        assert_eq!(store.global_epoch(), 0);
-        assert_eq!(store.get(&7), Some(2));
-        // a one-shard *store* can never span shards
-        let one = eager(1);
-        let t = one.write_batch((0..50u64).map(|k| WriteOp::Put(k, k)));
-        assert_eq!(t.global_epoch(), None);
-        t.wait();
-        assert_eq!(one.global_epoch(), 0);
-    }
-
-    #[test]
-    fn empty_cross_shard_batch_is_vacuously_committed() {
-        let store = eager(3);
-        let t = store.write_batch(std::iter::empty());
-        assert_eq!(t.global_epoch(), None);
-        assert!(t.is_done(), "an empty batch is already committed");
-        assert_eq!(t.wait(), Vec::<u64>::new());
-        assert_eq!(store.global_epoch(), 0, "no stamp was spent");
-        assert!(store.is_empty());
-        // empty submissions interleave harmlessly with real ones
-        store.put(1, 1).wait();
-        assert_eq!(store.write_batch(std::iter::empty()).wait().len(), 0);
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "global epoch clock overflow")]
-    fn clock_overflow_is_a_guarded_panic_not_a_wrap() {
-        let store: Sharded = ShardedStore::from_stores_with_clock(
-            (0..2)
-                .map(|_| {
-                    Arc::new(VersionedStore::with_config(StoreConfig {
-                        batch_window: Duration::ZERO,
-                        ..StoreConfig::default()
-                    }))
-                })
-                .collect(),
-            GlobalClock::starting_at(u64::MAX - CLOCK_OVERFLOW_MARGIN),
-        );
-        // spans both shards → must stamp → must hit the guard
-        store.write_batch((0..16u64).map(|k| WriteOp::Put(k, k)));
-    }
-
-    #[test]
-    fn snapshot_is_a_frozen_consistent_cut() {
-        let store = eager(4);
-        store.put_all((0..100u64).map(|k| (k, 1))).wait();
-        let snap = store.snapshot();
-        assert_eq!(snap.version_vector().len(), 4);
-        store.put_all((0..100u64).map(|k| (k, 2))).wait();
-        store.put(1000, 1).wait();
-        // the snapshot still sees the old world
-        assert_eq!(snap.len(), 100);
-        assert_eq!(snap.get(&7), Some(1));
-        assert_eq!(snap.get(&1000), None);
-        assert_eq!(snap.aug_val(), 100);
-        assert_eq!(
-            snap.range(&0, &10),
-            (0..=10).map(|k| (k, 1)).collect::<Vec<_>>()
-        );
-        // while the live store moved on
-        assert_eq!(store.get(&7), Some(2));
-        assert_eq!(store.get(&1000), Some(1));
-        // snapshots clone cheaply and agree
-        let snap2 = snap.clone();
-        assert_eq!(snap2.version_vector(), snap.version_vector());
-        assert_eq!(snap2.get_many(&[7, 1000]), vec![Some(1), None]);
-    }
-
-    #[test]
-    fn sharded_matches_btree_oracle() {
-        let store = eager(7);
-        let mut oracle = BTreeMap::new();
-        for i in 0..2000u64 {
-            let k = workloads::hash64(i) % 300;
-            if i % 5 == 0 {
-                store.delete(k);
-                oracle.remove(&k);
-            } else {
-                store.put(k, i);
-                oracle.insert(k, i);
-            }
-            // interleave occasional batches
-            if i % 97 == 0 {
-                store.write_batch(vec![WriteOp::Put(i, i), WriteOp::Delete(i / 2)]);
-                oracle.insert(i, i);
-                oracle.remove(&(i / 2));
-            }
-        }
-        store.flush();
-        let all = store.range(&0, &u64::MAX);
-        assert_eq!(all, oracle.into_iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stats_aggregate_across_shards() {
-        let store = eager(4);
-        store.put_all((0..1000u64).map(|k| (k, 1))).wait();
-        let s = store.stats();
-        assert_eq!(s.raw_ops, 1000);
-        assert_eq!(s.applied_ops, 1000);
-        assert!(s.commits >= 4, "each shard committed at least once");
-        let per = store.stats_per_shard();
-        assert_eq!(per.len(), 4);
-        assert_eq!(per.iter().map(|p| p.raw_ops).sum::<u64>(), 1000);
-        assert!(store.memory_bytes() > 1000 * 8);
-    }
-
-    #[test]
-    fn one_shard_degenerates_to_single_store() {
-        let store = eager(1);
-        store.put_all((0..100u64).map(|k| (k, k))).wait();
-        assert_eq!(store.num_shards(), 1);
-        assert_eq!(store.len(), 100);
-        assert_eq!(store.range(&0, &99).len(), 100);
-        assert_eq!(store.snapshot().len(), 100);
     }
 }

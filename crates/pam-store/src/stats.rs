@@ -118,16 +118,17 @@ pub struct StoreStats {
     pub commit_publish: HistogramSnapshot,
     /// Time writers spent parked in `admit()` behind snapshot barriers.
     pub barrier_wait: HistogramSnapshot,
-    /// Time spent acquiring the sharded store's epoch fence (read side
-    /// by cross-shard batches, write side by snapshots). All-zero for
-    /// an unsharded store; filled in by `ShardedStore::stats`.
+    /// Time spent acquiring the store's epoch fence (read side by
+    /// cross-shard batches, write side by snapshots); zero on a single
+    /// engine's own stats, filled in by [`crate::Store::stats`].
     pub fence_wait: HistogramSnapshot,
-    /// Consistent snapshots taken (`ShardedStore::snapshot`; an
-    /// unsharded store reports 0 — its snapshots are free root grabs).
+    /// Epoch-fenced snapshots cut ([`crate::Store::snapshot`] on more
+    /// than one shard; a 1-shard store reports 0 — its snapshots are
+    /// free root grabs).
     pub snapshots_taken: u64,
-    /// Exclusive (write-side) fence acquisitions — one per sharded
-    /// snapshot, so "live sharded range scans pay one snapshot per
-    /// scan" is measurable here.
+    /// Exclusive (write-side) fence acquisitions — one per snapshot,
+    /// so "live range scans pay one snapshot per scan" is measurable
+    /// here.
     pub fence_write_acquisitions: u64,
     /// Versions currently retained by the registry.
     pub live_versions: usize,
@@ -136,7 +137,7 @@ pub struct StoreStats {
     /// Current head version id.
     pub head_version: u64,
     /// Durability counters (all zero / `None` for a purely in-memory
-    /// store; filled in by `DurableStore::stats`).
+    /// store; filled in by [`crate::Store::stats`]).
     pub durability: DurabilityStats,
 }
 
@@ -237,12 +238,12 @@ impl StoreStats {
     }
 
     /// Fold per-shard statistics into one store-wide summary (used by
-    /// `ShardedStore::stats`). Counters sum; histograms merge
+    /// [`crate::Store::stats`]). Counters sum; histograms merge
     /// bucket-wise (so the aggregate percentiles are the percentiles of
     /// the union of all shards' samples); `mean_commit` / `max_commit`
     /// are recomputed from the merged commit histogram; `head_version`
     /// is the highest per-shard head (shard version ids are independent
-    /// — use `ShardedSnapshot::version_vector` for the real
+    /// — use [`crate::Snapshot::version_vector`] for the real
     /// coordinate). Durability counters sum, except
     /// `last_checkpoint_epoch` and `last_checkpoint_age`, which report
     /// the *least-advanced* shard — the conservative answer to "how

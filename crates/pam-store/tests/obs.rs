@@ -1,5 +1,5 @@
-//! Integration tests for the live-telemetry surface: a `DurableStore`
-//! (and a 4-shard `DurableShardedStore`) scraped over a raw `TcpStream`,
+//! Integration tests for the live-telemetry surface: a durable `Store`
+//! (1 shard, then 4) scraped over a raw `TcpStream`,
 //! the poison path surfacing its reason through `health()` and
 //! `/health`, and — in a re-executed child process, mirroring
 //! `recovery.rs` — the flight recorder dumping `flight-<pid>.json` into
@@ -9,8 +9,8 @@ use pam::{AugMap, SumAug};
 use pam_obs::json::Json;
 use pam_obs::{Health, ObsServer, TelemetrySource};
 use pam_store::{
-    CommitHook, DurabilityConfig, DurableShardedStore, DurableStore, GlobalStamp, NormalizedBatch,
-    ShardedConfig, StoreConfig, VersionedStore,
+    CommitHook, DurabilityConfig, GlobalStamp, NormalizedBatch, ShardedConfig, Store, StoreConfig,
+    VersionedStore,
 };
 use std::fs;
 use std::io::{Read, Write};
@@ -78,8 +78,11 @@ fn assert_prometheus_shape(body: &str) {
 #[test]
 fn obs_endpoints_serve_live_store() {
     let dir = fresh_dir("live");
-    let store: DurableStore<Spec> =
-        DurableStore::open(&dir, eager(), with_obs()).expect("open with obs_addr");
+    let config = ShardedConfig {
+        shards: 1,
+        store: eager(),
+    };
+    let store: Store<Spec> = Store::open(&dir, config, with_obs()).expect("open with obs_addr");
     let addr = store.obs_addr().expect("obs server bound");
     for e in 1..=50u64 {
         store.put(e, e * 2).wait();
@@ -156,8 +159,8 @@ fn sharded_store_binds_one_aggregated_endpoint() {
         shards: 4,
         store: eager(),
     };
-    let store: DurableShardedStore<Spec> =
-        DurableShardedStore::open(&dir, config, with_obs()).expect("open sharded with obs_addr");
+    let store: Store<Spec> =
+        Store::open(&dir, config, with_obs()).expect("open sharded with obs_addr");
     let addr = store.obs_addr().expect("aggregated obs server bound");
     for k in 0..256u64 {
         store.put(k, k).wait();
@@ -228,6 +231,87 @@ fn sharded_store_binds_one_aggregated_endpoint() {
         Some("healthy")
     );
 
+    drop(store);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A shard whose background checkpointer keeps failing degrades the
+/// whole store's health, and the reason names that shard.
+#[test]
+fn degraded_health_names_the_shard_whose_checkpointer_fails() {
+    let dir = fresh_dir("degraded");
+    let config = ShardedConfig {
+        shards: 2,
+        store: eager(),
+    };
+    let durability = DurabilityConfig {
+        checkpoint_every_bytes: Some(1), // every poll with new epochs checkpoints
+        ..DurabilityConfig::default()
+    };
+    let store: Store<Spec> = Store::open(&dir, config, durability).expect("open");
+    // a first epoch on each shard opens its active WAL segment
+    let mut k = 0u64;
+    while store.stats_per_shard().iter().any(|s| s.commits == 0) {
+        store.put(k, k).wait();
+        k += 1;
+    }
+    assert_eq!(store.health(), Health::Healthy);
+    // swap shard 1's directory for a plain file: appends still reach the
+    // open (now unlinked) segment, but no checkpoint can be written there
+    fs::remove_dir_all(dir.join("shard-1")).unwrap();
+    fs::write(dir.join("shard-1"), b"not a directory").unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let reason = loop {
+        store.put(k, k).wait(); // fresh epochs on both shards keep the checkpointers busy
+        k += 1;
+        match store.health() {
+            Health::Degraded(reason) => break reason,
+            Health::Healthy => {}
+            other => panic!("expected Degraded, got {other:?}"),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shard 1's failing checkpointer never surfaced in health()"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(
+        reason.starts_with("shard 1: background checkpoint failing: "),
+        "{reason}"
+    );
+    // acknowledged writes keep flowing: a failed checkpoint is not fatal
+    store.put(u64::MAX, 1).wait();
+    assert_eq!(store.get(&u64::MAX), Some(1));
+    drop(store);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A telemetry address that cannot be bound fails the open cleanly: the
+/// error names the address, and every shard has shut down and released
+/// its lock, so the directory opens again at once.
+#[test]
+fn an_unbindable_obs_addr_fails_the_open_and_releases_the_directory() {
+    let dir = fresh_dir("obs-bind");
+    let config = || ShardedConfig {
+        shards: 2,
+        store: eager(),
+    };
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
+    let err = Store::<Spec>::open(
+        &dir,
+        config(),
+        DurabilityConfig {
+            obs_addr: Some(addr.clone()),
+            ..DurabilityConfig::default()
+        },
+    )
+    .expect_err("the port is taken");
+    assert!(err.to_string().contains(&addr), "{err}");
+    let store: Store<Spec> =
+        Store::open(&dir, config(), DurabilityConfig::default()).expect("reopen after failed bind");
+    store.put(1, 1).wait();
+    assert_eq!(store.obs_addr(), None);
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
 }

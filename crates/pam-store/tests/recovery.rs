@@ -1,26 +1,38 @@
-//! Crash-recovery integration tests for `DurableStore`.
+//! Crash-recovery integration tests for a durable 1-shard `Store`.
 //!
 //! The centerpiece is `kill_and_recover`: the test re-executes its own
-//! binary as a child process that writes through a `DurableStore` and
+//! binary as a child process that writes through a durable `Store` and
 //! then `abort()`s — no destructors, no WAL flush, exactly like a crash —
 //! and the parent recovers the directory and checks the durable prefix
 //! against an in-memory oracle. Torn-tail and checkpoint interplay get
 //! their own deterministic tests.
 
 use pam::{NoAug, SumAug};
-use pam_store::{DurabilityConfig, DurableStore, StoreConfig, SyncPolicy, WriteOp};
+use pam_store::{DurabilityConfig, ShardedConfig, SyncPolicy, WriteOp};
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-type Store = DurableStore<SumAug<u64, u64>>;
+type Store = pam_store::Store<SumAug<u64, u64>>;
 
-fn eager() -> StoreConfig {
-    StoreConfig {
-        batch_window: Duration::ZERO,
-        ..StoreConfig::default()
-    }
+fn eager() -> ShardedConfig {
+    ShardedConfig::builder()
+        .shards(1)
+        .batch_window(Duration::ZERO)
+        .build()
+}
+
+/// The newest WAL segment of the store's only shard.
+fn active_segment(dir: &Path) -> PathBuf {
+    fs::read_dir(dir.join("shard-0"))
+        .unwrap()
+        .filter_map(|e| {
+            let p = e.unwrap().path();
+            p.extension().is_some_and(|x| x == "seg").then_some(p)
+        })
+        .max()
+        .expect("a WAL segment exists")
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -49,10 +61,10 @@ fn reopen_sees_acked_writes() {
             stats.durability.wal_fsyncs >= 31,
             "SyncEachEpoch must fsync per epoch"
         );
-        assert_eq!(store.wal_epoch(), stats.durability.wal_records);
+        assert_eq!(store.wal_epochs(), vec![stats.durability.wal_records]);
     }
     let store = open(&dir, DurabilityConfig::default());
-    let rec = store.recovery().clone();
+    let rec = store.recovery()[0].clone();
     assert_eq!(rec.checkpoint_epoch, 0, "no checkpoint was written");
     assert!(rec.replayed_epochs >= 31);
     assert_eq!(store.len(), 29);
@@ -61,7 +73,7 @@ fn reopen_sees_acked_writes() {
     }
     // writes continue with monotone WAL epochs
     store.put(100, 100).wait();
-    assert!(store.wal_epoch() > rec.last_epoch);
+    assert!(store.wal_epochs()[0] > rec.last_epoch);
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -79,20 +91,13 @@ fn torn_tail_recovers_exactly_the_durable_prefix() {
     }
     // simulate a crash mid-append: garbage half-record on the active
     // segment (a frame header promising more bytes than exist)
-    let seg = fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| {
-            let p = e.unwrap().path();
-            p.extension().is_some_and(|x| x == "seg").then_some(p)
-        })
-        .max()
-        .expect("a WAL segment exists");
+    let seg = active_segment(&dir);
     let mut bytes = fs::read(&seg).unwrap();
     bytes.extend_from_slice(&[0x40, 0, 0, 0, 0xba, 0xad, 0xf0, 0x0d, 9, 9, 9]);
     fs::write(&seg, bytes).unwrap();
 
     let store = open(&dir, DurabilityConfig::default());
-    let recovered: BTreeMap<u64, u64> = store.pin().map().to_vec().into_iter().collect();
+    let recovered: BTreeMap<u64, u64> = store.range(&0, &u64::MAX).into_iter().collect();
     assert_eq!(recovered, oracle, "recovery must equal the durable prefix");
     // the truncated tail must not poison future appends
     store.put(999, 1).wait();
@@ -122,8 +127,8 @@ fn checkpoint_truncates_wal_and_bulk_loads() {
         }
         let segments_before = store.stats().durability.wal_segments;
         assert!(segments_before > 3, "tiny segments must rotate");
-        ckpt_epoch = store.checkpoint().expect("manual checkpoint");
-        assert_eq!(ckpt_epoch, store.wal_epoch());
+        ckpt_epoch = store.checkpoint().expect("manual checkpoint")[0];
+        assert_eq!(ckpt_epoch, store.wal_epochs()[0]);
         let stats = store.stats();
         assert_eq!(stats.durability.checkpoints, 1);
         assert_eq!(stats.durability.last_checkpoint_epoch, ckpt_epoch);
@@ -139,7 +144,7 @@ fn checkpoint_truncates_wal_and_bulk_loads() {
         }
     }
     let store = open(&dir, tiny_segments);
-    let rec = store.recovery().clone();
+    let rec = store.recovery()[0].clone();
     assert_eq!(rec.checkpoint_epoch, ckpt_epoch);
     assert_eq!(rec.checkpoint_entries, 60);
     assert!(
@@ -148,7 +153,7 @@ fn checkpoint_truncates_wal_and_bulk_loads() {
          segment's worth of pre-checkpoint ones), got {}",
         rec.replayed_epochs
     );
-    let recovered: BTreeMap<u64, u64> = store.pin().map().to_vec().into_iter().collect();
+    let recovered: BTreeMap<u64, u64> = store.range(&0, &u64::MAX).into_iter().collect();
     assert_eq!(recovered, oracle);
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
@@ -178,7 +183,7 @@ fn background_checkpointer_fires_on_bytes_threshold() {
     }
     drop(store);
     let store = open(&dir, DurabilityConfig::default());
-    assert!(store.recovery().checkpoint_epoch > 0);
+    assert!(store.recovery()[0].checkpoint_epoch > 0);
     assert_eq!(store.len(), 200);
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
@@ -203,7 +208,7 @@ fn second_open_on_a_live_directory_is_refused() {
 #[test]
 fn string_keys_and_blob_values_roundtrip() {
     let dir = fresh_dir("strings");
-    type Blob = DurableStore<NoAug<String, Vec<u8>>>;
+    type Blob = pam_store::Store<NoAug<String, Vec<u8>>>;
     {
         let store: Blob = Blob::open(&dir, eager(), DurabilityConfig::default()).unwrap();
         store.put("user:alice".into(), b"profile-a".to_vec());
@@ -260,17 +265,17 @@ fn kill_and_recover() {
     for e in 1..=40u64 {
         assert_eq!(store.get(&e), Some(e * 7), "acked write {e} lost");
     }
-    assert!(store.recovery().checkpoint_epoch >= 1, "child checkpointed");
+    let rec = &store.recovery()[0];
+    assert!(rec.checkpoint_epoch >= 1, "child checkpointed");
+    assert_eq!(rec.discarded_epochs, 0, "one shard: no batch can tear");
     // every recovery phase that did real work reports nonzero wall time
-    let t = store.recovery().timings;
+    // (a 1-shard store runs the same pre-scan and vote as any other)
+    let t = rec.timings;
     assert!(t.bulk_load > Duration::ZERO, "checkpoint bulk-load untimed");
     assert!(t.segment_scan > Duration::ZERO, "WAL segment scan untimed");
     assert!(t.replay > Duration::ZERO, "post-checkpoint replay untimed");
-    assert_eq!(
-        (t.prescan, t.vote),
-        (Duration::ZERO, Duration::ZERO),
-        "pre-scan and vote are sharded-only phases"
-    );
+    assert!(t.prescan > Duration::ZERO, "WAL pre-scan untimed");
+    assert!(t.vote > Duration::ZERO, "vote + manifest write untimed");
     assert!(t.total() >= t.bulk_load + t.segment_scan + t.replay);
     // the unacked tail batch is atomic: all ten keys or none
     let tail: Vec<u64> = (0..10u64).filter_map(|i| store.get(&(1000 + i))).collect();

@@ -1,13 +1,10 @@
-//! Integration tests for the sharded store: routing correctness against
-//! a single-store oracle, cross-shard snapshot consistency under
+//! Integration tests for the multi-shard store: routing correctness
+//! against a 1-shard oracle, cross-shard snapshot consistency under
 //! concurrent writers, and durable recovery — including a subprocess
 //! `abort()` crash with a torn WAL tail in one shard.
 
 use pam::SumAug;
-use pam_store::{
-    DurabilityConfig, DurableShardedStore, ShardKey, ShardedConfig, ShardedStore, StoreConfig,
-    VersionedStore, WriteOp,
-};
+use pam_store::{DurabilityConfig, ShardKey, ShardedConfig, Store, StoreConfig, WriteOp};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -16,8 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 type S = SumAug<u64, u64>;
-type Sharded = ShardedStore<S>;
-type Durable = DurableShardedStore<S>;
+type Kv = Store<S>;
 
 fn eager_store() -> StoreConfig {
     StoreConfig {
@@ -49,17 +45,17 @@ fn op_strategy() -> impl Strategy<Value = WriteOp<S>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The same op stream through an N-shard store and a plain store must
-    // land on identical final contents: hash routing + per-shard group
-    // commit is invisible to the map semantics.
+    // The same op stream through an N-shard store and a 1-shard store
+    // must land on identical final contents: hash routing + per-shard
+    // group commit is invisible to the map semantics.
     #[test]
     fn sharded_store_matches_single_store_oracle(
         ops in collection::vec(op_strategy(), 0..400),
         shards in 1usize..7,
         cuts in collection::vec(1usize..32, 1..16),
     ) {
-        let single: VersionedStore<S> = VersionedStore::with_config(eager_store());
-        let sharded = Sharded::with_config(eager_sharded(shards));
+        let single = Kv::volatile(eager_sharded(1));
+        let sharded = Kv::volatile(eager_sharded(shards));
         let mut rest = ops.as_slice();
         let mut cut_iter = cuts.iter().cycle();
         while !rest.is_empty() {
@@ -71,7 +67,7 @@ proptest! {
         }
         single.flush();
         sharded.flush();
-        let oracle = single.pin().map().to_vec();
+        let oracle = single.shard(0).pin().map().to_vec();
         prop_assert_eq!(sharded.range(&0, &u64::MAX), oracle.clone());
         prop_assert_eq!(sharded.snapshot().range(&0, &u64::MAX), oracle.clone());
         prop_assert_eq!(sharded.len(), oracle.len());
@@ -87,7 +83,7 @@ proptest! {
 #[test]
 fn snapshots_are_consistent_cuts_under_concurrent_writers() {
     const PER_WRITER: u64 = 400;
-    let store = Arc::new(Sharded::with_config(ShardedConfig {
+    let store = Arc::new(Kv::volatile(ShardedConfig {
         shards: 4,
         store: StoreConfig {
             batch_window: Duration::from_micros(50),
@@ -148,7 +144,7 @@ fn snapshots_are_consistent_cuts_under_concurrent_writers() {
 /// samples.
 #[test]
 fn fence_counters_and_wait_histograms_are_recorded() {
-    let store = Sharded::with_config(eager_sharded(3));
+    let store = Kv::volatile(eager_sharded(3));
     let t = store.put_all((0..100u64).map(|k| (k, 1)));
     assert!(t.global_epoch().is_some(), "preload must span shards");
     t.wait();
@@ -183,7 +179,7 @@ fn fence_counters_and_wait_histograms_are_recorded() {
 fn durable_sharded_reopen_sees_acked_writes() {
     let dir = fresh_dir("reopen");
     {
-        let store = Durable::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
+        let store = Kv::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
         store.put_all((0..100u64).map(|k| (k, k * 3))).wait();
         store.delete(17).wait();
         let stats = store.stats();
@@ -194,7 +190,7 @@ fn durable_sharded_reopen_sees_acked_writes() {
         );
         assert_eq!(stats.durability.wal_segments as usize, store.num_shards());
     }
-    let store = Durable::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
+    let store = Kv::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
     assert_eq!(store.recovery().len(), 4);
     assert!(
         store.recovery().iter().all(|r| r.replayed_epochs > 0),
@@ -215,14 +211,14 @@ fn durable_sharded_reopen_sees_acked_writes() {
 fn shard_count_mismatch_is_refused() {
     let dir = fresh_dir("mismatch");
     {
-        let store = Durable::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
+        let store = Kv::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
         store.put(1, 1).wait();
     }
-    let err = Durable::open(&dir, eager_sharded(8), DurabilityConfig::default())
+    let err = Kv::open(&dir, eager_sharded(8), DurabilityConfig::default())
         .expect_err("opening a 4-shard directory as 8 shards must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     // the refused open must not have wedged the directory
-    let store = Durable::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
+    let store = Kv::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
     assert_eq!(store.get(&1), Some(1));
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
@@ -232,32 +228,66 @@ fn shard_count_mismatch_is_refused() {
 fn missing_manifest_with_shard_dirs_is_refused() {
     let dir = fresh_dir("no-manifest");
     {
-        let store = Durable::open(&dir, eager_sharded(2), DurabilityConfig::default()).unwrap();
+        let store = Kv::open(&dir, eager_sharded(2), DurabilityConfig::default()).unwrap();
         store.put(1, 1).wait();
     }
     fs::remove_file(dir.join("MANIFEST")).unwrap();
-    let err = Durable::open(&dir, eager_sharded(2), DurabilityConfig::default())
+    let err = Kv::open(&dir, eager_sharded(2), DurabilityConfig::default())
         .expect_err("shard dirs without a manifest must not be guessed at");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     // a partial restore that lost shard-0 too must still be refused:
     // shard-1's surviving data is a layout we would be guessing at
     fs::remove_dir_all(dir.join("shard-0")).unwrap();
-    let err = Durable::open(&dir, eager_sharded(2), DurabilityConfig::default())
+    let err = Kv::open(&dir, eager_sharded(2), DurabilityConfig::default())
         .expect_err("surviving non-zero shard dirs must also be refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The single-directory layout the retired 1-shard durable flavor wrote
+/// — `wal-*.seg` / `ckpt-*.ckpt` at the top level, no `MANIFEST` — is no
+/// longer openable. Opening it must fail loudly, not create an empty
+/// store on top of acknowledged data.
+#[test]
+fn the_retired_bare_layout_is_refused() {
+    for (case, file) in [
+        ("bare-wal", "wal-00000000000000000001.seg"),
+        ("bare-ckpt", "ckpt-00000000000000000007.ckpt"),
+    ] {
+        let dir = fresh_dir(case);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(file), pam_wal::wal::SEGMENT_MAGIC).unwrap();
+        fs::write(dir.join("LOCK.pid"), "999999999").unwrap(); // stale, as a dead writer leaves it
+        for shards in [1, 2] {
+            let err = Kv::open(&dir, eager_sharded(shards), DurabilityConfig::default())
+                .expect_err("a bare-layout directory must not open");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{case}: {err}");
+            assert!(err.to_string().contains("single-directory layout"), "{err}");
+        }
+        // refused before anything was created
+        assert!(!dir.join("MANIFEST").exists() && !dir.join("shard-0").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+    // an unrelated file is not data: a fresh store may be created next to it
+    let dir = fresh_dir("bare-unrelated");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("README.txt"), "notes").unwrap();
+    let store = Kv::open(&dir, eager_sharded(1), DurabilityConfig::default()).unwrap();
+    assert!(store.is_empty());
+    drop(store);
     fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn second_open_on_a_live_sharded_directory_is_refused() {
     let dir = fresh_dir("double-open");
-    let store = Durable::open(&dir, eager_sharded(2), DurabilityConfig::default()).unwrap();
+    let store = Kv::open(&dir, eager_sharded(2), DurabilityConfig::default()).unwrap();
     store.put(1, 1).wait();
-    let err = Durable::open(&dir, eager_sharded(2), DurabilityConfig::default())
+    let err = Kv::open(&dir, eager_sharded(2), DurabilityConfig::default())
         .expect_err("a second writer on the same sharded dir must be refused");
     assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
     drop(store);
-    let store = Durable::open(&dir, eager_sharded(2), DurabilityConfig::default()).unwrap();
+    let store = Kv::open(&dir, eager_sharded(2), DurabilityConfig::default()).unwrap();
     assert_eq!(store.get(&1), Some(1));
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
@@ -274,7 +304,7 @@ fn second_open_on_a_live_sharded_directory_is_refused() {
 fn kill_and_recover_with_torn_shard_tail() {
     const SHARDS: usize = 3;
     if let Ok(dir) = std::env::var("PAM_SHARD_CRASH_DIR") {
-        let store = Durable::open(
+        let store = Kv::open(
             PathBuf::from(dir),
             eager_sharded(SHARDS),
             DurabilityConfig::default(),
@@ -324,7 +354,7 @@ fn kill_and_recover_with_torn_shard_tail() {
     bytes.extend_from_slice(&[0x80, 0, 0, 0, 0xba, 0xad, 0xf0, 0x0d, 7, 7, 7]);
     fs::write(&seg, bytes).unwrap();
 
-    let store = Durable::open(&dir, eager_sharded(SHARDS), DurabilityConfig::default()).unwrap();
+    let store = Kv::open(&dir, eager_sharded(SHARDS), DurabilityConfig::default()).unwrap();
     // every acked write survives, including those owned by the torn shard
     for k in 1..=60u64 {
         assert_eq!(store.get(&k), Some(k * 7), "acked write {k} lost");
@@ -380,7 +410,7 @@ proptest! {
         batches in 4u64..24,
         nkeys in 4usize..20,
     ) {
-        let store = Arc::new(Sharded::with_config(ShardedConfig {
+        let store = Arc::new(Kv::volatile(ShardedConfig {
             shards,
             store: StoreConfig {
                 batch_window: Duration::from_micros(20),
@@ -446,7 +476,7 @@ fn torn_cross_shard_batch_is_discarded_on_every_shard() {
     const SHARDS: usize = 3;
     const BATCH: std::ops::Range<u64> = 2000..2012;
     if let Ok(dir) = std::env::var("PAM_XBATCH_CRASH_DIR") {
-        let store = Durable::open(
+        let store = Kv::open(
             PathBuf::from(dir),
             eager_sharded(SHARDS),
             DurabilityConfig::default(),
@@ -514,7 +544,7 @@ fn torn_cross_shard_batch_is_discarded_on_every_shard() {
     assert_eq!(r.varint().unwrap(), SHARDS as u64, "participant count");
     fs::write(&seg, &bytes[..cut_at]).unwrap();
 
-    let reopen = || Durable::open(&dir, eager_sharded(SHARDS), DurabilityConfig::default());
+    let reopen = || Kv::open(&dir, eager_sharded(SHARDS), DurabilityConfig::default());
     let store = reopen().unwrap();
     // every acked single-shard write survives
     for k in 1..=40u64 {
@@ -578,7 +608,7 @@ fn cross_shard_slices_are_force_synced_under_relaxed_policies() {
         sync: SyncPolicy::SyncEveryN(1_000_000),
         ..DurabilityConfig::default()
     };
-    let store = Durable::open(&dir, eager_sharded(3), lazy).unwrap();
+    let store = Kv::open(&dir, eager_sharded(3), lazy).unwrap();
     for k in 0..20u64 {
         store.put(k, k).wait();
     }
@@ -638,7 +668,7 @@ fn pre_clock_on_disk_format_still_replays() {
         fs::write(shard_dir.join("wal-00000000000000000001.seg"), seg).unwrap();
     }
 
-    let store = Durable::open(
+    let store = Kv::open(
         &dir,
         eager_sharded(SHARDS as usize),
         DurabilityConfig::default(),
@@ -660,7 +690,7 @@ fn pre_clock_on_disk_format_still_replays() {
     assert_eq!(hit.len(), 2, "upgrade batch must span both shards");
     store.put_all((200..220u64).map(|k| (k, 1))).wait();
     drop(store);
-    let store = Durable::open(
+    let store = Kv::open(
         &dir,
         eager_sharded(SHARDS as usize),
         DurabilityConfig::default(),
@@ -670,6 +700,84 @@ fn pre_clock_on_disk_format_still_replays() {
     assert_eq!(store.get(&205), Some(1));
     assert_eq!(store.get(&42), Some(542));
     assert_eq!(store.global_watermark(), 1, "the upgrade batch was stamped");
+    drop(store);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dst = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &dst);
+        } else {
+            fs::copy(entry.path(), dst).unwrap();
+        }
+    }
+}
+
+/// `tests/fixtures/pr12_two_shards/` was written by the four-flavor
+/// code's `DurableShardedStore` (commit 3eb29e7, the parent of the
+/// one-`Store` refactor): 2 shards; keys 1..=40 and a cross-shard batch
+/// (global epoch 1), then a checkpoint on both shards; then a WAL tail
+/// of keys 41..=60, a delete, and a second cross-shard batch (epoch 2);
+/// then a third batch (epoch 3) whose shard-1 slice was cut off the log
+/// — a torn batch. The expectations below are what that commit's own
+/// `open` recovered from a copy of the same bytes: the new `Store::open`
+/// must reach the same contents, watermark and discard list.
+#[test]
+fn a_directory_written_by_the_four_flavor_code_reopens_unchanged() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr12_two_shards");
+    let dir = fresh_dir("pr12-fixture");
+    copy_dir(&fixture, &dir);
+
+    let expected: Vec<(u64, u64)> = (1..=60u64)
+        .filter(|&k| k != 5)
+        .map(|k| (k, k * 3))
+        .chain((100..108).map(|k| (k, 7)))
+        .chain((200..208).map(|k| (k, 9)))
+        .collect();
+    let reopen = || Kv::open(&dir, eager_sharded(2), DurabilityConfig::default()).unwrap();
+    let store = reopen();
+    assert_eq!(store.range(&0, &u64::MAX), expected);
+    for k in 300..308u64 {
+        assert_eq!(store.get(&k), None, "torn batch key {k} resurfaced");
+    }
+    assert_eq!(store.global_watermark(), 3);
+    assert_eq!(store.global_epoch(), 3);
+    let found: Vec<_> = store
+        .recovery()
+        .iter()
+        .map(|r| {
+            (
+                r.checkpoint_epoch,
+                r.checkpoint_entries,
+                r.replayed_epochs,
+                r.last_epoch,
+                r.discarded_epochs,
+            )
+        })
+        .collect();
+    assert_eq!(found, vec![(25, 30, 11, 37, 1), (17, 18, 12, 29, 0)]);
+    drop(store);
+    let manifest = pam_wal::manifest::load(&dir).unwrap().expect("manifest");
+    assert_eq!(
+        (manifest.shards, manifest.global_epoch, manifest.discarded),
+        (2, 3, vec![3])
+    );
+
+    // and it is a live store again: the clock resumes past the torn
+    // epoch, and a further reopen keeps everything
+    let store = reopen();
+    let t = store.put_all((300..308u64).map(|k| (k, 13)));
+    assert_eq!(t.global_epoch(), Some(4));
+    t.wait();
+    drop(store);
+    let store = reopen();
+    assert_eq!(store.len(), expected.len() + 8);
+    assert_eq!(store.get(&303), Some(13));
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,9 +4,11 @@
 //!
 //! * group-commit epochs apply **atomically** (a reader never sees half
 //!   of a `write_batch`);
-//! * **no write is lost** across batching, LWW dedup, and CAS publish;
+//! * **no write is lost** across batching, LWW dedup, and publish;
 //! * **pinned historical versions** remain readable and bit-identical
-//!   while the head advances.
+//!   while the head advances;
+//! * the **single-writer publish** hands out dense, strictly increasing
+//!   version ids that readers never see go backwards.
 
 use pam::{AugMap, SumAug};
 use pam_store::{StoreConfig, VersionedStore, WriteOp};
@@ -245,4 +247,79 @@ fn tickets_resolve_and_reads_are_committed_states() {
     // every op was enqueued; LWW within shared epochs may drop some
     let stats = store.stats();
     assert_eq!(stats.raw_ops, threads * (per + 1));
+}
+
+/// The committer is the only writer of the head and the registry is the
+/// only place it publishes — so the properties a shared version counter
+/// used to supply must hold by construction. One writer commits 10 000
+/// one-op epochs, epoch `e` writing the value `e` to a fixed key; since
+/// ids are dense, version `e` is exactly the version whose map holds `e`.
+/// Racing readers check, on every iteration:
+///
+/// * **dense, strictly increasing ids**: each ack's version is the
+///   previous one plus one, and a pinned version `v` holds the value `v`;
+/// * **no going back**: a `get` that observed epoch `e`'s write is never
+///   followed by a `pin` older than `e`, and one reader's pins never
+///   decrease;
+/// * **`flush()` names the last published version**: at least every
+///   version pinned before it, at most any pinned after it, and exactly
+///   the head once the writer is done.
+#[test]
+fn single_writer_publish_is_dense_monotone_and_visible_in_order() {
+    const EPOCHS: u64 = 10_000;
+    const KEY: u64 = 0;
+    let store = Arc::new(Store::with_config(StoreConfig {
+        batch_window: Duration::ZERO,
+        ..StoreConfig::default()
+    }));
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let readers: Vec<_> = (0..3)
+        .map(|_| {
+            let s = store.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let (mut last_pin, mut rounds) = (0u64, 0u64);
+                while !stop.load(Ordering::Relaxed) {
+                    let seen = s.get(&KEY).unwrap_or(0);
+                    let pin = s.pin();
+                    assert!(
+                        pin.id() >= seen,
+                        "get saw epoch {seen}, then pin() returned older v{}",
+                        pin.id()
+                    );
+                    assert!(pin.id() >= last_pin, "pins went backwards");
+                    last_pin = pin.id();
+                    assert_eq!(
+                        pin.map().get(&KEY).copied().unwrap_or(0),
+                        pin.id(),
+                        "version ids are not dense: v{} holds another epoch's write",
+                        pin.id()
+                    );
+                    let flushed = s.flush();
+                    assert!(flushed >= pin.id(), "flush() returned an unpublished past");
+                    assert!(s.pin().id() >= flushed, "flush() ran ahead of the head");
+                    rounds += 1;
+                }
+                rounds
+            })
+        })
+        .collect();
+
+    for e in 1..=EPOCHS {
+        assert_eq!(store.put(KEY, e).wait(), e, "ack of epoch {e}");
+    }
+    stop.store(true, Ordering::Relaxed);
+    let rounds: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(rounds > 0, "readers must have raced the writer");
+
+    assert_eq!(store.flush(), EPOCHS, "flush() is the last published id");
+    assert_eq!(store.head_version(), EPOCHS);
+    assert_eq!(store.get(&KEY), Some(EPOCHS));
+    assert_eq!(store.stats().commits, EPOCHS);
+    let ids: Vec<u64> = store.versions().iter().map(|v| v.id).collect();
+    assert!(
+        ids.windows(2).all(|w| w[1] == w[0] + 1) && ids.last() == Some(&EPOCHS),
+        "retained versions must be a dense run ending at the head: {ids:?}"
+    );
 }

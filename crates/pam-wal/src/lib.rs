@@ -33,7 +33,7 @@
 //! implementations for the usual key/value primitives (integers, strings,
 //! byte vectors, tuples). The crate is deliberately free of any
 //! tree-library dependency: it moves bytes, not maps. `pam-store`'s
-//! `DurableStore` does the wiring.
+//! `Store::open` does the wiring.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! Single-writer directory lock.
 //!
 //! A WAL directory has exactly one legitimate writer; a second
-//! `DurableStore::open` on the same directory (double-started service,
+//! `Store::open` on the same directory (double-started service,
 //! operator mistake) would append interleaved frames through an
 //! independent file handle and corrupt the log. [`DirLock`] makes the
 //! second open fail fast instead.

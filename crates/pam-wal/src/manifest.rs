@@ -18,7 +18,7 @@
 //! on some-but-not-all participant shards, voted down at recovery. The
 //! watermark is rewritten before any shard's WAL truncation may reclaim
 //! a stamped record, which is what keeps the 2PC presence vote sound
-//! across restarts (see `pam-store::DurableShardedStore`).
+//! across restarts (see `pam_store::Store::open`).
 //!
 //! ```text
 //! MANIFEST = [ magic "PAMSHRD1" ]

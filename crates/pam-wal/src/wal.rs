@@ -71,7 +71,7 @@ pub const SEGMENT_MAGIC_V2: &[u8; 8] = b"PAMWAL02";
 /// shards on which a given global epoch survives: a stamp present on
 /// some-but-not-all of its `participants` shards marks a *torn* batch,
 /// which is discarded everywhere (2PC-style presence voting — see
-/// `pam-store`'s `DurableShardedStore`).
+/// `pam-store`'s `Store::open`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GlobalStamp {
     /// The global epoch assigned by the store-wide clock (monotone

@@ -8,32 +8,26 @@
 //! serialized and swap in a new root. Accumulated updates are best applied
 //! in bulk with [`SharedMap::commit`] + `multi_insert`.
 //!
-//! Every successful commit advances a monotonic **version counter**, which
-//! enables optimistic (CAS-style) writers: take a versioned snapshot with
-//! [`SharedMap::snapshot_versioned`], compute a new map *outside* any
-//! lock, and publish it with [`SharedMap::try_swap`] — retrying on
-//! conflict, or in one call via [`SharedMap::commit_cas`]. The `pam-store`
-//! group-commit pipeline drives its batch application through this
-//! interface so expensive `multi_insert` work never blocks readers.
+//! (`pam-store`'s serving path does not go through this type: its single
+//! committer thread owns the current map and publishes each new root
+//! into a version registry, so it needs neither this lock nor a
+//! compare-and-swap.)
 
 use crate::balance::{Balance, WeightBalanced};
 use crate::map::AugMap;
 use crate::spec::AugSpec;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An atomically swappable shared map supporting snapshot isolation.
 pub struct SharedMap<S: AugSpec, B: Balance = WeightBalanced> {
     inner: RwLock<AugMap<S, B>>,
-    version: AtomicU64,
 }
 
 impl<S: AugSpec, B: Balance> SharedMap<S, B> {
-    /// Share `map` (at version 0).
+    /// Share `map`.
     pub fn new(map: AugMap<S, B>) -> Self {
         SharedMap {
             inner: RwLock::new(map),
-            version: AtomicU64::new(0),
         }
     }
 
@@ -44,80 +38,13 @@ impl<S: AugSpec, B: Balance> SharedMap<S, B> {
         self.inner.read().clone()
     }
 
-    /// Take an O(1) snapshot together with the version it corresponds to.
-    /// The pair is consistent: no commit can interleave between reading
-    /// the map and reading the counter.
-    pub fn snapshot_versioned(&self) -> (AugMap<S, B>, u64) {
-        let guard = self.inner.read();
-        let map = guard.clone();
-        // still under the read lock: writers bump the counter only while
-        // holding the write lock, so this read is consistent with `map`.
-        let v = self.version.load(Ordering::Acquire);
-        (map, v)
-    }
-
-    /// The version of the current shared instance. Starts at 0 and
-    /// increases by exactly 1 per successful commit/swap.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
     /// Atomically replace the shared map with `f(current)`. Writers are
-    /// sequentialized (as in the paper); readers are never blocked by the
-    /// computation of `f` *before* the commit — only the swap takes the
-    /// write lock if `f` is cheap. For expensive transformations, compute
-    /// on a snapshot and publish with [`SharedMap::try_swap`] /
-    /// [`SharedMap::commit_cas`] instead, so the write lock is held only
-    /// for the pointer swap.
+    /// sequentialized (as in the paper); the write lock is held while `f`
+    /// runs, so readers wait for the new root but never see a partial one.
     pub fn commit(&self, f: impl FnOnce(AugMap<S, B>) -> AugMap<S, B>) {
         let mut guard = self.inner.write();
         let current = std::mem::take(&mut *guard);
         *guard = f(current);
-        self.version.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Optimistic publish: install `new` if and only if the shared map is
-    /// still at version `expected` (i.e. no commit has happened since the
-    /// snapshot `new` was computed from).
-    ///
-    /// On success returns the new version; on conflict returns the
-    /// *current* versioned snapshot so the caller can rebase and retry.
-    /// The write lock is held only for the O(1) pointer swap — never for
-    /// the computation of `new`.
-    pub fn try_swap(&self, expected: u64, new: AugMap<S, B>) -> Result<u64, (AugMap<S, B>, u64)> {
-        let mut guard = self.inner.write();
-        let cur = self.version.load(Ordering::Acquire);
-        if cur != expected {
-            return Err((guard.clone(), cur));
-        }
-        *guard = new;
-        let v = cur + 1;
-        self.version.store(v, Ordering::Release);
-        Ok(v)
-    }
-
-    /// Compute-and-swap with retry: repeatedly apply `f` to the latest
-    /// snapshot (outside any lock) and [`SharedMap::try_swap`] the result
-    /// until no concurrent commit intervenes. Returns the committed
-    /// version and the number of retries (0 = first attempt won).
-    ///
-    /// This is the paper's "swap in a new pointer" discipline extended to
-    /// many concurrent writers: each writer's O(m log(n/m + 1)) batch work
-    /// happens on its own snapshot, and only the O(1) swap serializes.
-    pub fn commit_cas(&self, mut f: impl FnMut(AugMap<S, B>) -> AugMap<S, B>) -> (u64, u64) {
-        let (mut snap, mut ver) = self.snapshot_versioned();
-        let mut retries = 0u64;
-        loop {
-            let next = f(snap);
-            match self.try_swap(ver, next) {
-                Ok(v) => return (v, retries),
-                Err((cur, curv)) => {
-                    retries += 1;
-                    snap = cur;
-                    ver = curv;
-                }
-            }
-        }
     }
 
     /// Current size (takes a read lock briefly).
@@ -163,41 +90,7 @@ mod tests {
     }
 
     #[test]
-    fn version_counts_commits() {
-        let shared = M::default();
-        assert_eq!(shared.version(), 0);
-        shared.commit(|m| m);
-        shared.commit(|m| m);
-        assert_eq!(shared.version(), 2);
-        let (_, v) = shared.snapshot_versioned();
-        assert_eq!(v, 2);
-    }
-
-    #[test]
-    fn try_swap_detects_conflicts() {
-        let shared = M::default();
-        let (snap, v) = shared.snapshot_versioned();
-        // a commit races in between
-        shared.commit(|mut m| {
-            m.insert(7, 7);
-            m
-        });
-        let mut stale = snap;
-        stale.insert(1, 1);
-        let err = shared.try_swap(v, stale);
-        let (cur, curv) = err.expect_err("stale swap must fail");
-        assert_eq!(curv, 1);
-        assert_eq!(cur.len(), 1); // the racing commit's state, not ours
-        assert_eq!(shared.snapshot().get(&7), Some(&7));
-        // rebased swap succeeds
-        let mut rebased = cur;
-        rebased.insert(1, 1);
-        assert_eq!(shared.try_swap(curv, rebased), Ok(2));
-        assert_eq!(shared.len(), 2);
-    }
-
-    #[test]
-    fn commit_cas_under_contention_loses_no_updates() {
+    fn commits_under_contention_lose_no_updates() {
         let shared = Arc::new(M::default());
         let threads = 8;
         let per = 200u64;
@@ -207,7 +100,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..per {
                         let k = t * per + i;
-                        s.commit_cas(|mut m| {
+                        s.commit(|mut m| {
                             m.insert(k, 1);
                             m
                         });
@@ -220,7 +113,6 @@ mod tests {
         }
         assert_eq!(shared.len(), (threads * per) as usize);
         assert_eq!(shared.snapshot().aug_val(), threads * per);
-        assert_eq!(shared.version(), threads * per);
     }
 
     #[test]

@@ -2,25 +2,26 @@
 //!
 //! Walks the full durability lifecycle — logged writes, a non-blocking
 //! checkpoint, clean restart, and a simulated crash (torn WAL record) —
-//! against a `DurableStore`.
+//! against a durable 1-shard `Store`.
 //!
 //! Run with: `cargo run --release --example durable_store`
 
 use pam::SumAug;
-use pam_store::{DurabilityConfig, DurableStore, StoreConfig, SyncPolicy};
+use pam_store::{DurabilityConfig, ShardedConfig, Store, SyncPolicy};
 use std::fs;
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
-type Ledger = DurableStore<SumAug<u64, u64>>;
+type Ledger = Store<SumAug<u64, u64>>;
 
 fn open(dir: &std::path::Path) -> Ledger {
     Ledger::open(
         dir,
-        StoreConfig {
-            batch_window: Duration::from_micros(100),
-            ..StoreConfig::default()
-        },
+        ShardedConfig::builder()
+            .shards(1)
+            .batch_window(Duration::from_micros(100))
+            .build(),
         DurabilityConfig {
             sync: SyncPolicy::SyncEachEpoch, // acked == on disk
             segment_bytes: 64 << 10,         // small segments for the demo
@@ -35,11 +36,11 @@ fn main() {
     let _ = fs::remove_dir_all(&dir);
 
     // --- 1. a fresh store: writes are logged before they are acked ------
-    let store = open(&dir);
+    let store = Arc::new(open(&dir));
     let accounts = 4u64;
     let writers: Vec<_> = (0..accounts)
         .map(|acct| {
-            let s = store.handle(); // Arc handle; same logged pipeline
+            let s = store.clone(); // every handle feeds the same logged pipeline
             std::thread::spawn(move || {
                 for t in 0..2_000u64 {
                     s.put(acct * 10_000 + t, acct + 1);
@@ -58,7 +59,7 @@ fn main() {
     assert!(stats.durability.wal_records < stats.raw_ops);
 
     // --- 2. checkpoint: stream a pinned snapshot, truncate the log ------
-    let ckpt_epoch = store.checkpoint().expect("checkpoint");
+    let ckpt_epoch = store.checkpoint().expect("checkpoint")[0];
     println!(
         "checkpoint at wal epoch {ckpt_epoch}: {}",
         store.stats().durability
@@ -67,7 +68,7 @@ fn main() {
 
     // --- 3. restart: bulk-load the checkpoint, replay the newer log -----
     let store = open(&dir);
-    let rec = store.recovery().clone();
+    let rec = store.recovery()[0].clone();
     println!(
         "recovered:     {} entries from checkpoint (epoch {}), {} epochs replayed",
         rec.checkpoint_entries, rec.checkpoint_epoch, rec.replayed_epochs
@@ -79,7 +80,7 @@ fn main() {
     // --- 4. crash: write, then tear the last WAL record -----------------
     store.put(777_777, 42).wait();
     drop(store);
-    let torn_segment = fs::read_dir(&dir)
+    let torn_segment = fs::read_dir(dir.join("shard-0"))
         .unwrap()
         .filter_map(|e| {
             let p = e.unwrap().path();

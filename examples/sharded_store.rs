@@ -8,12 +8,11 @@
 //! Run with: `cargo run --release --example sharded_store`
 
 use pam::SumAug;
-use pam_store::{DurabilityConfig, DurableShardedStore, ShardedConfig, ShardedStore, StoreConfig};
+use pam_store::{DurabilityConfig, ShardedConfig, Store, StoreConfig};
 use std::fs;
 use std::time::Duration;
 
-type Accounts = ShardedStore<SumAug<u64, u64>>;
-type Ledger = DurableShardedStore<SumAug<u64, u64>>;
+type Ledger = Store<SumAug<u64, u64>>;
 
 fn config(shards: usize) -> ShardedConfig {
     ShardedConfig {
@@ -27,7 +26,7 @@ fn config(shards: usize) -> ShardedConfig {
 
 fn main() {
     // --- 1. in-memory: N committers, one keyspace ------------------------
-    let store = std::sync::Arc::new(Accounts::with_config(config(4)));
+    let store = std::sync::Arc::new(Ledger::volatile(config(4)));
     let writers: Vec<_> = (0..4u64)
         .map(|w| {
             let s = store.clone();
@@ -75,7 +74,7 @@ fn main() {
     println!("snapshot:      version vector {:?}", snap.version_vector());
     drop(snap);
 
-    // --- 3. durable: per-shard WAL dirs, recovered independently ---------
+    // --- 3. the same type on disk: per-shard WAL dirs, recovered independently
     let dir = std::env::temp_dir().join(format!("pam-sharded-demo-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let ledger = Ledger::open(&dir, config(4), DurabilityConfig::default()).expect("open");

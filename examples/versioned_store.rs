@@ -4,23 +4,27 @@
 //! Run with: `cargo run --release --example versioned_store`
 
 use pam::SumAug;
-use pam_store::{StoreConfig, VersionedStore, WriteOp};
+use pam_store::{ShardedConfig, Store, WriteOp};
 use std::sync::Arc;
 use std::time::Duration;
 
 // key = (sensor_id << 32) | timestamp, value = reading; SumAug gives us
 // O(log n) range *sums* over any key interval for free.
-type Metrics = VersionedStore<SumAug<u64, u64>>;
+type Metrics = Store<SumAug<u64, u64>>;
 
 fn key(sensor: u64, t: u64) -> u64 {
     (sensor << 32) | t
 }
 
 fn main() {
-    let store = Arc::new(Metrics::with_config(StoreConfig {
-        batch_window: Duration::from_micros(200), // group-commit window
-        ..StoreConfig::default()
-    }));
+    // one shard: its engine's version ids are the store's history, so
+    // pins and tags below go through `shard(0)`
+    let store = Arc::new(Metrics::volatile(
+        ShardedConfig::builder()
+            .shards(1)
+            .batch_window(Duration::from_micros(200)) // group-commit window
+            .build(),
+    ));
 
     // --- live ingest: 4 writer threads stream readings --------------------
     let writers: Vec<_> = (0..4u64)
@@ -42,7 +46,7 @@ fn main() {
         std::thread::spawn(move || {
             let mut last = 0;
             for _ in 0..50 {
-                let pin = s.pin(); // O(1); never blocks ingest
+                let pin = s.shard(0).pin(); // O(1); never blocks ingest
                 let sensor0_sum = pin.map().aug_range(&key(0, 0), &key(0, u32::MAX as u64));
                 assert!(sensor0_sum >= last, "sums are monotone under ingest");
                 last = sensor0_sum;
@@ -59,15 +63,15 @@ fn main() {
     println!("ingest done; last pinned sensor-0 sum: {final_sum}");
 
     // --- named versions: tag a nightly snapshot ---------------------------
-    let nightly = store.tag("nightly");
+    let nightly = store.shard(0).tag("nightly");
     println!("tagged version {nightly} as \"nightly\"");
 
     // keep writing; the tag pins yesterday's view
     store
         .write_batch((0..1000u64).map(|t| WriteOp::Delete(key(0, t))))
         .wait();
-    let now = store.pin();
-    let then = store.pin_tagged("nightly").expect("tag pinned");
+    let now = store.shard(0).pin();
+    let then = store.shard(0).pin_tagged("nightly").expect("tag pinned");
     println!(
         "sensor-0 readings now: {}, in \"nightly\": {}",
         now.map().range(&key(0, 0), &key(0, u32::MAX as u64)).len(),
