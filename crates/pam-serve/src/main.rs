@@ -6,6 +6,11 @@
 //!           [--obs-addr ADDR]
 //! ```
 //!
+//! `--batch-window-us` is each shard's group-commit window: the upper
+//! bound on how long an epoch lingers for more writers, not a fixed
+//! delay — a put with nobody to share an epoch with is committed at once
+//! (0 never lingers).
+//!
 //! Prints `pam-serve listening on ADDR` once serving (and `obs listening
 //! on ADDR` when telemetry is bound) — scripts bind port 0 and read the
 //! real address back from stdout. Runs until stdin reaches EOF, then

@@ -29,10 +29,18 @@ use std::time::Duration;
 /// engine.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// How long the committer lingers after the first enqueued operation
-    /// of an epoch, letting concurrent writers pile into the same batch
-    /// (the *group-commit window*). `Duration::ZERO` commits eagerly:
-    /// smallest latency, smallest batches.
+    /// The *group-commit window*: the upper bound on how long the
+    /// committer holds an epoch open after its first operation so that
+    /// concurrent writers pile into the same batch — not a fixed delay.
+    /// The committer estimates the gap between submissions and lingers
+    /// only while more writers are due before the window runs out,
+    /// closing on the first quiet stretch: a writer that waits for its
+    /// acks and has nobody to share an epoch with is committed at once
+    /// whatever this is set to, while many concurrent writers — or a
+    /// steady stream of writes nobody waits for — share epochs up to
+    /// this long.
+    /// `Duration::ZERO` never lingers: smallest latency, smallest
+    /// batches.
     pub batch_window: Duration,
     /// Drain the epoch as soon as this many operations are buffered,
     /// even if the window has not elapsed (bounds batch latency and

@@ -12,7 +12,6 @@ struct Inner<S: AugSpec> {
     registry: Registry<S>,
     pipeline: Arc<Pipeline<S>>,
     stats: Arc<StatsInner>,
-    config: StoreConfig,
     hook: Option<Arc<dyn CommitHook<S>>>,
 }
 
@@ -63,20 +62,17 @@ impl<S: AugSpec> VersionedStore<S> {
         let stats = Arc::new(StatsInner::default());
         let inner = Arc::new(Inner {
             registry: Registry::new(initial, config.keep_versions),
-            pipeline: Arc::new(Pipeline::new(config.max_batch, stats.clone())),
+            pipeline: Arc::new(Pipeline::new(&config, stats.clone())),
             stats,
-            config,
             hook,
         });
         let worker = inner.clone();
         let committer = std::thread::Builder::new()
             .name("pam-store-committer".into())
             .spawn(move || {
-                worker.pipeline.run_committer(
-                    &worker.registry,
-                    &worker.config,
-                    worker.hook.as_deref(),
-                );
+                worker
+                    .pipeline
+                    .run_committer(&worker.registry, worker.hook.as_deref());
             })
             // lint: allow(panic) construction-time failure with no
             // caller to report to: a store without its committer thread

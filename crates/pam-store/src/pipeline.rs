@@ -16,8 +16,12 @@
 //! A dedicated committer thread:
 //!
 //! 1. sleeps until a segment has work, then — when the sole queued
-//!    segment is an open one — lingers for the configured *group-commit
-//!    window* so concurrent writers share the batch;
+//!    segment is an open one — lingers only while waiting can still grow
+//!    the batch: an estimate of the gap between submissions decides
+//!    whether another writer is due before the configured *group-commit
+//!    window* runs out, and the first quiet stretch closes the epoch (see
+//!    `Pipeline::linger`). The window is the upper bound on the linger,
+//!    not a fixed delay: a lone writer never waits on it;
 //! 2. pops the front segment atomically (this is what makes an epoch an
 //!    all-or-nothing unit: either every operation of an epoch is in the
 //!    published version, or none is);
@@ -44,7 +48,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The committer's durability extension point (implemented by the WAL
 /// writer of a durable [`crate::Store`]; see
@@ -89,6 +93,23 @@ pub trait CommitHook<S: AugSpec>: Send + Sync {
     }
 }
 
+/// The arrival-gap estimate moves `1/GAP_WEIGHT` of the way to each new
+/// sample (see [`PipeState::note_arrival`]).
+const GAP_WEIGHT: u32 = 4;
+
+/// The committer sleeps for company only while at least this many more
+/// submissions are expected before the window runs out. A timed sleep
+/// costs timer slack plus a wake-up — tens of microseconds, the commit
+/// work of several operations — while writers that arrive during a commit
+/// share the next epoch for free, so waiting for one or two is a loss.
+/// Measured on the serving spec (EXPERIMENTS §12): at 1 or 2, two to four
+/// lockstep writers are held for most of the window; at 16, sixteen stop
+/// sharing epochs. Must be at least [`GAP_WEIGHT`]: a submission that
+/// finds the pipeline idle lifts the estimate to `window / GAP_WEIGHT`,
+/// which then has to rule a linger out.
+const LINGER_MIN_ARRIVALS: u32 = 8;
+const _: () = assert!(LINGER_MIN_ARRIVALS >= GAP_WEIGHT);
+
 /// One queued epoch: its pre-assigned epoch number, its operations, and
 /// (for a sealed cross-shard slice) the batch stamp.
 struct EpochSeg<S: AugSpec> {
@@ -102,6 +123,9 @@ struct EpochSeg<S: AugSpec> {
     /// When the segment was created — its group-commit window occupancy
     /// (creation to drain) is measured from here.
     opened_at: Instant,
+    /// The arrival-gap estimate as the segment's first submission found
+    /// it: what the writers before this epoch looked like.
+    gap_at_open: Duration,
 }
 
 /// Epoch numbering starts at 1 so "nothing committed yet" is 0.
@@ -126,6 +150,51 @@ struct PipeState<S: AugSpec> {
     /// While true, `submit` blocks (the committer keeps draining): the
     /// quiesce point sharded snapshots use as their epoch barrier.
     barrier: bool,
+    /// When the latest submission arrived.
+    last_arrival: Instant,
+    /// Moving average of the gap between consecutive submissions, each
+    /// sample at most `batch_window` (see [`PipeState::note_arrival`]):
+    /// the committer's estimate of how soon another writer is due.
+    arrival_gap: Duration,
+    /// Highest epoch somebody has waited for ([`CommitTicket::wait`],
+    /// [`Pipeline::flush`]): tells a writer that blocks on its acks from
+    /// one that fires and forgets.
+    awaited_epoch: u64,
+}
+
+impl<S: AugSpec> PipeState<S> {
+    /// Nothing queued, nothing being committed, and the latest epoch was
+    /// waited for: whoever wrote last was blocked on the committer until
+    /// it finished, so a submission that finds the pipeline like this is a
+    /// writer coming back, not one of a crowd. A fire-and-forget stream
+    /// never waits, so it is never idle in this sense — not even when the
+    /// committer keeps pace with it one operation at a time.
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty()
+            && self.committed_epoch + 1 == self.next_epoch
+            && self.awaited_epoch >= self.committed_epoch
+    }
+
+    /// Fold one submission into the arrival-gap estimate. `was_idle` is
+    /// [`Self::is_idle`] as the submission found the pipeline: such an
+    /// arrival had nobody to share an epoch with, so it counts as a whole
+    /// window of silence whatever the clock says — a lone closed-loop
+    /// writer (submit, wait, submit) therefore keeps the estimate pinned
+    /// at `window`, while every further member of a burst pulls it
+    /// `1/GAP_WEIGHT` of the way down to the burst's spacing. The mix
+    /// tells group sizes apart: two or three lockstep writers average
+    /// out sparse, sixteen dense. Submissions nobody waits for are timed
+    /// by the clock alone, so a steady stream of them is held for company
+    /// however fast each one commits.
+    fn note_arrival(&mut self, now: Instant, was_idle: bool, window: Duration) {
+        let sample = if was_idle {
+            window
+        } else {
+            now.saturating_duration_since(self.last_arrival).min(window)
+        };
+        self.arrival_gap = self.arrival_gap - self.arrival_gap / GAP_WEIGHT + sample / GAP_WEIGHT;
+        self.last_arrival = now;
+    }
 }
 
 pub(crate) struct Pipeline<S: AugSpec> {
@@ -139,6 +208,9 @@ pub(crate) struct Pipeline<S: AugSpec> {
     /// Crossing this op count in the open segment cuts the group-commit
     /// window short.
     max_batch: usize,
+    /// Upper bound on how long an open segment lingers for company
+    /// ([`StoreConfig::batch_window`]).
+    batch_window: Duration,
     /// Shared with the owning store: the committer and `admit()` record
     /// into it directly.
     stats: Arc<StatsInner>,
@@ -149,13 +221,14 @@ pub(crate) struct Pipeline<S: AugSpec> {
 }
 
 impl<S: AugSpec> Pipeline<S> {
-    pub fn new(max_batch: usize, stats: Arc<StatsInner>) -> Self {
+    pub fn new(config: &StoreConfig, stats: Arc<StatsInner>) -> Self {
         // Settle the flight-recorder anchor before the first segment
         // Instant exists, or early epochs' window timestamps would clamp
         // to zero (see `pam_obs::flight`).
         let _ = flight::anchor();
         Pipeline {
-            max_batch: max_batch.max(1),
+            max_batch: config.max_batch.max(1),
+            batch_window: config.batch_window,
             stats,
             state: Mutex::new(PipeState {
                 queue: VecDeque::new(),
@@ -166,6 +239,10 @@ impl<S: AugSpec> Pipeline<S> {
                 shutdown: false,
                 poisoned: None,
                 barrier: false,
+                last_arrival: Instant::now(),
+                // no history: assume nobody else is writing
+                arrival_gap: config.batch_window,
+                awaited_epoch: 0,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
@@ -229,17 +306,21 @@ impl<S: AugSpec> Pipeline<S> {
         ops: impl IntoIterator<Item = WriteOp<S>>,
     ) -> CommitTicket<S> {
         let mut g = self.admit(self.state.lock());
+        let now = Instant::now();
+        let was_idle = g.is_idle();
         // Join the open segment at the back, or start one.
         let open_at_back = g.queue.back().is_some_and(|seg| !seg.sealed);
         if !open_at_back {
             let epoch = g.next_epoch;
             g.next_epoch += 1;
+            let gap_at_open = g.arrival_gap;
             g.queue.push_back(EpochSeg {
                 epoch,
                 global: None,
                 ops: Vec::new(),
                 sealed: false,
-                opened_at: Instant::now(),
+                opened_at: now,
+                gap_at_open,
             });
         }
         let mut pushed = false;
@@ -269,6 +350,7 @@ impl<S: AugSpec> Pipeline<S> {
         // always-committed). Drop a freshly created empty segment so the
         // committer never sees zero-op epochs.
         let epoch = if pushed {
+            g.note_arrival(now, was_idle, self.batch_window);
             seg_epoch
         } else {
             if !open_at_back {
@@ -308,6 +390,10 @@ impl<S: AugSpec> Pipeline<S> {
             };
         }
         let mut g = self.admit(self.state.lock());
+        let now = Instant::now();
+        let was_idle = g.is_idle();
+        let gap_at_open = g.arrival_gap;
+        g.note_arrival(now, was_idle, self.batch_window);
         let epoch = g.next_epoch;
         g.next_epoch += 1;
         let seq0 = g.next_seq;
@@ -322,7 +408,8 @@ impl<S: AugSpec> Pipeline<S> {
             global,
             ops: tagged,
             sealed: true,
-            opened_at: Instant::now(),
+            opened_at: now,
+            gap_at_open,
         });
         self.work.notify_one();
         drop(g);
@@ -343,6 +430,7 @@ impl<S: AugSpec> Pipeline<S> {
             Some(seg) => seg.epoch,
             None => g.next_epoch - 1,
         };
+        g.awaited_epoch = g.awaited_epoch.max(target);
         if g.committed_epoch >= target {
             return g.committed_version;
         }
@@ -381,51 +469,72 @@ impl<S: AugSpec> Pipeline<S> {
         self.gate.notify_all();
     }
 
+    /// The group-commit window: hold the front epoch open while waiting
+    /// can still grow it, never past `opened_at + batch_window`.
+    ///
+    /// Only a lone open segment lingers — not one at the batch cap (the
+    /// *clamped* cap, so submit and committer agree even for a
+    /// `max_batch: 0` config), not while draining for shutdown, and not
+    /// with segments queued behind it (those commit back-to-back). The
+    /// gap that counts is the smaller of the current estimate and the one
+    /// the epoch's first submission found: the first writer back after a
+    /// shared epoch finds the pipeline idle and pushes the estimate up,
+    /// but the writers it shared with are right behind it. The epoch is
+    /// closed at once unless the window time left is expected to bring
+    /// [`LINGER_MIN_ARRIVALS`] more submissions at that gap — so always
+    /// for a zero window, and for a closed-loop writer on its own from
+    /// its second epoch on, whatever burst came before. Otherwise the
+    /// committer sleeps in slices of twice the gap (at most a quarter of
+    /// what is left) and closes the epoch on the first slice that brings
+    /// no new operation, on any wake-up (`flush`, a sealed slice queued
+    /// behind, the cap crossed, shutdown), or when the window has run
+    /// out.
+    fn linger<'a>(&'a self, mut g: MutexGuard<'a, PipeState<S>>) -> MutexGuard<'a, PipeState<S>> {
+        loop {
+            let Some(front) = g.queue.front() else {
+                return g;
+            };
+            if g.queue.len() > 1 || front.sealed || front.ops.len() >= self.max_batch || g.shutdown
+            {
+                return g;
+            }
+            let remaining = self.batch_window.saturating_sub(front.opened_at.elapsed());
+            let gap = g.arrival_gap.min(front.gap_at_open);
+            if gap.saturating_mul(LINGER_MIN_ARRIVALS) >= remaining {
+                return g;
+            }
+            let slice = gap.saturating_mul(2);
+            let seen = g.next_seq;
+            let woken = !self.work.wait_timeout(&mut g, slice).timed_out();
+            if woken || g.next_seq == seen {
+                return g;
+            }
+        }
+    }
+
     /// The committer loop. Runs on its own thread until shutdown *and*
     /// empty queue (or until the commit hook fails — see [`CommitHook`]).
     /// `registry`'s head is the map the first epoch applies to; from then
     /// on this loop is the only holder of the current map between
     /// publishes, and the only caller of [`Registry::publish`].
-    pub fn run_committer(
-        &self,
-        registry: &Registry<S>,
-        config: &StoreConfig,
-        hook: Option<&dyn CommitHook<S>>,
-    ) {
+    pub fn run_committer(&self, registry: &Registry<S>, hook: Option<&dyn CommitHook<S>>) {
         let (mut current, mut version): (AugMap<S>, u64) = {
             let head = registry.pin_head();
             (head.map().clone(), head.id())
         };
         let mut g = self.state.lock();
         loop {
-            let Some(front) = g.queue.front() else {
+            if g.queue.is_empty() {
                 if g.shutdown {
                     return;
                 }
                 self.work.wait(&mut g);
                 continue;
-            };
-            // Group-commit window: when the only queued segment is the
-            // open one, linger once so concurrent writers can join its
-            // epoch (skipped when already over the batch cap, when
-            // draining for shutdown, with a zero window, or when sealed
-            // segments queue behind — those commit back-to-back). Gate on
-            // the *clamped* cap so submit and committer agree even for a
-            // `max_batch: 0` config (clamped to 1 in `Pipeline::new`).
-            if !config.batch_window.is_zero()
-                && g.queue.len() == 1
-                && !front.sealed
-                && front.ops.len() < self.max_batch
-                && !g.shutdown
-            {
-                let _ = self.work.wait_timeout(&mut g, config.batch_window);
-                if g.queue.is_empty() {
-                    continue; // spurious wakeup before any op landed
-                }
             }
+            g = self.linger(g);
             // Pop the front epoch atomically.
-            // lint: allow(panic) the wait loop above only exits when the
-            // queue has a sealed front segment (or shutdown returned)
+            // lint: allow(panic) checked non-empty above, and only this
+            // thread pops (linger's waits let submitters push, never pop)
             let seg = g.queue.pop_front().expect("front segment present");
             drop(g);
             let (epoch, global, batch) = (seg.epoch, seg.global, seg.ops);
@@ -540,6 +649,7 @@ impl<S: AugSpec> CommitTicket<S> {
     /// never become durable).
     pub fn wait(&self) -> u64 {
         let mut g = self.pipe.state.lock();
+        g.awaited_epoch = g.awaited_epoch.max(self.epoch);
         while g.committed_epoch < self.epoch {
             Pipeline::check_poison(&g);
             self.pipe.done.wait(&mut g);

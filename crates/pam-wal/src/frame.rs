@@ -11,8 +11,8 @@
 //! (the file ends before the announced payload does — the signature of a
 //! crash mid-append), or a *corrupt* frame (all bytes present, checksum
 //! disagrees). The CRC is the standard IEEE CRC-32 (the zlib/Ethernet
-//! polynomial), implemented here table-driven because the workspace is
-//! offline and vendors no checksum crate.
+//! polynomial), implemented here table-driven (slicing-by-8) because the
+//! workspace is offline and vendors no checksum crate.
 
 use std::io;
 
@@ -24,8 +24,11 @@ pub const HEADER_LEN: usize = 8;
 /// garbage length field land in `Corrupt` instead of a 4 GiB read.
 pub const MAX_PAYLOAD: usize = 1 << 30;
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `[0]` is the
+/// classic byte table, `[k][b]` the CRC of byte `b` followed by `k` zero
+/// bytes.
+const fn make_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -38,21 +41,50 @@ const fn make_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = make_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
 
-/// IEEE CRC-32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
+/// One byte at a time — the tail of [`crc32`], and its test reference.
+fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// IEEE CRC-32 of `data`, eight bytes per step (slicing-by-8).
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xffff_ffffu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    !crc32_bytewise(c, words.remainder())
 }
 
 /// Append one frame around `payload` to `out`; returns the frame's size.
@@ -193,6 +225,35 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bytewise_loop() {
+        let bytewise = |d: &[u8]| !crc32_bytewise(0xffff_ffff, d);
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // every length 0..=64 at every alignment of the 8-byte step
+        let buf: Vec<u8> = (0..80).map(|_| next() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let d = &buf[start..start + len];
+                assert_eq!(crc32(d), bytewise(d), "start {start} len {len}");
+            }
+        }
+        // seeded random buffers up to 1 MiB, random offsets
+        let big: Vec<u8> = (0..(1 << 20) + 8).map(|_| next() as u8).collect();
+        for _ in 0..24 {
+            let start = next() as usize % 8;
+            let len = next() as usize % ((1 << 20) + 1);
+            let d = &big[start..start + len];
+            assert_eq!(crc32(d), bytewise(d), "start {start} len {len}");
+        }
+        assert_eq!(crc32(&big[..1 << 20]), bytewise(&big[..1 << 20]));
     }
 
     #[test]

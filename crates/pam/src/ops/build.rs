@@ -44,9 +44,7 @@ where
     if items.is_empty() {
         return None;
     }
-    debug_assert!(items
-        .windows(2)
-        .all(|w| S::compare(&w[0].0, &w[1].0) == Ordering::Less));
+    debug_assert!(strictly_increasing(items, |a, b| S::compare(&a.0, &b.0)));
     build_rec::<S, B>(items)
 }
 
@@ -76,6 +74,30 @@ fn build_rec<S: AugSpec, B: Balance>(items: &[(S::K, S::V)]) -> Tree<S, B> {
     join_tree(l, owned_entry(&items[mid]), r)
 }
 
+/// Fewest batch keys either side of a partition must carry before a
+/// bulk update forks the two recursions. A side with a handful of keys
+/// path-copies a handful of root-to-leaf paths — microseconds — while a
+/// fork can cost a thread hand-off, so a 3-key epoch into a large shard
+/// must stay on the calling thread. Balanced bulk batches (n ≈ m) clear
+/// this at every level above the grain and keep all their forks.
+const MIN_FORK_BATCH: usize = 64;
+
+/// Fork a bulk update's two recursions only when the subproblem is above
+/// the grain *and* both halves of the partitioned batch are worth a
+/// thread: the work is O(m log(n/m + 1)), governed by the batch, so the
+/// tree's size alone never justifies a fork.
+#[inline]
+fn worth_forking(work: usize, left: usize, right: usize) -> bool {
+    work > granularity() && left.min(right) >= MIN_FORK_BATCH
+}
+
+/// One O(m) pass: is `items` sorted with no two equal neighbours?
+fn strictly_increasing<T>(items: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> bool {
+    items
+        .windows(2)
+        .all(|w| cmp(&w[0], &w[1]) == Ordering::Less)
+}
+
 /// Insert a whole batch. Existing values are merged with
 /// `combine(old, new)`; duplicate keys within the batch are merged
 /// left-to-right first.
@@ -85,12 +107,16 @@ where
     B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
-    parlay::par_sort_by(&mut batch, |a, b| S::compare(&a.0, &b.0));
-    let batch = parlay::combine_duplicates_by(
-        batch,
-        |a, b| S::compare(&a.0, &b.0) == Ordering::Equal,
-        |a, b| (a.0.clone(), combine(&a.1, &b.1)),
-    );
+    // A batch already sorted and distinct (every normalized commit epoch
+    // and replayed WAL record is) needs neither the sort nor the dedup.
+    if !strictly_increasing(&batch, |a, b| S::compare(&a.0, &b.0)) {
+        parlay::par_sort_by(&mut batch, |a, b| S::compare(&a.0, &b.0));
+        batch = parlay::combine_duplicates_by(
+            batch,
+            |a, b| S::compare(&a.0, &b.0) == Ordering::Equal,
+            |a, b| (a.0.clone(), combine(&a.1, &b.1)),
+        );
+    }
     multi_insert_sorted::<S, B, F>(t, &batch, combine)
 }
 
@@ -137,7 +163,7 @@ where
             let hi = lo + usize::from(found);
             let (bl, br) = (&batch[..lo], &batch[hi..]);
             let (l2, r2) = par2_if(
-                work > granularity(),
+                worth_forking(work, bl.len(), br.len()),
                 move || multi_insert_sorted::<S, B, F>(l, bl, combine),
                 move || multi_insert_sorted::<S, B, F>(r, br, combine),
             );
@@ -165,8 +191,10 @@ where
     S: AugSpec,
     B: Balance,
 {
-    parlay::par_sort_by(&mut keys, |a, b| S::compare(a, b));
-    keys.dedup_by(|a, b| S::compare(a, b) == Ordering::Equal);
+    if !strictly_increasing(&keys, |a, b| S::compare(a, b)) {
+        parlay::par_sort_by(&mut keys, |a, b| S::compare(a, b));
+        keys.dedup_by(|a, b| S::compare(a, b) == Ordering::Equal);
+    }
     multi_delete_sorted::<S, B>(t, &keys)
 }
 
@@ -202,7 +230,7 @@ where
             let hi = lo + usize::from(found);
             let (kl, kr) = (&keys[..lo], &keys[hi..]);
             let (l2, r2) = par2_if(
-                work > granularity(),
+                worth_forking(work, kl.len(), kr.len()),
                 move || multi_delete_sorted::<S, B>(l, kl),
                 move || multi_delete_sorted::<S, B>(r, kr),
             );
@@ -253,6 +281,86 @@ mod tests {
         // combined with the existing value
         m.multi_insert_with(vec![(5, 1), (5, 2)], |old, new| old + new);
         assert_eq!(m.get(&5), Some(&103));
+    }
+
+    #[test]
+    fn sorted_batch_with_an_equal_pair_still_merges_in_order() {
+        // non-decreasing but not strictly increasing: must not take the
+        // sorted fast path; non-commutative combine pins the merge order
+        let mut m = M::build(vec![(2, 100)]);
+        m.multi_insert_with(vec![(1, 1), (2, 2), (2, 3), (3, 4)], |old, new| {
+            old * 10 + new
+        });
+        assert_eq!(m.to_vec(), vec![(1, 1), (2, 1023), (3, 4)]);
+    }
+
+    thread_local! {
+        static COMPARES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// `SumAug<u64, u64>` whose key order counts its calls per thread.
+    struct CountingOrder;
+
+    impl crate::AugSpec for CountingOrder {
+        type K = u64;
+        type V = u64;
+        type A = u64;
+        fn compare(a: &u64, b: &u64) -> std::cmp::Ordering {
+            COMPARES.with(|c| c.set(c.get() + 1));
+            a.cmp(b)
+        }
+        fn identity() -> u64 {
+            0
+        }
+        fn base(_: &u64, v: &u64) -> u64 {
+            *v
+        }
+        fn combine(a: &u64, b: &u64) -> u64 {
+            a.wrapping_add(*b)
+        }
+    }
+
+    fn compares_of(f: impl FnOnce()) -> usize {
+        let before = COMPARES.with(|c| c.get());
+        f();
+        COMPARES.with(|c| c.get()) - before
+    }
+
+    #[test]
+    fn strictly_increasing_batches_skip_sort_and_dedup() {
+        // below the grain, so every comparison runs on this thread
+        const N: u64 = 1000;
+        let sorted: Vec<(u64, u64)> = (0..N).map(|i| (i, i)).collect();
+        let mut shuffled = sorted.clone();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in (1..shuffled.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            shuffled.swap(i, x as usize % (i + 1));
+        }
+        let keys = |v: &[(u64, u64)]| v.iter().map(|p| p.0).collect::<Vec<_>>();
+        // into an empty map neither op compares below the batch prelude
+        // (one pass here, one more in a debug_assert)
+        let one_pass = 2 * (N as usize - 1);
+
+        let mut a = AugMap::<CountingOrder>::new();
+        assert!(compares_of(|| a.multi_insert(sorted.clone())) <= one_pass);
+        let mut b = AugMap::<CountingOrder>::new();
+        assert!(compares_of(|| b.multi_insert(shuffled.clone())) > 2 * one_pass);
+        assert_eq!(a.to_vec(), sorted);
+        assert_eq!(b.to_vec(), sorted);
+
+        let mut e = AugMap::<CountingOrder>::new();
+        assert!(compares_of(|| e.multi_delete(keys(&sorted))) <= one_pass);
+        assert!(compares_of(|| e.multi_delete(keys(&shuffled))) > 2 * one_pass);
+
+        // and on a populated map both orders delete the same keys
+        a.multi_delete(keys(&sorted[..500]));
+        b.multi_delete(keys(&shuffled).into_iter().filter(|k| *k < 500).collect());
+        assert_eq!(a.to_vec(), &sorted[500..]);
+        assert_eq!(b.to_vec(), &sorted[500..]);
+        a.check_invariants().unwrap();
     }
 
     #[test]

@@ -24,11 +24,12 @@ where
         return v;
     }
     if n <= granularity() {
+        // sequential: move the survivors, clone nothing
         let mut out: Vec<T> = Vec::with_capacity(n);
-        for x in &v {
+        for x in v {
             match out.last_mut() {
-                Some(last) if same(last, x) => *last = combine(last, x),
-                _ => out.push(x.clone()),
+                Some(last) if same(last, &x) => *last = combine(last, &x),
+                _ => out.push(x),
             }
         }
         return out;

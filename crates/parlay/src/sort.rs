@@ -13,17 +13,28 @@ use crate::uninit::par_fill;
 use rayon::prelude::*;
 use std::cmp::Ordering;
 
+/// Inputs at or below this length are sorted sequentially.
+fn sequential_len() -> usize {
+    granularity().max(64)
+}
+
 /// Sort `v` with a from-scratch parallel merge sort (stable).
 ///
 /// Work O(n log n), span O(log^2 n · log gran) — the divide-and-conquer
 /// recursion forks both halves and merges them with the parallel merge.
+/// An input at or below the grain is sorted in place: no element is
+/// cloned (a group-commit epoch of a few `Vec<u8>` pairs comes through
+/// here on every commit).
 pub fn par_merge_sort_by<T, F>(v: &mut Vec<T>, cmp: F)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    let sorted = sort_rec(v.as_slice(), &cmp);
-    *v = sorted;
+    if v.len() <= sequential_len() {
+        v.sort_by(|a, b| cmp(a, b));
+        return;
+    }
+    *v = sort_rec(v.as_slice(), &cmp);
 }
 
 fn sort_rec<T, F>(s: &[T], cmp: &F) -> Vec<T>
@@ -31,7 +42,7 @@ where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    if s.len() <= granularity().max(64) {
+    if s.len() <= sequential_len() {
         let mut v = s.to_vec();
         v.sort_by(|a, b| cmp(a, b));
         return v;
@@ -104,6 +115,45 @@ mod tests {
                 assert!(w[0].1 < w[1].1, "stability violated");
             }
         }
+    }
+
+    /// Counts clones, so a test can tell an in-place sort from a copy.
+    struct Counted<'a>(u32, u32, &'a std::sync::atomic::AtomicUsize);
+
+    impl Clone for Counted<'_> {
+        fn clone(&self) -> Self {
+            self.2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Counted(self.0, self.1, self.2)
+        }
+    }
+
+    #[test]
+    fn small_input_sorts_in_place_and_stays_stable() {
+        let clones = std::sync::atomic::AtomicUsize::new(0);
+        // (key, original index): few keys, so almost every compare ties
+        let mut v: Vec<Counted> = (0..sequential_len() as u32)
+            .map(|i| Counted(xorshift(u64::from(i) + 1) as u32 % 5, i, &clones))
+            .collect();
+        par_merge_sort_by(&mut v, |a, b| a.0.cmp(&b.0));
+        assert_eq!(
+            clones.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "an input at the grain must be sorted without cloning"
+        );
+        for w in v.windows(2) {
+            assert!(
+                w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
+                "not a stable sort"
+            );
+        }
+        // one past the grain takes the merge path and still agrees
+        let mut big: Vec<(u8, u32)> = (0..sequential_len() as u32 + 1)
+            .map(|i| ((xorshift(u64::from(i) + 1) % 5) as u8, i))
+            .collect();
+        let mut expect = big.clone();
+        expect.sort_by_key(|x| x.0);
+        par_merge_sort_by(&mut big, |a, b| a.0.cmp(&b.0));
+        assert_eq!(big, expect);
     }
 
     #[test]

@@ -26,7 +26,8 @@ mod pool;
 mod slice;
 
 pub use pool::{
-    current_num_threads, join, scope, Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
+    current_num_threads, forks_spawned, join, scope, Scope, ThreadPool, ThreadPoolBuildError,
+    ThreadPoolBuilder,
 };
 
 /// The traits and types imported by `use rayon::prelude::*`.
