@@ -6,7 +6,7 @@
 //! them). Driver methods (`for_each`, `collect`, `sum`, `fold`, ...)
 //! split the producer in half recursively down to a sequential chunk
 //! threshold of roughly `len / (4 · current_num_threads())`, fork the
-//! halves through the permit-gated [`crate::join`], run each leaf chunk
+//! halves through [`crate::join`], run each leaf chunk
 //! with ordinary sequential iteration, and merge per-chunk results **in
 //! order** — so order-sensitive drivers (`collect`, `fold` + `reduce`)
 //! observe exactly the sequential result while the work actually runs on

@@ -1,13 +1,17 @@
 //! Offline shim for [rayon](https://docs.rs/rayon) (see `crates/shims/README.md`).
 //!
-//! Fork-join (`join`, `scope`) forks real OS threads through a global
-//! permit budget sized to the hardware parallelism: a fork that finds no
-//! permit free runs inline, which is exactly the steady-state behavior of
-//! a saturated work-stealing pool (all workers busy ⇒ the "stolen" half is
-//! executed by the forking worker itself). Because callers gate forks by a
-//! granularity threshold (see `parlay::par2_if`), the spawn rate stays far
-//! below the permit cap and thread-creation overhead is hidden behind the
-//! actual parallel work.
+//! Fork-join (`join`, `scope`) runs on one persistent work-stealing
+//! pool: `nproc − 1` workers started on the first fork, a deque per
+//! worker plus an injector for every other thread. A fork is a push onto
+//! the forking thread's queue; `join(a, b)` pushes `b`, runs `a`, and
+//! takes `b` back to run it inline unless another thread stole it, in
+//! which case it runs other queued jobs until `b` is done. Idle threads
+//! poll briefly and then park, and a push wakes one only if one is
+//! parked, so a long-lived server pays nothing for the pool. Callers
+//! still gate forks by a granularity threshold (see `parlay::par2_if`):
+//! that is about there being enough work to share, not about the fork.
+//! A waiting thread runs other jobs on its own stack, so no lock may be
+//! held across `join` / `scope` / a parallel iterator.
 //!
 //! The parallel *iterator* layer drives real chunked parallelism through
 //! the same machinery: `ParIter` wraps an index-splittable producer
@@ -23,12 +27,13 @@
 
 mod iter;
 mod pool;
+mod registry;
 mod slice;
 
 pub use pool::{
-    current_num_threads, forks_spawned, join, scope, Scope, ThreadPool, ThreadPoolBuildError,
-    ThreadPoolBuilder,
+    current_num_threads, join, scope, Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
 };
+pub use registry::forks_spawned;
 
 /// The traits and types imported by `use rayon::prelude::*`.
 pub mod prelude {

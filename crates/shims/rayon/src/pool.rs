@@ -1,18 +1,24 @@
-//! Fork-join over capped scoped threads.
+//! Fork-join on the persistent pool: `join`, `scope`, and the pool-size
+//! override of `ThreadPool::install`.
+//!
+//! A fork is a push onto the forking thread's queue (`registry.rs`). The
+//! forked closure borrows from the forker's stack, so the forker does not
+//! leave its frame before the job has either been taken back unexecuted
+//! or has signalled that it finished; that rule is the `unsafe` core here.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::any::Any;
+use std::cell::{Cell, UnsafeCell};
+use std::marker::PhantomData;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::thread::{self, Thread};
 
-/// Hardware parallelism (the size of the implicit global pool).
-fn hardware_threads() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| std::thread::available_parallelism().map_or(2, |n| n.get()))
-}
+use crate::registry::{hardware_threads, JobRef, Registry};
 
 thread_local! {
-    /// Pool-size override installed by `ThreadPool::install`, inherited by
-    /// threads forked from inside the pool.
+    /// Pool-size override installed by `ThreadPool::install`. A job carries
+    /// its forker's value and runs under it, whichever thread runs it.
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -23,53 +29,99 @@ pub fn current_num_threads() -> usize {
         .unwrap_or_else(hardware_threads)
 }
 
-/// Live forked threads across the process. A fork only spawns while this
-/// is below the hardware parallelism; otherwise it runs inline.
-static ACTIVE_FORKS: AtomicUsize = AtomicUsize::new(0);
-
-/// Forks that took a permit and spawned a thread, since process start.
-static FORKS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
-
-/// How many forks (`join` halves, `Scope::spawn` tasks) have run on a
-/// spawned thread since the process started. Monotone and process-wide.
-///
-/// Shim-only: real rayon has no such function (its workers are spawned
-/// once, and a fork is a deque push). It exists so a test can assert that
-/// a small bulk update never leaves the calling thread — here each count
-/// is one OS thread created and joined.
-pub fn forks_spawned() -> usize {
-    // relaxed: a statistic; it publishes no other data
-    FORKS_SPAWNED.load(Ordering::Relaxed)
-}
-
-struct Permit;
-
-impl Permit {
-    /// Every caller spawns a thread on `Some`, so this is where a spawned
-    /// fork is counted.
-    fn try_acquire() -> Option<Permit> {
-        let cap = hardware_threads().saturating_sub(1);
-        let permit = ACTIVE_FORKS
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                (cur < cap).then_some(cur + 1)
-            })
-            .ok()
-            .map(|_| Permit);
-        if permit.is_some() {
-            // relaxed: see forks_spawned()
-            FORKS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+/// Run `f` with the pool size set to `threads`. The previous size is
+/// restored even if `f` unwinds (a leaked override would permanently
+/// mis-size every later fork on this thread — and a pool worker is
+/// permanent).
+fn with_pool_size<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            POOL_THREADS.with(|p| p.set(self.0));
         }
-        permit
     }
+    let _restore = Restore(POOL_THREADS.with(|p| p.replace(Some(threads))));
+    f()
 }
 
-impl Drop for Permit {
+type Panic = Box<dyn Any + Send>;
+
+/// Aborts the process if dropped during an unwind. Armed while a queued
+/// job points into the current frame: freeing that frame under a thief
+/// would be a use-after-free, so a panic there (there is none to expect)
+/// must not unwind.
+struct AbortOnUnwind;
+
+impl Drop for AbortOnUnwind {
     fn drop(&mut self) {
-        ACTIVE_FORKS.fetch_sub(1, Ordering::AcqRel);
+        if thread::panicking() {
+            std::process::abort();
+        }
     }
 }
 
-/// Run both closures, in parallel when a thread permit is available.
+/// The second half of a `join`, living in the joiner's frame.
+struct StackJob<F, R> {
+    func: UnsafeCell<Option<F>>,
+    result: UnsafeCell<Option<thread::Result<R>>>,
+    /// The forker's pool size, which the job runs under.
+    pool: usize,
+    /// Set, with `Release`, once `result` is written and the job will not
+    /// be touched again.
+    done: AtomicBool,
+    /// The joiner, to be unparked after `done` is set.
+    owner: Thread,
+}
+
+impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
+    fn new(func: F, pool: usize) -> Self {
+        StackJob {
+            func: UnsafeCell::new(Some(func)),
+            result: UnsafeCell::new(None),
+            pool,
+            done: AtomicBool::new(false),
+            owner: thread::current(),
+        }
+    }
+
+    /// # Safety
+    /// The caller keeps `self` in place and alive until the ref has been
+    /// taken back out of the queue or `done` reads true.
+    unsafe fn as_job_ref(&self) -> JobRef {
+        // SAFETY: the caller's promise is `JobRef::new`'s contract, and
+        // `run_stolen::<F, R>` is handed the pointer it was made for
+        unsafe { JobRef::new(self as *const Self as *const (), Self::run_stolen) }
+    }
+
+    /// The job as a thief runs it.
+    ///
+    /// # Safety
+    /// `this` is the pointer of `as_job_ref`, the job is live, and this is
+    /// the only run.
+    unsafe fn run_stolen(this: *const ()) {
+        let this = this as *const Self;
+        // SAFETY: the job is live, and a ref that left the queue in a
+        // thief's hands gives the thief alone access to `func` and
+        // `result` until it sets `done`. `owner` is cloned first because
+        // the joiner may free the job the moment `done` reads true: after
+        // that store nothing here touches `*this`.
+        unsafe {
+            let func = (*(*this).func.get()).take().expect("a job runs once");
+            let result =
+                with_pool_size((*this).pool, || panic::catch_unwind(AssertUnwindSafe(func)));
+            *(*this).result.get() = Some(result);
+            let owner = (*this).owner.clone();
+            (*this).done.store(true, Ordering::Release);
+            owner.unpark();
+        }
+    }
+}
+
+/// Run both closures, the second on another thread of the pool if one is
+/// free to take it: push `fb`, run `fa`, then take `fb` back and run it
+/// here if nobody has. A panic in either is re-raised here once both have
+/// finished (`fa`'s if both panicked); if `fa` panicked and `fb` had not
+/// been taken yet, `fb` does not run, as in `(fa(), fb())`.
 pub fn join<A, B, RA, RB>(fa: A, fb: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -83,65 +135,140 @@ where
         let rb = fb();
         return (ra, rb);
     }
-    let Some(permit) = Permit::try_acquire() else {
-        let ra = fa();
-        let rb = fb();
-        return (ra, rb);
+    let registry = Registry::global();
+    let job_b = StackJob::new(fb, pool);
+    let guard = AbortOnUnwind;
+    // SAFETY: `job_b` stays in this frame, which is not left before the
+    // ref is back (`take_back`) or `done` is set (`wait_until`): `fa` runs
+    // under `catch_unwind`, and `guard` turns any other unwind into an
+    // abort
+    let job_ref = unsafe { job_b.as_job_ref() };
+    registry.push(job_ref);
+    let ra = panic::catch_unwind(AssertUnwindSafe(fa));
+    if !registry.take_back(job_ref) {
+        registry.wait_until(|| job_b.done.load(Ordering::Acquire));
+    }
+    std::mem::forget(guard);
+    // the job is this thread's alone again: unqueued, or finished with
+    // `done` acquired
+    let StackJob { func, result, .. } = job_b;
+    let ra = ra.unwrap_or_else(|panic| panic::resume_unwind(panic));
+    let rb = match func.into_inner() {
+        Some(fb) => fb(),
+        None => result
+            .into_inner()
+            .expect("a stolen job stores its result before it sets `done`")
+            .unwrap_or_else(|panic| panic::resume_unwind(panic)),
     };
-    std::thread::scope(|s| {
-        let ha = s.spawn(move || {
-            POOL_THREADS.with(|p| p.set(Some(pool)));
-            let ra = fa();
-            drop(permit);
-            ra
-        });
-        let rb = fb();
-        match ha.join() {
-            Ok(ra) => (ra, rb),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    })
+    (ra, rb)
 }
 
-/// A fork scope: tasks spawned on it may borrow from the enclosing stack
-/// frame and are all joined before [`scope`] returns.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
+/// A fork scope: tasks spawned on it may borrow anything that outlives
+/// `'scope`, and are all finished before [`scope`] returns.
+pub struct Scope<'scope> {
+    /// Spawned tasks that have not finished.
+    pending: AtomicUsize,
+    /// The first panic of a spawned task.
+    panic: Mutex<Option<Panic>>,
+    /// The pool size tasks run under.
     pool: usize,
+    /// The thread inside [`scope`], unparked when `pending` reaches 0.
+    owner: Thread,
+    /// Invariant in `'scope`, like `std::thread::Scope`.
+    marker: PhantomData<&'scope mut &'scope ()>,
 }
 
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn `body` into the scope (inline if no thread permit is free).
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: for<'a> FnOnce(&'a Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let pool = self.pool;
-        let spawned = pool > 1;
-        if let Some(permit) = spawned.then(Permit::try_acquire).flatten() {
-            let inner = self.inner;
-            self.inner.spawn(move || {
-                POOL_THREADS.with(|p| p.set(Some(pool)));
-                let sc = Scope { inner, pool };
-                body(&sc);
-                drop(permit);
+/// A `Scope::spawn` task, boxed and owned by its `JobRef`.
+struct HeapJob<'scope, F> {
+    body: F,
+    scope: *const Scope<'scope>,
+}
+
+impl<'scope, F: FnOnce(&Scope<'scope>) + Send + 'scope> HeapJob<'scope, F> {
+    /// # Safety
+    /// `this` came from `Box::into_raw` of a `HeapJob<F>` whose scope has
+    /// counted it in `pending`; this is the only run.
+    unsafe fn run(this: *const ()) {
+        // SAFETY: per the contract, the box is ours to take back, and
+        // `scope()` does not return while `pending` counts this task, so
+        // the scope is live until the `fetch_sub` below. `owner` is cloned
+        // first: after the decrement nothing here touches the scope.
+        unsafe {
+            let HeapJob { body, scope } = *Box::from_raw(this as *mut Self);
+            let result = with_pool_size((*scope).pool, || {
+                panic::catch_unwind(AssertUnwindSafe(|| body(&*scope)))
             });
-        } else {
-            body(self);
+            if let Err(panic) = result {
+                (*scope).store_panic(panic);
+            }
+            let owner = (*scope).owner.clone();
+            if (*scope).pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                owner.unpark();
+            }
         }
     }
 }
 
-/// Create a fork scope, run `f` in it, and join every spawned task.
-pub fn scope<'env, F, R>(f: F) -> R
+impl<'scope> Scope<'scope> {
+    /// Spawn `body` into the scope: pushed for another thread to take, or
+    /// run by this one while it waits in [`scope`] (inline if the pool
+    /// size is 1).
+    pub fn spawn<F>(&self, body: F)
+    where
+        F: FnOnce(&Scope<'scope>) + Send + 'scope,
+    {
+        if self.pool <= 1 {
+            return body(self);
+        }
+        self.pending.fetch_add(1, Ordering::AcqRel);
+        let job = Box::into_raw(Box::new(HeapJob { body, scope: self }));
+        // SAFETY: the box is live until `HeapJob::run` takes it, `pending`
+        // counts it, and `scope()` runs every queued task before it
+        // returns, so the ref is executed exactly once
+        let job_ref = unsafe { JobRef::new(job as *const (), HeapJob::<F>::run) };
+        Registry::global().push(job_ref);
+    }
+
+    fn store_panic(&self, panic: Panic) {
+        let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+        first.get_or_insert(panic);
+    }
+}
+
+// Tasks on other threads are handed `&Scope`.
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<Scope<'static>>();
+};
+
+/// Create a fork scope, run `f` in it, and finish every spawned task
+/// (running queued ones on this thread) before returning. A panic in `f`
+/// or in a task is re-raised here afterwards.
+pub fn scope<'scope, F, R>(f: F) -> R
 where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
+    F: FnOnce(&Scope<'scope>) -> R,
 {
-    let pool = current_num_threads();
-    std::thread::scope(|s| {
-        let sc = Scope { inner: s, pool };
-        f(&sc)
-    })
+    let scope = Scope {
+        pending: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+        pool: current_num_threads(),
+        owner: thread::current(),
+        marker: PhantomData,
+    };
+    let guard = AbortOnUnwind;
+    let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
+    if scope.pool > 1 {
+        Registry::global().wait_until(|| scope.pending.load(Ordering::Acquire) == 0);
+    }
+    std::mem::forget(guard);
+    let task_panic = scope
+        .panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    match (result, task_panic) {
+        (Ok(result), None) => result,
+        (Err(panic), _) | (Ok(_), Some(panic)) => panic::resume_unwind(panic),
+    }
 }
 
 /// Error from [`ThreadPoolBuilder::build`] (never produced by this shim).
@@ -186,24 +313,17 @@ impl ThreadPoolBuilder {
 }
 
 /// A scoped pool-size override: forks inside [`ThreadPool::install`] see
-/// (and are gated by) the pool's thread count.
+/// the pool's thread count (a size of 1 runs every fork inline), and so do
+/// the jobs they push, on whichever thread those run.
 pub struct ThreadPool {
     threads: usize,
 }
 
 impl ThreadPool {
     /// Run `f` "inside" the pool. The previous pool size is restored even
-    /// if `f` unwinds (a leaked override would permanently mis-size every
-    /// later fork on this thread).
+    /// if `f` unwinds.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        struct Restore(Option<usize>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                POOL_THREADS.with(|p| p.set(self.0));
-            }
-        }
-        let _restore = Restore(POOL_THREADS.with(|p| p.replace(Some(self.threads))));
-        f()
+        with_pool_size(self.threads, f)
     }
 
     /// The pool size.
@@ -215,6 +335,28 @@ impl ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Spin until `flag` is set, giving up after 5 s: on one core nothing
+    /// ever steals, and the tests below must still end (and pass).
+    fn wait_for(flag: &AtomicBool) -> bool {
+        if hardware_threads() == 1 {
+            return false;
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !flag.load(Ordering::SeqCst) {
+            if Instant::now() > deadline {
+                return false;
+            }
+            thread::yield_now();
+        }
+        true
+    }
+
+    /// A pool size that makes every `join` push, whatever `nproc` is.
+    fn forking_pool() -> ThreadPool {
+        ThreadPoolBuilder::new().num_threads(64).build().unwrap()
+    }
 
     #[test]
     fn join_runs_both_in_some_order() {
@@ -247,13 +389,19 @@ mod tests {
     fn single_thread_pool_is_sequential() {
         let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         pool.install(|| {
-            let before = ACTIVE_FORKS.load(Ordering::SeqCst);
-            let tid = std::thread::current().id();
-            let ((), ()) = join(
-                || assert_eq!(std::thread::current().id(), tid),
-                || assert_eq!(std::thread::current().id(), tid),
-            );
-            assert_eq!(ACTIVE_FORKS.load(Ordering::SeqCst), before);
+            let tid = thread::current().id();
+            let mut order = Vec::new();
+            let order_ref = std::sync::Mutex::new(&mut order);
+            let on_caller = |half| {
+                assert_eq!(thread::current().id(), tid);
+                order_ref.lock().unwrap().push(half);
+            };
+            join(|| on_caller("a"), || on_caller("b"));
+            scope(|s| {
+                s.spawn(|_| on_caller("c"));
+                on_caller("d");
+            });
+            assert_eq!(order, ["a", "b", "c", "d"]);
         });
     }
 
@@ -266,6 +414,52 @@ mod tests {
             }
         });
         assert_eq!(parts.iter().sum::<u64>(), 36);
+    }
+
+    #[test]
+    fn scope_finishes_a_thousand_spawns_some_nested() {
+        let mut slots = vec![0u32; 1000];
+        let nested = AtomicUsize::new(0);
+        forking_pool().install(|| {
+            scope(|s| {
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    let nested = &nested;
+                    s.spawn(move |s| {
+                        *slot = i as u32 + 1;
+                        if i % 10 == 0 {
+                            s.spawn(move |_| {
+                                nested.fetch_add(1, Ordering::SeqCst);
+                            });
+                        }
+                    });
+                }
+            })
+        });
+        assert!(slots.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
+        assert_eq!(nested.load(Ordering::SeqCst), 100);
+    }
+
+    #[test]
+    fn scope_raises_a_task_panic_after_every_task_finished() {
+        let finished = AtomicUsize::new(0);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            forking_pool().install(|| {
+                scope(|s| {
+                    for i in 0..64 {
+                        let finished = &finished;
+                        s.spawn(move |_| {
+                            if i == 7 {
+                                panic!("task 7");
+                            }
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                })
+            })
+        }));
+        let panic = caught.expect_err("the task's panic must reach scope()'s caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"task 7"));
+        assert_eq!(finished.load(Ordering::SeqCst), 63);
     }
 
     #[test]
@@ -294,57 +488,152 @@ mod tests {
     }
 
     #[test]
-    fn nested_joins_survive_permit_exhaustion() {
-        // A join tree far wider than the permit budget: excess forks must
-        // run inline, results must merge correctly, and every permit must
-        // be returned.
+    fn install_override_does_not_leak_into_later_jobs() {
+        /// The pool size each half of a `join` sees, `a` held back until a
+        /// thief (if there is one) has started `b`.
+        fn sizes_seen_by_both_halves() -> (usize, usize) {
+            let b_started = AtomicBool::new(false);
+            join(
+                || {
+                    wait_for(&b_started);
+                    current_num_threads()
+                },
+                || {
+                    b_started.store(true, Ordering::SeqCst);
+                    current_num_threads()
+                },
+            )
+        }
+        let hardware = hardware_threads();
+        let seven = ThreadPoolBuilder::new().num_threads(7).build().unwrap();
+        // 1. the size travels with the job: a stolen `b` sees its forker's 7
+        assert_eq!(seven.install(sizes_seen_by_both_halves), (7, 7));
+        assert_eq!(current_num_threads(), hardware);
+
+        // 2. ... and does not stay behind on the thread that ran it. A
+        //    joiner under install(7) whose `b` was stolen helps with a job
+        //    forked at the default size: the job sees the default, and the
+        //    joiner has its 7 back afterwards. (With more than two cores
+        //    an idle worker may take `d` instead; the checks hold anyway.)
+        static B_STARTED: AtomicBool = AtomicBool::new(false);
+        static D_DONE: AtomicBool = AtomicBool::new(false);
+        let joiner = thread::spawn(move || {
+            seven.install(|| {
+                join(
+                    || wait_for(&B_STARTED),
+                    || {
+                        // occupy the thief until `d` has run elsewhere
+                        B_STARTED.store(true, Ordering::SeqCst);
+                        wait_for(&D_DONE);
+                    },
+                );
+                assert_eq!(current_num_threads(), 7, "helping left a size behind");
+            });
+            assert_eq!(current_num_threads(), hardware_threads());
+        });
+        wait_for(&B_STARTED);
+        let (c_saw, d_saw) = join(current_num_threads, || {
+            let saw = current_num_threads();
+            D_DONE.store(true, Ordering::SeqCst);
+            saw
+        });
+        D_DONE.store(true, Ordering::SeqCst);
+        assert_eq!((c_saw, d_saw), (hardware, hardware));
+        joiner.join().expect("the joiner under install(7) failed");
+
+        // 3. later forks from this thread run at the default size wherever
+        //    they land, including on a worker that ran a 7-sized job
+        for _ in 0..100 {
+            assert_eq!(sizes_seen_by_both_halves(), (hardware, hardware));
+        }
+    }
+
+    #[test]
+    fn nested_join_storm_from_many_callers() {
+        // 2^16 leaves under 2^16 - 1 joins per caller, eight callers at
+        // once sharing the injector: every half runs exactly once, on the
+        // caller, a worker or a helping caller, and the sums merge.
         fn sum(lo: u64, hi: u64) -> u64 {
-            if hi - lo <= 4 {
-                (lo..hi).sum()
+            if hi - lo == 1 {
+                lo
             } else {
                 let mid = lo + (hi - lo) / 2;
                 let (a, b) = join(|| sum(lo, mid), || sum(mid, hi));
                 a + b
             }
         }
-        let before = ACTIVE_FORKS.load(Ordering::SeqCst);
-        // pretend the pool is huge so every level *tries* to fork
-        let pool = ThreadPoolBuilder::new().num_threads(64).build().unwrap();
-        let got = pool.install(|| sum(0, 1 << 16));
-        assert_eq!(got, (0..1u64 << 16).sum());
-        assert!(
-            permits_drain_to(before),
-            "permits leaked by the nested join storm"
-        );
-    }
-
-    /// ACTIVE_FORKS is process-global, so concurrently running tests may
-    /// hold permits of their own for a while (the CI par-stress leg runs
-    /// the suite with test threads unpinned); give them a generous
-    /// window to drain before calling it a leak.
-    fn permits_drain_to(before: usize) -> bool {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        loop {
-            if ACTIVE_FORKS.load(Ordering::SeqCst) <= before {
-                return true;
-            }
-            if std::time::Instant::now() > deadline {
-                return false;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+        let callers: Vec<_> = (0..8u64)
+            .map(|caller| {
+                thread::spawn(move || {
+                    let lo = caller << 16;
+                    let got = forking_pool().install(|| sum(lo, lo + (1 << 16)));
+                    assert_eq!(got, (lo..lo + (1 << 16)).sum());
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("a caller of the storm failed");
         }
     }
 
     #[test]
-    fn permits_are_released_on_panic() {
-        let before = ACTIVE_FORKS.load(Ordering::SeqCst);
-        let caught = std::panic::catch_unwind(|| {
-            join(|| panic!("boom"), || 1);
-        });
-        assert!(caught.is_err());
-        assert!(
-            permits_drain_to(before),
-            "permit leaked by a panicking fork"
-        );
+    fn panics_surface_after_both_halves_finish() {
+        // Both halves write into one stack buffer; the panicking half goes
+        // first and the other is held until it has, so a join that unwound
+        // on the first panic would free the buffer under the second.
+        struct InFlight<'a>(&'a AtomicUsize);
+        impl Drop for InFlight<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        for (panic_a, panic_b) in [(true, false), (false, true), (true, true)] {
+            let mut buf = [0u8; 64];
+            let (left, right) = buf.split_at_mut(32);
+            let in_flight = AtomicUsize::new(0);
+            let b_started = AtomicBool::new(false);
+            let a_panicking = AtomicBool::new(false);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                forking_pool().install(|| {
+                    join(
+                        || {
+                            in_flight.fetch_add(1, Ordering::SeqCst);
+                            let _in_flight = InFlight(&in_flight);
+                            wait_for(&b_started);
+                            left.fill(1);
+                            if panic_a {
+                                a_panicking.store(true, Ordering::SeqCst);
+                                panic!("a");
+                            }
+                        },
+                        || {
+                            in_flight.fetch_add(1, Ordering::SeqCst);
+                            let _in_flight = InFlight(&in_flight);
+                            b_started.store(true, Ordering::SeqCst);
+                            if panic_a {
+                                wait_for(&a_panicking);
+                                thread::sleep(Duration::from_millis(20));
+                            }
+                            right.fill(2);
+                            if panic_b {
+                                panic!("b");
+                            }
+                        },
+                    )
+                })
+            }));
+            let panic = caught.expect_err("a panicking half must fail the join");
+            assert_eq!(
+                in_flight.load(Ordering::SeqCst),
+                0,
+                "join unwound while a half was still running"
+            );
+            let expected = if panic_a { "a" } else { "b" };
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&expected));
+            assert!(buf[..32].iter().all(|&x| x == 1));
+            // with nobody to steal it, `b` never starts once `a` has panicked
+            let b_ran = b_started.load(Ordering::SeqCst);
+            assert!(buf[32..].iter().all(|&x| x == if b_ran { 2 } else { 0 }));
+        }
     }
 }

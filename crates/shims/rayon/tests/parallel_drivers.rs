@@ -110,8 +110,8 @@ fn hardware_threads() -> usize {
 
 /// Run `body` (which records the threads it executes on into the set)
 /// until it is observed on >1 thread, retrying a few times because the
-/// fork permit budget is process-global and may be transiently held by
-/// concurrently running tests. On a single hardware thread, assert the
+/// pool is process-global and its workers may be busy with concurrently
+/// running tests. On a single hardware thread, assert the
 /// inline fallback instead: exactly the calling thread.
 fn assert_forks(name: &str, body: impl Fn(&Mutex<HashSet<ThreadId>>)) {
     if hardware_threads() <= 1 {
@@ -250,7 +250,7 @@ fn install_one_runs_inline_and_deterministic() {
 #[test]
 fn chunked_path_matches_sequential_even_without_spare_cores() {
     // install(8) forces the drivers to *split* regardless of the real
-    // core count (forks without a free permit just run inline), so this
+    // core count (forks nobody steals just run inline), so this
     // exercises the chunk/merge machinery even on a 1-core host.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(8)
