@@ -2,9 +2,9 @@
 //! throughput at `LEAF_CAP` = 1 (the pre-blocking one-entry-per-leaf
 //! layout) vs the default 32, on the same weight-balanced scheme.
 //!
-//! The compile-time default block size comes from the `PAM_LEAF_B` env
-//! var; this binary instead instantiates `WeightBalancedCap<CAP>`
-//! directly so both layouts are measured in one process.
+//! The block size is a type: this binary instantiates
+//! `WeightBalancedCap<CAP>` at each capacity, so both layouts are
+//! measured in one process.
 
 use pam::balance::WeightBalancedCap;
 use pam::stats::{node_size, reachable_bytes, unique_nodes};

@@ -6,9 +6,11 @@
 //! TCP server whose request path funnels every connection's writes into
 //! the store's **group-commit pipeline** — thousands of concurrent
 //! writers coalesce into few epochs, each applied with one work-optimal
-//! `multi_insert` — while reads run lock-free off O(1) pinned snapshots
-//! (the multi-version access pattern of the augmented-maps queries
-//! paper, arXiv 1803.08621).
+//! `multi_insert` — while reads run off O(1) pinned snapshots (the
+//! multi-version access pattern of the augmented-maps queries paper,
+//! arXiv 1803.08621). The pin is one `Arc` clone under the shard's
+//! registry mutex, which `publish` also takes; ROADMAP item 8 makes it
+//! lock-free.
 //!
 //! * [`wire`] — the length-prefixed binary protocol, reusing the WAL's
 //!   frame layout (`[len | crc32 | payload]`) and [`pam_wal::Codec`]

@@ -89,8 +89,9 @@ struct Shared {
 ///
 /// Writes feed the store's group-commit pipeline — concurrent
 /// connections' puts coalesce into shared epochs — and each is acked
-/// only once its ticket resolves. Reads run lock-free off pinned
-/// snapshots. `Pin`/`UsePin` give sessions a named epoch-fenced snapshot
+/// only once its ticket resolves. Reads run off pinned snapshots (an
+/// `Arc` clone under the shard's registry mutex, which `publish` also
+/// takes — ROADMAP item 8). `Pin`/`UsePin` give sessions a named epoch-fenced snapshot
 /// for repeatable reads.
 ///
 /// # Errors

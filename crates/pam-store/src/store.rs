@@ -41,7 +41,8 @@
 //!   involved shard; each shard is pinned independently, so two shards
 //!   may be observed at different instants (a cross-shard batch can
 //!   appear half-applied to *point reads* — never to epoch-fenced reads).
-//!   Lock-free; never blocked by (or blocking) commits.
+//!   The pin is an `Arc` clone under the shard's registry mutex (shared
+//!   with `publish`); the read itself then takes no lock.
 //! * **epoch-fenced consistency** — the call cuts at a global epoch
 //!   boundary (fence + all-shard submit barrier): every cross-shard
 //!   batch is observed wholly or not at all (invariant I5).

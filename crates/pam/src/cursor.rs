@@ -23,7 +23,7 @@ pub struct Cursor<'a, S: AugSpec, B: Balance> {
     /// innermost last.
     stack: Vec<&'a InternalNode<S, B>>,
     /// Unconsumed suffix of the current leaf block.
-    block: &'a [EntryOwned<S, B>],
+    block: &'a [EntryOwned<S>],
 }
 
 impl<'a, S: AugSpec, B: Balance> Cursor<'a, S, B> {

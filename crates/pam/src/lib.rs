@@ -21,9 +21,10 @@
 //! Balanced binary trees where every node caches the augmented value of
 //! its subtree, so `aug_range`/`aug_left` run in O(log n) and `aug_val` in
 //! O(1). All algorithms are built on a single balance-aware `join`
-//! (Blelloch, Ferizovic, Sun; SPAA 2016), so the same code runs on
-//! [`WeightBalanced`] (default), [`Avl`], [`RedBlack`] and [`Treap`]
-//! trees. Bulk operations (`union`, `intersect`, `difference`, `filter`,
+//! (Blelloch, Ferizovic, Sun; SPAA 2016) over weight-balanced trees —
+//! the scheme of the paper's experiments, and the only one here (see
+//! [`balance`]). Leaves are sorted blocks of up to [`DEFAULT_LEAF_B`]
+//! entries; [`WeightBalancedCap`] names another capacity. Bulk operations (`union`, `intersect`, `difference`, `filter`,
 //! `build`, `multi_insert`, `map_reduce`, ...) fork their recursive calls
 //! with rayon and are work-optimal.
 //!
@@ -60,7 +61,7 @@ pub mod spec;
 pub mod stats;
 pub mod validate;
 
-pub use balance::{Avl, Balance, RbMeta, RedBlack, Treap, WeightBalanced, WeightBalancedCap};
+pub use balance::{Balance, WeightBalanced, WeightBalancedCap};
 pub use concurrent::SharedMap;
 pub use cursor::Cursor;
 pub use iter::{Iter, RangeIter};
@@ -74,7 +75,7 @@ pub type OrdMap<K, V, B = WeightBalanced> = AugMap<NoAug<K, V>, B>;
 /// Everything most users need.
 pub mod prelude {
     pub use crate::{
-        Addable, AugMap, AugSpec, Avl, Balance, MaxAug, Maxable, MinAug, Minable, NoAug, OrdMap,
-        RedBlack, SharedMap, SumAug, Treap, WeightBalanced,
+        Addable, AugMap, AugSpec, Balance, MaxAug, Maxable, MinAug, Minable, NoAug, OrdMap,
+        SharedMap, SumAug, WeightBalanced,
     };
 }

@@ -11,7 +11,7 @@ use crate::ops;
 use crate::spec::AugSpec;
 
 /// A parallel, persistent, augmented ordered map with specification `S`
-/// and balancing scheme `B` (default: weight-balanced, as in PAM).
+/// and leaf-block capacity `B` (default: [`WeightBalanced`], blocks of 32).
 pub struct AugMap<S: AugSpec, B: Balance = WeightBalanced> {
     root: Tree<S, B>,
 }
@@ -33,7 +33,7 @@ impl<S: AugSpec, B: Balance> Default for AugMap<S, B> {
 
 impl<S: AugSpec, B: Balance> std::fmt::Debug for AugMap<S, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AugMap<{}>{{ len: {} }}", B::NAME, self.len())
+        write!(f, "AugMap{{ len: {} }}", self.len())
     }
 }
 

@@ -9,12 +9,14 @@
 //! # Blocked leaves (PaC-tree style)
 //!
 //! Following the PaC-trees paper (Dhulipala & Blelloch), a [`Node`] is an
-//! enum: an [`Internal`](Node::Internal) node carries one pivot entry plus
-//! balance metadata exactly as in PAM, while a [`Leaf`](Node::Leaf) holds a
-//! *sorted block* of up to `B::LEAF_CAP` entries ([`DEFAULT_LEAF_B`] by
-//! default, compile-time tunable via the `PAM_LEAF_B` env var). Blocking
-//! amortizes the per-entry `Arc` + pointer overhead over a whole block,
-//! which is the dominant constant-factor cost in memory and scan speed.
+//! enum: an [`Internal`](Node::Internal) node carries one pivot entry and
+//! its subtree's size (all the weight-balanced invariant reads) exactly as
+//! in PAM, while a [`Leaf`](Node::Leaf) holds a *sorted block* of up to
+//! `B::LEAF_CAP` entries ([`DEFAULT_LEAF_B`] unless a
+//! [`WeightBalancedCap`](crate::balance::WeightBalancedCap) says
+//! otherwise). Blocking amortizes the per-entry `Arc` + pointer overhead
+//! over a whole block, which is the dominant constant-factor cost in
+//! memory and scan speed.
 //! Fill invariants (every non-root leaf holds `LEAF_CAP/2 ..= LEAF_CAP`
 //! entries when `LEAF_CAP >= 2`) are maintained by
 //! `join_tree` and checked by [`crate::validate`].
@@ -38,68 +40,38 @@
 
 use crate::balance::Balance;
 use crate::spec::AugSpec;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// A persistent augmented tree: `None` is the empty map.
 pub type Tree<S, B> = Option<Arc<Node<S, B>>>;
 
-/// Default leaf block capacity. Overridable at *compile time* with the
-/// `PAM_LEAF_B` environment variable (must be 1 or an even number; 1
-/// restores the paper's one-entry-per-node layout). CI sweeps this to keep
-/// the degenerate case covered.
-pub const DEFAULT_LEAF_B: usize = parse_leaf_b(option_env!("PAM_LEAF_B"));
-
-const fn parse_leaf_b(s: Option<&str>) -> usize {
-    match s {
-        None => 32,
-        Some(s) => {
-            let bytes = s.as_bytes();
-            assert!(!bytes.is_empty(), "PAM_LEAF_B must not be empty");
-            let mut i = 0;
-            let mut v: usize = 0;
-            while i < bytes.len() {
-                let d = bytes[i];
-                assert!(d.is_ascii_digit(), "PAM_LEAF_B must be a positive integer");
-                v = v * 10 + (d - b'0') as usize;
-                i += 1;
-            }
-            // Even capacities make the half-full invariant exactly
-            // achievable when splitting a block of CAP+1 .. 2*CAP+1
-            // entries at the median.
-            assert!(
-                v == 1 || (v >= 2 && v.is_multiple_of(2)),
-                "PAM_LEAF_B must be 1 or an even number >= 2"
-            );
-            v
-        }
-    }
-}
+/// Leaf block capacity of [`WeightBalanced`](crate::balance::WeightBalanced).
+/// Other capacities (1 restores the paper's one-entry-per-node layout)
+/// are instantiated as `WeightBalancedCap<CAP>`.
+pub const DEFAULT_LEAF_B: usize = 32;
 
 /// One tree node: a blocked leaf or a pivot-carrying internal node.
 pub enum Node<S: AugSpec, B: Balance> {
     /// A sorted block of `1..=B::LEAF_CAP` entries plus the cached fold of
     /// the augmentation over the block.
     Leaf(LeafNode<S, B>),
-    /// A pivot entry between two subtrees, as in the paper. `meta` is the
-    /// balance scheme's per-node bookkeeping (AVL height, red-black color +
-    /// black height, nothing for weight-balanced); `em` is per-*entry*
-    /// metadata that travels with the key through restructuring (the
-    /// treap's priority).
+    /// A pivot entry between two subtrees, as in the paper.
     Internal(InternalNode<S, B>),
 }
 
 /// Payload of [`Node::Leaf`]: the sorted entry block and its cached
 /// augmented value.
 pub struct LeafNode<S: AugSpec, B: Balance> {
-    pub(crate) entries: Box<[EntryOwned<S, B>]>,
+    pub(crate) entries: Box<[EntryOwned<S>]>,
     pub(crate) aug: S::A,
+    /// No field type names `B`; it says the block is `B::LEAF_CAP` wide.
+    cap: PhantomData<B>,
 }
 
 /// Payload of [`Node::Internal`].
 pub struct InternalNode<S: AugSpec, B: Balance> {
     pub(crate) size: usize,
-    pub(crate) meta: B::Meta,
-    pub(crate) em: B::EntryMeta,
     pub(crate) key: S::K,
     pub(crate) val: S::V,
     pub(crate) aug: S::A,
@@ -107,24 +79,21 @@ pub struct InternalNode<S: AugSpec, B: Balance> {
     pub(crate) right: Tree<S, B>,
 }
 
-/// An entry (key, value, entry-metadata) detached from a node — what the
-/// paper's `expose` yields between the two subtrees, what `join` takes as
-/// its middle argument, and what leaf blocks store contiguously.
-pub struct EntryOwned<S: AugSpec, B: Balance> {
+/// An entry (key, value) detached from a node — what the paper's `expose`
+/// yields between the two subtrees, what `join` takes as its middle
+/// argument, and what leaf blocks store contiguously.
+pub struct EntryOwned<S: AugSpec> {
     /// The entry's key.
     pub key: S::K,
     /// The entry's value.
     pub val: S::V,
-    /// Per-entry balance metadata (e.g. a treap priority).
-    pub em: B::EntryMeta,
 }
 
-impl<S: AugSpec, B: Balance> Clone for EntryOwned<S, B> {
+impl<S: AugSpec> Clone for EntryOwned<S> {
     fn clone(&self) -> Self {
         EntryOwned {
             key: self.key.clone(),
             val: self.val.clone(),
-            em: self.em,
         }
     }
 }
@@ -145,19 +114,20 @@ pub fn aug_val<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> S::A {
 impl<S: AugSpec, B: Balance> LeafNode<S, B> {
     /// Build a leaf from sorted, strictly-increasing entries, computing the
     /// block's augmented value. `entries` must hold `1..=B::LEAF_CAP` items.
-    pub(crate) fn from_entries(entries: Vec<EntryOwned<S, B>>) -> Self {
+    pub(crate) fn from_entries(entries: Vec<EntryOwned<S>>) -> Self {
         debug_assert!(!entries.is_empty(), "leaf blocks are never empty");
         debug_assert!(entries.len() <= B::LEAF_CAP.max(1), "leaf block overflow");
         let aug = S::fold_block(entries.iter().map(|e| (&e.key, &e.val)));
         LeafNode {
             entries: entries.into_boxed_slice(),
             aug,
+            cap: PhantomData,
         }
     }
 
     /// The sorted entry block.
     #[inline]
-    pub fn entries(&self) -> &[EntryOwned<S, B>] {
+    pub fn entries(&self) -> &[EntryOwned<S>] {
         &self.entries
     }
 
@@ -170,13 +140,8 @@ impl<S: AugSpec, B: Balance> LeafNode<S, B> {
 
 impl<S: AugSpec, B: Balance> Node<S, B> {
     /// Create an internal node, computing `size` and the augmented value
-    /// from the children. `meta` is supplied by the balance scheme.
-    pub(crate) fn make(
-        left: Tree<S, B>,
-        entry: EntryOwned<S, B>,
-        meta: B::Meta,
-        right: Tree<S, B>,
-    ) -> Arc<Self> {
+    /// from the children.
+    pub(crate) fn make(left: Tree<S, B>, entry: EntryOwned<S>, right: Tree<S, B>) -> Arc<Self> {
         let size = size(&left) + size(&right) + 1;
         let mid = S::base(&entry.key, &entry.val);
         // f(A(L), f(g(k,v), A(R))); absent children contribute nothing
@@ -190,8 +155,6 @@ impl<S: AugSpec, B: Balance> Node<S, B> {
         };
         Arc::new(Node::Internal(InternalNode {
             size,
-            meta,
-            em: entry.em,
             key: entry.key,
             val: entry.val,
             aug,
@@ -202,7 +165,7 @@ impl<S: AugSpec, B: Balance> Node<S, B> {
 
     /// Create a leaf node from sorted entries (`1..=B::LEAF_CAP` of them).
     #[inline]
-    pub(crate) fn make_leaf(entries: Vec<EntryOwned<S, B>>) -> Arc<Self> {
+    pub(crate) fn make_leaf(entries: Vec<EntryOwned<S>>) -> Arc<Self> {
         Arc::new(Node::Leaf(LeafNode::from_entries(entries)))
     }
 
@@ -256,8 +219,8 @@ impl<S: AugSpec, B: Balance> Node<S, B> {
 /// sides stay sorted. For a single entry both sides are empty.
 #[allow(clippy::type_complexity)]
 fn split_block<S: AugSpec, B: Balance>(
-    mut entries: Vec<EntryOwned<S, B>>,
-) -> (Tree<S, B>, EntryOwned<S, B>, B::Meta, Tree<S, B>) {
+    mut entries: Vec<EntryOwned<S>>,
+) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
     debug_assert!(!entries.is_empty());
     let mid = entries.len() / 2;
     let mut right = entries.split_off(mid);
@@ -272,11 +235,11 @@ fn split_block<S: AugSpec, B: Balance>(
     } else {
         Some(Node::make_leaf(right))
     };
-    (l, pivot, B::leaf_meta(), r)
+    (l, pivot, r)
 }
 
-/// Destructure a node into `(left, entry, meta, right)` — the paper's
-/// `expose`, plus the persistence machinery.
+/// Destructure a node into `(left, entry, right)` — the paper's `expose`,
+/// plus the persistence machinery.
 ///
 /// If the `Arc` is uniquely owned the fields are **moved** out (PAM's
 /// refcount-1 reuse: no clones, the node's allocation is released); if it
@@ -284,25 +247,21 @@ fn split_block<S: AugSpec, B: Balance>(
 /// snapshot untouched.
 ///
 /// Exposing a multi-entry **leaf** splits its block at the median into two
-/// smaller leaves around the median entry (with the scheme's
-/// [`Balance::leaf_meta`] standing in for stored metadata). This keeps
-/// every join-based algorithm correct on blocked trees; the rebuilding
+/// smaller leaves around the median entry. This keeps every join-based algorithm correct on blocked trees; the rebuilding
 /// `join_tree` re-packs underfull blocks on the way up.
 #[cfg(not(feature = "no-reuse"))]
 #[inline]
 #[allow(clippy::type_complexity)]
 pub fn expose<S: AugSpec, B: Balance>(
     n: Arc<Node<S, B>>,
-) -> (Tree<S, B>, EntryOwned<S, B>, B::Meta, Tree<S, B>) {
+) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
     match Arc::try_unwrap(n) {
         Ok(Node::Internal(x)) => (
             x.left,
             EntryOwned {
                 key: x.key,
                 val: x.val,
-                em: x.em,
             },
-            x.meta,
             x.right,
         ),
         Ok(Node::Leaf(l)) => split_block(l.entries.into_vec()),
@@ -316,23 +275,21 @@ pub fn expose<S: AugSpec, B: Balance>(
 #[allow(clippy::type_complexity)]
 pub fn expose<S: AugSpec, B: Balance>(
     n: Arc<Node<S, B>>,
-) -> (Tree<S, B>, EntryOwned<S, B>, B::Meta, Tree<S, B>) {
+) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
     clone_out(&n)
 }
 
 #[allow(clippy::type_complexity)]
 fn clone_out<S: AugSpec, B: Balance>(
     n: &Arc<Node<S, B>>,
-) -> (Tree<S, B>, EntryOwned<S, B>, B::Meta, Tree<S, B>) {
+) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
     match &**n {
         Node::Internal(x) => (
             x.left.clone(),
             EntryOwned {
                 key: x.key.clone(),
                 val: x.val.clone(),
-                em: x.em,
             },
-            x.meta,
             x.right.clone(),
         ),
         Node::Leaf(l) => split_block(l.entries.to_vec()),
@@ -343,9 +300,7 @@ fn clone_out<S: AugSpec, B: Balance>(
 /// when the `Arc` is unique, clones them when shared (same policy as
 /// [`expose`]). Panics on an internal node — callers check `is_leaf`
 /// first. This is the entry point of the per-block fast paths in `ops`.
-pub(crate) fn take_leaf_entries<S: AugSpec, B: Balance>(
-    n: Arc<Node<S, B>>,
-) -> Vec<EntryOwned<S, B>> {
+pub(crate) fn take_leaf_entries<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> Vec<EntryOwned<S>> {
     #[cfg(not(feature = "no-reuse"))]
     let n = match Arc::try_unwrap(n) {
         Ok(Node::Leaf(l)) => return l.entries.into_vec(),
@@ -361,7 +316,7 @@ pub(crate) fn take_leaf_entries<S: AugSpec, B: Balance>(
 /// Append every entry of `t` to `out` in key order, reusing uniquely-owned
 /// allocations. Used by the blocked join to flatten small trees before
 /// re-packing them into full blocks.
-pub(crate) fn flatten_into<S: AugSpec, B: Balance>(t: Tree<S, B>, out: &mut Vec<EntryOwned<S, B>>) {
+pub(crate) fn flatten_into<S: AugSpec, B: Balance>(t: Tree<S, B>, out: &mut Vec<EntryOwned<S>>) {
     let Some(n) = t else { return };
     match Arc::try_unwrap(n) {
         Ok(Node::Leaf(l)) => out.extend(l.entries.into_vec()),
@@ -370,7 +325,6 @@ pub(crate) fn flatten_into<S: AugSpec, B: Balance>(t: Tree<S, B>, out: &mut Vec<
             out.push(EntryOwned {
                 key: x.key,
                 val: x.val,
-                em: x.em,
             });
             flatten_into(x.right, out);
         }
@@ -378,7 +332,7 @@ pub(crate) fn flatten_into<S: AugSpec, B: Balance>(t: Tree<S, B>, out: &mut Vec<
     }
 }
 
-fn flatten_ref<S: AugSpec, B: Balance>(n: &Node<S, B>, out: &mut Vec<EntryOwned<S, B>>) {
+fn flatten_ref<S: AugSpec, B: Balance>(n: &Node<S, B>, out: &mut Vec<EntryOwned<S>>) {
     match n {
         Node::Leaf(l) => out.extend(l.entries.iter().cloned()),
         Node::Internal(x) => {
@@ -388,7 +342,6 @@ fn flatten_ref<S: AugSpec, B: Balance>(n: &Node<S, B>, out: &mut Vec<EntryOwned<
             out.push(EntryOwned {
                 key: x.key.clone(),
                 val: x.val.clone(),
-                em: x.em,
             });
             if let Some(r) = x.right.as_deref() {
                 flatten_ref(r, out);
@@ -430,22 +383,8 @@ mod tests {
     type S = SumAug<u64, u64>;
     type B = WeightBalanced;
 
-    fn entry(k: u64, v: u64) -> EntryOwned<S, B> {
-        EntryOwned {
-            key: k,
-            val: v,
-            em: (),
-        }
-    }
-
-    // entry pinned to cap 32, for tests that need multi-entry blocks to
-    // fit regardless of the PAM_LEAF_B the crate was compiled with
-    fn entry32(k: u64, v: u64) -> EntryOwned<S, WeightBalancedCap<32>> {
-        EntryOwned {
-            key: k,
-            val: v,
-            em: (),
-        }
+    fn entry(k: u64, v: u64) -> EntryOwned<S> {
+        EntryOwned { key: k, val: v }
     }
 
     fn leaf(k: u64, v: u64) -> Arc<Node<S, B>> {
@@ -456,16 +395,14 @@ mod tests {
     fn make_computes_size_and_aug() {
         let l = leaf(1, 10);
         let r = leaf(3, 30);
-        let n = Node::make(Some(l), entry(2, 20), (), Some(r));
+        let n = Node::make(Some(l), entry(2, 20), Some(r));
         assert_eq!(n.size_of(), 3);
         assert_eq!(*n.aug(), 60);
     }
 
     #[test]
     fn leaf_block_caches_fold() {
-        // pinned cap: must hold a 3-entry block regardless of PAM_LEAF_B
-        let n: Arc<Node<S, WeightBalancedCap<32>>> =
-            Node::make_leaf(vec![entry32(1, 10), entry32(2, 20), entry32(3, 30)]);
+        let n: Arc<Node<S, B>> = Node::make_leaf(vec![entry(1, 10), entry(2, 20), entry(3, 30)]);
         assert_eq!(n.size_of(), 3);
         assert_eq!(*n.aug(), 60);
         assert!(n.is_leaf());
@@ -475,7 +412,7 @@ mod tests {
     #[test]
     fn expose_moves_when_unique() {
         let n = leaf(7, 70);
-        let (l, e, _m, r) = expose(n);
+        let (l, e, r) = expose(n);
         assert!(l.is_none() && r.is_none());
         assert_eq!(e.key, 7);
         assert_eq!(e.val, 70);
@@ -483,14 +420,9 @@ mod tests {
 
     #[test]
     fn expose_splits_leaf_block_at_median() {
-        // pinned cap: exercises the 4-entry block split at any PAM_LEAF_B
-        let n: Arc<Node<S, WeightBalancedCap<32>>> = Node::make_leaf(vec![
-            entry32(1, 1),
-            entry32(2, 2),
-            entry32(3, 3),
-            entry32(4, 4),
-        ]);
-        let (l, e, _m, r) = expose(n);
+        let n: Arc<Node<S, B>> =
+            Node::make_leaf(vec![entry(1, 1), entry(2, 2), entry(3, 3), entry(4, 4)]);
+        let (l, e, r) = expose(n);
         assert_eq!(e.key, 3);
         assert_eq!(size(&l), 2);
         assert_eq!(size(&r), 1);
@@ -502,7 +434,7 @@ mod tests {
     fn expose_clones_when_shared() {
         let n = leaf(7, 70);
         let n2 = n.clone();
-        let (_, e, _, _) = expose(n);
+        let (_, e, _) = expose(n);
         assert_eq!(e.key, 7);
         // the shared copy is untouched
         assert_eq!(n2.size_of(), 1);
@@ -513,7 +445,7 @@ mod tests {
     fn flatten_preserves_order() {
         let l = Node::make_leaf(vec![entry(1, 1), entry(2, 2)]);
         let r = leaf(4, 4);
-        let n = Node::make(Some(l), entry(3, 3), (), Some(r));
+        let n = Node::make(Some(l), entry(3, 3), Some(r));
         let mut out = Vec::new();
         flatten_into(Some(n), &mut out);
         let keys: Vec<u64> = out.iter().map(|e| e.key).collect();
@@ -528,19 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_leaf_b_accepts_one_and_even() {
-        assert_eq!(parse_leaf_b(None), 32);
-        assert_eq!(parse_leaf_b(Some("1")), 1);
-        assert_eq!(parse_leaf_b(Some("2")), 2);
-        assert_eq!(parse_leaf_b(Some("64")), 64);
-    }
-
-    #[test]
     fn cap_is_wired_through_schemes() {
         use crate::balance::Balance as _;
         assert_eq!(WeightBalancedCap::<8>::LEAF_CAP, 8);
         assert_eq!(B::LEAF_CAP, DEFAULT_LEAF_B);
-        assert_eq!(crate::balance::Treap::LEAF_CAP, 1);
     }
 
     #[test]

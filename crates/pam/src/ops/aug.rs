@@ -7,7 +7,7 @@
 //! block and a fold of `g` over the in-range prefix/suffix — O(log n + B)
 //! per query.
 
-use crate::balance::{join_tree, Balance};
+use crate::balance::{from_sorted_entries, join_tree, Balance};
 use crate::node::{expose, take_leaf_entries, EntryOwned, Node, Tree};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
@@ -15,7 +15,7 @@ use parlay::{granularity, par2_if};
 use std::cmp::Ordering;
 
 /// Fold `g` over a slice of leaf entries; `None` when empty.
-fn fold_slice<S: AugSpec, B: Balance>(entries: &[EntryOwned<S, B>]) -> Option<S::A> {
+fn fold_slice<S: AugSpec>(entries: &[EntryOwned<S>]) -> Option<S::A> {
     if entries.is_empty() {
         None
     } else {
@@ -156,10 +156,9 @@ where
 
 /// Project each in-range entry of a leaf slice through `g ∘ base` and
 /// fold with `f2`; `None` when the slice is empty.
-fn project_slice<S, B, T, G, F2>(entries: &[EntryOwned<S, B>], g2: &G, f2: &F2) -> Option<T>
+fn project_slice<S, T, G, F2>(entries: &[EntryOwned<S>], g2: &G, f2: &F2) -> Option<T>
 where
     S: AugSpec,
-    B: Balance,
     G: Fn(&S::A) -> T,
     F2: Fn(T, T) -> T,
 {
@@ -296,34 +295,33 @@ where
     HAny: Fn(&S::A) -> bool + Sync,
     HAll: Fn(&S::A) -> bool + Sync,
 {
-    match t {
-        None => None,
-        Some(n) => {
-            if !h_any(n.aug()) {
-                return None; // nothing below matches
-            }
-            if h_all(n.aug()) {
-                return Some(n); // everything below matches: share as-is
-            }
-            if n.is_leaf() {
-                let mut entries = take_leaf_entries(n);
-                entries.retain(|e| h_any(&S::base(&e.key, &e.val)));
-                return crate::balance::from_sorted_entries::<S, B>(entries);
-            }
-            let work = n.size_of();
-            let (l, e, _m, r) = expose(n);
-            let keep = h_any(&S::base(&e.key, &e.val));
-            let (l2, r2) = par2_if(
-                work > granularity(),
-                move || aug_filter_with_all(l, h_any, h_all),
-                move || aug_filter_with_all(r, h_any, h_all),
-            );
-            if keep {
-                join_tree(l2, e, r2)
-            } else {
-                join2(l2, r2)
-            }
-        }
+    let n = t?;
+    if !h_any(n.aug()) {
+        return None; // prune: nothing below can match
+    }
+    if h_all(n.aug()) {
+        return Some(n); // everything below matches: share as-is
+    }
+    if n.is_leaf() {
+        let mut entries = take_leaf_entries(n);
+        entries.retain(|e| h_any(&S::base(&e.key, &e.val)));
+        return from_sorted_entries::<S, B>(entries);
+    }
+    let big = n.size_of() > granularity();
+    let (l, e, r) = expose(n);
+    let keep = h_any(&S::base(&e.key, &e.val));
+    // Fork on work that survives, not on size: a child about to be pruned
+    // is an O(1) call, so offering it to the pool buys nothing.
+    let survives = |c: &Tree<S, B>| c.as_deref().is_some_and(|c| h_any(c.aug()));
+    let (l2, r2) = par2_if(
+        big && survives(&l) && survives(&r),
+        move || aug_filter_with_all(l, h_any, h_all),
+        move || aug_filter_with_all(r, h_any, h_all),
+    );
+    if keep {
+        join_tree(l2, e, r2)
+    } else {
+        join2(l2, r2)
     }
 }
 
@@ -337,32 +335,7 @@ where
     B: Balance,
     H: Fn(&S::A) -> bool + Sync,
 {
-    match t {
-        None => None,
-        Some(n) => {
-            if !h(n.aug()) {
-                return None; // prune: nothing below can match
-            }
-            if n.is_leaf() {
-                let mut entries = take_leaf_entries(n);
-                entries.retain(|e| h(&S::base(&e.key, &e.val)));
-                return crate::balance::from_sorted_entries::<S, B>(entries);
-            }
-            let work = n.size_of();
-            let (l, e, _m, r) = expose(n);
-            let keep = h(&S::base(&e.key, &e.val));
-            let (l2, r2) = par2_if(
-                work > granularity(),
-                move || aug_filter(l, h),
-                move || aug_filter(r, h),
-            );
-            if keep {
-                join_tree(l2, e, r2)
-            } else {
-                join2(l2, r2)
-            }
-        }
-    }
+    aug_filter_with_all(t, h, &|_| false)
 }
 
 #[cfg(test)]

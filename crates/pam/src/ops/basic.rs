@@ -9,10 +9,7 @@ use std::cmp::Ordering;
 
 /// Binary-search a sorted block for `k`.
 #[inline]
-fn block_search<S: AugSpec, B: Balance>(
-    entries: &[EntryOwned<S, B>],
-    k: &S::K,
-) -> Result<usize, usize> {
+fn block_search<S: AugSpec>(entries: &[EntryOwned<S>], k: &S::K) -> Result<usize, usize> {
     entries.binary_search_by(|e| S::compare(&e.key, k))
 }
 

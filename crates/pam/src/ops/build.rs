@@ -48,11 +48,10 @@ where
     build_rec::<S, B>(items)
 }
 
-fn owned_entry<S: AugSpec, B: Balance>(item: &(S::K, S::V)) -> EntryOwned<S, B> {
+fn owned_entry<S: AugSpec>(item: &(S::K, S::V)) -> EntryOwned<S> {
     EntryOwned {
         key: item.0.clone(),
         val: item.1.clone(),
-        em: B::fresh_entry_meta(),
     }
 }
 
@@ -145,7 +144,6 @@ where
                     out.push(EntryOwned {
                         val: combine(&e.val, &batch[bi].1),
                         key: e.key,
-                        em: e.em,
                     });
                     bi += 1;
                 } else {
@@ -157,7 +155,7 @@ where
         }
         Some(n) => {
             let work = n.size_of() + batch.len();
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             let lo = batch.partition_point(|x| S::compare(&x.0, &e.key) == Ordering::Less);
             let found = lo < batch.len() && S::compare(&batch[lo].0, &e.key) == Ordering::Equal;
             let hi = lo + usize::from(found);
@@ -172,15 +170,7 @@ where
             } else {
                 e.val
             };
-            join_tree(
-                l2,
-                EntryOwned {
-                    key: e.key,
-                    val,
-                    em: e.em,
-                },
-                r2,
-            )
+            join_tree(l2, EntryOwned { key: e.key, val }, r2)
         }
     }
 }
@@ -224,7 +214,7 @@ where
         }
         Some(n) => {
             let work = n.size_of() + keys.len();
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             let lo = keys.partition_point(|x| S::compare(x, &e.key) == Ordering::Less);
             let found = lo < keys.len() && S::compare(&keys[lo], &e.key) == Ordering::Equal;
             let hi = lo + usize::from(found);

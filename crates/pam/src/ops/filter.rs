@@ -24,7 +24,7 @@ where
         }
         Some(n) => {
             let work = n.size_of();
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             let keep = pred(&e.key, &e.val);
             let (l2, r2) = par2_if(
                 work > granularity(),

@@ -30,35 +30,20 @@ where
                 Ok(i) => {
                     entries[i].val = combine(&entries[i].val, &v);
                 }
-                Err(i) => entries.insert(
-                    i,
-                    EntryOwned {
-                        key: k,
-                        val: v,
-                        em: B::fresh_entry_meta(),
-                    },
-                ),
+                Err(i) => entries.insert(i, EntryOwned { key: k, val: v }),
             }
             // up to LEAF_CAP + 1 entries: re-packs into one leaf or splits
             // at the median into two half-full ones
             from_sorted_entries::<S, B>(entries)
         }
         Some(n) => {
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             match S::compare(&k, &e.key) {
                 Ordering::Less => join_tree(insert::<S, B, F>(l, k, v, combine), e, r),
                 Ordering::Greater => join_tree(l, e, insert::<S, B, F>(r, k, v, combine)),
                 Ordering::Equal => {
                     let val = combine(&e.val, &v);
-                    join_tree(
-                        l,
-                        EntryOwned {
-                            key: e.key,
-                            val,
-                            em: e.em,
-                        },
-                        r,
-                    )
+                    join_tree(l, EntryOwned { key: e.key, val }, r)
                 }
             }
         }
@@ -89,20 +74,12 @@ where
             from_sorted_entries::<S, B>(entries)
         }
         Some(n) => {
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             match S::compare(k, &e.key) {
                 Ordering::Less => join_tree(update(l, k, f), e, r),
                 Ordering::Greater => join_tree(l, e, update(r, k, f)),
                 Ordering::Equal => match f(&e.val) {
-                    Some(val) => join_tree(
-                        l,
-                        EntryOwned {
-                            key: e.key,
-                            val,
-                            em: e.em,
-                        },
-                        r,
-                    ),
+                    Some(val) => join_tree(l, EntryOwned { key: e.key, val }, r),
                     None => join2(l, r),
                 },
             }
@@ -123,7 +100,7 @@ pub fn delete<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
             from_sorted_entries::<S, B>(entries)
         }
         Some(n) => {
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             match S::compare(k, &e.key) {
                 Ordering::Less => join_tree(delete(l, k), e, r),
                 Ordering::Greater => join_tree(l, e, delete(r, k)),

@@ -89,8 +89,8 @@ where
 }
 
 /// Rebuild the map with values transformed by `f`, preserving the tree
-/// *shape* (and therefore the balance metadata) while recomputing the
-/// augmented values under the target spec `S2`. The key type and order
+/// *shape* (sizes are all the balance invariant reads) while recomputing
+/// the augmented values under the target spec `S2`. The key type and order
 /// must be unchanged. Linear work, O(log n) span.
 pub fn map_values<S, S2, B, F>(t: &Tree<S, B>, f: &F) -> Tree<S2, B>
 where
@@ -108,7 +108,6 @@ where
                 .map(|e| EntryOwned {
                     key: e.key.clone(),
                     val: f(&e.key, &e.val),
-                    em: e.em,
                 })
                 .collect();
             Some(Node::make_leaf(entries))
@@ -119,17 +118,12 @@ where
                 || map_values::<S, S2, B, F>(&x.left, f),
                 || map_values::<S, S2, B, F>(&x.right, f),
             );
-            // Same shape + same balance scheme => reusing `meta`/`em`
-            // verbatim is valid for every scheme (heights, colors,
-            // priorities only depend on structure / entry identity).
             Some(Node::make(
                 l,
                 EntryOwned {
                     key: x.key.clone(),
                     val: f(&x.key, &x.val),
-                    em: x.em,
                 },
-                x.meta,
                 r,
             ))
         }
@@ -149,14 +143,13 @@ where
     let n: &Node<S, B> = t.as_deref()?;
     match n {
         Node::Leaf(l) => {
-            let entries: Vec<EntryOwned<S2, B>> = l
+            let entries: Vec<EntryOwned<S2>> = l
                 .entries()
                 .iter()
                 .filter_map(|e| {
                     f(&e.key, &e.val).map(|val| EntryOwned {
                         key: e.key.clone(),
                         val,
-                        em: e.em,
                     })
                 })
                 .collect();
@@ -175,7 +168,6 @@ where
                     EntryOwned {
                         key: x.key.clone(),
                         val,
-                        em: x.em,
                     },
                     r,
                 ),

@@ -1,4 +1,4 @@
-//! Tree-level algorithms, written once against [`crate::balance::Balance::join`].
+//! Tree-level algorithms, written once against the `join` of [`crate::balance`].
 //!
 //! Everything here follows the paper's Figure 2 pseudocode. Functions that
 //! *produce* trees take their inputs **by value** (an `Arc` clone of a root

@@ -22,7 +22,7 @@ pub fn up_to<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
             }
         }
         Some(n) => {
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             if S::compare(&e.key, k) == Ordering::Greater {
                 up_to(l, k)
             } else {
@@ -47,7 +47,7 @@ pub fn down_to<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
             }
         }
         Some(n) => {
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             if S::compare(&e.key, k) == Ordering::Less {
                 down_to(r, k)
             } else {
@@ -66,14 +66,14 @@ pub fn range<S: AugSpec, B: Balance>(t: Tree<S, B>, lo: &S::K, hi: &S::K) -> Tre
             Node::Leaf(_) => up_to(down_to(Some(n), lo), hi),
             Node::Internal(x) => {
                 if S::compare(&x.key, lo) == Ordering::Less {
-                    let (_l, _e, _m, r) = expose(n);
+                    let (_l, _e, r) = expose(n);
                     range(r, lo, hi)
                 } else if S::compare(&x.key, hi) == Ordering::Greater {
-                    let (l, _e, _m, _r) = expose(n);
+                    let (l, _e, _r) = expose(n);
                     range(l, lo, hi)
                 } else {
                     // lo <= key <= hi: keep root, trim both sides.
-                    let (l, e, _m, r) = expose(n);
+                    let (l, e, r) = expose(n);
                     join_tree(down_to(l, lo), e, up_to(r, hi))
                 }
             }

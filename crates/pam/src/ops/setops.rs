@@ -44,11 +44,7 @@ where
                     Ordering::Equal => {
                         let e2 = bi.next().expect("peeked");
                         if let Some(val) = resolve(&e1.val, &e2.val) {
-                            out.push(EntryOwned {
-                                key: e1.key,
-                                val,
-                                em: e1.em,
-                            });
+                            out.push(EntryOwned { key: e1.key, val });
                         }
                         break;
                     }
@@ -106,7 +102,7 @@ where
                 );
             }
             let work = n1.size_of() + n2.size_of();
-            let (l2, e2, _m, r2) = expose(n2);
+            let (l2, e2, r2) = expose(n2);
             let (l1, v1, r1) = split(Some(n1), &e2.key);
             let (l, r) = par2_if(
                 work > granularity(),
@@ -117,15 +113,7 @@ where
                 Some(v1) => combine(&v1, &e2.val),
                 None => e2.val,
             };
-            join_tree(
-                l,
-                EntryOwned {
-                    key: e2.key,
-                    val,
-                    em: e2.em,
-                },
-                r,
-            )
+            join_tree(l, EntryOwned { key: e2.key, val }, r)
         }
     }
 }
@@ -154,7 +142,7 @@ where
                 );
             }
             let work = n1.size_of() + n2.size_of();
-            let (l2, e2, _m, r2) = expose(n2);
+            let (l2, e2, r2) = expose(n2);
             let (l1, v1, r1) = split(Some(n1), &e2.key);
             let (l, r) = par2_if(
                 work > granularity(),
@@ -164,15 +152,7 @@ where
             match v1 {
                 Some(v1) => {
                     let val = combine(&v1, &e2.val);
-                    join_tree(
-                        l,
-                        EntryOwned {
-                            key: e2.key,
-                            val,
-                            em: e2.em,
-                        },
-                        r,
-                    )
+                    join_tree(l, EntryOwned { key: e2.key, val }, r)
                 }
                 None => join2(l, r),
             }
@@ -203,7 +183,7 @@ where
                 );
             }
             let work = n1.size_of() + n2.size_of();
-            let (l2, e2, _m, r2) = expose(n2);
+            let (l2, e2, r2) = expose(n2);
             let (l1, _v1, r1) = split(Some(n1), &e2.key);
             drop(e2);
             let (l, r) = par2_if(

@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Wrap entries as a leaf, or `None` when empty.
-fn leaf_or_empty<S: AugSpec, B: Balance>(entries: Vec<EntryOwned<S, B>>) -> Tree<S, B> {
+fn leaf_or_empty<S: AugSpec, B: Balance>(entries: Vec<EntryOwned<S>>) -> Tree<S, B> {
     if entries.is_empty() {
         None
     } else {
@@ -41,7 +41,7 @@ pub fn split<S: AugSpec, B: Balance>(
             (leaf_or_empty(entries), v, leaf_or_empty(right))
         }
         Some(n) => {
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             match S::compare(k, &e.key) {
                 Ordering::Equal => (l, Some(e.val), r),
                 Ordering::Less => {
@@ -58,13 +58,13 @@ pub fn split<S: AugSpec, B: Balance>(
 }
 
 /// Remove and return the maximum entry. O(log n).
-pub fn split_last<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (Tree<S, B>, EntryOwned<S, B>) {
+pub fn split_last<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (Tree<S, B>, EntryOwned<S>) {
     if n.is_leaf() {
         let mut entries = take_leaf_entries(n);
         let last = entries.pop().expect("leaf blocks are never empty");
         return (leaf_or_empty(entries), last);
     }
-    let (l, e, _m, r) = expose(n);
+    let (l, e, r) = expose(n);
     match r {
         None => (l, e),
         Some(rn) => {
@@ -75,13 +75,13 @@ pub fn split_last<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (Tree<S, B>, En
 }
 
 /// Remove and return the minimum entry. O(log n).
-pub fn split_first<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (EntryOwned<S, B>, Tree<S, B>) {
+pub fn split_first<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (EntryOwned<S>, Tree<S, B>) {
     if n.is_leaf() {
         let mut entries = take_leaf_entries(n);
         let first = entries.remove(0);
         return (first, leaf_or_empty(entries));
     }
-    let (l, e, _m, r) = expose(n);
+    let (l, e, r) = expose(n);
     match l {
         None => (e, r),
         Some(ln) => {
@@ -121,7 +121,7 @@ pub fn split_rank<S: AugSpec, B: Balance>(t: Tree<S, B>, i: usize) -> (Tree<S, B
                 let right = entries.split_off(i);
                 return (leaf_or_empty(entries), leaf_or_empty(right));
             }
-            let (l, e, _m, r) = expose(n);
+            let (l, e, r) = expose(n);
             let ls = crate::node::size(&l);
             match i.cmp(&(ls + 1)) {
                 Ordering::Less => {

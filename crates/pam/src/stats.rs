@@ -16,7 +16,7 @@ use crate::node::{Node, Tree};
 use crate::spec::AugSpec;
 use std::collections::HashSet;
 
-/// Size in bytes of one tree node for this spec/scheme (excluding the two
+/// Size in bytes of one tree node for this spec (excluding the two
 /// `Arc` refcount words, which add 16 bytes per heap allocation, and
 /// excluding leaf entry arrays).
 pub fn node_size<S: AugSpec, B: Balance>() -> usize {

@@ -6,13 +6,14 @@
 //! 2. **size** — the cached subtree size is correct;
 //! 3. **augmentation** — the stored augmented value equals
 //!    `f(g(k1,v1), ..., g(kn,vn))` recomputed from scratch;
-//! 4. **balance** — the scheme's local invariant holds ([`Balance::local_ok`]);
+//! 4. **balance** — the children of every internal node are "like"
+//!    (neither outweighs the other beyond `1 − α`; see [`crate::balance`]);
 //! 5. **leaf fill** — blocks are non-empty, at most `LEAF_CAP` long, and
 //!    non-root blocks are at least half full; for `LEAF_CAP >= 2` a
 //!    subtree of size `<= LEAF_CAP` must *be* a single block (internal
 //!    nodes only exist above block capacity).
 
-use crate::balance::Balance;
+use crate::balance::{like, weight, Balance};
 use crate::node::{Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
@@ -78,9 +79,6 @@ where
                     expect
                 ));
             }
-            if !B::local_ok(n) {
-                return Err(format!("{} balance invariant violated at leaf", B::NAME));
-            }
             Ok((len, Some(l.aug().clone())))
         }
         Node::Internal(x) => {
@@ -112,10 +110,109 @@ where
                     x.aug, expect
                 ));
             }
-            if !B::local_ok(n) {
-                return Err(format!("{} balance invariant violated", B::NAME));
+            if !like(weight(&x.left), weight(&x.right)) {
+                return Err(format!(
+                    "balance invariant violated: child sizes {ls} and {rs} are not like"
+                ));
             }
             Ok((x.size, Some(x.aug.clone())))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! `check_tree` is the reference every oracle trusts, so each arm is
+    //! shown to fire on a hand-built tree that breaks exactly one rule.
+    use super::*;
+    use crate::balance::{from_sorted_entries, WeightBalancedCap};
+    use crate::node::EntryOwned;
+    use crate::spec::SumAug;
+    use std::sync::Arc;
+
+    type S = SumAug<u64, u64>;
+    type N<const CAP: usize> = Arc<Node<S, WeightBalancedCap<CAP>>>;
+
+    fn pivot(k: u64) -> EntryOwned<S> {
+        EntryOwned { key: k, val: k }
+    }
+
+    fn entries(keys: std::ops::Range<u64>) -> Vec<EntryOwned<S>> {
+        keys.map(pivot).collect()
+    }
+
+    fn leaf<const CAP: usize>(keys: std::ops::Range<u64>) -> N<CAP> {
+        Node::make_leaf(entries(keys))
+    }
+
+    fn err<const CAP: usize>(n: N<CAP>) -> String {
+        check_tree(&Some(n)).expect_err("tree breaks an invariant")
+    }
+
+    #[test]
+    fn accepts_what_join_builds() {
+        for n in [0, 1, 2, 3, 9, 100] {
+            let t = from_sorted_entries::<S, WeightBalancedCap<2>>(entries(0..n));
+            assert_eq!(check_tree(&t), Ok(()), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn rejects_unlike_children() {
+        // weights 2 and 8: the right side holds 80 % > 1 - α
+        let heavy = from_sorted_entries::<S, WeightBalancedCap<2>>(entries(2..9));
+        let n = Node::make(Some(leaf(0..1)), pivot(1), heavy);
+        assert!(err(n).starts_with("balance invariant violated"));
+    }
+
+    #[test]
+    fn rejects_underfull_non_root_leaf() {
+        let n: N<4> = Node::make(Some(leaf(0..4)), pivot(4), Some(leaf(5..6)));
+        assert!(err(n).starts_with("non-root leaf block underfull: 1 < cap/2 = 2"));
+        // the same block is fine as a root
+        assert_eq!(check_tree(&Some(leaf::<4>(5..6))), Ok(()));
+    }
+
+    #[test]
+    fn rejects_internal_node_that_fits_in_a_block() {
+        let n: N<4> = Node::make(Some(leaf(0..2)), pivot(2), Some(leaf(3..4)));
+        assert!(err(n).starts_with("internal node of size 4 (<= cap 4)"));
+    }
+
+    #[test]
+    fn rejects_stale_aug_on_leaf_and_internal() {
+        let mut n: N<4> = leaf(0..3);
+        let Some(Node::Leaf(l)) = Arc::get_mut(&mut n) else {
+            unreachable!()
+        };
+        l.aug += 1;
+        assert!(err(n).starts_with("leaf augmented value mismatch: stored 4 != recomputed 3"));
+
+        let mut n: N<2> = Node::make(Some(leaf(0..2)), pivot(2), Some(leaf(3..5)));
+        assert_eq!(check_tree(&Some(n.clone())), Ok(()));
+        let Some(Node::Internal(x)) = Arc::get_mut(&mut n) else {
+            unreachable!()
+        };
+        x.aug += 1;
+        assert!(err(n).starts_with("augmented value mismatch: stored 11 != recomputed 10"));
+    }
+
+    #[test]
+    fn rejects_stale_size() {
+        let mut n: N<2> = Node::make(Some(leaf(0..2)), pivot(2), Some(leaf(3..5)));
+        let Some(Node::Internal(x)) = Arc::get_mut(&mut n) else {
+            unreachable!()
+        };
+        x.size = 6;
+        assert!(err(n).starts_with("size mismatch: stored 6 != 5"));
+    }
+
+    #[test]
+    fn rejects_out_of_order_keys() {
+        // inside a block, and between a pivot and its right subtree
+        let block: N<4> = Node::make_leaf(vec![pivot(2), pivot(1)]);
+        assert_eq!(err(block), "keys not strictly increasing");
+        let n: N<2> = Node::make(Some(leaf(0..2)), pivot(3), Some(leaf(3..5)));
+        assert_eq!(err(n), "keys not strictly increasing");
     }
 }

@@ -1,9 +1,9 @@
 //! Differential harness pinning the blocked-leaf refactor: random
 //! operation sequences are replayed against a `BTreeMap` model, with
-//! augmented values recomputed by a naive fold, at three block sizes —
+//! augmented values recomputed by a naive fold, at four block sizes —
 //! `LEAF_CAP` = 1 (degenerate: the pre-refactor one-entry-per-leaf
-//! shape), 2 (the smallest real block, maximal boundary churn), and 32
-//! (the default). Every intermediate tree is invariant-checked, so any
+//! shape), 2 (the smallest real block, maximal boundary churn), 8 (blocks
+//! the 120-entry inputs fill several levels deep) and 32 (the default). Every intermediate tree is invariant-checked, so any
 //! fill/aug/balance violation is caught at the op that introduced it.
 
 use pam::balance::WeightBalancedCap;
@@ -197,6 +197,15 @@ proptest! {
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
         run_oracle::<WeightBalancedCap<2>>(init, ops, probes);
+    }
+
+    #[test]
+    fn oracle_block_size_8(
+        init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
+        ops in proptest::collection::vec(op_strategy(), 1..20),
+        probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
+    ) {
+        run_oracle::<WeightBalancedCap<8>>(init, ops, probes);
     }
 
     #[test]

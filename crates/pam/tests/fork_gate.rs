@@ -1,6 +1,7 @@
 //! The fork decision of `multi_insert` / `multi_delete` follows the
 //! batch, not the map: a few keys into a large shared map never leave
-//! the calling thread, a batch as large as the map still forks.
+//! the calling thread, a batch as large as the map still forks. Likewise
+//! `aug_filter` forks on what survives its prune test, not on size.
 //!
 //! `rayon::forks_spawned()` (shim-only) is process-wide, so this file
 //! holds exactly one test: nothing else may fork while it counts.
@@ -65,6 +66,31 @@ fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
         assert!(
             after_delete > after_insert,
             "a {N}-key multi_delete forked nothing on {cores} cores"
+        );
+    }
+
+    // aug_filter: one hot entry in N — at every level one child is pruned
+    // by its aug, so nothing is worth offering to the pool
+    assert!(N as usize > parlay::granularity());
+    let hot = N / 3;
+    let sparse =
+        M::from_sorted_distinct(&(0..N).map(|i| (i, u64::from(i == hot))).collect::<Vec<_>>());
+    let before = rayon::forks_spawned();
+    let kept = sparse.aug_filter(|&sum| sum > 0);
+    assert_eq!(
+        rayon::forks_spawned(),
+        before,
+        "a pruning aug_filter over {N} entries forked"
+    );
+    assert_eq!(kept.to_vec(), vec![(hot, 1)]);
+    // nothing pruned: both children survive at every level
+    let before = rayon::forks_spawned();
+    let all = sparse.aug_filter(|_| true);
+    assert_eq!(all.len() as u64, N);
+    if cores > 1 {
+        assert!(
+            rayon::forks_spawned() > before,
+            "a keep-everything aug_filter over {N} entries forked nothing on {cores} cores"
         );
     }
 }

@@ -1,9 +1,9 @@
 //! Model-based tests: every operation checked against `BTreeMap` (the
-//! oracle), instantiated for all four balancing schemes. After every
-//! operation the full invariant set (order, size, augmentation, balance)
+//! oracle), instantiated at leaf-block capacities 1 (the paper's
+//! one-entry-per-node layout), 2 and the default 32. After every operation the full invariant set (order, size, augmentation, balance)
 //! is re-verified.
 
-use pam::{AugMap, Avl, Balance, RedBlack, SumAug, Treap, WeightBalanced};
+use pam::{AugMap, Balance, SumAug, WeightBalanced, WeightBalancedCap};
 use std::collections::BTreeMap;
 
 type Spec = SumAug<u64, u64>;
@@ -271,21 +271,36 @@ fn aug_queries_match_model<B: Balance>() {
 }
 
 #[test]
+fn iterator_is_exact_size_and_sorted() {
+    let m: AugMap<SumAug<u32, u64>> =
+        AugMap::build((0..1000u32).map(|i| ((i * 7) % 1001, i as u64)).collect());
+    let it = m.iter();
+    assert_eq!(it.len(), m.len());
+    let keys: Vec<u32> = m.iter().map(|(&k, _)| k).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]));
+    // size_hint stays consistent while consuming
+    let mut it = m.iter();
+    for consumed in 0..m.len() {
+        assert_eq!(
+            it.size_hint(),
+            (m.len() - consumed, Some(m.len() - consumed))
+        );
+        it.next();
+    }
+    assert_eq!(it.next(), None);
+}
+
+#[test]
 fn weight_balanced_all() {
     run_all::<WeightBalanced>();
 }
 
 #[test]
-fn avl_all() {
-    run_all::<Avl>();
+fn block_size_1_all() {
+    run_all::<WeightBalancedCap<1>>();
 }
 
 #[test]
-fn red_black_all() {
-    run_all::<RedBlack>();
-}
-
-#[test]
-fn treap_all() {
-    run_all::<Treap>();
+fn block_size_2_all() {
+    run_all::<WeightBalancedCap<2>>();
 }

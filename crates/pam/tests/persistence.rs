@@ -2,7 +2,7 @@
 //! quantifies.
 
 use pam::stats::{node_size, shared_with, unique_nodes};
-use pam::{AugMap, NoAug, SumAug, WeightBalanced};
+use pam::{AugMap, EntryOwned, NoAug, SumAug, WeightBalanced};
 
 type M = AugMap<SumAug<u64, u64>, WeightBalanced>;
 
@@ -81,6 +81,15 @@ fn augmentation_space_overhead_matches_paper_shape() {
         with_aug <= 64,
         "node should stay within a cache line: {with_aug}"
     );
+}
+
+#[test]
+fn node_and_entry_layout_are_pinned() {
+    // Measured at the commit before the balance metadata was deleted (its
+    // `()` fields were zero-sized). The gate's `mem_bytes_per_entry` is a
+    // function of these two numbers, so a layout change fails here first.
+    assert_eq!(node_size::<SumAug<u64, u64>, WeightBalanced>(), 56);
+    assert_eq!(std::mem::size_of::<EntryOwned<SumAug<u64, u64>>>(), 16);
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Property-based tests over random operation sequences, for all four
-//! balancing schemes.
+//! Property-based tests over random operation sequences, at leaf-block
+//! capacities 1, 2 and the default 32.
 
-use pam::{AugMap, Avl, Balance, RedBlack, SumAug, Treap, WeightBalanced};
+use pam::{AugMap, Balance, SumAug, WeightBalanced, WeightBalancedCap};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -172,27 +172,19 @@ proptest! {
     }
 
     #[test]
-    fn random_ops_avl(
+    fn random_ops_block_size_1(
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
         ops in proptest::collection::vec(op_strategy(), 1..25),
     ) {
-        run_sequence::<Avl>(init, ops);
+        run_sequence::<WeightBalancedCap<1>>(init, ops);
     }
 
     #[test]
-    fn random_ops_red_black(
+    fn random_ops_block_size_2(
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
         ops in proptest::collection::vec(op_strategy(), 1..25),
     ) {
-        run_sequence::<RedBlack>(init, ops);
-    }
-
-    #[test]
-    fn random_ops_treap(
-        init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
-        ops in proptest::collection::vec(op_strategy(), 1..25),
-    ) {
-        run_sequence::<Treap>(init, ops);
+        run_sequence::<WeightBalancedCap<2>>(init, ops);
     }
 
     #[test]
