@@ -15,12 +15,16 @@ pub fn par_union(
     combine: impl Fn(u64, u64) -> u64 + Sync,
 ) -> Vec<(u64, u64)> {
     // merge keeping both duplicates adjacent (stable: a's copy first) ...
-    let merged = parlay::par_fill(
-        a.len() + b.len(),
-        |out: &mut [MaybeUninit<(u64, u64)>]| {
-            parlay::par_merge_into(a, b, out, &|x: &(u64, u64), y: &(u64, u64)| x.0.cmp(&y.0));
-        },
-    );
+    // SAFETY: `par_merge_into` writes every slot of an `out` as long as
+    // its two inputs together
+    let merged = unsafe {
+        parlay::par_fill(
+            a.len() + b.len(),
+            |out: &mut [MaybeUninit<(u64, u64)>]| {
+                parlay::par_merge_into(a, b, out, &|x: &(u64, u64), y: &(u64, u64)| x.0.cmp(&y.0));
+            },
+        )
+    };
     // ... then collapse the duplicate pairs in parallel.
     parlay::combine_duplicates_by(merged, |x, y| x.0 == y.0, |x, y| (x.0, combine(x.1, y.1)))
 }

@@ -1,39 +1,17 @@
 //! Ablation benchmarks for design choices DESIGN.md calls out:
 //!
-//! * **granularity sweep** — the sequential-fallback threshold for
-//!   fork-join recursion (PAM's "granularity so parallelism is not used
-//!   on very small trees");
 //! * **aug_filter vs plain filter** — the O(k log(n/k+1)) vs O(n) claim;
 //! * **aug_project vs materializing ranges** — range-tree queries with
 //!   and without the projection fast path;
-//! * **our parallel merge sort vs rayon's pdqsort** — the `build` sort
-//!   substrate;
 //! * **refcount-1 reuse** — covered by building with
 //!   `--features pam/no-reuse` and re-running `ops` (documented in
 //!   EXPERIMENTS.md) since features are compile-time.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pam::{AugMap, MaxAug, SumAug};
+use pam::{AugMap, MaxAug};
 use std::hint::black_box;
 
 const N: usize = 100_000;
-
-fn bench_granularity(c: &mut Criterion) {
-    let pairs = workloads::uniform_pairs(N, 1, N as u64 * 4);
-    let a: AugMap<SumAug<u64, u64>> = AugMap::build(pairs.clone());
-    let b: AugMap<SumAug<u64, u64>> = AugMap::build(workloads::uniform_pairs(N, 2, N as u64 * 4));
-    for gran in [64usize, 1 << 11, 1 << 16] {
-        c.bench_function(&format!("union_granularity_{gran}"), |bch| {
-            parlay::set_granularity(gran);
-            bch.iter_batched(
-                || (a.clone(), b.clone()),
-                |(x, y)| black_box(x.union_with(y, |p, q| p.wrapping_add(*q))),
-                BatchSize::LargeInput,
-            );
-        });
-    }
-    parlay::set_granularity(1 << 11);
-}
 
 fn bench_augfilter_vs_filter(c: &mut Criterion) {
     let pairs = workloads::uniform_pairs(N, 3, N as u64 * 4);
@@ -83,35 +61,9 @@ fn bench_project_vs_materialize(c: &mut Criterion) {
     });
 }
 
-fn bench_sorts(c: &mut Criterion) {
-    let v: Vec<(u64, u64)> = workloads::uniform_pairs(500_000, 9, u64::MAX);
-    c.bench_function("parlay_merge_sort_500k", |bch| {
-        bch.iter_batched(
-            || v.clone(),
-            |mut x| {
-                parlay::par_merge_sort_by(&mut x, |a, b| a.0.cmp(&b.0));
-                black_box(x)
-            },
-            BatchSize::LargeInput,
-        );
-    });
-    c.bench_function("rayon_pdqsort_500k", |bch| {
-        bch.iter_batched(
-            || v.clone(),
-            |mut x| {
-                parlay::par_sort_unstable_by(&mut x, |a, b| a.0.cmp(&b.0));
-                black_box(x)
-            },
-            BatchSize::LargeInput,
-        );
-    });
-}
-
 fn bench_all(c: &mut Criterion) {
-    bench_granularity(c);
     bench_augfilter_vs_filter(c);
     bench_project_vs_materialize(c);
-    bench_sorts(c);
 }
 
 criterion_group! {

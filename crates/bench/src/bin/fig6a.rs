@@ -10,7 +10,16 @@
 
 use pam::{AugMap, SumAug};
 use pam_bench::*;
-use rayon::prelude::*;
+
+/// Run `insert` on every pair, `p` contiguous slices of `keys` in parallel.
+fn insert_chunked(keys: &[(u64, u64)], p: usize, insert: impl Fn(u64, u64) + Sync) {
+    let chunks: Vec<&[(u64, u64)]> = keys.chunks(keys.len().div_ceil(p).max(1)).collect();
+    parlay::for_each(chunks.len(), |c| {
+        for &(k, v) in chunks[c] {
+            insert(k, v);
+        }
+    });
+}
 
 fn main() {
     banner("Figure 6(a): insert throughput vs threads", "Figure 6(a)");
@@ -39,12 +48,9 @@ fn main() {
         let sl = baselines::SkipList::new();
         let (_, sl_t) = time(|| {
             with_threads(p, || {
-                keys.par_chunks(keys.len().div_ceil(p).max(1))
-                    .for_each(|c| {
-                        for &(k, v) in c {
-                            sl.insert(k, v);
-                        }
-                    });
+                insert_chunked(&keys, p, |k, v| {
+                    sl.insert(k, v);
+                });
             })
         });
         assert_eq!(sl.len(), n);
@@ -52,12 +58,9 @@ fn main() {
         let bp = baselines::BPlusTree::new();
         let (_, bp_t) = time(|| {
             with_threads(p, || {
-                keys.par_chunks(keys.len().div_ceil(p).max(1))
-                    .for_each(|c| {
-                        for &(k, v) in c {
-                            bp.insert(k, v);
-                        }
-                    });
+                insert_chunked(&keys, p, |k, v| {
+                    bp.insert(k, v);
+                });
             })
         });
         assert_eq!(bp.len(), n);
@@ -65,12 +68,9 @@ fn main() {
         let sh = baselines::ShardedMap::new(8, n / 128);
         let (_, sh_t) = time(|| {
             with_threads(p, || {
-                keys.par_chunks(keys.len().div_ceil(p).max(1))
-                    .for_each(|c| {
-                        for &(k, v) in c {
-                            sh.insert(k, v);
-                        }
-                    });
+                insert_chunked(&keys, p, |k, v| {
+                    sh.insert(k, v);
+                });
             })
         });
 

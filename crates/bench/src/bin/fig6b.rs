@@ -9,7 +9,6 @@
 
 use pam::{AugMap, SumAug};
 use pam_bench::*;
-use rayon::prelude::*;
 
 fn main() {
     banner(
@@ -26,7 +25,8 @@ fn main() {
     let sl = baselines::SkipList::new();
     let bp = baselines::BPlusTree::new();
     let sh = baselines::ShardedMap::new(8, n / 128);
-    population.par_iter().for_each(|&k| {
+    parlay::for_each(population.len(), |i| {
+        let k = population[i];
         sl.insert(k, k);
         bp.insert(k, k);
         sh.insert(k, k);
@@ -35,16 +35,16 @@ fn main() {
     let mut t = Table::new(&["threads", "PAM", "SkipList", "B+ tree", "ShardedHash"]);
     for p in thread_counts() {
         let pam_t = with_threads(p, || {
-            time(|| probes.par_iter().filter(|k| pam.get(k).is_some()).count()).1
+            time(|| par_sum(&probes, |k| u64::from(pam.get(k).is_some()))).1
         });
         let sl_t = with_threads(p, || {
-            time(|| probes.par_iter().filter(|&&k| sl.get(k).is_some()).count()).1
+            time(|| par_sum(&probes, |&k| u64::from(sl.get(k).is_some()))).1
         });
         let bp_t = with_threads(p, || {
-            time(|| probes.par_iter().filter(|&&k| bp.get(k).is_some()).count()).1
+            time(|| par_sum(&probes, |&k| u64::from(bp.get(k).is_some()))).1
         });
         let sh_t = with_threads(p, || {
-            time(|| probes.par_iter().filter(|&&k| sh.get(k).is_some()).count()).1
+            time(|| par_sum(&probes, |&k| u64::from(sh.get(k).is_some()))).1
         });
         t.row(vec![
             p.to_string(),

@@ -7,7 +7,6 @@
 
 use pam_bench::*;
 use pam_interval::IntervalMap;
-use rayon::prelude::*;
 
 fn main() {
     banner(
@@ -27,16 +26,12 @@ fn main() {
             .1
             .min(time(|| IntervalMap::from_intervals(ivals.clone())).1)
     });
-    let query_t1 = with_threads(1, || {
-        time(|| stabs.par_iter().filter(|&&x| im.stab(x)).count()).1
-    });
+    let query_t1 = with_threads(1, || time(|| par_sum(&stabs, |&x| u64::from(im.stab(x)))).1);
 
     let mut t = Table::new(&["threads", "Build spd", "Query spd"]);
     for p in thread_counts() {
         let bt = with_threads(p, || time(|| IntervalMap::from_intervals(ivals.clone())).1);
-        let qt = with_threads(p, || {
-            time(|| stabs.par_iter().filter(|&&x| im.stab(x)).count()).1
-        });
+        let qt = with_threads(p, || time(|| par_sum(&stabs, |&x| u64::from(im.stab(x)))).1);
         t.row(vec![
             p.to_string(),
             fmt_spd(build_t1, bt),

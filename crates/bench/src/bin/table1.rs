@@ -12,7 +12,6 @@ use pam_bench::*;
 use pam_index::{top_k, InvertedIndex};
 use pam_interval::IntervalMap;
 use pam_rangetree::RangeTree;
-use rayon::prelude::*;
 
 fn main() {
     banner(
@@ -48,13 +47,8 @@ fn main() {
                 (lo, lo + 1000)
             })
             .collect();
-        let run_q = |m: &AugMap<SumAug<u64, u64>>| {
-            windows
-                .par_iter()
-                .map(|&(lo, hi)| m.aug_range(&lo, &hi))
-                .fold(|| 0u64, |s, x| s.wrapping_add(x))
-                .reduce(|| 0u64, u64::wrapping_add)
-        };
+        let run_q =
+            |m: &AugMap<SumAug<u64, u64>>| par_sum(&windows, |&(lo, hi)| m.aug_range(&lo, &hi));
         let _warm = with_threads(p, || time(|| run_q(&m)).1);
         let q1 = with_threads(1, || time(|| run_q(&m)).1.min(time(|| run_q(&m)).1));
         let qp = with_threads(p, || time(|| run_q(&m)).1.min(time(|| run_q(&m)).1));
@@ -83,7 +77,7 @@ fn main() {
         let cp = with_threads(p, || time_best_of(2, || (), build));
         let m = IntervalMap::from_intervals(ivals.clone());
         let stabs = workloads::intervals::stab_points(q, 3, universe);
-        let run_q = |m: &IntervalMap| stabs.par_iter().filter(|&&x| m.stab(x)).count();
+        let run_q = |m: &IntervalMap| par_sum(&stabs, |&x| u64::from(m.stab(x)));
         let _warm = with_threads(p, || time(|| run_q(&m)).1);
         let q1 = with_threads(1, || time(|| run_q(&m)).1.min(time(|| run_q(&m)).1));
         let qp = with_threads(p, || time(|| run_q(&m)).1.min(time(|| run_q(&m)).1));
@@ -112,13 +106,8 @@ fn main() {
         let cp = with_threads(p, || time_best_of(2, || (), build));
         let rt = RangeTree::build(pts.clone());
         let windows = workloads::points::query_windows(q, 5, universe, 0.1);
-        let run_q = |rt: &RangeTree| {
-            windows
-                .par_iter()
-                .map(|&(xl, xr, yl, yr)| rt.query_sum(xl, xr, yl, yr))
-                .fold(|| 0u64, |s, x| s.wrapping_add(x))
-                .reduce(|| 0u64, u64::wrapping_add)
-        };
+        let run_q =
+            |rt: &RangeTree| par_sum(&windows, |&(xl, xr, yl, yr)| rt.query_sum(xl, xr, yl, yr));
         let _warm = with_threads(p, || time(|| run_q(&rt)).1);
         let q1 = with_threads(1, || time(|| run_q(&rt)).1.min(time(|| run_q(&rt)).1));
         let qp = with_threads(p, || time(|| run_q(&rt)).1.min(time(|| run_q(&rt)).1));
@@ -154,10 +143,9 @@ fn main() {
         let idx = InvertedIndex::build(corpus.triples.clone());
         let queries = corpus.query_pairs(q, 7);
         let run_q = |idx: &InvertedIndex| {
-            queries
-                .par_iter()
-                .map(|&(a, b)| top_k(&idx.and_query(a, b), 10).len())
-                .sum::<usize>()
+            par_sum(&queries, |&(a, b)| {
+                top_k(&idx.and_query(a, b), 10).len() as u64
+            })
         };
         let _warm = with_threads(p, || time(|| run_q(&idx)).1);
         let q1 = with_threads(1, || time(|| run_q(&idx)).1.min(time(|| run_q(&idx)).1));

@@ -12,7 +12,6 @@
 
 use pam::{AugMap, MaxAug, NoAug, SumAug};
 use pam_bench::*;
-use rayon::prelude::*;
 
 type Sum = AugMap<SumAug<u64, u64>>;
 type Max = AugMap<MaxAug<u64, u64>>;
@@ -96,7 +95,7 @@ fn main() {
         .map(|i| workloads::hash64(i ^ 77) % key_range)
         .collect();
     both(&mut t, p, "Find", n, n, || {
-        time(|| probes.par_iter().filter(|k| a.get(k).is_some()).count()).1
+        time(|| par_sum(&probes, |k| u64::from(a.get(k).is_some()))).1
     });
 
     let (_, insert_t1) = with_threads(1, || {
@@ -141,33 +140,13 @@ fn main() {
         })
         .collect();
     both(&mut t, p, "Range", n, n, || {
-        time(|| {
-            windows
-                .par_iter()
-                .map(|&(lo, hi)| a.range(&lo, &hi).len())
-                .sum::<usize>()
-        })
-        .1
+        time(|| par_sum(&windows, |&(lo, hi)| a.range(&lo, &hi).len() as u64)).1
     });
     both(&mut t, p, "AugLeft", n, n, || {
-        time(|| {
-            probes
-                .par_iter()
-                .map(|k| a.aug_left(k))
-                .fold(|| 0u64, |s, x| s.wrapping_add(x))
-                .reduce(|| 0u64, u64::wrapping_add)
-        })
-        .1
+        time(|| par_sum(&probes, |k| a.aug_left(k))).1
     });
     both(&mut t, p, "AugRange", n, n, || {
-        time(|| {
-            windows
-                .par_iter()
-                .map(|&(lo, hi)| a.aug_range(&lo, &hi))
-                .fold(|| 0u64, |s, x| s.wrapping_add(x))
-                .reduce(|| 0u64, u64::wrapping_add)
-        })
-        .1
+        time(|| par_sum(&windows, |&(lo, hi)| a.aug_range(&lo, &hi))).1
     });
 
     // AugFilter on a max-augmented map; output sizes ~ n/100 and ~ n/1000
@@ -201,13 +180,7 @@ fn main() {
         time(|| Plain::build(pairs_a.clone())).1
     });
     both(&mut t, p, "Range (noaug)", n, n, || {
-        time(|| {
-            windows
-                .par_iter()
-                .map(|&(lo, hi)| pa.range(&lo, &hi).len())
-                .sum::<usize>()
-        })
-        .1
+        time(|| par_sum(&windows, |&(lo, hi)| pa.range(&lo, &hi).len() as u64)).1
     });
 
     // non-augmented "AugRange": materialize + scan (linear in range size)
@@ -221,13 +194,10 @@ fn main() {
         .collect();
     both(&mut t, p, "AugRange (noaug)", n, m_q, || {
         time(|| {
-            wide.par_iter()
-                .map(|&(lo, hi)| {
-                    pa.range(&lo, &hi)
-                        .map_reduce(|_, &v| v, u64::wrapping_add, 0)
-                })
-                .fold(|| 0u64, |s, x| s.wrapping_add(x))
-                .reduce(|| 0u64, u64::wrapping_add)
+            par_sum(&wide, |&(lo, hi)| {
+                pa.range(&lo, &hi)
+                    .map_reduce(|_, &v| v, u64::wrapping_add, 0)
+            })
         })
         .1
     });

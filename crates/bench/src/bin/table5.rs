@@ -9,7 +9,6 @@
 use pam_bench::*;
 use pam_interval::IntervalMap;
 use pam_rangetree::RangeTree;
-use rayon::prelude::*;
 
 fn main() {
     banner(
@@ -38,7 +37,7 @@ fn main() {
         fmt_spd(b1, bp),
     ]);
     let im = IntervalMap::from_intervals(ivals.clone());
-    let run_q = |im: &IntervalMap| stabs.par_iter().filter(|&&x| im.stab(x)).count();
+    let run_q = |im: &IntervalMap| par_sum(&stabs, |&x| u64::from(im.stab(x)));
     let q1 = with_threads(1, || time(|| run_q(&im)).1);
     let qp = with_threads(p, || time(|| run_q(&im)).1);
     t.row(vec![
@@ -98,13 +97,8 @@ fn main() {
     ]);
     let rt = RangeTree::build(pts.clone());
     let wins_sum = workloads::points::query_windows(m_sum, 4, universe, 0.05);
-    let run_sum = |rt: &RangeTree| {
-        wins_sum
-            .par_iter()
-            .map(|&(xl, xr, yl, yr)| rt.query_sum(xl, xr, yl, yr))
-            .fold(|| 0u64, |s, x| s.wrapping_add(x))
-            .reduce(|| 0u64, u64::wrapping_add)
-    };
+    let run_sum =
+        |rt: &RangeTree| par_sum(&wins_sum, |&(xl, xr, yl, yr)| rt.query_sum(xl, xr, yl, yr));
     let q1 = with_threads(1, || time(|| run_sum(&rt)).1);
     let qp = with_threads(p, || time(|| run_sum(&rt)).1);
     t.row(vec![
@@ -119,10 +113,9 @@ fn main() {
     // Q-All with ~10% windows (output ~ n/100 per query)
     let wins_all = workloads::points::query_windows(m_all, 5, universe, 0.1);
     let run_all = |rt: &RangeTree| {
-        wins_all
-            .par_iter()
-            .map(|&(xl, xr, yl, yr)| rt.query_points(xl, xr, yl, yr).len())
-            .sum::<usize>()
+        par_sum(&wins_all, |&(xl, xr, yl, yr)| {
+            rt.query_points(xl, xr, yl, yr).len() as u64
+        })
     };
     let qa1 = with_threads(1, || time(|| run_all(&rt)).1);
     let qap = with_threads(p, || time(|| run_all(&rt)).1);

@@ -10,7 +10,6 @@
 
 use pam_bench::*;
 use pam_index::{top_k, InvertedIndex};
-use rayon::prelude::*;
 
 fn main() {
     banner(
@@ -46,15 +45,13 @@ fn main() {
     let queries = corpus.query_pairs(nq, 9);
     // total posting-list entries touched across all queries ("docs across
     // the queries" in the paper's Table 6 terms)
-    let touched: usize = queries
-        .par_iter()
-        .map(|&(a, b)| idx.posting(a).len() + idx.posting(b).len())
-        .sum();
+    let touched = par_sum(&queries, |&(a, b)| {
+        (idx.posting(a).len() + idx.posting(b).len()) as u64
+    }) as usize;
     let run_q = |idx: &InvertedIndex| {
-        queries
-            .par_iter()
-            .map(|&(a, b)| top_k(&idx.and_query(a, b), 10).len())
-            .sum::<usize>()
+        par_sum(&queries, |&(a, b)| {
+            top_k(&idx.and_query(a, b), 10).len() as u64
+        })
     };
     let q1 = with_threads(1, || time(|| run_q(&idx)).1);
     let qp = with_threads(p, || time(|| run_q(&idx)).1);

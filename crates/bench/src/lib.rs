@@ -55,6 +55,12 @@ pub fn with_threads<R: Send>(p: usize, f: impl FnOnce() -> R + Send) -> R {
     parlay::with_threads(p, f)
 }
 
+/// Wrapping sum of `f` over `items`, evaluated in parallel: the query
+/// loop of every table (a count is the sum of `u64::from(hit)`).
+pub fn par_sum<T: Sync>(items: &[T], f: impl Fn(&T) -> u64 + Sync) -> u64 {
+    parlay::reduce(items.len(), |i| f(&items[i]), u64::wrapping_add, 0)
+}
+
 /// All hardware threads.
 pub fn max_threads() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get())

@@ -80,16 +80,12 @@ impl InvertedIndex {
             .collect();
         let mut starts = parlay::pack_index(&flags);
         starts.push(items.len());
-        use rayon::prelude::*;
-        let term_lists: Vec<(Term, PostingList)> = starts
-            .par_windows(2)
-            .map(|w| {
-                let group = &items[w[0]..w[1]];
-                let term = group[0].0 .0;
-                let docs: Vec<(Doc, Weight)> = group.iter().map(|&((_, d), w)| (d, w)).collect();
-                (term, PostingList::from_sorted_distinct(&docs))
-            })
-            .collect();
+        let term_lists: Vec<(Term, PostingList)> = parlay::tabulate(starts.len() - 1, |g| {
+            let group = &items[starts[g]..starts[g + 1]];
+            let term = group[0].0 .0;
+            let docs: Vec<(Doc, Weight)> = group.iter().map(|&((_, d), w)| (d, w)).collect();
+            (term, PostingList::from_sorted_distinct(&docs))
+        });
         InvertedIndex {
             terms: TermMap::from_sorted_distinct(&term_lists),
         }

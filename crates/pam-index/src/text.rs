@@ -9,7 +9,6 @@
 
 use crate::{Doc, InvertedIndex, Term, Weight};
 use pam::OrdMap;
-use rayon::prelude::*;
 
 /// A searchable text index: term dictionary + weighted inverted index.
 pub struct TextIndex {
@@ -32,10 +31,10 @@ impl TextIndex {
     /// document (raw term frequency).
     pub fn build(documents: &[&str]) -> Self {
         // tokenize in parallel
-        let token_lists: Vec<Vec<String>> = documents.par_iter().map(|d| tokenize(d)).collect();
+        let token_lists = parlay::tabulate(documents.len(), |d| tokenize(documents[d]));
         // term dictionary: sorted unique words -> dense ids
         let mut vocab: Vec<String> = token_lists.iter().flatten().cloned().collect();
-        vocab.par_sort_unstable();
+        parlay::par_sort_by(&mut vocab, |a, b| a.cmp(b));
         vocab.dedup();
         let dict: OrdMap<String, Term> = OrdMap::from_sorted_distinct(
             &vocab
@@ -46,18 +45,20 @@ impl TextIndex {
         );
         // (term, doc, count) triples; InvertedIndex::build keeps the max
         // weight per (term, doc), so pre-aggregate counts here.
-        let triples: Vec<(Term, Doc, Weight)> = token_lists
-            .par_iter()
+        let per_doc = parlay::tabulate(token_lists.len(), |d| {
+            let words = &token_lists[d];
+            let mut counts: std::collections::HashMap<Term, Weight> =
+                std::collections::HashMap::with_capacity(words.len());
+            for w in words {
+                let t = *dict.get(w).expect("word is in the dictionary");
+                *counts.entry(t).or_insert(0) += 1;
+            }
+            counts
+        });
+        let triples: Vec<(Term, Doc, Weight)> = per_doc
+            .into_iter()
             .enumerate()
-            .flat_map_iter(|(d, words)| {
-                let mut counts: std::collections::HashMap<Term, Weight> =
-                    std::collections::HashMap::with_capacity(words.len());
-                for w in words {
-                    let t = *dict.get(w).expect("word is in the dictionary");
-                    *counts.entry(t).or_insert(0) += 1;
-                }
-                counts.into_iter().map(move |(t, c)| (t, d as Doc, c))
-            })
+            .flat_map(|(d, counts)| counts.into_iter().map(move |(t, c)| (t, d as Doc, c)))
             .collect();
         TextIndex {
             dict,

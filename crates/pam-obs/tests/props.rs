@@ -102,16 +102,16 @@ proptest! {
 
 #[test]
 fn concurrent_recorders_lose_nothing() {
-    // Hammer one histogram from a rayon fork scope: every recorded
+    // Hammer one histogram from eight threads: every recorded
     // value must land (count and sum exact), matching a sequential
     // reference run.
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 10_000;
     let shared = Histogram::new();
-    rayon::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let shared = &shared;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_THREAD {
                     shared.record((t as u64 + 1) * 37 + i * i % 100_003);
                 }

@@ -518,7 +518,6 @@ where
         // sequential because later epochs overwrite earlier ones. Decode
         // in bounded windows so peak memory is the raw records plus one
         // window of decoded bodies, not a second full copy of the log.
-        use rayon::prelude::*;
         const DECODE_WINDOW: usize = 64;
         let phase_start = Instant::now();
         let mut discarded = 0u64;
@@ -536,10 +535,9 @@ where
             })
             .collect();
         for window in to_replay.chunks(DECODE_WINDOW) {
-            let bodies: Vec<Result<_, _>> = window
-                .par_iter()
-                .map(|rec| record::decode_epoch_body::<S::K, S::V>(&rec.body))
-                .collect();
+            let bodies = parlay::tabulate(window.len(), |i| {
+                record::decode_epoch_body::<S::K, S::V>(&window[i].body)
+            });
             for (rec, body) in window.iter().zip(bodies) {
                 let body = body?;
                 if !body.puts.is_empty() {
@@ -863,8 +861,6 @@ where
         config: &ShardedConfig,
         durability: &DurabilityConfig,
     ) -> io::Result<Self> {
-        use rayon::prelude::*;
-
         let dir = dir.to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let lock = DirLock::acquire(&dir)?;
@@ -918,12 +914,11 @@ where
         // the scan results through would halve open-time I/O; see
         // ROADMAP.)
         let phase_start = Instant::now();
-        let scans = (0..want as usize)
-            .into_par_iter()
-            .map(|i| pam_wal::wal::scan_global_stamps(manifest::shard_dir(&dir, i)))
-            .collect::<Vec<io::Result<Vec<GlobalStamp>>>>()
-            .into_iter()
-            .collect::<io::Result<Vec<_>>>()?;
+        let scans = parlay::tabulate(want as usize, |i| {
+            pam_wal::wal::scan_global_stamps(manifest::shard_dir(&dir, i))
+        })
+        .into_iter()
+        .collect::<io::Result<Vec<Vec<GlobalStamp>>>>()?;
         let prescan_took = phase_start.elapsed();
         let phase_start = Instant::now();
         let mut seen: BTreeMap<u64, (u32, u32)> = BTreeMap::new(); // g → (participants, present)
@@ -974,22 +969,19 @@ where
         // the discarded batches. The parallel driver keeps the results
         // in shard order; the first error wins (already-opened shards
         // shut down cleanly when dropped).
-        let (shards, mut recovery): (Vec<_>, Vec<_>) = (0..want as usize)
-            .into_par_iter()
-            .map(|i| {
-                DurableShard::open(
-                    manifest::shard_dir(&dir, i),
-                    config.store.clone(),
-                    durability.clone(),
-                    tracker.clone(),
-                    &discard,
-                )
-            })
-            .collect::<Vec<io::Result<(DurableShard<S>, RecoveryInfo)>>>()
-            .into_iter()
-            .collect::<io::Result<Vec<_>>>()?
-            .into_iter()
-            .unzip();
+        let (shards, mut recovery): (Vec<_>, Vec<_>) = parlay::tabulate(want as usize, |i| {
+            DurableShard::<S>::open(
+                manifest::shard_dir(&dir, i),
+                config.store.clone(),
+                durability.clone(),
+                tracker.clone(),
+                &discard,
+            )
+        })
+        .into_iter()
+        .collect::<io::Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
         // The pre-scan and vote are store-wide phases; stamp the same
         // wall times into every shard's entry (documented on
         // `RecoveryTimings`).

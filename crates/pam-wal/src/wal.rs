@@ -351,8 +351,6 @@ impl Wal {
     /// means the disk lied); other kinds pass through from the
     /// filesystem.
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> io::Result<(Wal, Vec<EpochRecord>)> {
-        use rayon::prelude::*;
-
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
 
@@ -360,10 +358,7 @@ impl Wal {
 
         // Every segment but the last is sealed: decode them concurrently.
         let sealed_count = paths.len().saturating_sub(1);
-        let scans: Vec<io::Result<SegmentScan>> = paths[..sealed_count]
-            .par_iter()
-            .map(|(_, path)| scan_segment(path, false))
-            .collect();
+        let scans = parlay::tabulate(sealed_count, |i| scan_segment(&paths[i].1, false));
         let mut records = Vec::new();
         let mut sealed = Vec::new();
         for (scan, (first_epoch, path)) in scans.into_iter().zip(&paths[..sealed_count]) {

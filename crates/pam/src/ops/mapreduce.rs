@@ -179,82 +179,56 @@ where
 
 /// Flatten to a sorted `Vec<(K, V)>` in parallel.
 pub fn to_vec<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Vec<(S::K, S::V)> {
-    par_fill(size(t), |out| fill_entries(t, out))
-}
-
-fn fill_entries<S: AugSpec, B: Balance>(t: &Tree<S, B>, out: &mut [MaybeUninit<(S::K, S::V)>]) {
-    if let Some(n) = t.as_deref() {
-        match n {
-            Node::Leaf(l) => {
-                for (slot, e) in out.iter_mut().zip(l.entries()) {
-                    *slot = MaybeUninit::new((e.key.clone(), e.val.clone()));
-                }
-            }
-            Node::Internal(x) => {
-                let ls = size(&x.left);
-                let (lo, rest) = out.split_at_mut(ls);
-                let (mid, ro) = rest.split_at_mut(1);
-                mid[0] = MaybeUninit::new((x.key.clone(), x.val.clone()));
-                par2_if(
-                    x.size > granularity(),
-                    || fill_entries(&x.left, lo),
-                    || fill_entries(&x.right, ro),
-                );
-            }
-        }
-    }
+    flatten(t, &|k, v| (k.clone(), v.clone()))
 }
 
 /// The keys, in order, in parallel.
 pub fn keys<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Vec<S::K> {
-    par_fill(size(t), |out| fill_keys(t, out))
-}
-
-fn fill_keys<S: AugSpec, B: Balance>(t: &Tree<S, B>, out: &mut [MaybeUninit<S::K>]) {
-    if let Some(n) = t.as_deref() {
-        match n {
-            Node::Leaf(l) => {
-                for (slot, e) in out.iter_mut().zip(l.entries()) {
-                    *slot = MaybeUninit::new(e.key.clone());
-                }
-            }
-            Node::Internal(x) => {
-                let ls = size(&x.left);
-                let (lo, rest) = out.split_at_mut(ls);
-                let (mid, ro) = rest.split_at_mut(1);
-                mid[0] = MaybeUninit::new(x.key.clone());
-                par2_if(
-                    x.size > granularity(),
-                    || fill_keys(&x.left, lo),
-                    || fill_keys(&x.right, ro),
-                );
-            }
-        }
-    }
+    flatten(t, &|k, _| k.clone())
 }
 
 /// The values, in key order, in parallel.
 pub fn values<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Vec<S::V> {
-    par_fill(size(t), |out| fill_vals(t, out))
+    flatten(t, &|_, v| v.clone())
 }
 
-fn fill_vals<S: AugSpec, B: Balance>(t: &Tree<S, B>, out: &mut [MaybeUninit<S::V>]) {
+fn flatten<S, B, T, P>(t: &Tree<S, B>, project: &P) -> Vec<T>
+where
+    S: AugSpec,
+    B: Balance,
+    T: Send,
+    P: Fn(&S::K, &S::V) -> T + Sync,
+{
+    // SAFETY: `out` has `size(t)` slots and `fill_with` writes one per
+    // entry of `t`, each at the entry's rank
+    unsafe { par_fill(size(t), |out| fill_with(t, out, project)) }
+}
+
+/// Write `project` of every entry of `t` into `out` (one slot per entry,
+/// in key order), forking over large subtrees.
+fn fill_with<S, B, T, P>(t: &Tree<S, B>, out: &mut [MaybeUninit<T>], project: &P)
+where
+    S: AugSpec,
+    B: Balance,
+    T: Send,
+    P: Fn(&S::K, &S::V) -> T + Sync,
+{
     if let Some(n) = t.as_deref() {
         match n {
             Node::Leaf(l) => {
                 for (slot, e) in out.iter_mut().zip(l.entries()) {
-                    *slot = MaybeUninit::new(e.val.clone());
+                    *slot = MaybeUninit::new(project(&e.key, &e.val));
                 }
             }
             Node::Internal(x) => {
                 let ls = size(&x.left);
                 let (lo, rest) = out.split_at_mut(ls);
                 let (mid, ro) = rest.split_at_mut(1);
-                mid[0] = MaybeUninit::new(x.val.clone());
+                mid[0] = MaybeUninit::new(project(&x.key, &x.val));
                 par2_if(
                     x.size > granularity(),
-                    || fill_vals(&x.left, lo),
-                    || fill_vals(&x.right, ro),
+                    || fill_with(&x.left, lo, project),
+                    || fill_with(&x.right, ro, project),
                 );
             }
         }

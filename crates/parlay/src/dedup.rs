@@ -6,9 +6,8 @@
 //! that group-combine step in parallel: mark group boundaries, pack the
 //! boundary indices, and reduce each group independently.
 
-use crate::par::granularity;
+use crate::par::{granularity, tabulate};
 use crate::scan::pack_index;
-use rayon::prelude::*;
 
 /// Collapse runs of "same" elements in (sorted) `v`, combining each run
 /// left-to-right with `combine` (so `combine(combine(x0, x1), x2)` for a
@@ -35,42 +34,35 @@ where
         return out;
     }
     // flags[i] = "i starts a new group"
-    let flags: Vec<bool> = (0..n)
-        .into_par_iter()
-        .map(|i| i == 0 || !same(&v[i - 1], &v[i]))
-        .collect();
+    let flags = tabulate(n, |i| i == 0 || !same(&v[i - 1], &v[i]));
     let mut starts = pack_index(&flags);
     starts.push(n);
-    starts
-        .par_windows(2)
-        .map(|w| {
-            let group = &v[w[0]..w[1]];
-            let mut acc = group[0].clone();
-            for x in &group[1..] {
-                acc = combine(&acc, x);
-            }
-            acc
-        })
-        .collect()
-}
-
-/// Specialization for key-value pairs: combine the *values* of equal keys.
-pub fn combine_duplicates<K, V, C>(v: Vec<(K, V)>, combine: C) -> Vec<(K, V)>
-where
-    K: PartialEq + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-    C: Fn(&V, &V) -> V + Sync,
-{
-    combine_duplicates_by(
-        v,
-        |a, b| a.0 == b.0,
-        |a, b| (a.0.clone(), combine(&a.1, &b.1)),
-    )
+    tabulate(starts.len() - 1, |g| {
+        let group = &v[starts[g]..starts[g + 1]];
+        let mut acc = group[0].clone();
+        for x in &group[1..] {
+            acc = combine(&acc, x);
+        }
+        acc
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Combine the *values* of equal keys.
+    fn combine_duplicates<K, V>(v: Vec<(K, V)>, combine: impl Fn(&V, &V) -> V + Sync) -> Vec<(K, V)>
+    where
+        K: PartialEq + Clone + Send + Sync,
+        V: Clone + Send + Sync,
+    {
+        combine_duplicates_by(
+            v,
+            |a, b| a.0 == b.0,
+            |a, b| (a.0.clone(), combine(&a.1, &b.1)),
+        )
+    }
 
     #[test]
     fn no_duplicates_is_identity() {

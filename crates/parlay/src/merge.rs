@@ -8,25 +8,6 @@ use crate::par::{granularity, par2_if};
 use std::cmp::Ordering;
 use std::mem::MaybeUninit;
 
-/// Sequentially merge two sorted slices into a `Vec` (stable: ties taken
-/// from `a` first).
-pub fn merge_by<T: Clone, F: Fn(&T, &T) -> Ordering>(a: &[T], b: &[T], cmp: F) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if cmp(&b[j], &a[i]) == Ordering::Less {
-            out.push(b[j].clone());
-            j += 1;
-        } else {
-            out.push(a[i].clone());
-            i += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 /// Index of the first element of `s` that is `>= key` (lower bound).
 fn lower_bound<T, F: Fn(&T, &T) -> Ordering>(s: &[T], key: &T, cmp: &F) -> usize {
     let mut lo = 0;
@@ -119,14 +100,20 @@ mod tests {
     use super::*;
     use crate::uninit::par_fill;
 
+    fn par_merge<T, F>(a: &[T], b: &[T], cmp: F) -> Vec<T>
+    where
+        T: Clone + Send + Sync,
+        F: Fn(&T, &T) -> Ordering + Sync,
+    {
+        // SAFETY: `par_merge_into` writes every slot of an `out` as long
+        // as its two inputs together
+        unsafe { par_fill(a.len() + b.len(), |out| par_merge_into(a, b, out, &cmp)) }
+    }
+
     fn check_merge(a: Vec<u64>, b: Vec<u64>) {
         let mut expect = [a.clone(), b.clone()].concat();
         expect.sort();
-        let got = merge_by(&a, &b, |x, y| x.cmp(y));
-        assert_eq!(got, expect);
-        let n = a.len() + b.len();
-        let got2: Vec<u64> = par_fill(n, |out| par_merge_into(&a, &b, out, &|x, y| x.cmp(y)));
-        assert_eq!(got2, expect);
+        assert_eq!(par_merge(&a, &b, |x, y| x.cmp(y)), expect);
     }
 
     #[test]
@@ -148,10 +135,13 @@ mod tests {
     #[test]
     fn merge_is_stable() {
         // pairs (key, origin); all keys equal -- `a` elements must come first.
-        let a: Vec<(u64, u8)> = (0..10).map(|_| (7, 0)).collect();
-        let b: Vec<(u64, u8)> = (0..10).map(|_| (7, 1)).collect();
-        let got = merge_by(&a, &b, |x, y| x.0.cmp(&y.0));
-        assert!(got[..10].iter().all(|e| e.1 == 0));
-        assert!(got[10..].iter().all(|e| e.1 == 1));
+        // (long enough to take the forking path, too)
+        for n in [10, 3 * granularity()] {
+            let a: Vec<(u64, u8)> = (0..n).map(|_| (7, 0)).collect();
+            let b: Vec<(u64, u8)> = (0..n).map(|_| (7, 1)).collect();
+            let got = par_merge(&a, &b, |x, y| x.0.cmp(&y.0));
+            assert!(got[..n].iter().all(|e| e.1 == 0));
+            assert!(got[n..].iter().all(|e| e.1 == 1));
+        }
     }
 }

@@ -1,8 +1,7 @@
-//! Parallel prefix sums and packing (the PBBS `scan` / `pack` utilities).
+//! Packing the indices of set flags (the PBBS `pack_index` utility).
 
-use crate::par::granularity;
+use crate::par::{granularity, tabulate};
 use crate::uninit::par_fill;
-use rayon::prelude::*;
 use std::mem::MaybeUninit;
 
 fn chunk_len(n: usize) -> usize {
@@ -10,132 +9,63 @@ fn chunk_len(n: usize) -> usize {
     target.max(granularity()).max(1)
 }
 
-/// Parallel sum of a `u64` slice.
-pub fn sum_u64(v: &[u64]) -> u64 {
-    if v.len() <= granularity() {
-        return v.iter().sum();
-    }
-    v.par_chunks(chunk_len(v.len()))
-        .map(|c| c.iter().sum::<u64>())
-        .sum()
-}
-
-/// Inclusive prefix sums of `v` (`out[i] = v[0] + ... + v[i]`), computed with
-/// the classic two-pass blocked algorithm. Work O(n), span O(n / P + P).
-pub fn scan_inclusive(v: &[u64]) -> Vec<u64> {
-    let n = v.len();
-    if n <= granularity() {
-        let mut out = Vec::with_capacity(n);
-        let mut acc = 0u64;
-        for &x in v {
-            acc += x;
-            out.push(acc);
-        }
-        return out;
-    }
-    let cl = chunk_len(n);
-    // Pass 1: per-chunk totals.
-    let totals: Vec<u64> = v.par_chunks(cl).map(|c| c.iter().sum()).collect();
-    // Exclusive scan over the (few) chunk totals.
-    let mut offsets = Vec::with_capacity(totals.len());
-    let mut acc = 0u64;
-    for t in &totals {
-        offsets.push(acc);
-        acc += t;
-    }
-    // Pass 2: per-chunk inclusive scans seeded with the chunk offset.
-    par_fill(n, |out| {
-        out.par_chunks_mut(cl)
-            .zip(v.par_chunks(cl))
-            .zip(offsets.par_iter())
-            .for_each(|((oc, vc), &off)| {
-                let mut acc = off;
-                for (slot, &x) in oc.iter_mut().zip(vc) {
-                    acc += x;
-                    *slot = MaybeUninit::new(acc);
-                }
-            });
-    })
-}
-
-/// Indices `i` with `flags[i] == true`, in order (PBBS `pack_index`).
+/// Indices `i` with `flags[i] == true`, in order (PBBS `pack_index`):
+/// count per chunk, then every chunk writes its indices at its offset.
 pub fn pack_index(flags: &[bool]) -> Vec<usize> {
     let n = flags.len();
     if n <= granularity() {
-        return flags
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &f)| f.then_some(i))
-            .collect();
+        return set_indices(0, flags).collect();
     }
     let cl = chunk_len(n);
-    let counts: Vec<usize> = flags
-        .par_chunks(cl)
-        .map(|c| c.iter().filter(|&&f| f).count())
-        .collect();
-    let mut offsets = Vec::with_capacity(counts.len());
-    let mut acc = 0usize;
-    for c in &counts {
-        offsets.push(acc);
-        acc += c;
+    let counts = tabulate(n.div_ceil(cl), |c| {
+        let chunk = &flags[c * cl..n.min((c + 1) * cl)];
+        chunk.iter().filter(|&&f| f).count()
+    });
+    // SAFETY: `counts[c]` is the number of set flags of chunk `c`, so
+    // `pack_chunks` is handed as many slots as its chunks have indices to
+    // write, and writes them all
+    unsafe {
+        par_fill(counts.iter().sum(), |out| {
+            pack_chunks(0, flags, cl, &counts, out)
+        })
     }
-    let total = acc;
-    par_fill(total, |out| {
-        rayon::scope(|s| {
-            let mut rest = out;
-            for (ci, chunk) in flags.chunks(cl).enumerate() {
-                let (cur, r) = rest.split_at_mut(counts[ci]);
-                rest = r;
-                let base = ci * cl;
-                s.spawn(move |_| {
-                    let mut k = 0;
-                    for (i, &f) in chunk.iter().enumerate() {
-                        if f {
-                            cur[k] = MaybeUninit::new(base + i);
-                            k += 1;
-                        }
-                    }
-                });
-            }
-        });
-    })
 }
 
-/// Keep the elements of `v` whose flag is set, preserving order
-/// (PBBS `pack`).
-pub fn pack<T: Clone + Send + Sync>(v: &[T], flags: &[bool]) -> Vec<T> {
-    assert_eq!(v.len(), flags.len());
-    // the parallel driver chunks (and degrades to a sequential loop on
-    // small inputs / one thread) on its own — no explicit fallback needed
-    let idx = pack_index(flags);
-    idx.par_iter().map(|&i| v[i].clone()).collect()
+fn set_indices(base: usize, flags: &[bool]) -> impl Iterator<Item = usize> + '_ {
+    let indexed = flags.iter().enumerate();
+    indexed.filter_map(move |(i, &f)| f.then_some(base + i))
+}
+
+/// Fill `out` with the set indices of `flags`, which starts at index
+/// `base` and is cut into `counts.len()` chunks of `cl` flags holding
+/// `counts[c]` set ones each (`out.len()` is their sum): a `join`
+/// recursion over the chunk list, one chunk to a leaf.
+fn pack_chunks(
+    base: usize,
+    flags: &[bool],
+    cl: usize,
+    counts: &[usize],
+    out: &mut [MaybeUninit<usize>],
+) {
+    if counts.len() <= 1 {
+        for (slot, i) in out.iter_mut().zip(set_indices(base, flags)) {
+            slot.write(i);
+        }
+        return;
+    }
+    let half = counts.len() / 2;
+    let (flags_l, flags_r) = flags.split_at(half * cl);
+    let (counts_l, counts_r) = counts.split_at(half);
+    let (out_l, out_r) = out.split_at_mut(counts_l.iter().sum());
+    rayon::join(
+        || pack_chunks(base, flags_l, cl, counts_l, out_l),
+        || pack_chunks(base + half * cl, flags_r, cl, counts_r, out_r),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scan_matches_sequential() {
-        let v: Vec<u64> = (0..100_000).map(|i| (i % 13) as u64).collect();
-        let got = scan_inclusive(&v);
-        let mut acc = 0;
-        for (i, &x) in v.iter().enumerate() {
-            acc += x;
-            assert_eq!(got[i], acc);
-        }
-    }
-
-    #[test]
-    fn scan_empty() {
-        assert!(scan_inclusive(&[]).is_empty());
-    }
-
-    #[test]
-    fn sum_matches() {
-        let v: Vec<u64> = (0..50_000).collect();
-        assert_eq!(sum_u64(&v), v.iter().sum::<u64>());
-    }
 
     #[test]
     fn pack_index_small_and_large() {
@@ -145,15 +75,6 @@ mod tests {
         let big: Vec<bool> = (0..100_000).map(|i| i % 3 == 0).collect();
         let got = pack_index(&big);
         let expect: Vec<usize> = (0..100_000).filter(|i| i % 3 == 0).collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn pack_keeps_order() {
-        let v: Vec<u32> = (0..10_000).collect();
-        let flags: Vec<bool> = v.iter().map(|x| x % 2 == 1).collect();
-        let got = pack(&v, &flags);
-        let expect: Vec<u32> = v.iter().copied().filter(|x| x % 2 == 1).collect();
         assert_eq!(got, expect);
     }
 }

@@ -2,15 +2,12 @@
 //!
 //! PAM's `build` starts by sorting the input sequence; the paper assumes a
 //! work-efficient parallel sort with O(log n) span (PBBS sample sort). We
-//! provide a from-scratch parallel merge sort ([`par_merge_sort_by`]) built
-//! on [`crate::par_merge_into`], plus thin wrappers choosing between it and
-//! rayon's pdqsort so benchmarks can compare the two (see the `sort`
-//! ablation bench).
+//! provide one: a from-scratch stable parallel merge sort
+//! ([`par_sort_by`]) built on [`crate::par_merge_into`].
 
 use crate::merge::par_merge_into;
 use crate::par::{granularity, par2_if};
 use crate::uninit::par_fill;
-use rayon::prelude::*;
 use std::cmp::Ordering;
 
 /// Inputs at or below this length are sorted sequentially.
@@ -18,14 +15,15 @@ fn sequential_len() -> usize {
     granularity().max(64)
 }
 
-/// Sort `v` with a from-scratch parallel merge sort (stable).
+/// Sort `v` with a from-scratch parallel merge sort (stable) — the sort
+/// under PAM's `build`.
 ///
 /// Work O(n log n), span O(log^2 n · log gran) — the divide-and-conquer
 /// recursion forks both halves and merges them with the parallel merge.
 /// An input at or below the grain is sorted in place: no element is
 /// cloned (a group-commit epoch of a few `Vec<u8>` pairs comes through
 /// here on every commit).
-pub fn par_merge_sort_by<T, F>(v: &mut Vec<T>, cmp: F)
+pub fn par_sort_by<T, F>(v: &mut Vec<T>, cmp: F)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
@@ -49,27 +47,9 @@ where
     }
     let (left, right) = s.split_at(s.len() / 2);
     let (a, b) = par2_if(true, || sort_rec(left, cmp), || sort_rec(right, cmp));
-    par_fill(s.len(), |out| par_merge_into(&a, &b, out, cmp))
-}
-
-/// Default parallel sort used by PAM's `build`: the from-scratch merge sort.
-pub fn par_sort_by<T, F>(v: &mut Vec<T>, cmp: F)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    par_merge_sort_by(v, cmp);
-}
-
-/// Rayon's parallel unstable sort (chunked pdqsort runs + parallel move
-/// merge in the shim), exposed for the sort ablation benchmark and for
-/// callers that do not need stability.
-pub fn par_sort_unstable_by<T, F>(v: &mut [T], cmp: F)
-where
-    T: Send,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    v.par_sort_unstable_by(cmp);
+    // SAFETY: `a` and `b` hold `s.len()` elements between them, and
+    // `par_merge_into` writes every slot of an `out` of that length
+    unsafe { par_fill(s.len(), |out| par_merge_into(&a, &b, out, cmp)) }
 }
 
 #[cfg(test)]
@@ -90,17 +70,17 @@ mod tests {
             .collect();
         let mut expect = v.clone();
         expect.sort();
-        par_merge_sort_by(&mut v, |a, b| a.cmp(b));
+        par_sort_by(&mut v, |a, b| a.cmp(b));
         assert_eq!(v, expect);
     }
 
     #[test]
     fn sorts_empty_and_single() {
         let mut v: Vec<u32> = vec![];
-        par_merge_sort_by(&mut v, |a, b| a.cmp(b));
+        par_sort_by(&mut v, |a, b| a.cmp(b));
         assert!(v.is_empty());
         let mut v = vec![9];
-        par_merge_sort_by(&mut v, |a, b| a.cmp(b));
+        par_sort_by(&mut v, |a, b| a.cmp(b));
         assert_eq!(v, vec![9]);
     }
 
@@ -109,7 +89,7 @@ mod tests {
         // (key, original index): after a stable sort by key, indices within
         // each key group must stay increasing.
         let mut v: Vec<(u8, u32)> = (0..50_000u32).map(|i| ((i % 7) as u8, i)).collect();
-        par_merge_sort_by(&mut v, |a, b| a.0.cmp(&b.0));
+        par_sort_by(&mut v, |a, b| a.0.cmp(&b.0));
         for w in v.windows(2) {
             if w[0].0 == w[1].0 {
                 assert!(w[0].1 < w[1].1, "stability violated");
@@ -134,7 +114,7 @@ mod tests {
         let mut v: Vec<Counted> = (0..sequential_len() as u32)
             .map(|i| Counted(xorshift(u64::from(i) + 1) as u32 % 5, i, &clones))
             .collect();
-        par_merge_sort_by(&mut v, |a, b| a.0.cmp(&b.0));
+        par_sort_by(&mut v, |a, b| a.0.cmp(&b.0));
         assert_eq!(
             clones.load(std::sync::atomic::Ordering::Relaxed),
             0,
@@ -152,14 +132,7 @@ mod tests {
             .collect();
         let mut expect = big.clone();
         expect.sort_by_key(|x| x.0);
-        par_merge_sort_by(&mut big, |a, b| a.0.cmp(&b.0));
+        par_sort_by(&mut big, |a, b| a.0.cmp(&b.0));
         assert_eq!(big, expect);
-    }
-
-    #[test]
-    fn rayon_wrapper_sorts() {
-        let mut v: Vec<u64> = (0..10_000u64).rev().collect();
-        par_sort_unstable_by(&mut v, |a, b| a.cmp(b));
-        assert!(v.windows(2).all(|w| w[0] <= w[1]));
     }
 }

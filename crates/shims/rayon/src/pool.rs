@@ -1,17 +1,14 @@
-//! Fork-join on the persistent pool: `join`, `scope`, and the pool-size
-//! override of `ThreadPool::install`.
+//! Fork-join on the persistent pool: `join` and the pool-size override of
+//! `ThreadPool::install`.
 //!
 //! A fork is a push onto the forking thread's queue (`registry.rs`). The
 //! forked closure borrows from the forker's stack, so the forker does not
 //! leave its frame before the job has either been taken back unexecuted
 //! or has signalled that it finished; that rule is the `unsafe` core here.
 
-use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
-use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::{self, Thread};
 
 use crate::registry::{hardware_threads, JobRef, Registry};
@@ -43,8 +40,6 @@ fn with_pool_size<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     let _restore = Restore(POOL_THREADS.with(|p| p.replace(Some(threads))));
     f()
 }
-
-type Panic = Box<dyn Any + Send>;
 
 /// Aborts the process if dropped during an unwind. Armed while a queued
 /// job points into the current frame: freeing that frame under a thief
@@ -163,114 +158,6 @@ where
     (ra, rb)
 }
 
-/// A fork scope: tasks spawned on it may borrow anything that outlives
-/// `'scope`, and are all finished before [`scope`] returns.
-pub struct Scope<'scope> {
-    /// Spawned tasks that have not finished.
-    pending: AtomicUsize,
-    /// The first panic of a spawned task.
-    panic: Mutex<Option<Panic>>,
-    /// The pool size tasks run under.
-    pool: usize,
-    /// The thread inside [`scope`], unparked when `pending` reaches 0.
-    owner: Thread,
-    /// Invariant in `'scope`, like `std::thread::Scope`.
-    marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-/// A `Scope::spawn` task, boxed and owned by its `JobRef`.
-struct HeapJob<'scope, F> {
-    body: F,
-    scope: *const Scope<'scope>,
-}
-
-impl<'scope, F: FnOnce(&Scope<'scope>) + Send + 'scope> HeapJob<'scope, F> {
-    /// # Safety
-    /// `this` came from `Box::into_raw` of a `HeapJob<F>` whose scope has
-    /// counted it in `pending`; this is the only run.
-    unsafe fn run(this: *const ()) {
-        // SAFETY: per the contract, the box is ours to take back, and
-        // `scope()` does not return while `pending` counts this task, so
-        // the scope is live until the `fetch_sub` below. `owner` is cloned
-        // first: after the decrement nothing here touches the scope.
-        unsafe {
-            let HeapJob { body, scope } = *Box::from_raw(this as *mut Self);
-            let result = with_pool_size((*scope).pool, || {
-                panic::catch_unwind(AssertUnwindSafe(|| body(&*scope)))
-            });
-            if let Err(panic) = result {
-                (*scope).store_panic(panic);
-            }
-            let owner = (*scope).owner.clone();
-            if (*scope).pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                owner.unpark();
-            }
-        }
-    }
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawn `body` into the scope: pushed for another thread to take, or
-    /// run by this one while it waits in [`scope`] (inline if the pool
-    /// size is 1).
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        if self.pool <= 1 {
-            return body(self);
-        }
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        let job = Box::into_raw(Box::new(HeapJob { body, scope: self }));
-        // SAFETY: the box is live until `HeapJob::run` takes it, `pending`
-        // counts it, and `scope()` runs every queued task before it
-        // returns, so the ref is executed exactly once
-        let job_ref = unsafe { JobRef::new(job as *const (), HeapJob::<F>::run) };
-        Registry::global().push(job_ref);
-    }
-
-    fn store_panic(&self, panic: Panic) {
-        let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
-        first.get_or_insert(panic);
-    }
-}
-
-// Tasks on other threads are handed `&Scope`.
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<Scope<'static>>();
-};
-
-/// Create a fork scope, run `f` in it, and finish every spawned task
-/// (running queued ones on this thread) before returning. A panic in `f`
-/// or in a task is re-raised here afterwards.
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R,
-{
-    let scope = Scope {
-        pending: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-        pool: current_num_threads(),
-        owner: thread::current(),
-        marker: PhantomData,
-    };
-    let guard = AbortOnUnwind;
-    let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-    if scope.pool > 1 {
-        Registry::global().wait_until(|| scope.pending.load(Ordering::Acquire) == 0);
-    }
-    std::mem::forget(guard);
-    let task_panic = scope
-        .panic
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    match (result, task_panic) {
-        (Ok(result), None) => result,
-        (Err(panic), _) | (Ok(_), Some(panic)) => panic::resume_unwind(panic),
-    }
-}
-
 /// Error from [`ThreadPoolBuilder::build`] (never produced by this shim).
 #[derive(Debug)]
 pub struct ThreadPoolBuildError;
@@ -335,6 +222,7 @@ impl ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::time::{Duration, Instant};
 
     /// Spin until `flag` is set, giving up after 5 s: on one core nothing
@@ -396,70 +284,12 @@ mod tests {
                 assert_eq!(thread::current().id(), tid);
                 order_ref.lock().unwrap().push(half);
             };
-            join(|| on_caller("a"), || on_caller("b"));
-            scope(|s| {
-                s.spawn(|_| on_caller("c"));
-                on_caller("d");
-            });
-            assert_eq!(order, ["a", "b", "c", "d"]);
+            join(
+                || join(|| on_caller("a"), || on_caller("b")),
+                || on_caller("c"),
+            );
+            assert_eq!(order, ["a", "b", "c"]);
         });
-    }
-
-    #[test]
-    fn scope_joins_all_tasks() {
-        let mut parts = [0u64; 8];
-        scope(|s| {
-            for (i, slot) in parts.iter_mut().enumerate() {
-                s.spawn(move |_| *slot = i as u64 + 1);
-            }
-        });
-        assert_eq!(parts.iter().sum::<u64>(), 36);
-    }
-
-    #[test]
-    fn scope_finishes_a_thousand_spawns_some_nested() {
-        let mut slots = vec![0u32; 1000];
-        let nested = AtomicUsize::new(0);
-        forking_pool().install(|| {
-            scope(|s| {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    let nested = &nested;
-                    s.spawn(move |s| {
-                        *slot = i as u32 + 1;
-                        if i % 10 == 0 {
-                            s.spawn(move |_| {
-                                nested.fetch_add(1, Ordering::SeqCst);
-                            });
-                        }
-                    });
-                }
-            })
-        });
-        assert!(slots.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
-        assert_eq!(nested.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn scope_raises_a_task_panic_after_every_task_finished() {
-        let finished = AtomicUsize::new(0);
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            forking_pool().install(|| {
-                scope(|s| {
-                    for i in 0..64 {
-                        let finished = &finished;
-                        s.spawn(move |_| {
-                            if i == 7 {
-                                panic!("task 7");
-                            }
-                            finished.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
-                })
-            })
-        }));
-        let panic = caught.expect_err("the task's panic must reach scope()'s caller");
-        assert_eq!(panic.downcast_ref::<&str>(), Some(&"task 7"));
-        assert_eq!(finished.load(Ordering::SeqCst), 63);
     }
 
     #[test]

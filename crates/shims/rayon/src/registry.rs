@@ -1,4 +1,4 @@
-//! The persistent work-stealing pool under `join` / `scope`: job queues,
+//! The persistent work-stealing pool under `join`: job queues,
 //! the worker loop, and the sleep protocol.
 //!
 //! `nproc − 1` workers start on the first fork and live as long as the
@@ -6,9 +6,9 @@
 //! the injector. An owner pushes and pops at the back (newest first), a
 //! thief takes from the front (oldest, hence largest, first). A thread
 //! that has to wait — a worker with nothing to do, a `join` whose second
-//! half was stolen, a `scope` with tasks outstanding — runs queued jobs
-//! while there are any, polls briefly, and then parks; a push wakes one
-//! parked thread and costs one atomic load when none is parked.
+//! half was stolen — runs queued jobs while there are any, polls briefly,
+//! and then parks; a push wakes one parked thread and costs one atomic
+//! load when none is parked.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -26,7 +26,7 @@ pub(crate) fn hardware_threads() -> usize {
 /// Jobs offered to the pool since process start.
 static FORKS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
-/// How many forks (`join` second halves, `Scope::spawn` tasks) have been
+/// How many forks (`join` second halves) have been
 /// offered to the pool since the process started — pushed onto a queue
 /// where another thread may take them, whether or not one did. Monotone
 /// and process-wide; a fork that runs inline because the pool size is 1
@@ -39,8 +39,8 @@ pub fn forks_spawned() -> usize {
     FORKS_SPAWNED.load(Ordering::Relaxed)
 }
 
-/// A type-erased pointer to a job that its `join` or `scope` keeps alive
-/// until it has run. Two refs are the same job iff `data` is equal.
+/// A type-erased pointer to a job that its `join` keeps alive until it
+/// has run. Two refs are the same job iff `data` is equal.
 #[derive(Clone, Copy)]
 pub(crate) struct JobRef {
     data: *const (),
@@ -49,7 +49,7 @@ pub(crate) struct JobRef {
 }
 
 // SAFETY: a `JobRef` is only made (`JobRef::new`) from a job whose closure
-// and result are `Send` — `join` and `Scope::spawn` bound them so — and
+// and result are `Send` — `join` bounds them so — and
 // running it on another thread is the whole point; the pointer is not
 // used for anything else.
 unsafe impl Send for JobRef {}
@@ -150,8 +150,8 @@ impl Registry {
 
     /// Take `job` back out of the current thread's queue; `false` means
     /// another thread has taken it and will run (or has run) it. Newest
-    /// first: a job is at the back unless a `scope` task pushed later is
-    /// still queued, or another caller shares the injector.
+    /// first: a job is at the back unless another caller shares the
+    /// injector.
     pub(crate) fn take_back(&self, job: JobRef) -> bool {
         let mut queue = self.own_queue().lock();
         let at = queue.iter().rposition(|queued| queued.data == job.data);

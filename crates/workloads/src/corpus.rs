@@ -9,7 +9,6 @@
 
 use crate::rng::hash64;
 use crate::zipf::Zipf;
-use rayon::prelude::*;
 
 /// Corpus shape parameters.
 #[derive(Clone, Copy, Debug)]
@@ -52,21 +51,17 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Generate the corpus (parallel over documents).
+    /// Generate the corpus (parallel over tokens).
     pub fn generate(config: CorpusConfig) -> Self {
         let zipf = Zipf::new(config.vocab, config.zipf_s);
-        let triples: Vec<(u32, u32, u64)> = (0..config.docs as u64)
-            .into_par_iter()
-            .flat_map_iter(|d| {
-                let zipf = &zipf;
-                (0..config.doc_len as u64).map(move |j| {
-                    let token_id = d * config.doc_len as u64 + j;
-                    let word = zipf.sample(config.seed, token_id) as u32;
-                    let weight = hash64(config.seed ^ (token_id | 1 << 63)) % 1_000_000;
-                    (word, d as u32, weight)
-                })
-            })
-            .collect();
+        // one triple per token, document-major
+        let triples = parlay::tabulate(config.docs * config.doc_len, |token_id| {
+            let token_id = token_id as u64;
+            let d = token_id / config.doc_len as u64;
+            let word = zipf.sample(config.seed, token_id) as u32;
+            let weight = hash64(config.seed ^ (token_id | 1 << 63)) % 1_000_000;
+            (word, d as u32, weight)
+        });
         Corpus {
             triples,
             zipf,

@@ -1,7 +1,6 @@
 //! Interval workloads for the §5.1 / §6.2 experiments.
 
 use crate::rng::hash64;
-use rayon::prelude::*;
 
 /// `n` random intervals `(left, right)` with `left` uniform in
 /// `[0, universe)` and length `1..=max_len`; `left < right` always holds.
@@ -10,22 +9,17 @@ use rayon::prelude::*;
 /// bounded duration scattered over a long timeline.
 pub fn random_intervals(n: usize, seed: u64, universe: u64, max_len: u64) -> Vec<(u64, u64)> {
     assert!(universe > 0 && max_len > 0);
-    (0..n as u64)
-        .into_par_iter()
-        .map(|i| {
-            let left = hash64(seed ^ (i * 2)) % universe;
-            let len = 1 + hash64(seed ^ (i * 2 + 1)) % max_len;
-            (left, left + len)
-        })
-        .collect()
+    parlay::tabulate(n, |i| {
+        let i = i as u64;
+        let left = hash64(seed ^ (i * 2)) % universe;
+        let len = 1 + hash64(seed ^ (i * 2 + 1)) % max_len;
+        (left, left + len)
+    })
 }
 
 /// `m` stabbing-query points over the same universe.
 pub fn stab_points(m: usize, seed: u64, universe: u64) -> Vec<u64> {
-    (0..m as u64)
-        .into_par_iter()
-        .map(|i| hash64(seed ^ i) % universe)
-        .collect()
+    parlay::tabulate(m, |i| hash64(seed ^ i as u64) % universe)
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! Integer key/value workloads (Table 3, Figure 6 experiments).
 
 use crate::rng::hash64;
-use rayon::prelude::*;
 
 /// `n` pseudo-random `(key, value)` pairs with keys uniform in
 /// `[0, key_range)`. Duplicate keys appear with the natural birthday
@@ -9,15 +8,13 @@ use rayon::prelude::*;
 /// parallel.
 pub fn uniform_pairs(n: usize, seed: u64, key_range: u64) -> Vec<(u64, u64)> {
     assert!(key_range > 0);
-    (0..n as u64)
-        .into_par_iter()
-        .map(|i| {
-            (
-                hash64(seed ^ (i.wrapping_mul(2))) % key_range,
-                hash64(seed ^ (i.wrapping_mul(2) + 1)),
-            )
-        })
-        .collect()
+    parlay::tabulate(n, |i| {
+        let i = i as u64;
+        (
+            hash64(seed ^ (i.wrapping_mul(2))) % key_range,
+            hash64(seed ^ (i.wrapping_mul(2) + 1)),
+        )
+    })
 }
 
 /// `n` *distinct* keys in pseudo-random order: a random permutation of
@@ -36,10 +33,9 @@ pub fn distinct_shuffled_keys(n: usize, seed: u64, stride: u64) -> Vec<u64> {
 /// indices into an existing key population.
 pub fn read_probes(m: usize, seed: u64, population: &[u64]) -> Vec<u64> {
     assert!(!population.is_empty());
-    (0..m as u64)
-        .into_par_iter()
-        .map(|i| population[(hash64(seed ^ i) % population.len() as u64) as usize])
-        .collect()
+    parlay::tabulate(m, |i| {
+        population[(hash64(seed ^ i as u64) % population.len() as u64) as usize]
+    })
 }
 
 #[cfg(test)]
