@@ -182,7 +182,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O failure or an error reply.
+    /// I/O failure, or an error reply if `name` is new and the server
+    /// already holds [`crate::server::MAX_PINS`] named snapshots.
     pub fn pin(&mut self, name: &str) -> io::Result<u64> {
         match self.call(&Request::Pin(name.into()))? {
             Response::Pinned(e) => Ok(e),

@@ -21,7 +21,7 @@
 //!    *replying to* — its in-flight request;
 //! 3. join the workers, then flush the store (every accepted epoch
 //!    commits — and, on a durable store, hits the log) and drop all
-//!    named snapshot pins so the version registry can prune.
+//!    named snapshot pins, the last holders of the versions they name.
 
 use crate::wire::{
     decode_message, read_frame_capped, write_message, Request, Response, WireOp, MAX_FRAME,
@@ -74,7 +74,12 @@ pub struct Server {
     on_drain: Option<Box<dyn FnOnce() + Send>>,
 }
 
-/// Named snapshot pins, shared by every session.
+/// Cap on named snapshot pins held at once. A pin keeps a version of
+/// every shard alive until it is unpinned, and names come from remote
+/// clients, so the table they fill is bounded.
+pub const MAX_PINS: usize = 1024;
+
+/// Named snapshot pins, shared by every session (at most [`MAX_PINS`]).
 type Pins<S> = Mutex<HashMap<String, Arc<Snapshot<S>>>>;
 
 /// State shared between the acceptor, the workers, and `drain`.
@@ -332,7 +337,14 @@ where
         Request::Pin(name) => {
             let snap = Arc::new(store.snapshot());
             let epoch = snap.global_epoch();
-            pins.lock().insert(name, Arc::clone(&snap));
+            {
+                let mut pins = pins.lock();
+                // re-pinning a name replaces its snapshot: no new holder
+                if pins.len() >= MAX_PINS && !pins.contains_key(&name) {
+                    return Response::Err("too many pins".into());
+                }
+                pins.insert(name, Arc::clone(&snap));
+            }
             *session = Some(snap);
             Response::Pinned(epoch)
         }

@@ -130,6 +130,38 @@ fn named_pins_freeze_reads_until_release() {
 }
 
 #[test]
+fn the_pin_table_is_bounded() {
+    use pam_serve::server::MAX_PINS;
+    let store = eager_store(1);
+    let (_server, addr) = start(Arc::clone(&store));
+    let mut filler = Client::connect(addr).unwrap();
+    let mut late = Client::connect(addr).unwrap();
+
+    filler.put(b"k", b"v1").unwrap();
+    for i in 0..MAX_PINS {
+        filler.pin(&format!("p{i}")).unwrap();
+    }
+    filler.release().unwrap();
+    filler.put(b"k", b"v2").unwrap();
+
+    // a fresh name past the cap is refused and pins nothing
+    let err = late.pin("one-too-many").unwrap_err();
+    assert!(err.to_string().contains("too many pins"), "{err}");
+    assert!(late.use_pin("one-too-many").is_err());
+    assert_eq!(late.get(b"k").unwrap(), Some(b"v2".to_vec()));
+
+    // an existing name is replaced, not added
+    late.pin("p0").unwrap();
+    filler.put(b"k", b"v3").unwrap();
+    assert_eq!(late.get(b"k").unwrap(), Some(b"v2".to_vec()));
+
+    // unpinning makes room again
+    filler.unpin("p1").unwrap();
+    late.pin("one-too-many").unwrap();
+    assert_eq!(late.get(b"k").unwrap(), Some(b"v3".to_vec()));
+}
+
+#[test]
 fn concurrent_clients_coalesce_into_the_group_commit_pipeline() {
     let store = Arc::new(Store::<Spec>::volatile(
         ShardedConfig::builder()

@@ -1,7 +1,7 @@
 //! Store tuning knobs.
 //!
-//! Each config type offers a fluent builder — the supported way to
-//! deviate from the defaults:
+//! [`ShardedConfig`] and [`DurabilityConfig`] — the two a [`crate::Store`]
+//! is opened with — offer a fluent builder:
 //!
 //! ```
 //! use pam_store::{DurabilityConfig, ShardedConfig};
@@ -46,10 +46,6 @@ pub struct StoreConfig {
     /// even if the window has not elapsed (bounds batch latency and
     /// memory under write bursts).
     pub max_batch: usize,
-    /// How many recent *unpinned* versions the registry retains for
-    /// `pin_version`-style time travel. Pinned or tagged versions are
-    /// always retained (their nodes stay alive through the pin anyway).
-    pub keep_versions: usize,
 }
 
 impl Default for StoreConfig {
@@ -57,7 +53,6 @@ impl Default for StoreConfig {
         StoreConfig {
             batch_window: Duration::from_micros(200),
             max_batch: 1 << 14,
-            keep_versions: 8,
         }
     }
 }
@@ -111,9 +106,6 @@ pub struct DurabilityConfig {
     /// accumulated since the last one (`None`: only explicit
     /// `checkpoint()` calls).
     pub checkpoint_every_bytes: Option<u64>,
-    /// Also checkpoint on a wall-clock cadence (`None`: byte-triggered /
-    /// manual only).
-    pub checkpoint_interval: Option<Duration>,
     /// Checkpoint files to retain; older ones are pruned. The extras are
     /// insurance: a corrupt newest checkpoint falls back to the previous
     /// one plus a longer WAL replay.
@@ -134,7 +126,6 @@ impl Default for DurabilityConfig {
             sync: SyncPolicy::SyncEachEpoch,
             segment_bytes: 16 << 20,
             checkpoint_every_bytes: Some(64 << 20),
-            checkpoint_interval: None,
             keep_checkpoints: 2,
             obs_addr: None,
         }
@@ -144,47 +135,6 @@ impl Default for DurabilityConfig {
 // ---------------------------------------------------------------------------
 // Builders
 // ---------------------------------------------------------------------------
-
-impl StoreConfig {
-    /// Start a [`StoreConfigBuilder`] seeded with the defaults.
-    pub fn builder() -> StoreConfigBuilder {
-        StoreConfigBuilder {
-            cfg: StoreConfig::default(),
-        }
-    }
-}
-
-/// Fluent builder for [`StoreConfig`]; see the module docs for an example.
-#[derive(Clone, Debug, Default)]
-pub struct StoreConfigBuilder {
-    cfg: StoreConfig,
-}
-
-impl StoreConfigBuilder {
-    /// Set the group-commit window (see [`StoreConfig::batch_window`]).
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.cfg.batch_window = window;
-        self
-    }
-
-    /// Set the epoch-drain operation cap (see [`StoreConfig::max_batch`]).
-    pub fn max_batch(mut self, ops: usize) -> Self {
-        self.cfg.max_batch = ops;
-        self
-    }
-
-    /// Set how many unpinned versions the registry retains (see
-    /// [`StoreConfig::keep_versions`]).
-    pub fn keep_versions(mut self, n: usize) -> Self {
-        self.cfg.keep_versions = n;
-        self
-    }
-
-    /// Finish, yielding the [`StoreConfig`].
-    pub fn build(self) -> StoreConfig {
-        self.cfg
-    }
-}
 
 impl ShardedConfig {
     /// Start a [`ShardedConfigBuilder`] seeded with the defaults.
@@ -225,13 +175,6 @@ impl ShardedConfigBuilder {
     /// Set every shard's epoch-drain cap (see [`StoreConfig::max_batch`]).
     pub fn max_batch(mut self, ops: usize) -> Self {
         self.cfg.store.max_batch = ops;
-        self
-    }
-
-    /// Set every shard's retained-version count (see
-    /// [`StoreConfig::keep_versions`]).
-    pub fn keep_versions(mut self, n: usize) -> Self {
-        self.cfg.store.keep_versions = n;
         self
     }
 
@@ -278,18 +221,10 @@ impl DurabilityConfigBuilder {
         self
     }
 
-    /// Also checkpoint on a wall-clock cadence (see
-    /// [`DurabilityConfig::checkpoint_interval`]).
-    pub fn checkpoint_interval(mut self, every: Duration) -> Self {
-        self.cfg.checkpoint_interval = Some(every);
-        self
-    }
-
     /// Disable automatic checkpoints; only explicit `checkpoint()` calls
     /// write one.
     pub fn manual_checkpoints_only(mut self) -> Self {
         self.cfg.checkpoint_every_bytes = None;
-        self.cfg.checkpoint_interval = None;
         self
     }
 
@@ -323,25 +258,21 @@ mod tests {
             .shards(8)
             .batch_window(Duration::from_micros(50))
             .max_batch(512)
-            .keep_versions(3)
             .build();
         assert_eq!(cfg.shards, 8);
         assert_eq!(cfg.store.batch_window, Duration::from_micros(50));
         assert_eq!(cfg.store.max_batch, 512);
-        assert_eq!(cfg.store.keep_versions, 3);
 
         let dur = DurabilityConfig::builder()
             .sync(SyncPolicy::SyncEveryN(8))
             .segment_bytes(1 << 20)
             .checkpoint_every_bytes(4 << 20)
-            .checkpoint_interval(Duration::from_secs(30))
             .keep_checkpoints(5)
             .obs_addr("127.0.0.1:0")
             .build();
         assert!(matches!(dur.sync, SyncPolicy::SyncEveryN(8)));
         assert_eq!(dur.segment_bytes, 1 << 20);
         assert_eq!(dur.checkpoint_every_bytes, Some(4 << 20));
-        assert_eq!(dur.checkpoint_interval, Some(Duration::from_secs(30)));
         assert_eq!(dur.keep_checkpoints, 5);
         assert_eq!(dur.obs_addr.as_deref(), Some("127.0.0.1:0"));
 
@@ -349,15 +280,5 @@ mod tests {
             .manual_checkpoints_only()
             .build();
         assert_eq!(manual.checkpoint_every_bytes, None);
-        assert_eq!(manual.checkpoint_interval, None);
-
-        let store = StoreConfig::builder()
-            .batch_window(Duration::ZERO)
-            .max_batch(64)
-            .keep_versions(2)
-            .build();
-        assert_eq!(store.batch_window, Duration::ZERO);
-        assert_eq!(store.max_batch, 64);
-        assert_eq!(store.keep_versions, 2);
     }
 }

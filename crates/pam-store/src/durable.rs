@@ -584,9 +584,7 @@ where
 
         // 4. background checkpointer, if configured
         let stop = Arc::new(StopSignal::default());
-        let checkpointer = if durability.checkpoint_every_bytes.is_some()
-            || durability.checkpoint_interval.is_some()
-        {
+        let checkpointer = if durability.checkpoint_every_bytes.is_some() {
             let (engine2, hook2, stop2, dir2, cfg2) = (
                 engine.clone(),
                 hook.clone(),
@@ -739,7 +737,6 @@ fn run_checkpointer<S: AugSpec>(
     S::K: Codec,
     S::V: Codec,
 {
-    let opened_at = Instant::now();
     let poll = Duration::from_millis(50);
     let mut g = stop.stop.lock();
     loop {
@@ -763,13 +760,7 @@ fn run_checkpointer<S: AugSpec>(
                 - hook.counters.bytes_at_last_ckpt.load(Ordering::Relaxed) // relaxed: see above
                 >= threshold
         });
-        let time_due = config.checkpoint_interval.is_some_and(|interval| {
-            hook.last_ckpt_at
-                .lock()
-                .map_or(opened_at.elapsed(), |at| at.elapsed())
-                >= interval
-        });
-        if !(bytes_due || time_due) {
+        if !bytes_due {
             continue;
         }
         drop(g);

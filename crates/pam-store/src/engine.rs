@@ -3,7 +3,7 @@
 use crate::config::StoreConfig;
 use crate::op::WriteOp;
 use crate::pipeline::{CommitHook, CommitTicket, Pipeline};
-use crate::registry::{PinnedVersion, Registry, VersionId, VersionInfo};
+use crate::registry::{PinnedVersion, Registry, VersionId};
 use crate::stats::{StatsInner, StoreStats};
 use pam::{AugMap, AugSpec};
 use std::sync::Arc;
@@ -15,13 +15,14 @@ struct Inner<S: AugSpec> {
     hook: Option<Arc<dyn CommitHook<S>>>,
 }
 
-/// One shard of a [`crate::Store`]: a version registry fed by a
-/// group-commit pipeline with its own committer thread.
+/// One shard of a [`crate::Store`]: a one-head version registry fed by
+/// a group-commit pipeline with its own committer thread.
 ///
 /// Writes flow through the pipeline; [`Self::pin`] takes an O(1)
-/// persistent snapshot and never blocks. Reach a store's engines through
-/// [`crate::Store::shard`] for what is per shard by nature — pins by
-/// version id, tags, the live-version list — or build one directly to
+/// persistent snapshot and never blocks, and the version it pins lives
+/// exactly as long as the pin (or a clone of it) does. Reach a store's
+/// engines through [`crate::Store::shard`] for what is per shard by
+/// nature — its head pin, its statistics — or build one directly to
 /// test a [`CommitHook`]. Everything else (routing, cross-shard batches
 /// and snapshots, scans, durability) lives on [`crate::Store`].
 ///
@@ -61,7 +62,7 @@ impl<S: AugSpec> VersionedStore<S> {
     ) -> Self {
         let stats = Arc::new(StatsInner::default());
         let inner = Arc::new(Inner {
-            registry: Registry::new(initial, config.keep_versions),
+            registry: Registry::new(initial),
             pipeline: Arc::new(Pipeline::new(&config, stats.clone())),
             stats,
             hook,
@@ -167,35 +168,9 @@ impl<S: AugSpec> VersionedStore<S> {
         self.pin().map().is_empty()
     }
 
-    /// Pin a historical version by id, if the registry still retains it.
-    pub fn pin_version(&self, id: VersionId) -> Option<PinnedVersion<S>> {
-        self.inner.registry.pin_version(id)
-    }
-
-    /// Name the current head version; a tag pins it until
-    /// [`Self::untag`]. Re-tagging an existing name moves the tag.
-    pub fn tag(&self, name: &str) -> VersionId {
-        self.inner.registry.tag(name)
-    }
-
-    /// Drop a named tag; returns the version it pinned.
-    pub fn untag(&self, name: &str) -> Option<VersionId> {
-        self.inner.registry.untag(name)
-    }
-
-    /// Pin the version a tag refers to.
-    pub fn pin_tagged(&self, name: &str) -> Option<PinnedVersion<S>> {
-        self.inner.registry.pin_tagged(name)
-    }
-
     /// The current head version id (the id [`Self::pin`] would return).
     pub fn head_version(&self) -> VersionId {
         self.pin().id()
-    }
-
-    /// Live registry contents, oldest first.
-    pub fn versions(&self) -> Vec<VersionInfo> {
-        self.inner.registry.infos()
     }
 
     // -- observability ------------------------------------------------------
@@ -203,12 +178,8 @@ impl<S: AugSpec> VersionedStore<S> {
     /// A coherent snapshot of this shard's commit/batch/version
     /// statistics (durability counters zero: the store overlays them).
     pub fn stats(&self) -> StoreStats {
-        StoreStats::from_inner(
-            &self.inner.stats,
-            self.inner.registry.live_versions(),
-            self.inner.registry.retired_versions(),
-            self.head_version(),
-        )
+        let (head, live, retired) = self.inner.registry.counts();
+        StoreStats::from_inner(&self.inner.stats, live, retired, head)
     }
 
     /// Liveness of the commit pipeline: [`pam_obs::Health::Poisoned`]
@@ -221,13 +192,11 @@ impl<S: AugSpec> VersionedStore<S> {
         }
     }
 
-    /// Exact heap bytes reachable from *all* live versions together.
-    /// Shared nodes count once — the measurable benefit of persistence.
+    /// Exact heap bytes reachable from the current version. What an
+    /// older pinned version costs on top is only the nodes it does not
+    /// share with this one.
     pub fn memory_bytes(&self) -> usize {
-        self.inner.registry.with_live_maps(|maps| {
-            let roots: Vec<_> = maps.iter().map(|m| m.root()).collect();
-            pam::stats::reachable_bytes(&roots)
-        })
+        pam::stats::reachable_bytes(&[self.pin().map().root()])
     }
 }
 
@@ -292,10 +261,11 @@ mod tests {
                 ..StoreConfig::default()
             },
         );
-        assert_eq!((store.head_version(), store.len()), (0, 3));
+        let v0 = store.pin();
+        assert_eq!((v0.id(), store.len()), (0, 3));
         assert_eq!(store.put(4, 4).wait(), 1);
         assert_eq!(store.pin().map().to_vec().len(), 4);
-        assert_eq!(store.pin_version(0).expect("retained").map().len(), 3);
+        assert_eq!(v0.map().len(), 3);
     }
 
     #[test]
@@ -313,21 +283,18 @@ mod tests {
     }
 
     #[test]
-    fn tags_survive_pruning() {
-        let store = Engine::with_config(StoreConfig {
-            batch_window: Duration::ZERO,
-            keep_versions: 2,
-            ..StoreConfig::default()
-        });
-        store.put(0, 0).wait();
-        store.tag("genesis-data");
-        for i in 1..30u64 {
+    fn a_pin_keeps_its_own_version_and_no_other() {
+        let store = eager();
+        store.put(1, 1).wait();
+        let pin = store.pin();
+        for i in 2..=101u64 {
             store.put(i, i).wait();
         }
-        let tagged = store.pin_tagged("genesis-data").expect("tag retained");
-        assert_eq!(tagged.map().len(), 1);
-        assert!(store.stats().retired_versions > 0);
-        assert_eq!(store.untag("genesis-data"), Some(tagged.id()));
+        assert_eq!(store.stats().live_versions, 2, "the head and the pin");
+        assert_eq!((pin.id(), pin.map().to_vec()), (1, vec![(1, 1)]));
+        drop(pin);
+        let s = store.stats();
+        assert_eq!((s.live_versions, s.retired_versions), (1, 101));
     }
 
     #[test]
@@ -339,7 +306,8 @@ mod tests {
             WriteOp::Delete(1),
         ]);
         let v = t.wait();
-        let pinned = store.pin_version(v).expect("fresh version retained");
+        let pinned = store.pin();
+        assert_eq!(pinned.id(), v);
         assert_eq!(pinned.map().get(&1), None);
         assert_eq!(pinned.map().get(&2), Some(&2));
     }
@@ -405,7 +373,6 @@ mod tests {
         let store = Engine::with_config(StoreConfig {
             batch_window: Duration::from_secs(10),
             max_batch: 0,
-            ..StoreConfig::default()
         });
         let t0 = std::time::Instant::now();
         store.put(1, 11).wait();
@@ -424,7 +391,6 @@ mod tests {
         let store = Engine::with_config(StoreConfig {
             batch_window: Duration::from_secs(2),
             max_batch: 64,
-            ..StoreConfig::default()
         });
         let t0 = std::time::Instant::now();
         for i in 0..64u64 {

@@ -17,7 +17,7 @@
 //!   stated in its rustdoc (see the [`store`] module docs for the
 //!   ladder).
 //! * **Per-shard engine** ([`VersionedStore`], reached through
-//!   [`Store::shard`]) — a **version registry** ([`registry`]) fed by a
+//!   [`Store::shard`]) — a one-head **version registry** ([`registry`]) fed by a
 //!   **group-commit write pipeline** ([`pipeline`]). Concurrent writers
 //!   enqueue operations into an epoch buffer and immediately receive a
 //!   [`CommitTicket`]. A dedicated committer thread — the engine's only
@@ -27,10 +27,10 @@
 //!   (amortizing the O(log n) tree work across every writer in the
 //!   window), and publishes the new root in the registry under the next
 //!   [`VersionId`] — the single publication point every reader pins
-//!   from. Versions are *refcount-pinned*: a [`PinnedVersion`] guard (or
-//!   a named tag) keeps a historical version readable for free —
-//!   path-copying means N similar versions share almost all of their
-//!   nodes (measurable via [`Store::memory_bytes`]).
+//!   from. Versions are *refcount-pinned*: a version lives exactly as
+//!   long as it is the head or somebody holds a [`PinnedVersion`] /
+//!   [`Snapshot`] of it, and holding one is nearly free — path-copying
+//!   means N similar versions share almost all of their nodes.
 //! * **Cross-shard atomicity** — a **global epoch clock** stamps every
 //!   multi-shard `write_batch` ([`GlobalStamp`]); the slices are
 //!   submitted under an *epoch fence* and logged with the stamp, so
@@ -93,7 +93,6 @@ pub mod store;
 
 pub use config::{
     DurabilityConfig, DurabilityConfigBuilder, ShardedConfig, ShardedConfigBuilder, StoreConfig,
-    StoreConfigBuilder,
 };
 pub use durable::{RecoveryInfo, RecoveryTimings};
 pub use engine::VersionedStore;
@@ -101,7 +100,7 @@ pub use op::{NormalizedBatch, WriteOp};
 pub use pam_obs::Health;
 pub use pam_wal::{Codec, GlobalStamp, SyncPolicy};
 pub use pipeline::{CommitHook, CommitTicket};
-pub use registry::{PinnedVersion, VersionId, VersionInfo};
+pub use registry::{PinnedVersion, VersionId};
 pub use shard::ShardKey;
 pub use stats::{DurabilityStats, StoreStats};
 pub use store::{BatchTicket, Snapshot, Store};

@@ -585,8 +585,12 @@ impl<S: AugSpec> Pipeline<S> {
             }
             version += 1;
             let t_applied = Instant::now();
-            // O(1) snapshot of the result: the one publication point
-            registry.publish(version, current.clone(), batch_len);
+            // O(1) snapshot of the result: the one publication point.
+            // The replaced head dies here, before the tickets wake (so a
+            // writer's next `stats()` does not count it) and outside the
+            // registry lock: unless somebody pinned it, this drop frees
+            // the nodes the epoch path-copied away from.
+            drop(registry.publish(version, current.clone(), batch_len));
             if let Some(h) = hook {
                 // after publish, before tickets wake: the hook's notion of
                 // "published through epoch E" stays conservative

@@ -130,9 +130,11 @@ pub struct StoreStats {
     /// so "live range scans pay one snapshot per scan" is measurable
     /// here.
     pub fence_write_acquisitions: u64,
-    /// Versions currently retained by the registry.
+    /// Versions alive right now: the head plus every older version a
+    /// [`crate::PinnedVersion`] or [`crate::Snapshot`] still holds.
     pub live_versions: usize,
-    /// Versions pruned since the store started.
+    /// Versions dropped since the store started (per shard,
+    /// `live_versions + retired_versions == head_version + 1`).
     pub retired_versions: u64,
     /// Current head version id.
     pub head_version: u64,

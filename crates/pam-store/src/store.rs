@@ -494,10 +494,9 @@ where
         route(key.shard_hash(), self.shards.len())
     }
 
-    /// One shard's engine: pins by version id, tags, the live-version
-    /// list, per-shard stats. Writes through it land in the same
-    /// (logged) pipeline, but bypass routing — only write keys that
-    /// [`Self::shard_of`] maps to `i`.
+    /// One shard's engine: its head pin and its per-shard stats. Writes
+    /// through it land in the same (logged) pipeline, but bypass
+    /// routing — only write keys that [`Self::shard_of`] maps to `i`.
     pub fn shard(&self, i: usize) -> &Arc<VersionedStore<S>> {
         &self.shards[i].engine
     }
@@ -778,8 +777,8 @@ where
         worst_health(&self.shards)
     }
 
-    /// Exact heap bytes reachable from all live versions of all shards
-    /// (shards share no nodes, so the per-shard numbers sum).
+    /// Exact heap bytes reachable from the current version of every
+    /// shard (shards share no nodes, so the per-shard numbers sum).
     pub fn memory_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.engine.memory_bytes()).sum()
     }
@@ -879,8 +878,8 @@ impl<S: AugSpec> BatchTicket<S> {
 /// taken under the epoch fence and an all-shard submit barrier (see
 /// [`Store::snapshot`]) — every cross-shard batch is contained wholly or
 /// not at all (invariant I5). Reads never block, never change, and never
-/// observe later writes. Holding the snapshot pins its versions;
-/// dropping it lets the registries prune them. Cloning is O(shards).
+/// observe later writes. Holding the snapshot keeps its versions
+/// alive; they die with their last holder. Cloning is O(shards).
 pub struct Snapshot<S: AugSpec> {
     pins: Vec<PinnedVersion<S>>,
     global_epoch: u64,

@@ -51,9 +51,8 @@ fn point_updates_keep_memory_within_baseline() {
             ..StoreConfig::default()
         },
     );
-    // one acked op per epoch: how a burst would be cut into epochs is
-    // timing, and the retained versions of a few large epochs share less
-    // (all live versions count below) — which made this bound flaky
+    // one acked op per epoch: every update is its own path copy, and
+    // `memory_bytes` below is what the head alone reaches
     for i in 0..2_000u64 {
         let k = (i * 7919) % N;
         if i % 3 == 0 {

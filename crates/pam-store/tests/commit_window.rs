@@ -125,7 +125,6 @@ fn a_flood_batches_and_no_epoch_outlasts_the_window() {
     let store = Arc::new(Engine::with_config(StoreConfig {
         batch_window: WINDOW,
         max_batch: usize::MAX,
-        ..StoreConfig::default()
     }));
     // fire-and-forget for longer than WINDOW + SLACK: every slice of the
     // linger sees new operations, so an epoch that only closes when the

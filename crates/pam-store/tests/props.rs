@@ -1,5 +1,6 @@
 //! Property tests: the pipeline's parallel normalize (parlay sort +
-//! last-write-wins dedup) must agree with a boring sequential replay.
+//! last-write-wins dedup) must agree with a boring sequential replay,
+//! and a version must live exactly as long as somebody holds it.
 
 use pam::{AugMap, SumAug};
 use pam_store::op::normalize;
@@ -15,6 +16,25 @@ fn op_strategy() -> impl Strategy<Value = WriteOp<S>> {
     prop_oneof![
         (0u64..64, 0u64..1_000_000).prop_map(|(k, v)| WriteOp::Put(k, v)),
         (0u64..64).prop_map(WriteOp::Delete),
+    ]
+}
+
+/// One step of the version-lifetime model: commit one operation as a
+/// new version, pin the head, clone the i-th held pin, or drop it.
+#[derive(Clone)]
+enum Step {
+    Publish(WriteOp<S>),
+    Pin,
+    ClonePin(usize),
+    DropPin(usize),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        op_strategy().prop_map(Step::Publish),
+        Just(Step::Pin),
+        (0usize..64).prop_map(Step::ClonePin),
+        (0usize..64).prop_map(Step::DropPin),
     ]
 }
 
@@ -89,5 +109,101 @@ proptest! {
 
         let pin = store.pin();
         prop_assert_eq!(pin.map().to_vec(), oracle.into_iter().collect::<Vec<_>>());
+    }
+
+    // The registry has no retention policy beside the reference counts:
+    // against a model that knows, per version id, how many pins hold it,
+    // the live-version count, the retired count, every pin's contents
+    // and the bytes all held versions reach together must agree after
+    // every step.
+    #[test]
+    fn a_version_lives_exactly_as_long_as_somebody_holds_it(
+        steps in collection::vec(step_strategy(), 0..120),
+    ) {
+        // Version 0 is a few hundred leaves, the operations land all over
+        // it: consecutive versions share most of their nodes.
+        let seed: Vec<(u64, u64)> = (0..4096u64).map(|k| (k, k)).collect();
+        let store: VersionedStore<S> = VersionedStore::from_map(
+            AugMap::build(seed.clone()),
+            StoreConfig {
+                batch_window: Duration::ZERO,
+                ..StoreConfig::default()
+            },
+        );
+        // The model: the head's map (its own lineage, built with the tree
+        // operations the committer uses) and, per held version, the number
+        // of holders and that version's map.
+        let (mut head_id, mut head_map) = (0u64, AugMap::<S>::build(seed));
+        let mut held: BTreeMap<u64, (usize, AugMap<S>)> = BTreeMap::new();
+        let mut pins = Vec::new();
+
+        for step in steps {
+            match step {
+                Step::Publish(op) => {
+                    // keys 0..64 spread over the seed's 4096
+                    let op = match op {
+                        WriteOp::Put(k, v) => {
+                            head_map.multi_insert(vec![(k * 64, v)]);
+                            WriteOp::Put(k * 64, v)
+                        }
+                        WriteOp::Delete(k) => {
+                            head_map.multi_delete(vec![k * 64]);
+                            WriteOp::Delete(k * 64)
+                        }
+                    };
+                    head_id += 1;
+                    prop_assert_eq!(store.write_batch(vec![op]).wait(), head_id);
+                }
+                Step::Pin => {
+                    pins.push(store.pin());
+                    held.entry(head_id).or_insert((0, head_map.clone())).0 += 1;
+                }
+                Step::ClonePin(i) if !pins.is_empty() => {
+                    let pin = pins[i % pins.len()].clone();
+                    held.get_mut(&pin.id()).expect("a held pin is in the model").0 += 1;
+                    pins.push(pin);
+                }
+                Step::DropPin(i) if !pins.is_empty() => {
+                    let pin = pins.swap_remove(i % pins.len());
+                    let holders = &mut held.get_mut(&pin.id()).expect("held").0;
+                    *holders -= 1;
+                    if *holders == 0 {
+                        held.remove(&pin.id());
+                    }
+                }
+                Step::ClonePin(_) | Step::DropPin(_) => {}
+            }
+
+            let stats = store.stats();
+            let live = held.len() + usize::from(!held.contains_key(&head_id));
+            prop_assert_eq!(stats.head_version, head_id);
+            prop_assert_eq!(stats.live_versions, live);
+            prop_assert_eq!(stats.retired_versions + live as u64, head_id + 1);
+            for pin in &pins {
+                let model = &held[&pin.id()].1;
+                prop_assert_eq!(
+                    (pin.map().len(), pin.map().aug_val()),
+                    (model.len(), model.aug_val())
+                );
+            }
+            let head = store.pin();
+            let store_roots: Vec<_> = pins
+                .iter()
+                .map(|p| p.map().root())
+                .chain([head.map().root()])
+                .collect();
+            let model_roots: Vec<_> = held
+                .values()
+                .map(|(_, m)| m.root())
+                .chain([head_map.root()])
+                .collect();
+            prop_assert_eq!(
+                pam::stats::reachable_bytes(&store_roots),
+                pam::stats::reachable_bytes(&model_roots)
+            );
+        }
+        for pin in &pins {
+            prop_assert_eq!(pin.map().to_vec(), held[&pin.id()].1.to_vec());
+        }
     }
 }

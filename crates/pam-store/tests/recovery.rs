@@ -114,7 +114,6 @@ fn checkpoint_truncates_wal_and_bulk_loads() {
     let tiny_segments = DurabilityConfig {
         segment_bytes: 256, // rotate every few epochs
         checkpoint_every_bytes: None,
-        checkpoint_interval: None,
         ..DurabilityConfig::default()
     };
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
@@ -165,7 +164,6 @@ fn background_checkpointer_fires_on_bytes_threshold() {
     let auto = DurabilityConfig {
         sync: SyncPolicy::NoSync,
         checkpoint_every_bytes: Some(1024),
-        checkpoint_interval: None,
         ..DurabilityConfig::default()
     };
     let store = open(&dir, auto);

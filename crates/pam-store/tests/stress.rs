@@ -121,7 +121,6 @@ fn atomic_batches_under_contention() {
 fn pinned_versions_immutable_while_head_churns() {
     let store = Arc::new(Store::with_config(StoreConfig {
         batch_window: Duration::from_micros(50),
-        keep_versions: 4,
         ..StoreConfig::default()
     }));
     store.put_all((0..1_000u64).map(|k| (k, 0))).wait();
@@ -198,13 +197,9 @@ fn pinned_versions_immutable_while_head_churns() {
     // stats surface reflects the churn and the dedup
     let stats = store.stats();
     assert!(stats.applied_ops <= stats.raw_ops);
-    assert!(stats.live_versions <= 4 + pins.len());
+    // a version is alive iff it is the head or a pin holds it
+    assert!(stats.live_versions <= 1 + pins.len());
     println!("churn stats: {stats}");
-    println!(
-        "memory: {} bytes across {} live versions",
-        store.memory_bytes(),
-        stats.live_versions
-    );
 }
 
 /// Mixed read/write workload with waits sprinkled in: tickets resolve,
@@ -317,9 +312,9 @@ fn single_writer_publish_is_dense_monotone_and_visible_in_order() {
     assert_eq!(store.head_version(), EPOCHS);
     assert_eq!(store.get(&KEY), Some(EPOCHS));
     assert_eq!(store.stats().commits, EPOCHS);
-    let ids: Vec<u64> = store.versions().iter().map(|v| v.id).collect();
-    assert!(
-        ids.windows(2).all(|w| w[1] == w[0] + 1) && ids.last() == Some(&EPOCHS),
-        "retained versions must be a dense run ending at the head: {ids:?}"
+    assert_eq!(
+        store.stats().live_versions,
+        1,
+        "with every reader's pin dropped, only the head is alive"
     );
 }

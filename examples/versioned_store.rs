@@ -1,5 +1,5 @@
 //! The `pam-store` tour: a sensor-metrics service with live ingest,
-//! non-blocking analytics, and named historical versions.
+//! non-blocking analytics, and a held historical version.
 //!
 //! Run with: `cargo run --release --example versioned_store`
 
@@ -17,8 +17,6 @@ fn key(sensor: u64, t: u64) -> u64 {
 }
 
 fn main() {
-    // one shard: its engine's version ids are the store's history, so
-    // pins and tags below go through `shard(0)`
     let store = Arc::new(Metrics::volatile(
         ShardedConfig::builder()
             .shards(1)
@@ -62,33 +60,35 @@ fn main() {
     let final_sum = analytics.join().unwrap();
     println!("ingest done; last pinned sensor-0 sum: {final_sum}");
 
-    // --- named versions: tag a nightly snapshot ---------------------------
-    let nightly = store.shard(0).tag("nightly");
-    println!("tagged version {nightly} as \"nightly\"");
+    // --- history: a snapshot lives exactly as long as it is held ----------
+    let nightly = store.snapshot();
+    println!(
+        "holding version {:?} as \"nightly\"",
+        nightly.version_vector()
+    );
 
-    // keep writing; the tag pins yesterday's view
+    // keep writing; the snapshot keeps yesterday's view
     store
         .write_batch((0..1000u64).map(|t| WriteOp::Delete(key(0, t))))
         .wait();
-    let now = store.shard(0).pin();
-    let then = store.shard(0).pin_tagged("nightly").expect("tag pinned");
+    let sensor0 = (key(0, 0), key(0, u32::MAX as u64));
     println!(
         "sensor-0 readings now: {}, in \"nightly\": {}",
-        now.map().range(&key(0, 0), &key(0, u32::MAX as u64)).len(),
-        then.map().range(&key(0, 0), &key(0, u32::MAX as u64)).len(),
+        store.range(&sensor0.0, &sensor0.1).len(),
+        nightly.range(&sensor0.0, &sensor0.1).len(),
     );
-    assert_eq!(
-        then.map().range(&key(0, 0), &key(0, u32::MAX as u64)).len(),
-        10_000
-    );
+    assert_eq!(nightly.range(&sensor0.0, &sensor0.1).len(), 10_000);
 
     // --- observability ----------------------------------------------------
     let stats = store.stats();
     println!("\nstats: {stats}");
     println!(
-        "memory: {} KiB across {} live versions (shared nodes counted once)",
+        "memory: {} KiB in the head; {} live versions (the head and \"nightly\")",
         store.memory_bytes() / 1024,
         stats.live_versions
     );
+    assert_eq!(stats.live_versions, 2);
     assert!(stats.mean_batch() > 1.0, "group commit batched writers");
+    drop(nightly);
+    assert_eq!(store.stats().live_versions, 1);
 }
