@@ -1,39 +1,16 @@
-//! # Comparison baselines for the PAM reproduction
+//! # Comparison baseline for the PAM reproduction
 //!
-//! Every structure the paper benchmarks PAM against, rebuilt from scratch
-//! in Rust (with documented substitutions for closed or impractical
-//! comparators — see DESIGN.md):
+//! [`bplustree::BPlusTree`] stands in for the paper's B+-tree / OpenBw
+//! comparator \[63,65\]. It is the one structure besides
+//! `std::collections::BTreeMap` that `benchmark/` times `pam` against
+//! (`baselines.bplustree_find_ratio`); the comparators nothing gates on
+//! are not kept.
 //!
-//! | paper comparator            | here                          |
-//! |-----------------------------|-------------------------------|
-//! | STL `map` (red-black tree)  | [`rbtree::RbTree`]            |
-//! | STL sorted `vector` union   | [`sorted_seq::SortedVecMap`]  |
-//! | MCSTL parallel multi-insert | [`par_merge::par_union`]      |
-//! | concurrent skiplist         | [`skiplist::SkipList`]        |
-//! | OpenBw / B+-tree \[63,65\]  | [`bplustree::BPlusTree`]      |
-//! | TBB `concurrent_hash_map`   | [`sharded_map::ShardedMap`]   |
-//! | CGAL range tree             | [`static_rangetree::StaticRangeTree`] |
-//! | Python `intervaltree`       | [`interval_list::IntervalList`] |
-//!
-//! All baselines use `u64` keys/values (the benchmark currency of the
-//! paper's §6.1) rather than full genericity: they exist to be measured,
-//! not adopted.
+//! `u64` keys and values only (the benchmark currency of the paper's
+//! §6.1): it exists to be measured, not adopted.
 
 #![warn(missing_docs)]
 
 pub mod bplustree;
-pub mod interval_list;
-pub mod par_merge;
-pub mod rbtree;
-pub mod sharded_map;
-pub mod skiplist;
-pub mod sorted_seq;
-pub mod static_rangetree;
 
 pub use bplustree::BPlusTree;
-pub use interval_list::IntervalList;
-pub use rbtree::RbTree;
-pub use sharded_map::ShardedMap;
-pub use skiplist::SkipList;
-pub use sorted_seq::SortedVecMap;
-pub use static_rangetree::StaticRangeTree;

@@ -4,12 +4,11 @@
 //! monotonic start of each pipeline stage (group-commit window, submit
 //! seal/drain, normalize, WAL log, apply, publish) plus batch sizes and
 //! the cross-shard stamp — into a process-global fixed ring
-//! ([`FlightRecorder`]). Three consumers read the ring:
+//! ([`FlightRecorder`]). Two consumers read the ring:
 //!
 //! * the live telemetry server's `/trace` endpoint (see
 //!   [`crate::server`]) renders it as Chrome trace-event JSON via
 //!   [`crate::chrome::chrome_trace`];
-//! * `ycsb --trace-out FILE` writes the same document at exit;
 //! * **crash dumps** — a store that poisons (commit hook failure) or a
 //!   process that panics writes `flight-<pid>.json` into every
 //!   registered WAL directory ([`register_dump_dir`]), capturing the

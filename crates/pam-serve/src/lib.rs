@@ -20,8 +20,8 @@
 //!   bounded worker pool — the `pam_obs::ObsServer` idiom, no async
 //!   runtime) over an `Arc<`[`pam_store::Store`]`>`; includes the
 //!   graceful-drain protocol.
-//! * [`client`] — a small blocking client used by `ycsb --remote` and
-//!   the integration tests.
+//! * [`client`] — a small blocking client, used by the serve and crash
+//!   tests.
 //!
 //! The binary (`pam-serve`) serves a durable
 //! [`pam_store::Store`]`<NoAug<Vec<u8>, Vec<u8>>>`: opaque byte

@@ -27,10 +27,34 @@ use std::time::Duration;
 
 type Spec = NoAug<Vec<u8>, Vec<u8>>;
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+const FLAGS: [&str; 7] = [
+    "--dir",
+    "--addr",
+    "--shards",
+    "--workers",
+    "--sync",
+    "--batch-window-us",
+    "--obs-addr",
+];
+
+/// Split the command line into `(flag, value)` pairs. An argument that is
+/// not one of [`FLAGS`], or a flag with nothing after it, is an error
+/// naming it: a typo must not start a server on defaults.
+fn parse_args(args: &[String]) -> Result<Vec<(&str, &str)>, String> {
+    let mut pairs = Vec::new();
+    let mut rest = args.iter();
+    while let Some(name) = rest.next() {
+        if !FLAGS.contains(&name.as_str()) {
+            return Err(format!("unknown argument: {name}"));
+        }
+        let value = rest.next().ok_or_else(|| format!("{name} needs a value"))?;
+        pairs.push((name.as_str(), value.as_str()));
+    }
+    Ok(pairs)
+}
+
+fn flag<'a>(args: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
+    args.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
 }
 
 fn parse_sync(s: &str) -> Result<SyncPolicy, String> {
@@ -54,9 +78,10 @@ fn parse_sync(s: &str) -> Result<SyncPolicy, String> {
 }
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&args)?;
     let dir = flag(&args, "--dir").ok_or("--dir DIR is required")?;
-    let addr = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
+    let addr = flag(&args, "--addr").unwrap_or("127.0.0.1:7878");
     let shards: usize = flag(&args, "--shards")
         .map(|s| s.parse().map_err(|e| format!("--shards: {e}")))
         .transpose()?
@@ -70,7 +95,7 @@ fn run() -> Result<(), String> {
         .transpose()?
         .unwrap_or(200);
     let sync = flag(&args, "--sync")
-        .map(|s| parse_sync(&s))
+        .map(parse_sync)
         .transpose()?
         .unwrap_or(SyncPolicy::SyncEachEpoch);
 
@@ -84,11 +109,11 @@ fn run() -> Result<(), String> {
     }
 
     let store = Arc::new(
-        Store::<Spec>::open(&dir, cfg, dur.build()).map_err(|e| format!("open {dir}: {e}"))?,
+        Store::<Spec>::open(dir, cfg, dur.build()).map_err(|e| format!("open {dir}: {e}"))?,
     );
     let mut server = serve(
         Arc::clone(&store),
-        addr.as_str(),
+        addr,
         ServeConfig {
             workers,
             ..ServeConfig::default()

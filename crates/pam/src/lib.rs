@@ -30,7 +30,7 @@
 //!
 //! Maps are **functional/persistent**: updates path-copy, snapshots are
 //! O(1) clones, and unique nodes are reused in place (the refcount-1
-//! optimization — disable with the `no-reuse` feature to measure it).
+//! optimization).
 //!
 //! ## Quick example (the paper's Equation 1: integer map with sums)
 //!

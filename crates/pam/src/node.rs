@@ -28,8 +28,6 @@
 //! out (`Arc::try_unwrap`) instead of cloning them. Exposing a multi-entry
 //! leaf splits its block at the median, so every join-based algorithm
 //! remains correct unmodified; hot paths add per-block fast arms instead.
-//! Build with the `no-reuse` feature to disable reuse and measure pure
-//! path-copying (an ablation in the bench suite).
 //!
 //! Every node caches the augmented value of its subtree. For internal
 //! nodes it is computed in `Node::make` as `f(A(L), f(g(k,v), A(R)))`; for
@@ -249,7 +247,6 @@ fn split_block<S: AugSpec, B: Balance>(
 /// Exposing a multi-entry **leaf** splits its block at the median into two
 /// smaller leaves around the median entry. This keeps every join-based algorithm correct on blocked trees; the rebuilding
 /// `join_tree` re-packs underfull blocks on the way up.
-#[cfg(not(feature = "no-reuse"))]
 #[inline]
 #[allow(clippy::type_complexity)]
 pub fn expose<S: AugSpec, B: Balance>(
@@ -267,16 +264,6 @@ pub fn expose<S: AugSpec, B: Balance>(
         Ok(Node::Leaf(l)) => split_block(l.entries.into_vec()),
         Err(shared) => clone_out(&shared),
     }
-}
-
-/// `no-reuse` ablation build: always path-copy, even when uniquely owned.
-#[cfg(feature = "no-reuse")]
-#[inline]
-#[allow(clippy::type_complexity)]
-pub fn expose<S: AugSpec, B: Balance>(
-    n: Arc<Node<S, B>>,
-) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
-    clone_out(&n)
 }
 
 #[allow(clippy::type_complexity)]
@@ -301,7 +288,6 @@ fn clone_out<S: AugSpec, B: Balance>(
 /// [`expose`]). Panics on an internal node — callers check `is_leaf`
 /// first. This is the entry point of the per-block fast paths in `ops`.
 pub(crate) fn take_leaf_entries<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> Vec<EntryOwned<S>> {
-    #[cfg(not(feature = "no-reuse"))]
     let n = match Arc::try_unwrap(n) {
         Ok(Node::Leaf(l)) => return l.entries.into_vec(),
         Ok(Node::Internal(_)) => unreachable!("take_leaf_entries on internal node"),

@@ -111,7 +111,6 @@ fn par_drop_releases_unique_tree() {
     m.par_drop(); // must not deadlock/crash; Miri-style checks in CI
 }
 
-#[cfg(not(feature = "no-reuse"))]
 #[test]
 fn unique_trees_mutate_without_copying_everything() {
     // With the reuse optimization, inserting into a uniquely-owned tree

@@ -17,11 +17,6 @@ pub fn random_intervals(n: usize, seed: u64, universe: u64, max_len: u64) -> Vec
     })
 }
 
-/// `m` stabbing-query points over the same universe.
-pub fn stab_points(m: usize, seed: u64, universe: u64) -> Vec<u64> {
-    parlay::tabulate(m, |i| hash64(seed ^ i as u64) % universe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

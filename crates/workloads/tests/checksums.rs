@@ -4,7 +4,6 @@
 //! rayon shim's iterator layer to `parlay::tabulate` (PR 22), and any
 //! change to how a generator is driven has to reproduce them.
 
-use workloads::intervals::stab_points;
 use workloads::points::query_windows;
 use workloads::{
     hash64, random_intervals, random_points, read_probes, uniform_pairs, Corpus, CorpusConfig,
@@ -45,11 +44,6 @@ fn random_intervals_checksum() {
             .flat_map(|(l, r)| [l, r]),
     );
     assert_eq!(got, 0xe8ff_4b2f_dbe3_713f);
-}
-
-#[test]
-fn stab_points_checksum() {
-    assert_eq!(digest(stab_points(N, 5, 1 << 30)), 0xa857_75fb_f8bb_2aa9);
 }
 
 #[test]
