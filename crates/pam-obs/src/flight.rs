@@ -177,17 +177,7 @@ pub fn render_flight_dump(reason: &str, poisoned_epoch: Option<u64>) -> String {
         .iter()
         .map(EpochTrace::to_json)
         .collect();
-    let events: Vec<String> = recent_events()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"level\": \"{}\", \"target\": \"{}\", \"message\": \"{}\"}}",
-                e.level,
-                escape(&e.target),
-                escape(&e.message)
-            )
-        })
-        .collect();
+    let events: Vec<String> = recent_events().iter().map(|e| e.to_json()).collect();
     let poisoned = match poisoned_epoch {
         Some(e) => e.to_string(),
         None => "null".to_string(),

@@ -376,9 +376,10 @@ mod tests {
     #[test]
     fn registry_json_parses() {
         let reg = crate::MetricsRegistry::new();
-        reg.counter("pam_x_total").add(3);
-        let h = reg.histogram("pam_lat_nanos{shard=\"0\"}");
+        reg.export_counter("pam_x_total", 3);
+        let h = crate::Histogram::new();
         h.record(500);
+        reg.export_histogram("pam_lat_nanos{shard=\"0\"}", h.snapshot());
         let v = Json::parse(&reg.render_json()).expect("registry JSON is valid");
         assert_eq!(
             v.get("counters")

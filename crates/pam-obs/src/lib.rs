@@ -1,6 +1,6 @@
 //! `pam-obs` — zero-dependency observability for the PAM store stack.
 //!
-//! Three pieces, each usable on its own:
+//! Seven pieces, each usable on its own:
 //!
 //! * [`hist`] — lock-free **log-bucketed latency histograms**
 //!   ([`Histogram`] / [`HistogramSnapshot`]): wait-free recording from
@@ -10,13 +10,11 @@
 //!   store-wide view.
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges, and
 //!   histograms with **Prometheus-text** and **JSON** exposition. Hot
-//!   paths keep their recorders embedded in their own structs; the
-//!   registry is the exposition surface they export into.
-//! * [`trace`] — a minimal tracing facade: [`event!`] and [`span!`]
-//!   macros behind one relaxed-atomic level gate, a pluggable
-//!   [`Subscriber`], and a default subscriber combining a ring buffer
-//!   of recent events (level via `PAM_LOG_RING`) with a
-//!   `PAM_LOG`-filtered stderr writer.
+//!   paths keep their recorders embedded in their own structs and
+//!   export into the registry at scrape time.
+//! * [`trace`] — a minimal event log: [`event!`] writes every event into
+//!   one fixed ring of recent events ([`recent_events`]) and, when
+//!   `PAM_LOG` enables its level, to stderr.
 //! * [`server`] — a **live telemetry endpoint**: a hand-rolled HTTP/1.0
 //!   listener ([`ObsServer`]) serving `/metrics`, `/metrics.json`,
 //!   `/events`, `/health`, and `/trace` from a [`TelemetrySource`].
@@ -46,6 +44,6 @@ pub mod trace;
 pub use chrome::chrome_trace;
 pub use flight::{EpochTrace, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot};
-pub use metrics::{Counter, Gauge, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use server::{Health, ObsServer, TelemetrySource};
-pub use trace::{recent_events, set_subscriber, Level, Span, Subscriber};
+pub use trace::{recent_events, Level};

@@ -1,16 +1,11 @@
 //! The metrics registry and its exposition formats.
 //!
-//! A [`MetricsRegistry`] is a named collection of counters, gauges, and
-//! histograms. Metrics come in two flavours:
-//!
-//! * **live** — created with [`MetricsRegistry::counter`] /
-//!   [`MetricsRegistry::gauge`] / [`MetricsRegistry::histogram`] and
-//!   updated from hot paths (all lock-free once created);
-//! * **exported** — point-in-time values pushed in with the `export_*`
-//!   methods. The store stack keeps its hot-path recorders embedded in
-//!   its own stats structs (no registry lookup per commit) and exports
-//!   them here at exposition time; each `export_*` call overwrites the
-//!   previous value under the same name.
+//! A [`MetricsRegistry`] is a named collection of point-in-time counter,
+//! gauge, and histogram values, pushed in with the `export_*` methods.
+//! Every layer keeps its hot-path recorders embedded in its own stats
+//! struct (no registry lookup per commit) and exports them here at
+//! scrape time; each `export_*` call overwrites the previous value under
+//! the same name.
 //!
 //! Exposition: [`MetricsRegistry::render_prometheus`] (text format —
 //! histograms become summaries with `{quantile="..."}` series) and
@@ -20,70 +15,19 @@
 //! optionally followed by one `{key="value",...}` label block baked into
 //! the name (e.g. `pam_commit_nanos{shard="3"}`).
 
-use crate::hist::{Histogram, HistogramSnapshot};
+use crate::hist::HistogramSnapshot;
 use crate::json::escape as json_escape;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// A monotonically increasing counter (cloneable handle; all clones
-/// share the value).
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can go up and down (cloneable handle).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Set the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 enum Slot {
-    Counter(Counter),
-    Gauge(Gauge),
-    Hist(Arc<Histogram>),
-    FrozenCounter(u64),
-    FrozenGauge(i64),
-    FrozenHist(HistogramSnapshot),
+    Counter(u64),
+    Gauge(i64),
+    Hist(HistogramSnapshot),
 }
 
-/// A named collection of metrics with Prometheus-text and JSON
-/// exposition. See the module docs for the live vs exported split.
+/// A named collection of exported metrics with Prometheus-text and JSON
+/// exposition.
 #[derive(Default)]
 pub struct MetricsRegistry {
     slots: Mutex<BTreeMap<String, Slot>>,
@@ -137,60 +81,6 @@ impl MetricsRegistry {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Get or create the live counter `name`.
-    ///
-    /// # Panics
-    ///
-    /// If `name` is not a valid metric name, or is already registered as
-    /// a different kind of metric.
-    pub fn counter(&self, name: &str) -> Counter {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut slots = self.lock();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Counter(Counter::default()))
-        {
-            Slot::Counter(c) => c.clone(),
-            _ => panic!("metric {name:?} already registered as a non-counter"),
-        }
-    }
-
-    /// Get or create the live gauge `name`.
-    ///
-    /// # Panics
-    ///
-    /// If `name` is not a valid metric name, or is already registered as
-    /// a different kind of metric.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut slots = self.lock();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Gauge(Gauge::default()))
-        {
-            Slot::Gauge(g) => g.clone(),
-            _ => panic!("metric {name:?} already registered as a non-gauge"),
-        }
-    }
-
-    /// Get or create the live histogram `name`.
-    ///
-    /// # Panics
-    ///
-    /// If `name` is not a valid metric name, or is already registered as
-    /// a different kind of metric.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut slots = self.lock();
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Hist(Arc::new(Histogram::new())))
-        {
-            Slot::Hist(h) => h.clone(),
-            _ => panic!("metric {name:?} already registered as a non-histogram"),
-        }
-    }
-
     /// Publish a point-in-time counter value under `name` (overwrites a
     /// previous export of the same name).
     ///
@@ -199,8 +89,7 @@ impl MetricsRegistry {
     /// If `name` is not a valid metric name.
     pub fn export_counter(&self, name: &str, value: u64) {
         assert!(valid_name(name), "invalid metric name {name:?}");
-        self.lock()
-            .insert(name.to_string(), Slot::FrozenCounter(value));
+        self.lock().insert(name.to_string(), Slot::Counter(value));
     }
 
     /// Publish a point-in-time gauge value under `name`.
@@ -210,8 +99,7 @@ impl MetricsRegistry {
     /// If `name` is not a valid metric name.
     pub fn export_gauge(&self, name: &str, value: i64) {
         assert!(valid_name(name), "invalid metric name {name:?}");
-        self.lock()
-            .insert(name.to_string(), Slot::FrozenGauge(value));
+        self.lock().insert(name.to_string(), Slot::Gauge(value));
     }
 
     /// Publish a histogram snapshot under `name`.
@@ -221,8 +109,7 @@ impl MetricsRegistry {
     /// If `name` is not a valid metric name.
     pub fn export_histogram(&self, name: &str, snapshot: HistogramSnapshot) {
         assert!(valid_name(name), "invalid metric name {name:?}");
-        self.lock()
-            .insert(name.to_string(), Slot::FrozenHist(snapshot));
+        self.lock().insert(name.to_string(), Slot::Hist(snapshot));
     }
 
     /// Render every metric in the Prometheus text exposition format.
@@ -236,20 +123,17 @@ impl MetricsRegistry {
         for (name, slot) in slots.iter() {
             let (base, _) = split_name(name);
             let kind = match slot {
-                Slot::Counter(_) | Slot::FrozenCounter(_) => "counter",
-                Slot::Gauge(_) | Slot::FrozenGauge(_) => "gauge",
-                Slot::Hist(_) | Slot::FrozenHist(_) => "summary",
+                Slot::Counter(_) => "counter",
+                Slot::Gauge(_) => "gauge",
+                Slot::Hist(_) => "summary",
             };
             if typed.insert(base) {
                 out.push_str(&format!("# TYPE {base} {kind}\n"));
             }
             match slot {
-                Slot::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
-                Slot::FrozenCounter(v) => out.push_str(&format!("{name} {v}\n")),
-                Slot::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
-                Slot::FrozenGauge(v) => out.push_str(&format!("{name} {v}\n")),
-                Slot::Hist(h) => render_prom_hist(&mut out, name, &h.snapshot()),
-                Slot::FrozenHist(s) => render_prom_hist(&mut out, name, s),
+                Slot::Counter(v) => out.push_str(&format!("{name} {v}\n")),
+                Slot::Gauge(v) => out.push_str(&format!("{name} {v}\n")),
+                Slot::Hist(s) => render_prom_hist(&mut out, name, s),
             }
         }
         out
@@ -266,12 +150,9 @@ impl MetricsRegistry {
         for (name, slot) in slots.iter() {
             let name = json_escape(name);
             match slot {
-                Slot::Counter(c) => counters.push(format!("\"{name}\": {}", c.get())),
-                Slot::FrozenCounter(v) => counters.push(format!("\"{name}\": {v}")),
-                Slot::Gauge(g) => gauges.push(format!("\"{name}\": {}", g.get())),
-                Slot::FrozenGauge(v) => gauges.push(format!("\"{name}\": {v}")),
-                Slot::Hist(h) => hists.push(json_hist(&name, &h.snapshot())),
-                Slot::FrozenHist(s) => hists.push(json_hist(&name, s)),
+                Slot::Counter(v) => counters.push(format!("\"{name}\": {v}")),
+                Slot::Gauge(v) => gauges.push(format!("\"{name}\": {v}")),
+                Slot::Hist(s) => hists.push(json_hist(&name, s)),
             }
         }
         format!(
@@ -322,45 +203,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn live_metrics_share_state_across_clones() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("pam_test_total");
-        c.inc();
-        reg.counter("pam_test_total").add(2);
-        assert_eq!(c.get(), 3);
-        let g = reg.gauge("pam_test_gauge");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(reg.gauge("pam_test_gauge").get(), 3);
-        let h = reg.histogram("pam_test_nanos");
-        h.record(100);
-        assert_eq!(reg.histogram("pam_test_nanos").snapshot().count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_mismatch_panics() {
-        let reg = MetricsRegistry::new();
-        reg.counter("pam_thing");
-        reg.gauge("pam_thing");
-    }
-
-    #[test]
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_panic() {
-        MetricsRegistry::new().counter("0bad name");
+        MetricsRegistry::new().export_counter("0bad name", 1);
     }
 
     #[test]
     fn prometheus_exposition_parses_line_by_line() {
         let reg = MetricsRegistry::new();
-        reg.counter("pam_ops_total").add(7);
-        reg.gauge("pam_depth").set(-2);
-        let h = reg.histogram("pam_lat_nanos{shard=\"0\"}");
+        reg.export_counter("pam_ops_total", 7);
+        reg.export_gauge("pam_depth", -2);
+        let h = crate::hist::Histogram::new();
         for v in 1..=100u64 {
             h.record(v);
         }
-        reg.export_counter("pam_frozen_total", 9);
+        reg.export_histogram("pam_lat_nanos{shard=\"0\"}", h.snapshot());
         let text = reg.render_prometheus();
         // the CI contract: every line is a comment or `name[{labels}] value`
         for line in text.lines() {
@@ -376,14 +233,13 @@ mod tests {
         assert!(text.contains("pam_lat_nanos_count{shard=\"0\"} 100"));
         assert!(text.contains("pam_ops_total 7"));
         assert!(text.contains("pam_depth -2"));
-        assert!(text.contains("pam_frozen_total 9"));
     }
 
     #[test]
     fn json_exposition_has_all_sections() {
         let reg = MetricsRegistry::new();
-        reg.counter("c").inc();
-        reg.gauge("g").set(1);
+        reg.export_counter("c", 1);
+        reg.export_gauge("g", 1);
         let mut snap = crate::hist::Histogram::new().snapshot();
         let live = crate::hist::Histogram::new();
         live.record(50);

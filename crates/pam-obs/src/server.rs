@@ -9,7 +9,7 @@
 //! |-----------------|---------------------------------------------------|
 //! | `/metrics`      | Prometheus text exposition of the global registry |
 //! | `/metrics.json` | The same registry as JSON                         |
-//! | `/events`       | The subscriber's recent-event ring as JSON        |
+//! | `/events`       | The recent-event ring as JSON                     |
 //! | `/health`       | `healthy` / `degraded` / `poisoned` (+ reason); HTTP 503 when poisoned |
 //! | `/trace`        | The epoch flight ring as Chrome trace-event JSON  |
 //!
@@ -287,17 +287,7 @@ fn handle_connection(mut stream: TcpStream, source: &TelemetrySource, requests: 
             );
         }
         "/events" => {
-            let events: Vec<String> = recent_events()
-                .iter()
-                .map(|e| {
-                    format!(
-                        "{{\"level\": \"{}\", \"target\": \"{}\", \"message\": \"{}\"}}",
-                        e.level,
-                        escape(&e.target),
-                        escape(&e.message)
-                    )
-                })
-                .collect();
+            let events: Vec<String> = recent_events().iter().map(|e| e.to_json()).collect();
             let body = format!("[{}]", events.join(", "));
             respond(&mut stream, 200, "OK", "application/json", &body);
         }
@@ -405,9 +395,23 @@ mod tests {
         assert_eq!(code, 200);
         assert!(Json::parse(&tj).unwrap().get("traceEvents").is_some());
 
+        crate::event!(
+            crate::Level::Warn,
+            "pam_server_test",
+            "served at {}",
+            "/events"
+        );
         let (code, ev) = http_get(addr, "/events");
         assert_eq!(code, 200);
-        assert!(Json::parse(&ev).unwrap().as_arr().is_some());
+        let events = Json::parse(&ev).unwrap();
+        assert!(
+            events.as_arr().unwrap().iter().any(|e| {
+                e.get("level").and_then(Json::as_str) == Some("WARN")
+                    && e.get("target").and_then(Json::as_str) == Some("pam_server_test")
+                    && e.get("message").and_then(Json::as_str) == Some("served at /events")
+            }),
+            "the event must be served: {ev}"
+        );
 
         let (code, _) = http_get(addr, "/nope");
         assert_eq!(code, 404);

@@ -1,44 +1,26 @@
-//! A minimal tracing facade: [`event!`](crate::event) and
-//! [`span!`](crate::span) macros dispatching to a pluggable
-//! [`Subscriber`].
+//! A minimal event log: the [`event!`](crate::event) macro writes every
+//! event into one fixed ring of the last [`RING_CAPACITY`] events
+//! ([`recent_events`], served at `/events` and captured into flight
+//! dumps), and to stderr when the `PAM_LOG` environment variable
+//! (`error|warn|info`, default off) enables its level.
 //!
-//! Design constraints, in order:
-//!
-//! 1. **Cheap enough to leave compiled in.** The macros check one
-//!    relaxed atomic (the level gate) before touching any arguments, so
-//!    a disabled `event!(Level::Trace, ...)` costs one load and a
-//!    predictable branch — no formatting, no allocation.
-//! 2. **Zero dependencies.** The default subscriber is a fixed-size
-//!    ring buffer of recent events (always on; `Info` and above by
-//!    default, overridable via `PAM_LOG_RING`) plus a stderr writer
-//!    filtered by the `PAM_LOG` environment variable
-//!    (`error|warn|info|debug|trace`, default off).
-//! 3. **Pluggable.** [`set_subscriber`] installs a custom [`Subscriber`]
-//!    once per process (tests use this to capture events).
-//!
-//! Spans are scope guards: `let _s = span!("checkpoint");` records the
-//! elapsed wall time into the subscriber on drop. Spans only arm when
-//! the `Debug` level is enabled, so they are free in production mode.
+//! Events are lifecycle landmarks — recovery phases, checkpoints,
+//! segment rotations, failures — a handful per checkpoint interval, so
+//! every one is formatted and kept; there is no level gate to skip one.
 
+use crate::json::escape;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Event severity, most severe first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
 pub enum Level {
     /// Something failed and was (at best) degraded around.
-    Error = 1,
+    Error,
     /// Something surprising that is not yet a failure.
-    Warn = 2,
+    Warn,
     /// Lifecycle landmarks: recovery phases, checkpoints, rotations.
-    Info = 3,
-    /// Per-operation detail; also arms `span!` timing.
-    Debug = 4,
-    /// Firehose.
-    Trace = 5,
+    Info,
 }
 
 impl Level {
@@ -47,8 +29,6 @@ impl Level {
             "error" => Some(Level::Error),
             "warn" => Some(Level::Warn),
             "info" => Some(Level::Info),
-            "debug" => Some(Level::Debug),
-            "trace" => Some(Level::Trace),
             _ => None,
         }
     }
@@ -58,8 +38,6 @@ impl Level {
             Level::Error => "ERROR",
             Level::Warn => "WARN",
             Level::Info => "INFO",
-            Level::Debug => "DEBUG",
-            Level::Trace => "TRACE",
         }
     }
 }
@@ -70,351 +48,121 @@ impl std::fmt::Display for Level {
     }
 }
 
-/// Receives events and closed spans. Implementations must be cheap and
-/// must not call back into the tracing macros (no re-entrancy guard is
-/// provided).
-pub trait Subscriber: Send + Sync {
-    /// Is `level` worth formatting at all? The macros consult this (via
-    /// the cached gate) *before* building the message.
-    fn enabled(&self, level: Level) -> bool;
-
-    /// An event fired at `level` from `target` (a static component name
-    /// like `"pam_wal"`).
-    fn event(&self, level: Level, target: &str, message: &str);
-
-    /// A [`Span`] closed after `elapsed`. Default: forwarded as a
-    /// `Debug` event.
-    fn span_close(&self, target: &str, elapsed: Duration) {
-        self.event(
-            Level::Debug,
-            target,
-            &format!("span closed after {elapsed:?}"),
-        );
-    }
-}
-
-/// One captured event in the default subscriber's ring buffer.
+/// One event in the ring.
 #[derive(Clone, Debug)]
 pub struct CapturedEvent {
     /// Severity it fired at.
     pub level: Level,
-    /// Component that fired it.
-    pub target: String,
+    /// Component that fired it (e.g. `"pam_wal"`).
+    pub target: &'static str,
     /// The formatted message.
     pub message: String,
 }
 
-/// The default [`Subscriber`]: keeps the last [`RING_CAPACITY`] events
-/// in a ring buffer (inspectable via [`recent_events`], served at
-/// `/events`, and captured into flight dumps) and writes to stderr when
-/// `PAM_LOG` enables the event's level.
-///
-/// The ring captures `Info` and above by default; the `PAM_LOG_RING`
-/// environment variable (`error|warn|info|debug|trace`) overrides that
-/// cutoff, so `Debug`-level span closes become capturable without
-/// recompiling.
-pub struct DefaultSubscriber {
-    stderr_level: Option<Level>,
-    ring_level: Level,
-    ring: Mutex<VecDeque<CapturedEvent>>,
+impl CapturedEvent {
+    /// `{"level": .., "target": .., "message": ..}` — one element of
+    /// `/events` and of a flight dump's `events` array.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"level\": \"{}\", \"target\": \"{}\", \"message\": \"{}\"}}",
+            self.level,
+            escape(self.target),
+            escape(&self.message)
+        )
+    }
 }
 
-/// How many events the default subscriber's ring buffer retains.
+/// How many events the ring retains; past that the oldest is dropped.
 pub const RING_CAPACITY: usize = 256;
 
-impl DefaultSubscriber {
-    fn from_env() -> Self {
-        DefaultSubscriber {
-            stderr_level: std::env::var("PAM_LOG").ok().and_then(|s| Level::parse(&s)),
-            ring_level: std::env::var("PAM_LOG_RING")
-                .ok()
-                .and_then(|s| Level::parse(&s))
-                .unwrap_or(Level::Info),
-            ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
+struct Ring(Mutex<VecDeque<CapturedEvent>>);
+
+impl Ring {
+    const fn new() -> Ring {
+        Ring(Mutex::new(VecDeque::new()))
+    }
+
+    fn push(&self, event: CapturedEvent) {
+        let mut ring = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if ring.len() == RING_CAPACITY {
+            ring.pop_front();
         }
+        ring.push_back(event);
     }
 
     fn recent(&self) -> Vec<CapturedEvent> {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
+        let ring = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        ring.iter().cloned().collect()
     }
 }
 
-impl Subscriber for DefaultSubscriber {
-    fn enabled(&self, level: Level) -> bool {
-        level <= self.ring_level || self.stderr_level.is_some_and(|max| level <= max)
+static RING: Ring = Ring::new();
+
+/// The least severe level `PAM_LOG` sends to stderr, read once.
+fn stderr_level() -> Option<Level> {
+    static STDERR: OnceLock<Option<Level>> = OnceLock::new();
+    *STDERR.get_or_init(|| std::env::var("PAM_LOG").ok().and_then(|s| Level::parse(&s)))
+}
+
+/// Record one event (the [`event!`](crate::event) macro's body — prefer
+/// the macro).
+pub fn record(level: Level, target: &'static str, message: String) {
+    if stderr_level().is_some_and(|max| level <= max) {
+        eprintln!("[{level:5} {target}] {message}");
     }
-
-    fn event(&self, level: Level, target: &str, message: &str) {
-        if self.stderr_level.is_some_and(|max| level <= max) {
-            eprintln!("[{level:5} {target}] {message}");
-        }
-        if level <= self.ring_level {
-            let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            if ring.len() == RING_CAPACITY {
-                ring.pop_front();
-            }
-            ring.push_back(CapturedEvent {
-                level,
-                target: target.to_string(),
-                message: message.to_string(),
-            });
-        }
-    }
+    RING.push(CapturedEvent {
+        level,
+        target,
+        message,
+    });
 }
 
-/// The installed subscriber plus the cached maximum enabled level
-/// (0 = not yet computed).
-static SUBSCRIBER: OnceLock<Arc<dyn Subscriber>> = OnceLock::new();
-static GATE: AtomicU8 = AtomicU8::new(0);
-/// Typed handle to the default subscriber, set only when it (and not a
-/// custom one) won the installation race — lets [`recent_events`] read
-/// the ring without downcasting through the trait object.
-static DEFAULT: OnceLock<Arc<DefaultSubscriber>> = OnceLock::new();
-
-fn subscriber() -> &'static Arc<dyn Subscriber> {
-    SUBSCRIBER.get_or_init(|| {
-        let d = Arc::new(DefaultSubscriber::from_env());
-        let _ = DEFAULT.set(d.clone());
-        d
-    })
-}
-
-fn compute_gate() -> u8 {
-    let sub = subscriber();
-    let mut gate = 0u8;
-    for l in [
-        Level::Error,
-        Level::Warn,
-        Level::Info,
-        Level::Debug,
-        Level::Trace,
-    ] {
-        if sub.enabled(l) {
-            gate = l as u8;
-        }
-    }
-    // relaxed: the gate is a monotone cache — a racing reader at worst
-    // recomputes or formats one event it could have skipped
-    GATE.store(gate.max(1), Ordering::Relaxed); // 1 = "computed, all off" floor
-    gate.max(1)
-}
-
-/// Is `level` enabled on the installed subscriber? One relaxed atomic
-/// load on the fast path; the macros call this before formatting.
-#[inline]
-pub fn enabled(level: Level) -> bool {
-    // relaxed: hot-path hint only; see compute_gate — a stale value
-    // never produces wrong output, only a skippable recompute
-    let gate = GATE.load(Ordering::Relaxed);
-    let gate = if gate == 0 { compute_gate() } else { gate };
-    level as u8 <= gate
-}
-
-/// Install `sub` as the process-wide subscriber.
-///
-/// # Errors
-///
-/// Returns `Err(sub)` if a subscriber is already installed (including
-/// the default one, which installs lazily on first use).
-pub fn set_subscriber(sub: Arc<dyn Subscriber>) -> Result<(), Arc<dyn Subscriber>> {
-    match SUBSCRIBER.set(sub) {
-        Ok(()) => {
-            // relaxed: 0 just invalidates the cache; readers recompute
-            // through the OnceLock, which supplies the ordering
-            GATE.store(0, Ordering::Relaxed);
-            Ok(())
-        }
-        Err(sub) => Err(sub),
-    }
-}
-
-/// Dispatch one event to the installed subscriber (the
-/// [`event!`](crate::event) macro's slow path — prefer the macro,
-/// which checks [`enabled`] first).
-pub fn dispatch(level: Level, target: &str, message: &str) {
-    subscriber().event(level, target, message);
-}
-
-/// The last events captured by the default subscriber's ring buffer
-/// (level via `PAM_LOG_RING`, `Info` and above by default), oldest
-/// first. Empty if a custom subscriber was installed instead of the
-/// default one, or if no subscriber has been installed yet — before
-/// installation no event can have been captured, so there is nothing
-/// to report (and forcing installation here would steal the slot from
-/// a custom subscriber about to be registered).
+/// The last [`RING_CAPACITY`] events, oldest first.
 pub fn recent_events() -> Vec<CapturedEvent> {
-    if SUBSCRIBER.get().is_none() {
-        return Vec::new();
-    }
-    DEFAULT.get().map(|d| d.recent()).unwrap_or_default()
-}
-
-/// A timing scope guard created by [`span!`](crate::span): records its
-/// elapsed wall time into the subscriber when dropped. Unarmed (free)
-/// unless `Debug` is enabled at creation time.
-#[must_use = "a span measures the scope it is bound to; binding it to _ drops it immediately"]
-pub struct Span {
-    target: &'static str,
-    start: Option<Instant>,
-}
-
-impl Span {
-    /// Open a span for `target` (armed only if `Debug` is enabled).
-    pub fn new(target: &'static str) -> Span {
-        Span {
-            target,
-            start: enabled(Level::Debug).then(Instant::now),
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            subscriber().span_close(self.target, start.elapsed());
-        }
-    }
+    RING.recent()
 }
 
 /// Fire an event: `event!(Level::Info, "pam_wal", "rotated to {}", n)`.
-/// The level gate is checked before the message formats, so disabled
-/// events cost one atomic load.
 #[macro_export]
 macro_rules! event {
     ($level:expr, $target:expr, $($arg:tt)+) => {
-        if $crate::trace::enabled($level) {
-            $crate::trace::dispatch($level, $target, &format!($($arg)+));
-        }
+        $crate::trace::record($level, $target, format!($($arg)+))
     };
-}
-
-/// Open a timing [`Span`]: `let _span = span!("pam_wal::checkpoint");`.
-/// Elapsed time reaches [`Subscriber::span_close`] when the guard drops.
-#[macro_export]
-macro_rules! span {
-    ($target:expr) => {
-        $crate::trace::Span::new($target)
-    };
-}
-
-/// Shared across this crate's unit-test modules: subscriber state is
-/// process-global, so *every* test that touches it (directly or via
-/// [`recent_events`]) must route through one capture subscriber,
-/// installed exactly once before any event fires.
-#[cfg(test)]
-pub(crate) mod testsupport {
-    use super::*;
-
-    pub(crate) struct Capture(
-        pub(crate) Mutex<Vec<(Level, String, String)>>,
-        pub(crate) Mutex<Vec<String>>,
-    );
-
-    impl Subscriber for Capture {
-        fn enabled(&self, level: Level) -> bool {
-            level <= Level::Debug
-        }
-        fn event(&self, level: Level, target: &str, message: &str) {
-            self.0
-                .lock()
-                .unwrap()
-                .push((level, target.to_string(), message.to_string()));
-        }
-        fn span_close(&self, target: &str, _elapsed: Duration) {
-            self.1.lock().unwrap().push(target.to_string());
-        }
-    }
-
-    pub(crate) fn capture() -> &'static Capture {
-        static CAP: OnceLock<&'static Capture> = OnceLock::new();
-        CAP.get_or_init(|| {
-            let cap: &'static Capture = Box::leak(Box::new(Capture(
-                Mutex::new(Vec::new()),
-                Mutex::new(Vec::new()),
-            )));
-            struct Fwd(&'static Capture);
-            impl Subscriber for Fwd {
-                fn enabled(&self, level: Level) -> bool {
-                    self.0.enabled(level)
-                }
-                fn event(&self, level: Level, target: &str, message: &str) {
-                    self.0.event(level, target, message)
-                }
-                fn span_close(&self, target: &str, elapsed: Duration) {
-                    self.0.span_close(target, elapsed)
-                }
-            }
-            // Ignore the error: another test binary path may have
-            // installed first; in this test binary every subscriber
-            //-touching test calls capture() before any event fires.
-            let _ = set_subscriber(Arc::new(Fwd(cap)));
-            cap
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testsupport::capture;
     use super::*;
 
     #[test]
-    fn events_respect_the_gate_and_format_lazily() {
-        let cap = capture();
-        let mut evaluated = false;
-        event!(Level::Trace, "t", "{}", {
-            evaluated = true;
-            "never"
-        });
-        assert!(!evaluated, "disabled event must not format");
+    fn events_land_in_the_ring_and_the_oldest_drops_past_capacity() {
         event!(Level::Info, "pam_test", "hello {}", 42);
-        let events = cap.0.lock().unwrap();
-        assert!(events
+        assert!(recent_events()
             .iter()
-            .any(|(l, t, m)| *l == Level::Info && t == "pam_test" && m == "hello 42"));
-    }
+            .any(|e| e.level == Level::Info && e.target == "pam_test" && e.message == "hello 42"));
 
-    #[test]
-    fn spans_report_to_span_close() {
-        let cap = capture();
-        {
-            let _s = span!("pam_test::scope");
+        // eviction on a private ring, so other tests' events in the
+        // process-wide one are not flushed out
+        let ring = Ring::new();
+        for i in 0..=RING_CAPACITY {
+            ring.push(CapturedEvent {
+                level: Level::Warn,
+                target: "pam_test",
+                message: i.to_string(),
+            });
         }
-        assert!(cap.1.lock().unwrap().iter().any(|t| t == "pam_test::scope"));
-    }
-
-    #[test]
-    fn pam_log_ring_overrides_the_ring_cutoff() {
-        // Construct the subscriber directly (not via the global
-        // installer) so the env override is observable regardless of
-        // which subscriber won the process-wide installation race.
-        std::env::set_var("PAM_LOG_RING", "debug");
-        let sub = DefaultSubscriber::from_env();
-        std::env::remove_var("PAM_LOG_RING");
-        assert!(sub.enabled(Level::Debug), "debug must pass the ring gate");
-        sub.event(Level::Debug, "pam_test", "span closed after 1ms");
-        sub.event(Level::Trace, "pam_test", "below the cutoff");
-        let recent = sub.recent();
-        assert!(recent.iter().any(|e| e.level == Level::Debug));
-        assert!(!recent.iter().any(|e| e.level == Level::Trace));
-
-        // Without the override the ring stays Info+.
-        let sub = DefaultSubscriber::from_env();
-        sub.event(Level::Debug, "pam_test", "filtered");
-        assert!(sub.recent().is_empty());
+        let kept = ring.recent();
+        assert_eq!(kept.len(), RING_CAPACITY);
+        assert_eq!(kept[0].message, "1", "event 0 was the oldest");
+        assert_eq!(kept[RING_CAPACITY - 1].message, RING_CAPACITY.to_string());
     }
 
     #[test]
     fn level_parsing_and_order() {
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
-        assert_eq!(Level::parse(" trace "), Some(Level::Trace));
-        assert_eq!(Level::parse("nope"), None);
-        assert!(Level::Error < Level::Trace);
+        assert_eq!(Level::parse(" info "), Some(Level::Info));
+        assert_eq!(Level::parse("debug"), None);
+        assert!(Level::Error < Level::Info);
         assert_eq!(Level::Warn.to_string(), "WARN");
     }
 }

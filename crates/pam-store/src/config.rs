@@ -106,10 +106,6 @@ pub struct DurabilityConfig {
     /// accumulated since the last one (`None`: only explicit
     /// `checkpoint()` calls).
     pub checkpoint_every_bytes: Option<u64>,
-    /// Checkpoint files to retain; older ones are pruned. The extras are
-    /// insurance: a corrupt newest checkpoint falls back to the previous
-    /// one plus a longer WAL replay.
-    pub keep_checkpoints: usize,
     /// Bind a live telemetry endpoint (`pam_obs::ObsServer`) on this
     /// address at open — e.g. `"127.0.0.1:9184"`, or port `0` to pick a
     /// free port (read it back with [`crate::Store::obs_addr`]). The
@@ -126,7 +122,6 @@ impl Default for DurabilityConfig {
             sync: SyncPolicy::SyncEachEpoch,
             segment_bytes: 16 << 20,
             checkpoint_every_bytes: Some(64 << 20),
-            keep_checkpoints: 2,
             obs_addr: None,
         }
     }
@@ -228,13 +223,6 @@ impl DurabilityConfigBuilder {
         self
     }
 
-    /// Set how many checkpoint files to retain (see
-    /// [`DurabilityConfig::keep_checkpoints`]).
-    pub fn keep_checkpoints(mut self, n: usize) -> Self {
-        self.cfg.keep_checkpoints = n;
-        self
-    }
-
     /// Bind a live telemetry endpoint at open (see
     /// [`DurabilityConfig::obs_addr`]).
     pub fn obs_addr(mut self, addr: impl Into<String>) -> Self {
@@ -267,13 +255,11 @@ mod tests {
             .sync(SyncPolicy::SyncEveryN(8))
             .segment_bytes(1 << 20)
             .checkpoint_every_bytes(4 << 20)
-            .keep_checkpoints(5)
             .obs_addr("127.0.0.1:0")
             .build();
         assert!(matches!(dur.sync, SyncPolicy::SyncEveryN(8)));
         assert_eq!(dur.segment_bytes, 1 << 20);
         assert_eq!(dur.checkpoint_every_bytes, Some(4 << 20));
-        assert_eq!(dur.keep_checkpoints, 5);
         assert_eq!(dur.obs_addr.as_deref(), Some("127.0.0.1:0"));
 
         let manual = DurabilityConfig::builder()

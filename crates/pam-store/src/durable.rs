@@ -117,6 +117,11 @@ impl RecoveryTimings {
 /// and a failed checkpoint is non-fatal (the WAL still has everything).
 const DECISION_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Checkpoint files each shard retains; older ones are pruned. The
+/// second is insurance: a corrupt newest checkpoint falls back to the
+/// previous one plus a longer WAL replay.
+const KEEP_CHECKPOINTS: usize = 2;
+
 /// Shared 2PC bookkeeping for a durable [`crate::Store`]'s global epoch clock.
 ///
 /// * **Stamping** — the store mints global epochs through
@@ -408,7 +413,6 @@ struct StopSignal {
 struct DurableShard<S: AugSpec> {
     engine: Arc<VersionedStore<S>>,
     hook: Arc<WalHook>,
-    config: DurabilityConfig,
     dir: PathBuf,
     stop: Arc<StopSignal>,
     checkpointer: Option<std::thread::JoinHandle<()>>,
@@ -584,21 +588,17 @@ where
 
         // 4. background checkpointer, if configured
         let stop = Arc::new(StopSignal::default());
-        let checkpointer = if durability.checkpoint_every_bytes.is_some() {
-            let (engine2, hook2, stop2, dir2, cfg2) = (
-                engine.clone(),
-                hook.clone(),
-                stop.clone(),
-                dir.clone(),
-                durability.clone(),
-            );
-            Some(
-                std::thread::Builder::new()
-                    .name("pam-store-checkpointer".into())
-                    .spawn(move || run_checkpointer(&engine2, &hook2, &stop2, &dir2, &cfg2))?,
-            )
-        } else {
-            None
+        let checkpointer = match durability.checkpoint_every_bytes {
+            Some(every) => {
+                let (engine2, hook2, stop2, dir2) =
+                    (engine.clone(), hook.clone(), stop.clone(), dir.clone());
+                Some(
+                    std::thread::Builder::new()
+                        .name("pam-store-checkpointer".into())
+                        .spawn(move || run_checkpointer(&engine2, &hook2, &stop2, &dir2, every))?,
+                )
+            }
+            None => None,
         };
 
         let recovery = RecoveryInfo {
@@ -612,7 +612,6 @@ where
         let shard = DurableShard {
             engine,
             hook,
-            config: durability,
             dir,
             stop,
             checkpointer,
@@ -639,7 +638,6 @@ fn do_checkpoint<S: AugSpec>(
     engine: &VersionedStore<S>,
     hook: &WalHook,
     dir: &Path,
-    config: &DurabilityConfig,
 ) -> io::Result<u64>
 where
     S::K: Codec,
@@ -686,7 +684,7 @@ where
         epoch,
         map.len() as u64,
         |emit| map.for_each(|k, v| emit(k, v)),
-        config.keep_checkpoints,
+        KEEP_CHECKPOINTS,
     )?;
     drop(pin); // the snapshot is on disk; release the version
     hook.counters
@@ -732,7 +730,7 @@ fn run_checkpointer<S: AugSpec>(
     hook: &WalHook,
     stop: &StopSignal,
     dir: &Path,
-    config: &DurabilityConfig,
+    every_bytes: u64,
 ) where
     S::K: Codec,
     S::V: Codec,
@@ -754,17 +752,15 @@ fn run_checkpointer<S: AugSpec>(
         if published == hook.counters.last_ckpt_epoch.load(Ordering::Relaxed) {
             continue; // nothing new to checkpoint
         }
-        let bytes_due = config.checkpoint_every_bytes.is_some_and(|threshold| {
-            // relaxed: see above
-            hook.counters.bytes.load(Ordering::Relaxed)
-                - hook.counters.bytes_at_last_ckpt.load(Ordering::Relaxed) // relaxed: see above
-                >= threshold
-        });
+        // relaxed: see above
+        let bytes_due = hook.counters.bytes.load(Ordering::Relaxed)
+            - hook.counters.bytes_at_last_ckpt.load(Ordering::Relaxed) // relaxed: see above
+            >= every_bytes;
         if !bytes_due {
             continue;
         }
         drop(g);
-        match do_checkpoint(engine, hook, dir, config) {
+        match do_checkpoint(engine, hook, dir) {
             Ok(_) => {
                 *hook.last_ckpt_error.lock() = None;
             }
@@ -995,7 +991,7 @@ where
     pub(crate) fn checkpoint(&self) -> io::Result<Vec<u64>> {
         self.shards
             .iter()
-            .map(|s| do_checkpoint(&s.engine, &s.hook, &s.dir, &s.config))
+            .map(|s| do_checkpoint(&s.engine, &s.hook, &s.dir))
             .collect()
     }
 }

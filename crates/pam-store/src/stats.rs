@@ -126,10 +126,6 @@ pub struct StoreStats {
     /// than one shard; a 1-shard store reports 0 — its snapshots are
     /// free root grabs).
     pub snapshots_taken: u64,
-    /// Exclusive (write-side) fence acquisitions — one per snapshot,
-    /// so "live range scans pay one snapshot per scan" is measurable
-    /// here.
-    pub fence_write_acquisitions: u64,
     /// Versions alive right now: the head plus every older version a
     /// [`crate::PinnedVersion`] or [`crate::Snapshot`] still holds.
     pub live_versions: usize,
@@ -225,7 +221,6 @@ impl StoreStats {
             barrier_wait: inner.barrier_wait.snapshot(),
             fence_wait: HistogramSnapshot::default(),
             snapshots_taken: 0,
-            fence_write_acquisitions: 0,
             live_versions,
             retired_versions,
             head_version,
@@ -268,7 +263,6 @@ impl StoreStats {
             out.barrier_wait.merge(&s.barrier_wait);
             out.fence_wait.merge(&s.fence_wait);
             out.snapshots_taken += s.snapshots_taken;
-            out.fence_write_acquisitions += s.fence_write_acquisitions;
             out.live_versions += s.live_versions;
             out.retired_versions += s.retired_versions;
             out.head_version = out.head_version.max(s.head_version);
@@ -319,10 +313,6 @@ impl StoreStats {
         registry.export_counter("pam_applied_ops_total", self.applied_ops);
         registry.export_counter("pam_fence_waits_total", self.fence_waits);
         registry.export_counter("pam_snapshots_taken_total", self.snapshots_taken);
-        registry.export_counter(
-            "pam_fence_write_acquisitions_total",
-            self.fence_write_acquisitions,
-        );
         registry.export_counter("pam_max_batch_ops", self.max_batch);
         registry.export_gauge("pam_live_versions", self.live_versions as i64);
         registry.export_counter("pam_retired_versions_total", self.retired_versions);

@@ -228,8 +228,6 @@ fn aggregate_stats<S: AugSpec>(shards: &[Shard<S>], fence: &FenceObs) -> StoreSt
     s.fence_wait = fence.fence_wait.snapshot();
     // relaxed: stats snapshot; sampling skew is inherent
     s.snapshots_taken = fence.snapshots_taken.load(Ordering::Relaxed);
-    // relaxed: see above
-    s.fence_write_acquisitions = fence.fence_write_acquisitions.load(Ordering::Relaxed);
     s
 }
 
@@ -335,10 +333,6 @@ struct FenceObs {
     /// ones live `range`/`range_for_each` scans take internally) — each
     /// pays one fence write acquisition and one all-shard barrier.
     snapshots_taken: AtomicU64,
-    /// Write-side acquisitions of the epoch fence (currently 1:1 with
-    /// snapshots; tracked separately so future write-side users stay
-    /// visible).
-    fence_write_acquisitions: AtomicU64,
     /// Nanoseconds spent waiting to acquire the epoch fence, both sides:
     /// cross-shard batches blocked behind a snapshot cut (read side) and
     /// snapshots waiting out in-flight submissions (write side).
@@ -716,12 +710,8 @@ where
         let _fence = self.fence.write();
         self.fence_obs.fence_wait.record_duration(parked.elapsed());
         self.fence_obs
-            .fence_write_acquisitions
-            // relaxed: monitoring counters only (both below)
-            .fetch_add(1, Ordering::Relaxed);
-        self.fence_obs
             .snapshots_taken
-            // relaxed: see above
+            // relaxed: monitoring counter only
             .fetch_add(1, Ordering::Relaxed);
         let mut guard = BarrierGuard {
             shards: &self.shards,
@@ -758,8 +748,7 @@ where
     /// Store-wide statistics: the per-shard stats (durability counters
     /// included when durable, zeros otherwise) folded with
     /// [`StoreStats::aggregate`], overlaid with the fence metrics
-    /// ([`StoreStats::fence_wait`], [`StoreStats::snapshots_taken`],
-    /// [`StoreStats::fence_write_acquisitions`]).
+    /// ([`StoreStats::fence_wait`], [`StoreStats::snapshots_taken`]).
     pub fn stats(&self) -> StoreStats {
         aggregate_stats(&self.shards, &self.fence_obs)
     }
@@ -1363,7 +1352,7 @@ mod tests {
         // its head is a consistent cut by itself: the snapshots and the
         // live scan above were plain pins — no fence, no barrier
         let s = store.stats();
-        assert_eq!((s.snapshots_taken, s.fence_write_acquisitions), (0, 0));
+        assert_eq!(s.snapshots_taken, 0);
         assert_eq!(s.fence_wait.count(), 0);
         // ... and a zero shard count is clamped to that case
         assert_eq!(eager(0).num_shards(), 1);

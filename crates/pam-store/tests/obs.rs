@@ -275,9 +275,16 @@ fn degraded_health_names_the_shard_whose_checkpointer_fails() {
         );
         std::thread::sleep(Duration::from_millis(5));
     };
+    let events = pam_obs::recent_events();
+    let failure = reason
+        .strip_prefix("shard 1: background checkpoint failing: ")
+        .unwrap_or_else(|| panic!("{reason}"));
+    // the checkpointer logged that failure before health reported it
     assert!(
-        reason.starts_with("shard 1: background checkpoint failing: "),
-        "{reason}"
+        events.iter().any(|e| e.level == pam_obs::Level::Warn
+            && e.target == "pam_store::checkpoint"
+            && e.message.contains(failure)),
+        "no Warn event names {failure:?}: {events:?}"
     );
     // acknowledged writes keep flowing: a failed checkpoint is not fatal
     store.put(u64::MAX, 1).wait();

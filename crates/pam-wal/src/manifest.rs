@@ -11,7 +11,7 @@
 //! version) at creation time so an open with the wrong shard count fails
 //! loudly instead.
 //!
-//! Since format 2 the manifest also **pins the global epoch clock**: the
+//! The manifest also **pins the global epoch clock**: the
 //! committed watermark `global_epoch` (every cross-shard batch stamped
 //! `<= global_epoch` has a persisted commit/discard decision) and the
 //! short list of *discarded* global epochs — batches a crash left logged
@@ -22,16 +22,15 @@
 //!
 //! ```text
 //! MANIFEST = [ magic "PAMSHRD1" ]
-//!            [ frame: varint(format) ++ varint(shards)            (v1)
+//!            [ frame: varint(format = 2) ++ varint(shards)
 //!                  ++ varint(global_epoch)
-//!                  ++ varint(len) ++ len * varint(discarded)      (v2) ]
+//!                  ++ varint(len) ++ len * varint(discarded) ]
 //! ```
 //!
 //! The file is written to a `.tmp` sibling, fsynced, and atomically
 //! renamed, like a checkpoint: it either exists wholly or not at all.
-//! Format-1 manifests (PR 3–4 stores) load as `global_epoch = 0` with an
-//! empty discard list — a store from before the clock existed has
-//! everything decided by construction.
+//! Any format other than [`MANIFEST_FORMAT`] — including the pre-clock
+//! format 1, which had no clock fields — is refused with `InvalidData`.
 
 use crate::codec::{put_varint, Reader};
 use crate::frame::{self, Frame};
@@ -42,26 +41,23 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening the manifest file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"PAMSHRD1";
 
-/// On-disk layout format version written by this crate.
+/// The one on-disk layout format version this crate reads and writes.
 pub const MANIFEST_FORMAT: u64 = 2;
 
 /// The pinned layout (and global-clock state) of a sharded store
 /// directory.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
-    /// Layout format version this file was read as (1 or
-    /// [`MANIFEST_FORMAT`]; writes always use [`MANIFEST_FORMAT`]).
-    pub format: u64,
     /// Number of hash shards the key space is partitioned into.
     pub shards: u64,
     /// The committed global-epoch watermark: every cross-shard batch
     /// stamped `<= global_epoch` has a persisted decision (committed
-    /// unless listed in [`Manifest::discarded`]). `0` for format-1 files.
+    /// unless listed in [`Manifest::discarded`]).
     pub global_epoch: u64,
     /// Global epochs whose batches were voted down at recovery (logged
     /// on some-but-not-all participants); always `<= global_epoch`.
     /// Pruned once no shard's WAL still holds a record stamped with
-    /// them. Empty for format-1 files.
+    /// them.
     pub discarded: Vec<u64>,
 }
 
@@ -116,8 +112,7 @@ pub fn write(dir: &Path, shards: u64, global_epoch: u64, discarded: &[u64]) -> i
 
 /// Load the manifest, if one exists. A present-but-invalid manifest is an
 /// error, never a silent "no manifest": guessing a layout risks routing
-/// keys into the wrong shard's WAL. Format-1 files (no clock fields)
-/// load with `global_epoch = 0` and no discarded epochs.
+/// keys into the wrong shard's WAL.
 ///
 /// # Errors
 ///
@@ -146,21 +141,16 @@ pub fn load(dir: &Path) -> io::Result<Option<Manifest>> {
     };
     let mut r = Reader::new(payload);
     let format = r.varint().map_err(|_| bad("bad format field"))?;
-    if format == 0 || format > MANIFEST_FORMAT {
+    if format != MANIFEST_FORMAT {
         return Err(bad(&format!("unsupported format {format}")));
     }
     let shards = r.varint().map_err(|_| bad("bad shard count"))?;
-    let (global_epoch, discarded) = if format >= 2 {
-        let g = r.varint().map_err(|_| bad("bad global epoch"))?;
-        let n = r.varint().map_err(|_| bad("bad discard count"))?;
-        let mut d = Vec::with_capacity(n.min(1 << 16) as usize);
-        for _ in 0..n {
-            d.push(r.varint().map_err(|_| bad("bad discarded epoch"))?);
-        }
-        (g, d)
-    } else {
-        (0, Vec::new())
-    };
+    let global_epoch = r.varint().map_err(|_| bad("bad global epoch"))?;
+    let n = r.varint().map_err(|_| bad("bad discard count"))?;
+    let mut discarded = Vec::with_capacity(n.min(1 << 16) as usize);
+    for _ in 0..n {
+        discarded.push(r.varint().map_err(|_| bad("bad discarded epoch"))?);
+    }
     if !r.is_empty() {
         return Err(bad("trailing bytes"));
     }
@@ -168,7 +158,6 @@ pub fn load(dir: &Path) -> io::Result<Option<Manifest>> {
         return Err(bad("zero shards"));
     }
     Ok(Some(Manifest {
-        format,
         shards,
         global_epoch,
         discarded,
@@ -206,7 +195,6 @@ mod tests {
         assert_eq!(
             load(&dir).unwrap(),
             Some(Manifest {
-                format: MANIFEST_FORMAT,
                 shards: 4,
                 global_epoch: 17,
                 discarded: vec![3, 9],
@@ -220,25 +208,18 @@ mod tests {
     }
 
     #[test]
-    fn format_1_manifests_load_with_zero_clock() {
+    fn format_1_manifests_are_refused() {
         let dir = tmp_dir("v1");
         fs::create_dir_all(&dir).unwrap();
-        // raw format-1 bytes, as PR 3-4 stores wrote them
+        // raw pre-clock format-1 bytes: no clock fields
         let mut out = MANIFEST_MAGIC.to_vec();
         let mut payload = Vec::new();
         put_varint(&mut payload, 1); // format 1
         put_varint(&mut payload, 6); // shards
         frame::put_frame(&mut out, &payload);
         fs::write(manifest_path(&dir), out).unwrap();
-        assert_eq!(
-            load(&dir).unwrap(),
-            Some(Manifest {
-                format: 1,
-                shards: 6,
-                global_epoch: 0,
-                discarded: vec![],
-            })
-        );
+        let err = load(&dir).expect_err("a pre-clock manifest must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,21 +8,14 @@
 //! wal-00000000000000009644.seg      <- the active tail, appended to
 //! ```
 //!
-//! Each segment starts with an 8-byte magic and then a run of checksummed
-//! frames (see [`crate::frame`]), one per committed epoch. Two record
-//! layouts exist, distinguished by the segment magic:
-//!
-//! * `PAMWAL01` (v1, read-only): payload is `varint(epoch)` followed by
-//!   the epoch body ([`crate::record`]);
-//! * `PAMWAL02` (v2, written by this crate): payload is `varint(epoch) ++
-//!   varint(global_epoch) ++ varint(participants) ++ body`, where the two
-//!   extra fields carry the *global epoch clock* stamp of a cross-shard
-//!   batch ([`GlobalStamp`]; both zero for ordinary single-shard epochs).
-//!
-//! Old v1 segments replay transparently (their records simply carry no
-//! stamp). A v1 *active tail* is sealed on open — its torn tail is still
-//! truncated, but new appends go to a fresh v2 segment, so a segment
-//! never mixes record layouts.
+//! Each segment starts with the 8-byte magic `PAMWAL02` and then a run of
+//! checksummed frames (see [`crate::frame`]), one per committed epoch. A
+//! frame's payload is `varint(epoch) ++ varint(global_epoch) ++
+//! varint(participants) ++ body` ([`crate::record`]), where the two
+//! middle fields carry the *global epoch clock* stamp of a cross-shard
+//! batch ([`GlobalStamp`]; both zero for ordinary single-shard epochs).
+//! Any other magic — including the pre-clock v1 magic (version digit
+//! `1`), whose records had no stamp — is refused with `InvalidData`.
 //!
 //! *Rotation*: when the active segment outgrows
 //! [`WalConfig::segment_bytes`], it is fsynced, sealed, and a fresh
@@ -56,13 +49,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Magic bytes opening a v1 segment file (read-compat only; new
-/// segments are written as [`SEGMENT_MAGIC_V2`]).
-pub const SEGMENT_MAGIC: &[u8; 8] = b"PAMWAL01";
-
-/// Magic bytes opening a v2 segment file (records carry a
+/// Magic bytes opening every segment file (records carry a
 /// [`GlobalStamp`]).
-pub const SEGMENT_MAGIC_V2: &[u8; 8] = b"PAMWAL02";
+pub const SEGMENT_MAGIC: &[u8; 8] = b"PAMWAL02";
 
 /// The global-epoch-clock stamp of a cross-shard atomic batch.
 ///
@@ -131,8 +120,7 @@ pub struct EpochRecord {
     /// The epoch this record logged.
     pub epoch: u64,
     /// The global epoch stamp, when this record is one shard's slice of
-    /// a cross-shard atomic batch (`None` for ordinary epochs and for
-    /// all records recovered from v1 segments).
+    /// a cross-shard atomic batch (`None` for ordinary epochs).
     pub global: Option<GlobalStamp>,
     /// The serialized epoch body.
     pub body: Vec<u8>,
@@ -212,12 +200,10 @@ fn corrupt(msg: &str, path: &Path) -> io::Error {
     )
 }
 
-/// One decoded segment: its format version, its records, the byte
-/// offset of the first invalid frame (= file length when every frame was
-/// valid), and whether the scan stopped at a torn/corrupt tail frame.
+/// One decoded segment: its records, the byte offset of the first
+/// invalid frame (= file length when every frame was valid), and whether
+/// the scan stopped at a torn/corrupt tail frame.
 struct SegmentScan {
-    /// `true` for `PAMWAL02` segments (records carry a stamp field).
-    v2: bool,
     records: Vec<EpochRecord>,
     pos: usize,
     tail_torn: bool,
@@ -227,17 +213,16 @@ struct SegmentScan {
 /// segment) the first invalid frame ends the scan and is reported via
 /// `tail_torn`; without it (sealed segments, fsynced before rotation)
 /// any invalid frame is a hard error — damage there means the disk lied.
-/// The record layout (v1 vs v2) is chosen by the segment's magic.
+/// A segment that does not open with [`SEGMENT_MAGIC`] is refused before
+/// any frame is read.
 fn scan_segment(path: &Path, tolerate_torn_tail: bool) -> io::Result<SegmentScan> {
     let bytes = fs::read(path)?;
     if bytes.len() < SEGMENT_MAGIC.len() {
         return Err(corrupt("missing magic", path));
     }
-    let v2 = match &bytes[..SEGMENT_MAGIC.len()] {
-        m if m == SEGMENT_MAGIC_V2 => true,
-        m if m == SEGMENT_MAGIC => false,
-        _ => return Err(corrupt("bad magic", path)),
-    };
+    if &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+        return Err(corrupt("bad magic", path));
+    }
     let mut records = Vec::new();
     let mut pos = SEGMENT_MAGIC.len();
     let mut tail_torn = false;
@@ -246,21 +231,16 @@ fn scan_segment(path: &Path, tolerate_torn_tail: bool) -> io::Result<SegmentScan
             Frame::Ok { payload, consumed } => {
                 let mut r = crate::codec::Reader::new(payload);
                 let epoch = r.varint().map_err(|_| corrupt("bad epoch field", path))?;
-                let global = if v2 {
-                    let g = r.varint().map_err(|_| corrupt("bad global field", path))?;
-                    let parts = r
-                        .varint()
-                        .map_err(|_| corrupt("bad participants field", path))?;
-                    (g != 0).then_some(GlobalStamp {
-                        epoch: g,
-                        participants: parts as u32,
-                    })
-                } else {
-                    None
-                };
+                let g = r.varint().map_err(|_| corrupt("bad global field", path))?;
+                let parts = r
+                    .varint()
+                    .map_err(|_| corrupt("bad participants field", path))?;
                 records.push(EpochRecord {
                     epoch,
-                    global,
+                    global: (g != 0).then_some(GlobalStamp {
+                        epoch: g,
+                        participants: parts as u32,
+                    }),
                     body: payload[payload.len() - r.remaining()..].to_vec(),
                 });
                 pos += consumed;
@@ -274,7 +254,6 @@ fn scan_segment(path: &Path, tolerate_torn_tail: bool) -> io::Result<SegmentScan
         }
     }
     Ok(SegmentScan {
-        v2,
         records,
         pos,
         tail_torn,
@@ -339,17 +318,15 @@ impl Wal {
     /// restored when the per-segment record lists are concatenated).
     /// Only the active tail — which may legitimately end in a torn
     /// record — is scanned sequentially and truncated to its last whole
-    /// record. An old-format (v1) active tail is additionally *sealed*:
-    /// its records replay, but new appends start a fresh v2 segment so a
-    /// segment never mixes record layouts. See the module docs for the
-    /// recovery contract.
+    /// record. See the module docs for the recovery contract.
     ///
     /// # Errors
     ///
     /// `InvalidData` for corruption outside the tolerated active-segment
     /// tail (sealed segments were fsynced before rotation — damage there
-    /// means the disk lied); other kinds pass through from the
-    /// filesystem.
+    /// means the disk lied) and for any segment without
+    /// [`SEGMENT_MAGIC`], which is refused before anything is modified;
+    /// other kinds pass through from the filesystem.
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> io::Result<(Wal, Vec<EpochRecord>)> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
@@ -380,44 +357,21 @@ impl Wal {
                 sync_dir(&dir)?;
             } else {
                 let scan = scan_segment(path, true)?;
-                let tail_empty = scan.records.is_empty();
                 records.extend(scan.records);
                 let mut file = OpenOptions::new().read(true).write(true).open(path)?;
                 if scan.tail_torn {
                     file.set_len(scan.pos as u64)?;
                     file.sync_data()?;
                 }
-                if scan.v2 {
-                    file.seek(SeekFrom::Start(scan.pos as u64))?;
-                    current = Some((
-                        file,
-                        Segment {
-                            first_epoch: *first_epoch,
-                            path: path.clone(),
-                        },
-                        scan.pos as u64,
-                    ));
-                } else if tail_empty {
-                    // v1 tail holding no records (a v1 store crashed
-                    // between rotation's magic write and the first
-                    // frame): discard it. Sealing it would leave a file
-                    // named `first_epoch` == the next epoch to append,
-                    // and the fresh v2 segment's create_new would then
-                    // collide with it.
-                    drop(file);
-                    fs::remove_file(path)?;
-                    sync_dir(&dir)?;
-                } else {
-                    // v1 tail: seal it (fsync the truncation, keep the
-                    // records) and let the next append start a fresh v2
-                    // segment — a segment never mixes record layouts.
-                    file.sync_data()?;
-                    drop(file);
-                    sealed.push(Segment {
+                file.seek(SeekFrom::Start(scan.pos as u64))?;
+                current = Some((
+                    file,
+                    Segment {
                         first_epoch: *first_epoch,
                         path: path.clone(),
-                    });
-                }
+                    },
+                    scan.pos as u64,
+                ));
             }
         }
 
@@ -486,9 +440,9 @@ impl Wal {
                 .create_new(true)
                 .write(true)
                 .open(&seg.path)?;
-            file.write_all(SEGMENT_MAGIC_V2)?;
+            file.write_all(SEGMENT_MAGIC)?;
             sync_dir(&self.dir)?;
-            self.current = Some((file, seg, SEGMENT_MAGIC_V2.len() as u64));
+            self.current = Some((file, seg, SEGMENT_MAGIC.len() as u64));
         }
 
         let mut payload = Vec::with_capacity(20 + body.len());
@@ -855,10 +809,11 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Write a raw v1 segment (`PAMWAL01`, records = varint(epoch) ++
-    /// body) the way PR 2–4 stores laid them down.
+    /// Write a raw pre-clock segment: the v1 magic (version digit `1`)
+    /// and records = varint(epoch) ++ body, no stamp fields.
     fn write_v1_segment(path: &Path, epochs: &[u64]) {
         let mut bytes = SEGMENT_MAGIC.to_vec();
+        bytes[7] = b'1';
         for &e in epochs {
             let mut payload = Vec::new();
             crate::codec::put_varint(&mut payload, e);
@@ -868,92 +823,53 @@ mod tests {
         fs::write(path, bytes).unwrap();
     }
 
+    /// Every file in `dir` with its bytes, sorted by name.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let p = e.unwrap().path();
+                let b = fs::read(&p).unwrap();
+                (p, b)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// `Wal::open` on `dir` fails with `InvalidData` and changes no byte.
+    fn assert_refused_untouched(dir: &Path) {
+        let before = dir_bytes(dir);
+        let err = match Wal::open(dir, WalConfig::default()) {
+            Err(e) => e,
+            Ok(_) => panic!("a v1 segment must fail open"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dir_bytes(dir), before, "a refused log is not modified");
+        fs::remove_dir_all(dir).unwrap();
+    }
+
     #[test]
-    fn v1_segments_still_replay_and_tail_is_sealed() {
-        let dir = tmp_dir("v1-compat");
+    fn v1_sealed_segment_is_refused_and_left_untouched() {
+        // a sealed v1 segment followed by a current-format tail
+        let dir = tmp_dir("v1-sealed");
         fs::create_dir_all(&dir).unwrap();
         write_v1_segment(&segment_path(&dir, 1), &[1, 2, 3]);
-
-        let (mut wal, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(recs.iter().map(|r| r.epoch).collect::<Vec<_>>(), [1, 2, 3]);
-        assert!(
-            recs.iter().all(|r| r.global.is_none()),
-            "v1 records carry no stamp"
-        );
-        assert_eq!(recs[1].body, body(2));
-        assert_eq!(wal.last_epoch(), 3);
-
-        // appending resumes in a *new* v2 segment; the v1 file is sealed
-        wal.append(
-            4,
-            Some(GlobalStamp {
-                epoch: 1,
-                participants: 2,
-            }),
-            &body(4),
-        )
-        .unwrap();
-        assert_eq!(wal.segments(), 2, "v1 tail sealed, fresh v2 tail opened");
-        let head = fs::read(segment_path(&dir, 4)).unwrap();
-        assert_eq!(&head[..8], SEGMENT_MAGIC_V2);
-        drop(wal);
-
-        let (_, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(
-            recs.iter().map(|r| r.epoch).collect::<Vec<_>>(),
-            [1, 2, 3, 4],
-            "mixed v1+v2 logs replay in order"
-        );
-        assert_eq!(recs[3].global.map(|s| s.epoch), Some(1));
-        fs::remove_dir_all(&dir).unwrap();
+        fs::write(segment_path(&dir, 4), SEGMENT_MAGIC).unwrap();
+        assert_refused_untouched(&dir);
     }
 
     #[test]
-    fn empty_v1_tail_is_discarded_not_sealed() {
-        // A v1 store that crashed between rotation's magic write and the
-        // first frame leaves an active segment holding only the magic,
-        // named after the epoch the *next* append will use. Sealing it
-        // would make that append's create_new collide with the file.
-        let dir = tmp_dir("v1-empty-tail");
-        fs::create_dir_all(&dir).unwrap();
-        write_v1_segment(&segment_path(&dir, 1), &[1, 2, 3, 4]);
-        fs::write(segment_path(&dir, 5), SEGMENT_MAGIC).unwrap();
-
-        let (mut wal, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(
-            recs.iter().map(|r| r.epoch).collect::<Vec<_>>(),
-            [1, 2, 3, 4]
-        );
-        wal.append(5, None, &body(5))
-            .expect("append must not collide with the discarded v1 tail");
-        drop(wal);
-        let (_, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(
-            recs.iter().map(|r| r.epoch).collect::<Vec<_>>(),
-            [1, 2, 3, 4, 5]
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_torn_tail_is_truncated_then_sealed() {
-        let dir = tmp_dir("v1-torn");
+    fn v1_torn_tail_is_refused_and_left_untouched() {
+        // a v1 active tail ending in a torn half-record, which a readable
+        // tail would have truncated
+        let dir = tmp_dir("v1-tail");
         fs::create_dir_all(&dir).unwrap();
         let seg = segment_path(&dir, 1);
         write_v1_segment(&seg, &[1, 2]);
-        // a torn half-record at the v1 tail, as a crash would leave
         let mut bytes = fs::read(&seg).unwrap();
         bytes.extend_from_slice(&[44, 0, 0, 0, 0xde, 0xad]);
         fs::write(&seg, bytes).unwrap();
-
-        let (mut wal, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(recs.iter().map(|r| r.epoch).collect::<Vec<_>>(), [1, 2]);
-        wal.append(3, None, &body(3)).unwrap();
-        drop(wal);
-        // the truncation stuck: reopening treats the v1 file as sealed,
-        // where a torn frame would be a hard error
-        let (_, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(recs.iter().map(|r| r.epoch).collect::<Vec<_>>(), [1, 2, 3]);
-        fs::remove_dir_all(&dir).unwrap();
+        assert_refused_untouched(&dir);
     }
 }

@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod balance;
-pub mod concurrent;
 pub mod cursor;
 mod iter;
 mod map;
@@ -62,7 +61,6 @@ pub mod stats;
 pub mod validate;
 
 pub use balance::{Balance, WeightBalanced, WeightBalancedCap};
-pub use concurrent::SharedMap;
 pub use cursor::Cursor;
 pub use iter::{Iter, RangeIter};
 pub use map::AugMap;
@@ -75,7 +73,7 @@ pub type OrdMap<K, V, B = WeightBalanced> = AugMap<NoAug<K, V>, B>;
 /// Everything most users need.
 pub mod prelude {
     pub use crate::{
-        Addable, AugMap, AugSpec, Balance, MaxAug, Maxable, MinAug, Minable, NoAug, OrdMap,
-        SharedMap, SumAug, WeightBalanced,
+        Addable, AugMap, AugSpec, Balance, MaxAug, Maxable, MinAug, Minable, NoAug, OrdMap, SumAug,
+        WeightBalanced,
     };
 }
