@@ -24,10 +24,13 @@
 //!   tests.
 //!
 //! The binary (`pam-serve`) serves a durable
-//! [`pam_store::Store`]`<NoAug<Vec<u8>, Vec<u8>>>`: opaque byte
-//! keys/values, per-shard WALs, cross-shard atomic batches, and an
+//! [`pam_store::Store`]`<NoAug<`[`pam_store::Bytes`]`, Bytes>>`: opaque
+//! byte keys/values, per-shard WALs, cross-shard atomic batches, and an
 //! optional `--obs-addr` telemetry endpoint. It drains gracefully when
-//! its stdin reaches EOF.
+//! its stdin reaches EOF. `Bytes` is refcounted, so a commit's path
+//! copies share each entry's buffer instead of copying it; it encodes and
+//! routes exactly as `Vec<u8>`, so the binary opens a directory a
+//! `Vec<u8>` store wrote, and the reverse.
 
 #![warn(missing_docs)]
 

@@ -19,13 +19,13 @@
 
 use pam::NoAug;
 use pam_serve::{serve, ServeConfig};
-use pam_store::{DurabilityConfig, ShardedConfig, Store, SyncPolicy};
+use pam_store::{Bytes, DurabilityConfig, ShardedConfig, Store, SyncPolicy};
 use std::io::{self, Read};
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 
-type Spec = NoAug<Vec<u8>, Vec<u8>>;
+type Spec = NoAug<Bytes, Bytes>;
 
 const FLAGS: [&str; 7] = [
     "--dir",

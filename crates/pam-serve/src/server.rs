@@ -28,7 +28,7 @@ use crate::wire::{
     MAX_SCAN,
 };
 use pam::AugSpec;
-use pam_store::{Snapshot, Store, WriteOp};
+use pam_store::{Bytes, Snapshot, Store, WriteOp};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -108,7 +108,7 @@ pub fn serve<S>(
     cfg: ServeConfig,
 ) -> io::Result<Server>
 where
-    S: AugSpec<K = Vec<u8>, V = Vec<u8>>,
+    S: AugSpec<K = Bytes, V = Bytes>,
 {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -222,7 +222,7 @@ fn worker_loop<S>(
     pins: Arc<Pins<S>>,
     max_frame: usize,
 ) where
-    S: AugSpec<K = Vec<u8>, V = Vec<u8>>,
+    S: AugSpec<K = Bytes, V = Bytes>,
 {
     loop {
         // hold the receiver lock only for the dequeue, not the serve
@@ -238,7 +238,7 @@ fn worker_loop<S>(
 /// [`Response::Err`], then the connection closes), or drain.
 fn serve_connection<S>(store: &Store<S>, pins: &Pins<S>, mut stream: TcpStream, max_frame: usize)
 where
-    S: AugSpec<K = Vec<u8>, V = Vec<u8>>,
+    S: AugSpec<K = Bytes, V = Bytes>,
 {
     let _ = stream.set_nodelay(true);
     let mut session: Option<Arc<Snapshot<S>>> = None;
@@ -281,26 +281,37 @@ fn dispatch<S>(
     req: Request,
 ) -> Response
 where
-    S: AugSpec<K = Vec<u8>, V = Vec<u8>>,
+    S: AugSpec<K = Bytes, V = Bytes>,
 {
+    // Wire messages carry `Vec<u8>`; the store holds shared `Bytes`.
+    // Requests convert once on the way in, replies copy the bytes out.
     match req {
         Request::Ping => Response::Pong,
-        Request::Get(key) => Response::Value(match session {
-            Some(snap) => snap.get(&key),
-            None => store.get(&key),
-        }),
-        Request::GetMany(keys) => Response::Values(match session {
-            Some(snap) => snap.get_many(&keys),
-            None => store.get_many(&keys),
-        }),
+        Request::Get(key) => {
+            let key = Bytes::from(key);
+            let value = match session {
+                Some(snap) => snap.get(&key),
+                None => store.get(&key),
+            };
+            Response::Value(value.map(|v| v.to_vec()))
+        }
+        Request::GetMany(keys) => {
+            let keys: Vec<Bytes> = keys.into_iter().map(Bytes::from).collect();
+            let values = match session {
+                Some(snap) => snap.get_many(&keys),
+                None => store.get_many(&keys),
+            };
+            Response::Values(values.into_iter().map(|v| v.map(|v| v.to_vec())).collect())
+        }
         Request::Scan { lo, hi, limit } => {
+            let (lo, hi) = (Bytes::from(lo), Bytes::from(hi));
             let limit = limit.min(MAX_SCAN) as usize;
             let mut entries = Vec::new();
             if limit > 0 {
                 // Break as soon as the limit is reached: the merge pulls
                 // no further entry, however wide `[lo, hi]` is.
-                let collect = |k: &Vec<u8>, v: &Vec<u8>| {
-                    entries.push((k.clone(), v.clone()));
+                let collect = |k: &Bytes, v: &Bytes| {
+                    entries.push((k.to_vec(), v.to_vec()));
                     if entries.len() < limit {
                         ControlFlow::Continue(())
                     } else {
@@ -318,14 +329,14 @@ where
             Some(snap) => snap.len() as u64,
             None => store.len() as u64,
         }),
-        Request::Put(key, value) => acked(store.put(key, value).wait(), None),
-        Request::Delete(key) => acked(store.delete(key).wait(), None),
+        Request::Put(key, value) => acked(store.put(key.into(), value.into()).wait(), None),
+        Request::Delete(key) => acked(store.delete(key.into()).wait(), None),
         Request::Batch(ops) => {
             let ops: Vec<WriteOp<S>> = ops
                 .into_iter()
                 .map(|op| match op {
-                    WireOp::Put(k, v) => WriteOp::Put(k, v),
-                    WireOp::Delete(k) => WriteOp::Delete(k),
+                    WireOp::Put(k, v) => WriteOp::Put(k.into(), v.into()),
+                    WireOp::Delete(k) => WriteOp::Delete(k.into()),
                 })
                 .collect();
             let ticket = store.write_batch(ops);

@@ -14,6 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+// The binary serves `NoAug<Bytes, Bytes>`; the directory it leaves is
+// reopened as `Vec<u8>` on purpose. This is the Bytes-written → Vec-read
+// check: the two encode and route identically.
 type Spec = NoAug<Vec<u8>, Vec<u8>>;
 
 fn key(i: u64) -> Vec<u8> {

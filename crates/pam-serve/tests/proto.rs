@@ -6,13 +6,13 @@
 use pam::NoAug;
 use pam_serve::wire::{self, read_frame_capped, Response, MAX_FRAME};
 use pam_serve::{serve, Client, ServeConfig, Server};
-use pam_store::{Health, ShardedConfig, Store};
+use pam_store::{Bytes, Health, ShardedConfig, Store};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-type Spec = NoAug<Vec<u8>, Vec<u8>>;
+type Spec = NoAug<Bytes, Bytes>;
 
 fn start() -> (Arc<Store<Spec>>, Server, SocketAddr) {
     let store = Arc::new(Store::volatile(

@@ -3,13 +3,13 @@
 
 use pam::NoAug;
 use pam_serve::{serve, Client, ServeConfig, Server, WireOp};
-use pam_store::{DurabilityConfig, ShardedConfig, Store};
+use pam_store::{Bytes, DurabilityConfig, ShardedConfig, Store};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-type Spec = NoAug<Vec<u8>, Vec<u8>>;
+type Spec = NoAug<Bytes, Bytes>;
 
 fn eager_store(shards: usize) -> Arc<Store<Spec>> {
     Arc::new(Store::volatile(
@@ -22,7 +22,7 @@ fn eager_store(shards: usize) -> Arc<Store<Spec>> {
 
 fn start<S>(store: Arc<Store<S>>) -> (Server, SocketAddr)
 where
-    S: pam::AugSpec<K = Vec<u8>, V = Vec<u8>>,
+    S: pam::AugSpec<K = Bytes, V = Bytes>,
 {
     let server = serve(store, "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = server.local_addr();
@@ -98,22 +98,35 @@ fn named_pins_freeze_reads_until_release() {
     // another session joins the same named snapshot
     assert_eq!(reader.use_pin("cut").unwrap(), epoch);
 
-    // live store moves on; both pinned sessions keep the old view
+    // gets, multi-gets and scans all read the pinned cut
+    let reads_v1 = |reader: &mut Client, after: &str| {
+        assert_eq!(reader.get(b"k").unwrap(), Some(b"v1".to_vec()), "{after}");
+        assert_eq!(reader.len().unwrap(), 1, "{after}");
+        assert_eq!(
+            reader.get_many(&[b"k".to_vec()]).unwrap(),
+            vec![Some(b"v1".to_vec())],
+            "{after}"
+        );
+        assert_eq!(
+            reader.scan(b"", b"\xff\xff", 100).unwrap(),
+            vec![(b"k".to_vec(), b"v1".to_vec())],
+            "{after}"
+        );
+    };
+
+    // the live store moves on; both pinned sessions keep the old view.
+    // Versions share entry buffers, so the pinned `v1` must outlive
+    // every way the live entry can be replaced.
     writer.release().unwrap();
     writer.put(b"k", b"v2").unwrap();
     assert_eq!(writer.get(b"k").unwrap(), Some(b"v2".to_vec()));
-    assert_eq!(reader.get(b"k").unwrap(), Some(b"v1".to_vec()));
-    assert_eq!(reader.len().unwrap(), 1);
-
-    // scans and multi-gets also read the pinned cut
-    assert_eq!(
-        reader.get_many(&[b"k".to_vec()]).unwrap(),
-        vec![Some(b"v1".to_vec())]
-    );
-    assert_eq!(
-        reader.scan(b"", b"\xff\xff", 100).unwrap(),
-        vec![(b"k".to_vec(), b"v1".to_vec())]
-    );
+    reads_v1(&mut reader, "a same-length overwrite");
+    writer.put(b"k", b"a longer third value").unwrap();
+    reads_v1(&mut reader, "an overwrite of another length");
+    writer.delete(b"k").unwrap();
+    assert_eq!(writer.get(b"k").unwrap(), None);
+    reads_v1(&mut reader, "a delete");
+    writer.put(b"k", b"v2").unwrap();
 
     // releasing returns the session to the live store
     reader.release().unwrap();
@@ -238,8 +251,8 @@ fn drain_stops_accepting_and_flushes_acked_writes() {
     assert_eq!(store.len(), 100);
     for i in 0..100u64 {
         assert_eq!(
-            store.get(&key(i)),
-            Some(format!("v{i}").into_bytes()),
+            store.get(&key(i).into()),
+            Some(format!("v{i}").into_bytes().into()),
             "acked write {i} must survive a graceful drain"
         );
     }
@@ -259,17 +272,17 @@ const HI: &[u8] = &[0xff; 9];
 static HI_COMPARES: AtomicUsize = AtomicUsize::new(0);
 
 impl pam::AugSpec for CountingSpec {
-    type K = Vec<u8>;
-    type V = Vec<u8>;
+    type K = Bytes;
+    type V = Bytes;
     type A = ();
-    fn compare(a: &Vec<u8>, b: &Vec<u8>) -> std::cmp::Ordering {
-        if a == HI || b == HI {
+    fn compare(a: &Bytes, b: &Bytes) -> std::cmp::Ordering {
+        if **a == *HI || **b == *HI {
             HI_COMPARES.fetch_add(1, Ordering::Relaxed);
         }
         a.cmp(b)
     }
     fn identity() {}
-    fn base(_: &Vec<u8>, _: &Vec<u8>) {}
+    fn base(_: &Bytes, _: &Bytes) {}
     fn combine(_: &(), _: &()) {}
 }
 
@@ -285,7 +298,7 @@ fn scan_with_a_limit_stops_walking_at_the_limit() {
             .build(),
     ));
     store
-        .put_all((0..ENTRIES).map(|i| (key(i), b"v".to_vec())))
+        .put_all((0..ENTRIES).map(|i| (key(i).into(), Bytes::from(&b"v"[..]))))
         .wait();
     let (_server, addr) = start(Arc::clone(&store));
     let mut c = Client::connect(addr).unwrap();

@@ -101,7 +101,7 @@ pub use pam_obs::Health;
 pub use pam_wal::{Codec, GlobalStamp, SyncPolicy};
 pub use pipeline::{CommitHook, CommitTicket};
 pub use registry::{PinnedVersion, VersionId};
-pub use shard::ShardKey;
+pub use shard::{Bytes, ShardKey};
 pub use stats::{DurabilityStats, StoreStats};
 pub use store::{BatchTicket, Snapshot, Store};
 

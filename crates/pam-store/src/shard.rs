@@ -4,10 +4,15 @@
 //! a durable store each shard has its own WAL directory, so the
 //! assignment `hash(key) % N` is part of the on-disk format: the hash
 //! ([`ShardKey`]) must never change, and the shard count is pinned by the
-//! manifest.
+//! manifest. [`Bytes`], the shared byte string `pam-serve` stores, lives
+//! here because it must route (and encode) exactly as `Vec<u8>`.
 
 use crate::registry::PinnedVersion;
 use pam::{AugMap, AugSpec};
+use pam_wal::{put_varint, Codec, CodecError, Reader};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A key that can be routed to a shard.
 ///
@@ -112,6 +117,78 @@ impl ShardKey for [u8] {
     }
 }
 
+/// An immutable, reference-counted byte string: `Clone` bumps a
+/// refcount instead of copying the bytes.
+///
+/// A path copy clones every key and value of the block and the pivots it
+/// rewrites, so with `Bytes` entries a commit shares buffers with the
+/// version it replaced instead of allocating and copying each one — the
+/// O(1)-per-copied-node cost PAM's persistence assumes. Order, equality
+/// and hashing are by content, lexicographic, exactly as for `Vec<u8>`.
+///
+/// Two invariants make `Bytes` and `Vec<u8>` interchangeable over one
+/// durable directory:
+/// - **the same on-disk bytes**: [`Codec`] writes a varint length, then
+///   the bytes, exactly as `Vec<u8>` does, so checkpoints and WAL
+///   records are byte-identical;
+/// - **the same shard**: [`ShardKey`] hashes the same bytes as
+///   `Vec<u8>`, so every key routes where a `Vec<u8>` key would.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Bytes(Arc<[u8]>);
+
+impl Deref for Bytes {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl AsRef<[u8]> for Bytes {
+    #[inline]
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    #[inline]
+    fn from(v: Vec<u8>) -> Self {
+        Bytes(v.into())
+    }
+}
+
+impl From<&[u8]> for Bytes {
+    #[inline]
+    fn from(s: &[u8]) -> Self {
+        Bytes(s.into())
+    }
+}
+
+impl fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self[..], f)
+    }
+}
+
+impl Codec for Bytes {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        out.extend_from_slice(self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.length()?;
+        Ok(Bytes::from(r.take(n)?))
+    }
+}
+
+impl ShardKey for Bytes {
+    #[inline]
+    fn shard_hash(&self) -> u64 {
+        hash_bytes(self)
+    }
+}
+
 impl<A: ShardKey, B: ShardKey> ShardKey for (A, B) {
     #[inline]
     fn shard_hash(&self) -> u64 {
@@ -200,6 +277,10 @@ mod tests {
             String::from("user:alice").shard_hash()
         );
         assert_eq!(vec![1u8, 2, 3].shard_hash(), [1u8, 2, 3][..].shard_hash());
+        assert_eq!(
+            Bytes::from(vec![1, 2, 3]).shard_hash(),
+            vec![1u8, 2, 3].shard_hash()
+        );
         assert_ne!((1u64, 2u64).shard_hash(), (2u64, 1u64).shard_hash());
     }
 }

@@ -77,9 +77,9 @@ fn many_closed_loop_writers_still_share_epochs() {
     const PER_WRITER: u64 = 1000;
     // the serving spec over a preloaded shard, so a commit costs what it
     // costs `pam-serve`: writers that arrive during one share the next
-    type Bytes = VersionedStore<NoAug<Vec<u8>, Vec<u8>>>;
+    type ByteStore = VersionedStore<NoAug<Vec<u8>, Vec<u8>>>;
     let key = |i: u64| format!("user{i:012}").into_bytes();
-    let store = Arc::new(Bytes::from_map(
+    let store = Arc::new(ByteStore::from_map(
         AugMap::build((0..50_000).map(|i| (key(i), vec![0u8; 100])).collect()),
         StoreConfig {
             batch_window: Duration::from_micros(200),

@@ -16,7 +16,7 @@ use pam_store::{ShardedConfig, Store};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-type Bytes = Store<NoAug<Vec<u8>, Vec<u8>>>;
+type ByteStore = Store<NoAug<Vec<u8>, Vec<u8>>>;
 
 const PRELOAD: u64 = 150_000;
 const WINDOW: Duration = Duration::from_micros(200);
@@ -33,7 +33,7 @@ fn main() {
     );
     println!("writers  ops/commit   kops/s  ack_p50_us  ack_p99_us  window_p50_us  window_p99_us");
     for writers in [1u64, 2, 4, 8, 16, 32] {
-        let store = Arc::new(Bytes::volatile(
+        let store = Arc::new(ByteStore::volatile(
             ShardedConfig::builder()
                 .shards(1)
                 .batch_window(WINDOW)
