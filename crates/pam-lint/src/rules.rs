@@ -211,7 +211,7 @@ pub fn lock_order(path: &Path, p: &str, map: &SourceMap, config: &Config, out: &
         return;
     }
     for (start, end) in map.fn_spans() {
-        // rustfmt wraps chains (`self.persist_mutex\n.lock()`), so
+        // rustfmt wraps chains (`self.ckpt_mutex\n.lock()`), so
         // match against a whitespace-condensed view of the body with a
         // char→line side table.
         let mut condensed = String::new();

@@ -4,14 +4,14 @@
 //! format of the [Trace Event spec] — loadable in `chrome://tracing`
 //! and [Perfetto](https://ui.perfetto.dev). The mapping:
 //!
-//! * one **track (tid)** per shard, named `shard-<i>` via thread-name
-//!   metadata events;
+//! * one **track**, named `committer` via a thread-name metadata event:
+//!   a store has one committer, whatever its shard count;
 //! * per epoch, a `window` slice (segment open → committer drain: the
 //!   group-commit window occupancy) followed by an enclosing
 //!   `epoch <n>` slice whose children are the four committer stages —
 //!   `normalize`, `wal_log`, `apply`, `publish` — laid back to back, so
 //!   nesting falls out of timestamp containment;
-//! * batch sizes and the cross-shard stamp ride in `args`.
+//! * the epoch number and batch sizes ride in `args`.
 //!
 //! All slices are complete (`"ph": "X"`) events; timestamps are
 //! microseconds since the process [`crate::flight::anchor`] with
@@ -26,9 +26,9 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn complete_event(name: &str, tid: u32, ts_ns: u64, dur_ns: u64, args: &str) -> String {
+fn complete_event(name: &str, ts_ns: u64, dur_ns: u64, args: &str) -> String {
     format!(
-        "{{\"name\": \"{name}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \
+        "{{\"name\": \"{name}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": 0, \
          \"ts\": {ts}, \"dur\": {dur}{args}}}",
         pid = std::process::id(),
         ts = us(ts_ns),
@@ -44,29 +44,18 @@ fn complete_event(name: &str, tid: u32, ts_ns: u64, dur_ns: u64, args: &str) -> 
 /// Render `traces` as one Chrome trace-event JSON document (the
 /// `{"traceEvents": [...]}` object form).
 pub fn chrome_trace(traces: &[EpochTrace]) -> String {
-    let mut events = Vec::with_capacity(traces.len() * 6 + 8);
-    // Thread-name metadata: one per distinct shard, emitted in tid order
-    // so Perfetto's track list is stable.
-    let mut shards: Vec<u32> = traces.iter().map(|t| t.shard).collect();
-    shards.sort_unstable();
-    shards.dedup();
-    for shard in &shards {
+    let mut events = Vec::with_capacity(traces.len() * 6 + 1);
+    if !traces.is_empty() {
         events.push(format!(
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {}, \"tid\": {shard}, \
-             \"args\": {{\"name\": \"shard-{shard}\"}}}}",
+            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {}, \"tid\": 0, \
+             \"args\": {{\"name\": \"committer\"}}}}",
             std::process::id(),
         ));
     }
     for t in traces {
         let base_args = format!(
-            "\"epoch\": {}, \"raw_ops\": {}, \"applied_ops\": {}, \"global_epoch\": {}",
-            t.epoch,
-            t.raw_ops,
-            t.applied_ops,
-            match t.global_epoch {
-                Some(g) => g.to_string(),
-                None => "null".to_string(),
-            },
+            "\"epoch\": {}, \"raw_ops\": {}, \"applied_ops\": {}",
+            t.epoch, t.raw_ops, t.applied_ops,
         );
         // The group-commit window: segment open → drained by the
         // committer. Clamped defensively — a trace recorded before the
@@ -74,7 +63,6 @@ pub fn chrome_trace(traces: &[EpochTrace]) -> String {
         if t.drain_ns >= t.open_ns {
             events.push(complete_event(
                 "window",
-                t.shard,
                 t.open_ns,
                 t.drain_ns - t.open_ns,
                 &base_args,
@@ -84,7 +72,6 @@ pub fn chrome_trace(traces: &[EpochTrace]) -> String {
         let commit_dur = t.normalize_ns + t.wal_log_ns + t.apply_ns + t.publish_ns;
         events.push(complete_event(
             &format!("epoch {}", t.epoch),
-            t.shard,
             t.drain_ns,
             commit_dur,
             &base_args,
@@ -96,7 +83,7 @@ pub fn chrome_trace(traces: &[EpochTrace]) -> String {
             ("apply", t.apply_ns),
             ("publish", t.publish_ns),
         ] {
-            events.push(complete_event(stage, t.shard, at, dur, &base_args));
+            events.push(complete_event(stage, at, dur, &base_args));
             at += dur;
         }
     }
@@ -111,11 +98,9 @@ mod tests {
     use super::*;
     use crate::json::Json;
 
-    fn trace(shard: u32, epoch: u64) -> EpochTrace {
+    fn trace(epoch: u64) -> EpochTrace {
         EpochTrace {
-            shard,
             epoch,
-            global_epoch: epoch.is_multiple_of(2).then_some(epoch * 10),
             raw_ops: 100,
             applied_ops: 90,
             open_ns: 1_000 * epoch,
@@ -129,14 +114,12 @@ mod tests {
 
     #[test]
     fn export_parses_and_has_one_timeline_per_epoch() {
-        let traces: Vec<EpochTrace> = (1..=4u64)
-            .flat_map(|e| (0..4u32).map(move |s| trace(s, e)))
-            .collect();
+        let traces: Vec<EpochTrace> = (1..=16u64).map(trace).collect();
         let doc = chrome_trace(&traces);
         let v = Json::parse(&doc).expect("trace JSON parses");
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
-        // 4 metadata + 16 epochs × (window + epoch + 4 stages)
-        assert_eq!(events.len(), 4 + 16 * 6);
+        // 1 metadata + 16 epochs × (window + epoch + 4 stages)
+        assert_eq!(events.len(), 1 + 16 * 6);
         for ev in events {
             for key in ["name", "ph", "pid", "tid"] {
                 assert!(ev.get(key).is_some(), "event missing {key}: {ev:?}");
@@ -146,16 +129,11 @@ mod tests {
                 assert!(ev.get("dur").unwrap().as_f64().is_some());
             }
         }
-        // one track per shard
-        let mut tids: Vec<f64> = events
+        // one track: the committer's
+        assert!(events
             .iter()
-            .filter(|e| e.get("ph").unwrap().as_str() == Some("X"))
-            .map(|e| e.get("tid").unwrap().as_f64().unwrap())
-            .collect();
-        tids.sort_by(f64::total_cmp);
-        tids.dedup();
-        assert_eq!(tids, vec![0.0, 1.0, 2.0, 3.0]);
-        // each epoch has all four stages on each shard
+            .all(|e| e.get("tid").unwrap().as_f64() == Some(0.0)));
+        // each epoch has all four stages
         for stage in ["normalize", "wal_log", "apply", "publish"] {
             let n = events
                 .iter()
@@ -168,7 +146,6 @@ mod tests {
             .iter()
             .find(|e| {
                 e.get("name").unwrap().as_str() == Some("normalize")
-                    && e.get("tid").unwrap().as_f64() == Some(0.0)
                     && e.get("args").unwrap().get("epoch").unwrap().as_f64() == Some(1.0)
             })
             .unwrap();

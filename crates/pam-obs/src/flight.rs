@@ -2,8 +2,8 @@
 //!
 //! The committer records one [`EpochTrace`] per committed epoch — the
 //! monotonic start of each pipeline stage (group-commit window, submit
-//! seal/drain, normalize, WAL log, apply, publish) plus batch sizes and
-//! the cross-shard stamp — into a process-global fixed ring
+//! drain, normalize, WAL log, apply, publish) plus batch sizes — into a
+//! process-global fixed ring
 //! ([`FlightRecorder`]). Two consumers read the ring:
 //!
 //! * the live telemetry server's `/trace` endpoint (see
@@ -45,13 +45,8 @@ pub const FLIGHT_CAPACITY: usize = 1024;
 /// hook does not expose a finer split).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpochTrace {
-    /// Which shard's pipeline committed it (0 for an unsharded store).
-    pub shard: u32,
-    /// The pipeline epoch number.
+    /// The epoch number — the version it published.
     pub epoch: u64,
-    /// The cross-shard batch stamp, when this epoch is a sealed slice of
-    /// a multi-shard `write_batch`.
-    pub global_epoch: Option<u64>,
     /// Operations writers enqueued into the epoch.
     pub raw_ops: u64,
     /// Operations surviving last-write-wins deduplication.
@@ -64,9 +59,9 @@ pub struct EpochTrace {
     pub normalize_ns: u64,
     /// Commit-hook stage duration (WAL append + fsync; 0 in-memory).
     pub wal_log_ns: u64,
-    /// Apply stage duration (bulk insert/delete + head swap).
+    /// Apply stage duration (routing + bulk insert/delete per shard).
     pub apply_ns: u64,
-    /// Publish stage duration (registry + hook notification).
+    /// Publish stage duration (the registry swap).
     pub publish_ns: u64,
 }
 
@@ -79,15 +74,10 @@ impl EpochTrace {
     /// Render as one JSON object (stable field set — the flight-dump
     /// format documented in ARCHITECTURE.md).
     pub fn to_json(&self) -> String {
-        let global = match self.global_epoch {
-            Some(g) => g.to_string(),
-            None => "null".to_string(),
-        };
         format!(
-            "{{\"shard\": {}, \"epoch\": {}, \"global_epoch\": {global}, \
-             \"raw_ops\": {}, \"applied_ops\": {}, \"open_ns\": {}, \"drain_ns\": {}, \
-             \"normalize_ns\": {}, \"wal_log_ns\": {}, \"apply_ns\": {}, \"publish_ns\": {}}}",
-            self.shard,
+            "{{\"epoch\": {}, \"raw_ops\": {}, \"applied_ops\": {}, \"open_ns\": {}, \
+             \"drain_ns\": {}, \"normalize_ns\": {}, \"wal_log_ns\": {}, \"apply_ns\": {}, \
+             \"publish_ns\": {}}}",
             self.epoch,
             self.raw_ops,
             self.applied_ops,
@@ -119,9 +109,8 @@ pub fn monotonic_ns() -> u64 {
     instant_ns(Instant::now())
 }
 
-/// A fixed-size ring of the most recent [`EpochTrace`]s. Committers from
-/// every pipeline in the process record into [`FlightRecorder::global`];
-/// the `shard` field tells the tracks apart.
+/// A fixed-size ring of the most recent [`EpochTrace`]s. The committer
+/// of every store in the process records into [`FlightRecorder::global`].
 #[derive(Default)]
 pub struct FlightRecorder {
     ring: Mutex<VecDeque<EpochTrace>>,
@@ -338,9 +327,7 @@ mod tests {
     #[test]
     fn dump_document_is_valid_json_and_names_the_epoch() {
         FlightRecorder::global().record(EpochTrace {
-            shard: 2,
             epoch: 41,
-            global_epoch: Some(7),
             raw_ops: 10,
             applied_ops: 9,
             open_ns: 100,
@@ -362,7 +349,7 @@ mod tests {
             .iter()
             .find(|e| e.get("epoch").unwrap().as_f64() == Some(41.0))
             .expect("recorded epoch present");
-        assert_eq!(ours.get("global_epoch").unwrap().as_f64(), Some(7.0));
+        assert_eq!(ours.get("raw_ops").unwrap().as_f64(), Some(10.0));
         assert_eq!(ours.get("wal_log_ns").unwrap().as_f64(), Some(20.0));
         assert!(v.get("metrics").unwrap().get("counters").is_some());
         assert!(v.get("events").unwrap().as_arr().is_some());

@@ -10,9 +10,11 @@ use std::net::{TcpStream, ToSocketAddrs};
 /// A committed-write acknowledgement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ack {
-    /// Version id of the committed epoch.
+    /// The store-wide version the write's epoch published: acks are
+    /// ordered by it, whatever shards they touched.
     pub version: u64,
-    /// Global epoch stamp, for batches that spanned multiple shards.
+    /// For a batch, the epoch it committed in (equal to `version`);
+    /// `None` for a put or a delete.
     pub global_epoch: Option<u64>,
 }
 
@@ -155,7 +157,8 @@ impl Client {
         self.acked(Request::Delete(key.to_vec()))
     }
 
-    /// Submit an atomic batch (cross-shard atomic on a sharded server).
+    /// Submit an atomic batch: one epoch, whatever shards its keys route
+    /// to.
     ///
     /// # Errors
     ///
@@ -177,8 +180,9 @@ impl Client {
         }
     }
 
-    /// Cut an epoch-fenced snapshot named `name` and pin this session's
-    /// reads to it; returns the snapshot's epoch coordinate.
+    /// Snapshot the store under `name` and pin this session's reads to
+    /// it; returns the snapshot's version — at least that of every write
+    /// acked before the call.
     ///
     /// # Errors
     ///

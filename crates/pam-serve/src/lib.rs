@@ -8,7 +8,7 @@
 //! writers coalesce into few epochs, each applied with one work-optimal
 //! `multi_insert` — while reads run off O(1) pinned snapshots (the
 //! multi-version access pattern of the augmented-maps queries paper,
-//! arXiv 1803.08621). The pin is one `Arc` clone under the shard's
+//! arXiv 1803.08621). The pin is one `Arc` clone under the store's
 //! registry mutex, which `publish` also takes; ROADMAP item 8 makes it
 //! lock-free.
 //!
@@ -25,7 +25,7 @@
 //!
 //! The binary (`pam-serve`) serves a durable
 //! [`pam_store::Store`]`<NoAug<`[`pam_store::Bytes`]`, Bytes>>`: opaque
-//! byte keys/values, per-shard WALs, cross-shard atomic batches, and an
+//! byte keys/values, one WAL, batches atomic across shards, and an
 //! optional `--obs-addr` telemetry endpoint. It drains gracefully when
 //! its stdin reaches EOF. `Bytes` is refcounted, so a commit's path
 //! copies share each entry's buffer instead of copying it; it encodes and

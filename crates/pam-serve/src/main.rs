@@ -6,7 +6,7 @@
 //!           [--obs-addr ADDR]
 //! ```
 //!
-//! `--batch-window-us` is each shard's group-commit window: the upper
+//! `--batch-window-us` is the store's group-commit window: the upper
 //! bound on how long an epoch lingers for more writers, not a fixed
 //! delay — a put with nobody to share an epoch with is committed at once
 //! (0 never lingers).

@@ -75,7 +75,7 @@ pub struct Server {
 }
 
 /// Cap on named snapshot pins held at once. A pin keeps a version of
-/// every shard alive until it is unpinned, and names come from remote
+/// the store alive until it is unpinned, and names come from remote
 /// clients, so the table they fill is bounded.
 pub const MAX_PINS: usize = 1024;
 
@@ -94,10 +94,12 @@ struct Shared {
 ///
 /// Writes feed the store's group-commit pipeline — concurrent
 /// connections' puts coalesce into shared epochs — and each is acked
-/// only once its ticket resolves. Reads run off pinned snapshots (an
-/// `Arc` clone under the shard's registry mutex, which `publish` also
-/// takes — ROADMAP item 8). `Pin`/`UsePin` give sessions a named epoch-fenced snapshot
-/// for repeatable reads.
+/// only once its ticket resolves, with the store-wide version its epoch
+/// published (a batch's ack also carries that epoch). Reads run off
+/// pinned snapshots (an `Arc` clone under the store's registry mutex,
+/// which `publish` also takes — ROADMAP item 8). `Pin`/`UsePin` give
+/// sessions a named snapshot for repeatable reads; the reply names its
+/// version.
 ///
 /// # Errors
 ///
@@ -340,14 +342,11 @@ where
                 })
                 .collect();
             let ticket = store.write_batch(ops);
-            // per-shard version ids are independent sequences: report
-            // the highest slice version
-            let version = ticket.wait().into_iter().max().unwrap_or(0);
-            acked(version, ticket.global_epoch())
+            acked(ticket.wait(), ticket.global_epoch())
         }
         Request::Pin(name) => {
             let snap = Arc::new(store.snapshot());
-            let epoch = snap.global_epoch();
+            let epoch = snap.version();
             {
                 let mut pins = pins.lock();
                 // re-pinning a name replaces its snapshot: no new holder
@@ -361,7 +360,7 @@ where
         }
         Request::UsePin(name) => match pins.lock().get(&name) {
             Some(snap) => {
-                let epoch = snap.global_epoch();
+                let epoch = snap.version();
                 *session = Some(Arc::clone(snap));
                 Response::Pinned(epoch)
             }
@@ -382,8 +381,8 @@ where
 }
 
 /// The reply to a write whose ticket has resolved: the write is
-/// committed, published, and (on a durable store) logged per the sync
-/// policy.
+/// committed, published in store version `version`, and (on a durable
+/// store) logged per the sync policy.
 fn acked(version: u64, global_epoch: Option<u64>) -> Response {
     Response::Acked {
         version,

@@ -87,10 +87,10 @@ pub enum Request {
     Put(Vec<u8>, Vec<u8>),
     /// Remove; acked when group-committed.
     Delete(Vec<u8>),
-    /// Atomic batch (cross-shard atomic on a sharded store).
+    /// Atomic batch: one epoch, whatever shards its keys route to.
     Batch(Vec<WireOp>),
-    /// Cut an epoch-fenced snapshot, register it under `name`, and pin
-    /// this session's reads to it.
+    /// Snapshot the store, register it under `name`, and pin this
+    /// session's reads to it.
     Pin(String),
     /// Pin this session's reads to the named snapshot.
     UsePin(String),
@@ -191,16 +191,15 @@ pub enum Response {
     Count(u64),
     /// Reply to a write: the write is committed, published, and as
     /// durable as the server's sync policy promises. `global_epoch` is
-    /// set only for batches that spanned multiple shards.
+    /// set only for batches.
     Acked {
-        /// Version id of the committed epoch (highest slice on a
-        /// sharded store).
+        /// The store-wide version the write's epoch published.
         version: u64,
-        /// Global epoch stamp of a cross-shard batch.
+        /// A batch's epoch (equal to `version`).
         global_epoch: Option<u64>,
     },
     /// Reply to [`Request::Pin`] / [`Request::UsePin`]: the snapshot's
-    /// global epoch coordinate.
+    /// version — at least that of every write acked before the pin.
     Pinned(u64),
     /// Generic success (Unpin, Release).
     Ok,

@@ -45,18 +45,15 @@ fn puts_gets_batches_and_scans_round_trip() {
 
     let ack = c.put(&key(1), b"one").unwrap();
     assert!(ack.version >= 1);
-    assert_eq!(ack.global_epoch, None, "single put takes the fast path");
+    assert_eq!(ack.global_epoch, None, "a put's ack names only its version");
     assert_eq!(c.get(&key(1)).unwrap(), Some(b"one".to_vec()));
 
-    // a batch wide enough to span shards carries a global epoch stamp
+    // a batch's ack also carries the epoch it committed in: its version
     let ops: Vec<WireOp> = (10..42)
         .map(|i| WireOp::Put(key(i), format!("v{i}").into_bytes()))
         .collect();
     let ack = c.batch(ops).unwrap();
-    assert!(
-        ack.global_epoch.is_some(),
-        "multi-shard batch must be stamped"
-    );
+    assert_eq!(ack.global_epoch, Some(ack.version));
     assert_eq!(c.len().unwrap(), 33);
 
     assert_eq!(
@@ -83,6 +80,50 @@ fn puts_gets_batches_and_scans_round_trip() {
     .unwrap();
     assert_eq!(c.get(&key(100)).unwrap(), Some(b"hundred".to_vec()));
     assert_eq!(c.get(&key(10)).unwrap(), None);
+}
+
+/// Acks and pins name one store-wide version: over two connections,
+/// puts on both shards, a batch spanning them and a pin are acked with
+/// strictly increasing versions, and the pin's epoch is at least every
+/// earlier ack.
+#[test]
+fn acks_and_pins_carry_one_store_wide_version() {
+    let store = eager_store(2);
+    let (_server, addr) = start(Arc::clone(&store));
+    let mut a = Client::connect(addr).unwrap();
+    let mut b = Client::connect(addr).unwrap();
+    let on_shard = |shard: usize| {
+        (0u64..)
+            .map(key)
+            .find(|k| store.shard_of(&Bytes::from(k.clone())) == shard)
+            .unwrap()
+    };
+    let (k0, k1) = (on_shard(0), on_shard(1));
+
+    let mut acks = Vec::new();
+    for round in 0..8u8 {
+        acks.push(a.put(&k0, &[round]).unwrap().version);
+        acks.push(b.put(&k1, &[round]).unwrap().version);
+        acks.push(a.delete(&k1).unwrap().version);
+    }
+    let batch = b
+        .batch(vec![
+            WireOp::Put(k0.clone(), b"batch".to_vec()),
+            WireOp::Put(k1.clone(), b"batch".to_vec()),
+        ])
+        .unwrap();
+    assert_eq!(batch.global_epoch, Some(batch.version));
+    acks.push(batch.version);
+    assert!(
+        acks.windows(2).all(|w| w[0] < w[1]),
+        "acked versions in ack order: {acks:?}"
+    );
+    let pinned = a.pin("cut").unwrap();
+    assert!(
+        acks.iter().all(|&v| pinned >= v),
+        "pin at {pinned} is older than an earlier ack: {acks:?}"
+    );
+    assert_eq!(a.get(&k1).unwrap(), Some(b"batch".to_vec()));
 }
 
 #[test]

@@ -57,19 +57,18 @@ impl Default for StoreConfig {
     }
 }
 
-/// Configuration for a [`crate::Store`]: how many independent shards the
-/// key space is hash-partitioned into, plus the per-shard tuning.
+/// Configuration for a [`crate::Store`]: how many shard maps the key
+/// space is hash-partitioned into, plus the tuning of its one pipeline.
 ///
-/// The shard count is the write-parallelism knob: each shard runs its own
-/// group-commit pipeline (its own committer thread, and — when durable —
-/// its own WAL + checkpointer), so N shards can normalize, log, and apply
-/// N epochs concurrently. For a durable store the count is pinned on disk
-/// by a manifest; reopening with a different count is refused.
+/// Every shard sits behind the same group-commit pipeline and committer;
+/// the committer applies an epoch's per-shard slices, forking across
+/// shards for large epochs. For a durable store the count is pinned on
+/// disk by a manifest; reopening with a different count is refused.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
-    /// Number of hash shards (independent engines; 0 is clamped to 1).
+    /// Number of hash shards (0 is clamped to 1).
     pub shards: usize,
-    /// Per-shard store configuration (every shard gets the same tuning).
+    /// The pipeline's configuration.
     pub store: StoreConfig,
 }
 
@@ -91,13 +90,9 @@ impl Default for ShardedConfig {
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// When the WAL fsyncs (see [`SyncPolicy`]). Default:
-    /// [`SyncPolicy::SyncEachEpoch`] — an acked write is on disk.
-    ///
-    /// **Cross-shard batch slices are force-synced regardless of this
-    /// policy**: recovery's atomicity vote treats "logged on all
-    /// participants" as durable, so a relaxed policy may not leave a
-    /// slice in page cache after its batch's decision is recorded.
-    /// Single-shard epochs honor the policy as configured.
+    /// [`SyncPolicy::SyncEachEpoch`] — an acked write is on disk. Every
+    /// epoch honors it, a batch spanning shards included: the batch is
+    /// one record.
     pub sync: SyncPolicy,
     /// WAL segment rotation threshold in bytes. Smaller segments mean
     /// finer-grained space reclamation after checkpoints.

@@ -1,4 +1,4 @@
-//! The per-shard engine: one registry, one pipeline, one committer.
+//! The engine: one registry, one pipeline, one committer.
 
 use crate::config::StoreConfig;
 use crate::op::WriteOp;
@@ -15,22 +15,26 @@ struct Inner<S: AugSpec> {
     hook: Option<Arc<dyn CommitHook<S>>>,
 }
 
-/// One shard of a [`crate::Store`]: a one-head version registry fed by
-/// a group-commit pipeline with its own committer thread.
+/// The engine under a [`crate::Store`]: a one-head version registry fed
+/// by a group-commit pipeline with its own committer thread.
 ///
 /// Writes flow through the pipeline; [`Self::pin`] takes an O(1)
 /// persistent snapshot and never blocks, and the version it pins lives
-/// exactly as long as the pin (or a clone of it) does. Reach a store's
-/// engines through [`crate::Store::shard`] for what is per shard by
-/// nature — its head pin, its statistics — or build one directly to
-/// test a [`CommitHook`]. Everything else (routing, cross-shard batches
-/// and snapshots, scans, durability) lives on [`crate::Store`].
+/// exactly as long as the pin (or a clone of it) does. A store's engine
+/// holds all of its shard maps — a version is their tuple — and the
+/// store routes keys to them. Build one directly for a single unsharded
+/// map, or to test a [`CommitHook`].
 ///
 /// The engine is `Send + Sync`. Dropping the last handle drains
 /// outstanding writes and joins the committer thread.
 pub struct VersionedStore<S: AugSpec> {
     inner: Arc<Inner<S>>,
     committer: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The router of a one-shard engine: every key is shard 0's.
+fn one_shard<K>(_: &K) -> u64 {
+    0
 }
 
 impl<S: AugSpec> VersionedStore<S> {
@@ -41,29 +45,33 @@ impl<S: AugSpec> VersionedStore<S> {
 
     /// An engine whose version 0 is `initial`.
     pub fn from_map(initial: AugMap<S>, config: StoreConfig) -> Self {
-        Self::build(initial, config, None)
+        Self::sharded(vec![initial], 0, &config, None, one_shard::<S::K>)
     }
 
-    /// An engine whose committer calls `hook` around every epoch — the
-    /// extension point the durable [`crate::Store`] attaches its WAL to.
-    /// See [`CommitHook`] for the ordering contract.
+    /// An engine whose committer logs every epoch through `hook` before
+    /// applying it — the extension point the durable [`crate::Store`]
+    /// attaches its WAL to. See [`CommitHook`] for the ordering contract.
     pub fn with_commit_hook(
         initial: AugMap<S>,
         config: StoreConfig,
         hook: Arc<dyn CommitHook<S>>,
     ) -> Self {
-        Self::build(initial, config, Some(hook))
+        Self::sharded(vec![initial], 0, &config, Some(hook), one_shard::<S::K>)
     }
 
-    fn build(
-        initial: AugMap<S>,
-        config: StoreConfig,
+    /// An engine whose version `version` is the tuple `maps`, one map per
+    /// shard; its committer routes each key with `hash`.
+    pub(crate) fn sharded(
+        maps: Vec<AugMap<S>>,
+        version: VersionId,
+        config: &StoreConfig,
         hook: Option<Arc<dyn CommitHook<S>>>,
+        hash: fn(&S::K) -> u64,
     ) -> Self {
         let stats = Arc::new(StatsInner::default());
         let inner = Arc::new(Inner {
-            registry: Registry::new(initial),
-            pipeline: Arc::new(Pipeline::new(&config, stats.clone())),
+            registry: Registry::new(version, maps),
+            pipeline: Arc::new(Pipeline::new(config, stats.clone(), version)),
             stats,
             hook,
         });
@@ -73,7 +81,7 @@ impl<S: AugSpec> VersionedStore<S> {
             .spawn(move || {
                 worker
                     .pipeline
-                    .run_committer(&worker.registry, worker.hook.as_deref());
+                    .run_committer(&worker.registry, worker.hook.as_deref(), hash);
             })
             // lint: allow(panic) construction-time failure with no
             // caller to report to: a store without its committer thread
@@ -122,24 +130,6 @@ impl<S: AugSpec> VersionedStore<S> {
         self.inner.pipeline.flush()
     }
 
-    /// Enqueue one shard's slice of a cross-shard atomic batch as a
-    /// *sealed* epoch: the operations get an epoch (and WAL record) of
-    /// their own, stamped with the batch's global epoch so recovery can
-    /// commit or discard the whole batch at record granularity.
-    pub(crate) fn submit_sealed(
-        &self,
-        ops: Vec<WriteOp<S>>,
-        global: Option<pam_wal::GlobalStamp>,
-    ) -> CommitTicket<S> {
-        self.inner.pipeline.submit_sealed(ops, global)
-    }
-
-    /// The group-commit pipeline (the store raises submit barriers on it
-    /// for consistent cross-shard snapshots).
-    pub(crate) fn pipeline(&self) -> &Pipeline<S> {
-        &self.inner.pipeline
-    }
-
     // -- reads and versions -------------------------------------------------
     //
     // Every read goes through the registry head — the one place the
@@ -153,19 +143,20 @@ impl<S: AugSpec> VersionedStore<S> {
         self.inner.registry.pin_head()
     }
 
-    /// The value at `key` in the current version.
+    /// The value at `key` in the current version of a one-shard engine
+    /// (see [`PinnedVersion::map`]).
     pub fn get(&self, key: &S::K) -> Option<S::V> {
         self.pin().map().get(key).cloned()
     }
 
     /// Entries in the current version.
     pub fn len(&self) -> usize {
-        self.pin().map().len()
+        self.pin().shards().iter().map(AugMap::len).sum()
     }
 
     /// Is the current version empty?
     pub fn is_empty(&self) -> bool {
-        self.pin().map().is_empty()
+        self.len() == 0
     }
 
     /// The current head version id (the id [`Self::pin`] would return).
@@ -175,8 +166,8 @@ impl<S: AugSpec> VersionedStore<S> {
 
     // -- observability ------------------------------------------------------
 
-    /// A coherent snapshot of this shard's commit/batch/version
-    /// statistics (durability counters zero: the store overlays them).
+    /// A coherent snapshot of the commit/batch/version statistics
+    /// (durability counters zero: the store overlays them).
     pub fn stats(&self) -> StoreStats {
         let (head, live, retired) = self.inner.registry.counts();
         StoreStats::from_inner(&self.inner.stats, live, retired, head)
@@ -196,7 +187,9 @@ impl<S: AugSpec> VersionedStore<S> {
     /// older pinned version costs on top is only the nodes it does not
     /// share with this one.
     pub fn memory_bytes(&self) -> usize {
-        pam::stats::reachable_bytes(&[self.pin().map().root()])
+        let pin = self.pin();
+        let roots: Vec<_> = pin.shards().iter().map(AugMap::root).collect();
+        pam::stats::reachable_bytes(&roots)
     }
 }
 

@@ -8,45 +8,36 @@
 //! hash shards × an optional durability part, always weight-balanced.
 //!
 //! * **[`Store`]** ([`store`]) — hash-partitions the key space
-//!   ([`ShardKey`], [`shard`]) across N independent per-shard engines:
-//!   write parallelism beyond one committer, with scatter-gather reads,
-//!   k-way merged range scans, and consistent cross-shard [`Snapshot`]s
-//!   via a brief all-shard epoch barrier. [`Store::volatile`] keeps
-//!   everything in memory; [`Store::open`] puts a WAL and checkpoints
-//!   under every shard. The consistency contract of every method is
-//!   stated in its rustdoc (see the [`store`] module docs for the
-//!   ladder).
-//! * **Per-shard engine** ([`VersionedStore`], reached through
-//!   [`Store::shard`]) — a one-head **version registry** ([`registry`]) fed by a
-//!   **group-commit write pipeline** ([`pipeline`]). Concurrent writers
-//!   enqueue operations into an epoch buffer and immediately receive a
-//!   [`CommitTicket`]. A dedicated committer thread — the engine's only
-//!   writer — drains the buffer, normalizes the batch (parallel sort +
-//!   last-write-wins dedup, via `parlay`), applies it to the map it owns
-//!   with one work-optimal `multi_insert`/`multi_delete` per epoch
-//!   (amortizing the O(log n) tree work across every writer in the
-//!   window), and publishes the new root in the registry under the next
+//!   ([`ShardKey`], [`shard`]) across N shard maps behind **one** engine,
+//!   with scatter-gather reads, k-way merged range scans, and
+//!   [`Snapshot`]s that are one pin of every shard. [`Store::volatile`]
+//!   keeps everything in memory; [`Store::open`] puts one WAL, a
+//!   checkpoint directory per shard and crash recovery under it. The
+//!   consistency contract is stated in the [`store`] module docs.
+//! * **The engine** ([`VersionedStore`]) — a one-head **version
+//!   registry** ([`registry`]) fed by a **group-commit write pipeline**
+//!   ([`pipeline`]). Concurrent writers enqueue operations into the open
+//!   epoch and immediately receive a [`CommitTicket`]. A dedicated
+//!   committer thread — the store's only writer — drains the epoch,
+//!   normalizes the batch (parallel sort + last-write-wins dedup, via
+//!   `parlay`), routes it to its shards and applies each shard's slice
+//!   with one work-optimal `multi_insert`/`multi_delete` (amortizing the
+//!   O(log n) tree work across every writer in the window), and publishes
+//!   every shard's root in the registry as one version under the next
 //!   [`VersionId`] — the single publication point every reader pins
-//!   from. Versions are *refcount-pinned*: a version lives exactly as
-//!   long as it is the head or somebody holds a [`PinnedVersion`] /
-//!   [`Snapshot`] of it, and holding one is nearly free — path-copying
-//!   means N similar versions share almost all of their nodes.
-//! * **Cross-shard atomicity** — a **global epoch clock** stamps every
-//!   multi-shard `write_batch` ([`GlobalStamp`]); the slices are
-//!   submitted under an *epoch fence* and logged with the stamp, so
-//!   epoch-fenced readers ([`Store::snapshot`],
-//!   [`Store::range_for_each`]) never observe a torn batch, and a
-//!   durable store crash-recovers every shard to the same global epoch
-//!   (torn batches are discarded everywhere by a 2PC-style presence
-//!   vote; the `MANIFEST` pins the clock).
+//!   from. A version lives exactly as long as it is the head or somebody
+//!   holds a [`PinnedVersion`] / [`Snapshot`] of it, and holding one is
+//!   nearly free — path-copying means N similar versions share almost all
+//!   of their nodes.
 //! * **Durability** ([`durable`]) — one WAL record, one group fsync per
 //!   epoch (see `pam-wal`), logged by a [`CommitHook`] before the epoch
-//!   is applied or acked; non-blocking snapshot checkpoints; recovery
-//!   bulk-loads the newest checkpoint and replays the log, tolerating a
-//!   torn final record. One on-disk layout whatever the shard count.
+//!   is applied or acked, so a batch spanning shards is whole in the log
+//!   or absent; non-blocking snapshot checkpoints; recovery bulk-loads
+//!   every shard's newest checkpoint and replays the log once, tolerating
+//!   a torn final record. One on-disk layout whatever the shard count.
 //! * **Stats surface** ([`stats`]) — per-stage commit latency histograms,
-//!   batch sizes, fence waits, live versions, WAL/checkpoint counters, and
-//!   a node-exact memory footprint built on `pam::stats`.
+//!   batch sizes, live versions, WAL/checkpoint counters, and a
+//!   node-exact memory footprint built on `pam::stats`.
 //!
 //! ## Quick example
 //!
@@ -76,7 +67,7 @@
 //! store.delete(1).wait();
 //! assert_eq!(snap.get(&1), Some(10)); // history intact
 //! assert_eq!(store.get(&1), None);
-//! assert!(snap.shard(0).id() >= v);
+//! assert!(snap.version() >= v);
 //! ```
 
 #![warn(missing_docs)]
@@ -98,12 +89,12 @@ pub use durable::{RecoveryInfo, RecoveryTimings};
 pub use engine::VersionedStore;
 pub use op::{NormalizedBatch, WriteOp};
 pub use pam_obs::Health;
-pub use pam_wal::{Codec, GlobalStamp, SyncPolicy};
+pub use pam_wal::{Codec, SyncPolicy};
 pub use pipeline::{CommitHook, CommitTicket};
 pub use registry::{PinnedVersion, VersionId};
 pub use shard::{Bytes, ShardKey};
 pub use stats::{DurabilityStats, StoreStats};
-pub use store::{BatchTicket, Snapshot, Store};
+pub use store::{Snapshot, Store};
 
 /// The frozen `benchmark/` package's name for [`Store`]; the next benchmark PR removes it.
 pub type DurableShardedStore<S> = Store<S>;

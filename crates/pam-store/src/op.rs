@@ -66,8 +66,7 @@ pub struct NormalizedBatch<S: AugSpec> {
 impl<S: AugSpec> NormalizedBatch<S> {
     /// Did every raw operation cancel out (no surviving puts or
     /// deletes)? Such an epoch still commits (and, when durable, still
-    /// logs — its WAL record may carry a cross-shard stamp recovery
-    /// votes on) but applies no tree work.
+    /// logs, keeping epochs contiguous) but applies no tree work.
     pub fn is_empty(&self) -> bool {
         self.puts.is_empty() && self.deletes.is_empty()
     }

@@ -1,13 +1,13 @@
-//! Stable key→shard routing, and the one read discipline built on it.
+//! Stable key→shard routing, and the write and read disciplines built on
+//! it.
 //!
-//! A [`crate::Store`] hash-partitions its key space across N shards. For
-//! a durable store each shard has its own WAL directory, so the
-//! assignment `hash(key) % N` is part of the on-disk format: the hash
+//! A [`crate::Store`] hash-partitions its key space across N shard maps.
+//! For a durable store each shard checkpoints into its own directory, so
+//! the assignment `hash(key) % N` is part of the on-disk format: the hash
 //! ([`ShardKey`]) must never change, and the shard count is pinned by the
 //! manifest. [`Bytes`], the shared byte string `pam-serve` stores, lives
 //! here because it must route (and encode) exactly as `Vec<u8>`.
 
-use crate::registry::PinnedVersion;
 use pam::{AugMap, AugSpec};
 use pam_wal::{put_varint, Codec, CodecError, Reader};
 use std::fmt;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// A key that can be routed to a shard.
 ///
 /// The hash must be **stable across processes and runs**: a durable
-/// store persists each shard's data under its own WAL directory, so the
+/// store checkpoints each shard's data into its own directory, so the
 /// key→shard assignment is part of the on-disk format. (This is
 /// why `std::hash::Hash` is not used — `DefaultHasher` makes no
 /// cross-version stability promise.) Implementations must also spread
@@ -197,10 +197,67 @@ impl<A: ShardKey, B: ShardKey> ShardKey for (A, B) {
 }
 
 /// The one key→shard routing expression (`hash % shards`), shared by the
-/// live store and the snapshot so the two can never diverge.
+/// committer, recovery and the snapshot so they can never diverge.
 #[inline]
 pub(crate) fn route(hash: u64, shards: usize) -> usize {
     (hash % shards as u64) as usize
+}
+
+/// One shard's part of a normalized batch: upserts and deletes, each
+/// still sorted and distinct.
+type Slice<S> = (
+    Vec<(<S as AugSpec>::K, <S as AugSpec>::V)>,
+    Vec<<S as AugSpec>::K>,
+);
+
+/// Apply one normalized batch (`puts` and `deletes` sorted, distinct,
+/// disjoint) to the shard maps `maps`: route every key with `hash`, then
+/// apply each shard's slice as one `multi_insert` plus one
+/// `multi_delete`. The slices fork across shards only when the batch is
+/// larger than [`parlay::granularity`], so a small epoch never wakes a
+/// pool worker; the bulk operations fork inside each slice by their own
+/// rule. The committer and recovery's replay both apply through here.
+pub(crate) fn apply_routed<S: AugSpec>(
+    maps: &mut [AugMap<S>],
+    hash: fn(&S::K) -> u64,
+    puts: Vec<(S::K, S::V)>,
+    deletes: Vec<S::K>,
+) {
+    if let [map] = maps {
+        return apply_slice(map, (puts, deletes));
+    }
+    let fork = puts.len() + deletes.len() > parlay::granularity();
+    let mut slices: Vec<Slice<S>> = maps.iter().map(|_| Default::default()).collect();
+    for (k, v) in puts {
+        slices[route(hash(&k), maps.len())].0.push((k, v));
+    }
+    for k in deletes {
+        slices[route(hash(&k), maps.len())].1.push(k);
+    }
+    apply_slices(maps, &mut slices, fork);
+}
+
+fn apply_slices<S: AugSpec>(maps: &mut [AugMap<S>], slices: &mut [Slice<S>], fork: bool) {
+    if let ([map], [slice]) = (&mut *maps, &mut *slices) {
+        return apply_slice(map, std::mem::take(slice));
+    }
+    let mid = maps.len() / 2;
+    let (maps_l, maps_r) = maps.split_at_mut(mid);
+    let (slices_l, slices_r) = slices.split_at_mut(mid);
+    parlay::par2_if(
+        fork,
+        || apply_slices(maps_l, slices_l, fork),
+        || apply_slices(maps_r, slices_r, fork),
+    );
+}
+
+fn apply_slice<S: AugSpec>(map: &mut AugMap<S>, (puts, deletes): Slice<S>) {
+    if !puts.is_empty() {
+        map.multi_insert(puts);
+    }
+    if !deletes.is_empty() {
+        map.multi_delete(deletes);
+    }
 }
 
 /// Probe `map` for `keys[i]` at each `i` in `idxs`, writing the results
@@ -218,32 +275,23 @@ fn gather_in_key_order<S: AugSpec>(
     }
 }
 
-/// Scatter `keys` to their owning shards, probe each involved shard from
-/// one pinned version (obtained via `pin`), and gather the results back
-/// in input order — the shared body of [`crate::Store::get_many`] (pins
-/// each involved shard's live head) and [`crate::Snapshot::get_many`]
-/// (reuses the snapshot's pins).
-pub(crate) fn scatter_gather_get_many<S, F>(
-    shards: usize,
-    keys: &[S::K],
-    pin: F,
-) -> Vec<Option<S::V>>
+/// Scatter `keys` to their owning shards among `maps` (one version's
+/// shard maps), probe each involved shard, and gather the results back
+/// in input order.
+pub(crate) fn scatter_gather_get_many<S>(maps: &[AugMap<S>], keys: &[S::K]) -> Vec<Option<S::V>>
 where
     S: AugSpec,
     S::K: ShardKey,
-    F: Fn(usize) -> PinnedVersion<S>,
 {
-    let mut index_of: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut index_of: Vec<Vec<usize>> = maps.iter().map(|_| Vec::new()).collect();
     for (i, k) in keys.iter().enumerate() {
-        index_of[route(k.shard_hash(), shards)].push(i);
+        index_of[route(k.shard_hash(), maps.len())].push(i);
     }
     let mut out: Vec<Option<S::V>> = vec![None; keys.len()];
-    for (shard, idxs) in index_of.iter_mut().enumerate() {
-        if idxs.is_empty() {
-            continue;
+    for (map, idxs) in maps.iter().zip(&mut index_of) {
+        if !idxs.is_empty() {
+            gather_in_key_order(map, keys, idxs, &mut out);
         }
-        let pinned = pin(shard);
-        gather_in_key_order(pinned.map(), keys, idxs, &mut out);
     }
     out
 }

@@ -32,10 +32,10 @@ pub(crate) struct CommitTiming {
     /// Commit-hook logging (WAL append + fsync for a durable store;
     /// zero when no hook is installed).
     pub wal_log: Duration,
-    /// `multi_insert`/`multi_delete` against the head plus the head
-    /// swap.
+    /// Routing plus `multi_insert`/`multi_delete` on every shard the
+    /// epoch touches.
     pub apply: Duration,
-    /// Version-registry publish + hook notification.
+    /// Version-registry publish.
     pub publish: Duration,
 }
 
@@ -44,7 +44,6 @@ pub(crate) struct StatsInner {
     commits: AtomicU64,
     raw_ops: AtomicU64,
     applied_ops: AtomicU64,
-    fence_waits: AtomicU64,
     max_batch: AtomicU64,
     commit: Histogram,
     commit_window: Histogram,
@@ -52,7 +51,6 @@ pub(crate) struct StatsInner {
     commit_wal_log: Histogram,
     commit_apply: Histogram,
     commit_publish: Histogram,
-    barrier_wait: Histogram,
 }
 
 impl StatsInner {
@@ -72,14 +70,6 @@ impl StatsInner {
         self.commit_apply.record_duration(timing.apply);
         self.commit_publish.record_duration(timing.publish);
     }
-
-    /// A writer parked in `admit()` while a snapshot barrier held the
-    /// pipeline closed, for `took`.
-    pub fn record_fence_wait(&self, took: Duration) {
-        // relaxed: monitoring counter only
-        self.fence_waits.fetch_add(1, Ordering::Relaxed);
-        self.barrier_wait.record_duration(took);
-    }
 }
 
 /// A point-in-time summary of store activity.
@@ -91,11 +81,6 @@ pub struct StoreStats {
     pub raw_ops: u64,
     /// Operations surviving last-write-wins deduplication.
     pub applied_ops: u64,
-    /// Times a writer parked in `admit()` because a snapshot barrier
-    /// held the pipeline closed. (This field replaced the stale
-    /// `cas_retries` counter, which was always 0 once the pipeline
-    /// became the head's sole writer.)
-    pub fence_waits: u64,
     /// Largest single batch (raw operations) drained in one epoch.
     pub max_batch: u64,
     /// Mean wall time of a commit (derived from [`Self::commit`]).
@@ -112,25 +97,20 @@ pub struct StoreStats {
     /// Commit-hook logging stage latency (WAL append + fsync; all-zero
     /// for an in-memory store).
     pub commit_wal_log: HistogramSnapshot,
-    /// Apply stage (bulk insert/delete + head swap) latency.
+    /// Apply stage (routing + bulk insert/delete per shard) latency.
     pub commit_apply: HistogramSnapshot,
-    /// Publish stage (registry + hook notification) latency.
+    /// Publish stage (registry swap) latency.
     pub commit_publish: HistogramSnapshot,
-    /// Time writers spent parked in `admit()` behind snapshot barriers.
-    pub barrier_wait: HistogramSnapshot,
-    /// Time spent acquiring the store's epoch fence (read side by
-    /// cross-shard batches, write side by snapshots); zero on a single
-    /// engine's own stats, filled in by [`crate::Store::stats`].
+    /// Always empty: no write or snapshot waits on a cross-shard fence
+    /// any more. Kept only because the frozen benchmark package reads
+    /// it; its next revision deletes the field.
     pub fence_wait: HistogramSnapshot,
-    /// Epoch-fenced snapshots cut ([`crate::Store::snapshot`] on more
-    /// than one shard; a 1-shard store reports 0 — its snapshots are
-    /// free root grabs).
-    pub snapshots_taken: u64,
     /// Versions alive right now: the head plus every older version a
     /// [`crate::PinnedVersion`] or [`crate::Snapshot`] still holds.
     pub live_versions: usize,
-    /// Versions dropped since the store started (per shard,
-    /// `live_versions + retired_versions == head_version + 1`).
+    /// Versions dropped since the store opened (`live_versions +
+    /// retired_versions` is the number of versions published since, the
+    /// one it opened at included).
     pub retired_versions: u64,
     /// Current head version id.
     pub head_version: u64,
@@ -204,11 +184,10 @@ impl StoreStats {
         let commit = inner.commit.snapshot();
         StoreStats {
             // relaxed: stats snapshot — counters are independent and
-            // tolerate sampling skew (all five below)
+            // tolerate sampling skew (all four below)
             commits: inner.commits.load(Ordering::Relaxed),
             raw_ops: inner.raw_ops.load(Ordering::Relaxed), // relaxed: see above
             applied_ops: inner.applied_ops.load(Ordering::Relaxed), // relaxed: see above
-            fence_waits: inner.fence_waits.load(Ordering::Relaxed), // relaxed: see above
             max_batch: inner.max_batch.load(Ordering::Relaxed), // relaxed: see above
             mean_commit: Duration::from_nanos(commit.mean()),
             max_commit: Duration::from_nanos(commit.max()),
@@ -218,9 +197,7 @@ impl StoreStats {
             commit_wal_log: inner.commit_wal_log.snapshot(),
             commit_apply: inner.commit_apply.snapshot(),
             commit_publish: inner.commit_publish.snapshot(),
-            barrier_wait: inner.barrier_wait.snapshot(),
             fence_wait: HistogramSnapshot::default(),
-            snapshots_taken: 0,
             live_versions,
             retired_versions,
             head_version,
@@ -234,73 +211,6 @@ impl StoreStats {
         self.raw_ops as f64 / self.commits.max(1) as f64
     }
 
-    /// Fold per-shard statistics into one store-wide summary (used by
-    /// [`crate::Store::stats`]). Counters sum; histograms merge
-    /// bucket-wise (so the aggregate percentiles are the percentiles of
-    /// the union of all shards' samples); `mean_commit` / `max_commit`
-    /// are recomputed from the merged commit histogram; `head_version`
-    /// is the highest per-shard head (shard version ids are independent
-    /// — use [`crate::Snapshot::version_vector`] for the real
-    /// coordinate). Durability counters sum, except
-    /// `last_checkpoint_epoch` and `last_checkpoint_age`, which report
-    /// the *least-advanced* shard — the conservative answer to "how
-    /// stale could a checkpoint be".
-    pub fn aggregate<'a>(shards: impl IntoIterator<Item = &'a StoreStats>) -> StoreStats {
-        let mut out = StoreStats::default();
-        let mut first = true;
-        for s in shards {
-            out.commits += s.commits;
-            out.raw_ops += s.raw_ops;
-            out.applied_ops += s.applied_ops;
-            out.fence_waits += s.fence_waits;
-            out.max_batch = out.max_batch.max(s.max_batch);
-            out.commit.merge(&s.commit);
-            out.commit_window.merge(&s.commit_window);
-            out.commit_normalize.merge(&s.commit_normalize);
-            out.commit_wal_log.merge(&s.commit_wal_log);
-            out.commit_apply.merge(&s.commit_apply);
-            out.commit_publish.merge(&s.commit_publish);
-            out.barrier_wait.merge(&s.barrier_wait);
-            out.fence_wait.merge(&s.fence_wait);
-            out.snapshots_taken += s.snapshots_taken;
-            out.live_versions += s.live_versions;
-            out.retired_versions += s.retired_versions;
-            out.head_version = out.head_version.max(s.head_version);
-            let d = &s.durability;
-            out.durability.wal_records += d.wal_records;
-            out.durability.wal_bytes += d.wal_bytes;
-            out.durability.wal_fsyncs += d.wal_fsyncs;
-            out.durability.wal_segments += d.wal_segments;
-            out.durability.wal_rotations += d.wal_rotations;
-            out.durability.wal_append.merge(&d.wal_append);
-            out.durability.wal_fsync.merge(&d.wal_fsync);
-            out.durability.checkpoints += d.checkpoints;
-            out.durability.checkpoint_bytes += d.checkpoint_bytes;
-            out.durability.checkpoint.merge(&d.checkpoint);
-            out.durability
-                .checkpoint_pin_hold
-                .merge(&d.checkpoint_pin_hold);
-            out.durability.last_checkpoint_epoch = if first {
-                d.last_checkpoint_epoch
-            } else {
-                out.durability
-                    .last_checkpoint_epoch
-                    .min(d.last_checkpoint_epoch)
-            };
-            out.durability.last_checkpoint_age =
-                match (out.durability.last_checkpoint_age, d.last_checkpoint_age) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    _ if first => d.last_checkpoint_age,
-                    // one shard has no checkpoint yet: unboundedly stale
-                    _ => None,
-                };
-            first = false;
-        }
-        out.mean_commit = Duration::from_nanos(out.commit.mean());
-        out.max_commit = Duration::from_nanos(out.commit.max());
-        out
-    }
-
     /// Publish this snapshot into `registry` under the canonical
     /// `pam_*` metric names (listed in ARCHITECTURE.md §Observability).
     /// Every metric is exported unconditionally — an idle store shows
@@ -311,8 +221,6 @@ impl StoreStats {
         registry.export_counter("pam_commits_total", self.commits);
         registry.export_counter("pam_raw_ops_total", self.raw_ops);
         registry.export_counter("pam_applied_ops_total", self.applied_ops);
-        registry.export_counter("pam_fence_waits_total", self.fence_waits);
-        registry.export_counter("pam_snapshots_taken_total", self.snapshots_taken);
         registry.export_counter("pam_max_batch_ops", self.max_batch);
         registry.export_gauge("pam_live_versions", self.live_versions as i64);
         registry.export_counter("pam_retired_versions_total", self.retired_versions);
@@ -323,8 +231,6 @@ impl StoreStats {
         registry.export_histogram("pam_commit_wal_log_nanos", self.commit_wal_log.clone());
         registry.export_histogram("pam_commit_apply_nanos", self.commit_apply.clone());
         registry.export_histogram("pam_commit_publish_nanos", self.commit_publish.clone());
-        registry.export_histogram("pam_barrier_wait_nanos", self.barrier_wait.clone());
-        registry.export_histogram("pam_fence_wait_nanos", self.fence_wait.clone());
         let d = &self.durability;
         registry.export_counter("pam_wal_records_total", d.wal_records);
         registry.export_counter("pam_wal_bytes_total", d.wal_bytes);
@@ -357,15 +263,6 @@ impl std::fmt::Display for StoreStats {
             self.live_versions,
             self.retired_versions,
         )?;
-        if self.fence_waits > 0 || self.snapshots_taken > 0 {
-            write!(
-                f,
-                " | {} fence waits (p99 {:?}), {} snapshots",
-                self.fence_waits,
-                Duration::from_nanos(self.barrier_wait.p99().max(self.fence_wait.p99())),
-                self.snapshots_taken,
-            )?;
-        }
         if self.durability.wal_records > 0 || self.durability.checkpoints > 0 {
             write!(f, " | {}", self.durability)?;
         }

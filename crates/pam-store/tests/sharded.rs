@@ -1,7 +1,8 @@
 //! Integration tests for the multi-shard store: routing correctness
-//! against a 1-shard oracle, cross-shard snapshot consistency under
-//! concurrent writers, and durable recovery — including a subprocess
-//! `abort()` crash with a torn WAL tail in one shard.
+//! against a 1-shard oracle, snapshot and point-read consistency under
+//! concurrent writers, and durable recovery — including subprocess
+//! `abort()` crashes whose log is then torn, at its tail and inside a
+//! cross-shard batch's record.
 
 use pam::SumAug;
 use pam_store::{DurabilityConfig, ShardKey, ShardedConfig, Store, StoreConfig, WriteOp};
@@ -43,7 +44,7 @@ fn op_strategy() -> impl Strategy<Value = WriteOp<S>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(72))]
 
     // The same op stream through an N-shard store and a 1-shard store
     // must land on identical final contents: hash routing + per-shard
@@ -67,7 +68,7 @@ proptest! {
         }
         single.flush();
         sharded.flush();
-        let oracle = single.shard(0).pin().map().to_vec();
+        let oracle = single.snapshot().shard(0).to_vec();
         prop_assert_eq!(sharded.range(&0, &u64::MAX), oracle.clone());
         prop_assert_eq!(sharded.snapshot().range(&0, &u64::MAX), oracle.clone());
         prop_assert_eq!(sharded.len(), oracle.len());
@@ -77,9 +78,9 @@ proptest! {
 
 /// Two writer threads, each acking write i before submitting write i+1,
 /// while snapshots are taken concurrently: every snapshot must contain a
-/// *prefix* of each writer's sequence (a hole would mean the barrier cut
+/// *prefix* of each writer's sequence (a hole would mean the snapshot saw
 /// one shard after a later write but another shard before an earlier
-/// one — exactly the anomaly the epoch barrier exists to prevent).
+/// one).
 #[test]
 fn snapshots_are_consistent_cuts_under_concurrent_writers() {
     const PER_WRITER: u64 = 400;
@@ -137,41 +138,40 @@ fn snapshots_are_consistent_cuts_under_concurrent_writers() {
     assert_eq!(store.snapshot().len() as u64, 2 * PER_WRITER);
 }
 
-/// The PR-5 note "live sharded range scans pay one snapshot per scan"
-/// made measurable: every epoch-fenced cut bumps `snapshots_taken` and
-/// records its fence wait, and the
-/// aggregated histograms carry exactly the union of the per-shard
-/// samples.
+/// A writer commits 16-key batches spanning every shard, each setting all
+/// of its keys to the batch number, while a reader loops plain
+/// `get_many` — no snapshot — over the same keys: each call reads one
+/// pinned version, so it sees every batch wholly or not at all.
 #[test]
-fn fence_counters_and_wait_histograms_are_recorded() {
-    let store = Kv::volatile(eager_sharded(3));
-    let t = store.put_all((0..100u64).map(|k| (k, 1)));
-    assert!(t.global_epoch().is_some(), "preload must span shards");
-    t.wait();
-    assert_eq!(store.stats().snapshots_taken, 0, "no snapshot yet");
+fn interleaved_point_reads_never_observe_a_partial_batch() {
+    const BATCHES: u64 = 2_000;
+    let store = Arc::new(Kv::volatile(eager_sharded(4)));
+    let keys: Vec<u64> = (0..16u64).map(|i| i * 7919 + 3).collect();
+    let shards: std::collections::BTreeSet<usize> =
+        keys.iter().map(|k| store.shard_of(k)).collect();
+    assert_eq!(shards.len(), 4, "the batch must span every shard");
+    store.put_all(keys.iter().map(|&k| (k, 0))).wait();
 
-    for _ in 0..5 {
-        let _ = store.snapshot();
+    let writer = {
+        let (store, keys) = (store.clone(), keys.clone());
+        std::thread::spawn(move || {
+            for b in 1..=BATCHES {
+                store.put_all(keys.iter().map(|&k| (k, b))).wait();
+            }
+        })
+    };
+    let mut reads = 0u64;
+    while !writer.is_finished() {
+        let vals = store.get_many(&keys);
+        assert!(
+            vals.iter().all(|v| *v == vals[0]),
+            "get_many saw a partial batch: {vals:?}"
+        );
+        reads += 1;
     }
-    let mut n = 0;
-    store.range_for_each(&0, &u64::MAX, |_, _| n += 1); // 1 internal snapshot
-    assert_eq!(n, 100);
-
-    let s = store.stats();
-    assert_eq!(s.snapshots_taken, 6, "5 explicit + 1 per live range scan");
-    // the fence-wait histogram saw every acquisition: 6 write-side
-    // (snapshots) + 1 read-side (the cross-shard preload batch)
-    assert_eq!(s.fence_wait.count(), 7);
-    // aggregate percentiles come from the union of per-shard samples
-    assert_eq!(s.commit.count(), s.commits);
-    assert_eq!(
-        s.commits,
-        store
-            .stats_per_shard()
-            .iter()
-            .map(|p| p.commit.count())
-            .sum::<u64>()
-    );
+    writer.join().unwrap();
+    assert!(reads > 0, "the reader raced the writer");
+    assert_eq!(store.get_many(&keys), vec![Some(BATCHES); keys.len()]);
 }
 
 #[test]
@@ -183,17 +183,15 @@ fn durable_sharded_reopen_sees_acked_writes() {
         store.delete(17).wait();
         let stats = store.stats();
         assert!(stats.durability.wal_records > 0);
-        assert!(
-            stats.durability.wal_fsyncs > 0,
-            "SyncEachEpoch shards fsync"
-        );
-        assert_eq!(stats.durability.wal_segments as usize, store.num_shards());
+        assert!(stats.durability.wal_fsyncs > 0, "SyncEachEpoch fsyncs");
+        assert_eq!(stats.durability.wal_segments, 1, "one log, four shards");
     }
     let store = Kv::open(&dir, eager_sharded(4), DurabilityConfig::default()).unwrap();
     assert_eq!(store.recovery().len(), 4);
     assert!(
-        store.recovery().iter().all(|r| r.replayed_epochs > 0),
-        "every shard replays its own WAL"
+        store.recovery().iter().all(|r| r.replayed_epochs == 2),
+        "the one log's two records replay onto every shard: {:?}",
+        store.recovery()
     );
     assert_eq!(store.len(), 99);
     for k in 0..100u64 {
@@ -296,9 +294,8 @@ fn second_open_on_a_live_sharded_directory_is_refused() {
 /// *is* the crashing child: it writes 30 acked keys, checkpoints every
 /// shard, writes 30 more acked keys, submits one unacked batch, and
 /// aborts without unwinding. The parent spawns that child, **tears the
-/// WAL tail of one shard** (garbage half-record, as a crash mid-append
-/// would leave), and recovers: every acked write must survive, in every
-/// shard, with the torn shard truncating cleanly and independently.
+/// log's tail** (garbage half-record, as a crash mid-append would
+/// leave), and recovers: every acked write must survive, in every shard.
 #[test]
 fn kill_and_recover_with_torn_shard_tail() {
     const SHARDS: usize = 3;
@@ -338,23 +335,15 @@ fn kill_and_recover_with_torn_shard_tail() {
         "child must die by abort, not exit cleanly"
     );
 
-    // tear one shard's active segment: a frame header promising more
+    // tear the log's active segment: a frame header promising more
     // bytes than exist, then garbage
-    let shard1 = dir.join("shard-1");
-    let seg = fs::read_dir(&shard1)
-        .unwrap()
-        .filter_map(|e| {
-            let p = e.unwrap().path();
-            p.extension().is_some_and(|x| x == "seg").then_some(p)
-        })
-        .max()
-        .expect("shard-1 has a WAL segment");
+    let seg = active_segment(&dir);
     let mut bytes = fs::read(&seg).unwrap();
     bytes.extend_from_slice(&[0x80, 0, 0, 0, 0xba, 0xad, 0xf0, 0x0d, 7, 7, 7]);
     fs::write(&seg, bytes).unwrap();
 
     let store = Kv::open(&dir, eager_sharded(SHARDS), DurabilityConfig::default()).unwrap();
-    // every acked write survives, including those owned by the torn shard
+    // every acked write survives, on every shard
     for k in 1..=60u64 {
         assert_eq!(store.get(&k), Some(k * 7), "acked write {k} lost");
     }
@@ -363,26 +352,20 @@ fn kill_and_recover_with_torn_shard_tail() {
         "child checkpointed every shard: {:?}",
         store.recovery()
     );
-    // per-shard phase timings: every shard bulk-loaded its checkpoint,
-    // scanned its segments, and replayed its tail; the store-wide
-    // pre-scan and vote phases are stamped identically into every entry
+    // per-shard phase timings: every shard bulk-loaded its checkpoint;
+    // the one log's scan and replay are store-wide, stamped identically
+    // into every entry; there is no pre-scan and no vote
     let t0 = store.recovery()[0].timings;
-    assert!(t0.prescan > Duration::ZERO, "sharded recovery pre-scans");
-    assert!(t0.vote > Duration::ZERO, "sharded recovery votes");
+    assert!(t0.segment_scan > Duration::ZERO, "log scan untimed");
+    assert!(t0.replay > Duration::ZERO, "log replay untimed");
     for r in store.recovery() {
         let t = r.timings;
         assert!(t.bulk_load > Duration::ZERO, "shard bulk-load untimed");
-        assert!(
-            t.segment_scan > Duration::ZERO,
-            "shard segment scan untimed"
-        );
-        assert!(t.replay > Duration::ZERO, "shard replay untimed");
-        assert_eq!((t.prescan, t.vote), (t0.prescan, t0.vote));
+        assert_eq!((t.segment_scan, t.replay), (t0.segment_scan, t0.replay));
+        assert_eq!((t.prescan, t.vote), (Duration::ZERO, Duration::ZERO));
     }
-    // The unacked batch was stamped with a global epoch and split per
-    // shard; since PR 5 recovery votes on it as a unit — it must appear
-    // **wholly or not at all across the entire store**, never partially
-    // (the pre-PR-5 guarantee was only per-shard atomicity).
+    // The unacked batch spans shards but is one record: it must appear
+    // **wholly or not at all across the entire store**.
     let present = (0..12u64)
         .filter(|i| store.get(&(1000 + i)).is_some())
         .count();
@@ -398,9 +381,9 @@ fn kill_and_recover_with_torn_shard_tail() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // The tentpole invariant, raced: a writer commits cross-shard
-    // batches that set a fixed key set to one uniform value per batch,
-    // while the main thread takes epoch-fenced snapshots. Any snapshot
+    // Batch atomicity, raced: writers commit cross-shard batches that
+    // set a fixed key set to one uniform value per batch, while the main
+    // thread takes snapshots. Any snapshot
     // showing two different values — or a mix of present and absent —
     // caught a torn batch.
     #[test]
@@ -421,9 +404,9 @@ proptest! {
         let keys: Arc<Vec<u64>> = Arc::new((0..nkeys as u64).map(|i| i * 911 + 17).collect());
 
         // TWO writers racing over the same keys: besides torn batches,
-        // this catches cross-batch order divergence (shard 0 committing
-        // [B1, B2] while shard 1 commits [B2, B1] would leave a mixed
-        // state no serial order produced — the xbatch gate forbids it)
+        // this catches cross-batch order divergence (shard 0 holding B1's
+        // values while shard 1 holds B2's would be a state no serial
+        // order produced)
         let writers: Vec<_> = (0..2u64)
             .map(|w| {
                 let (s, keys) = (store.clone(), keys.clone());
@@ -441,20 +424,20 @@ proptest! {
             let first = &vals[0];
             prop_assert!(
                 vals.iter().all(|v| v == first),
-                "snapshot at global epoch {} tore or reordered a batch: {vals:?}",
-                snap.global_epoch()
+                "snapshot at version {} tore or reordered a batch: {vals:?}",
+                snap.version()
             );
         }
         for w in writers {
             w.join().unwrap();
         }
         // after both writers finish, the state is the last batch in
-        // stamp order — uniform across every key and every shard
+        // epoch order — uniform across every key and every shard
         let final_vals = store.snapshot().get_many(&keys);
         let winner = final_vals[0];
         prop_assert!(winner.is_some_and(|v| v % 1_000_000 == batches));
         prop_assert!(final_vals.iter().all(|v| *v == winner), "{final_vals:?}");
-        // the live fenced range sees the final state too
+        // the live range sees the final state too
         let mut seen = 0usize;
         store.range_for_each(&0, &u64::MAX, |_, &v| {
             assert_eq!(Some(v), winner);
@@ -464,16 +447,29 @@ proptest! {
     }
 }
 
-/// The PR-5 acceptance test: a subprocess `abort()`s right after acking
-/// a cross-shard batch; the parent then **removes one shard's slice
-/// record** from its WAL tail (the torn-tail signature of a crash
-/// mid-batch). Recovery must vote the batch down *everywhere*: no shard
-/// retains its slice, all shards agree on the global watermark, and the
-/// decision is stable across further reopens.
+/// The newest segment of the store's one log.
+fn active_segment(dir: &std::path::Path) -> PathBuf {
+    fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let p = e.unwrap().path();
+            p.extension().is_some_and(|x| x == "seg").then_some(p)
+        })
+        .max()
+        .expect("the store has a WAL segment")
+}
+
+/// A subprocess acks two batches that each span every shard, then
+/// `abort()`s; the parent **cuts the one log inside the second batch's
+/// record**, as a crash mid-append leaves it, at three points within
+/// the record. Recovery must keep the
+/// first batch whole, drop every key of the torn one on every shard, and
+/// hand the next batch the torn batch's epoch number.
 #[test]
 fn torn_cross_shard_batch_is_discarded_on_every_shard() {
     const SHARDS: usize = 3;
-    const BATCH: std::ops::Range<u64> = 2000..2012;
+    const KEPT: std::ops::Range<u64> = 2000..2012;
+    const TORN: std::ops::Range<u64> = 3000..3012;
     if let Ok(dir) = std::env::var("PAM_XBATCH_CRASH_DIR") {
         let store = Kv::open(
             PathBuf::from(dir),
@@ -484,13 +480,12 @@ fn torn_cross_shard_batch_is_discarded_on_every_shard() {
         for k in 1..=40u64 {
             store.put(k, k * 3).wait();
         }
-        // the batch must genuinely span all shards for the tear below to
-        // be a *slice* tear
-        let hit: std::collections::BTreeSet<usize> = BATCH.map(|k| store.shard_of(&k)).collect();
-        assert_eq!(hit.len(), SHARDS, "batch keys must cover every shard");
-        let t = store.write_batch(BATCH.map(|k| WriteOp::Put(k, 1)));
-        assert_eq!(t.global_epoch(), Some(1), "first stamp of this store");
-        t.wait(); // acked — every slice is on disk when this returns
+        for batch in [KEPT, TORN] {
+            let hit: std::collections::BTreeSet<usize> =
+                batch.clone().map(|k| store.shard_of(&k)).collect();
+            assert_eq!(hit.len(), SHARDS, "batch keys must cover every shard");
+            store.put_all(batch.map(|k| (k, k / 1000))).wait(); // acked: on disk
+        }
         std::process::abort();
     }
 
@@ -508,119 +503,115 @@ fn torn_cross_shard_batch_is_discarded_on_every_shard() {
         .expect("spawn crash child");
     assert!(!status.success(), "child must die by abort");
 
-    // Tear shard-1's slice off: find the last frame of its active
-    // segment — the stamped batch slice, the last record every shard
-    // wrote — verify the stamp, and cut the file at the frame boundary,
-    // exactly what a crash that lost the final append would leave.
-    let seg = fs::read_dir(dir.join("shard-1"))
-        .unwrap()
-        .filter_map(|e| {
-            let p = e.unwrap().path();
-            p.extension().is_some_and(|x| x == "seg").then_some(p)
-        })
-        .max()
-        .expect("shard-1 has a WAL segment");
+    // Find the last frame of the log — the torn batch's one record, all
+    // three shards' keys in it — and cut the file in its middle.
+    let seg = active_segment(&dir);
     let bytes = fs::read(&seg).unwrap();
     let mut pos = 8; // segment magic
-    let mut last_frame_at = None;
+    let mut last_frame = None;
     while pos < bytes.len() {
         match pam_wal::frame::next_frame(&bytes[pos..]) {
             pam_wal::frame::Frame::Ok { payload, consumed } => {
-                last_frame_at = Some((pos, payload.to_vec()));
+                last_frame = Some((pos, consumed, payload.to_vec()));
                 pos += consumed;
             }
             other => panic!("unexpected frame state {other:?} at {pos}"),
         }
     }
-    let (cut_at, payload) = last_frame_at.expect("shard-1 logged records");
+    let (at, len, payload) = last_frame.expect("the child logged records");
     let mut r = pam_wal::Reader::new(&payload);
-    let _wal_epoch = r.varint().unwrap();
+    let torn_epoch = r.varint().unwrap();
+    let body =
+        pam_wal::record::decode_epoch_body::<u64, u64>(&payload[payload.len() - r.remaining()..])
+            .unwrap();
     assert_eq!(
-        r.varint().unwrap(),
-        1,
-        "shard-1's last record must be the global-epoch-1 slice"
+        body.puts,
+        TORN.map(|k| (k, 3)).collect::<Vec<_>>(),
+        "the log's last record is the whole torn batch"
     );
-    assert_eq!(r.varint().unwrap(), SHARDS as u64, "participant count");
-    fs::write(&seg, &bytes[..cut_at]).unwrap();
 
-    let reopen = || Kv::open(&dir, eager_sharded(SHARDS), DurabilityConfig::default());
-    let store = reopen().unwrap();
-    // every acked single-shard write survives
-    for k in 1..=40u64 {
-        assert_eq!(store.get(&k), Some(k * 3), "acked write {k} lost");
-    }
-    // the torn batch is gone from EVERY shard, not just the torn one
-    for k in BATCH {
-        assert_eq!(store.get(&k), None, "discarded batch key {k} resurfaced");
-    }
-    // shards 0 and 2 each skipped exactly their slice record
-    let skipped: Vec<u64> = store
-        .recovery()
-        .iter()
-        .map(|r| r.discarded_epochs)
-        .collect();
-    assert_eq!(
-        skipped.iter().sum::<u64>(),
-        2,
-        "two surviving slices voted down: {skipped:?}"
-    );
-    assert_eq!(skipped[1], 0, "the torn shard has nothing left to discard");
-    // all shards recovered to the same global epoch: the watermark covers
-    // the (discarded) batch, and the clock resumes past it
-    assert_eq!(store.global_watermark(), 1);
-    assert_eq!(store.global_epoch(), 1);
+    // Cut inside the frame header, mid-record, and one byte short of the
+    // record's end, each on its own copy of the crashed directory: every
+    // cut must recover the same way.
+    for cut in [at + 1, at + len / 2, at + len - 1] {
+        let copy = fresh_dir(&format!("xbatch-torn-{cut}"));
+        copy_dir(&dir, &copy);
+        fs::write(copy.join(seg.file_name().unwrap()), &bytes[..cut]).unwrap();
 
-    // the decision is durable: a clean reopen re-discards nothing new
-    // and never resurrects the batch
-    drop(store);
-    let store = reopen().unwrap();
-    for k in BATCH {
-        assert_eq!(store.get(&k), None, "batch key {k} resurfaced on reopen");
-    }
-    assert_eq!(store.global_watermark(), 1);
+        let reopen = || Kv::open(&copy, eager_sharded(SHARDS), DurabilityConfig::default());
+        let store = reopen().unwrap();
+        for k in 1..=40u64 {
+            assert_eq!(
+                store.get(&k),
+                Some(k * 3),
+                "cut {cut}: acked write {k} lost"
+            );
+        }
+        for k in KEPT {
+            assert_eq!(
+                store.get(&k),
+                Some(2),
+                "cut {cut}: the previous batch is whole"
+            );
+        }
+        for k in TORN {
+            assert_eq!(
+                store.get(&k),
+                None,
+                "cut {cut}: torn batch key {k} resurfaced"
+            );
+        }
+        assert_eq!(store.flush(), torn_epoch - 1, "the store resumes before it");
 
-    // life goes on: the next cross-shard batch stamps epoch 2, commits,
-    // and survives a further clean reopen
-    let t = store.put_all(BATCH.map(|k| (k, 9)));
-    assert_eq!(t.global_epoch(), Some(2));
-    t.wait();
-    drop(store);
-    let store = reopen().unwrap();
-    for k in BATCH {
-        assert_eq!(store.get(&k), Some(9));
+        // the discard is stable: a clean reopen never resurrects the batch
+        drop(store);
+        let store = reopen().unwrap();
+        for k in TORN {
+            assert_eq!(
+                store.get(&k),
+                None,
+                "cut {cut}: key {k} resurfaced on reopen"
+            );
+        }
+
+        // life goes on: the next batch gets the next epoch — the torn
+        // one's number — commits, and survives a further reopen
+        let t = store.put_all(TORN.map(|k| (k, 9)));
+        assert_eq!(t.global_epoch(), Some(torn_epoch));
+        t.wait();
+        drop(store);
+        let store = reopen().unwrap();
+        for k in TORN {
+            assert_eq!(store.get(&k), Some(9));
+        }
+        assert_eq!(store.len(), 40 + 2 * KEPT.count());
+        drop(store);
+        fs::remove_dir_all(&copy).unwrap();
     }
-    assert_eq!(store.global_watermark(), 2);
-    drop(store);
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Cross-shard slices must hit the disk even under a relaxed fsync
-/// policy: the 2PC watermark advances when a slice reports "logged",
-/// and recovery trusts that decision — an unsynced slice could vanish
-/// in a power cut after the vote, tearing the batch. Single-shard
-/// epochs keep the relaxed policy.
+/// A batch spanning shards is one record under the configured policy:
+/// under `NoSync` it costs no fsync at all.
 #[test]
-fn cross_shard_slices_are_force_synced_under_relaxed_policies() {
+fn a_cross_shard_batch_costs_no_fsync_under_no_sync() {
     use pam_store::SyncPolicy;
-    let dir = fresh_dir("force-sync");
+    let dir = fresh_dir("no-sync");
     let lazy = DurabilityConfig {
-        sync: SyncPolicy::SyncEveryN(1_000_000),
+        sync: SyncPolicy::NoSync,
         ..DurabilityConfig::default()
     };
     let store = Kv::open(&dir, eager_sharded(3), lazy).unwrap();
-    for k in 0..20u64 {
-        store.put(k, k).wait();
+    for b in 0..100u64 {
+        let keys = (0..16u64).map(|i| b * 100 + i);
+        let hit: std::collections::BTreeSet<usize> =
+            keys.clone().map(|k| store.shard_of(&k)).collect();
+        assert_eq!(hit.len(), 3, "batch {b} must span every shard");
+        store.put_all(keys.map(|k| (k, b))).wait();
     }
-    let before = store.stats().durability.wal_fsyncs;
-    assert_eq!(before, 0, "single-shard epochs honor SyncEveryN");
-    let t = store.write_batch((100..120u64).map(|k| WriteOp::Put(k, 1)));
-    assert!(t.global_epoch().is_some(), "batch must span shards");
-    t.wait();
-    let after = store.stats().durability.wal_fsyncs;
-    assert!(
-        after >= 2,
-        "every participating shard force-syncs its slice (got {after} fsyncs)"
-    );
+    let d = store.stats().durability;
+    assert_eq!(d.wal_fsyncs, 0, "no fsync under NoSync");
+    assert_eq!(d.wal_records, 100, "one record per batch");
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -644,7 +635,7 @@ fn tree_bytes(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
 /// A store laid down by pre-clock code — format-1 manifest, v1 WAL
 /// segments with no stamp fields — is refused with `InvalidData`, and
 /// the refusal modifies nothing: not the manifest, not a segment's tail.
-/// A current manifest over the same old segments is refused too.
+/// A current manifest over a log of old segments is refused too.
 #[test]
 fn a_pre_clock_directory_is_refused() {
     use pam_wal::codec::put_varint;
@@ -701,7 +692,12 @@ fn a_pre_clock_directory_is_refused() {
         "a refused directory is not modified"
     );
 
-    pam_wal::manifest::write(&dir, SHARDS, 0, &[]).unwrap();
+    pam_wal::manifest::write(&dir, SHARDS).unwrap();
+    fs::copy(
+        dir.join("shard-0/wal-00000000000000000001.seg"),
+        dir.join("wal-00000000000000000001.seg"),
+    )
+    .unwrap();
     let before = tree_bytes(&dir);
     let err = open().expect_err("v1 segments must not open");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
@@ -727,66 +723,27 @@ fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
 }
 
 /// `tests/fixtures/pr12_two_shards/` was written by the four-flavor
-/// code's `DurableShardedStore` (commit 3eb29e7, the parent of the
-/// one-`Store` refactor): 2 shards; keys 1..=40 and a cross-shard batch
-/// (global epoch 1), then a checkpoint on both shards; then a WAL tail
-/// of keys 41..=60, a delete, and a second cross-shard batch (epoch 2);
-/// then a third batch (epoch 3) whose shard-1 slice was cut off the log
-/// — a torn batch. The expectations below are what that commit's own
-/// `open` recovered from a copy of the same bytes: the new `Store::open`
-/// must reach the same contents, watermark and discard list.
+/// code's `DurableShardedStore` (commit 3eb29e7): a format-2 manifest, a
+/// WAL and checkpoints in each of its two shard directories, and a batch
+/// torn on one shard's log. That layout — per-shard logs voted on at
+/// open — is refused with `InvalidData`, and the refusal leaves every
+/// byte of it untouched.
 #[test]
-fn a_directory_written_by_the_four_flavor_code_reopens_unchanged() {
+fn a_per_shard_log_directory_is_refused_untouched() {
     let fixture =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr12_two_shards");
     let dir = fresh_dir("pr12-fixture");
     copy_dir(&fixture, &dir);
 
-    let expected: Vec<(u64, u64)> = (1..=60u64)
-        .filter(|&k| k != 5)
-        .map(|k| (k, k * 3))
-        .chain((100..108).map(|k| (k, 7)))
-        .chain((200..208).map(|k| (k, 9)))
-        .collect();
-    let reopen = || Kv::open(&dir, eager_sharded(2), DurabilityConfig::default()).unwrap();
-    let store = reopen();
-    assert_eq!(store.range(&0, &u64::MAX), expected);
-    for k in 300..308u64 {
-        assert_eq!(store.get(&k), None, "torn batch key {k} resurfaced");
-    }
-    assert_eq!(store.global_watermark(), 3);
-    assert_eq!(store.global_epoch(), 3);
-    let found: Vec<_> = store
-        .recovery()
-        .iter()
-        .map(|r| {
-            (
-                r.checkpoint_epoch,
-                r.checkpoint_entries,
-                r.replayed_epochs,
-                r.last_epoch,
-                r.discarded_epochs,
-            )
-        })
-        .collect();
-    assert_eq!(found, vec![(25, 30, 11, 37, 1), (17, 18, 12, 29, 0)]);
-    drop(store);
-    let manifest = pam_wal::manifest::load(&dir).unwrap().expect("manifest");
+    let before = tree_bytes(&dir);
+    let err = Kv::open(&dir, eager_sharded(2), DurabilityConfig::default())
+        .expect_err("a per-shard-log directory must not open");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("unsupported format 2"), "{err}");
     assert_eq!(
-        (manifest.shards, manifest.global_epoch, manifest.discarded),
-        (2, 3, vec![3])
+        tree_bytes(&dir),
+        before,
+        "a refused directory is not modified"
     );
-
-    // and it is a live store again: the clock resumes past the torn
-    // epoch, and a further reopen keeps everything
-    let store = reopen();
-    let t = store.put_all((300..308u64).map(|k| (k, 13)));
-    assert_eq!(t.global_epoch(), Some(4));
-    t.wait();
-    drop(store);
-    let store = reopen();
-    assert_eq!(store.len(), expected.len() + 8);
-    assert_eq!(store.get(&303), Some(13));
-    drop(store);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -20,14 +20,10 @@
 //!   epochs past it ([`wal::Wal::open`] returns them in order). A torn
 //!   final record (the classic crash-mid-append) is detected by the
 //!   length/checksum frame and cleanly truncated; corruption anywhere
-//!   else is reported as an error.
-//! * **Cross-shard atomicity metadata** — epoch records may carry a
-//!   [`GlobalStamp`] (the global epoch clock value and participant count
-//!   of a cross-shard atomic batch), and the sharded [`manifest`] pins
-//!   the clock's committed watermark plus the discarded-batch list, so a
-//!   sharded store can recover all shards to one prefix-consistent
-//!   global cut ([`wal::scan_global_stamps`] is the read-only pre-scan
-//!   that recovery's 2PC presence vote runs first).
+//!   else is reported as an error. A store has one log whatever its
+//!   shard count, so a batch spanning shards is one record: whole or
+//!   absent, by its frame's checksum. The [`manifest`] pins the shard
+//!   count.
 //!
 //! Serialization goes through the [`Codec`] trait ([`codec`]), with
 //! implementations for the usual key/value primitives (integers, strings,
@@ -49,4 +45,4 @@ pub use codec::{put_varint, Codec, CodecError, Reader};
 pub use lock::DirLock;
 pub use manifest::Manifest;
 pub use record::EpochBody;
-pub use wal::{EpochRecord, GlobalStamp, SyncPolicy, Wal, WalConfig, WalObs};
+pub use wal::{EpochRecord, SyncPolicy, Wal, WalConfig, WalObs};

@@ -1,36 +1,25 @@
-//! The shard-layout manifest: how a directory of WAL/checkpoint
-//! subdirectories is partitioned, and where the global epoch clock
-//! stands.
+//! The shard-layout manifest: how many shards a store directory's key
+//! space is partitioned into.
 //!
-//! A sharded store splits its key space across N independent WAL
-//! directories (`shard-0/ .. shard-<N-1>/`). The shard *assignment* of a
-//! key is a pure function of the key and N — which makes N part of the
-//! on-disk format: reopening a 4-shard directory as 8 shards would route
-//! every key to a (mostly) different WAL and silently "lose" the data
-//! sitting in the old layout. The manifest pins N (and the layout format
-//! version) at creation time so an open with the wrong shard count fails
-//! loudly instead.
-//!
-//! The manifest also **pins the global epoch clock**: the
-//! committed watermark `global_epoch` (every cross-shard batch stamped
-//! `<= global_epoch` has a persisted commit/discard decision) and the
-//! short list of *discarded* global epochs — batches a crash left logged
-//! on some-but-not-all participant shards, voted down at recovery. The
-//! watermark is rewritten before any shard's WAL truncation may reclaim
-//! a stamped record, which is what keeps the 2PC presence vote sound
-//! across restarts (see `pam_store::Store::open`).
+//! A store splits its key space across N hash shards, each with its own
+//! checkpoint directory (`shard-0/ .. shard-<N-1>/`) under one shared
+//! log. The shard *assignment* of a key is a pure function of the key and
+//! N — which makes N part of the on-disk format: reopening a 4-shard
+//! directory as 8 shards would route every key to a (mostly) different
+//! shard and silently "lose" the data sitting in the old layout. The
+//! manifest pins N (and the layout format version) at creation time so an
+//! open with the wrong shard count fails loudly instead.
 //!
 //! ```text
 //! MANIFEST = [ magic "PAMSHRD1" ]
-//!            [ frame: varint(format = 2) ++ varint(shards)
-//!                  ++ varint(global_epoch)
-//!                  ++ varint(len) ++ len * varint(discarded) ]
+//!            [ frame: varint(format = 3) ++ varint(shards) ]
 //! ```
 //!
 //! The file is written to a `.tmp` sibling, fsynced, and atomically
 //! renamed, like a checkpoint: it either exists wholly or not at all.
-//! Any format other than [`MANIFEST_FORMAT`] — including the pre-clock
-//! format 1, which had no clock fields — is refused with `InvalidData`.
+//! Any format other than [`MANIFEST_FORMAT`] — including format 1 (no
+//! epoch clock) and format 2 (a per-shard log each, with a global-epoch
+//! watermark and discard list) — is refused with `InvalidData`.
 
 use crate::codec::{put_varint, Reader};
 use crate::frame::{self, Frame};
@@ -42,23 +31,13 @@ use std::path::{Path, PathBuf};
 pub const MANIFEST_MAGIC: &[u8; 8] = b"PAMSHRD1";
 
 /// The one on-disk layout format version this crate reads and writes.
-pub const MANIFEST_FORMAT: u64 = 2;
+pub const MANIFEST_FORMAT: u64 = 3;
 
-/// The pinned layout (and global-clock state) of a sharded store
-/// directory.
+/// The pinned layout of a store directory.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
     /// Number of hash shards the key space is partitioned into.
     pub shards: u64,
-    /// The committed global-epoch watermark: every cross-shard batch
-    /// stamped `<= global_epoch` has a persisted decision (committed
-    /// unless listed in [`Manifest::discarded`]).
-    pub global_epoch: u64,
-    /// Global epochs whose batches were voted down at recovery (logged
-    /// on some-but-not-all participants); always `<= global_epoch`.
-    /// Pruned once no shard's WAL still holds a record stamped with
-    /// them.
-    pub discarded: Vec<u64>,
 }
 
 fn manifest_path(dir: &Path) -> PathBuf {
@@ -74,16 +53,14 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Atomically write the manifest: `shards` pinned at creation,
-/// `global_epoch` the committed global-clock watermark, `discarded` the
-/// voted-down global epochs (sorted). Rewritten whenever the watermark
-/// advances past state a WAL truncation is about to reclaim.
+/// Atomically write the manifest pinning `shards`, once, when the store
+/// is created.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from the temp-file write, fsync, or
 /// rename.
-pub fn write(dir: &Path, shards: u64, global_epoch: u64, discarded: &[u64]) -> io::Result<()> {
+pub fn write(dir: &Path, shards: u64) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let final_path = manifest_path(dir);
     let tmp_path = final_path.with_extension("tmp");
@@ -92,11 +69,6 @@ pub fn write(dir: &Path, shards: u64, global_epoch: u64, discarded: &[u64]) -> i
     let mut payload = Vec::new();
     put_varint(&mut payload, MANIFEST_FORMAT);
     put_varint(&mut payload, shards);
-    put_varint(&mut payload, global_epoch);
-    put_varint(&mut payload, discarded.len() as u64);
-    for &g in discarded {
-        put_varint(&mut payload, g);
-    }
     frame::put_frame(&mut out, &payload);
     let mut file = OpenOptions::new()
         .create(true)
@@ -112,7 +84,7 @@ pub fn write(dir: &Path, shards: u64, global_epoch: u64, discarded: &[u64]) -> i
 
 /// Load the manifest, if one exists. A present-but-invalid manifest is an
 /// error, never a silent "no manifest": guessing a layout risks routing
-/// keys into the wrong shard's WAL.
+/// keys into the wrong shard.
 ///
 /// # Errors
 ///
@@ -145,23 +117,13 @@ pub fn load(dir: &Path) -> io::Result<Option<Manifest>> {
         return Err(bad(&format!("unsupported format {format}")));
     }
     let shards = r.varint().map_err(|_| bad("bad shard count"))?;
-    let global_epoch = r.varint().map_err(|_| bad("bad global epoch"))?;
-    let n = r.varint().map_err(|_| bad("bad discard count"))?;
-    let mut discarded = Vec::with_capacity(n.min(1 << 16) as usize);
-    for _ in 0..n {
-        discarded.push(r.varint().map_err(|_| bad("bad discarded epoch"))?);
-    }
     if !r.is_empty() {
         return Err(bad("trailing bytes"));
     }
     if shards == 0 {
         return Err(bad("zero shards"));
     }
-    Ok(Some(Manifest {
-        shards,
-        global_epoch,
-        discarded,
-    }))
+    Ok(Some(Manifest { shards }))
 }
 
 /// Remove a leftover `MANIFEST.tmp` from a crash mid-write.
@@ -191,42 +153,47 @@ mod tests {
     fn roundtrip_and_missing() {
         let dir = tmp_dir("roundtrip");
         assert_eq!(load(&dir).ok(), Some(None), "missing dir: no manifest");
-        write(&dir, 4, 17, &[3, 9]).unwrap();
-        assert_eq!(
-            load(&dir).unwrap(),
-            Some(Manifest {
-                shards: 4,
-                global_epoch: 17,
-                discarded: vec![3, 9],
-            })
-        );
-        // the watermark rewrite path: same shards, advanced clock
-        write(&dir, 4, 21, &[]).unwrap();
-        let m = load(&dir).unwrap().unwrap();
-        assert_eq!((m.shards, m.global_epoch, m.discarded.len()), (4, 21, 0));
+        write(&dir, 4).unwrap();
+        assert_eq!(load(&dir).unwrap(), Some(Manifest { shards: 4 }));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Write a raw manifest whose frame holds `fields`, the format first.
+    fn write_raw(dir: &Path, fields: &[u64]) {
+        fs::create_dir_all(dir).unwrap();
+        let mut out = MANIFEST_MAGIC.to_vec();
+        let mut payload = Vec::new();
+        for &f in fields {
+            put_varint(&mut payload, f);
+        }
+        frame::put_frame(&mut out, &payload);
+        fs::write(manifest_path(dir), out).unwrap();
     }
 
     #[test]
     fn format_1_manifests_are_refused() {
         let dir = tmp_dir("v1");
-        fs::create_dir_all(&dir).unwrap();
-        // raw pre-clock format-1 bytes: no clock fields
-        let mut out = MANIFEST_MAGIC.to_vec();
-        let mut payload = Vec::new();
-        put_varint(&mut payload, 1); // format 1
-        put_varint(&mut payload, 6); // shards
-        frame::put_frame(&mut out, &payload);
-        fs::write(manifest_path(&dir), out).unwrap();
+        write_raw(&dir, &[1, 6]); // format 1: shards, no clock fields
         let err = load(&dir).expect_err("a pre-clock manifest must not load");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
+    fn format_2_manifests_are_refused() {
+        let dir = tmp_dir("v2");
+        // format 2: shards, the global-epoch watermark, one discarded epoch
+        write_raw(&dir, &[2, 2, 3, 1, 3]);
+        let err = load(&dir).expect_err("a per-shard-log manifest must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported format 2"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn corrupt_manifest_is_an_error_not_none() {
         let dir = tmp_dir("corrupt");
-        write(&dir, 8, 0, &[]).unwrap();
+        write(&dir, 8).unwrap();
         let path = manifest_path(&dir);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
@@ -240,13 +207,7 @@ mod tests {
     #[test]
     fn future_format_is_refused() {
         let dir = tmp_dir("future");
-        fs::create_dir_all(&dir).unwrap();
-        let mut out = MANIFEST_MAGIC.to_vec();
-        let mut payload = Vec::new();
-        put_varint(&mut payload, MANIFEST_FORMAT + 1);
-        put_varint(&mut payload, 2);
-        frame::put_frame(&mut out, &payload);
-        fs::write(manifest_path(&dir), out).unwrap();
+        write_raw(&dir, &[MANIFEST_FORMAT + 1, 2]);
         let err = load(&dir).expect_err("future formats must not be guessed at");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).unwrap();

@@ -8,14 +8,13 @@
 //! wal-00000000000000009644.seg      <- the active tail, appended to
 //! ```
 //!
-//! Each segment starts with the 8-byte magic `PAMWAL02` and then a run of
+//! Each segment starts with the 8-byte magic `PAMWAL03` and then a run of
 //! checksummed frames (see [`crate::frame`]), one per committed epoch. A
-//! frame's payload is `varint(epoch) ++ varint(global_epoch) ++
-//! varint(participants) ++ body` ([`crate::record`]), where the two
-//! middle fields carry the *global epoch clock* stamp of a cross-shard
-//! batch ([`GlobalStamp`]; both zero for ordinary single-shard epochs).
-//! Any other magic — including the pre-clock v1 magic (version digit
-//! `1`), whose records had no stamp — is refused with `InvalidData`.
+//! frame's payload is `varint(epoch) ++ body` ([`crate::record`]): one
+//! epoch of the whole store, whatever shards its keys route to, so a
+//! batch is whole in the log or absent from it. Any other magic — the
+//! earlier formats whose version digits are `1` and `2` included — is
+//! refused with `InvalidData` before anything is modified.
 //!
 //! *Rotation*: when the active segment outgrows
 //! [`WalConfig::segment_bytes`], it is fsynced, sealed, and a fresh
@@ -49,27 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Magic bytes opening every segment file (records carry a
-/// [`GlobalStamp`]).
-pub const SEGMENT_MAGIC: &[u8; 8] = b"PAMWAL02";
-
-/// The global-epoch-clock stamp of a cross-shard atomic batch.
-///
-/// A sharded store mints one stamp per cross-shard `write_batch` and
-/// logs it with every per-shard slice of the batch. Recovery counts the
-/// shards on which a given global epoch survives: a stamp present on
-/// some-but-not-all of its `participants` shards marks a *torn* batch,
-/// which is discarded everywhere (2PC-style presence voting — see
-/// `pam-store`'s `Store::open`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GlobalStamp {
-    /// The global epoch assigned by the store-wide clock (monotone
-    /// across all shards; `0` is never a valid stamp).
-    pub epoch: u64,
-    /// How many shards received a slice of this batch — the vote count
-    /// recovery requires before committing the global epoch.
-    pub participants: u32,
-}
+/// Magic bytes opening every segment file.
+pub const SEGMENT_MAGIC: &[u8; 8] = b"PAMWAL03";
 
 /// When the WAL issues `fsync` for appended epoch records.
 ///
@@ -112,16 +92,12 @@ impl Default for WalConfig {
     }
 }
 
-/// One recovered epoch record: the epoch number, its cross-shard stamp
-/// (if any), and its body bytes (decode with
-/// [`crate::record::decode_epoch_body`]).
+/// One recovered epoch record: the epoch number and its body bytes
+/// (decode with [`crate::record::decode_epoch_body`]).
 #[derive(Debug)]
 pub struct EpochRecord {
     /// The epoch this record logged.
     pub epoch: u64,
-    /// The global epoch stamp, when this record is one shard's slice of
-    /// a cross-shard atomic batch (`None` for ordinary epochs).
-    pub global: Option<GlobalStamp>,
     /// The serialized epoch body.
     pub body: Vec<u8>,
 }
@@ -231,16 +207,8 @@ fn scan_segment(path: &Path, tolerate_torn_tail: bool) -> io::Result<SegmentScan
             Frame::Ok { payload, consumed } => {
                 let mut r = crate::codec::Reader::new(payload);
                 let epoch = r.varint().map_err(|_| corrupt("bad epoch field", path))?;
-                let g = r.varint().map_err(|_| corrupt("bad global field", path))?;
-                let parts = r
-                    .varint()
-                    .map_err(|_| corrupt("bad participants field", path))?;
                 records.push(EpochRecord {
                     epoch,
-                    global: (g != 0).then_some(GlobalStamp {
-                        epoch: g,
-                        participants: parts as u32,
-                    }),
                     body: payload[payload.len() - r.remaining()..].to_vec(),
                 });
                 pos += consumed;
@@ -276,37 +244,6 @@ fn segment_paths(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
         .collect();
     paths.sort_by_key(|&(e, _)| e);
     Ok(paths)
-}
-
-/// Read-only pre-scan of a WAL directory for cross-shard batch stamps:
-/// every [`GlobalStamp`] on a surviving record, in log order. The last
-/// segment's torn tail is tolerated exactly as [`Wal::open`] tolerates
-/// it (the stamps visible here are the stamps replay will see), but
-/// nothing is truncated or modified. A missing directory is an empty
-/// log.
-///
-/// The sharded recovery path runs this on **every** shard before opening
-/// **any** shard: the 2PC presence vote (is global epoch `G` logged on
-/// all of its participants?) needs the cross-shard view first.
-///
-/// # Errors
-///
-/// Propagates I/O errors, and `InvalidData` for corruption outside the
-/// tolerated active-segment tail — the same contract as [`Wal::open`].
-pub fn scan_global_stamps(dir: impl AsRef<Path>) -> io::Result<Vec<GlobalStamp>> {
-    let paths = segment_paths(dir.as_ref())?;
-    let mut stamps = Vec::new();
-    for (i, (_, path)) in paths.iter().enumerate() {
-        let last = i + 1 == paths.len();
-        if last && fs::metadata(path)?.len() < SEGMENT_MAGIC.len() as u64 {
-            // crash between segment creation and the magic write: open
-            // will discard this file; it holds no records
-            continue;
-        }
-        let scan = scan_segment(path, last)?;
-        stamps.extend(scan.records.iter().filter_map(|r| r.global));
-    }
-    Ok(stamps)
 }
 
 impl Wal {
@@ -392,22 +329,15 @@ impl Wal {
     }
 
     /// Append one epoch record. `epoch` must be greater than every epoch
-    /// appended or recovered so far; `global` is the cross-shard batch
-    /// stamp when this epoch is one shard's slice of an atomic
-    /// multi-shard batch (`None` for ordinary epochs). Applies the
-    /// configured [`SyncPolicy`] and rotates segments as needed.
+    /// appended or recovered so far. Applies the configured
+    /// [`SyncPolicy`] and rotates segments as needed.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from the write, fsync, or rotation.
     /// The caller (the store's commit hook) treats any failure as
     /// fail-stop.
-    pub fn append(
-        &mut self,
-        epoch: u64,
-        global: Option<GlobalStamp>,
-        body: &[u8],
-    ) -> io::Result<AppendInfo> {
+    pub fn append(&mut self, epoch: u64, body: &[u8]) -> io::Result<AppendInfo> {
         debug_assert!(epoch > self.last_epoch, "epochs must be monotone");
         let append_start = Instant::now();
         // Rotate a full active segment *before* the append so a segment
@@ -445,13 +375,8 @@ impl Wal {
             self.current = Some((file, seg, SEGMENT_MAGIC.len() as u64));
         }
 
-        let mut payload = Vec::with_capacity(20 + body.len());
+        let mut payload = Vec::with_capacity(10 + body.len());
         crate::codec::put_varint(&mut payload, epoch);
-        crate::codec::put_varint(&mut payload, global.map_or(0, |s| s.epoch));
-        crate::codec::put_varint(
-            &mut payload,
-            global.map_or(0, |s| u64::from(s.participants)),
-        );
         payload.extend_from_slice(body);
         let mut buf = Vec::with_capacity(frame::HEADER_LEN + payload.len());
         let framed = frame::put_frame(&mut buf, &payload) as u64;
@@ -608,7 +533,7 @@ mod tests {
             let (mut wal, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
             assert!(recs.is_empty());
             for e in 1..=5u64 {
-                let info = wal.append(e, None, &body(e)).unwrap();
+                let info = wal.append(e, &body(e)).unwrap();
                 assert!(info.synced);
                 assert!(info.bytes > 0);
             }
@@ -634,7 +559,7 @@ mod tests {
         };
         let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
         for e in 1..=20u64 {
-            wal.append(e, None, &body(e)).unwrap();
+            wal.append(e, &body(e)).unwrap();
         }
         assert!(wal.segments() > 3, "tiny segments must have rotated");
         let before = wal.segments();
@@ -659,7 +584,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
             for e in 1..=3u64 {
-                wal.append(e, None, &body(e)).unwrap();
+                wal.append(e, &body(e)).unwrap();
             }
         }
         // simulate a crash mid-append: a frame header promising more
@@ -672,7 +597,7 @@ mod tests {
 
         let (mut wal, recs) = Wal::open(&dir, cfg).unwrap();
         assert_eq!(recs.len(), 3, "torn tail must not hide whole records");
-        wal.append(4, None, &body(4)).unwrap();
+        wal.append(4, &body(4)).unwrap();
         drop(wal);
         let (_, recs) = Wal::open(&dir, cfg).unwrap();
         assert_eq!(
@@ -693,7 +618,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
             for e in 1..=10u64 {
-                wal.append(e, None, &body(e)).unwrap();
+                wal.append(e, &body(e)).unwrap();
             }
             assert!(wal.segments() >= 2);
         }
@@ -717,8 +642,6 @@ mod tests {
         let one_record = {
             let mut payload = Vec::new();
             crate::codec::put_varint(&mut payload, 1);
-            crate::codec::put_varint(&mut payload, 0); // no global stamp
-            crate::codec::put_varint(&mut payload, 0);
             payload.extend_from_slice(&body(1));
             (frame::HEADER_LEN + payload.len()) as u64
         };
@@ -729,14 +652,14 @@ mod tests {
         };
         let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
         let synced: Vec<bool> = (1..=6u64)
-            .map(|e| wal.append(e, None, &body(e)).unwrap().synced)
+            .map(|e| wal.append(e, &body(e)).unwrap().synced)
             .collect();
         assert_eq!(synced, vec![false, true, false, true, false, true]);
         assert!(
             !wal.sync().unwrap(),
             "nothing pending after a synced append"
         );
-        wal.append(7, None, &body(7)).unwrap();
+        wal.append(7, &body(7)).unwrap();
         assert!(wal.sync().unwrap(), "pending bytes need a final sync");
         drop(wal);
         fs::remove_dir_all(&dir).unwrap();
@@ -751,7 +674,7 @@ mod tests {
         };
         let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
         let synced: Vec<bool> = (1..=7u64)
-            .map(|e| wal.append(e, None, &body(e)).unwrap().synced)
+            .map(|e| wal.append(e, &body(e)).unwrap().synced)
             .collect();
         assert_eq!(synced, vec![false, false, true, false, false, true, false]);
         assert!(wal.sync().unwrap(), "pending epochs need a final sync");
@@ -760,63 +683,20 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn global_stamps_roundtrip_and_prescan() {
-        let dir = tmp_dir("stamps");
-        let stamp = |g, p| {
-            Some(GlobalStamp {
-                epoch: g,
-                participants: p,
-            })
-        };
-        {
-            let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
-            wal.append(1, None, &body(1)).unwrap();
-            wal.append(2, stamp(7, 3), &body(2)).unwrap();
-            wal.append(3, None, &body(3)).unwrap();
-            wal.append(4, stamp(9, 2), &body(4)).unwrap();
-        }
-        let (_, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
-        let globals: Vec<_> = recs.iter().map(|r| r.global).collect();
-        assert_eq!(
-            globals,
-            vec![None, stamp(7, 3), None, stamp(9, 2)],
-            "stamps must survive a reopen exactly"
-        );
-        assert_eq!(recs[1].body, body(2), "stamp fields must not eat the body");
-        // the read-only pre-scan sees the same stamps without touching
-        // the log
-        let stamps = scan_global_stamps(&dir).unwrap();
-        assert_eq!(
-            stamps,
-            vec![
-                GlobalStamp {
-                    epoch: 7,
-                    participants: 3
-                },
-                GlobalStamp {
-                    epoch: 9,
-                    participants: 2
-                }
-            ]
-        );
-        assert!(
-            scan_global_stamps(dir.join("nonexistent"))
-                .unwrap()
-                .is_empty(),
-            "a store that never wrote has no stamps"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Write a raw pre-clock segment: the v1 magic (version digit `1`)
-    /// and records = varint(epoch) ++ body, no stamp fields.
-    fn write_v1_segment(path: &Path, epochs: &[u64]) {
+    /// Write a raw segment of an earlier format: the magic with version
+    /// digit `version`, then one frame per epoch holding
+    /// `varint(epoch) ++ stamp ++ body` — a v1 record has no stamp, a v2
+    /// record a cross-shard stamp of two varints.
+    fn write_old_segment(path: &Path, version: u8, epochs: &[u64]) {
         let mut bytes = SEGMENT_MAGIC.to_vec();
-        bytes[7] = b'1';
+        bytes[7] = version;
         for &e in epochs {
             let mut payload = Vec::new();
             crate::codec::put_varint(&mut payload, e);
+            if version == b'2' {
+                crate::codec::put_varint(&mut payload, e); // global epoch
+                crate::codec::put_varint(&mut payload, 2); // participants
+            }
             payload.extend_from_slice(&body(e));
             frame::put_frame(&mut bytes, &payload);
         }
@@ -842,7 +722,7 @@ mod tests {
         let before = dir_bytes(dir);
         let err = match Wal::open(dir, WalConfig::default()) {
             Err(e) => e,
-            Ok(_) => panic!("a v1 segment must fail open"),
+            Ok(_) => panic!("a segment of an earlier format must fail open"),
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(dir_bytes(dir), before, "a refused log is not modified");
@@ -854,7 +734,7 @@ mod tests {
         // a sealed v1 segment followed by a current-format tail
         let dir = tmp_dir("v1-sealed");
         fs::create_dir_all(&dir).unwrap();
-        write_v1_segment(&segment_path(&dir, 1), &[1, 2, 3]);
+        write_old_segment(&segment_path(&dir, 1), b'1', &[1, 2, 3]);
         fs::write(segment_path(&dir, 4), SEGMENT_MAGIC).unwrap();
         assert_refused_untouched(&dir);
     }
@@ -866,7 +746,21 @@ mod tests {
         let dir = tmp_dir("v1-tail");
         fs::create_dir_all(&dir).unwrap();
         let seg = segment_path(&dir, 1);
-        write_v1_segment(&seg, &[1, 2]);
+        write_old_segment(&seg, b'1', &[1, 2]);
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes.extend_from_slice(&[44, 0, 0, 0, 0xde, 0xad]);
+        fs::write(&seg, bytes).unwrap();
+        assert_refused_untouched(&dir);
+    }
+
+    #[test]
+    fn a_v2_segment_is_refused_and_left_untouched() {
+        // a v2 log of per-shard slices with cross-shard stamps, ending in
+        // a torn half-record that a readable tail would have truncated
+        let dir = tmp_dir("v2-tail");
+        fs::create_dir_all(&dir).unwrap();
+        let seg = segment_path(&dir, 1);
+        write_old_segment(&seg, b'2', &[1, 2, 3]);
         let mut bytes = fs::read(&seg).unwrap();
         bytes.extend_from_slice(&[44, 0, 0, 0, 0xde, 0xad]);
         fs::write(&seg, bytes).unwrap();

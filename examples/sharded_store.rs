@@ -1,9 +1,9 @@
-//! The sharded-store tour: write parallelism across N independent roots.
+//! The sharded-store tour: one key space hash-partitioned across N roots.
 //!
-//! Walks the full lifecycle — hash-partitioned writes through N
-//! group-commit pipelines, merged range scans, a consistent cross-shard
-//! snapshot, and a durable restart where every shard recovers its own
-//! WAL directory.
+//! Walks the full lifecycle — writes routed to N shard maps by one
+//! group-commit pipeline, merged range scans, a snapshot that is one pin
+//! of every shard, and a durable restart: every shard bulk-loads its own
+//! checkpoint, then the one log replays.
 //!
 //! Run with: `cargo run --release --example sharded_store`
 
@@ -25,7 +25,7 @@ fn config(shards: usize) -> ShardedConfig {
 }
 
 fn main() {
-    // --- 1. in-memory: N committers, one keyspace ------------------------
+    // --- 1. in-memory: one committer, four shard maps --------------------
     let store = std::sync::Arc::new(Ledger::volatile(config(4)));
     let writers: Vec<_> = (0..4u64)
         .map(|w| {
@@ -45,12 +45,11 @@ fn main() {
     assert_eq!(store.len(), 20_000);
     let stats = store.stats();
     println!("after ingest:  {stats}");
-    for (i, per) in store.stats_per_shard().iter().enumerate() {
-        println!(
-            "  shard {i}:     {} commits, {} ops",
-            per.commits, per.raw_ops
-        );
+    let snap = store.snapshot();
+    for i in 0..store.num_shards() {
+        println!("  shard {i}:     {} entries", snap.shard(i).len());
     }
+    drop(snap);
 
     // merged range scan: globally key-ordered despite hash partitioning
     let first: Vec<u64> = {
@@ -66,25 +65,29 @@ fn main() {
     // augmented sum combines across shards (commutative monoid)
     assert_eq!(store.aug_val(), 20_000);
 
-    // --- 2. consistent cross-shard snapshot ------------------------------
+    // --- 2. a snapshot: one pin of every shard ---------------------------
     let snap = store.snapshot();
-    store.put_all((0..100u64).map(|k| (k, 1000))).wait();
-    assert_eq!(snap.get(&0), Some(1), "snapshot frozen at its cut");
+    let batch = store.put_all((0..100u64).map(|k| (k, 1000)));
+    let version = batch.wait(); // one epoch, one version, all four shards
+    assert_eq!(snap.get(&0), Some(1), "snapshot frozen at its version");
     assert_eq!(store.get(&0), Some(1000), "live store moved on");
-    println!("snapshot:      version vector {:?}", snap.version_vector());
+    println!(
+        "snapshot:      version {}; the batch after it committed as version {version}",
+        snap.version()
+    );
     drop(snap);
 
-    // --- 3. the same type on disk: per-shard WAL dirs, recovered independently
+    // --- 3. the same type on disk: one log, a checkpoint per shard -------
     let dir = std::env::temp_dir().join(format!("pam-sharded-demo-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let ledger = Ledger::open(&dir, config(4), DurabilityConfig::default()).expect("open");
     ledger.put_all((0..2_000u64).map(|k| (k, k % 97))).wait();
-    let epochs = ledger.checkpoint().expect("checkpoint every shard");
+    let epoch = ledger.checkpoint().expect("checkpoint every shard");
     println!(
-        "durable:       {} shards checkpointed at epochs {epochs:?}",
-        epochs.len()
+        "durable:       {} shards checkpointed at store epoch {epoch}",
+        ledger.num_shards()
     );
-    drop(ledger); // clean shutdown: every shard drains and flushes
+    drop(ledger); // clean shutdown: the committer drains and the log flushes
 
     let ledger = Ledger::open(&dir, config(4), DurabilityConfig::default()).expect("reopen");
     assert_eq!(ledger.len(), 2_000);

@@ -44,8 +44,8 @@ fn main() {
         std::thread::spawn(move || {
             let mut last = 0;
             for _ in 0..50 {
-                let pin = s.shard(0).pin(); // O(1); never blocks ingest
-                let sensor0_sum = pin.map().aug_range(&key(0, 0), &key(0, u32::MAX as u64));
+                let pin = s.snapshot(); // O(1); never blocks ingest
+                let sensor0_sum = pin.aug_range(&key(0, 0), &key(0, u32::MAX as u64));
                 assert!(sensor0_sum >= last, "sums are monotone under ingest");
                 last = sensor0_sum;
                 std::thread::sleep(Duration::from_micros(300));
@@ -62,10 +62,7 @@ fn main() {
 
     // --- history: a snapshot lives exactly as long as it is held ----------
     let nightly = store.snapshot();
-    println!(
-        "holding version {:?} as \"nightly\"",
-        nightly.version_vector()
-    );
+    println!("holding version {} as \"nightly\"", nightly.version());
 
     // keep writing; the snapshot keeps yesterday's view
     store
