@@ -9,7 +9,7 @@
 //! * the live telemetry server's `/trace` endpoint (see
 //!   [`crate::server`]) renders it as Chrome trace-event JSON via
 //!   [`crate::chrome::chrome_trace`];
-//! * **crash dumps** — a store that poisons (commit hook failure) or a
+//! * **crash dumps** — a store that poisons (WAL append failure) or a
 //!   process that panics writes `flight-<pid>.json` into every
 //!   registered WAL directory ([`register_dump_dir`]), capturing the
 //!   ring, the full global metrics registry, and the recent-event ring:
@@ -41,8 +41,8 @@ pub const FLIGHT_CAPACITY: usize = 1024;
 /// the process [`anchor`]. The stages tile: the epoch segment opens at
 /// `open_ns`, drains (is popped by the committer) at `drain_ns`, then
 /// normalize → wal_log → apply → publish run back to back (`wal_log_ns`
-/// covers the commit hook end to end — WAL append *and* its fsync; the
-/// hook does not expose a finer split).
+/// covers the WAL append end to end, its fsync included; the append
+/// does not expose a finer split).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpochTrace {
     /// The epoch number — the version it published.

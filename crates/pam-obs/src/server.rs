@@ -45,7 +45,7 @@ pub enum Health {
     /// Serving, but something non-fatal is wrong (e.g. the background
     /// checkpointer keeps failing): scrape-visible before it escalates.
     Degraded(String),
-    /// The store fail-stopped: a commit hook (WAL) failure poisoned the
+    /// The store fail-stopped: a failed WAL append poisoned the
     /// pipeline. The string is the original error, preserved verbatim.
     Poisoned(String),
 }

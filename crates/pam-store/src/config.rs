@@ -19,16 +19,24 @@
 //! ```
 //!
 //! The structs also keep public fields and `Default` impls, so struct
-//! update syntax (`StoreConfig { batch_window, ..Default::default() }`)
+//! update syntax (`ShardedConfig { batch_window, ..Default::default() }`)
 //! works too.
 
 use pam_wal::SyncPolicy;
 use std::time::Duration;
 
-/// Per-shard tuning: the configuration of one [`crate::VersionedStore`]
-/// engine.
+/// Configuration for a [`crate::Store`]: how many shard maps the key
+/// space is hash-partitioned into, plus the tuning of its one group-commit
+/// pipeline.
+///
+/// Every shard sits behind the same pipeline and committer; the committer
+/// applies an epoch's per-shard slices, forking across shards for large
+/// epochs. For a durable store the count is pinned on disk by a manifest;
+/// reopening with a different count is refused.
 #[derive(Clone, Debug)]
-pub struct StoreConfig {
+pub struct ShardedConfig {
+    /// Number of hash shards (0 is clamped to 1).
+    pub shards: usize,
     /// The *group-commit window*: the upper bound on how long the
     /// committer holds an epoch open after its first operation so that
     /// concurrent writers pile into the same batch — not a fixed delay.
@@ -44,39 +52,16 @@ pub struct StoreConfig {
     pub batch_window: Duration,
     /// Drain the epoch as soon as this many operations are buffered,
     /// even if the window has not elapsed (bounds batch latency and
-    /// memory under write bursts).
+    /// memory under write bursts; 0 is clamped to 1).
     pub max_batch: usize,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            batch_window: Duration::from_micros(200),
-            max_batch: 1 << 14,
-        }
-    }
-}
-
-/// Configuration for a [`crate::Store`]: how many shard maps the key
-/// space is hash-partitioned into, plus the tuning of its one pipeline.
-///
-/// Every shard sits behind the same group-commit pipeline and committer;
-/// the committer applies an epoch's per-shard slices, forking across
-/// shards for large epochs. For a durable store the count is pinned on
-/// disk by a manifest; reopening with a different count is refused.
-#[derive(Clone, Debug)]
-pub struct ShardedConfig {
-    /// Number of hash shards (0 is clamped to 1).
-    pub shards: usize,
-    /// The pipeline's configuration.
-    pub store: StoreConfig,
 }
 
 impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             shards: 4,
-            store: StoreConfig::default(),
+            batch_window: Duration::from_micros(200),
+            max_batch: 1 << 14,
         }
     }
 }
@@ -135,8 +120,8 @@ impl ShardedConfig {
     }
 }
 
-/// Fluent builder for [`ShardedConfig`]: the shard count plus the
-/// per-shard [`StoreConfig`] knobs, flattened for convenience.
+/// Fluent builder for [`ShardedConfig`]; see the module docs for an
+/// example.
 #[derive(Clone, Debug, Default)]
 pub struct ShardedConfigBuilder {
     cfg: ShardedConfig,
@@ -149,22 +134,15 @@ impl ShardedConfigBuilder {
         self
     }
 
-    /// Replace the per-shard tuning wholesale.
-    pub fn store(mut self, store: StoreConfig) -> Self {
-        self.cfg.store = store;
-        self
-    }
-
-    /// Set every shard's group-commit window (see
-    /// [`StoreConfig::batch_window`]).
+    /// Set the group-commit window (see [`ShardedConfig::batch_window`]).
     pub fn batch_window(mut self, window: Duration) -> Self {
-        self.cfg.store.batch_window = window;
+        self.cfg.batch_window = window;
         self
     }
 
-    /// Set every shard's epoch-drain cap (see [`StoreConfig::max_batch`]).
+    /// Set the epoch-drain cap (see [`ShardedConfig::max_batch`]).
     pub fn max_batch(mut self, ops: usize) -> Self {
-        self.cfg.store.max_batch = ops;
+        self.cfg.max_batch = ops;
         self
     }
 
@@ -243,8 +221,8 @@ mod tests {
             .max_batch(512)
             .build();
         assert_eq!(cfg.shards, 8);
-        assert_eq!(cfg.store.batch_window, Duration::from_micros(50));
-        assert_eq!(cfg.store.max_batch, 512);
+        assert_eq!(cfg.batch_window, Duration::from_micros(50));
+        assert_eq!(cfg.max_batch, 512);
 
         let dur = DurabilityConfig::builder()
             .sync(SyncPolicy::SyncEveryN(8))

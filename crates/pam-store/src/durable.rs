@@ -6,12 +6,12 @@
 //! * **One record per epoch.** The group-commit pipeline already merges
 //!   all concurrent writers into one normalized batch, so the WAL costs
 //!   one append — and under [`pam_wal::SyncPolicy::SyncEachEpoch`] one
-//!   *group* fsync — per epoch, not per write. The committer's
-//!   [`CommitHook`] logs the batch *before* the epoch is applied or any
-//!   ticket wakes: an acknowledged write is a durable write. An epoch is
-//!   one record whatever shards its keys route to, so a batch spanning
-//!   shards is whole in the log or absent from it — its frame's checksum
-//!   is its atomicity.
+//!   *group* fsync — per epoch, not per write. The committer appends the
+//!   batch to the log *before* the epoch is applied or any ticket wakes:
+//!   an acknowledged write is a durable write. An epoch is one record
+//!   whatever shards its keys route to, so a batch spanning shards is
+//!   whole in the log or absent from it — its frame's checksum is its
+//!   atomicity.
 //! * **Checkpoints never pause writers.** A checkpoint pins the head
 //!   version (O(1), persistent) and streams every shard's map to disk in
 //!   sorted order while commits keep landing — the same snapshot trick
@@ -38,14 +38,13 @@
 //! checkpoint's coverage, and a torn final record — the signature of a
 //! crash mid-append — is truncated away by [`pam_wal::Wal::open`].
 
-use crate::config::{DurabilityConfig, ShardedConfig};
-use crate::engine::VersionedStore;
+use crate::config::DurabilityConfig;
 use crate::op::NormalizedBatch;
-use crate::pipeline::CommitHook;
+use crate::registry::{Registry, VersionId};
 use crate::shard::{apply_routed, ShardKey};
 use crate::stats::DurabilityStats;
 use pam::{AugMap, AugSpec};
-use pam_obs::{event, flight, Health, Histogram, Level};
+use pam_obs::{event, Health, Histogram, Level};
 use pam_wal::wal::WalObs;
 use pam_wal::{checkpoint, manifest, record, Codec, DirLock, EpochRecord, Wal, WalConfig};
 use parking_lot::{Condvar, Mutex};
@@ -105,8 +104,8 @@ impl RecoveryTimings {
 /// previous one plus a longer WAL replay.
 const KEEP_CHECKPOINTS: usize = 2;
 
-/// Durability counters shared between the commit hook (writer side) and
-/// `stats()` (reader side).
+/// Durability counters shared between the committer and checkpointer
+/// (writer side) and `stats()` (reader side).
 #[derive(Default)]
 struct DurCounters {
     records: AtomicU64,
@@ -122,9 +121,9 @@ struct DurCounters {
     ckpt_pin_nanos: Histogram,
 }
 
-/// The [`CommitHook`] that gives the engine its WAL, plus the checkpoint
-/// bookkeeping that truncates it.
-pub(crate) struct WalHook {
+/// The durability part of a store: the one WAL the committer appends
+/// every epoch to, plus the checkpoint bookkeeping that truncates it.
+pub(crate) struct WalPart {
     wal: Mutex<Wal>,
     /// Serializes checkpoints: a manual `checkpoint()` racing the
     /// background checkpointer must not interleave writes into the same
@@ -140,18 +139,22 @@ pub(crate) struct WalHook {
     /// next success): surfaces as `Health::Degraded` on `/health` before
     /// an unbounded WAL becomes an outage.
     last_ckpt_error: Mutex<Option<String>>,
+    /// Tells the background checkpointer to exit.
+    stop: StopSignal,
+    /// The store directory: manifest, log, shard checkpoint directories.
+    pub(crate) dir: PathBuf,
 }
 
-impl WalHook {
-    /// Fold the engine's fail-stop verdict with the background
+impl WalPart {
+    /// Fold the pipeline's fail-stop verdict with the background
     /// checkpointer's: poisoned beats degraded beats healthy.
-    pub(crate) fn health(&self, engine: Health) -> Health {
+    pub(crate) fn health(&self, pipeline: Health) -> Health {
         let ckpt_error = self.last_ckpt_error.lock().clone();
         match ckpt_error {
-            Some(e) => engine.worse(Health::Degraded(format!(
+            Some(e) => pipeline.worse(Health::Degraded(format!(
                 "background checkpoint failing: {e}"
             ))),
-            None => engine,
+            None => pipeline,
         }
     }
 
@@ -177,14 +180,18 @@ impl WalHook {
             last_checkpoint_age: self.last_ckpt_at.lock().map(|at| at.elapsed()),
         }
     }
-}
 
-impl<S: AugSpec> CommitHook<S> for WalHook
-where
-    S::K: Codec,
-    S::V: Codec,
-{
-    fn log_epoch(&self, epoch: u64, batch: &NormalizedBatch<S>) -> io::Result<()> {
+    /// Append the normalized `epoch` as one record, synced as the policy
+    /// says. The committer calls this before it applies the epoch.
+    pub(crate) fn append<S: AugSpec>(
+        &self,
+        epoch: u64,
+        batch: &NormalizedBatch<S>,
+    ) -> io::Result<()>
+    where
+        S::K: Codec,
+        S::V: Codec,
+    {
         let mut body = Vec::with_capacity(16 * batch.len() + 16);
         record::encode_epoch_body(&batch.puts, &batch.deletes, &mut body);
         let info = self.wal.lock().append(epoch, &body)?;
@@ -198,6 +205,129 @@ where
         }
         Ok(())
     }
+
+    /// Checkpoint now: pin the head at store epoch `E`, write every
+    /// shard's map to `shard-<i>/ckpt-<E>.ckpt`, then truncate the log
+    /// through `E`. Shared by [`crate::Store::checkpoint`] and the
+    /// background checkpointer.
+    pub(crate) fn checkpoint<S: AugSpec>(&self, registry: &Registry<S>) -> io::Result<u64>
+    where
+        S::K: Codec,
+        S::V: Codec,
+    {
+        // One checkpoint at a time: a manual call racing the background
+        // thread must not interleave into the same temp file.
+        let _serialize = self.ckpt_mutex.lock();
+        let ckpt_start = Instant::now();
+        // The pinned version holds every epoch up to its id and none after:
+        // all N files are cut at that one store epoch.
+        let pin = registry.pin_head();
+        let epoch = pin.entry.id;
+        let pin_start = Instant::now();
+        let mut ckpt_bytes = 0;
+        for (i, map) in pin.entry.maps.iter().enumerate() {
+            ckpt_bytes += checkpoint::write(
+                &manifest::shard_dir(&self.dir, i),
+                epoch,
+                map.len() as u64,
+                |emit| map.for_each(|k, v| emit(k, v)),
+                KEEP_CHECKPOINTS,
+            )
+            .map_err(|e| io::Error::new(e.kind(), format!("shard {i}: {e}")))?;
+        }
+        drop(pin); // the snapshot is on disk; release the version
+        self.counters
+            .ckpt_pin_nanos
+            .record_duration(pin_start.elapsed());
+        // Every shard's file at `epoch` is durable: the log may drop what it
+        // covers.
+        self.wal.lock().truncate_through(epoch)?;
+        // relaxed: checkpoint bookkeeping counters — the checkpointer is the
+        // only writer (ckpt_mutex) and readers tolerate sampling skew; the
+        // last_ckpt_epoch/bytes_at_last_ckpt pair only throttles the *next*
+        // checkpoint, where an off-by-one read is harmless
+        self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .ckpt_bytes
+            // relaxed: see above
+            .fetch_add(ckpt_bytes, Ordering::Relaxed);
+        self.counters
+            .last_ckpt_epoch
+            // relaxed: see above
+            .store(epoch, Ordering::Relaxed);
+        // relaxed: see above
+        self.counters.bytes_at_last_ckpt.store(
+            self.counters.bytes.load(Ordering::Relaxed), // relaxed: see above
+            Ordering::Relaxed,                           // relaxed: see above
+        );
+        *self.last_ckpt_at.lock() = Some(Instant::now());
+        let took = ckpt_start.elapsed();
+        self.counters.ckpt_nanos.record_duration(took);
+        event!(
+            Level::Info,
+            "pam_store::checkpoint",
+            "checkpoint at epoch {epoch}: {ckpt_bytes} bytes in {took:?}"
+        );
+        Ok(epoch)
+    }
+
+    /// The background checkpointer's loop: every poll that finds
+    /// `every_bytes` of log written since the last checkpoint writes one,
+    /// until [`Self::stop_checkpointer`].
+    pub(crate) fn run_checkpointer<S: AugSpec>(&self, registry: &Registry<S>, every_bytes: u64)
+    where
+        S::K: Codec,
+        S::V: Codec,
+    {
+        let poll = Duration::from_millis(50);
+        loop {
+            {
+                let mut stopped = self.stop.stop.lock();
+                if !*stopped {
+                    let _ = self.stop.cv.wait_timeout(&mut stopped, poll);
+                }
+                if *stopped {
+                    return;
+                }
+            }
+            // relaxed: freshness heuristics — a stale counter read at worst
+            // delays or repeats one checkpoint poll (all loads below alike)
+            let last = self.counters.last_ckpt_epoch.load(Ordering::Relaxed);
+            if registry.pin_head().entry.id == last {
+                continue; // nothing new to checkpoint
+            }
+            // relaxed: see above
+            let bytes_due = self.counters.bytes.load(Ordering::Relaxed)
+                - self.counters.bytes_at_last_ckpt.load(Ordering::Relaxed) // relaxed: see above
+                >= every_bytes;
+            if !bytes_due {
+                continue;
+            }
+            match self.checkpoint(registry) {
+                Ok(_) => {
+                    *self.last_ckpt_error.lock() = None;
+                }
+                Err(e) => {
+                    // a failed checkpoint is not fatal: the WAL still has
+                    // everything; surface the problem (stderr, the event
+                    // ring, and `/health` as Degraded) and retry next tick
+                    eprintln!("pam-store: background checkpoint failed: {e}");
+                    event!(
+                        Level::Warn,
+                        "pam_store::checkpoint",
+                        "background checkpoint failed: {e}"
+                    );
+                    *self.last_ckpt_error.lock() = Some(e.to_string());
+                }
+            }
+        }
+    }
+
+    /// Ask the background checkpointer to exit.
+    pub(crate) fn stop_checkpointer(&self) {
+        *self.stop.stop.lock() = true;
+        self.stop.cv.notify_all();
+    }
 }
 
 /// Shutdown signal for the background checkpointer.
@@ -205,127 +335,6 @@ where
 struct StopSignal {
     stop: Mutex<bool>,
     cv: Condvar,
-}
-
-/// Shared by `checkpoint()` and the background thread: pin the head at
-/// store epoch `E`, write every shard's map to `shard-<i>/ckpt-<E>.ckpt`,
-/// then truncate the log through `E`.
-fn do_checkpoint<S: AugSpec>(
-    engine: &VersionedStore<S>,
-    hook: &WalHook,
-    dir: &Path,
-) -> io::Result<u64>
-where
-    S::K: Codec,
-    S::V: Codec,
-{
-    // One checkpoint at a time: a manual call racing the background
-    // thread must not interleave into the same temp file.
-    let _serialize = hook.ckpt_mutex.lock();
-    let ckpt_start = Instant::now();
-    // The pinned version holds every epoch up to its id and none after:
-    // all N files are cut at that one store epoch.
-    let pin = engine.pin();
-    let epoch = pin.id();
-    let pin_start = Instant::now();
-    let mut ckpt_bytes = 0;
-    for (i, map) in pin.shards().iter().enumerate() {
-        ckpt_bytes += checkpoint::write(
-            &manifest::shard_dir(dir, i),
-            epoch,
-            map.len() as u64,
-            |emit| map.for_each(|k, v| emit(k, v)),
-            KEEP_CHECKPOINTS,
-        )
-        .map_err(|e| io::Error::new(e.kind(), format!("shard {i}: {e}")))?;
-    }
-    drop(pin); // the snapshot is on disk; release the version
-    hook.counters
-        .ckpt_pin_nanos
-        .record_duration(pin_start.elapsed());
-    // Every shard's file at `epoch` is durable: the log may drop what it
-    // covers.
-    hook.wal.lock().truncate_through(epoch)?;
-    // relaxed: checkpoint bookkeeping counters — the checkpointer is the
-    // only writer (ckpt_mutex) and readers tolerate sampling skew; the
-    // last_ckpt_epoch/bytes_at_last_ckpt pair only throttles the *next*
-    // checkpoint, where an off-by-one read is harmless
-    hook.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-    hook.counters
-        .ckpt_bytes
-        // relaxed: see above
-        .fetch_add(ckpt_bytes, Ordering::Relaxed);
-    hook.counters
-        .last_ckpt_epoch
-        // relaxed: see above
-        .store(epoch, Ordering::Relaxed);
-    // relaxed: see above
-    hook.counters.bytes_at_last_ckpt.store(
-        hook.counters.bytes.load(Ordering::Relaxed), // relaxed: see above
-        Ordering::Relaxed,                           // relaxed: see above
-    );
-    *hook.last_ckpt_at.lock() = Some(Instant::now());
-    let took = ckpt_start.elapsed();
-    hook.counters.ckpt_nanos.record_duration(took);
-    event!(
-        Level::Info,
-        "pam_store::checkpoint",
-        "checkpoint at epoch {epoch}: {ckpt_bytes} bytes in {took:?}"
-    );
-    Ok(epoch)
-}
-
-fn run_checkpointer<S: AugSpec>(
-    engine: &VersionedStore<S>,
-    hook: &WalHook,
-    stop: &StopSignal,
-    dir: &Path,
-    every_bytes: u64,
-) where
-    S::K: Codec,
-    S::V: Codec,
-{
-    let poll = Duration::from_millis(50);
-    loop {
-        {
-            let mut stopped = stop.stop.lock();
-            if !*stopped {
-                let _ = stop.cv.wait_timeout(&mut stopped, poll);
-            }
-            if *stopped {
-                return;
-            }
-        }
-        // relaxed: freshness heuristics — a stale counter read at worst
-        // delays or repeats one checkpoint poll (all loads below alike)
-        if engine.head_version() == hook.counters.last_ckpt_epoch.load(Ordering::Relaxed) {
-            continue; // nothing new to checkpoint
-        }
-        // relaxed: see above
-        let bytes_due = hook.counters.bytes.load(Ordering::Relaxed)
-            - hook.counters.bytes_at_last_ckpt.load(Ordering::Relaxed) // relaxed: see above
-            >= every_bytes;
-        if !bytes_due {
-            continue;
-        }
-        match do_checkpoint(engine, hook, dir) {
-            Ok(_) => {
-                *hook.last_ckpt_error.lock() = None;
-            }
-            Err(e) => {
-                // a failed checkpoint is not fatal: the WAL still has
-                // everything; surface the problem (stderr, the event
-                // ring, and `/health` as Degraded) and retry next tick
-                eprintln!("pam-store: background checkpoint failed: {e}");
-                event!(
-                    Level::Warn,
-                    "pam_store::checkpoint",
-                    "background checkpoint failed: {e}"
-                );
-                *hook.last_ckpt_error.lock() = Some(e.to_string());
-            }
-        }
-    }
 }
 
 /// What a directory without a `MANIFEST` holds that only a store could
@@ -393,229 +402,173 @@ fn check_contiguous(records: &[EpochRecord], from: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// The optional durability part of a [`crate::Store`]: the engine wired to
-/// the WAL hook, the background checkpointer, and the directory's lock.
-pub(crate) struct Durability<S: AugSpec> {
-    checkpointer: Option<std::thread::JoinHandle<()>>,
-    stop: Arc<StopSignal>,
-    /// Dropped after the checkpointer is joined: when this is the last
-    /// handle, the engine drains (and logs) every buffered write here.
-    pub(crate) engine: Arc<VersionedStore<S>>,
-    pub(crate) hook: Arc<WalHook>,
+/// What [`recover`] found: the locked directory's shard maps at the
+/// version the log left off, and the log, open for appends.
+pub(crate) struct Recovered<S: AugSpec> {
+    pub lock: DirLock,
+    pub maps: Vec<AugMap<S>>,
+    pub version: VersionId,
     /// What recovery found, shard order.
-    pub(crate) recovery: Vec<RecoveryInfo>,
-    pub(crate) dir: PathBuf,
-    /// The directory receives the store's flight dump; stays registered
-    /// through the engine's drain.
-    _dump_dir: flight::DumpDirGuard,
-    /// Declared last: the directory stays locked until the engine has
-    /// drained its final epochs into the WAL.
-    _lock: DirLock,
+    pub recovery: Vec<RecoveryInfo>,
+    pub wal: WalPart,
 }
 
-impl<S: AugSpec> Drop for Durability<S> {
-    fn drop(&mut self) {
-        *self.stop.stop.lock() = true;
-        self.stop.cv.notify_all();
-        if let Some(h) = self.checkpointer.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl<S: AugSpec> Durability<S>
+/// Open (or create) the store directory `dir` for `shards` shards: take
+/// its lock, verify the manifest, load every shard's checkpoint and
+/// replay the log. See [`crate::Store::open`] for the contract and the
+/// errors.
+pub(crate) fn recover<S: AugSpec>(
+    dir: &Path,
+    shards: usize,
+    durability: &DurabilityConfig,
+) -> io::Result<Recovered<S>>
 where
     S::K: Codec + ShardKey,
     S::V: Codec,
 {
-    /// Open (or create) the store directory `dir`: verify the manifest,
-    /// load every shard's checkpoint, replay the log, and start the
-    /// engine and the checkpointer. See [`crate::Store::open`] for the
-    /// contract and the errors.
-    pub(crate) fn open(
-        dir: &Path,
-        config: &ShardedConfig,
-        durability: &DurabilityConfig,
-    ) -> io::Result<Self> {
-        let dir = dir.to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        // one writer per directory: a second open (double-started
-        // service) must fail fast, not interleave WAL frames
-        let lock = DirLock::acquire(&dir)?;
-        manifest::clean_temp_file(&dir)?;
-        let shards = config.shards.max(1);
-        match manifest::load(&dir)? {
-            Some(m) if m.shards == shards as u64 => {}
-            Some(m) => {
+    std::fs::create_dir_all(dir)?;
+    // one writer per directory: a second open (double-started
+    // service) must fail fast, not interleave WAL frames
+    let lock = DirLock::acquire(dir)?;
+    manifest::clean_temp_file(dir)?;
+    match manifest::load(dir)? {
+        Some(m) if m.shards == shards as u64 => {}
+        Some(m) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "shard-count mismatch: {} holds {} shards, open asked for {shards} \
+                     (the hash routing is pinned at creation — resharding needs a \
+                     rewrite, not a reopen)",
+                    dir.display(),
+                    m.shards
+                ),
+            ));
+        }
+        // any surviving shard-<i> subdir or log segment means there
+        // is data we would be guessing the layout of — or silently
+        // shadowing with an empty store
+        None => {
+            if let Some(found) = unmanifested_data(dir)? {
                 return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
+                    io::ErrorKind::InvalidData,
                     format!(
-                        "shard-count mismatch: {} holds {} shards, open asked for {shards} \
-                         (the hash routing is pinned at creation — resharding needs a \
-                         rewrite, not a reopen)",
-                        dir.display(),
-                        m.shards
+                        "{} has {found} — refusing to guess the layout",
+                        dir.display()
                     ),
                 ));
             }
-            // any surviving shard-<i> subdir or log segment means there
-            // is data we would be guessing the layout of — or silently
-            // shadowing with an empty store
-            None => {
-                if let Some(found) = unmanifested_data(&dir)? {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{} has {found} — refusing to guess the layout",
-                            dir.display()
-                        ),
-                    ));
-                }
-                manifest::write(&dir, shards as u64)?;
-            }
+            manifest::write(dir, shards as u64)?;
         }
+    }
 
-        // 1. every shard's newest valid checkpoint, in parallel: stream
-        //    it into the map chunk by chunk — each chunk bulk-loads with
-        //    the O(chunk) `from_sorted_distinct` and unions onto the
-        //    accumulated map's right edge (chunks ascend globally), so
-        //    peak memory is one chunk per shard, never a whole checkpoint
-        let loaded = parlay::tabulate(shards, |i| {
-            let start = Instant::now();
-            let shard_dir = manifest::shard_dir(&dir, i);
-            std::fs::create_dir_all(&shard_dir)?;
-            checkpoint::clean_temp_files(&shard_dir)?;
-            let ckpt = checkpoint::load_latest_with::<S::K, S::V, AugMap<S>>(
-                &shard_dir,
-                AugMap::new,
-                |m, chunk| {
-                    let right = AugMap::from_sorted_distinct(&chunk);
-                    let left = std::mem::replace(m, AugMap::new());
-                    *m = left.union(right);
-                },
-            )?;
-            Ok((ckpt.unwrap_or((0, 0, AugMap::new())), start.elapsed()))
-        })
-        .into_iter()
-        .collect::<io::Result<Vec<_>>>()?;
-        let mut maps = Vec::with_capacity(shards);
-        let mut recovery = Vec::with_capacity(shards);
-        for ((epoch, entries, map), bulk_load) in loaded {
-            maps.push(map);
-            recovery.push(RecoveryInfo {
-                checkpoint_epoch: epoch,
-                checkpoint_entries: entries,
-                timings: RecoveryTimings {
-                    bulk_load,
-                    ..RecoveryTimings::default()
-                },
-                ..RecoveryInfo::default()
-            });
-        }
-        let from = recovery
-            .iter()
-            .map(|r| r.checkpoint_epoch)
-            .min()
-            .unwrap_or(0);
+    // 1. every shard's newest valid checkpoint, in parallel: stream
+    //    it into the map chunk by chunk — each chunk bulk-loads with
+    //    the O(chunk) `from_sorted_distinct` and unions onto the
+    //    accumulated map's right edge (chunks ascend globally), so
+    //    peak memory is one chunk per shard, never a whole checkpoint
+    let loaded = parlay::tabulate(shards, |i| {
+        let start = Instant::now();
+        let shard_dir = manifest::shard_dir(dir, i);
+        std::fs::create_dir_all(&shard_dir)?;
+        checkpoint::clean_temp_files(&shard_dir)?;
+        let ckpt = checkpoint::load_latest_with::<S::K, S::V, AugMap<S>>(
+            &shard_dir,
+            AugMap::new,
+            |m, chunk| {
+                let right = AugMap::from_sorted_distinct(&chunk);
+                let left = std::mem::replace(m, AugMap::new());
+                *m = left.union(right);
+            },
+        )?;
+        Ok((ckpt.unwrap_or((0, 0, AugMap::new())), start.elapsed()))
+    })
+    .into_iter()
+    .collect::<io::Result<Vec<_>>>()?;
+    let mut maps = Vec::with_capacity(shards);
+    let mut recovery = Vec::with_capacity(shards);
+    for ((epoch, entries, map), bulk_load) in loaded {
+        maps.push(map);
+        recovery.push(RecoveryInfo {
+            checkpoint_epoch: epoch,
+            checkpoint_entries: entries,
+            timings: RecoveryTimings {
+                bulk_load,
+                ..RecoveryTimings::default()
+            },
+            ..RecoveryInfo::default()
+        });
+    }
+    let from = recovery
+        .iter()
+        .map(|r| r.checkpoint_epoch)
+        .min()
+        .unwrap_or(0);
 
-        // 2. the one log, replayed once from the oldest checkpoint on
-        let wal_config = WalConfig {
-            segment_bytes: durability.segment_bytes,
-            sync: durability.sync,
-        };
-        let phase_start = Instant::now();
-        let (wal, records) = Wal::open(&dir, wal_config)?;
-        let segment_scan = phase_start.elapsed();
-        check_contiguous(&records, from)?;
-        // Decode epoch bodies in parallel (CPU-bound varint parsing),
-        // then apply them in epoch order — application must stay
-        // sequential because later epochs overwrite earlier ones. Decode
-        // in bounded windows so peak memory is the raw records plus one
-        // window of decoded bodies, not a second full copy of the log.
-        const DECODE_WINDOW: usize = 64;
-        let phase_start = Instant::now();
-        let to_replay: Vec<&EpochRecord> = records.iter().filter(|r| r.epoch > from).collect();
-        for window in to_replay.chunks(DECODE_WINDOW) {
-            let bodies = parlay::tabulate(window.len(), |i| {
-                record::decode_epoch_body::<S::K, S::V>(&window[i].body)
-            });
-            for body in bodies {
-                let body = body?;
-                apply_routed(&mut maps, S::K::shard_hash, body.puts, body.deletes);
-            }
+    // 2. the one log, replayed once from the oldest checkpoint on
+    let wal_config = WalConfig {
+        segment_bytes: durability.segment_bytes,
+        sync: durability.sync,
+    };
+    let phase_start = Instant::now();
+    let (wal, records) = Wal::open(dir, wal_config)?;
+    let segment_scan = phase_start.elapsed();
+    check_contiguous(&records, from)?;
+    // Decode epoch bodies in parallel (CPU-bound varint parsing),
+    // then apply them in epoch order — application must stay
+    // sequential because later epochs overwrite earlier ones. Decode
+    // in bounded windows so peak memory is the raw records plus one
+    // window of decoded bodies, not a second full copy of the log.
+    const DECODE_WINDOW: usize = 64;
+    let phase_start = Instant::now();
+    let to_replay: Vec<&EpochRecord> = records.iter().filter(|r| r.epoch > from).collect();
+    for window in to_replay.chunks(DECODE_WINDOW) {
+        let bodies = parlay::tabulate(window.len(), |i| {
+            record::decode_epoch_body::<S::K, S::V>(&window[i].body)
+        });
+        for body in bodies {
+            let body = body?;
+            apply_routed(&mut maps, body.puts, body.deletes);
         }
-        let replay = phase_start.elapsed();
-        let last_epoch = recovery
-            .iter()
-            .map(|r| r.checkpoint_epoch)
-            .max()
-            .unwrap_or(0)
-            .max(wal.last_epoch());
-        for info in &mut recovery {
-            info.replayed_epochs = to_replay.len() as u64;
-            info.last_epoch = last_epoch;
-            info.timings.segment_scan = segment_scan;
-            info.timings.replay = replay;
-        }
-        event!(
-            Level::Info,
-            "pam_store::recovery",
-            "recovered {}: {shards} shard checkpoints from epoch {from}, wal scan \
-             {segment_scan:?}, replayed {} epochs in {replay:?}",
-            dir.display(),
-            to_replay.len()
-        );
-        drop(records);
+    }
+    let replay = phase_start.elapsed();
+    let last_epoch = recovery
+        .iter()
+        .map(|r| r.checkpoint_epoch)
+        .max()
+        .unwrap_or(0)
+        .max(wal.last_epoch());
+    for info in &mut recovery {
+        info.replayed_epochs = to_replay.len() as u64;
+        info.last_epoch = last_epoch;
+        info.timings.segment_scan = segment_scan;
+        info.timings.replay = replay;
+    }
+    event!(
+        Level::Info,
+        "pam_store::recovery",
+        "recovered {}: {shards} shard checkpoints from epoch {from}, wal scan \
+         {segment_scan:?}, replayed {} epochs in {replay:?}",
+        dir.display(),
+        to_replay.len()
+    );
+    drop(records);
 
-        // 3. hand the recovered maps to the engine, at the version the
-        //    log left off, with the WAL hook
-        let wal_obs = wal.obs();
-        let hook = Arc::new(WalHook {
+    let wal_obs = wal.obs();
+    Ok(Recovered {
+        lock,
+        maps,
+        version: last_epoch,
+        recovery,
+        wal: WalPart {
             wal: Mutex::new(wal),
             ckpt_mutex: Mutex::new(()),
             counters: DurCounters::default(),
             wal_obs,
             last_ckpt_at: Mutex::new(None),
             last_ckpt_error: Mutex::new(None),
-        });
-        let engine = Arc::new(VersionedStore::sharded(
-            maps,
-            last_epoch,
-            &config.store,
-            Some(hook.clone() as Arc<dyn CommitHook<S>>),
-            S::K::shard_hash,
-        ));
-
-        // 4. the background checkpointer, if configured
-        let stop = Arc::new(StopSignal::default());
-        let checkpointer = match durability.checkpoint_every_bytes {
-            Some(every) => {
-                let (engine, hook, stop, dir) =
-                    (engine.clone(), hook.clone(), stop.clone(), dir.clone());
-                Some(
-                    std::thread::Builder::new()
-                        .name("pam-store-checkpointer".into())
-                        .spawn(move || run_checkpointer(&engine, &hook, &stop, &dir, every))?,
-                )
-            }
-            None => None,
-        };
-
-        Ok(Durability {
-            checkpointer,
-            stop,
-            engine,
-            hook,
-            recovery,
-            _dump_dir: flight::register_dump_dir(&dir),
-            dir,
-            _lock: lock,
-        })
-    }
-
-    /// Checkpoint every shard at one store epoch; see
-    /// [`crate::Store::checkpoint`].
-    pub(crate) fn checkpoint(&self) -> io::Result<u64> {
-        do_checkpoint(&self.engine, &self.hook, &self.dir)
-    }
+            stop: StopSignal::default(),
+            dir: dir.to_path_buf(),
+        },
+    })
 }

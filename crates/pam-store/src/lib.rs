@@ -8,29 +8,27 @@
 //! hash shards × an optional durability part, always weight-balanced.
 //!
 //! * **[`Store`]** ([`store`]) — hash-partitions the key space
-//!   ([`ShardKey`], [`shard`]) across N shard maps behind **one** engine,
-//!   with scatter-gather reads, k-way merged range scans, and
-//!   [`Snapshot`]s that are one pin of every shard. [`Store::volatile`]
-//!   keeps everything in memory; [`Store::open`] puts one WAL, a
-//!   checkpoint directory per shard and crash recovery under it. The
-//!   consistency contract is stated in the [`store`] module docs.
-//! * **The engine** ([`VersionedStore`]) — a one-head **version
-//!   registry** ([`registry`]) fed by a **group-commit write pipeline**
-//!   ([`pipeline`]). Concurrent writers enqueue operations into the open
-//!   epoch and immediately receive a [`CommitTicket`]. A dedicated
+//!   ([`ShardKey`], [`shard`]) across N shard maps behind **one**
+//!   group-commit write pipeline and **one** version head, with
+//!   scatter-gather reads, k-way merged range scans, and [`Snapshot`]s
+//!   that are one pin of every shard. [`Store::volatile`] keeps
+//!   everything in memory; [`Store::open`] puts one WAL, a checkpoint
+//!   directory per shard and crash recovery under it. The consistency
+//!   contract is stated in the [`store`] module docs.
+//! * **The write path** — concurrent writers enqueue operations into the
+//!   open epoch and immediately receive a [`CommitTicket`]. A dedicated
 //!   committer thread — the store's only writer — drains the epoch,
 //!   normalizes the batch (parallel sort + last-write-wins dedup, via
 //!   `parlay`), routes it to its shards and applies each shard's slice
 //!   with one work-optimal `multi_insert`/`multi_delete` (amortizing the
 //!   O(log n) tree work across every writer in the window), and publishes
-//!   every shard's root in the registry as one version under the next
-//!   [`VersionId`] — the single publication point every reader pins
-//!   from. A version lives exactly as long as it is the head or somebody
-//!   holds a [`PinnedVersion`] / [`Snapshot`] of it, and holding one is
-//!   nearly free — path-copying means N similar versions share almost all
-//!   of their nodes.
+//!   every shard's root as one version under the next [`VersionId`] — the
+//!   single publication point every reader pins from. A version lives
+//!   exactly as long as it is the head or somebody holds a [`Snapshot`]
+//!   of it, and holding one is nearly free — path-copying means N
+//!   similar versions share almost all of their nodes.
 //! * **Durability** ([`durable`]) — one WAL record, one group fsync per
-//!   epoch (see `pam-wal`), logged by a [`CommitHook`] before the epoch
+//!   epoch (see `pam-wal`), appended by the committer before the epoch
 //!   is applied or acked, so a batch spanning shards is whole in the log
 //!   or absent; non-blocking snapshot checkpoints; recovery bulk-loads
 //!   every shard's newest checkpoint and replays the log once, tolerating
@@ -74,24 +72,20 @@
 
 mod config;
 pub mod durable;
-mod engine;
 pub mod op;
-pub mod pipeline;
-pub mod registry;
+mod pipeline;
+mod registry;
 pub mod shard;
 pub mod stats;
 pub mod store;
 
-pub use config::{
-    DurabilityConfig, DurabilityConfigBuilder, ShardedConfig, ShardedConfigBuilder, StoreConfig,
-};
+pub use config::{DurabilityConfig, DurabilityConfigBuilder, ShardedConfig, ShardedConfigBuilder};
 pub use durable::{RecoveryInfo, RecoveryTimings};
-pub use engine::VersionedStore;
 pub use op::{NormalizedBatch, WriteOp};
 pub use pam_obs::Health;
 pub use pam_wal::{Codec, SyncPolicy};
-pub use pipeline::{CommitHook, CommitTicket};
-pub use registry::{PinnedVersion, VersionId};
+pub use pipeline::CommitTicket;
+pub use registry::VersionId;
 pub use shard::{Bytes, ShardKey};
 pub use stats::{DurabilityStats, StoreStats};
 pub use store::{Snapshot, Store};

@@ -50,7 +50,7 @@ impl<S: AugSpec> std::fmt::Debug for WriteOp<S> {
 /// A normalized epoch: at most one surviving operation per key.
 ///
 /// This is the unit the committer applies to the tree — and, verbatim,
-/// the unit a [`crate::pipeline::CommitHook`] logs: because the batch is
+/// the unit a durable store's WAL record holds: because the batch is
 /// already sorted and last-write-wins resolved, re-applying it is
 /// idempotent, which is what lets crash recovery overlap a checkpoint
 /// with the log records it subsumes.

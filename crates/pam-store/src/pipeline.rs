@@ -19,8 +19,8 @@
 //!    all-or-nothing unit: either every operation of an epoch is in the
 //!    published version, or none is);
 //! 3. normalizes the batch (parallel sort + last-write-wins dedup, see
-//!    [`crate::op`]), logs it through the commit hook, routes it into
-//!    per-shard slices and applies each as one work-optimal
+//!    [`crate::op`]), appends it to the WAL of a durable store, routes
+//!    it into per-shard slices and applies each as one work-optimal
 //!    `multi_insert` + `multi_delete` to the shard maps, which the
 //!    committer alone owns — no lock, no compare-and-swap;
 //! 4. publishes every shard's root in the registry as one version,
@@ -31,39 +31,18 @@
 //! — the paper's `multi_insert` bound — regardless of how many writers
 //! contributed, which is the whole point of group commit.
 
-use crate::config::StoreConfig;
-use crate::op::{normalize, NormalizedBatch, WriteOp};
+use crate::config::ShardedConfig;
+use crate::durable::WalPart;
+use crate::op::{normalize, WriteOp};
 use crate::registry::{Registry, VersionId};
-use crate::shard::apply_routed;
+use crate::shard::{apply_routed, ShardKey};
 use crate::stats::{CommitTiming, StatsInner};
 use pam::AugSpec;
 use pam_obs::{event, flight, EpochTrace, FlightRecorder, Level};
+use pam_wal::Codec;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The committer's durability extension point (implemented by the WAL
-/// writer of a durable [`crate::Store`]; see
-/// [`crate::VersionedStore::with_commit_hook`]).
-///
-/// [`CommitHook::log_epoch`] runs after normalization and **before** the
-/// epoch is applied, published, or acknowledged. When it returns `Ok`,
-/// the record must be as durable as the hook's policy promises — every
-/// [`CommitTicket`] of the epoch is still blocked at this point.
-///
-/// If `log_epoch` fails the store is **poisoned**: the committer stops,
-/// buffered writes are dropped, and every in-flight or future
-/// `wait`/`flush`/`submit` panics — fail-stop beats silently acking
-/// writes that never reached the log.
-pub trait CommitHook<S: AugSpec>: Send + Sync {
-    /// Make the normalized epoch durable.
-    ///
-    /// # Errors
-    ///
-    /// Any error poisons the store (fail-stop): the committer exits and
-    /// every subsequent submit/wait/flush panics.
-    fn log_epoch(&self, epoch: u64, batch: &NormalizedBatch<S>) -> std::io::Result<()>;
-}
 
 /// The arrival-gap estimate moves `1/GAP_WEIGHT` of the way to each new
 /// sample (see [`PipeState::note_arrival`]).
@@ -105,10 +84,10 @@ struct PipeState<S: AugSpec> {
     /// Global sequence counter for LWW ordering.
     next_seq: u64,
     shutdown: bool,
-    /// Set when the commit hook failed: the store is fail-stopped. Holds
-    /// the original hook error so every later panic, the `/health`
-    /// endpoint, and the flight dump can name the root cause instead of
-    /// a generic "a commit hook failed".
+    /// Set when a WAL append failed: the store is fail-stopped. Holds
+    /// the original error so every later panic, the `/health` endpoint,
+    /// and the flight dump can name the root cause instead of a generic
+    /// "the log failed".
     poisoned: Option<String>,
     /// When the latest submission arrived.
     last_arrival: Instant,
@@ -167,17 +146,14 @@ pub(crate) struct Pipeline<S: AugSpec> {
     /// window short.
     max_batch: usize,
     /// Upper bound on how long an open segment lingers for company
-    /// ([`StoreConfig::batch_window`]).
+    /// ([`ShardedConfig::batch_window`]).
     batch_window: Duration,
-    /// Shared with the owning store: the committer records into it
-    /// directly.
-    stats: Arc<StatsInner>,
 }
 
 impl<S: AugSpec> Pipeline<S> {
     /// A pipeline whose last committed epoch is `committed` — the id of
     /// the registry head the committer starts from.
-    pub fn new(config: &StoreConfig, stats: Arc<StatsInner>, committed: VersionId) -> Self {
+    pub fn new(config: &ShardedConfig, committed: VersionId) -> Self {
         // Settle the flight-recorder anchor before the first segment
         // Instant exists, or early epochs' window timestamps would clamp
         // to zero (see `pam_obs::flight`).
@@ -185,7 +161,6 @@ impl<S: AugSpec> Pipeline<S> {
         Pipeline {
             max_batch: config.max_batch.max(1),
             batch_window: config.batch_window,
-            stats,
             state: Mutex::new(PipeState {
                 open: None,
                 next_epoch: committed + 1,
@@ -203,8 +178,8 @@ impl<S: AugSpec> Pipeline<S> {
         }
     }
 
-    /// The original commit-hook error if the store fail-stopped, `None`
-    /// while healthy.
+    /// The original WAL error if the store fail-stopped, `None` while
+    /// healthy.
     pub fn poison_reason(&self) -> Option<String> {
         self.state.lock().poisoned.clone()
     }
@@ -341,18 +316,24 @@ impl<S: AugSpec> Pipeline<S> {
     }
 
     /// The committer loop. Runs on its own thread until shutdown *and*
-    /// no open segment (or until the commit hook fails — see
-    /// [`CommitHook`]). `registry`'s head holds the shard maps the first
-    /// epoch applies to; from then on this loop is the only holder of the
-    /// current maps between publishes, and the only caller of
-    /// [`Registry::publish`]. `hash` routes a key to its shard.
-    pub fn run_committer(
-        &self,
-        registry: &Registry<S>,
-        hook: Option<&dyn CommitHook<S>>,
-        hash: fn(&S::K) -> u64,
-    ) {
-        let mut current = registry.pin_head().shards().to_vec();
+    /// no open segment, or until a WAL append fails. `registry`'s head
+    /// holds the shard maps the first epoch applies to; from then on this
+    /// loop is the only holder of the current maps between publishes, and
+    /// the only caller of [`Registry::publish`].
+    ///
+    /// On a durable store (`wal` set) every epoch is appended to the log
+    /// after normalization and **before** it is applied, published or
+    /// acknowledged: when the append returns, the record is as durable as
+    /// the [`crate::SyncPolicy`] promises. If the append fails the store
+    /// is **poisoned**: the committer stops, buffered writes are dropped,
+    /// and every in-flight or future `wait`/`flush`/`submit` panics —
+    /// fail-stop beats silently acking writes that never reached the log.
+    pub fn run_committer(&self, registry: &Registry<S>, stats: &StatsInner, wal: Option<&WalPart>)
+    where
+        S::K: Codec + ShardKey,
+        S::V: Codec,
+    {
+        let mut current = registry.pin_head().entry.maps.clone();
         let mut g = self.state.lock();
         loop {
             if g.open.is_none() {
@@ -377,11 +358,11 @@ impl<S: AugSpec> Pipeline<S> {
             let batch_len = normalized.len();
             let raw_ops = normalized.raw_ops;
             // WAL first: the epoch must be durable before it is applied
-            // or acked (tickets are still blocked here). A hook failure
+            // or acked (tickets are still blocked here). A failed append
             // fail-stops the store.
-            if let Some(h) = hook {
-                if let Err(e) = h.log_epoch(epoch, &normalized) {
-                    let reason = format!("commit hook (WAL) failed for epoch {epoch}: {e}");
+            if let Some(wal) = wal {
+                if let Err(e) = wal.append(epoch, &normalized) {
+                    let reason = format!("WAL append failed for epoch {epoch}: {e}");
                     eprintln!("pam-store: {reason}; poisoning store");
                     event!(
                         Level::Error,
@@ -406,16 +387,16 @@ impl<S: AugSpec> Pipeline<S> {
             // the current maps are plain locals and the batch vectors are
             // *moved* into the tree ops — no per-commit clone. Published
             // versions are untouched (path copying).
-            apply_routed(&mut current, hash, normalized.puts, normalized.deletes);
+            apply_routed(&mut current, normalized.puts, normalized.deletes);
             let t_applied = Instant::now();
             // O(1) per shard snapshot of the result: the one publication
             // point. The replaced head dies here, before the tickets wake
             // (so a writer's next `stats()` does not count it) and outside
             // the registry lock: unless somebody pinned it, this drop
             // frees the nodes the epoch path-copied away from.
-            drop(registry.publish(epoch, current.clone(), batch_len));
+            drop(registry.publish(epoch, current.clone()));
             let t_published = Instant::now();
-            self.stats.record_commit(
+            stats.record_commit(
                 raw_ops,
                 batch_len,
                 CommitTiming {
@@ -464,7 +445,7 @@ impl<S: AugSpec> CommitTicket<S> {
     ///
     /// # Panics
     ///
-    /// If the store was poisoned by a failed commit hook (the write may
+    /// If the store was poisoned by a failed WAL append (the write may
     /// never become durable).
     pub fn wait(&self) -> VersionId {
         let mut g = self.pipe.state.lock();

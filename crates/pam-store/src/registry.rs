@@ -5,16 +5,16 @@
 //! publishing is one swap and a snapshot of the whole store is one pin.
 //! The registry holds exactly one entry — the head — and entries live in
 //! `Arc`s, so a version is alive iff it is the head or somebody holds a
-//! [`PinnedVersion`] of it: O(1) to take, free to hold (path copying
-//! shares what did not change), and the last holder's drop frees exactly
-//! the nodes no other version reaches. There is no retention policy
-//! beside the reference counts.
+//! [`Snapshot`] of it: O(1) to take, free to hold (path copying shares
+//! what did not change), and the last holder's drop frees exactly the
+//! nodes no other version reaches. There is no retention policy beside
+//! the reference counts.
 
+use crate::store::Snapshot;
 use pam::{AugMap, AugSpec};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Monotonically increasing version number. Every committed epoch
 /// publishes exactly one version, so a version id is also the number of
@@ -26,9 +26,6 @@ pub(crate) struct VersionEntry<S: AugSpec> {
     pub id: VersionId,
     /// Every shard's map, shard order.
     pub maps: Vec<AugMap<S>>,
-    pub created: Instant,
-    /// Operations (after dedup) the commit producing this version applied.
-    pub batch_len: usize,
     /// The registry's count of dropped entries (see [`Registry::counts`]).
     retired: Arc<AtomicU64>,
 }
@@ -37,62 +34,6 @@ impl<S: AugSpec> Drop for VersionEntry<S> {
     fn drop(&mut self) {
         // relaxed: a statistic; nothing is published through it
         self.retired.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A pinned, immutable view of one version. Holding it keeps the version
-/// readable forever; dropping it releases the pin. Cloning is O(1).
-pub struct PinnedVersion<S: AugSpec> {
-    entry: Arc<VersionEntry<S>>,
-}
-
-impl<S: AugSpec> Clone for PinnedVersion<S> {
-    fn clone(&self) -> Self {
-        PinnedVersion {
-            entry: self.entry.clone(),
-        }
-    }
-}
-
-impl<S: AugSpec> PinnedVersion<S> {
-    /// The version id this pin refers to.
-    pub fn id(&self) -> VersionId {
-        self.entry.id
-    }
-
-    /// Every shard's map in this version, shard order.
-    pub fn shards(&self) -> &[AugMap<S>] {
-        &self.entry.maps
-    }
-
-    /// The immutable map of a one-shard version (every
-    /// [`crate::VersionedStore`] its public constructors build).
-    ///
-    /// # Panics
-    ///
-    /// If the version has more than one shard: read those through
-    /// [`Self::shards`] or a [`crate::Snapshot`], which route keys.
-    pub fn map(&self) -> &AugMap<S> {
-        assert_eq!(self.entry.maps.len(), 1, "a sharded version has no one map");
-        &self.entry.maps[0]
-    }
-
-    /// Age of this version (time since its commit).
-    pub fn age(&self) -> std::time::Duration {
-        self.entry.created.elapsed()
-    }
-
-    /// Number of (deduplicated) operations in the commit that produced
-    /// this version.
-    pub fn batch_len(&self) -> usize {
-        self.entry.batch_len
-    }
-}
-
-impl<S: AugSpec> std::fmt::Debug for PinnedVersion<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len: usize = self.shards().iter().map(AugMap::len).sum();
-        write!(f, "PinnedVersion(v{}, len {len})", self.id())
     }
 }
 
@@ -112,8 +53,6 @@ impl<S: AugSpec> Registry<S> {
             head: Mutex::new(Arc::new(VersionEntry {
                 id,
                 maps,
-                created: Instant::now(),
-                batch_len: 0,
                 retired: retired.clone(),
             })),
             first: id,
@@ -126,29 +65,22 @@ impl<S: AugSpec> Registry<S> {
     /// takes, since that drop frees the replaced version's own nodes
     /// unless somebody else holds it.
     #[must_use = "drop the replaced head outside the registry lock"]
-    pub fn publish(
-        &self,
-        id: VersionId,
-        maps: Vec<AugMap<S>>,
-        batch_len: usize,
-    ) -> PinnedVersion<S> {
+    pub fn publish(&self, id: VersionId, maps: Vec<AugMap<S>>) -> Snapshot<S> {
         let entry = Arc::new(VersionEntry {
             id,
             maps,
-            created: Instant::now(),
-            batch_len,
             retired: self.retired.clone(),
         });
         let mut head = self.head.lock();
         debug_assert_eq!(head.id + 1, id, "version ids are dense");
-        PinnedVersion {
+        Snapshot {
             entry: std::mem::replace(&mut *head, entry),
         }
     }
 
     /// Pin the current head.
-    pub fn pin_head(&self) -> PinnedVersion<S> {
-        PinnedVersion {
+    pub fn pin_head(&self) -> Snapshot<S> {
+        Snapshot {
             entry: self.head.lock().clone(),
         }
     }

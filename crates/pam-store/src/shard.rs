@@ -211,28 +211,29 @@ type Slice<S> = (
 );
 
 /// Apply one normalized batch (`puts` and `deletes` sorted, distinct,
-/// disjoint) to the shard maps `maps`: route every key with `hash`, then
-/// apply each shard's slice as one `multi_insert` plus one
-/// `multi_delete`. The slices fork across shards only when the batch is
-/// larger than [`parlay::granularity`], so a small epoch never wakes a
-/// pool worker; the bulk operations fork inside each slice by their own
-/// rule. The committer and recovery's replay both apply through here.
+/// disjoint) to the shard maps `maps`: route every key, then apply each
+/// shard's slice as one `multi_insert` plus one `multi_delete`. The
+/// slices fork across shards only when the batch is larger than
+/// [`parlay::granularity`], so a small epoch never wakes a pool worker;
+/// the bulk operations fork inside each slice by their own rule. The
+/// committer and recovery's replay both apply through here.
 pub(crate) fn apply_routed<S: AugSpec>(
     maps: &mut [AugMap<S>],
-    hash: fn(&S::K) -> u64,
     puts: Vec<(S::K, S::V)>,
     deletes: Vec<S::K>,
-) {
+) where
+    S::K: ShardKey,
+{
     if let [map] = maps {
         return apply_slice(map, (puts, deletes));
     }
     let fork = puts.len() + deletes.len() > parlay::granularity();
     let mut slices: Vec<Slice<S>> = maps.iter().map(|_| Default::default()).collect();
     for (k, v) in puts {
-        slices[route(hash(&k), maps.len())].0.push((k, v));
+        slices[route(k.shard_hash(), maps.len())].0.push((k, v));
     }
     for k in deletes {
-        slices[route(hash(&k), maps.len())].1.push(k);
+        slices[route(k.shard_hash(), maps.len())].1.push(k);
     }
     apply_slices(maps, &mut slices, fork);
 }

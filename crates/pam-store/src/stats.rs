@@ -2,11 +2,11 @@
 //!
 //! Counters and latency histograms are lock-free atomics bumped by the
 //! committer (see `pam_obs::Histogram` — wait-free recording); a
-//! coherent [`StoreStats`] snapshot is assembled on demand. Memory
-//! numbers come from `pam::stats` (exact distinct-node walks over every
-//! live version), which is what makes the multi-version sharing
-//! visible: N pinned versions of similar maps report barely more bytes
-//! than one.
+//! coherent [`StoreStats`] snapshot is assembled on demand. The memory
+//! number ([`crate::Store::memory_bytes`]) is an exact distinct-node walk
+//! (`pam::stats`) over the head version alone: an older version a
+//! snapshot still holds costs only the nodes it does not share with the
+//! head, and path copying keeps that small.
 //!
 //! Every histogram records **nanoseconds**. [`StoreStats::export_into`]
 //! publishes the whole snapshot into a [`pam_obs::MetricsRegistry`]
@@ -29,8 +29,8 @@ pub(crate) struct CommitTiming {
     pub window: Duration,
     /// Sort + last-write-wins deduplication.
     pub normalize: Duration,
-    /// Commit-hook logging (WAL append + fsync for a durable store;
-    /// zero when no hook is installed).
+    /// WAL append (+ fsync, per the policy) for a durable store; zero
+    /// for a volatile one.
     pub wal_log: Duration,
     /// Routing plus `multi_insert`/`multi_delete` on every shard the
     /// epoch touches.
@@ -94,8 +94,8 @@ pub struct StoreStats {
     pub commit_window: HistogramSnapshot,
     /// Normalize stage (sort + last-write-wins) latency.
     pub commit_normalize: HistogramSnapshot,
-    /// Commit-hook logging stage latency (WAL append + fsync; all-zero
-    /// for an in-memory store).
+    /// WAL stage latency (append + any fsync; all-zero for a volatile
+    /// store).
     pub commit_wal_log: HistogramSnapshot,
     /// Apply stage (routing + bulk insert/delete per shard) latency.
     pub commit_apply: HistogramSnapshot,
@@ -106,7 +106,7 @@ pub struct StoreStats {
     /// it; its next revision deletes the field.
     pub fence_wait: HistogramSnapshot,
     /// Versions alive right now: the head plus every older version a
-    /// [`crate::PinnedVersion`] or [`crate::Snapshot`] still holds.
+    /// [`crate::Snapshot`] still holds.
     pub live_versions: usize,
     /// Versions dropped since the store opened (`live_versions +
     /// retired_versions` is the number of versions published since, the
@@ -114,8 +114,7 @@ pub struct StoreStats {
     pub retired_versions: u64,
     /// Current head version id.
     pub head_version: u64,
-    /// Durability counters (all zero / `None` for a purely in-memory
-    /// store; filled in by [`crate::Store::stats`]).
+    /// Durability counters (all zero / `None` for a volatile store).
     pub durability: DurabilityStats,
 }
 

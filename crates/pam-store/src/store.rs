@@ -3,10 +3,10 @@
 //! PAM's concurrency model (§4 of the paper) is "swap in a new root":
 //! readers take O(1) persistent snapshots while one writer applies bulk
 //! updates that are parallel inside. `Store` keeps exactly that shape
-//! with its key space hash-partitioned into N shard maps. It has one
-//! engine ([`VersionedStore`]): one group-commit pipeline, one committer
-//! thread and one head. A version is the tuple of the N shard roots, so
-//! publishing is one swap and a snapshot of the whole store is one pin.
+//! with its key space hash-partitioned into N shard maps behind one
+//! group-commit pipeline, one committer thread and one head. A version
+//! is the tuple of the N shard roots, so publishing is one swap and a
+//! snapshot of the whole store is one pin.
 //!
 //! Keys are routed by a *stable* hash ([`ShardKey`] — stable because for
 //! a durable store the assignment is part of the on-disk format):
@@ -41,47 +41,63 @@
 //!   to its id and none after, so every read sees each batch wholly or
 //!   not at all, and sees every write acknowledged before it started.
 //! * **ack-vs-durable** — a write ticket resolves when its epoch is
-//!   *published* (readable by everyone). On a durable store the WAL hook
-//!   logs **before** publish, so an acked write is as durable as the
-//!   configured [`crate::SyncPolicy`] promises (invariant I1); on a
-//!   volatile store an ack promises visibility only.
+//!   *published* (readable by everyone). On a durable store the
+//!   committer appends the epoch to the WAL **before** publish, so an
+//!   acked write is as durable as the configured [`crate::SyncPolicy`]
+//!   promises (invariant I1); on a volatile store an ack promises
+//!   visibility only.
 //! * **One version sequence.** A ticket's version, a snapshot's version
 //!   and the epoch a batch commits in are one number, store-wide: two
 //!   acks can be ordered by their versions.
 
 use crate::config::{DurabilityConfig, ShardedConfig};
-use crate::durable::{Durability, RecoveryInfo, WalHook};
-use crate::engine::VersionedStore;
-use crate::pipeline::CommitTicket;
-use crate::registry::{PinnedVersion, VersionId};
+use crate::durable::{self, RecoveryInfo, WalPart};
+use crate::pipeline::{CommitTicket, Pipeline};
+use crate::registry::{Registry, VersionEntry, VersionId};
 use crate::shard::{route, scatter_gather_get_many, ShardKey};
-use crate::stats::StoreStats;
+use crate::stats::{StatsInner, StoreStats};
 use crate::WriteOp;
 use pam::{AugMap, AugSpec};
-use pam_obs::{Health, ObsServer, TelemetrySource};
-use pam_wal::Codec;
+use pam_obs::{flight, Health, ObsServer, TelemetrySource};
+use pam_wal::{Codec, DirLock};
 use std::io;
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-/// The engine's stats with the WAL's counters overlaid, when durable. A
-/// free function so the telemetry endpoint computes exactly what
-/// [`Store::stats`] returns.
-fn stats_of<S: AugSpec>(engine: &VersionedStore<S>, wal: Option<&WalHook>) -> StoreStats {
-    let mut stats = engine.stats();
-    if let Some(wal) = wal {
-        stats.durability = wal.durability_stats();
-    }
-    stats
+/// What a store shares with its committer and checkpointer threads: the
+/// one head, the pipeline feeding it, the commit counters and — when
+/// durable — the log.
+struct Core<S: AugSpec> {
+    registry: Registry<S>,
+    pipeline: Arc<Pipeline<S>>,
+    stats: StatsInner,
+    wal: Option<WalPart>,
 }
 
-/// The engine's health, worsened by a failing checkpointer (see
-/// [`Store::health`]).
-fn health_of<S: AugSpec>(engine: &VersionedStore<S>, wal: Option<&WalHook>) -> Health {
-    match wal {
-        Some(wal) => wal.health(engine.health()),
-        None => engine.health(),
+impl<S: AugSpec> Core<S> {
+    /// The commit/batch/version counters with the WAL's overlaid when
+    /// durable: what [`Store::stats`] returns and `/metrics` exports.
+    fn stats(&self) -> StoreStats {
+        let (head, live, retired) = self.registry.counts();
+        let mut stats = StoreStats::from_inner(&self.stats, live, retired, head);
+        if let Some(wal) = &self.wal {
+            stats.durability = wal.durability_stats();
+        }
+        stats
+    }
+
+    /// What [`Store::health`] returns and `/health` serves.
+    fn health(&self) -> Health {
+        let pipeline = match self.pipeline.poison_reason() {
+            Some(reason) => Health::Poisoned(reason),
+            None => Health::Healthy,
+        };
+        match &self.wal {
+            Some(wal) => wal.health(pipeline),
+            None => pipeline,
+        }
     }
 }
 
@@ -135,16 +151,23 @@ fn health_of<S: AugSpec>(engine: &VersionedStore<S>, wal: Option<&WalHook>) -> H
 /// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 pub struct Store<S: AugSpec> {
-    /// Declared first: the telemetry server's source closures hold engine
-    /// handles, so the server must shut down (and drain its in-flight
-    /// scrapes) before the engine begins its teardown.
+    /// `Drop` takes and stops these three in this order: the telemetry
+    /// server (its sources hold `core` handles), the checkpointer, then
+    /// the committer, which drains every buffered write into the log.
     obs: Option<ObsServer>,
-    engine: Arc<VersionedStore<S>>,
+    checkpointer: Option<JoinHandle<()>>,
+    committer: Option<JoinHandle<()>>,
+    /// The last handle once both threads are joined: dropping it closes
+    /// the log.
+    core: Arc<Core<S>>,
     shards: usize,
-    /// `None`: a volatile store. Declared after `engine`: it holds the
-    /// engine's last handle, which drains into the WAL before the
-    /// directory lock is released.
-    durable: Option<Durability<S>>,
+    /// What recovery found, shard order (empty for a volatile store).
+    recovery: Vec<RecoveryInfo>,
+    /// Keeps the directory the flight dump's destination through the
+    /// committer's drain.
+    _dump_dir: Option<flight::DumpDirGuard>,
+    /// Declared last: the directory stays locked until the log is closed.
+    _lock: Option<DirLock>,
 }
 
 impl<S: AugSpec> Store<S>
@@ -152,6 +175,14 @@ where
     S::K: Codec + ShardKey,
     S::V: Codec,
 {
+    /// An empty **volatile** store: the same pipeline and read paths as
+    /// [`Self::open`], with no disk underneath — an ack promises
+    /// visibility only, and everything is gone on drop.
+    pub fn volatile(config: ShardedConfig) -> Self {
+        let maps = (0..config.shards.max(1)).map(|_| AugMap::new()).collect();
+        Self::start(maps, 0, &config, None)
+    }
+
     /// Open (or create) a durable store in `dir`: verify the shard-count
     /// manifest, bulk-load every shard's newest valid checkpoint **in
     /// parallel**, then replay the one log once from the oldest of those
@@ -180,26 +211,81 @@ where
         config: ShardedConfig,
         durability: DurabilityConfig,
     ) -> io::Result<Self> {
-        let durable = Durability::open(dir.as_ref(), &config, &durability)?;
-        let mut store = Store {
-            obs: None,
-            engine: durable.engine.clone(),
-            shards: config.shards.max(1),
-            durable: None,
-        };
+        let dir = dir.as_ref();
+        let durable::Recovered {
+            lock,
+            maps,
+            version,
+            recovery,
+            wal,
+        } = durable::recover::<S>(dir, config.shards.max(1), &durability)?;
+        let mut store = Self::start(maps, version, &config, Some(wal));
+        store.recovery = recovery;
+        store._dump_dir = Some(flight::register_dump_dir(dir));
+        store._lock = Some(lock);
+        if let Some(every) = durability.checkpoint_every_bytes {
+            let core = store.core.clone();
+            store.checkpointer = Some(
+                std::thread::Builder::new()
+                    .name("pam-store-checkpointer".into())
+                    .spawn(move || {
+                        if let Some(wal) = &core.wal {
+                            wal.run_checkpointer(&core.registry, every);
+                        }
+                    })?,
+            );
+        }
         if let Some(addr) = &durability.obs_addr {
-            let (engine, hook) = (durable.engine.clone(), durable.hook.clone());
-            let (engine2, hook2) = (engine.clone(), hook.clone());
+            let (metrics, health) = (store.core.clone(), store.core.clone());
             let source = TelemetrySource {
-                export: Box::new(move |reg| stats_of(&engine, Some(&hook)).export_into(reg)),
-                health: Box::new(move || health_of(&engine2, Some(&hook2))),
+                export: Box::new(move |reg| metrics.stats().export_into(reg)),
+                health: Box::new(move || health.health()),
             };
             let server = ObsServer::bind(addr.as_str(), source)
                 .map_err(|e| io::Error::new(e.kind(), format!("binding obs_addr {addr}: {e}")))?;
             store.obs = Some(server);
         }
-        store.durable = Some(durable);
         Ok(store)
+    }
+
+    /// A store whose version `version` is the tuple `maps`, one map per
+    /// shard, with its committer running — appending to `wal` first when
+    /// durable.
+    fn start(
+        maps: Vec<AugMap<S>>,
+        version: VersionId,
+        config: &ShardedConfig,
+        wal: Option<WalPart>,
+    ) -> Self {
+        let shards = maps.len();
+        let core = Arc::new(Core {
+            registry: Registry::new(version, maps),
+            pipeline: Arc::new(Pipeline::new(config, version)),
+            stats: StatsInner::default(),
+            wal,
+        });
+        let worker = core.clone();
+        let committer = std::thread::Builder::new()
+            .name("pam-store-committer".into())
+            .spawn(move || {
+                worker
+                    .pipeline
+                    .run_committer(&worker.registry, &worker.stats, worker.wal.as_ref());
+            })
+            // lint: allow(panic) construction-time failure with no
+            // caller to report to: a store without its committer thread
+            // cannot exist, and spawn only fails on resource exhaustion
+            .expect("spawn committer thread");
+        Store {
+            obs: None,
+            checkpointer: None,
+            committer: Some(committer),
+            core,
+            shards,
+            recovery: Vec::new(),
+            _dump_dir: None,
+            _lock: None,
+        }
     }
 
     /// Checkpoint now: pin the head at store epoch `E`, stream every
@@ -213,37 +299,12 @@ where
     /// pass through, naming the shard whose file failed. A failed
     /// checkpoint is never fatal: the WAL still holds everything.
     pub fn checkpoint(&self) -> io::Result<u64> {
-        match &self.durable {
-            Some(d) => d.checkpoint(),
+        match &self.core.wal {
+            Some(wal) => wal.checkpoint(&self.core.registry),
             None => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "a volatile store has nothing to checkpoint",
             )),
-        }
-    }
-}
-
-impl<S: AugSpec> Store<S>
-where
-    S::K: ShardKey,
-{
-    /// An empty **volatile** store: the same engine and read paths as
-    /// [`Self::open`], with no disk underneath — an ack promises
-    /// visibility only, and everything is gone on drop.
-    pub fn volatile(config: ShardedConfig) -> Self {
-        let shards = config.shards.max(1);
-        let maps = (0..shards).map(|_| AugMap::new()).collect();
-        Store {
-            obs: None,
-            engine: Arc::new(VersionedStore::sharded(
-                maps,
-                0,
-                &config.store,
-                None,
-                S::K::shard_hash,
-            )),
-            shards,
-            durable: None,
         }
     }
 
@@ -263,12 +324,12 @@ where
     /// published — and, on a durable store, logged first
     /// (**ack-vs-durable**, invariant I1).
     pub fn put(&self, key: S::K, value: S::V) -> CommitTicket<S> {
-        self.engine.put(key, value)
+        self.core.pipeline.submit(WriteOp::Put(key, value))
     }
 
     /// Remove `key` (a no-op if absent — still acked).
     pub fn delete(&self, key: S::K) -> CommitTicket<S> {
-        self.engine.delete(key)
+        self.core.pipeline.submit(WriteOp::Delete(key))
     }
 
     /// Enqueue several operations as one **atomic batch**: they share an
@@ -277,13 +338,13 @@ where
     /// The batch may share its epoch with concurrent writers (group
     /// commit), whatever shards its keys route to.
     pub fn write_batch(&self, ops: impl IntoIterator<Item = WriteOp<S>>) -> CommitTicket<S> {
-        self.engine.write_batch(ops)
+        self.core.pipeline.submit_all(ops)
     }
 
     /// Upsert many pairs atomically (convenience over
     /// [`Self::write_batch`]).
     pub fn put_all(&self, pairs: impl IntoIterator<Item = (S::K, S::V)>) -> CommitTicket<S> {
-        self.engine.put_all(pairs)
+        self.write_batch(pairs.into_iter().map(|(k, v)| WriteOp::Put(k, v)))
     }
 
     /// Block until every previously enqueued operation (from any handle)
@@ -292,9 +353,9 @@ where
     ///
     /// # Panics
     ///
-    /// If the store was poisoned by a failed commit hook.
+    /// If the store was poisoned by a failed WAL append.
     pub fn flush(&self) -> VersionId {
-        self.engine.flush()
+        self.core.pipeline.flush()
     }
 
     // -- reads ------------------------------------------------------------
@@ -351,7 +412,7 @@ where
 
     /// Total entries in the current version.
     pub fn len(&self) -> usize {
-        self.engine.len()
+        self.snapshot().len()
     }
 
     /// Is the current version empty?
@@ -363,32 +424,32 @@ where
     /// which contains every write acknowledged before the call and every
     /// batch wholly or not at all.
     pub fn snapshot(&self) -> Snapshot<S> {
-        Snapshot {
-            pin: self.engine.pin(),
-        }
+        self.core.registry.pin_head()
     }
 
     // -- observability -----------------------------------------------------
 
-    /// Store-wide statistics: the engine's commit/batch/version counters,
-    /// with the WAL and checkpoint counters when durable (zeros
-    /// otherwise).
+    /// Store-wide statistics: the commit/batch/version counters, with the
+    /// WAL and checkpoint counters when durable (zeros otherwise).
     pub fn stats(&self) -> StoreStats {
-        stats_of(&self.engine, self.durable.as_ref().map(|d| &*d.hook))
+        self.core.stats()
     }
 
     /// The store's health: `Poisoned` with the original error after a
-    /// commit-hook (WAL) fail-stop beats `Degraded` while the background
+    /// WAL-append fail-stop beats `Degraded` while the background
     /// checkpointer keeps failing (the reason names the failing shard),
     /// which beats `Healthy`.
     pub fn health(&self) -> Health {
-        health_of(&self.engine, self.durable.as_ref().map(|d| &*d.hook))
+        self.core.health()
     }
 
     /// Exact heap bytes reachable from the current version of every
-    /// shard.
+    /// shard. What an older snapshot costs on top is only the nodes it
+    /// does not share with this one.
     pub fn memory_bytes(&self) -> usize {
-        self.engine.memory_bytes()
+        let snap = self.snapshot();
+        let roots: Vec<_> = snap.entry.maps.iter().map(AugMap::root).collect();
+        pam::stats::reachable_bytes(&roots)
     }
 
     // -- the durability part -------------------------------------------------
@@ -396,13 +457,13 @@ where
     /// What recovery found per shard when this store was opened (empty
     /// for a volatile store).
     pub fn recovery(&self) -> &[RecoveryInfo] {
-        self.durable.as_ref().map_or(&[], |d| &d.recovery)
+        &self.recovery
     }
 
     /// The directory holding the manifest, the log and the shard
     /// checkpoint directories (`None` for a volatile store).
     pub fn dir(&self) -> Option<&Path> {
-        self.durable.as_ref().map(|d| d.dir.as_path())
+        self.core.wal.as_ref().map(|wal| wal.dir.as_path())
     }
 
     /// The live telemetry endpoint's bound address, when
@@ -412,9 +473,29 @@ where
     }
 }
 
+impl<S: AugSpec> Drop for Store<S> {
+    fn drop(&mut self) {
+        // Stop in dependency order (see the field docs); the fields then
+        // drop in declaration order: the core, closing the log, the
+        // flight-dump registration and, last, the directory lock.
+        drop(self.obs.take());
+        if let Some(wal) = &self.core.wal {
+            wal.stop_checkpointer();
+        }
+        if let Some(h) = self.checkpointer.take() {
+            let _ = h.join();
+        }
+        self.core.pipeline.begin_shutdown();
+        if let Some(h) = self.committer.take() {
+            let _ = h.join();
+        }
+    }
+}
+
 impl<S: AugSpec> std::fmt::Debug for Store<S>
 where
-    S::K: ShardKey,
+    S::K: Codec + ShardKey,
+    S::V: Codec,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Store({} shards, len {}", self.num_shards(), self.len())?;
@@ -434,7 +515,7 @@ where
 /// change, and never observe later writes. Holding the snapshot keeps
 /// its version alive; it dies with its last holder. Cloning is O(1).
 pub struct Snapshot<S: AugSpec> {
-    pin: PinnedVersion<S>,
+    pub(crate) entry: Arc<VersionEntry<S>>,
 }
 
 impl<S: AugSpec> Snapshot<S>
@@ -443,16 +524,16 @@ where
 {
     /// The pinned version's id: the epoch of the last write it contains.
     pub fn version(&self) -> VersionId {
-        self.pin.id()
+        self.entry.id
     }
 
     /// The map of shard `i` in this version.
     pub fn shard(&self, i: usize) -> &AugMap<S> {
-        &self.pin.shards()[i]
+        &self.entry.maps[i]
     }
 
     fn shard_of_key(&self, key: &S::K) -> &AugMap<S> {
-        let maps = self.pin.shards();
+        let maps = &self.entry.maps;
         &maps[route(key.shard_hash(), maps.len())]
     }
 
@@ -467,12 +548,12 @@ where
     /// key order so successive lookups share their upper tree path in
     /// cache.
     pub fn get_many(&self, keys: &[S::K]) -> Vec<Option<S::V>> {
-        scatter_gather_get_many(self.pin.shards(), keys)
+        scatter_gather_get_many(&self.entry.maps, keys)
     }
 
     /// Total entries in the snapshot.
     pub fn len(&self) -> usize {
-        self.pin.shards().iter().map(AugMap::len).sum()
+        self.entry.maps.iter().map(AugMap::len).sum()
     }
 
     /// Is the snapshot empty?
@@ -512,8 +593,8 @@ where
         mut f: impl FnMut(&S::K, &S::V) -> ControlFlow<()>,
     ) {
         let mut iters: Vec<_> = self
-            .pin
-            .shards()
+            .entry
+            .maps
             .iter()
             .map(|m| m.iter_range(lo, hi))
             .collect();
@@ -538,7 +619,7 @@ where
     /// combined out of key order, so on more than one shard the spec's
     /// combine must be commutative (all built-ins are).
     pub fn aug_range(&self, lo: &S::K, hi: &S::K) -> S::A {
-        self.pin.shards().iter().fold(S::identity(), |acc, m| {
+        self.entry.maps.iter().fold(S::identity(), |acc, m| {
             S::combine(&acc, &m.aug_range(lo, hi))
         })
     }
@@ -546,8 +627,8 @@ where
     /// Augmented value of the whole snapshot (same commutativity caveat
     /// as [`Self::aug_range`]).
     pub fn aug_val(&self) -> S::A {
-        self.pin
-            .shards()
+        self.entry
+            .maps
             .iter()
             .fold(S::identity(), |acc, m| S::combine(&acc, &m.aug_val()))
     }
@@ -556,21 +637,20 @@ where
 impl<S: AugSpec> Clone for Snapshot<S> {
     fn clone(&self) -> Self {
         Snapshot {
-            pin: self.pin.clone(),
+            entry: self.entry.clone(),
         }
     }
 }
 
 impl<S: AugSpec> std::fmt::Debug for Snapshot<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Snapshot(v{})", self.pin.id())
+        write!(f, "Snapshot(v{})", self.entry.id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StoreConfig;
     use pam::SumAug;
     use std::collections::BTreeMap;
     use std::time::Duration;
@@ -580,11 +660,18 @@ mod tests {
     fn eager_config(shards: usize) -> ShardedConfig {
         ShardedConfig {
             shards,
-            store: StoreConfig {
-                batch_window: Duration::ZERO,
-                ..StoreConfig::default()
-            },
+            batch_window: Duration::ZERO,
+            ..ShardedConfig::default()
         }
+    }
+
+    /// A one-shard volatile store with the given pipeline tuning.
+    fn one_shard(batch_window: Duration, max_batch: usize) -> Store<S> {
+        Store::volatile(ShardedConfig {
+            shards: 1,
+            batch_window,
+            max_batch,
+        })
     }
 
     fn eager(shards: usize) -> Store<S> {
@@ -882,5 +969,182 @@ mod tests {
         );
         // ... and a zero shard count is clamped to that case
         assert_eq!(eager(0).num_shards(), 1);
+    }
+
+    // -- the pipeline and the registry, through a one-shard store ----------
+
+    #[test]
+    fn put_get_delete_roundtrip() {
+        let store = eager(1);
+        store.put(1, 10);
+        store.put(2, 20);
+        store.put(1, 11).wait();
+        assert_eq!(store.get(&1), Some(11));
+        assert_eq!(store.get(&2), Some(20));
+        assert_eq!(store.get(&3), None);
+        store.delete(1).wait();
+        assert_eq!(store.get(&1), None);
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn the_first_commit_builds_on_the_seed_map() {
+        // the committer takes its starting maps and version from the
+        // registry head, so each commit extends the one before it
+        let store = eager(1);
+        assert_eq!(store.put_all(vec![(1, 1), (2, 2), (3, 3)]).wait(), 1);
+        let v1 = store.snapshot();
+        assert_eq!((v1.version(), store.len()), (1, 3));
+        assert_eq!(store.put(4, 4).wait(), 2);
+        assert_eq!(store.snapshot().shard(0).to_vec().len(), 4);
+        assert_eq!(v1.shard(0).len(), 3);
+    }
+
+    #[test]
+    fn pins_freeze_history() {
+        let store = eager(1);
+        store.put(1, 1).wait();
+        let pinned = store.snapshot();
+        store.put(1, 999).wait();
+        store.put(2, 2).wait();
+        assert_eq!(pinned.get(&1), Some(1));
+        assert_eq!(pinned.len(), 1);
+        assert_eq!(store.get(&1), Some(999));
+        assert!(store.snapshot().version() > pinned.version());
+    }
+
+    #[test]
+    fn a_pin_keeps_its_own_version_and_no_other() {
+        let store = eager(1);
+        store.put(1, 1).wait();
+        let pin = store.snapshot();
+        for i in 2..=101u64 {
+            store.put(i, i).wait();
+        }
+        assert_eq!(store.stats().live_versions, 2, "the head and the pin");
+        assert_eq!((pin.version(), pin.shard(0).to_vec()), (1, vec![(1, 1)]));
+        drop(pin);
+        let s = store.stats();
+        assert_eq!((s.live_versions, s.retired_versions), (1, 101));
+    }
+
+    #[test]
+    fn write_batch_is_atomic_wrt_flush() {
+        let store = eager(1);
+        let t = store.write_batch(vec![
+            WriteOp::Put(1, 1),
+            WriteOp::Put(2, 2),
+            WriteOp::Delete(1),
+        ]);
+        let v = t.wait();
+        let pinned = store.snapshot();
+        assert_eq!(pinned.version(), v);
+        assert_eq!(pinned.get(&1), None);
+        assert_eq!(pinned.get(&2), Some(2));
+    }
+
+    #[test]
+    fn flush_waits_for_everything() {
+        let store = one_shard(Duration::from_millis(5), ShardedConfig::default().max_batch);
+        for i in 0..500u64 {
+            store.put(i, i);
+        }
+        let v = store.flush();
+        assert!(v >= 1);
+        assert_eq!(store.len(), 500);
+        let s = store.stats();
+        assert_eq!(s.raw_ops, 500);
+        assert!(
+            s.commits < 500,
+            "group commit should have batched ({} commits)",
+            s.commits
+        );
+    }
+
+    #[test]
+    fn stats_and_memory_are_populated() {
+        let store = eager(1);
+        store.put_all((0..1000u64).map(|k| (k, 1))).wait();
+        store.put(5, 2).wait();
+        let s = store.stats();
+        assert_eq!(s.commits, 2);
+        assert_eq!(s.raw_ops, 1001);
+        assert_eq!(s.applied_ops, 1001);
+        assert_eq!(s.head_version, 2);
+        assert!(s.max_batch >= 1000);
+        assert!(s.mean_commit > Duration::ZERO);
+        assert!(store.memory_bytes() > 1000 * 8);
+        let display = s.to_string();
+        assert!(display.contains("2 commits"));
+    }
+
+    #[test]
+    fn flush_is_durable_even_mid_apply() {
+        // Regression: flush() used to return early when the buffer was
+        // empty but the committer was still *applying* a drained epoch.
+        // put → flush → get must always observe the write.
+        let store = eager(1);
+        for i in 0..1000u64 {
+            store.put(i % 7, i);
+            store.flush();
+            assert_eq!(store.get(&(i % 7)), Some(i), "write lost after flush");
+        }
+    }
+
+    #[test]
+    fn max_batch_zero_behaves_as_one() {
+        // Regression: the committer's window gate used to compare against
+        // the *raw* config.max_batch while submit used the clamped copy,
+        // so the two halves of the pipeline disagreed on the cap. With
+        // max_batch: 0 (clamped to 1) a single op is already at the cap:
+        // it must commit immediately, never lingering for the window.
+        let store = one_shard(Duration::from_secs(10), 0);
+        let t0 = std::time::Instant::now();
+        store.put(1, 11).wait();
+        store.put(2, 22).wait();
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "max_batch == 0 must clamp to 1 and skip the 10s window (took {:?})",
+            t0.elapsed()
+        );
+        assert_eq!(store.get(&1), Some(11));
+        assert_eq!(store.get(&2), Some(22));
+    }
+
+    #[test]
+    fn crossing_max_batch_cuts_the_window_short() {
+        let store = one_shard(Duration::from_secs(2), 64);
+        let t0 = std::time::Instant::now();
+        for i in 0..64u64 {
+            store.put(i, i);
+        }
+        store.flush();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "batch cap must drain before the 2s window elapses (took {:?})",
+            t0.elapsed()
+        );
+        assert_eq!(store.len(), 64);
+    }
+
+    #[test]
+    fn drop_drains_pending_writes() {
+        let core;
+        {
+            let store = one_shard(
+                Duration::from_millis(50),
+                ShardedConfig::default().max_batch,
+            );
+            for i in 0..100u64 {
+                store.put(i, i);
+            }
+            core = store.core.clone();
+            // store dropped here with writes possibly still buffered
+        }
+        assert_eq!(
+            core.registry.pin_head().len(),
+            100,
+            "drop must drain the pipeline"
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! on-disk checkpoint size must stay within bounds that the per-entry
 //! (one node per entry) seed layout could not meet.
 
-use pam::{AugMap, SumAug, WeightBalanced};
-use pam_store::{DurabilityConfig, ShardedConfig, Store, StoreConfig, VersionedStore};
+use pam::{SumAug, WeightBalanced};
+use pam_store::{DurabilityConfig, ShardedConfig, Store};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -19,12 +19,21 @@ fn per_entry_baseline(n: usize) -> usize {
     n * (pam::stats::node_size::<Spec, WeightBalanced>() + 2 * std::mem::size_of::<usize>())
 }
 
+/// A one-shard volatile store holding `(i, i)` for every `i < N`.
+fn seeded(batch_window: Duration) -> Store<Spec> {
+    let store = Store::volatile(
+        ShardedConfig::builder()
+            .shards(1)
+            .batch_window(batch_window)
+            .build(),
+    );
+    store.put_all((0..N).map(|i| (i, i))).wait();
+    store
+}
+
 #[test]
 fn store_memory_is_at_least_2x_below_per_entry_baseline() {
-    let store: VersionedStore<Spec> = VersionedStore::from_map(
-        AugMap::from_sorted_distinct(&(0..N).map(|i| (i, i)).collect::<Vec<_>>()),
-        StoreConfig::default(),
-    );
+    let store = seeded(ShardedConfig::default().batch_window);
     assert_eq!(store.len(), N as usize);
     let reachable = store.memory_bytes();
     let baseline = per_entry_baseline(N as usize);
@@ -44,13 +53,7 @@ fn store_memory_is_at_least_2x_below_per_entry_baseline() {
 fn point_updates_keep_memory_within_baseline() {
     // after random single-key churn the tree must stay block-packed
     // enough to hold the 2x bound (non-root blocks >= half full)
-    let store: VersionedStore<Spec> = VersionedStore::from_map(
-        AugMap::from_sorted_distinct(&(0..N).map(|i| (i, i)).collect::<Vec<_>>()),
-        StoreConfig {
-            batch_window: Duration::ZERO,
-            ..StoreConfig::default()
-        },
-    );
+    let store = seeded(Duration::ZERO);
     // one acked op per epoch: every update is its own path copy, and
     // `memory_bytes` below is what the head alone reaches
     for i in 0..2_000u64 {

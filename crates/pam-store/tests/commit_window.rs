@@ -6,12 +6,12 @@
 //! Every test here is about timing, so they take turns (`TURN`) even
 //! when the harness runs tests on parallel threads.
 
-use pam::{AugMap, NoAug, SumAug};
-use pam_store::{StoreConfig, VersionedStore};
+use pam::{NoAug, SumAug};
+use pam_store::{ShardedConfig, Store};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-type Engine = VersionedStore<SumAug<u64, u64>>;
+type Engine = Store<SumAug<u64, u64>>;
 
 static TURN: Mutex<()> = Mutex::new(());
 
@@ -20,11 +20,17 @@ fn my_turn() -> MutexGuard<'static, ()> {
     TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn engine(batch_window: Duration) -> Engine {
-    Engine::with_config(StoreConfig {
+/// A one-shard store: every epoch is one bulk op on one map.
+fn one_shard(batch_window: Duration, max_batch: usize) -> ShardedConfig {
+    ShardedConfig {
+        shards: 1,
         batch_window,
-        ..StoreConfig::default()
-    })
+        max_batch,
+    }
+}
+
+fn engine(batch_window: Duration) -> Engine {
+    Engine::volatile(one_shard(batch_window, ShardedConfig::default().max_batch))
 }
 
 #[test]
@@ -77,15 +83,16 @@ fn many_closed_loop_writers_still_share_epochs() {
     const PER_WRITER: u64 = 1000;
     // the serving spec over a preloaded shard, so a commit costs what it
     // costs `pam-serve`: writers that arrive during one share the next
-    type ByteStore = VersionedStore<NoAug<Vec<u8>, Vec<u8>>>;
+    type ByteStore = Store<NoAug<Vec<u8>, Vec<u8>>>;
     let key = |i: u64| format!("user{i:012}").into_bytes();
-    let store = Arc::new(ByteStore::from_map(
-        AugMap::build((0..50_000).map(|i| (key(i), vec![0u8; 100])).collect()),
-        StoreConfig {
-            batch_window: Duration::from_micros(200),
-            ..StoreConfig::default()
-        },
-    ));
+    let store = Arc::new(ByteStore::volatile(one_shard(
+        Duration::from_micros(200),
+        ShardedConfig::default().max_batch,
+    )));
+    store
+        .put_all((0..50_000).map(|i| (key(i), vec![0u8; 100])))
+        .wait();
+    let seeded = store.stats();
     let start = Arc::new(Barrier::new(WRITERS as usize));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
@@ -105,12 +112,12 @@ fn many_closed_loop_writers_still_share_epochs() {
         h.join().expect("writer panicked");
     }
     let s = store.stats();
-    assert_eq!(s.raw_ops, WRITERS * PER_WRITER);
-    let per_commit = s.raw_ops as f64 / s.commits as f64;
+    let (ops, commits) = (s.raw_ops - seeded.raw_ops, s.commits - seeded.commits);
+    assert_eq!(ops, WRITERS * PER_WRITER);
+    let per_commit = ops as f64 / commits as f64;
     assert!(
         per_commit >= 10.0,
-        "{WRITERS} closed-loop writers averaged {per_commit:.2} ops/commit over {} commits",
-        s.commits
+        "{WRITERS} closed-loop writers averaged {per_commit:.2} ops/commit over {commits} commits"
     );
 }
 
@@ -122,10 +129,7 @@ fn a_flood_batches_and_no_epoch_outlasts_the_window() {
     // behind, may add on a loaded two-core box
     const SLACK: Duration = Duration::from_millis(250);
     // no batch cap: only the window can close an epoch mid-flood
-    let store = Arc::new(Engine::with_config(StoreConfig {
-        batch_window: WINDOW,
-        max_batch: usize::MAX,
-    }));
+    let store = Arc::new(Engine::volatile(one_shard(WINDOW, usize::MAX)));
     // fire-and-forget for longer than WINDOW + SLACK: every slice of the
     // linger sees new operations, so an epoch that only closes when the
     // stream pauses would be caught. The flooders pause between puts, so

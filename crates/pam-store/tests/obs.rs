@@ -1,31 +1,31 @@
 //! Integration tests for the live-telemetry surface: a durable `Store`
-//! (1 shard, then 4) scraped over a raw `TcpStream`,
-//! the poison path surfacing its reason through `health()` and
+//! (1 shard, then 4) scraped over a raw `TcpStream`, the poison path
+//! surfacing its reason through `health()` and the store's own
 //! `/health`, and — in a re-executed child process, mirroring
 //! `recovery.rs` — the flight recorder dumping `flight-<pid>.json` into
-//! the WAL directory when a commit hook fails.
+//! the store directory when a WAL append fails.
+//!
+//! A real append failure needs no fault-injection seam: a file planted
+//! where the log's next segment must go makes the WAL's `create_new`
+//! fail with `AlreadyExists`.
 
-use pam::{AugMap, SumAug};
+use pam::SumAug;
 use pam_obs::json::Json;
-use pam_obs::{Health, ObsServer, TelemetrySource};
-use pam_store::{
-    CommitHook, DurabilityConfig, NormalizedBatch, ShardedConfig, Store, StoreConfig,
-    VersionedStore,
-};
+use pam_obs::Health;
+use pam_store::{DurabilityConfig, ShardedConfig, Store};
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 type Spec = SumAug<u64, u64>;
 
-fn eager() -> StoreConfig {
-    StoreConfig {
+fn eager(shards: usize) -> ShardedConfig {
+    ShardedConfig {
+        shards,
         batch_window: Duration::ZERO,
-        ..StoreConfig::default()
+        ..ShardedConfig::default()
     }
 }
 
@@ -78,11 +78,7 @@ fn assert_prometheus_shape(body: &str) {
 #[test]
 fn obs_endpoints_serve_live_store() {
     let dir = fresh_dir("live");
-    let config = ShardedConfig {
-        shards: 1,
-        store: eager(),
-    };
-    let store: Store<Spec> = Store::open(&dir, config, with_obs()).expect("open with obs_addr");
+    let store: Store<Spec> = Store::open(&dir, eager(1), with_obs()).expect("open with obs_addr");
     let addr = store.obs_addr().expect("obs server bound");
     for e in 1..=50u64 {
         store.put(e, e * 2).wait();
@@ -155,12 +151,8 @@ fn obs_endpoints_serve_live_store() {
 #[test]
 fn sharded_store_binds_one_aggregated_endpoint() {
     let dir = fresh_dir("sharded");
-    let config = ShardedConfig {
-        shards: 4,
-        store: eager(),
-    };
     let store: Store<Spec> =
-        Store::open(&dir, config, with_obs()).expect("open sharded with obs_addr");
+        Store::open(&dir, eager(4), with_obs()).expect("open sharded with obs_addr");
     let addr = store.obs_addr().expect("aggregated obs server bound");
     for k in 0..256u64 {
         store.put(k, k).wait();
@@ -228,15 +220,11 @@ fn sharded_store_binds_one_aggregated_endpoint() {
 #[test]
 fn degraded_health_names_the_shard_whose_checkpointer_fails() {
     let dir = fresh_dir("degraded");
-    let config = ShardedConfig {
-        shards: 2,
-        store: eager(),
-    };
     let durability = DurabilityConfig {
         checkpoint_every_bytes: Some(1), // every poll with new epochs checkpoints
         ..DurabilityConfig::default()
     };
-    let store: Store<Spec> = Store::open(&dir, config, durability).expect("open");
+    let store: Store<Spec> = Store::open(&dir, eager(2), durability).expect("open");
     store.put(0, 0).wait();
     assert_eq!(store.health(), Health::Healthy);
     // swap shard 1's checkpoint directory for a plain file: the log
@@ -284,10 +272,7 @@ fn degraded_health_names_the_shard_whose_checkpointer_fails() {
 #[test]
 fn an_unbindable_obs_addr_fails_the_open_and_releases_the_directory() {
     let dir = fresh_dir("obs-bind");
-    let config = || ShardedConfig {
-        shards: 2,
-        store: eager(),
-    };
+    let config = || eager(2);
     let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = taken.local_addr().unwrap().to_string();
     let err = Store::<Spec>::open(
@@ -308,35 +293,30 @@ fn an_unbindable_obs_addr_fails_the_open_and_releases_the_directory() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A commit hook that starts failing at the given `log_epoch` call,
-/// poisoning the store the way a dying disk would.
-struct FailingHook {
-    fail_from: u64,
-    calls: AtomicU64,
+/// The error the WAL's `create_new` of `segment` meets while a file is
+/// in the way.
+fn blocked(segment: &Path) -> String {
+    fs::OpenOptions::new()
+        .create_new(true)
+        .write(true)
+        .open(segment)
+        .expect_err("a file is in the way")
+        .to_string()
 }
 
-impl CommitHook<Spec> for FailingHook {
-    fn log_epoch(&self, _epoch: u64, _batch: &NormalizedBatch<Spec>) -> std::io::Result<()> {
-        let n = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
-        if n >= self.fail_from {
-            Err(std::io::Error::other("injected disk failure"))
-        } else {
-            Ok(())
-        }
-    }
+/// Plant a file at `segment`, where the log's next segment must go, and
+/// return the error the WAL will meet creating it.
+fn block_segment(segment: &Path) -> String {
+    fs::write(segment, b"in the way").unwrap();
+    blocked(segment)
 }
 
 #[test]
 fn poisoned_health_reports_reason() {
-    let hook = Arc::new(FailingHook {
-        fail_from: 1,
-        calls: AtomicU64::new(0),
-    });
-    let store: Arc<VersionedStore<Spec>> = Arc::new(VersionedStore::with_commit_hook(
-        AugMap::new(),
-        eager(),
-        hook,
-    ));
+    let dir = fresh_dir("poison");
+    let store: Store<Spec> = Store::open(&dir, eager(1), with_obs()).expect("open");
+    // a fresh log creates its first segment on epoch 1's append
+    let cause = block_segment(&dir.join("wal-00000000000000000001.seg"));
 
     // The failed epoch's waiter panics with the preserved reason.
     let ticket = store.put(1, 1);
@@ -347,61 +327,55 @@ fn poisoned_health_reports_reason() {
         .cloned()
         .unwrap_or_else(|| "<non-string panic>".into());
     assert!(
-        msg.contains("injected disk failure"),
-        "panic must carry the hook error, got {msg:?}"
+        msg.contains(&cause),
+        "panic must carry the WAL error {cause:?}, got {msg:?}"
     );
     assert!(msg.contains("poisoned"), "panic names the poison: {msg:?}");
 
     // health() preserves the original error text...
     match store.health() {
         Health::Poisoned(reason) => {
-            assert!(reason.contains("injected disk failure"), "reason: {reason}");
+            assert!(reason.contains(&cause), "reason: {reason}");
             assert!(reason.contains("epoch 1"), "reason names epoch: {reason}");
         }
         other => panic!("expected Poisoned, got {other:?}"),
     }
 
-    // ...and an obs server over this store serves 503 with the reason.
-    let st = store.clone();
-    let st2 = store.clone();
-    let server = ObsServer::bind(
-        "127.0.0.1:0",
-        TelemetrySource {
-            export: Box::new(move |reg| st.stats().export_into(reg)),
-            health: Box::new(move || st2.health()),
-        },
-    )
-    .expect("bind");
-    let (code, body) = http_get(server.local_addr(), "/health");
+    // ...and the store's own endpoint serves 503 with the reason.
+    let (code, body) = http_get(store.obs_addr().expect("obs server bound"), "/health");
     assert_eq!(code, 503, "poisoned store must serve 503");
     let h = Json::parse(&body).unwrap();
     assert_eq!(h.get("status").and_then(Json::as_str), Some("poisoned"));
     assert!(
         h.get("reason")
             .and_then(Json::as_str)
-            .is_some_and(|r| r.contains("injected disk failure")),
-        "/health reason must carry the hook error: {body}"
+            .is_some_and(|r| r.contains(&cause)),
+        "/health reason must carry the WAL error: {body}"
     );
+    drop(store);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
-/// When `PAM_OBS_CRASH_DIR` is set this test *is* the crashing child:
-/// it registers the dump directory, commits three clean epochs, hits
-/// the injected hook failure on epoch 4, and `abort()`s — exactly the
-/// fail-stop path. The parent run re-executes the binary and asserts
-/// the flight recorder left `flight-<pid>.json` naming the poisoned
-/// epoch, with the ring, metrics, and recent events inside.
+/// The segment epoch 4's append must create when every append rotates.
+const EPOCH_4_SEGMENT: &str = "wal-00000000000000000004.seg";
+
+/// When `PAM_OBS_CRASH_DIR` is set this test *is* the crashing child: it
+/// opens a store there whose every append starts a new segment, blocks
+/// epoch 4's segment, commits three clean epochs, hits the failed append
+/// on epoch 4, and `abort()`s — exactly the fail-stop path. The parent
+/// run re-executes the binary and asserts the flight recorder left
+/// `flight-<pid>.json` in the store directory naming the poisoned epoch,
+/// with the ring, metrics, and recent events inside.
 #[test]
 fn flight_dump_written_on_poison() {
     if let Ok(dir) = std::env::var("PAM_OBS_CRASH_DIR") {
         let dir = PathBuf::from(dir);
-        fs::create_dir_all(&dir).unwrap();
-        let _guard = pam_obs::flight::register_dump_dir(&dir);
-        let hook = Arc::new(FailingHook {
-            fail_from: 4,
-            calls: AtomicU64::new(0),
-        });
-        let store: VersionedStore<Spec> =
-            VersionedStore::with_commit_hook(AugMap::new(), eager(), hook);
+        let rotate_every_epoch = DurabilityConfig {
+            segment_bytes: 1,
+            ..DurabilityConfig::default()
+        };
+        let store: Store<Spec> = Store::open(&dir, eager(1), rotate_every_epoch).expect("open");
+        block_segment(&dir.join(EPOCH_4_SEGMENT));
         for e in 1..=3u64 {
             store.put(e, e).wait(); // epochs 1..=3 land in the flight ring
         }
@@ -435,9 +409,10 @@ fn flight_dump_written_on_poison() {
         .expect("flight-<pid>.json written on poison");
     let v = Json::parse(&fs::read_to_string(&dump).unwrap()).expect("flight dump parses");
     let reason = v.get("reason").and_then(Json::as_str).expect("reason");
+    let cause = blocked(&dir.join(EPOCH_4_SEGMENT));
     assert!(
-        reason.contains("injected disk failure"),
-        "dump reason preserves the hook error: {reason}"
+        reason.contains(&cause) && reason.contains("epoch 4"),
+        "dump reason preserves the WAL error {cause:?}: {reason}"
     );
     assert_eq!(
         v.get("poisoned_epoch").and_then(Json::as_f64),

@@ -4,12 +4,23 @@
 
 use pam::{AugMap, SumAug};
 use pam_store::op::normalize;
-use pam_store::{StoreConfig, VersionedStore, WriteOp};
+use pam_store::{ShardedConfig, Store, WriteOp};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 type S = SumAug<u64, u64>;
+
+/// A one-shard volatile store that commits at once: a snapshot's one map
+/// is the whole store.
+fn one_shard() -> Store<S> {
+    Store::volatile(
+        ShardedConfig::builder()
+            .shards(1)
+            .batch_window(Duration::ZERO)
+            .build(),
+    )
+}
 
 /// Put/Delete over a deliberately small key space so batches collide.
 fn op_strategy() -> impl Strategy<Value = WriteOp<S>> {
@@ -90,10 +101,7 @@ proptest! {
         ops in collection::vec(op_strategy(), 0..300),
         cuts in collection::vec(1usize..24, 1..24),
     ) {
-        let store: VersionedStore<S> = VersionedStore::with_config(StoreConfig {
-            batch_window: Duration::ZERO,
-            ..StoreConfig::default()
-        });
+        let store = one_shard();
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
         apply_sequentially(&mut oracle, &ops);
 
@@ -107,8 +115,8 @@ proptest! {
         }
         store.flush();
 
-        let pin = store.pin();
-        prop_assert_eq!(pin.map().to_vec(), oracle.into_iter().collect::<Vec<_>>());
+        let snap = store.snapshot();
+        prop_assert_eq!(snap.shard(0).to_vec(), oracle.into_iter().collect::<Vec<_>>());
     }
 
     // The registry has no retention policy beside the reference counts:
@@ -120,20 +128,16 @@ proptest! {
     fn a_version_lives_exactly_as_long_as_somebody_holds_it(
         steps in collection::vec(step_strategy(), 0..120),
     ) {
-        // Version 0 is a few hundred leaves, the operations land all over
+        // Version 1 is a few hundred leaves, the operations land all over
         // it: consecutive versions share most of their nodes.
         let seed: Vec<(u64, u64)> = (0..4096u64).map(|k| (k, k)).collect();
-        let store: VersionedStore<S> = VersionedStore::from_map(
-            AugMap::build(seed.clone()),
-            StoreConfig {
-                batch_window: Duration::ZERO,
-                ..StoreConfig::default()
-            },
-        );
+        let store = one_shard();
+        prop_assert_eq!(store.put_all(seed.clone()).wait(), 1);
         // The model: the head's map (its own lineage, built with the tree
         // operations the committer uses) and, per held version, the number
         // of holders and that version's map.
-        let (mut head_id, mut head_map) = (0u64, AugMap::<S>::build(seed));
+        let (mut head_id, mut head_map) = (1u64, AugMap::<S>::new());
+        head_map.multi_insert(seed);
         let mut held: BTreeMap<u64, (usize, AugMap<S>)> = BTreeMap::new();
         let mut pins = Vec::new();
 
@@ -155,20 +159,20 @@ proptest! {
                     prop_assert_eq!(store.write_batch(vec![op]).wait(), head_id);
                 }
                 Step::Pin => {
-                    pins.push(store.pin());
+                    pins.push(store.snapshot());
                     held.entry(head_id).or_insert((0, head_map.clone())).0 += 1;
                 }
                 Step::ClonePin(i) if !pins.is_empty() => {
                     let pin = pins[i % pins.len()].clone();
-                    held.get_mut(&pin.id()).expect("a held pin is in the model").0 += 1;
+                    held.get_mut(&pin.version()).expect("a held pin is in the model").0 += 1;
                     pins.push(pin);
                 }
                 Step::DropPin(i) if !pins.is_empty() => {
                     let pin = pins.swap_remove(i % pins.len());
-                    let holders = &mut held.get_mut(&pin.id()).expect("held").0;
+                    let holders = &mut held.get_mut(&pin.version()).expect("held").0;
                     *holders -= 1;
                     if *holders == 0 {
-                        held.remove(&pin.id());
+                        held.remove(&pin.version());
                     }
                 }
                 Step::ClonePin(_) | Step::DropPin(_) => {}
@@ -180,17 +184,17 @@ proptest! {
             prop_assert_eq!(stats.live_versions, live);
             prop_assert_eq!(stats.retired_versions + live as u64, head_id + 1);
             for pin in &pins {
-                let model = &held[&pin.id()].1;
+                let model = &held[&pin.version()].1;
                 prop_assert_eq!(
-                    (pin.map().len(), pin.map().aug_val()),
+                    (pin.shard(0).len(), pin.shard(0).aug_val()),
                     (model.len(), model.aug_val())
                 );
             }
-            let head = store.pin();
+            let head = store.snapshot();
             let store_roots: Vec<_> = pins
                 .iter()
-                .map(|p| p.map().root())
-                .chain([head.map().root()])
+                .map(|p| p.shard(0).root())
+                .chain([head.shard(0).root()])
                 .collect();
             let model_roots: Vec<_> = held
                 .values()
@@ -203,7 +207,7 @@ proptest! {
             );
         }
         for pin in &pins {
-            prop_assert_eq!(pin.map().to_vec(), held[&pin.id()].1.to_vec());
+            prop_assert_eq!(pin.shard(0).to_vec(), held[&pin.version()].1.to_vec());
         }
     }
 }

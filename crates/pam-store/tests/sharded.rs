@@ -5,7 +5,7 @@
 //! cross-shard batch's record.
 
 use pam::SumAug;
-use pam_store::{DurabilityConfig, ShardKey, ShardedConfig, Store, StoreConfig, WriteOp};
+use pam_store::{DurabilityConfig, ShardKey, ShardedConfig, Store, WriteOp};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -16,17 +16,11 @@ use std::time::Duration;
 type S = SumAug<u64, u64>;
 type Kv = Store<S>;
 
-fn eager_store() -> StoreConfig {
-    StoreConfig {
-        batch_window: Duration::ZERO,
-        ..StoreConfig::default()
-    }
-}
-
 fn eager_sharded(shards: usize) -> ShardedConfig {
     ShardedConfig {
         shards,
-        store: eager_store(),
+        batch_window: Duration::ZERO,
+        ..ShardedConfig::default()
     }
 }
 
@@ -86,10 +80,8 @@ fn snapshots_are_consistent_cuts_under_concurrent_writers() {
     const PER_WRITER: u64 = 400;
     let store = Arc::new(Kv::volatile(ShardedConfig {
         shards: 4,
-        store: StoreConfig {
-            batch_window: Duration::from_micros(50),
-            ..StoreConfig::default()
-        },
+        batch_window: Duration::from_micros(50),
+        ..ShardedConfig::default()
     }));
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -328,6 +320,9 @@ fn kill_and_recover_with_torn_shard_tail() {
             "--nocapture",
         ])
         .env("PAM_SHARD_CRASH_DIR", &dir)
+        // the child's harness leaves a half-printed "test … " line when it
+        // aborts; keep it out of this run's report
+        .stdout(std::process::Stdio::null())
         .status()
         .expect("spawn crash child");
     assert!(
@@ -394,10 +389,8 @@ proptest! {
     ) {
         let store = Arc::new(Kv::volatile(ShardedConfig {
             shards,
-            store: StoreConfig {
-                batch_window: Duration::from_micros(20),
-                ..StoreConfig::default()
-            },
+            batch_window: Duration::from_micros(20),
+            ..ShardedConfig::default()
         }));
         // spread keys; whether a given case crosses shards or collapses
         // onto one (fast path) is part of the space being tested
@@ -499,6 +492,7 @@ fn torn_cross_shard_batch_is_discarded_on_every_shard() {
             "--nocapture",
         ])
         .env("PAM_XBATCH_CRASH_DIR", &dir)
+        .stdout(std::process::Stdio::null()) // see kill_and_recover_with_torn_shard_tail
         .status()
         .expect("spawn crash child");
     assert!(!status.success(), "child must die by abort");

@@ -11,13 +11,23 @@
 //!   version ids that readers never see go backwards.
 
 use pam::{AugMap, SumAug};
-use pam_store::{StoreConfig, VersionedStore, WriteOp};
+use pam_store::{ShardedConfig, WriteOp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 type Spec = SumAug<u64, u64>;
-type Store = VersionedStore<Spec>;
+type Store = pam_store::Store<Spec>;
+
+/// A one-shard volatile store: a snapshot's one map is the whole store.
+fn one_shard(batch_window: Duration) -> Arc<Store> {
+    Arc::new(Store::volatile(
+        ShardedConfig::builder()
+            .shards(1)
+            .batch_window(batch_window)
+            .build(),
+    ))
+}
 
 fn fingerprint(m: &AugMap<Spec>) -> u64 {
     m.map_reduce(
@@ -33,10 +43,7 @@ fn fingerprint(m: &AugMap<Spec>) -> u64 {
 #[test]
 fn atomic_batches_under_contention() {
     const MIRROR: u64 = 1 << 32;
-    let store = Arc::new(Store::with_config(StoreConfig {
-        batch_window: Duration::from_micros(100),
-        ..StoreConfig::default()
-    }));
+    let store = one_shard(Duration::from_micros(100));
     let stop = Arc::new(AtomicBool::new(false));
     let writers = 4u64;
     let readers = 4u64;
@@ -49,11 +56,16 @@ fn atomic_batches_under_contention() {
             std::thread::spawn(move || {
                 let mut checks = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let pin = s.pin();
-                    let m = pin.map();
+                    let pin = s.snapshot();
+                    let m = pin.shard(0);
                     let low = m.range(&0, &(MIRROR - 1));
                     let high = m.down_to(&MIRROR);
-                    assert_eq!(low.len(), high.len(), "torn batch visible at v{}", pin.id());
+                    assert_eq!(
+                        low.len(),
+                        high.len(),
+                        "torn batch visible at v{}",
+                        pin.version()
+                    );
                     let lo_fp = low.map_reduce(
                         |&k, &v| k.wrapping_mul(31).wrapping_add(v),
                         u64::wrapping_add,
@@ -64,7 +76,7 @@ fn atomic_batches_under_contention() {
                         u64::wrapping_add,
                         0,
                     );
-                    assert_eq!(lo_fp, hi_fp, "mirror halves diverged at v{}", pin.id());
+                    assert_eq!(lo_fp, hi_fp, "mirror halves diverged at v{}", pin.version());
                     checks += 1;
                 }
                 checks
@@ -95,9 +107,9 @@ fn atomic_batches_under_contention() {
     let total_checks: usize = reader_handles.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(total_checks > 0, "readers must have raced the writers");
 
-    let head = store.pin();
-    assert_eq!(head.map().len() as u64, 2 * writers * per_writer);
-    head.map().check_invariants().unwrap();
+    let head = store.snapshot();
+    assert_eq!(head.shard(0).len() as u64, 2 * writers * per_writer);
+    head.shard(0).check_invariants().unwrap();
 
     let stats = store.stats();
     assert_eq!(stats.raw_ops, 2 * writers * per_writer);
@@ -119,10 +131,7 @@ fn atomic_batches_under_contention() {
 /// model of "last committed value per key" for the keys each writer owns.
 #[test]
 fn pinned_versions_immutable_while_head_churns() {
-    let store = Arc::new(Store::with_config(StoreConfig {
-        batch_window: Duration::from_micros(50),
-        ..StoreConfig::default()
-    }));
+    let store = one_shard(Duration::from_micros(50));
     store.put_all((0..1_000u64).map(|k| (k, 0))).wait();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -132,8 +141,8 @@ fn pinned_versions_immutable_while_head_churns() {
         std::thread::spawn(move || {
             let mut pins = Vec::new();
             while !stop.load(Ordering::Relaxed) && pins.len() < 400 {
-                let pin = s.pin();
-                let fp = fingerprint(pin.map());
+                let pin = s.snapshot();
+                let fp = fingerprint(pin.shard(0));
                 pins.push((pin, fp));
             }
             pins
@@ -176,21 +185,28 @@ fn pinned_versions_immutable_while_head_churns() {
     // every pin is exactly as it was when taken
     assert!(!pins.is_empty());
     for (pin, fp) in &pins {
-        assert_eq!(fingerprint(pin.map()), *fp, "pinned v{} mutated", pin.id());
-        pin.map().check_invariants().unwrap();
+        assert_eq!(
+            fingerprint(pin.shard(0)),
+            *fp,
+            "pinned v{} mutated",
+            pin.version()
+        );
+        pin.shard(0).check_invariants().unwrap();
     }
     // pins are monotone in version id
-    assert!(pins.windows(2).all(|w| w[0].0.id() <= w[1].0.id()));
+    assert!(pins
+        .windows(2)
+        .all(|w| w[0].0.version() <= w[1].0.version()));
 
     // the head equals the sequential model: final round deleted nothing
     // (rounds=200, 200 % 10 == 0 deletes k where i % 50 == 0)
-    let head = store.pin();
+    let head = store.snapshot();
     for t in 0..writers {
         let base = t * 250;
         for i in 0..250u64 {
             let k = base + i;
             let expect = if i % 50 == 0 { None } else { Some(rounds) };
-            assert_eq!(head.map().get(&k).copied(), expect, "key {k}");
+            assert_eq!(head.shard(0).get(&k).copied(), expect, "key {k}");
         }
     }
 
@@ -207,10 +223,7 @@ fn pinned_versions_immutable_while_head_churns() {
 /// committed prefix (monotone reads per key through a single store handle).
 #[test]
 fn tickets_resolve_and_reads_are_committed_states() {
-    let store = Arc::new(Store::with_config(StoreConfig {
-        batch_window: Duration::from_micros(100),
-        ..StoreConfig::default()
-    }));
+    let store = one_shard(Duration::from_micros(100));
     let threads = 6u64;
     let per = 100u64;
     let handles: Vec<_> = (0..threads)
@@ -263,10 +276,7 @@ fn tickets_resolve_and_reads_are_committed_states() {
 fn single_writer_publish_is_dense_monotone_and_visible_in_order() {
     const EPOCHS: u64 = 10_000;
     const KEY: u64 = 0;
-    let store = Arc::new(Store::with_config(StoreConfig {
-        batch_window: Duration::ZERO,
-        ..StoreConfig::default()
-    }));
+    let store = one_shard(Duration::ZERO);
     let stop = Arc::new(AtomicBool::new(false));
 
     let readers: Vec<_> = (0..3)
@@ -277,23 +287,29 @@ fn single_writer_publish_is_dense_monotone_and_visible_in_order() {
                 let (mut last_pin, mut rounds) = (0u64, 0u64);
                 while !stop.load(Ordering::Relaxed) {
                     let seen = s.get(&KEY).unwrap_or(0);
-                    let pin = s.pin();
+                    let pin = s.snapshot();
                     assert!(
-                        pin.id() >= seen,
-                        "get saw epoch {seen}, then pin() returned older v{}",
-                        pin.id()
+                        pin.version() >= seen,
+                        "get saw epoch {seen}, then snapshot() returned older v{}",
+                        pin.version()
                     );
-                    assert!(pin.id() >= last_pin, "pins went backwards");
-                    last_pin = pin.id();
+                    assert!(pin.version() >= last_pin, "pins went backwards");
+                    last_pin = pin.version();
                     assert_eq!(
-                        pin.map().get(&KEY).copied().unwrap_or(0),
-                        pin.id(),
+                        pin.shard(0).get(&KEY).copied().unwrap_or(0),
+                        pin.version(),
                         "version ids are not dense: v{} holds another epoch's write",
-                        pin.id()
+                        pin.version()
                     );
                     let flushed = s.flush();
-                    assert!(flushed >= pin.id(), "flush() returned an unpublished past");
-                    assert!(s.pin().id() >= flushed, "flush() ran ahead of the head");
+                    assert!(
+                        flushed >= pin.version(),
+                        "flush() returned an unpublished past"
+                    );
+                    assert!(
+                        s.snapshot().version() >= flushed,
+                        "flush() ran ahead of the head"
+                    );
                     rounds += 1;
                 }
                 rounds
@@ -309,7 +325,7 @@ fn single_writer_publish_is_dense_monotone_and_visible_in_order() {
     assert!(rounds > 0, "readers must have raced the writer");
 
     assert_eq!(store.flush(), EPOCHS, "flush() is the last published id");
-    assert_eq!(store.head_version(), EPOCHS);
+    assert_eq!(store.snapshot().version(), EPOCHS);
     assert_eq!(store.get(&KEY), Some(EPOCHS));
     assert_eq!(store.stats().commits, EPOCHS);
     assert_eq!(

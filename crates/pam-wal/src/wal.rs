@@ -335,7 +335,7 @@ impl Wal {
     /// # Errors
     ///
     /// Propagates filesystem errors from the write, fsync, or rotation.
-    /// The caller (the store's commit hook) treats any failure as
+    /// The caller (the store's committer) treats any failure as
     /// fail-stop.
     pub fn append(&mut self, epoch: u64, body: &[u8]) -> io::Result<AppendInfo> {
         debug_assert!(epoch > self.last_epoch, "epochs must be monotone");

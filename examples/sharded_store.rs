@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example sharded_store`
 
 use pam::SumAug;
-use pam_store::{DurabilityConfig, ShardedConfig, Store, StoreConfig};
+use pam_store::{DurabilityConfig, ShardedConfig, Store};
 use std::fs;
 use std::time::Duration;
 
@@ -17,10 +17,8 @@ type Ledger = Store<SumAug<u64, u64>>;
 fn config(shards: usize) -> ShardedConfig {
     ShardedConfig {
         shards,
-        store: StoreConfig {
-            batch_window: Duration::from_micros(100),
-            ..StoreConfig::default()
-        },
+        batch_window: Duration::from_micros(100),
+        ..ShardedConfig::default()
     }
 }
 
