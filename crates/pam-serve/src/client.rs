@@ -87,7 +87,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O failure or an error reply.
+    /// I/O failure or an error reply — including one for values that
+    /// together would not fit in one reply frame
+    /// ([`crate::wire::MAX_FRAME`]).
     pub fn get_many(&mut self, keys: &[Vec<u8>]) -> io::Result<Vec<Option<Vec<u8>>>> {
         match self.call(&Request::GetMany(keys.to_vec()))? {
             Response::Values(vs) => Ok(vs),
@@ -95,11 +97,16 @@ impl Client {
         }
     }
 
-    /// Ordered scan of `[lo, hi]`, at most `limit` entries.
+    /// Ordered scan of `[lo, hi]`: its first entries, at most `limit`
+    /// (and [`crate::wire::MAX_SCAN`]), and fewer if more would not fit
+    /// in one reply frame ([`crate::wire::MAX_FRAME`]). A short reply
+    /// therefore does not mean the range is exhausted; scan on from
+    /// after its last key.
     ///
     /// # Errors
     ///
-    /// I/O failure or an error reply.
+    /// I/O failure or an error reply (an entry too large for a reply
+    /// frame by itself).
     pub fn scan(
         &mut self,
         lo: &[u8],

@@ -24,14 +24,16 @@
 //!    named snapshot pins, the last holders of the versions they name.
 
 use crate::wire::{
-    decode_message, read_frame_capped, write_message, Request, Response, WireOp, MAX_FRAME,
-    MAX_SCAN,
+    decode_message, frame_message, read_frame_capped, EntriesFrame, Request, Response, WireOp,
+    MAX_FRAME, MAX_SCAN,
 };
 use pam::AugSpec;
 use pam_store::{Bytes, Snapshot, Store, WriteOp};
+use pam_wal::frame::HEADER_LEN;
+use pam_wal::varint_len;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,6 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -235,59 +238,113 @@ fn worker_loop<S>(
     }
 }
 
+/// Capacity a connection's reply buffer keeps between requests: a larger
+/// reply's buffer is freed once it is sent.
+const REPLY_BUF_KEEP: usize = 1 << 20;
+
+/// How long a worker polls its connection for the next request (one
+/// `yield_now` apart) before it blocks in `read`. A closed-loop client
+/// sends its next request a few µs after the reply. A worker that blocked
+/// in the meantime has to be woken for it, and while a CPU is idle the
+/// scheduler wakes it there, so the request waits for a cross-CPU
+/// wake-up. The pool's workers poll before parking for the same reason.
+/// A quiet connection costs one window of polling per reply.
+const POLL_BEFORE_BLOCK: Duration = Duration::from_micros(50);
+
 /// Serve one connection to completion: read a frame, decode, dispatch,
 /// reply — until clean EOF, a protocol error (answered with
 /// [`Response::Err`], then the connection closes), or drain.
+///
+/// Every reply is framed in place in one buffer the connection reuses,
+/// and sent with one `write_all`; then the worker polls for the next
+/// request for up to [`POLL_BEFORE_BLOCK`] before it blocks.
 fn serve_connection<S>(store: &Store<S>, pins: &Pins<S>, mut stream: TcpStream, max_frame: usize)
 where
     S: AugSpec<K = Bytes, V = Bytes>,
 {
     let _ = stream.set_nodelay(true);
     let mut session: Option<Arc<Snapshot<S>>> = None;
+    let mut reply = Vec::new();
     loop {
-        match read_frame_capped(&mut stream, max_frame) {
+        let (start, close) = match read_frame_capped(&mut stream, max_frame) {
             Ok(None) => break,
-            Ok(Some(payload)) => {
-                let reply = match decode_message::<Request>(&payload) {
-                    Ok(req) => {
-                        // a panicking dispatch (e.g. a poisoned store's
-                        // ticket) must not take the worker thread down
-                        catch_unwind(AssertUnwindSafe(|| {
-                            dispatch(store, pins, &mut session, req)
-                        }))
-                        .unwrap_or_else(|_| Response::Err("internal error".into()))
-                    }
-                    Err(e) => {
-                        let _ = write_message(&mut stream, &Response::Err(e.msg.into()));
-                        break;
-                    }
-                };
-                if write_message(&mut stream, &reply).is_err() {
-                    break;
+            Ok(Some(payload)) => match decode_message::<Request>(&payload) {
+                Ok(req) => {
+                    // a panicking dispatch (e.g. a poisoned store's
+                    // ticket) must not take the worker thread down
+                    let start = catch_unwind(AssertUnwindSafe(|| {
+                        dispatch(store, pins, &mut session, req, &mut reply)
+                    }))
+                    .unwrap_or_else(|_| {
+                        frame_reply(&mut reply, &Response::Err("internal error".into()))
+                    });
+                    (start, false)
                 }
-            }
+                Err(e) => (frame_reply(&mut reply, &Response::Err(e.msg.into())), true),
+            },
+            // hostile or corrupt framing: answer cleanly, then close
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // hostile or corrupt framing: answer cleanly, then close
-                let _ = write_message(&mut stream, &Response::Err(e.to_string()));
-                break;
+                (frame_reply(&mut reply, &Response::Err(e.to_string())), true)
             }
             Err(_) => break,
+        };
+        if stream.write_all(&reply[start..]).is_err() || close {
+            break;
+        }
+        reply.clear();
+        reply.shrink_to(REPLY_BUF_KEEP);
+        if poll_for_request(&stream).is_err() {
+            break;
         }
     }
 }
 
+/// Poll `stream` without blocking until a request byte (or EOF, or an
+/// error, which the next read reports) is there, or
+/// [`POLL_BEFORE_BLOCK`] has passed; then put it back in blocking mode.
+fn poll_for_request(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    let start = Instant::now();
+    let mut probe = [0u8; 1];
+    while matches!(stream.peek(&mut probe), Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+        && start.elapsed() < POLL_BEFORE_BLOCK
+    {
+        thread::yield_now();
+    }
+    stream.set_nonblocking(false)
+}
+
+/// Frame `reply` into `out`; returns where the frame starts. A reply
+/// whose payload would be over [`MAX_FRAME`], which no client reads, is
+/// framed as an `Err` instead.
+fn frame_reply(out: &mut Vec<u8>, reply: &Response) -> usize {
+    frame_message(out, reply);
+    if out.len() - HEADER_LEN > MAX_FRAME {
+        frame_message(out, &over_frame_limit());
+    }
+    0
+}
+
+fn over_frame_limit() -> Response {
+    Response::Err(format!("reply over the {MAX_FRAME}-byte frame limit"))
+}
+
+/// Serve `req`, framing its reply into `out`; returns where the frame
+/// starts.
 fn dispatch<S>(
     store: &Store<S>,
     pins: &Pins<S>,
     session: &mut Option<Arc<Snapshot<S>>>,
     req: Request,
-) -> Response
+    out: &mut Vec<u8>,
+) -> usize
 where
     S: AugSpec<K = Bytes, V = Bytes>,
 {
     // Wire messages carry `Vec<u8>`; the store holds shared `Bytes`.
-    // Requests convert once on the way in, replies copy the bytes out.
-    match req {
+    // Requests convert once on the way in; a scan encodes its entries
+    // straight from the snapshot, other replies copy the bytes out.
+    let reply = match req {
         Request::Ping => Response::Pong,
         Request::Get(key) => {
             let key = Bytes::from(key);
@@ -303,30 +360,22 @@ where
                 Some(snap) => snap.get_many(&keys),
                 None => store.get_many(&keys),
             };
-            Response::Values(values.into_iter().map(|v| v.map(|v| v.to_vec())).collect())
-        }
-        Request::Scan { lo, hi, limit } => {
-            let (lo, hi) = (Bytes::from(lo), Bytes::from(hi));
-            let limit = limit.min(MAX_SCAN) as usize;
-            let mut entries = Vec::new();
-            if limit > 0 {
-                // Break as soon as the limit is reached: the merge pulls
-                // no further entry, however wide `[lo, hi]` is.
-                let collect = |k: &Bytes, v: &Bytes| {
-                    entries.push((k.to_vec(), v.to_vec()));
-                    if entries.len() < limit {
-                        ControlFlow::Continue(())
-                    } else {
-                        ControlFlow::Break(())
-                    }
-                };
-                match session {
-                    Some(snap) => snap.range_try_for_each(&lo, &hi, collect),
-                    None => store.range_try_for_each(&lo, &hi, collect),
-                }
+            // size the reply before copying a byte of it: repeated keys
+            // of large values could otherwise ask for any amount
+            let payload = values
+                .iter()
+                .fold(1 + varint_len(values.len() as u64), |n, v| {
+                    n + 1
+                        + v.as_ref()
+                            .map_or(0, |v| varint_len(v.len() as u64) + v.len())
+                });
+            if payload > MAX_FRAME {
+                over_frame_limit()
+            } else {
+                Response::Values(values.into_iter().map(|v| v.map(|v| v.to_vec())).collect())
             }
-            Response::Entries(entries)
         }
+        Request::Scan { lo, hi, limit } => return scan(store, session, lo, hi, limit, out),
         Request::Len => Response::Count(match session {
             Some(snap) => snap.len() as u64,
             None => store.len() as u64,
@@ -347,16 +396,16 @@ where
         Request::Pin(name) => {
             let snap = Arc::new(store.snapshot());
             let epoch = snap.version();
-            {
-                let mut pins = pins.lock();
-                // re-pinning a name replaces its snapshot: no new holder
-                if pins.len() >= MAX_PINS && !pins.contains_key(&name) {
-                    return Response::Err("too many pins".into());
-                }
-                pins.insert(name, Arc::clone(&snap));
+            let mut table = pins.lock();
+            // re-pinning a name replaces its snapshot: no new holder
+            if table.len() >= MAX_PINS && !table.contains_key(&name) {
+                Response::Err("too many pins".into())
+            } else {
+                table.insert(name, Arc::clone(&snap));
+                drop(table);
+                *session = Some(snap);
+                Response::Pinned(epoch)
             }
-            *session = Some(snap);
-            Response::Pinned(epoch)
         }
         Request::UsePin(name) => match pins.lock().get(&name) {
             Some(snap) => {
@@ -377,7 +426,53 @@ where
             *session = None;
             Response::Ok
         }
+    };
+    frame_reply(out, &reply)
+}
+
+/// Encode the reply to a `Scan` straight from the snapshot into `out`;
+/// returns where the frame starts. The walk stops at `limit` (capped at
+/// [`MAX_SCAN`]) or before the entry that would push the reply over
+/// [`MAX_FRAME`], so the reply is the range's first entries either way.
+/// Only a first entry too large for a frame by itself is an `Err`.
+fn scan<S>(
+    store: &Store<S>,
+    session: &Option<Arc<Snapshot<S>>>,
+    lo: Vec<u8>,
+    hi: Vec<u8>,
+    limit: u64,
+    out: &mut Vec<u8>,
+) -> usize
+where
+    S: AugSpec<K = Bytes, V = Bytes>,
+{
+    let (lo, hi) = (Bytes::from(lo), Bytes::from(hi));
+    let limit = limit.min(MAX_SCAN);
+    let mut entries = EntriesFrame::new(out, MAX_FRAME);
+    let mut full = false;
+    if limit > 0 {
+        // Break as soon as the limit is reached: the merge pulls no
+        // further entry, however wide `[lo, hi]` is.
+        let encode = |k: &Bytes, v: &Bytes| {
+            if !entries.push(k, v) {
+                full = true;
+                return ControlFlow::Break(());
+            }
+            if entries.len() < limit {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        };
+        match session {
+            Some(snap) => snap.range_try_for_each(&lo, &hi, encode),
+            None => store.range_try_for_each(&lo, &hi, encode),
+        }
     }
+    if full && entries.is_empty() {
+        return frame_reply(out, &over_frame_limit());
+    }
+    entries.finish()
 }
 
 /// The reply to a write whose ticket has resolved: the write is

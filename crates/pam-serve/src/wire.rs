@@ -14,18 +14,22 @@
 //! rejects anything over its cap (default [`MAX_FRAME`], 16 MiB) *before*
 //! allocating.
 
-use pam_wal::frame::{self, HEADER_LEN};
-use pam_wal::{put_varint, Codec, CodecError, Reader};
+use pam_wal::frame::{self, OpenFrame};
+use pam_wal::{put_varint, varint_len, Codec, CodecError, Reader};
 use std::io::{self, Write};
 
 /// Default maximum frame payload accepted from a peer (16 MiB). Generous
 /// for batches, small enough that a hostile length prefix cannot balloon
-/// server memory.
+/// server memory. The server keeps its replies under it too, since the
+/// client reads them with this cap.
 pub const MAX_FRAME: usize = 16 << 20;
 
 /// Cap on entries returned by one `Scan` request, applied server-side
 /// regardless of the requested limit.
 pub const MAX_SCAN: u64 = 1 << 16;
+
+/// The [`Response::Entries`] tag.
+const ENTRIES: u8 = 4;
 
 /// One write inside a [`Request::Batch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,10 +73,12 @@ pub enum Request {
     Ping,
     /// Point read (session-pinned snapshot if one is active, else live).
     Get(Vec<u8>),
-    /// Multi-point read, results in input order.
+    /// Multi-point read, results in input order (an `Err` reply if the
+    /// values would not fit in one [`MAX_FRAME`] frame).
     GetMany(Vec<Vec<u8>>),
-    /// Ordered scan of `[lo, hi]`, at most `limit` entries
-    /// (server-capped at [`MAX_SCAN`]).
+    /// Ordered scan of `[lo, hi]`: its first entries, at most `limit`
+    /// (server-capped at [`MAX_SCAN`]) and no more than fit in one
+    /// [`MAX_FRAME`] frame.
     Scan {
         /// Inclusive lower bound.
         lo: Vec<u8>,
@@ -221,7 +227,7 @@ impl Codec for Response {
                 put_seq(out, vs);
             }
             Response::Entries(es) => {
-                out.push(4);
+                out.push(ENTRIES);
                 put_seq(out, es);
             }
             Response::Count(n) => {
@@ -253,7 +259,7 @@ impl Codec for Response {
             1 => Response::Pong,
             2 => Response::Value(Option::decode(r)?),
             3 => Response::Values(get_seq(r)?),
-            4 => Response::Entries(get_seq(r)?),
+            ENTRIES => Response::Entries(get_seq(r)?),
             5 => Response::Count(r.varint()?),
             6 => Response::Acked {
                 version: r.varint()?,
@@ -290,18 +296,94 @@ fn get_seq<T: Codec>(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
     Ok(out)
 }
 
+/// Frame `msg` into `out`, replacing its contents: the payload is
+/// encoded straight after the reserved header, and the frame is all of
+/// `out`.
+pub fn frame_message<M: Codec>(out: &mut Vec<u8>, msg: &M) {
+    out.clear();
+    let frame = frame::open_frame(out, 0);
+    msg.encode(out);
+    frame.close(out, &[]);
+}
+
 /// Frame `msg` and write it to `w` (one `write_all`, then flush).
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_message<W: Write, M: Codec>(w: &mut W, msg: &M) -> io::Result<()> {
-    let mut payload = Vec::new();
-    msg.encode(&mut payload);
-    let mut framed = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame::put_frame(&mut framed, &payload);
+    let mut framed = Vec::new();
+    frame_message(&mut framed, msg);
     w.write_all(&framed)?;
     w.flush()
+}
+
+/// A [`Response::Entries`] frame encoded one entry at a time into a
+/// caller's buffer: byte for byte what `write_message` sends for the same
+/// entries, without building them as owned pairs first. The entry count
+/// is known only at the end, so the tag and count go in front of the
+/// entries when the frame is [finished](EntriesFrame::finish).
+pub struct EntriesFrame<'a> {
+    out: &'a mut Vec<u8>,
+    frame: OpenFrame,
+    count: u64,
+    cap: usize,
+}
+
+impl<'a> EntriesFrame<'a> {
+    /// Room in front of the entries: the tag and a count of at most
+    /// [`MAX_SCAN`].
+    const PREFIX_ROOM: usize = 1 + varint_len(MAX_SCAN);
+
+    /// Start an `Entries` frame in `out` (its contents are replaced)
+    /// whose payload may hold at most `cap` bytes.
+    pub fn new(out: &'a mut Vec<u8>, cap: usize) -> Self {
+        out.clear();
+        let frame = frame::open_frame(out, Self::PREFIX_ROOM);
+        EntriesFrame {
+            out,
+            frame,
+            count: 0,
+            cap,
+        }
+    }
+
+    /// Append one entry. Returns `false`, appending nothing, when the
+    /// frame already holds [`MAX_SCAN`] entries or the entry would push
+    /// its payload over the cap.
+    pub fn push(&mut self, key: &[u8], value: &[u8]) -> bool {
+        let entry =
+            varint_len(key.len() as u64) + key.len() + varint_len(value.len() as u64) + value.len();
+        let payload = 1 + varint_len(self.count + 1) + self.frame.body_len(self.out) + entry;
+        if self.count == MAX_SCAN || payload > self.cap {
+            return false;
+        }
+        put_varint(self.out, key.len() as u64);
+        self.out.extend_from_slice(key);
+        put_varint(self.out, value.len() as u64);
+        self.out.extend_from_slice(value);
+        self.count += 1;
+        true
+    }
+
+    /// Entries appended so far.
+    pub fn len(&self) -> u64 {
+        self.count
+    }
+
+    /// Whether no entry has been appended.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Finish the frame; returns where it starts in the buffer, so the
+    /// frame is `out[start..]`.
+    pub fn finish(self) -> usize {
+        let mut prefix = Vec::with_capacity(Self::PREFIX_ROOM);
+        prefix.push(ENTRIES);
+        put_varint(&mut prefix, self.count);
+        self.frame.close(self.out, &prefix)
+    }
 }
 
 /// The hostile-peer frame reader, now shared workspace-wide from
@@ -410,6 +492,40 @@ mod tests {
         wire[last] ^= 0xff; // flip a payload bit; crc no longer matches
         let err = read_frame_capped(&mut &wire[..], MAX_FRAME).unwrap_err();
         assert!(err.to_string().contains("bad frame crc"));
+    }
+
+    #[test]
+    fn entries_frame_matches_the_codec_and_stops_at_its_caps() {
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = [0usize, 1, 127, 128, 300]
+            .iter()
+            .map(|&n| (vec![n as u8; n % 7], vec![0xab; n]))
+            .collect();
+        let frame_of = |es: &[(Vec<u8>, Vec<u8>)]| {
+            let mut want = Vec::new();
+            write_message(&mut want, &Response::Entries(es.to_vec())).unwrap();
+            want
+        };
+        let whole = frame_of(&entries);
+        // a cap of exactly the payload fits every entry; one byte less
+        // drops the last, which then is not appended
+        for (cap, fits) in [(whole.len() - 8, 5), (whole.len() - 9, 4)] {
+            let mut out = Vec::new();
+            let mut frame = EntriesFrame::new(&mut out, cap);
+            let pushed = entries.iter().take_while(|(k, v)| frame.push(k, v)).count();
+            assert_eq!(pushed, fits, "cap {cap}");
+            let start = frame.finish();
+            assert_eq!(&out[start..], &frame_of(&entries[..fits])[..], "cap {cap}");
+        }
+        // the count stops at MAX_SCAN, whose varint fills the prefix room
+        let mut out = Vec::new();
+        let mut frame = EntriesFrame::new(&mut out, MAX_FRAME);
+        assert!(frame.is_empty());
+        while frame.push(b"", b"") {}
+        assert_eq!(frame.len(), MAX_SCAN);
+        let start = frame.finish();
+        let empty = vec![(Vec::new(), Vec::new()); MAX_SCAN as usize];
+        assert_eq!(start, 0);
+        assert_eq!(out, frame_of(&empty));
     }
 
     #[test]

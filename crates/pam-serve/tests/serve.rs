@@ -2,9 +2,11 @@
 //! acks, session pins, and the graceful-drain protocol.
 
 use pam::NoAug;
-use pam_serve::{serve, Client, ServeConfig, Server, WireOp};
-use pam_store::{Bytes, DurabilityConfig, ShardedConfig, Store};
-use std::net::SocketAddr;
+use pam_serve::wire::{write_message, MAX_FRAME, MAX_SCAN};
+use pam_serve::{serve, Client, Request, Response, ServeConfig, Server, WireOp};
+use pam_store::{Bytes, DurabilityConfig, ShardedConfig, Snapshot, Store};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -366,4 +368,183 @@ fn scan_with_a_limit_stops_walking_at_the_limit() {
     HI_COMPARES.store(0, Ordering::Relaxed);
     assert_eq!(c.scan(&key(0), HI, 0).unwrap(), vec![]);
     assert_eq!(HI_COMPARES.load(Ordering::Relaxed), 0);
+}
+
+/// After a reply the worker polls for the next request without blocking,
+/// then goes back to a blocking read: a client that pauses past that
+/// window, or between the bytes of a request, is still served.
+#[test]
+fn a_paused_client_is_still_served() {
+    let store = eager_store(1);
+    let (_server, addr) = start(Arc::clone(&store));
+    let mut c = Client::connect(addr).unwrap();
+    c.put(b"k", b"v").unwrap();
+    for pause_us in [0, 30, 200, 5_000] {
+        std::thread::sleep(Duration::from_micros(pause_us));
+        assert_eq!(c.get(b"k").unwrap(), Some(b"v".to_vec()), "{pause_us} µs");
+    }
+    // a request split across two writes with a pause between them
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut frame = Vec::new();
+    write_message(&mut frame, &Request::Get(b"k".to_vec())).unwrap();
+    for _ in 0..2 {
+        raw.write_all(&frame[..3]).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        raw.write_all(&frame[3..]).unwrap();
+        let reply = raw_reply_frame(&mut raw);
+        assert_eq!(decode(&reply), Response::Value(Some(b"v".to_vec())));
+    }
+}
+
+/// A reply the client's `MAX_FRAME` cap would refuse is never sent: a
+/// scan that would outgrow it comes back as the range's first entries,
+/// exactly as with a smaller `limit`, and a multi-get that would is an
+/// `Err`. Either way the connection stays in step and keeps serving.
+#[test]
+fn replies_stay_under_the_frame_limit() {
+    let store = eager_store(2);
+    let (_server, addr) = start(Arc::clone(&store));
+    let mut c = Client::connect(addr).unwrap();
+    let big = vec![0xabu8; 9 << 20];
+    c.put(&key(1), &big).unwrap();
+    c.put(&key(2), &big).unwrap();
+    c.put(&key(3), b"small").unwrap();
+
+    // (key, value length) pairs: a failed comparison prints no 9 MiB vec
+    let shape = |entries: Vec<(Vec<u8>, Vec<u8>)>| {
+        assert!(entries.iter().all(|(_, v)| v[0] == 0xab || v == b"small"));
+        entries
+            .into_iter()
+            .map(|(k, v)| (k, v.len()))
+            .collect::<Vec<_>>()
+    };
+    let big_len = big.len();
+
+    // two 9 MiB entries make an 18 MiB reply: the scan stops before the
+    // second, the entry that would push it over
+    let got = c.scan(&key(0), &key(9), 2).unwrap();
+    assert_eq!(shape(got), vec![(key(1), big_len)]);
+    c.ping().unwrap();
+    // a scan starting at that entry walks on from there
+    let got = c.scan(&key(2), &key(9), 10).unwrap();
+    assert_eq!(shape(got), vec![(key(2), big_len), (key(3), 5)]);
+
+    let err = c.get_many(&[key(1), key(2)]).unwrap_err();
+    assert!(err.to_string().contains("frame limit"), "{err}");
+    c.ping().unwrap();
+    // repeated keys count too
+    assert!(c.get_many(&[key(1), key(1)]).is_err());
+    let got = c.get_many(&[key(1), key(3)]).unwrap();
+    assert!(got == vec![Some(big.clone()), Some(b"small".to_vec())]);
+    assert!(c.get(&key(2)).unwrap() == Some(big));
+    c.ping().unwrap();
+}
+
+/// Send `req` on a raw connection and return the reply frame's bytes,
+/// header included, as they came off the socket.
+fn raw_reply(stream: &mut TcpStream, req: &Request) -> Vec<u8> {
+    write_message(stream, req).unwrap();
+    raw_reply_frame(stream)
+}
+
+/// Read one reply frame off a raw connection, header included.
+fn raw_reply_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; 8];
+    stream.read_exact(&mut frame).unwrap();
+    let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+    assert!(len <= MAX_FRAME);
+    frame.resize(8 + len, 0);
+    stream.read_exact(&mut frame[8..]).unwrap();
+    frame
+}
+
+/// The server encodes a scan straight from the snapshot into its reply
+/// buffer; the frame must be byte for byte what the `Response` codec
+/// writes for the same entries, live and from a pinned session.
+#[test]
+fn scan_frames_are_byte_identical_to_the_entries_encoder() {
+    let store = eager_store(4);
+    let n = MAX_SCAN + 100;
+    store
+        .put_all((0..n).map(|i| {
+            (
+                key(i).into(),
+                Bytes::from(&i.to_le_bytes()[..(i % 9) as usize]),
+            )
+        }))
+        .wait();
+    // an empty key and value, and values at the varint length boundaries
+    store
+        .put(Bytes::from(&b""[..]), Bytes::from(&b""[..]))
+        .wait();
+    for (i, len) in [127usize, 128, 16_383, 16_384].into_iter().enumerate() {
+        store
+            .put(
+                Bytes::from(vec![0xfe, i as u8]),
+                Bytes::from(vec![i as u8; len]),
+            )
+            .wait();
+    }
+    let (_server, addr) = start(Arc::clone(&store));
+    let mut stream = TcpStream::connect(addr).unwrap();
+
+    let all = (Vec::new(), vec![0xff; 9]);
+    let mut cases: Vec<(Vec<u8>, Vec<u8>, u64)> = [0, 1, 127, 128, 129, MAX_SCAN + 1]
+        .into_iter()
+        .map(|limit| (all.0.clone(), all.1.clone(), limit))
+        .collect();
+    cases.extend([
+        (vec![0xff, 0xff], vec![0xff, 0xff, 0xff], 10), // empty: past every key
+        (key(9), key(3), 10),                           // empty: lo > hi
+        (key(5), key(5), 10),                           // one entry
+        (key(10), key(20), 100),                        // ends before the limit
+        (vec![], vec![], 3),                            // the empty key alone
+        (vec![0xfe], vec![0xff], 10),                   // the boundary values
+        (vec![0xfe, 1], vec![0xfe, 2], 1),              // limit mid-range
+    ]);
+    let check = |stream: &mut TcpStream, snap: &Snapshot<Spec>, what: &str| {
+        for (lo, hi, limit) in &cases {
+            let entries: Vec<(Vec<u8>, Vec<u8>)> = snap
+                .range(&Bytes::from(lo.clone()), &Bytes::from(hi.clone()))
+                .into_iter()
+                .take((*limit).min(MAX_SCAN) as usize)
+                .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                .collect();
+            let mut want = Vec::new();
+            write_message(&mut want, &Response::Entries(entries)).unwrap();
+            let req = Request::Scan {
+                lo: lo.clone(),
+                hi: hi.clone(),
+                limit: *limit,
+            };
+            let got = raw_reply(stream, &req);
+            assert!(
+                got == want,
+                "{what}: scan [{lo:?}, {hi:?}] limit {limit}: {} bytes, want {}",
+                got.len(),
+                want.len()
+            );
+        }
+    };
+    check(&mut stream, &store.snapshot(), "live");
+
+    // pin, then move the live store on: the session reads the pinned cut
+    let snap = store.snapshot();
+    let Response::Pinned(version) = decode(&raw_reply(&mut stream, &Request::Pin("cut".into())))
+    else {
+        panic!("pin refused")
+    };
+    assert_eq!(version, snap.version());
+    store.delete(key(5).into()).wait();
+    store
+        .put(Bytes::from(vec![0xfe, 0]), Bytes::from(vec![7u8; 300]))
+        .wait();
+    check(&mut stream, &snap, "pinned");
+
+    raw_reply(&mut stream, &Request::Release);
+    check(&mut stream, &store.snapshot(), "live after the pin");
+}
+
+fn decode(frame: &[u8]) -> Response {
+    pam_serve::wire::decode_message(&frame[8..]).unwrap()
 }

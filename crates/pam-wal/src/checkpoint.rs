@@ -98,16 +98,26 @@ where
     file.write_all(&out)?;
     bytes += out.len() as u64;
 
-    fn flush_chunk(file: &mut File, cur: &[u8], in_cur: usize) -> io::Result<u64> {
-        let mut payload = Vec::with_capacity(10 + cur.len());
-        put_varint(&mut payload, in_cur as u64);
-        payload.extend_from_slice(cur);
-        let mut buf = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-        frame::put_frame(&mut buf, &payload);
-        file.write_all(&buf)?;
-        Ok(buf.len() as u64)
+    // Each chunk is framed in place: entries encode straight after the
+    // reserved header, and the count, known once the chunk is full, goes
+    // in front of them at close.
+    const COUNT_ROOM: usize = 10; // a u64 varint
+    fn flush_chunk(
+        file: &mut File,
+        cur: &mut Vec<u8>,
+        chunk: frame::OpenFrame,
+        n: usize,
+    ) -> io::Result<u64> {
+        let mut count = Vec::with_capacity(COUNT_ROOM);
+        put_varint(&mut count, n as u64);
+        let start = chunk.close(cur, &count);
+        file.write_all(&cur[start..])?;
+        let written = (cur.len() - start) as u64;
+        cur.clear();
+        Ok(written)
     }
     let mut cur = Vec::new();
+    let mut chunk = frame::open_frame(&mut cur, COUNT_ROOM);
     let mut in_cur = 0usize;
     let mut total = 0u64;
     // io errors inside the visitor are parked here and re-raised after
@@ -122,17 +132,17 @@ where
         in_cur += 1;
         total += 1;
         if in_cur == CHUNK_ENTRIES {
-            match flush_chunk(&mut file, &cur, in_cur) {
+            match flush_chunk(&mut file, &mut cur, chunk, in_cur) {
                 Ok(n) => bytes += n,
                 Err(e) => deferred = Err(e),
             }
-            cur.clear();
+            chunk = frame::open_frame(&mut cur, COUNT_ROOM);
             in_cur = 0;
         }
     });
     deferred?;
     if in_cur > 0 {
-        bytes += flush_chunk(&mut file, &cur, in_cur)?;
+        bytes += flush_chunk(&mut file, &mut cur, chunk, in_cur)?;
     }
     if total != len {
         return Err(io::Error::new(

@@ -128,6 +128,11 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// Bytes [`put_varint`] writes for `v`.
+pub const fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 #[inline]
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -361,6 +366,17 @@ mod tests {
         buf.extend_from_slice(b"xy");
         assert!(String::decode(&mut Reader::new(&buf)).is_err());
         assert!(Vec::<u8>::decode(&mut Reader::new(&buf)).is_err());
+    }
+
+    #[test]
+    fn varint_len_counts_what_put_varint_writes() {
+        // both sides of every power of two, so every 7-bit boundary
+        let edges = (0..64).flat_map(|b| [(1u64 << b) - 1, 1 << b]);
+        for v in edges.chain([u64::MAX]) {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v}");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod manifest;
 pub mod record;
 pub mod wal;
 
-pub use codec::{put_varint, Codec, CodecError, Reader};
+pub use codec::{put_varint, varint_len, Codec, CodecError, Reader};
 pub use lock::DirLock;
 pub use manifest::Manifest;
 pub use record::EpochBody;

@@ -375,11 +375,12 @@ impl Wal {
             self.current = Some((file, seg, SEGMENT_MAGIC.len() as u64));
         }
 
-        let mut payload = Vec::with_capacity(10 + body.len());
-        crate::codec::put_varint(&mut payload, epoch);
-        payload.extend_from_slice(body);
-        let mut buf = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-        let framed = frame::put_frame(&mut buf, &payload) as u64;
+        let mut buf = Vec::with_capacity(frame::HEADER_LEN + 10 + body.len());
+        let record = frame::open_frame(&mut buf, 0);
+        crate::codec::put_varint(&mut buf, epoch);
+        buf.extend_from_slice(body);
+        record.close(&mut buf, &[]);
+        let framed = buf.len() as u64;
 
         // lint: allow(panic) open()/rotate() always leave a segment
         // open before append can run — a missing one is a linked-list
