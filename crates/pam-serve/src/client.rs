@@ -11,7 +11,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ack {
     /// The store-wide version the write's epoch published: acks are
-    /// ordered by it, whatever shards they touched.
+    /// ordered by it.
     pub version: u64,
     /// For a batch, the epoch it committed in (equal to `version`);
     /// `None` for a put or a delete.
@@ -164,8 +164,7 @@ impl Client {
         self.acked(Request::Delete(key.to_vec()))
     }
 
-    /// Submit an atomic batch: one epoch, whatever shards its keys route
-    /// to.
+    /// Submit an atomic batch: one epoch.
     ///
     /// # Errors
     ///

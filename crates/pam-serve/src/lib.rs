@@ -25,12 +25,12 @@
 //!
 //! The binary (`pam-serve`) serves a durable
 //! [`pam_store::Store`]`<NoAug<`[`pam_store::Bytes`]`, Bytes>>`: opaque
-//! byte keys/values, one WAL, batches atomic across shards, and an
-//! optional `--obs-addr` telemetry endpoint. It drains gracefully when
-//! its stdin reaches EOF. `Bytes` is refcounted, so a commit's path
-//! copies share each entry's buffer instead of copying it; it encodes and
-//! routes exactly as `Vec<u8>`, so the binary opens a directory a
-//! `Vec<u8>` store wrote, and the reverse.
+//! byte keys/values, one WAL, atomic batches, and an optional
+//! `--obs-addr` telemetry endpoint. It drains gracefully when its stdin
+//! reaches EOF. `Bytes` is refcounted, so a commit's path copies share
+//! each entry's buffer instead of copying it; it encodes and orders
+//! exactly as `Vec<u8>`, so the binary opens a directory a `Vec<u8>`
+//! store wrote, and the reverse.
 
 #![warn(missing_docs)]
 

@@ -9,7 +9,8 @@
 //! `--batch-window-us` is the store's group-commit window: the upper
 //! bound on how long an epoch lingers for more writers, not a fixed
 //! delay — a put with nobody to share an epoch with is committed at once
-//! (0 never lingers).
+//! (0 never lingers). `--shards` is how many key-range files each
+//! checkpoint is cut into, so that recovery loads them in parallel.
 //!
 //! Prints `pam-serve listening on ADDR` once serving (and `obs listening
 //! on ADDR` when telemetry is bound) — scripts bind port 0 and read the

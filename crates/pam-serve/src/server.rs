@@ -451,7 +451,7 @@ where
     let mut entries = EntriesFrame::new(out, MAX_FRAME);
     let mut full = false;
     if limit > 0 {
-        // Break as soon as the limit is reached: the merge pulls no
+        // Break as soon as the limit is reached: the walk reads no
         // further entry, however wide `[lo, hi]` is.
         let encode = |k: &Bytes, v: &Bytes| {
             if !entries.push(k, v) {

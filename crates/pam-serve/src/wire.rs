@@ -93,7 +93,7 @@ pub enum Request {
     Put(Vec<u8>, Vec<u8>),
     /// Remove; acked when group-committed.
     Delete(Vec<u8>),
-    /// Atomic batch: one epoch, whatever shards its keys route to.
+    /// Atomic batch: one epoch.
     Batch(Vec<WireOp>),
     /// Snapshot the store, register it under `name`, and pin this
     /// session's reads to it.

@@ -1,8 +1,8 @@
 //! Crash-recover-under-load: kill the real `pam-serve` binary with
 //! SIGKILL while clients are writing, reopen the directory, and verify
 //! that **every acked remote write survived** (invariant I1: log before
-//! ack) and every acked cross-shard batch is wholly present (I5/I6:
-//! batches commit or vanish atomically on all shards).
+//! ack) and every acked batch is wholly present (I2: a batch commits or
+//! vanishes atomically).
 
 use pam::NoAug;
 use pam_serve::{Client, WireOp};
@@ -77,7 +77,7 @@ fn every_acked_remote_write_survives_a_server_kill() {
         })
     };
 
-    // drive acked puts (plus a cross-shard batch every 16th round) until
+    // drive acked puts (plus a batch every 16th round) until
     // the server dies under us; record exactly what was acked
     let mut client = Client::connect(&addr).expect("connect");
     let mut acked: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();

@@ -63,7 +63,7 @@ fn puts_gets_batches_and_scans_round_trip() {
         vec![Some(b"v10".to_vec()), None, Some(b"v41".to_vec())]
     );
 
-    // scans come back merged in key order
+    // scans come back in key order
     let entries = c.scan(&key(0), &key(u64::MAX), 1 << 16).unwrap();
     assert_eq!(entries.len(), 33);
     assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
@@ -85,22 +85,16 @@ fn puts_gets_batches_and_scans_round_trip() {
 }
 
 /// Acks and pins name one store-wide version: over two connections,
-/// puts on both shards, a batch spanning them and a pin are acked with
-/// strictly increasing versions, and the pin's epoch is at least every
-/// earlier ack.
+/// puts on two keys, a batch over both and a pin are acked with strictly
+/// increasing versions, and the pin's epoch is at least every earlier
+/// ack.
 #[test]
 fn acks_and_pins_carry_one_store_wide_version() {
     let store = eager_store(2);
     let (_server, addr) = start(Arc::clone(&store));
     let mut a = Client::connect(addr).unwrap();
     let mut b = Client::connect(addr).unwrap();
-    let on_shard = |shard: usize| {
-        (0u64..)
-            .map(key)
-            .find(|k| store.shard_of(&Bytes::from(k.clone())) == shard)
-            .unwrap()
-    };
-    let (k0, k1) = (on_shard(0), on_shard(1));
+    let (k0, k1) = (key(0), key(1));
 
     let mut acks = Vec::new();
     for round in 0..8u8 {
@@ -331,12 +325,11 @@ impl pam::AugSpec for CountingSpec {
 
 #[test]
 fn scan_with_a_limit_stops_walking_at_the_limit() {
-    const SHARDS: usize = 4;
     const ENTRIES: u64 = 50_000;
     const LIMIT: u64 = 10;
     let store = Arc::new(Store::<CountingSpec>::volatile(
         ShardedConfig::builder()
-            .shards(SHARDS)
+            .shards(4)
             .batch_window(Duration::ZERO)
             .build(),
     ));
@@ -355,9 +348,9 @@ fn scan_with_a_limit_stops_walking_at_the_limit() {
         let keys: Vec<Vec<u8>> = got.into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, first, "{what}");
         assert!(
-            (LIMIT as usize..=LIMIT as usize + SHARDS).contains(&walked),
+            (LIMIT as usize..=LIMIT as usize + 1).contains(&walked),
             "{what}: an open-ended limit-{LIMIT} scan over {ENTRIES} entries walked \
-             {walked} of them; the k-way merge needs at most limit + shards"
+             {walked} of them; one cursor needs at most limit + 1"
         );
     };
     scan_and_count(&mut c, "live scan");

@@ -25,17 +25,17 @@
 use pam_wal::SyncPolicy;
 use std::time::Duration;
 
-/// Configuration for a [`crate::Store`]: how many shard maps the key
-/// space is hash-partitioned into, plus the tuning of its one group-commit
+/// Configuration for a [`crate::Store`]: how many key-range files a
+/// checkpoint is cut into, plus the tuning of its one group-commit
 /// pipeline.
 ///
-/// Every shard sits behind the same pipeline and committer; the committer
-/// applies an epoch's per-shard slices, forking across shards for large
-/// epochs. For a durable store the count is pinned on disk by a manifest;
+/// The store is one map whatever `shards` says: the count only decides
+/// how many files a checkpoint writes, and so how many recovery loads in
+/// parallel. For a durable store it is pinned on disk by a manifest;
 /// reopening with a different count is refused.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
-    /// Number of hash shards (0 is clamped to 1).
+    /// Number of key-range files per checkpoint (0 is clamped to 1).
     pub shards: usize,
     /// The *group-commit window*: the upper bound on how long the
     /// committer holds an epoch open after its first operation so that
@@ -76,8 +76,7 @@ impl Default for ShardedConfig {
 pub struct DurabilityConfig {
     /// When the WAL fsyncs (see [`SyncPolicy`]). Default:
     /// [`SyncPolicy::SyncEachEpoch`] — an acked write is on disk. Every
-    /// epoch honors it, a batch spanning shards included: the batch is
-    /// one record.
+    /// epoch honors it, a batch included: the batch is one record.
     pub sync: SyncPolicy,
     /// WAL segment rotation threshold in bytes. Smaller segments mean
     /// finer-grained space reclamation after checkpoints.
@@ -90,9 +89,8 @@ pub struct DurabilityConfig {
     /// address at open — e.g. `"127.0.0.1:9184"`, or port `0` to pick a
     /// free port (read it back with [`crate::Store::obs_addr`]). The
     /// server serves `/metrics`, `/metrics.json`, `/events`, `/health`,
-    /// and `/trace` for this store — **one** aggregated endpoint, not one
-    /// per shard — and shuts down when the store drops. `None` (the
-    /// default): no listener.
+    /// and `/trace` for this store and shuts down when the store drops.
+    /// `None` (the default): no listener.
     pub obs_addr: Option<String>,
 }
 
@@ -128,7 +126,8 @@ pub struct ShardedConfigBuilder {
 }
 
 impl ShardedConfigBuilder {
-    /// Set the number of hash shards (see [`ShardedConfig::shards`]).
+    /// Set the number of files per checkpoint (see
+    /// [`ShardedConfig::shards`]).
     pub fn shards(mut self, n: usize) -> Self {
         self.cfg.shards = n;
         self

@@ -1,5 +1,5 @@
-//! The durability part of a [`crate::Store`]: one log and a checkpoint per
-//! shard.
+//! The durability part of a [`crate::Store`]: one log, and checkpoints
+//! cut into N key-range files.
 //!
 //! The design exploits the two properties PAM gives us for free:
 //!
@@ -8,40 +8,47 @@
 //!   one append — and under [`pam_wal::SyncPolicy::SyncEachEpoch`] one
 //!   *group* fsync — per epoch, not per write. The committer appends the
 //!   batch to the log *before* the epoch is applied or any ticket wakes:
-//!   an acknowledged write is a durable write. An epoch is one record
-//!   whatever shards its keys route to, so a batch spanning shards is
-//!   whole in the log or absent from it — its frame's checksum is its
-//!   atomicity.
+//!   an acknowledged write is a durable write. A batch is one record, so
+//!   it is whole in the log or absent from it — its frame's checksum is
+//!   its atomicity.
 //! * **Checkpoints never pause writers.** A checkpoint pins the head
-//!   version (O(1), persistent) and streams every shard's map to disk in
-//!   sorted order while commits keep landing — the same snapshot trick
-//!   PaC-trees use for on-disk tree blocks. Afterwards, WAL segments
-//!   wholly covered by the checkpoint are unlinked.
+//!   version (O(1), persistent), cuts its map by rank into N contiguous
+//!   key ranges (`split_rank`, O(log n) each) and streams each range to
+//!   disk in sorted order while commits keep landing — the same snapshot
+//!   trick PaC-trees use for on-disk tree blocks.
 //!
-//! There is one on-disk layout, whatever the shard count:
+//! There is one on-disk layout:
 //!
 //! ```text
-//! <dir>/MANIFEST            the shard count (pinned at creation)
+//! <dir>/MANIFEST            N, the files per checkpoint (pinned at creation)
 //! <dir>/LOCK.pid            one writer per store directory
 //! <dir>/wal-*.seg           the one log: one record per epoch
-//! <dir>/shard-0/            ckpt-<E>.ckpt — shard 0's map at store epoch E
-//! <dir>/shard-1/            ...
+//! <dir>/shard-0/            ckpt-<E>.ckpt — ranks [0, n/N) of the map at store epoch E
+//! <dir>/shard-1/            ckpt-<E>.ckpt — ranks [n/N, 2n/N), and so on
 //! ```
 //!
-//! Recovery ([`crate::Store::open`]) bulk-loads every shard's newest
-//! valid checkpoint in parallel with the O(n)-work
-//! `AugMap::from_sorted_distinct`, then replays the log once, from the
-//! oldest of those checkpoints' epochs on, routing each record's
-//! operations to their shards through the same `multi_insert` /
-//! `multi_delete` path the committer uses. Logged epochs are normalized
-//! (sorted, LWW-resolved), so replay is idempotent and may overlap a
-//! checkpoint's coverage, and a torn final record — the signature of a
-//! crash mid-append — is truncated away by [`pam_wal::Wal::open`].
+//! A checkpoint at epoch E is *complete* once all N of its files are in
+//! place. Only then is the log truncated through E, and only then are
+//! older files pruned, down to the previous complete checkpoint (kept as
+//! a fallback). Files of an attempt that failed part-way belong to no
+//! complete checkpoint; the next attempt deletes them first.
+//!
+//! Recovery ([`crate::Store::open`]) loads the newest complete checkpoint
+//! whose N files all validate — the files in parallel, each chunk with
+//! the O(n)-work `AugMap::from_sorted_distinct` — unions the N disjoint
+//! ranges into one map, then replays the log once from E on through the
+//! same `multi_insert` / `multi_delete` path the committer uses. It never
+//! mixes files of two epochs: ranges are cut by rank, so two epochs' cuts
+//! differ, and a key no write touched in between can sit outside both
+//! files — where replay would not restore it either. Logged epochs are
+//! normalized (sorted, LWW-resolved), so replay is idempotent and may
+//! overlap a checkpoint's coverage, and a torn final record — the
+//! signature of a crash mid-append — is truncated away by
+//! [`pam_wal::Wal::open`].
 
 use crate::config::DurabilityConfig;
-use crate::op::NormalizedBatch;
+use crate::op::{self, NormalizedBatch};
 use crate::registry::{Registry, VersionId};
-use crate::shard::{apply_routed, ShardKey};
 use crate::stats::DurabilityStats;
 use pam::{AugMap, AugSpec};
 use pam_obs::{event, Health, Histogram, Level};
@@ -54,15 +61,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What [`crate::Store::open`] found on disk, per shard.
+/// What [`crate::Store::open`] found on disk, per checkpoint file.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryInfo {
-    /// Store epoch the shard's loaded checkpoint claimed (0: none).
+    /// Store epoch of the checkpoint recovery loaded (0: none) — the same
+    /// in every file's entry.
     pub checkpoint_epoch: u64,
-    /// Entries bulk-loaded from the checkpoint.
+    /// Entries bulk-loaded from this file.
     pub checkpoint_entries: u64,
-    /// Log records replayed on top of the checkpoints (store-wide: the
-    /// one log is replayed once, the same count in every shard's entry).
+    /// Log records replayed on top of the checkpoint (store-wide: the
+    /// one log is replayed once, the same count in every file's entry).
     pub replayed_epochs: u64,
     /// Highest store epoch after recovery — the version the store
     /// reopened at.
@@ -75,20 +83,20 @@ pub struct RecoveryInfo {
 /// phases that did not run).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryTimings {
-    /// Always zero: one log needs no cross-shard pre-scan. Kept only
-    /// because the frozen benchmark package reads it; its next revision
-    /// deletes the field.
+    /// Always zero: one log needs no pre-scan. Kept only because the
+    /// frozen benchmark package reads it; its next revision deletes the
+    /// field.
     pub prescan: Duration,
     /// Always zero, like `prescan`: there is no vote.
     pub vote: Duration,
-    /// Streaming this shard's newest checkpoint into its map (bulk
-    /// load; shards load in parallel).
+    /// Streaming this file into its map (bulk load; the files load in
+    /// parallel).
     pub bulk_load: Duration,
     /// Scanning + frame-decoding the WAL segments ([`Wal::open`]).
-    /// Store-wide, the same in every shard's entry.
+    /// Store-wide, the same in every file's entry.
     pub segment_scan: Duration,
     /// Decoding epoch bodies and applying them on top of the
-    /// checkpoints. Store-wide, like `segment_scan`.
+    /// checkpoint. Store-wide, like `segment_scan`.
     pub replay: Duration,
 }
 
@@ -98,11 +106,6 @@ impl RecoveryTimings {
         self.prescan + self.vote + self.bulk_load + self.segment_scan + self.replay
     }
 }
-
-/// Checkpoint files each shard retains; older ones are pruned. The
-/// second is insurance: a corrupt newest checkpoint falls back to the
-/// previous one plus a longer WAL replay.
-const KEEP_CHECKPOINTS: usize = 2;
 
 /// Durability counters shared between the committer and checkpointer
 /// (writer side) and `stats()` (reader side).
@@ -141,8 +144,10 @@ pub(crate) struct WalPart {
     last_ckpt_error: Mutex<Option<String>>,
     /// Tells the background checkpointer to exit.
     stop: StopSignal,
-    /// The store directory: manifest, log, shard checkpoint directories.
+    /// The store directory: manifest, log, checkpoint directories.
     pub(crate) dir: PathBuf,
+    /// Files per checkpoint, as the manifest pins it.
+    shards: usize,
 }
 
 impl WalPart {
@@ -206,10 +211,11 @@ impl WalPart {
         Ok(())
     }
 
-    /// Checkpoint now: pin the head at store epoch `E`, write every
-    /// shard's map to `shard-<i>/ckpt-<E>.ckpt`, then truncate the log
-    /// through `E`. Shared by [`crate::Store::checkpoint`] and the
-    /// background checkpointer.
+    /// Checkpoint now: pin the head at store epoch `E`, cut its map into
+    /// the manifest's N key ranges and write range `i` to
+    /// `shard-<i>/ckpt-<E>.ckpt`; once all N are in place, truncate the
+    /// log through `E` and prune older files. Shared by
+    /// [`crate::Store::checkpoint`] and the background checkpointer.
     pub(crate) fn checkpoint<S: AugSpec>(&self, registry: &Registry<S>) -> io::Result<u64>
     where
         S::K: Codec,
@@ -219,29 +225,39 @@ impl WalPart {
         // thread must not interleave into the same temp file.
         let _serialize = self.ckpt_mutex.lock();
         let ckpt_start = Instant::now();
+        // Files newer than the last complete checkpoint are what a failed
+        // attempt left: recovery never reads them, so they go first.
+        let previous = complete_epochs(&self.dir, self.shards)?.first().copied();
+        self.retain_each(|e| previous.is_some_and(|p| e <= p))?;
         // The pinned version holds every epoch up to its id and none after:
-        // all N files are cut at that one store epoch.
+        // all N files are cut from that one map.
         let pin = registry.pin_head();
         let epoch = pin.entry.id;
         let pin_start = Instant::now();
+        let (n, files) = (pin.entry.map.len(), self.shards);
+        let mut rest = pin.entry.map.clone();
         let mut ckpt_bytes = 0;
-        for (i, map) in pin.entry.maps.iter().enumerate() {
+        for i in 0..files {
+            // file i holds ranks [i·n/N, (i+1)·n/N)
+            let (range, tail) = rest.split_rank((i + 1) * n / files - i * n / files);
+            rest = tail;
             ckpt_bytes += checkpoint::write(
                 &manifest::shard_dir(&self.dir, i),
                 epoch,
-                map.len() as u64,
-                |emit| map.for_each(|k, v| emit(k, v)),
-                KEEP_CHECKPOINTS,
+                range.len() as u64,
+                |emit| range.for_each(|k, v| emit(k, v)),
             )
-            .map_err(|e| io::Error::new(e.kind(), format!("shard {i}: {e}")))?;
+            .map_err(|e| in_file(i, e))?;
         }
         drop(pin); // the snapshot is on disk; release the version
         self.counters
             .ckpt_pin_nanos
             .record_duration(pin_start.elapsed());
-        // Every shard's file at `epoch` is durable: the log may drop what it
-        // covers.
+        // All N files at `epoch` are durable: the log may drop what they
+        // cover, and the previous complete checkpoint is the one fallback
+        // kept.
         self.wal.lock().truncate_through(epoch)?;
+        self.retain_each(|e| e >= previous.unwrap_or(0))?;
         // relaxed: checkpoint bookkeeping counters — the checkpointer is the
         // only writer (ckpt_mutex) and readers tolerate sampling skew; the
         // last_ckpt_epoch/bytes_at_last_ckpt pair only throttles the *next*
@@ -328,6 +344,39 @@ impl WalPart {
         *self.stop.stop.lock() = true;
         self.stop.cv.notify_all();
     }
+
+    /// Delete, in every checkpoint directory, the files whose epoch
+    /// `keep` rejects.
+    fn retain_each(&self, keep: impl Fn(u64) -> bool) -> io::Result<()> {
+        for i in 0..self.shards {
+            checkpoint::retain(&manifest::shard_dir(&self.dir, i), &keep)
+                .map_err(|e| in_file(i, e))?;
+        }
+        Ok(())
+    }
+}
+
+/// `e`, naming the checkpoint file (`shard-<i>/`) it happened on.
+fn in_file(i: usize, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("shard {i}: {e}"))
+}
+
+/// The epochs at which every one of the `shards` checkpoint directories
+/// under `dir` holds a file — the complete checkpoints — newest first.
+/// By name only: nothing is validated.
+fn complete_epochs(dir: &Path, shards: usize) -> io::Result<Vec<u64>> {
+    let per_dir = (0..shards)
+        .map(|i| checkpoint::epochs(&manifest::shard_dir(dir, i)).map_err(|e| in_file(i, e)))
+        .collect::<io::Result<Vec<_>>>()?;
+    let Some((first, rest)) = per_dir.split_first() else {
+        return Ok(Vec::new());
+    };
+    Ok(first
+        .iter()
+        .rev()
+        .filter(|e| rest.iter().all(|d| d.binary_search(e).is_ok()))
+        .copied()
+        .collect())
 }
 
 /// Shutdown signal for the background checkpointer.
@@ -373,7 +422,7 @@ fn unmanifested_data(dir: &Path) -> io::Result<Option<&'static str>> {
 }
 
 /// The WAL records must be a contiguous run starting at or before
-/// `from + 1`, the oldest shard checkpoint's epoch plus one.
+/// `from + 1`, the loaded checkpoint's epoch plus one.
 ///
 /// Logged epochs increment by exactly 1 (within a run and across
 /// restarts), and WAL truncation only ever removes a prefix. Anything else
@@ -402,28 +451,28 @@ fn check_contiguous(records: &[EpochRecord], from: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// What [`recover`] found: the locked directory's shard maps at the
-/// version the log left off, and the log, open for appends.
+/// What [`recover`] found: the locked directory's map at the version
+/// the log left off, and the log, open for appends.
 pub(crate) struct Recovered<S: AugSpec> {
     pub lock: DirLock,
-    pub maps: Vec<AugMap<S>>,
+    pub map: AugMap<S>,
     pub version: VersionId,
-    /// What recovery found, shard order.
+    /// What recovery found, one entry per checkpoint file.
     pub recovery: Vec<RecoveryInfo>,
     pub wal: WalPart,
 }
 
-/// Open (or create) the store directory `dir` for `shards` shards: take
-/// its lock, verify the manifest, load every shard's checkpoint and
-/// replay the log. See [`crate::Store::open`] for the contract and the
-/// errors.
+/// Open (or create) the store directory `dir` for checkpoints of
+/// `shards` files: take its lock, verify the manifest, load the newest
+/// complete checkpoint and replay the log. See [`crate::Store::open`]
+/// for the contract and the errors.
 pub(crate) fn recover<S: AugSpec>(
     dir: &Path,
     shards: usize,
     durability: &DurabilityConfig,
 ) -> io::Result<Recovered<S>>
 where
-    S::K: Codec + ShardKey,
+    S::K: Codec,
     S::V: Codec,
 {
     std::fs::create_dir_all(dir)?;
@@ -438,8 +487,7 @@ where
                 io::ErrorKind::InvalidInput,
                 format!(
                     "shard-count mismatch: {} holds {} shards, open asked for {shards} \
-                     (the hash routing is pinned at creation — resharding needs a \
-                     rewrite, not a reopen)",
+                     (the files per checkpoint are pinned at creation)",
                     dir.display(),
                     m.shards
                 ),
@@ -462,50 +510,59 @@ where
         }
     }
 
-    // 1. every shard's newest valid checkpoint, in parallel: stream
-    //    it into the map chunk by chunk — each chunk bulk-loads with
-    //    the O(chunk) `from_sorted_distinct` and unions onto the
-    //    accumulated map's right edge (chunks ascend globally), so
-    //    peak memory is one chunk per shard, never a whole checkpoint
-    let loaded = parlay::tabulate(shards, |i| {
-        let start = Instant::now();
+    for i in 0..shards {
         let shard_dir = manifest::shard_dir(dir, i);
         std::fs::create_dir_all(&shard_dir)?;
         checkpoint::clean_temp_files(&shard_dir)?;
-        let ckpt = checkpoint::load_latest_with::<S::K, S::V, AugMap<S>>(
-            &shard_dir,
-            AugMap::new,
-            |m, chunk| {
-                let right = AugMap::from_sorted_distinct(&chunk);
-                let left = std::mem::replace(m, AugMap::new());
-                *m = left.union(right);
-            },
-        )?;
-        Ok((ckpt.unwrap_or((0, 0, AugMap::new())), start.elapsed()))
-    })
-    .into_iter()
-    .collect::<io::Result<Vec<_>>>()?;
-    let mut maps = Vec::with_capacity(shards);
-    let mut recovery = Vec::with_capacity(shards);
-    for ((epoch, entries, map), bulk_load) in loaded {
-        maps.push(map);
-        recovery.push(RecoveryInfo {
-            checkpoint_epoch: epoch,
-            checkpoint_entries: entries,
-            timings: RecoveryTimings {
-                bulk_load,
-                ..RecoveryTimings::default()
-            },
-            ..RecoveryInfo::default()
-        });
     }
-    let from = recovery
-        .iter()
-        .map(|r| r.checkpoint_epoch)
-        .min()
-        .unwrap_or(0);
 
-    // 2. the one log, replayed once from the oldest checkpoint on
+    // 1. the newest complete checkpoint whose N files all validate, the
+    //    files in parallel: each streams into its own map chunk by chunk
+    //    — a chunk bulk-loads with the O(chunk) `from_sorted_distinct`
+    //    and unions onto the accumulated map's right edge (chunks ascend)
+    //    — so peak memory is one chunk per file, never a whole file
+    let mut loaded = None;
+    for epoch in complete_epochs(dir, shards)? {
+        let files = parlay::tabulate(shards, |i| {
+            let start = Instant::now();
+            let (entries, map) = checkpoint::load_at::<S::K, S::V, _>(
+                &manifest::shard_dir(dir, i),
+                epoch,
+                AugMap::new(),
+                |m: &mut AugMap<S>, chunk| {
+                    let right = AugMap::from_sorted_distinct(&chunk);
+                    *m = std::mem::take(m).union(right);
+                },
+            )?;
+            Ok((entries, map, start.elapsed()))
+        });
+        match files.into_iter().collect::<io::Result<Vec<_>>>() {
+            Ok(files) => {
+                loaded = Some((epoch, files));
+                break;
+            }
+            // a corrupt file: fall back to the previous complete checkpoint
+            // (plus a longer replay, if the log still reaches back to it)
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => event!(
+                Level::Warn,
+                "pam_store::recovery",
+                "checkpoint at epoch {epoch} does not load: {e}"
+            ),
+            Err(e) => return Err(e),
+        }
+    }
+    let (from, files) = loaded.unwrap_or_default();
+    // the N ranges are disjoint and ascending: each union is a join
+    let mut map = AugMap::new();
+    let mut recovery = vec![RecoveryInfo::default(); shards];
+    for ((entries, part, bulk_load), info) in files.into_iter().zip(&mut recovery) {
+        map = map.union(part);
+        info.checkpoint_epoch = from;
+        info.checkpoint_entries = entries;
+        info.timings.bulk_load = bulk_load;
+    }
+
+    // 2. the one log, replayed once from the checkpoint on
     let wal_config = WalConfig {
         segment_bytes: durability.segment_bytes,
         sync: durability.sync,
@@ -528,16 +585,11 @@ where
         });
         for body in bodies {
             let body = body?;
-            apply_routed(&mut maps, body.puts, body.deletes);
+            op::apply(&mut map, body.puts, body.deletes);
         }
     }
     let replay = phase_start.elapsed();
-    let last_epoch = recovery
-        .iter()
-        .map(|r| r.checkpoint_epoch)
-        .max()
-        .unwrap_or(0)
-        .max(wal.last_epoch());
+    let last_epoch = from.max(wal.last_epoch());
     for info in &mut recovery {
         info.replayed_epochs = to_replay.len() as u64;
         info.last_epoch = last_epoch;
@@ -547,7 +599,7 @@ where
     event!(
         Level::Info,
         "pam_store::recovery",
-        "recovered {}: {shards} shard checkpoints from epoch {from}, wal scan \
+        "recovered {}: a {shards}-file checkpoint at epoch {from}, wal scan \
          {segment_scan:?}, replayed {} epochs in {replay:?}",
         dir.display(),
         to_replay.len()
@@ -557,7 +609,7 @@ where
     let wal_obs = wal.obs();
     Ok(Recovered {
         lock,
-        maps,
+        map,
         version: last_epoch,
         recovery,
         wal: WalPart {
@@ -569,6 +621,7 @@ where
             last_ckpt_error: Mutex::new(None),
             stop: StopSignal::default(),
             dir: dir.to_path_buf(),
+            shards,
         },
     })
 }

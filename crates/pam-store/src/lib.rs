@@ -4,35 +4,34 @@
 //! readers take O(1) persistent snapshots while one writer serializes
 //! bulk updates. That is exactly the shape of a production multi-version
 //! (MVCC) store, and this crate is the serving layer that turns the
-//! primitive into one. There is **one store type**, [`Store`]: N ≥ 1
-//! hash shards × an optional durability part, always weight-balanced.
+//! primitive into one. There is **one store type**, [`Store`]: one map
+//! × an optional durability part, always weight-balanced.
 //!
-//! * **[`Store`]** ([`store`]) — hash-partitions the key space
-//!   ([`ShardKey`], [`shard`]) across N shard maps behind **one**
-//!   group-commit write pipeline and **one** version head, with
-//!   scatter-gather reads, k-way merged range scans, and [`Snapshot`]s
-//!   that are one pin of every shard. [`Store::volatile`] keeps
-//!   everything in memory; [`Store::open`] puts one WAL, a checkpoint
-//!   directory per shard and crash recovery under it. The consistency
+//! * **[`Store`]** ([`store`]) — one `AugMap` behind **one**
+//!   group-commit write pipeline and **one** version head; a
+//!   [`Snapshot`] is one pin of its root. [`Store::volatile`] keeps
+//!   everything in memory; [`Store::open`] puts one WAL, checkpoints cut
+//!   into N key-range files and crash recovery under it. The consistency
 //!   contract is stated in the [`store`] module docs.
 //! * **The write path** — concurrent writers enqueue operations into the
 //!   open epoch and immediately receive a [`CommitTicket`]. A dedicated
 //!   committer thread — the store's only writer — drains the epoch,
 //!   normalizes the batch (parallel sort + last-write-wins dedup, via
-//!   `parlay`), routes it to its shards and applies each shard's slice
-//!   with one work-optimal `multi_insert`/`multi_delete` (amortizing the
-//!   O(log n) tree work across every writer in the window), and publishes
-//!   every shard's root as one version under the next [`VersionId`] — the
-//!   single publication point every reader pins from. A version lives
-//!   exactly as long as it is the head or somebody holds a [`Snapshot`]
-//!   of it, and holding one is nearly free — path-copying means N
-//!   similar versions share almost all of their nodes.
+//!   `parlay`), applies it with one work-optimal
+//!   `multi_insert`/`multi_delete` (amortizing the O(log n) tree work
+//!   across every writer in the window), and publishes the new root as
+//!   one version under the next [`VersionId`] — the single publication
+//!   point every reader pins from. A version lives exactly as long as it
+//!   is the head or somebody holds a [`Snapshot`] of it, and holding one
+//!   is nearly free — path-copying means N similar versions share almost
+//!   all of their nodes.
 //! * **Durability** ([`durable`]) — one WAL record, one group fsync per
 //!   epoch (see `pam-wal`), appended by the committer before the epoch
-//!   is applied or acked, so a batch spanning shards is whole in the log
-//!   or absent; non-blocking snapshot checkpoints; recovery bulk-loads
-//!   every shard's newest checkpoint and replays the log once, tolerating
-//!   a torn final record. One on-disk layout whatever the shard count.
+//!   is applied or acked, so a batch is whole in the log or absent;
+//!   non-blocking snapshot checkpoints, each cut by rank into N
+//!   contiguous key ranges; recovery bulk-loads the newest complete
+//!   checkpoint's N files in parallel, unions them and replays the log
+//!   once, tolerating a torn final record.
 //! * **Stats surface** ([`stats`]) — per-stage commit latency histograms,
 //!   batch sizes, live versions, WAL/checkpoint counters, and a
 //!   node-exact memory footprint built on `pam::stats`.
@@ -70,15 +69,16 @@
 
 #![warn(missing_docs)]
 
+mod bytes;
 mod config;
 pub mod durable;
 pub mod op;
 mod pipeline;
 mod registry;
-pub mod shard;
 pub mod stats;
 pub mod store;
 
+pub use bytes::Bytes;
 pub use config::{DurabilityConfig, DurabilityConfigBuilder, ShardedConfig, ShardedConfigBuilder};
 pub use durable::{RecoveryInfo, RecoveryTimings};
 pub use op::{NormalizedBatch, WriteOp};
@@ -86,7 +86,6 @@ pub use pam_obs::Health;
 pub use pam_wal::{Codec, SyncPolicy};
 pub use pipeline::CommitTicket;
 pub use registry::VersionId;
-pub use shard::{Bytes, ShardKey};
 pub use stats::{DurabilityStats, StoreStats};
 pub use store::{Snapshot, Store};
 

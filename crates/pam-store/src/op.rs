@@ -9,7 +9,7 @@
 //! After normalization the two batches have disjoint key sets, so the
 //! order they are applied in does not matter.
 
-use pam::AugSpec;
+use pam::{AugMap, AugSpec};
 
 /// A single key-value store operation.
 pub enum WriteOp<S: AugSpec> {
@@ -104,6 +104,18 @@ pub fn normalize<S: AugSpec>(mut ops: Vec<(u64, WriteOp<S>)>) -> NormalizedBatch
         puts,
         deletes,
         raw_ops,
+    }
+}
+
+/// Apply one normalized epoch (`puts` and `deletes` sorted, distinct,
+/// disjoint) to `map` as one `multi_insert` plus one `multi_delete`. The
+/// committer and recovery's replay both apply through here.
+pub(crate) fn apply<S: AugSpec>(map: &mut AugMap<S>, puts: Vec<(S::K, S::V)>, deletes: Vec<S::K>) {
+    if !puts.is_empty() {
+        map.multi_insert(puts);
+    }
+    if !deletes.is_empty() {
+        map.multi_delete(deletes);
     }
 }
 

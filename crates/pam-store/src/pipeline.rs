@@ -4,7 +4,7 @@
 //! [`CommitTicket`] immediately — enqueueing is a mutex push, never tree
 //! work. Every submission joins the one open segment (group commit), and
 //! each segment becomes exactly one committed epoch — one version, and on
-//! a durable store one WAL record — whatever shards its keys route to.
+//! a durable store one WAL record.
 //!
 //! A dedicated committer thread, the store's only writer:
 //!
@@ -19,13 +19,13 @@
 //!    all-or-nothing unit: either every operation of an epoch is in the
 //!    published version, or none is);
 //! 3. normalizes the batch (parallel sort + last-write-wins dedup, see
-//!    [`crate::op`]), appends it to the WAL of a durable store, routes
-//!    it into per-shard slices and applies each as one work-optimal
-//!    `multi_insert` + `multi_delete` to the shard maps, which the
-//!    committer alone owns — no lock, no compare-and-swap;
-//! 4. publishes every shard's root in the registry as one version,
-//!    numbered by the epoch — the one place a new root becomes visible —
-//!    then wakes every ticket of the epoch.
+//!    [`crate::op`]), appends it to the WAL of a durable store and
+//!    applies it as one work-optimal `multi_insert` + `multi_delete` to
+//!    the map, which the committer alone owns — no lock, no
+//!    compare-and-swap;
+//! 4. publishes the new root in the registry as one version, numbered
+//!    by the epoch — the one place a new root becomes visible — then
+//!    wakes every ticket of the epoch.
 //!
 //! Tree work per epoch is O(m log(n/m + 1)) for m deduplicated operations
 //! — the paper's `multi_insert` bound — regardless of how many writers
@@ -33,9 +33,8 @@
 
 use crate::config::ShardedConfig;
 use crate::durable::WalPart;
-use crate::op::{normalize, WriteOp};
+use crate::op::{self, normalize, WriteOp};
 use crate::registry::{Registry, VersionId};
-use crate::shard::{apply_routed, ShardKey};
 use crate::stats::{CommitTiming, StatsInner};
 use pam::AugSpec;
 use pam_obs::{event, flight, EpochTrace, FlightRecorder, Level};
@@ -317,8 +316,8 @@ impl<S: AugSpec> Pipeline<S> {
 
     /// The committer loop. Runs on its own thread until shutdown *and*
     /// no open segment, or until a WAL append fails. `registry`'s head
-    /// holds the shard maps the first epoch applies to; from then on this
-    /// loop is the only holder of the current maps between publishes, and
+    /// holds the map the first epoch applies to; from then on this loop
+    /// is the only holder of the current map between publishes, and
     /// the only caller of [`Registry::publish`].
     ///
     /// On a durable store (`wal` set) every epoch is appended to the log
@@ -330,10 +329,10 @@ impl<S: AugSpec> Pipeline<S> {
     /// fail-stop beats silently acking writes that never reached the log.
     pub fn run_committer(&self, registry: &Registry<S>, stats: &StatsInner, wal: Option<&WalPart>)
     where
-        S::K: Codec + ShardKey,
+        S::K: Codec,
         S::V: Codec,
     {
-        let mut current = registry.pin_head().entry.maps.clone();
+        let mut current = registry.pin_head().entry.map.clone();
         let mut g = self.state.lock();
         loop {
             if g.open.is_none() {
@@ -384,12 +383,12 @@ impl<S: AugSpec> Pipeline<S> {
             }
             let t_logged = Instant::now();
             // Apply outside any lock: this thread is the only writer, so
-            // the current maps are plain locals and the batch vectors are
+            // the current map is a plain local and the batch vectors are
             // *moved* into the tree ops — no per-commit clone. Published
             // versions are untouched (path copying).
-            apply_routed(&mut current, normalized.puts, normalized.deletes);
+            op::apply(&mut current, normalized.puts, normalized.deletes);
             let t_applied = Instant::now();
-            // O(1) per shard snapshot of the result: the one publication
+            // O(1) snapshot of the result: the one publication
             // point. The replaced head dies here, before the tickets wake
             // (so a writer's next `stats()` does not count it) and outside
             // the registry lock: unless somebody pinned it, this drop
@@ -466,8 +465,8 @@ impl<S: AugSpec> CommitTicket<S> {
     }
 
     /// The epoch — and so the version — the write commits in: one number
-    /// for every shard its keys route to. `None` only for an empty
-    /// submission, which commits nothing.
+    /// for every key it touches. `None` only for an empty submission,
+    /// which commits nothing.
     pub fn global_epoch(&self) -> Option<u64> {
         (self.epoch != 0).then_some(self.epoch)
     }

@@ -1,8 +1,8 @@
 //! The version registry: one head, refcount-pinned snapshots.
 //!
-//! A version is the tuple of every shard's root. Every commit publishes
-//! the new tuple as a version entry under the next [`VersionId`], so
-//! publishing is one swap and a snapshot of the whole store is one pin.
+//! A version is one map's root. Every commit publishes the new root as a
+//! version entry under the next [`VersionId`], so publishing is one swap
+//! and a snapshot of the whole store is one pin.
 //! The registry holds exactly one entry — the head — and entries live in
 //! `Arc`s, so a version is alive iff it is the head or somebody holds a
 //! [`Snapshot`] of it: O(1) to take, free to hold (path copying shares
@@ -24,8 +24,8 @@ pub type VersionId = u64;
 /// One published version.
 pub(crate) struct VersionEntry<S: AugSpec> {
     pub id: VersionId,
-    /// Every shard's map, shard order.
-    pub maps: Vec<AugMap<S>>,
+    /// The store's map at this version.
+    pub map: AugMap<S>,
     /// The registry's count of dropped entries (see [`Registry::counts`]).
     retired: Arc<AtomicU64>,
 }
@@ -46,13 +46,13 @@ pub(crate) struct Registry<S: AugSpec> {
 }
 
 impl<S: AugSpec> Registry<S> {
-    /// A registry whose head is version `id` holding `maps`.
-    pub fn new(id: VersionId, maps: Vec<AugMap<S>>) -> Self {
+    /// A registry whose head is version `id` holding `map`.
+    pub fn new(id: VersionId, map: AugMap<S>) -> Self {
         let retired = Arc::new(AtomicU64::new(0));
         Registry {
             head: Mutex::new(Arc::new(VersionEntry {
                 id,
-                maps,
+                map,
                 retired: retired.clone(),
             })),
             first: id,
@@ -60,15 +60,15 @@ impl<S: AugSpec> Registry<S> {
         }
     }
 
-    /// Publish `maps` as version `id` and return a pin of the version it
+    /// Publish `map` as version `id` and return a pin of the version it
     /// replaces, for the caller to drop — outside the lock every reader
     /// takes, since that drop frees the replaced version's own nodes
     /// unless somebody else holds it.
     #[must_use = "drop the replaced head outside the registry lock"]
-    pub fn publish(&self, id: VersionId, maps: Vec<AugMap<S>>) -> Snapshot<S> {
+    pub fn publish(&self, id: VersionId, map: AugMap<S>) -> Snapshot<S> {
         let entry = Arc::new(VersionEntry {
             id,
-            maps,
+            map,
             retired: self.retired.clone(),
         });
         let mut head = self.head.lock();

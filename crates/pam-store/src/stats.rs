@@ -32,8 +32,7 @@ pub(crate) struct CommitTiming {
     /// WAL append (+ fsync, per the policy) for a durable store; zero
     /// for a volatile one.
     pub wal_log: Duration,
-    /// Routing plus `multi_insert`/`multi_delete` on every shard the
-    /// epoch touches.
+    /// The epoch's `multi_insert` plus `multi_delete`.
     pub apply: Duration,
     /// Version-registry publish.
     pub publish: Duration,
@@ -97,13 +96,13 @@ pub struct StoreStats {
     /// WAL stage latency (append + any fsync; all-zero for a volatile
     /// store).
     pub commit_wal_log: HistogramSnapshot,
-    /// Apply stage (routing + bulk insert/delete per shard) latency.
+    /// Apply stage (bulk insert + bulk delete) latency.
     pub commit_apply: HistogramSnapshot,
     /// Publish stage (registry swap) latency.
     pub commit_publish: HistogramSnapshot,
-    /// Always empty: no write or snapshot waits on a cross-shard fence
-    /// any more. Kept only because the frozen benchmark package reads
-    /// it; its next revision deletes the field.
+    /// Always empty: no write or snapshot waits on a fence. Kept only
+    /// because the frozen benchmark package reads it; its next revision
+    /// deletes the field.
     pub fence_wait: HistogramSnapshot,
     /// Versions alive right now: the head plus every older version a
     /// [`crate::Snapshot`] still holds.

@@ -1,32 +1,23 @@
-//! [`Store`]: N ≥ 1 hash shards × an optional durability part.
+//! [`Store`]: one map behind one group-commit pipeline × an optional
+//! durability part.
 //!
 //! PAM's concurrency model (§4 of the paper) is "swap in a new root":
 //! readers take O(1) persistent snapshots while one writer applies bulk
-//! updates that are parallel inside. `Store` keeps exactly that shape
-//! with its key space hash-partitioned into N shard maps behind one
-//! group-commit pipeline, one committer thread and one head. A version
-//! is the tuple of the N shard roots, so publishing is one swap and a
+//! updates that are parallel inside. `Store` is exactly that shape: one
+//! `AugMap` behind one group-commit pipeline, one committer thread and
+//! one head. A version is one root, so publishing is one swap and a
 //! snapshot of the whole store is one pin.
-//!
-//! Keys are routed by a *stable* hash ([`ShardKey`] — stable because for
-//! a durable store the assignment is part of the on-disk format):
 //!
 //! * writes — `put`, `delete` and `write_batch` alike — join the one
 //!   open epoch. The committer normalizes the epoch once, logs it as one
-//!   record (when durable), routes it into per-shard slices and applies
-//!   them, forking across shards only for epochs larger than
-//!   `parlay::granularity()`. A batch spanning shards is an ordinary
-//!   epoch;
-//! * point reads route to one shard; [`Store::get_many`] scatters to the
-//!   owning shards and gathers results back in input order;
-//! * ordered scans ([`Store::range_for_each`]) k-way merge the per-shard
-//!   streaming ranges — hash partitioning interleaves the key space, so
-//!   every shard contributes to every range;
-//! * augmented queries combine the per-shard monoid values. Because the
-//!   hash interleaves keys, the per-shard values arrive out of key order:
-//!   **aug queries on a store with more than one shard require a
-//!   commutative `combine`** (all built-in specs — sum, max, min — are
-//!   commutative).
+//!   record (when durable) and applies it as one `multi_insert` plus one
+//!   `multi_delete`, whose work forks inside the tree;
+//! * point reads are one tree walk; [`Store::get_many`] probes its keys
+//!   in sorted order, so successive lookups share their upper path;
+//! * ordered scans ([`Store::range_for_each`]) are one streaming walk of
+//!   the range;
+//! * augmented queries are the tree's own: `aug_range` is O(log n) and
+//!   `aug_val` O(1), for any associative `combine` — commutative or not.
 //!
 //! A *volatile* store ([`Store::volatile`]) is the same struct without
 //! the durability part ([`Store::open`] adds a WAL, a checkpointer and
@@ -54,7 +45,6 @@ use crate::config::{DurabilityConfig, ShardedConfig};
 use crate::durable::{self, RecoveryInfo, WalPart};
 use crate::pipeline::{CommitTicket, Pipeline};
 use crate::registry::{Registry, VersionEntry, VersionId};
-use crate::shard::{route, scatter_gather_get_many, ShardKey};
 use crate::stats::{StatsInner, StoreStats};
 use crate::WriteOp;
 use pam::{AugMap, AugSpec};
@@ -101,10 +91,9 @@ impl<S: AugSpec> Core<S> {
     }
 }
 
-/// A key-value store over parallel augmented maps: the key space is
-/// hash-partitioned across N ≥ 1 shard maps behind one group-commit
-/// pipeline and one head — and, when opened on a directory, one WAL and
-/// one checkpointer.
+/// A key-value store over a parallel augmented map: one map behind one
+/// group-commit pipeline and one head — and, when opened on a directory,
+/// one WAL and one checkpointer.
 ///
 /// Writes batch, normalize, log and apply on the one committer thread,
 /// whose bulk operations are parallel inside; reads pin O(1) persistent
@@ -122,9 +111,9 @@ impl<S: AugSpec> Core<S> {
 ///     Store::volatile(ShardedConfig::builder().shards(4).build());
 /// store.put_all((0..1000u64).map(|k| (k, 1))).wait();
 /// assert_eq!(store.get(&17), Some(1));
-/// assert_eq!(store.aug_range(&0, &999), 1000); // merged across shards
+/// assert_eq!(store.aug_range(&0, &999), 1000); // one O(log n) query
 ///
-/// let snap = store.snapshot(); // one pin of every shard
+/// let snap = store.snapshot(); // one pin of the one root
 /// store.delete(17).wait();
 /// assert_eq!(snap.get(&17), Some(1));
 /// assert_eq!(store.get(&17), None);
@@ -160,8 +149,10 @@ pub struct Store<S: AugSpec> {
     /// The last handle once both threads are joined: dropping it closes
     /// the log.
     core: Arc<Core<S>>,
+    /// Files per checkpoint ([`ShardedConfig::shards`], at least 1).
     shards: usize,
-    /// What recovery found, shard order (empty for a volatile store).
+    /// What recovery found, one entry per checkpoint file (empty for a
+    /// volatile store).
     recovery: Vec<RecoveryInfo>,
     /// Keeps the directory the flight dump's destination through the
     /// committer's drain.
@@ -172,35 +163,33 @@ pub struct Store<S: AugSpec> {
 
 impl<S: AugSpec> Store<S>
 where
-    S::K: Codec + ShardKey,
+    S::K: Codec,
     S::V: Codec,
 {
     /// An empty **volatile** store: the same pipeline and read paths as
     /// [`Self::open`], with no disk underneath — an ack promises
     /// visibility only, and everything is gone on drop.
     pub fn volatile(config: ShardedConfig) -> Self {
-        let maps = (0..config.shards.max(1)).map(|_| AugMap::new()).collect();
-        Self::start(maps, 0, &config, None)
+        Self::start(AugMap::new(), 0, &config, None)
     }
 
-    /// Open (or create) a durable store in `dir`: verify the shard-count
-    /// manifest, bulk-load every shard's newest valid checkpoint **in
-    /// parallel**, then replay the one log once from the oldest of those
-    /// checkpoints on — a torn final record tolerated and truncated.
+    /// Open (or create) a durable store in `dir`: verify the manifest,
+    /// bulk-load the N key-range files of the newest complete checkpoint
+    /// **in parallel** and union them, then replay the one log once from
+    /// that checkpoint on — a torn final record tolerated and truncated.
     ///
     /// With [`DurabilityConfig::obs_addr`] set, one telemetry endpoint
     /// serves the whole store ([`Self::obs_addr`]).
     ///
     /// # Errors
     ///
-    /// * `InvalidInput` — the manifest pins a different shard count (the
-    ///   hash routing is part of the on-disk format);
-    /// * `InvalidData` — data but no manifest: shard directories or log
-    ///   segments whose manifest was lost, or the retired
-    ///   single-directory layout — guessing a layout could route keys
-    ///   into the wrong shard, and creating a fresh store would shadow
+    /// * `InvalidInput` — the manifest pins a different count of files
+    ///   per checkpoint;
+    /// * `InvalidData` — data but no manifest: checkpoint directories or
+    ///   log segments whose manifest was lost, or the retired
+    ///   single-directory layout — creating a fresh store would shadow
     ///   acknowledged data; a directory of an earlier format (a manifest
-    ///   of format 1 or 2, a log segment of version 1 or 2), which is
+    ///   of format 1, 2 or 3, a log segment of version 1 or 2), which is
     ///   left untouched; also corruption outside a tolerated torn tail,
     ///   or a WAL gap;
     /// * `WouldBlock` — another live process holds the directory lock;
@@ -214,12 +203,12 @@ where
         let dir = dir.as_ref();
         let durable::Recovered {
             lock,
-            maps,
+            map,
             version,
             recovery,
             wal,
         } = durable::recover::<S>(dir, config.shards.max(1), &durability)?;
-        let mut store = Self::start(maps, version, &config, Some(wal));
+        let mut store = Self::start(map, version, &config, Some(wal));
         store.recovery = recovery;
         store._dump_dir = Some(flight::register_dump_dir(dir));
         store._lock = Some(lock);
@@ -248,18 +237,16 @@ where
         Ok(store)
     }
 
-    /// A store whose version `version` is the tuple `maps`, one map per
-    /// shard, with its committer running — appending to `wal` first when
-    /// durable.
+    /// A store whose version `version` is `map`, with its committer
+    /// running — appending to `wal` first when durable.
     fn start(
-        maps: Vec<AugMap<S>>,
+        map: AugMap<S>,
         version: VersionId,
         config: &ShardedConfig,
         wal: Option<WalPart>,
     ) -> Self {
-        let shards = maps.len();
         let core = Arc::new(Core {
-            registry: Registry::new(version, maps),
+            registry: Registry::new(version, map),
             pipeline: Arc::new(Pipeline::new(config, version)),
             stats: StatsInner::default(),
             wal,
@@ -281,23 +268,24 @@ where
             checkpointer: None,
             committer: Some(committer),
             core,
-            shards,
+            shards: config.shards.max(1),
             recovery: Vec::new(),
             _dump_dir: None,
             _lock: None,
         }
     }
 
-    /// Checkpoint now: pin the head at store epoch `E`, stream every
-    /// shard's map to `shard-<i>/ckpt-<E>.ckpt` while writers keep
+    /// Checkpoint now: pin the head at store epoch `E`, stream the map's
+    /// N key ranges to `shard-<i>/ckpt-<E>.ckpt` while writers keep
     /// committing, then truncate the WAL segments the checkpoint covers.
     /// Returns `E`.
     ///
     /// # Errors
     ///
     /// `Unsupported` on a volatile store. Otherwise filesystem errors
-    /// pass through, naming the shard whose file failed. A failed
-    /// checkpoint is never fatal: the WAL still holds everything.
+    /// pass through, naming the `shard-<i>` file that failed. A failed
+    /// checkpoint is never fatal: the WAL still holds everything, and
+    /// recovery ignores the files it did write.
     pub fn checkpoint(&self) -> io::Result<u64> {
         match &self.core.wal {
             Some(wal) => wal.checkpoint(&self.core.registry),
@@ -308,14 +296,10 @@ where
         }
     }
 
-    /// Number of shards (for a durable store: as pinned by the manifest).
+    /// Number of key-range files a checkpoint is cut into (for a
+    /// durable store: as pinned by the manifest).
     pub fn num_shards(&self) -> usize {
         self.shards
-    }
-
-    /// The shard index `key` routes to.
-    pub fn shard_of(&self, key: &S::K) -> usize {
-        route(key.shard_hash(), self.shards)
     }
 
     // -- writes -----------------------------------------------------------
@@ -336,7 +320,7 @@ where
     /// epoch, so every reader sees all of them or none, and (when
     /// durable) they are one WAL record — whole after a crash or absent.
     /// The batch may share its epoch with concurrent writers (group
-    /// commit), whatever shards its keys route to.
+    /// commit).
     pub fn write_batch(&self, ops: impl IntoIterator<Item = WriteOp<S>>) -> CommitTicket<S> {
         self.core.pipeline.submit_all(ops)
     }
@@ -360,7 +344,7 @@ where
 
     // -- reads ------------------------------------------------------------
     //
-    // Every read pins the head once: one version of every shard.
+    // Every read pins the head once: one version of the one map.
 
     /// The value at `key` in the current version.
     pub fn get(&self, key: &S::K) -> Option<S::V> {
@@ -373,14 +357,14 @@ where
         self.snapshot().get_many(keys)
     }
 
-    /// All entries with keys in `[lo, hi]`, merged across shards in key
-    /// order. Prefer [`Self::range_for_each`] for large ranges.
+    /// All entries with keys in `[lo, hi]`, in key order. Prefer
+    /// [`Self::range_for_each`] for large ranges.
     pub fn range(&self, lo: &S::K, hi: &S::K) -> Vec<(S::K, S::V)> {
         self.snapshot().range(lo, hi)
     }
 
     /// Stream the entries with keys in `[lo, hi]` of the current version
-    /// to `f` in global key order (see [`Snapshot::range_for_each`]).
+    /// to `f` in key order (see [`Snapshot::range_for_each`]).
     pub fn range_for_each(&self, lo: &S::K, hi: &S::K, f: impl FnMut(&S::K, &S::V)) {
         self.snapshot().range_for_each(lo, hi, f);
     }
@@ -396,16 +380,13 @@ where
         self.snapshot().range_try_for_each(lo, hi, f);
     }
 
-    /// Augmented value over keys in `[lo, hi]`: the combine of the
-    /// per-shard `aug_range` results (O(shards × log n) — e.g. a range
-    /// *sum* under `SumAug`). Requires a **commutative** combine on more
-    /// than one shard — see the module docs.
+    /// Augmented value over keys in `[lo, hi]`, O(log n) — e.g. a range
+    /// *sum* under `SumAug`.
     pub fn aug_range(&self, lo: &S::K, hi: &S::K) -> S::A {
         self.snapshot().aug_range(lo, hi)
     }
 
-    /// Augmented value of the whole store (O(shards)). Same caveats as
-    /// [`Self::aug_range`].
+    /// Augmented value of the whole store, O(1).
     pub fn aug_val(&self) -> S::A {
         self.snapshot().aug_val()
     }
@@ -420,9 +401,9 @@ where
         self.len() == 0
     }
 
-    /// Pin the current version of every shard: one O(1) pin of the head,
-    /// which contains every write acknowledged before the call and every
-    /// batch wholly or not at all.
+    /// Pin the current version: one O(1) pin of the head, which contains
+    /// every write acknowledged before the call and every batch wholly or
+    /// not at all.
     pub fn snapshot(&self) -> Snapshot<S> {
         self.core.registry.pin_head()
     }
@@ -437,31 +418,29 @@ where
 
     /// The store's health: `Poisoned` with the original error after a
     /// WAL-append fail-stop beats `Degraded` while the background
-    /// checkpointer keeps failing (the reason names the failing shard),
+    /// checkpointer keeps failing (the reason names the failing file),
     /// which beats `Healthy`.
     pub fn health(&self) -> Health {
         self.core.health()
     }
 
-    /// Exact heap bytes reachable from the current version of every
-    /// shard. What an older snapshot costs on top is only the nodes it
-    /// does not share with this one.
+    /// Exact heap bytes reachable from the current version. What an
+    /// older snapshot costs on top is only the nodes it does not share
+    /// with this one.
     pub fn memory_bytes(&self) -> usize {
-        let snap = self.snapshot();
-        let roots: Vec<_> = snap.entry.maps.iter().map(AugMap::root).collect();
-        pam::stats::reachable_bytes(&roots)
+        pam::stats::reachable_bytes(&[self.snapshot().map().root()])
     }
 
     // -- the durability part -------------------------------------------------
 
-    /// What recovery found per shard when this store was opened (empty
-    /// for a volatile store).
+    /// What recovery found per checkpoint file when this store was opened
+    /// (empty for a volatile store).
     pub fn recovery(&self) -> &[RecoveryInfo] {
         &self.recovery
     }
 
-    /// The directory holding the manifest, the log and the shard
-    /// checkpoint directories (`None` for a volatile store).
+    /// The directory holding the manifest, the log and the checkpoint
+    /// directories (`None` for a volatile store).
     pub fn dir(&self) -> Option<&Path> {
         self.core.wal.as_ref().map(|wal| wal.dir.as_path())
     }
@@ -494,11 +473,11 @@ impl<S: AugSpec> Drop for Store<S> {
 
 impl<S: AugSpec> std::fmt::Debug for Store<S>
 where
-    S::K: Codec + ShardKey,
+    S::K: Codec,
     S::V: Codec,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Store({} shards, len {}", self.num_shards(), self.len())?;
+        write!(f, "Store(len {}", self.len())?;
         match self.dir() {
             Some(dir) => write!(f, ", {})", dir.display()),
             None => write!(f, ", volatile)"),
@@ -510,50 +489,47 @@ where
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// A frozen, immutable view of a store: one pinned version, which holds
-/// every shard's map (see [`Store::snapshot`]). Reads never block, never
-/// change, and never observe later writes. Holding the snapshot keeps
-/// its version alive; it dies with its last holder. Cloning is O(1).
+/// A frozen, immutable view of a store: one pinned version (see
+/// [`Store::snapshot`]). Reads never block, never change, and never
+/// observe later writes. Holding the snapshot keeps its version alive;
+/// it dies with its last holder. Cloning is O(1).
 pub struct Snapshot<S: AugSpec> {
     pub(crate) entry: Arc<VersionEntry<S>>,
 }
 
-impl<S: AugSpec> Snapshot<S>
-where
-    S::K: ShardKey,
-{
+impl<S: AugSpec> Snapshot<S> {
     /// The pinned version's id: the epoch of the last write it contains.
     pub fn version(&self) -> VersionId {
         self.entry.id
     }
 
-    /// The map of shard `i` in this version.
-    pub fn shard(&self, i: usize) -> &AugMap<S> {
-        &self.entry.maps[i]
-    }
-
-    fn shard_of_key(&self, key: &S::K) -> &AugMap<S> {
-        let maps = &self.entry.maps;
-        &maps[route(key.shard_hash(), maps.len())]
+    /// The store's map in this version.
+    pub fn map(&self) -> &AugMap<S> {
+        &self.entry.map
     }
 
     /// The value at `key` in this frozen view.
     pub fn get(&self, key: &S::K) -> Option<S::V> {
-        self.shard_of_key(key).get(key).cloned()
+        self.map().get(key).cloned()
     }
 
     /// The values at several keys, results in input order — all from
-    /// this one frozen view, so they are mutually consistent. Keys are
-    /// scattered to their shards, and each shard's probes run in sorted
-    /// key order so successive lookups share their upper tree path in
-    /// cache.
+    /// this one frozen view, so they are mutually consistent. The probes
+    /// run in sorted key order, so successive lookups share their upper
+    /// tree path in cache.
     pub fn get_many(&self, keys: &[S::K]) -> Vec<Option<S::V>> {
-        scatter_gather_get_many(&self.entry.maps, keys)
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| S::compare(&keys[a], &keys[b]));
+        let mut out = vec![None; keys.len()];
+        for i in order {
+            out[i] = self.get(&keys[i]);
+        }
+        out
     }
 
     /// Total entries in the snapshot.
     pub fn len(&self) -> usize {
-        self.entry.maps.iter().map(AugMap::len).sum()
+        self.map().len()
     }
 
     /// Is the snapshot empty?
@@ -561,15 +537,15 @@ where
         self.len() == 0
     }
 
-    /// All entries with keys in `[lo, hi]`, merged in key order.
+    /// All entries with keys in `[lo, hi]`, in key order.
     pub fn range(&self, lo: &S::K, hi: &S::K) -> Vec<(S::K, S::V)> {
         let mut out = Vec::new();
         self.range_for_each(lo, hi, |k, v| out.push((k.clone(), v.clone())));
         out
     }
 
-    /// Stream the entries with keys in `[lo, hi]` to `f` in global key
-    /// order (k-way merge over the shards) without materializing them.
+    /// Stream the entries with keys in `[lo, hi]` to `f` in key order
+    /// without materializing them.
     pub fn range_for_each(&self, lo: &S::K, hi: &S::K, mut f: impl FnMut(&S::K, &S::V)) {
         self.range_try_for_each(lo, hi, |k, v| {
             f(k, v);
@@ -578,59 +554,30 @@ where
     }
 
     /// [`Self::range_for_each`] with early exit: when `f` returns
-    /// [`ControlFlow::Break`] the merge stops without pulling another
-    /// entry from any shard, so a scan that wants `L` entries reads at
-    /// most `L + shards` of them however wide `[lo, hi]` is.
-    ///
-    /// Shards partition the key space disjointly, so repeatedly emitting
-    /// the smallest head is a strict global key order. O(emitted ×
-    /// shards) comparisons — shard counts are small (≤ cores), so a
-    /// linear head scan beats a heap.
+    /// [`ControlFlow::Break`] the walk stops without reading another
+    /// entry, so a scan that wants `L` entries reads `L` of them however
+    /// wide `[lo, hi]` is.
     pub fn range_try_for_each(
         &self,
         lo: &S::K,
         hi: &S::K,
         mut f: impl FnMut(&S::K, &S::V) -> ControlFlow<()>,
     ) {
-        let mut iters: Vec<_> = self
-            .entry
-            .maps
-            .iter()
-            .map(|m| m.iter_range(lo, hi))
-            .collect();
-        let mut heads: Vec<Option<(&S::K, &S::V)>> = iters.iter_mut().map(|it| it.next()).collect();
-        loop {
-            let mut best: Option<(usize, &S::K, &S::V)> = None;
-            for (i, head) in heads.iter().enumerate() {
-                let Some((k, v)) = *head else { continue };
-                if best.is_none_or(|(_, bk, _)| S::compare(k, bk).is_lt()) {
-                    best = Some((i, k, v));
-                }
-            }
-            let Some((i, k, v)) = best else { break };
+        for (k, v) in self.map().iter_range(lo, hi) {
             if f(k, v).is_break() {
                 break;
             }
-            heads[i] = iters[i].next();
         }
     }
 
-    /// Augmented value over `[lo, hi]`. The per-shard values are
-    /// combined out of key order, so on more than one shard the spec's
-    /// combine must be commutative (all built-ins are).
+    /// Augmented value over `[lo, hi]`, O(log n).
     pub fn aug_range(&self, lo: &S::K, hi: &S::K) -> S::A {
-        self.entry.maps.iter().fold(S::identity(), |acc, m| {
-            S::combine(&acc, &m.aug_range(lo, hi))
-        })
+        self.map().aug_range(lo, hi)
     }
 
-    /// Augmented value of the whole snapshot (same commutativity caveat
-    /// as [`Self::aug_range`]).
+    /// Augmented value of the whole snapshot, O(1).
     pub fn aug_val(&self) -> S::A {
-        self.entry
-            .maps
-            .iter()
-            .fold(S::identity(), |acc, m| S::combine(&acc, &m.aug_val()))
+        self.map().aug_val()
     }
 }
 
@@ -665,7 +612,7 @@ mod tests {
         }
     }
 
-    /// A one-shard volatile store with the given pipeline tuning.
+    /// A volatile store with the given pipeline tuning.
     fn one_shard(batch_window: Duration, max_batch: usize) -> Store<S> {
         Store::volatile(ShardedConfig {
             shards: 1,
@@ -679,7 +626,7 @@ mod tests {
     }
 
     /// The store API end to end; run below over every cell of
-    /// {1, 4 shards} × {volatile, durable}.
+    /// {1, 4 files per checkpoint} × {volatile, durable}.
     fn exercise(store: &Store<S>) {
         store.put(1, 10).wait();
         store.put(2, 20).wait();
@@ -714,7 +661,7 @@ mod tests {
         assert!(store.snapshot().version() > snap.version());
 
         // every write carries its epoch, which is the version it commits
-        // in, however many shards it spans
+        // in
         let t = store.write_batch((100..132u64).map(|k| WriteOp::Put(k, k)));
         assert_eq!(t.global_epoch(), Some(t.wait()));
         assert_eq!(store.snapshot().version(), t.wait());
@@ -745,8 +692,8 @@ mod tests {
             let contents = durable.range(&0, &u64::MAX);
             let version = durable.flush();
             drop(durable);
-            // the one on-disk layout, whatever the shard count: one log
-            // at the top, one checkpoint directory per shard
+            // the one on-disk layout: one log at the top, one checkpoint
+            // directory per key-range file
             assert!(dir.join("MANIFEST").is_file());
             assert!(dir.join("wal-00000000000000000001.seg").is_file());
             assert!(dir.join(format!("shard-{}", shards - 1)).is_dir());
@@ -763,95 +710,105 @@ mod tests {
     }
 
     #[test]
-    fn routing_partitions_every_key_once() {
-        let store = eager(5);
-        store.put_all((0..500u64).map(|k| (k, k))).wait();
-        let snap = store.snapshot();
-        let total: usize = (0..5).map(|i| snap.shard(i).len()).sum();
-        assert_eq!(total, 500);
-        for i in 0..5 {
-            snap.shard(i)
-                .for_each(|k, _| assert_eq!(store.shard_of(k), i));
-            assert!(!snap.shard(i).is_empty(), "shard {i} got no keys");
+    fn a_checkpoint_cuts_the_map_into_contiguous_key_ranges() {
+        let base = std::env::temp_dir().join(format!("pam-store-ranges-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        // 497 entries over 5 files (uneven cuts), and 3 entries over 5
+        // files (two of them empty)
+        for (files, keys) in [(5usize, 0..500u64), (5, 0..3)] {
+            let dir = base.join(format!("{files}-{}", keys.end));
+            let store =
+                Store::<S>::open(&dir, eager_config(files), DurabilityConfig::default()).unwrap();
+            store.put_all(keys.map(|k| (k * 3, k))).wait();
+            store.write_batch([7u64, 8, 9].map(WriteOp::Delete)).wait();
+            let epoch = store.checkpoint().unwrap();
+            let all = store.range(&0, &u64::MAX);
+            let n = all.len();
+            let mut joined = Vec::new();
+            for i in 0..files {
+                let shard_dir = pam_wal::manifest::shard_dir(&dir, i);
+                let (at, part) = pam_wal::checkpoint::load_latest::<u64, u64>(&shard_dir)
+                    .unwrap()
+                    .expect("every file is written, an empty range too");
+                assert_eq!(at, epoch, "one epoch for every file");
+                assert_eq!(part.len(), (i + 1) * n / files - i * n / files, "file {i}");
+                joined.extend(part);
+            }
+            // in file order the files are the map itself: disjoint,
+            // ascending, covering every key once
+            assert_eq!(joined, all);
         }
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
     fn point_reads_and_scatter_gather() {
-        for shards in [1, 4] {
-            let store = eager(shards);
-            store.put_all((0..200u64).map(|k| (k, k * 2))).wait();
-            assert_eq!(store.get(&77), Some(154));
-            assert_eq!(store.get(&999), None);
-            // unsorted, with duplicates and misses; results in input order
-            let keys = vec![42u64, 7, 999, 7, 0, 63];
-            assert_eq!(
-                store.get_many(&keys),
-                vec![Some(84), Some(14), None, Some(14), Some(0), Some(126)]
-            );
-            assert_eq!(store.get_many(&[]), Vec::<Option<u64>>::new());
-        }
+        let store = eager(4);
+        store.put_all((0..200u64).map(|k| (k, k * 2))).wait();
+        assert_eq!(store.get(&77), Some(154));
+        assert_eq!(store.get(&999), None);
+        // unsorted, with duplicates and misses; results in input order
+        let keys = vec![42u64, 7, 999, 7, 0, 63];
+        assert_eq!(
+            store.get_many(&keys),
+            vec![Some(84), Some(14), None, Some(14), Some(0), Some(126)]
+        );
+        assert_eq!(store.get_many(&[]), Vec::<Option<u64>>::new());
     }
 
     #[test]
     fn merged_range_is_globally_ordered() {
-        for shards in [1, 4] {
-            let store = eager(shards);
-            store.put_all((0..1000u64).map(|k| (k, k))).wait();
-            let got = store.range(&100, &199);
-            assert_eq!(got, (100..=199).map(|k| (k, k)).collect::<Vec<_>>());
-            // the streaming API agrees with the materializing one
-            let mut seen = Vec::new();
-            store.range_for_each(&100, &199, |&k, &v| seen.push((k, v)));
-            assert_eq!(seen, got);
-            assert_eq!(store.range(&998, &2000), vec![(998, 998), (999, 999)]);
-            // empty range
-            let mut n = 0;
-            store.range_for_each(&5000, &6000, |_, _| n += 1);
-            assert_eq!(n, 0);
-        }
+        let store = eager(4);
+        store.put_all((0..1000u64).map(|k| (k, k))).wait();
+        let got = store.range(&100, &199);
+        assert_eq!(got, (100..=199).map(|k| (k, k)).collect::<Vec<_>>());
+        // the streaming API agrees with the materializing one
+        let mut seen = Vec::new();
+        store.range_for_each(&100, &199, |&k, &v| seen.push((k, v)));
+        assert_eq!(seen, got);
+        assert_eq!(store.range(&998, &2000), vec![(998, 998), (999, 999)]);
+        // empty range
+        let mut n = 0;
+        store.range_for_each(&5000, &6000, |_, _| n += 1);
+        assert_eq!(n, 0);
     }
 
     #[test]
     fn a_breaking_visitor_stops_the_merge() {
-        for shards in [1, 4] {
-            let store = eager(shards);
-            store.put_all((0..10_000u64).map(|k| (k, k))).wait();
-            let snap = store.snapshot();
-            for limit in [1usize, 10, 100] {
-                let (mut calls, mut got) = (0usize, Vec::new());
-                snap.range_try_for_each(&0, &u64::MAX, |&k, _| {
-                    calls += 1;
-                    got.push(k);
-                    if got.len() == limit {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                assert_eq!(calls, limit, "the visitor is never called after Break");
-                assert_eq!(got, (0..limit as u64).collect::<Vec<_>>());
-            }
-            // the live-store form cuts its own snapshot and stops too
-            let mut calls = 0;
-            store.range_try_for_each(&0, &u64::MAX, |_, _| {
+        let store = eager(4);
+        store.put_all((0..10_000u64).map(|k| (k, k))).wait();
+        let snap = store.snapshot();
+        for limit in [1usize, 10, 100] {
+            let (mut calls, mut got) = (0usize, Vec::new());
+            snap.range_try_for_each(&0, &u64::MAX, |&k, _| {
                 calls += 1;
-                ControlFlow::Break(())
+                got.push(k);
+                if got.len() == limit {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
             });
-            assert_eq!(calls, 1);
+            assert_eq!(calls, limit, "the visitor is never called after Break");
+            assert_eq!(got, (0..limit as u64).collect::<Vec<_>>());
         }
+        // the live-store form cuts its own snapshot and stops too
+        let mut calls = 0;
+        store.range_try_for_each(&0, &u64::MAX, |_, _| {
+            calls += 1;
+            ControlFlow::Break(())
+        });
+        assert_eq!(calls, 1);
     }
 
     #[test]
     fn aug_queries_combine_across_shards() {
-        for shards in [1, 3] {
-            let store = eager(shards);
-            store.put_all((1..=100u64).map(|k| (k, k))).wait();
-            assert_eq!(store.aug_val(), 5050);
-            assert_eq!(store.aug_range(&10, &19), (10..=19).sum::<u64>());
-            assert_eq!(store.len(), 100);
-            assert!(!store.is_empty());
-        }
+        let store = eager(4);
+        store.put_all((1..=100u64).map(|k| (k, k))).wait();
+        assert_eq!(store.aug_val(), 5050);
+        assert_eq!(store.aug_range(&10, &19), (10..=19).sum::<u64>());
+        assert_eq!(store.len(), 100);
+        assert!(!store.is_empty());
     }
 
     #[test]
@@ -863,12 +820,12 @@ mod tests {
                 .chain(std::iter::once(WriteOp::Delete(50))),
         );
         assert_eq!(t.global_epoch(), Some(1), "the store's first epoch");
-        assert_eq!(t.wait(), 1, "one epoch, one version, both shards");
+        assert_eq!(t.wait(), 1, "one epoch, one version");
         assert!(t.is_done());
         assert_eq!(store.len(), 99);
         assert_eq!(store.get(&50), None);
         assert_eq!(store.snapshot().version(), 1);
-        // a single-key write is the next epoch, on whichever shard
+        // a single-key write is the next epoch
         let put = store.put(7, 7);
         assert_eq!((put.global_epoch(), put.wait()), (Some(2), 2));
     }
@@ -946,7 +903,7 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.raw_ops, 1000);
         assert_eq!(s.applied_ops, 1000);
-        assert_eq!(s.commits, 1, "one batch, one epoch, four shards");
+        assert_eq!(s.commits, 1, "one batch, one epoch");
         assert_eq!(s.commit.count(), s.commits);
         assert_eq!((s.head_version, s.live_versions), (1, 1));
         assert!(store.memory_bytes() > 1000 * 8);
@@ -971,7 +928,7 @@ mod tests {
         assert_eq!(eager(0).num_shards(), 1);
     }
 
-    // -- the pipeline and the registry, through a one-shard store ----------
+    // -- the pipeline and the registry ---------------------------------------
 
     #[test]
     fn put_get_delete_roundtrip() {
@@ -996,8 +953,8 @@ mod tests {
         let v1 = store.snapshot();
         assert_eq!((v1.version(), store.len()), (1, 3));
         assert_eq!(store.put(4, 4).wait(), 2);
-        assert_eq!(store.snapshot().shard(0).to_vec().len(), 4);
-        assert_eq!(v1.shard(0).len(), 3);
+        assert_eq!(store.snapshot().map().to_vec().len(), 4);
+        assert_eq!(v1.map().len(), 3);
     }
 
     #[test]
@@ -1022,7 +979,7 @@ mod tests {
             store.put(i, i).wait();
         }
         assert_eq!(store.stats().live_versions, 2, "the head and the pin");
-        assert_eq!((pin.version(), pin.shard(0).to_vec()), (1, vec![(1, 1)]));
+        assert_eq!((pin.version(), pin.map().to_vec()), (1, vec![(1, 1)]));
         drop(pin);
         let s = store.stats();
         assert_eq!((s.live_versions, s.retired_versions), (1, 101));

@@ -1,10 +1,11 @@
 //! `Bytes` and `Vec<u8>` are interchangeable over one durable directory:
-//! the same encoding byte for byte, the same order, the same shard. A
-//! directory either representation wrote reopens under the other with
-//! the same contents and the same per-shard recovery.
+//! the same encoding byte for byte and the same order, so the same
+//! key-range cut of every checkpoint. A directory either representation
+//! wrote reopens under the other with the same contents and the same
+//! per-file recovery.
 
 use pam::{AugSpec, NoAug};
-use pam_store::{Bytes, Codec, DurabilityConfig, ShardKey, ShardedConfig, Store, WriteOp};
+use pam_store::{Bytes, Codec, DurabilityConfig, ShardedConfig, Store, WriteOp};
 use pam_wal::{put_varint, Reader};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -89,9 +90,6 @@ fn sorting_by_bytes_and_by_vec_gives_the_same_permutation() {
     let mut by_bytes: Vec<usize> = (0..strings.len()).collect();
     by_bytes.sort_by(|&a, &b| as_bytes[a].cmp(&as_bytes[b]));
     assert_eq!(by_vec, by_bytes);
-    for (v, b) in strings.iter().zip(&as_bytes) {
-        assert_eq!(b.shard_hash(), v.shard_hash());
-    }
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -116,7 +114,7 @@ fn copy_dir(from: &Path, to: &Path) {
 fn open<S>(dir: &Path) -> Store<S>
 where
     S: AugSpec,
-    S::K: Codec + ShardKey,
+    S::K: Codec,
     S::V: Codec,
 {
     Store::open(
@@ -141,12 +139,12 @@ fn value(i: u64, round: u8) -> Vec<u8> {
     vec![round; (i % 200) as usize]
 }
 
-/// A 2-shard directory with a checkpoint under a cross-shard batch,
-/// then a WAL tail of puts, a delete and a second cross-shard batch.
+/// A directory with a two-file checkpoint under a batch, then a WAL
+/// tail of puts, a delete and a second batch.
 fn write<S>(dir: &Path)
 where
     S: AugSpec,
-    S::K: Codec + ShardKey + From<Vec<u8>>,
+    S::K: Codec + From<Vec<u8>>,
     S::V: Codec + From<Vec<u8>>,
 {
     let store = open::<S>(dir);
@@ -166,12 +164,12 @@ where
 
 type Recovered = (Vec<(Vec<u8>, Vec<u8>)>, Vec<[u64; 4]>);
 
-/// Reopen `dir` as `S`: the full-range scan and each shard's recovery
+/// Reopen `dir` as `S`: the full-range scan and each file's recovery
 /// counts.
 fn reopen<S>(dir: &Path) -> Recovered
 where
     S: AugSpec,
-    S::K: Codec + ShardKey + From<Vec<u8>> + AsRef<[u8]>,
+    S::K: Codec + From<Vec<u8>> + AsRef<[u8]>,
     S::V: Codec + AsRef<[u8]>,
 {
     let store = open::<S>(dir);
@@ -181,8 +179,8 @@ where
         &vec![0xffu8; 16].into(),
         |k, v| scan.push((k.as_ref().to_vec(), v.as_ref().to_vec())),
     );
-    // the scan merges every shard; a point read routes to one, so it
-    // finds the entry only if this key type hashes as the writer's did
+    // a point read walks the tree by this key type's order: it finds
+    // every scanned entry only if that order is the writer's
     for (k, v) in &scan {
         let got = store.get(&k.clone().into());
         assert_eq!(got.as_ref().map(AsRef::as_ref), Some(&v[..]), "{k:?}");
@@ -207,10 +205,10 @@ where
 fn written_as_then_read_as<W, R>(name: &str)
 where
     W: AugSpec,
-    W::K: Codec + ShardKey + From<Vec<u8>> + AsRef<[u8]>,
+    W::K: Codec + From<Vec<u8>> + AsRef<[u8]>,
     W::V: Codec + From<Vec<u8>> + AsRef<[u8]>,
     R: AugSpec,
-    R::K: Codec + ShardKey + From<Vec<u8>> + AsRef<[u8]>,
+    R::K: Codec + From<Vec<u8>> + AsRef<[u8]>,
     R::V: Codec + AsRef<[u8]>,
 {
     let src = fresh_dir(name);
@@ -228,7 +226,7 @@ where
     assert!(scan.contains(&(key(7), value(8, 2))));
     assert!(
         recovery.iter().all(|r| r[1] > 0 && r[2] > 0),
-        "every shard loads a checkpoint and replays a tail: {recovery:?}"
+        "every file loads entries and the log replays a tail: {recovery:?}"
     );
     assert_eq!(reopen::<R>(&other), expected);
 

@@ -20,7 +20,7 @@ fn my_turn() -> MutexGuard<'static, ()> {
     TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A one-shard store: every epoch is one bulk op on one map.
+/// A volatile store: every epoch is one bulk op on its map.
 fn one_shard(batch_window: Duration, max_batch: usize) -> ShardedConfig {
     ShardedConfig {
         shards: 1,

@@ -1,5 +1,5 @@
 //! Integration tests for the live-telemetry surface: a durable `Store`
-//! (1 shard, then 4) scraped over a raw `TcpStream`, the poison path
+//! (1 checkpoint file, then 4) scraped over a raw `TcpStream`, the poison path
 //! surfacing its reason through `health()` and the store's own
 //! `/health`, and — in a re-executed child process, mirroring
 //! `recovery.rs` — the flight recorder dumping `flight-<pid>.json` into
@@ -177,18 +177,14 @@ fn sharded_store_binds_one_aggregated_endpoint() {
             .and_then(Json::as_f64)
             .unwrap()
     };
-    assert!(
-        counter("pam_commits_total") >= 256.0,
-        "256 acked puts across 4 shards"
-    );
+    assert!(counter("pam_commits_total") >= 256.0, "256 acked puts");
     assert_eq!(
         counter("pam_wal_records_total"),
         counter("pam_commits_total"),
-        "one log: one record per epoch, whatever shards it touched"
+        "one log: one record per epoch"
     );
 
-    // /trace: one track — a store has one committer, whatever its shard
-    // count
+    // /trace: one track — a store has one committer
     let t = Json::parse(&http_get(addr, "/trace").1).expect("/trace parses");
     let slices: Vec<f64> = t
         .get("traceEvents")
@@ -215,8 +211,8 @@ fn sharded_store_binds_one_aggregated_endpoint() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A shard whose checkpoint file cannot be written degrades the whole
-/// store's health, and the reason names that shard.
+/// A checkpoint file that cannot be written degrades the whole store's
+/// health, and the reason names that file's directory.
 #[test]
 fn degraded_health_names_the_shard_whose_checkpointer_fails() {
     let dir = fresh_dir("degraded");
@@ -267,7 +263,7 @@ fn degraded_health_names_the_shard_whose_checkpointer_fails() {
 }
 
 /// A telemetry address that cannot be bound fails the open cleanly: the
-/// error names the address, and every shard has shut down and released
+/// error names the address, and the store has shut down and released
 /// its lock, so the directory opens again at once.
 #[test]
 fn an_unbindable_obs_addr_fails_the_open_and_releases_the_directory() {

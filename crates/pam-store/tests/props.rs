@@ -11,12 +11,11 @@ use std::time::Duration;
 
 type S = SumAug<u64, u64>;
 
-/// A one-shard volatile store that commits at once: a snapshot's one map
-/// is the whole store.
-fn one_shard() -> Store<S> {
+/// A volatile store that commits at once: a snapshot's map is the whole
+/// store.
+fn volatile_store() -> Store<S> {
     Store::volatile(
         ShardedConfig::builder()
-            .shards(1)
             .batch_window(Duration::ZERO)
             .build(),
     )
@@ -101,7 +100,7 @@ proptest! {
         ops in collection::vec(op_strategy(), 0..300),
         cuts in collection::vec(1usize..24, 1..24),
     ) {
-        let store = one_shard();
+        let store = volatile_store();
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
         apply_sequentially(&mut oracle, &ops);
 
@@ -116,7 +115,7 @@ proptest! {
         store.flush();
 
         let snap = store.snapshot();
-        prop_assert_eq!(snap.shard(0).to_vec(), oracle.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(snap.map().to_vec(), oracle.into_iter().collect::<Vec<_>>());
     }
 
     // The registry has no retention policy beside the reference counts:
@@ -131,7 +130,7 @@ proptest! {
         // Version 1 is a few hundred leaves, the operations land all over
         // it: consecutive versions share most of their nodes.
         let seed: Vec<(u64, u64)> = (0..4096u64).map(|k| (k, k)).collect();
-        let store = one_shard();
+        let store = volatile_store();
         prop_assert_eq!(store.put_all(seed.clone()).wait(), 1);
         // The model: the head's map (its own lineage, built with the tree
         // operations the committer uses) and, per held version, the number
@@ -186,15 +185,15 @@ proptest! {
             for pin in &pins {
                 let model = &held[&pin.version()].1;
                 prop_assert_eq!(
-                    (pin.shard(0).len(), pin.shard(0).aug_val()),
+                    (pin.map().len(), pin.map().aug_val()),
                     (model.len(), model.aug_val())
                 );
             }
             let head = store.snapshot();
             let store_roots: Vec<_> = pins
                 .iter()
-                .map(|p| p.shard(0).root())
-                .chain([head.shard(0).root()])
+                .map(|p| p.map().root())
+                .chain([head.map().root()])
                 .collect();
             let model_roots: Vec<_> = held
                 .values()
@@ -207,7 +206,7 @@ proptest! {
             );
         }
         for pin in &pins {
-            prop_assert_eq!(pin.shard(0).to_vec(), held[&pin.version()].1.to_vec());
+            prop_assert_eq!(pin.map().to_vec(), held[&pin.version()].1.to_vec());
         }
     }
 }

@@ -1,4 +1,5 @@
-//! Crash-recovery integration tests for a durable 1-shard `Store`.
+//! Crash-recovery integration tests for a durable `Store` whose
+//! checkpoints are one file.
 //!
 //! The centerpiece is `kill_and_recover`: the test re-executes its own
 //! binary as a child process that writes through a durable `Store` and

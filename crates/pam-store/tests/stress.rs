@@ -19,13 +19,10 @@ use std::time::Duration;
 type Spec = SumAug<u64, u64>;
 type Store = pam_store::Store<Spec>;
 
-/// A one-shard volatile store: a snapshot's one map is the whole store.
-fn one_shard(batch_window: Duration) -> Arc<Store> {
+/// A volatile store: a snapshot's map is the whole store.
+fn volatile_store(batch_window: Duration) -> Arc<Store> {
     Arc::new(Store::volatile(
-        ShardedConfig::builder()
-            .shards(1)
-            .batch_window(batch_window)
-            .build(),
+        ShardedConfig::builder().batch_window(batch_window).build(),
     ))
 }
 
@@ -43,7 +40,7 @@ fn fingerprint(m: &AugMap<Spec>) -> u64 {
 #[test]
 fn atomic_batches_under_contention() {
     const MIRROR: u64 = 1 << 32;
-    let store = one_shard(Duration::from_micros(100));
+    let store = volatile_store(Duration::from_micros(100));
     let stop = Arc::new(AtomicBool::new(false));
     let writers = 4u64;
     let readers = 4u64;
@@ -57,7 +54,7 @@ fn atomic_batches_under_contention() {
                 let mut checks = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let pin = s.snapshot();
-                    let m = pin.shard(0);
+                    let m = pin.map();
                     let low = m.range(&0, &(MIRROR - 1));
                     let high = m.down_to(&MIRROR);
                     assert_eq!(
@@ -108,8 +105,8 @@ fn atomic_batches_under_contention() {
     assert!(total_checks > 0, "readers must have raced the writers");
 
     let head = store.snapshot();
-    assert_eq!(head.shard(0).len() as u64, 2 * writers * per_writer);
-    head.shard(0).check_invariants().unwrap();
+    assert_eq!(head.map().len() as u64, 2 * writers * per_writer);
+    head.map().check_invariants().unwrap();
 
     let stats = store.stats();
     assert_eq!(stats.raw_ops, 2 * writers * per_writer);
@@ -131,7 +128,7 @@ fn atomic_batches_under_contention() {
 /// model of "last committed value per key" for the keys each writer owns.
 #[test]
 fn pinned_versions_immutable_while_head_churns() {
-    let store = one_shard(Duration::from_micros(50));
+    let store = volatile_store(Duration::from_micros(50));
     store.put_all((0..1_000u64).map(|k| (k, 0))).wait();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -142,7 +139,7 @@ fn pinned_versions_immutable_while_head_churns() {
             let mut pins = Vec::new();
             while !stop.load(Ordering::Relaxed) && pins.len() < 400 {
                 let pin = s.snapshot();
-                let fp = fingerprint(pin.shard(0));
+                let fp = fingerprint(pin.map());
                 pins.push((pin, fp));
             }
             pins
@@ -186,12 +183,12 @@ fn pinned_versions_immutable_while_head_churns() {
     assert!(!pins.is_empty());
     for (pin, fp) in &pins {
         assert_eq!(
-            fingerprint(pin.shard(0)),
+            fingerprint(pin.map()),
             *fp,
             "pinned v{} mutated",
             pin.version()
         );
-        pin.shard(0).check_invariants().unwrap();
+        pin.map().check_invariants().unwrap();
     }
     // pins are monotone in version id
     assert!(pins
@@ -206,7 +203,7 @@ fn pinned_versions_immutable_while_head_churns() {
         for i in 0..250u64 {
             let k = base + i;
             let expect = if i % 50 == 0 { None } else { Some(rounds) };
-            assert_eq!(head.shard(0).get(&k).copied(), expect, "key {k}");
+            assert_eq!(head.map().get(&k).copied(), expect, "key {k}");
         }
     }
 
@@ -223,7 +220,7 @@ fn pinned_versions_immutable_while_head_churns() {
 /// committed prefix (monotone reads per key through a single store handle).
 #[test]
 fn tickets_resolve_and_reads_are_committed_states() {
-    let store = one_shard(Duration::from_micros(100));
+    let store = volatile_store(Duration::from_micros(100));
     let threads = 6u64;
     let per = 100u64;
     let handles: Vec<_> = (0..threads)
@@ -276,7 +273,7 @@ fn tickets_resolve_and_reads_are_committed_states() {
 fn single_writer_publish_is_dense_monotone_and_visible_in_order() {
     const EPOCHS: u64 = 10_000;
     const KEY: u64 = 0;
-    let store = one_shard(Duration::ZERO);
+    let store = volatile_store(Duration::ZERO);
     let stop = Arc::new(AtomicBool::new(false));
 
     let readers: Vec<_> = (0..3)
@@ -296,7 +293,7 @@ fn single_writer_publish_is_dense_monotone_and_visible_in_order() {
                     assert!(pin.version() >= last_pin, "pins went backwards");
                     last_pin = pin.version();
                     assert_eq!(
-                        pin.shard(0).get(&KEY).copied().unwrap_or(0),
+                        pin.map().get(&KEY).copied().unwrap_or(0),
                         pin.version(),
                         "version ids are not dense: v{} holds another epoch's write",
                         pin.version()

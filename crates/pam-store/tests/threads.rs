@@ -1,5 +1,5 @@
 //! A store runs one committer and, when durable, one checkpointer,
-//! whatever its shard count. Alone in its test binary, so no other
+//! however many files its checkpoints are cut into. Alone in its test binary, so no other
 //! test's store is alive while the threads are counted.
 
 use pam::SumAug;

@@ -19,7 +19,9 @@
 //! [`load_latest`] walks checkpoints newest-first and returns the first
 //! one that validates, so a corrupt newest checkpoint degrades to the
 //! previous one (plus a longer WAL replay) instead of an unrecoverable
-//! store.
+//! store. A caller that keeps one checkpoint across several directories
+//! picks the epoch itself ([`epochs`], [`load_at`]) and prunes only once
+//! every directory holds it ([`retain`]): writing never deletes anything.
 
 use crate::codec::{put_varint, Codec, Reader};
 use crate::frame;
@@ -50,8 +52,8 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 
 /// Write a checkpoint claiming WAL epochs `..= epoch`, streaming the
 /// `len` pairs that `source` emits (sorted by key, distinct — drive it
-/// with `AugMap::for_each`) to disk one chunk at a time. Afterwards
-/// prunes old checkpoints, keeping the newest `keep`.
+/// with `AugMap::for_each`) to disk one chunk at a time. Older
+/// checkpoints stay: pruning them is [`retain`]'s job.
 ///
 /// Returns the bytes written. Fails (leaving only a temp file behind) if
 /// `source` does not emit exactly `len` pairs.
@@ -70,7 +72,6 @@ pub fn write<K, V>(
     epoch: u64,
     len: u64,
     source: impl FnOnce(&mut dyn FnMut(&K, &V)),
-    keep: usize,
 ) -> io::Result<u64>
 where
     K: Codec,
@@ -154,28 +155,40 @@ where
     drop(file);
     fs::rename(&tmp_path, &final_path)?;
     sync_dir(dir)?;
-
-    prune(dir, keep)?;
     Ok(bytes)
 }
 
-/// Delete all but the newest `keep` checkpoints.
-fn prune(dir: &Path, keep: usize) -> io::Result<()> {
-    let mut ckpts = list(dir)?;
-    if ckpts.len() <= keep.max(1) {
-        return Ok(());
-    }
-    // newest last after the sort in `list`
-    let stale = ckpts.len() - keep.max(1);
+/// Delete every checkpoint in `dir` whose epoch `keep` rejects.
+///
+/// # Errors
+///
+/// Propagates filesystem errors from the listing, removals and the
+/// directory fsync.
+pub fn retain(dir: &Path, mut keep: impl FnMut(u64) -> bool) -> io::Result<()> {
     let mut removed = false;
-    for (_, path) in ckpts.drain(..stale) {
-        fs::remove_file(path)?;
-        removed = true;
+    for (epoch, path) in list(dir)? {
+        if !keep(epoch) {
+            fs::remove_file(path)?;
+            removed = true;
+        }
     }
     if removed {
         sync_dir(dir)?;
     }
     Ok(())
+}
+
+/// The epochs of the checkpoint files in `dir`, oldest first, by name
+/// only: nothing is validated (a missing directory has none).
+///
+/// # Errors
+///
+/// Propagates filesystem errors from the listing.
+pub fn epochs(dir: &Path) -> io::Result<Vec<u64>> {
+    if !dir.exists() {
+        return Ok(Vec::new());
+    }
+    Ok(list(dir)?.into_iter().map(|(epoch, _)| epoch).collect())
 }
 
 /// All checkpoint files in `dir`, oldest first.
@@ -255,16 +268,44 @@ fn load_file_with<K: Codec, V: Codec>(
     Ok((epoch, total))
 }
 
-/// Load the newest checkpoint that validates, streaming its chunks into an
-/// accumulator instead of materializing one giant vector: `fresh` builds
-/// an empty accumulator, `absorb` folds one decoded chunk (sorted by key,
-/// globally ascending across chunks) into it. Returns `(epoch, entries,
+/// Load the checkpoint at `epoch` in `dir`, streaming its chunks into
+/// `acc` instead of materializing one giant vector: `absorb` folds one
+/// decoded chunk (sorted by key, globally ascending across chunks) into
+/// it. Returns `(entries, acc)`.
+///
+/// # Errors
+///
+/// `InvalidData` when the file is corrupt (`acc` may then hold a prefix
+/// of it: discard it); other kinds pass through from the filesystem.
+pub fn load_at<K: Codec, V: Codec, M>(
+    dir: &Path,
+    epoch: u64,
+    mut acc: M,
+    mut absorb: impl FnMut(&mut M, Vec<(K, V)>),
+) -> io::Result<(u64, M)> {
+    let path = checkpoint_path(dir, epoch);
+    let (claimed, total) = load_file_with::<K, V>(&path, &mut |chunk| absorb(&mut acc, chunk))?;
+    if claimed != epoch {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "header claims epoch {claimed} in checkpoint {}",
+                path.display()
+            ),
+        ));
+    }
+    Ok((total, acc))
+}
+
+/// Load the newest checkpoint that validates, streaming its chunks like
+/// [`load_at`]: `fresh` builds an empty accumulator per candidate file,
+/// `absorb` folds one decoded chunk into it. Returns `(epoch, entries,
 /// accumulator)`.
 ///
-/// The accumulator is per-candidate-file: a checkpoint that turns out
-/// corrupt mid-stream is abandoned (its partial accumulator dropped) and
-/// the next-older one is tried — the same fallback contract as
-/// [`load_latest`], which is this function specialized to `Vec`.
+/// A checkpoint that turns out corrupt mid-stream is abandoned (its
+/// partial accumulator dropped) and the next-older one is tried — the
+/// same fallback contract as [`load_latest`], which is this function
+/// specialized to `Vec`.
 ///
 /// # Errors
 ///
@@ -278,13 +319,9 @@ pub fn load_latest_with<K: Codec, V: Codec, M>(
     mut fresh: impl FnMut() -> M,
     mut absorb: impl FnMut(&mut M, Vec<(K, V)>),
 ) -> io::Result<Option<(u64, u64, M)>> {
-    if !dir.exists() {
-        return Ok(None);
-    }
-    for (_, path) in list(dir)?.into_iter().rev() {
-        let mut acc = fresh();
-        match load_file_with::<K, V>(&path, &mut |chunk| absorb(&mut acc, chunk)) {
-            Ok((epoch, total)) => return Ok(Some((epoch, total, acc))),
+    for epoch in epochs(dir)?.into_iter().rev() {
+        match load_at::<K, V, M>(dir, epoch, fresh(), &mut absorb) {
+            Ok((total, acc)) => return Ok(Some((epoch, total, acc))),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => continue,
             Err(e) => return Err(e),
         }
@@ -351,13 +388,9 @@ mod tests {
     fn write_load_roundtrip() {
         let dir = tmp_dir("roundtrip");
         let data = pairs(10_000); // spans multiple chunks
-        let bytes = write(
-            &dir,
-            42,
-            data.len() as u64,
-            |emit| data.iter().for_each(|(k, v)| emit(k, v)),
-            2,
-        )
+        let bytes = write(&dir, 42, data.len() as u64, |emit| {
+            data.iter().for_each(|(k, v)| emit(k, v))
+        })
         .unwrap();
         assert!(bytes > 0);
         let (epoch, loaded) = load_latest::<u64, u64>(&dir).unwrap().unwrap();
@@ -369,7 +402,7 @@ mod tests {
     #[test]
     fn empty_map_checkpoint() {
         let dir = tmp_dir("empty");
-        write::<u64, u64>(&dir, 7, 0, |_emit| {}, 2).unwrap();
+        write::<u64, u64>(&dir, 7, 0, |_emit| {}).unwrap();
         let (epoch, loaded) = load_latest::<u64, u64>(&dir).unwrap().unwrap();
         assert_eq!(epoch, 7);
         assert!(loaded.is_empty());
@@ -381,16 +414,22 @@ mod tests {
         let dir = tmp_dir("fallback");
         for e in [10u64, 20, 30] {
             let data = pairs(e);
-            write(
-                &dir,
-                e,
-                data.len() as u64,
-                |emit| data.iter().for_each(|(k, v)| emit(k, v)),
-                2,
-            )
+            write(&dir, e, data.len() as u64, |emit| {
+                data.iter().for_each(|(k, v)| emit(k, v))
+            })
             .unwrap();
         }
-        assert_eq!(list(&dir).unwrap().len(), 2, "pruned to keep=2");
+        assert_eq!(
+            epochs(&dir).unwrap(),
+            vec![10, 20, 30],
+            "writing prunes nothing"
+        );
+        retain(&dir, |e| e >= 20).unwrap();
+        assert_eq!(
+            epochs(&dir).unwrap(),
+            vec![20, 30],
+            "pruned to the newest two"
+        );
         // corrupt the newest
         let newest = checkpoint_path(&dir, 30);
         let mut bytes = fs::read(&newest).unwrap();
@@ -408,13 +447,9 @@ mod tests {
         let dir = tmp_dir("streaming");
         for e in [5u64, 9] {
             let data = pairs(10_000); // several chunks
-            write(
-                &dir,
-                e,
-                data.len() as u64,
-                |emit| data.iter().for_each(|(k, v)| emit(k, v)),
-                2,
-            )
+            write(&dir, e, data.len() as u64, |emit| {
+                data.iter().for_each(|(k, v)| emit(k, v))
+            })
             .unwrap();
         }
         let mut chunks = 0usize;
@@ -457,13 +492,9 @@ mod tests {
         let dir = tmp_dir("trailing");
         for e in [3u64, 8] {
             let data = pairs(100);
-            write(
-                &dir,
-                e,
-                data.len() as u64,
-                |emit| data.iter().for_each(|(k, v)| emit(k, v)),
-                2,
-            )
+            write(&dir, e, data.len() as u64, |emit| {
+                data.iter().for_each(|(k, v)| emit(k, v))
+            })
             .unwrap();
         }
         // a torn partial frame header after the last complete chunk (all
@@ -475,6 +506,27 @@ mod tests {
         let (epoch, loaded) = load_latest::<u64, u64>(&dir).unwrap().unwrap();
         assert_eq!(epoch, 3, "garbage-tailed checkpoint must not validate");
         assert_eq!(loaded, pairs(100));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_at_reads_the_named_epoch_only() {
+        let dir = tmp_dir("load-at");
+        for e in [4u64, 6] {
+            let data = pairs(e);
+            write(&dir, e, data.len() as u64, |emit| {
+                data.iter().for_each(|(k, v)| emit(k, v))
+            })
+            .unwrap();
+        }
+        let (n, got) = load_at::<u64, u64, _>(&dir, 4, Vec::new(), |acc, c| acc.extend(c)).unwrap();
+        assert_eq!((n, got), (4, pairs(4)), "the older file, not the newest");
+        // a file renamed to another epoch claims the wrong one: corrupt
+        fs::rename(checkpoint_path(&dir, 4), checkpoint_path(&dir, 5)).unwrap();
+        let err = load_at::<u64, u64, _>(&dir, 5, (), |_, _| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let err = load_at::<u64, u64, _>(&dir, 4, (), |_, _| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,10 +20,10 @@
 //!   epochs past it ([`wal::Wal::open`] returns them in order). A torn
 //!   final record (the classic crash-mid-append) is detected by the
 //!   length/checksum frame and cleanly truncated; corruption anywhere
-//!   else is reported as an error. A store has one log whatever its
-//!   shard count, so a batch spanning shards is one record: whole or
-//!   absent, by its frame's checksum. The [`manifest`] pins the shard
-//!   count.
+//!   else is reported as an error. A store has one log, so a batch is
+//!   one record: whole or absent, by its frame's checksum. The
+//!   [`manifest`] pins how many key-range files a checkpoint is cut
+//!   into.
 //!
 //! Serialization goes through the [`Codec`] trait ([`codec`]), with
 //! implementations for the usual key/value primitives (integers, strings,

@@ -1,25 +1,24 @@
-//! The shard-layout manifest: how many shards a store directory's key
-//! space is partitioned into.
+//! The layout manifest: how many checkpoint files a store directory's
+//! checkpoints are cut into.
 //!
-//! A store splits its key space across N hash shards, each with its own
-//! checkpoint directory (`shard-0/ .. shard-<N-1>/`) under one shared
-//! log. The shard *assignment* of a key is a pure function of the key and
-//! N — which makes N part of the on-disk format: reopening a 4-shard
-//! directory as 8 shards would route every key to a (mostly) different
-//! shard and silently "lose" the data sitting in the old layout. The
-//! manifest pins N (and the layout format version) at creation time so an
-//! open with the wrong shard count fails loudly instead.
+//! A store keeps one map under one shared log. A checkpoint cuts that map
+//! into N contiguous key ranges by rank and writes range `i` into
+//! `shard-<i>/`, so recovery can bulk-load the N files in parallel. The
+//! manifest pins N (and the layout format version) at creation time, so
+//! an open with a different count fails loudly instead of looking for
+//! files that were never written.
 //!
 //! ```text
 //! MANIFEST = [ magic "PAMSHRD1" ]
-//!            [ frame: varint(format = 3) ++ varint(shards) ]
+//!            [ frame: varint(format = 4) ++ varint(shards) ]
 //! ```
 //!
 //! The file is written to a `.tmp` sibling, fsynced, and atomically
 //! renamed, like a checkpoint: it either exists wholly or not at all.
-//! Any format other than [`MANIFEST_FORMAT`] — including format 1 (no
-//! epoch clock) and format 2 (a per-shard log each, with a global-epoch
-//! watermark and discard list) — is refused with `InvalidData`.
+//! Any format other than [`MANIFEST_FORMAT`] is refused with
+//! `InvalidData`: format 1 (no epoch clock), format 2 (a per-shard log
+//! each, with a global-epoch watermark and discard list) and format 3
+//! (checkpoint files partitioned by a key hash, not by key range).
 
 use crate::codec::{put_varint, Reader};
 use crate::frame::{self, Frame};
@@ -31,12 +30,12 @@ use std::path::{Path, PathBuf};
 pub const MANIFEST_MAGIC: &[u8; 8] = b"PAMSHRD1";
 
 /// The one on-disk layout format version this crate reads and writes.
-pub const MANIFEST_FORMAT: u64 = 3;
+pub const MANIFEST_FORMAT: u64 = 4;
 
 /// The pinned layout of a store directory.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
-    /// Number of hash shards the key space is partitioned into.
+    /// Number of key-range files every checkpoint is cut into.
     pub shards: u64,
 }
 
@@ -44,7 +43,8 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("MANIFEST")
 }
 
-/// The per-shard subdirectory for shard `i` under `dir`.
+/// The subdirectory under `dir` that holds every checkpoint's `shard`-th
+/// key range.
 pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}"))
 }
@@ -83,8 +83,8 @@ pub fn write(dir: &Path, shards: u64) -> io::Result<()> {
 }
 
 /// Load the manifest, if one exists. A present-but-invalid manifest is an
-/// error, never a silent "no manifest": guessing a layout risks routing
-/// keys into the wrong shard.
+/// error, never a silent "no manifest": guessing a layout risks reading
+/// checkpoint files as something they are not.
 ///
 /// # Errors
 ///
@@ -187,6 +187,16 @@ mod tests {
         let err = load(&dir).expect_err("a per-shard-log manifest must not load");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("unsupported format 2"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn format_3_manifests_are_refused() {
+        let dir = tmp_dir("v3");
+        write_raw(&dir, &[3, 2]); // format 3: hash-partitioned checkpoints
+        let err = load(&dir).expect_err("a hash-partitioned manifest must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported format 3"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

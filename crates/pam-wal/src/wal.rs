@@ -11,8 +11,8 @@
 //! Each segment starts with the 8-byte magic `PAMWAL03` and then a run of
 //! checksummed frames (see [`crate::frame`]), one per committed epoch. A
 //! frame's payload is `varint(epoch) ++ body` ([`crate::record`]): one
-//! epoch of the whole store, whatever shards its keys route to, so a
-//! batch is whole in the log or absent from it. Any other magic — the
+//! epoch of the whole store, so a batch is whole in the log or absent
+//! from it. Any other magic — the
 //! earlier formats whose version digits are `1` and `2` included — is
 //! refused with `InvalidData` before anything is modified.
 //!

@@ -1,6 +1,6 @@
 //! What the group-commit window costs and buys as writers are added:
 //! 1 to 32 closed-loop writers (each sends its next `put` only after the
-//! previous one is acked) on one volatile shard with the default 200 µs
+//! previous one is acked) on one volatile store with the default 200 µs
 //! window, over the serving spec (`Vec<u8>` keys and values, as in
 //! `pam-serve`) preloaded with 150 000 records.
 //!

@@ -2,7 +2,7 @@
 //!
 //! Walks the full durability lifecycle — logged writes, a non-blocking
 //! checkpoint, clean restart, and a simulated crash (torn WAL record) —
-//! against a durable 1-shard `Store`.
+//! against a durable `Store` whose checkpoints are one file.
 //!
 //! Run with: `cargo run --release --example durable_store`
 

@@ -1,9 +1,12 @@
-//! The sharded-store tour: one key space hash-partitioned across N roots.
+//! The one-tree tour: one map, one root per version, and checkpoints cut
+//! into N key-range files.
 //!
-//! Walks the full lifecycle — writes routed to N shard maps by one
-//! group-commit pipeline, merged range scans, a snapshot that is one pin
-//! of every shard, and a durable restart: every shard bulk-loads its own
-//! checkpoint, then the one log replays.
+//! Walks the full lifecycle — concurrent writers funneled into one map
+//! by one group-commit pipeline, a range scan that is one walk, an
+//! augmented query over any range, a snapshot that is one pin of the
+//! root, and a durable restart: a checkpoint writes the map's N key
+//! ranges to N files, recovery loads them in parallel and unions them,
+//! then the one log replays.
 //!
 //! Run with: `cargo run --release --example sharded_store`
 
@@ -14,23 +17,25 @@ use std::time::Duration;
 
 type Ledger = Store<SumAug<u64, u64>>;
 
-fn config(shards: usize) -> ShardedConfig {
+/// Files per checkpoint.
+const FILES: usize = 4;
+
+fn config(files: usize) -> ShardedConfig {
     ShardedConfig {
-        shards,
+        shards: files,
         batch_window: Duration::from_micros(100),
         ..ShardedConfig::default()
     }
 }
 
 fn main() {
-    // --- 1. in-memory: one committer, four shard maps --------------------
-    let store = std::sync::Arc::new(Ledger::volatile(config(4)));
+    // --- 1. in memory: four writers, one committer, one map --------------
+    let store = std::sync::Arc::new(Ledger::volatile(config(FILES)));
     let writers: Vec<_> = (0..4u64)
         .map(|w| {
             let s = store.clone();
             std::thread::spawn(move || {
                 for i in 0..5_000u64 {
-                    // keys hash across all 4 shards regardless of writer
                     s.put(w * 100_000 + i, 1);
                 }
                 s.flush()
@@ -41,32 +46,31 @@ fn main() {
         w.join().unwrap();
     }
     assert_eq!(store.len(), 20_000);
-    let stats = store.stats();
-    println!("after ingest:  {stats}");
-    let snap = store.snapshot();
-    for i in 0..store.num_shards() {
-        println!("  shard {i}:     {} entries", snap.shard(i).len());
-    }
-    drop(snap);
+    println!("after ingest:  {}", store.stats());
+    println!(
+        "one map:       {} entries, {} bytes reachable from its root",
+        store.snapshot().map().len(),
+        store.memory_bytes()
+    );
 
-    // merged range scan: globally key-ordered despite hash partitioning
-    let first: Vec<u64> = {
-        let mut keys = Vec::new();
-        store.range_for_each(&0, &u64::MAX, |&k, _| {
-            if keys.len() < 5 {
-                keys.push(k)
-            }
-        });
-        keys
-    };
+    // a range scan is one walk of the tree, in key order
+    let mut first = Vec::new();
+    store.range_try_for_each(&0, &u64::MAX, |&k, _| {
+        first.push(k);
+        if first.len() < 5 {
+            std::ops::ControlFlow::Continue(())
+        } else {
+            std::ops::ControlFlow::Break(())
+        }
+    });
     assert_eq!(first, vec![0, 1, 2, 3, 4]);
-    // augmented sum combines across shards (commutative monoid)
+    // augmented queries are the tree's own: O(log n) for any range
     assert_eq!(store.aug_val(), 20_000);
+    assert_eq!(store.aug_range(&100_000, &199_999), 5_000);
 
-    // --- 2. a snapshot: one pin of every shard ---------------------------
+    // --- 2. a snapshot: one pin of the root -------------------------------
     let snap = store.snapshot();
-    let batch = store.put_all((0..100u64).map(|k| (k, 1000)));
-    let version = batch.wait(); // one epoch, one version, all four shards
+    let version = store.put_all((0..100u64).map(|k| (k, 1000))).wait();
     assert_eq!(snap.get(&0), Some(1), "snapshot frozen at its version");
     assert_eq!(store.get(&0), Some(1000), "live store moved on");
     println!(
@@ -75,35 +79,36 @@ fn main() {
     );
     drop(snap);
 
-    // --- 3. the same type on disk: one log, a checkpoint per shard -------
-    let dir = std::env::temp_dir().join(format!("pam-sharded-demo-{}", std::process::id()));
+    // --- 3. on disk: one log, a checkpoint cut into FILES key ranges ------
+    let dir = std::env::temp_dir().join(format!("pam-one-tree-demo-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    let ledger = Ledger::open(&dir, config(4), DurabilityConfig::default()).expect("open");
+    let ledger = Ledger::open(&dir, config(FILES), DurabilityConfig::default()).expect("open");
     ledger.put_all((0..2_000u64).map(|k| (k, k % 97))).wait();
-    let epoch = ledger.checkpoint().expect("checkpoint every shard");
-    println!(
-        "durable:       {} shards checkpointed at store epoch {epoch}",
-        ledger.num_shards()
-    );
+    let epoch = ledger.checkpoint().expect("checkpoint");
+    ledger.put_all((2_000..2_100u64).map(|k| (k, 1))).wait(); // a log tail
+    println!("durable:       {FILES} files checkpointed at store epoch {epoch}");
     drop(ledger); // clean shutdown: the committer drains and the log flushes
 
-    let ledger = Ledger::open(&dir, config(4), DurabilityConfig::default()).expect("reopen");
-    assert_eq!(ledger.len(), 2_000);
+    let ledger = Ledger::open(&dir, config(FILES), DurabilityConfig::default()).expect("reopen");
+    assert_eq!(ledger.len(), 2_100);
+    for (i, info) in ledger.recovery().iter().enumerate() {
+        assert_eq!(info.checkpoint_epoch, epoch);
+        println!(
+            "  shard-{i}/:     {} entries at epoch {}, loaded in {:?}",
+            info.checkpoint_entries, info.checkpoint_epoch, info.timings.bulk_load
+        );
+    }
+    let loaded: u64 = ledger.recovery().iter().map(|r| r.checkpoint_entries).sum();
+    assert_eq!(loaded, 2_000, "the files partition the checkpointed map");
     println!(
-        "recovered:     {} entries across {} shards ({} checkpoint entries total)",
+        "recovered:     {} entries: {loaded} from the files, {} log records replayed",
         ledger.len(),
-        ledger.num_shards(),
-        ledger
-            .recovery()
-            .iter()
-            .map(|r| r.checkpoint_entries)
-            .sum::<u64>(),
+        ledger.recovery()[0].replayed_epochs
     );
-    // a 4-shard directory refuses to open as 8 shards: the hash routing
-    // is part of the on-disk format
+    // the file count is pinned by the manifest
     drop(ledger);
-    let err = Ledger::open(&dir, config(8), DurabilityConfig::default())
-        .expect_err("shard-count mismatch must be refused");
+    let err = Ledger::open(&dir, config(2 * FILES), DurabilityConfig::default())
+        .expect_err("a different file count must be refused");
     println!("mismatch:      refused as expected: {err}");
 
     let _ = fs::remove_dir_all(&dir);
