@@ -66,8 +66,9 @@ impl InvertedIndex {
     ///
     /// Duplicate `(term, doc)` occurrences keep the **maximum** weight
     /// (any associative rule works; max matches the augmentation).
-    /// Work O(n log n): a parallel sort of the triples, then each term's
-    /// posting list is built from its contiguous slice.
+    /// Work O(n log n): a parallel sort of the triples (which moves
+    /// them, never clones one), then each term's posting list is built
+    /// from its contiguous slice.
     pub fn build(triples: Vec<(Term, Doc, Weight)>) -> Self {
         let mut items: Vec<((Term, Doc), Weight)> =
             triples.into_iter().map(|(t, d, w)| ((t, d), w)).collect();

@@ -7,7 +7,9 @@
 //! (`parlay::combine_duplicates_by` — last-write-wins), and split the
 //! survivors into one `multi_insert` batch and one `multi_delete` batch.
 //! After normalization the two batches have disjoint key sets, so the
-//! order they are applied in does not matter.
+//! order they are applied in does not matter. The sort and the dedup move
+//! the operations; the only copies are last-write-wins' clone of the later
+//! operation, once per operation a later one overwrites.
 
 use pam::{AugMap, AugSpec};
 
@@ -185,6 +187,55 @@ mod tests {
             let last = (0..50_000u64).filter(|i| i % 1000 == k).max().unwrap();
             assert!(last % 7 != 0, "a deleted key leaked into puts");
             assert_eq!(v, last);
+        }
+    }
+
+    #[test]
+    fn an_epoch_keeps_exactly_the_last_op_per_key() {
+        // one 16k-op epoch: ~2k keys scattered and repeated, each put's
+        // value its seq, and seqs not in arrival order
+        const OPS: u64 = 16_384;
+        let ops = || -> Vec<(u64, WriteOp<S>)> {
+            (0..OPS)
+                .map(|i| {
+                    let seq = i.wrapping_mul(40_503) % OPS; // a permutation
+                    let k = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 50) % 2048;
+                    let op = if seq.is_multiple_of(5) {
+                        WriteOp::Delete(k)
+                    } else {
+                        WriteOp::Put(k, seq)
+                    };
+                    (seq, op)
+                })
+                .collect()
+        };
+        // key -> (seq, value) of its last op; `None` is a delete
+        let mut last = std::collections::BTreeMap::<u64, (u64, Option<u64>)>::new();
+        for (seq, op) in ops() {
+            let (k, v) = match op {
+                WriteOp::Put(k, v) => (k, Some(v)),
+                WriteOp::Delete(k) => (k, None),
+            };
+            let e = last.entry(k).or_insert((seq, v));
+            if seq > e.0 {
+                *e = (seq, v);
+            }
+        }
+        let puts: Vec<(u64, u64)> = last
+            .iter()
+            .filter_map(|(&k, &(_, v))| v.map(|v| (k, v)))
+            .collect();
+        let deletes: Vec<u64> = last
+            .iter()
+            .filter(|(_, (_, v))| v.is_none())
+            .map(|(&k, _)| k)
+            .collect();
+        assert!(puts.len() > 1000 && deletes.len() > 100);
+        for threads in [1, 2, 3] {
+            let b = parlay::with_threads(threads, || norm(ops()));
+            assert_eq!(b.puts, puts, "{threads} threads");
+            assert_eq!(b.deletes, deletes, "{threads} threads");
+            assert_eq!(b.raw_ops, OPS as usize);
         }
     }
 }

@@ -53,13 +53,20 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     }
 
     /// Build from unsorted pairs; on duplicate keys the **last** value
-    /// wins (like repeated insertion).
+    /// wins (like repeated insertion): the sort under it is stable, so
+    /// "last" means last in `items`.
     pub fn build(items: Vec<(S::K, S::V)>) -> Self {
         Self::build_with(items, |_old, new| new.clone())
     }
 
     /// Build from unsorted pairs, merging duplicate-key values
     /// left-to-right with `combine` — the paper's `build(S, h)`.
+    ///
+    /// The sort under it is stable, so equal keys reach `combine` in
+    /// input order: three pairs `(k, a)`, `(k, b)`, `(k, c)` give
+    /// `combine(&combine(&a, &b), &c)` and `combine` need not commute.
+    /// Input already sorted by key and distinct is built without the
+    /// sort or the dedup.
     ///
     /// ```
     /// use pam::{AugMap, SumAug};

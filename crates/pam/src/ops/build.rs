@@ -1,9 +1,10 @@
 //! Bulk construction and bulk updates.
 //!
 //! `build` is the paper's BUILD (Figure 2): parallel sort, combine
-//! duplicates (contiguous after sorting), then a balanced
-//! divide-and-conquer of `join`s. Work O(n log n), span O(log n) given the
-//! sort. `multi_insert`/`multi_delete` recursively partition the sorted
+//! duplicates (contiguous after sorting) — both skipped for input already
+//! sorted and distinct — then a balanced divide-and-conquer of `join`s.
+//! Work O(n log n), span O(log n) given the sort.
+//! `multi_insert`/`multi_delete` recursively partition the sorted
 //! batch around the tree root, descending both sides in parallel — PAM's
 //! mechanism for applying accumulated concurrent updates in bulk (§4,
 //! Concurrency). Both bottom out at leaf blocks with a linear sorted
@@ -19,19 +20,34 @@ use std::cmp::Ordering;
 /// Construct a map from an unsorted sequence of key-value pairs. Values of
 /// duplicate keys are merged left-to-right with `combine` (in input
 /// order, because the sort is stable).
-pub fn build<S, B, F>(mut items: Vec<(S::K, S::V)>, combine: &F) -> Tree<S, B>
+pub fn build<S, B, F>(items: Vec<(S::K, S::V)>, combine: &F) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
+    from_sorted_distinct::<S, B>(&sorted_distinct::<S, F>(items, combine))
+}
+
+/// Sort `items` by key and merge the values of equal keys left-to-right
+/// with `combine` — BUILD's and `multi_insert`'s prelude. Input already
+/// sorted and distinct (a presorted bulk load, every normalized commit
+/// epoch and replayed WAL record) comes back as it is: the check stops at
+/// the first pair out of order, so on unsorted input it costs O(1).
+fn sorted_distinct<S, F>(mut items: Vec<(S::K, S::V)>, combine: &F) -> Vec<(S::K, S::V)>
+where
+    S: AugSpec,
+    F: Fn(&S::V, &S::V) -> S::V + Sync,
+{
+    if strictly_increasing(&items, |a, b| S::compare(&a.0, &b.0)) {
+        return items;
+    }
     parlay::par_sort_by(&mut items, |a, b| S::compare(&a.0, &b.0));
-    let items = parlay::combine_duplicates_by(
+    parlay::combine_duplicates_by(
         items,
         |a, b| S::compare(&a.0, &b.0) == Ordering::Equal,
         |a, b| (a.0.clone(), combine(&a.1, &b.1)),
-    );
-    from_sorted_distinct::<S, B>(&items)
+    )
 }
 
 /// Construct a map from a slice already sorted by key with distinct keys.
@@ -100,23 +116,13 @@ fn strictly_increasing<T>(items: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> bool
 /// Insert a whole batch. Existing values are merged with
 /// `combine(old, new)`; duplicate keys within the batch are merged
 /// left-to-right first.
-pub fn multi_insert<S, B, F>(t: Tree<S, B>, mut batch: Vec<(S::K, S::V)>, combine: &F) -> Tree<S, B>
+pub fn multi_insert<S, B, F>(t: Tree<S, B>, batch: Vec<(S::K, S::V)>, combine: &F) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
-    // A batch already sorted and distinct (every normalized commit epoch
-    // and replayed WAL record is) needs neither the sort nor the dedup.
-    if !strictly_increasing(&batch, |a, b| S::compare(&a.0, &b.0)) {
-        parlay::par_sort_by(&mut batch, |a, b| S::compare(&a.0, &b.0));
-        batch = parlay::combine_duplicates_by(
-            batch,
-            |a, b| S::compare(&a.0, &b.0) == Ordering::Equal,
-            |a, b| (a.0.clone(), combine(&a.1, &b.1)),
-        );
-    }
-    multi_insert_sorted::<S, B, F>(t, &batch, combine)
+    multi_insert_sorted::<S, B, F>(t, &sorted_distinct::<S, F>(batch, combine), combine)
 }
 
 fn multi_insert_sorted<S, B, F>(t: Tree<S, B>, batch: &[(S::K, S::V)], combine: &F) -> Tree<S, B>
@@ -351,6 +357,51 @@ mod tests {
         assert_eq!(a.to_vec(), &sorted[500..]);
         assert_eq!(b.to_vec(), &sorted[500..]);
         a.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn build_takes_sorted_distinct_input_as_it_is_and_still_combines_sorted_duplicates() {
+        // below the grain, so a sort would compare on this thread
+        const N: usize = 1000;
+        let sorted: Vec<(u64, u64)> = (0..N as u64).map(|i| (i * 2, i)).collect();
+        let mut m = AugMap::<CountingOrder>::new();
+        // one pass here, one more in a debug_assert
+        assert!(compares_of(|| m = AugMap::build(sorted.clone())) <= 2 * (N - 1));
+        assert_eq!(m.to_vec(), sorted);
+        // above the grain, too
+        let big: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i * 2, i)).collect();
+        let built = M::build(big.clone());
+        assert_eq!(built.to_vec(), M::from_sorted_distinct(&big).to_vec());
+        built.check_invariants().unwrap();
+        // sorted with equal neighbours: the sort and the dedup still run
+        let m = M::build_with(vec![(1, 1), (2, 2), (2, 3), (2, 4), (3, 5)], |a, b| {
+            a * 10 + b
+        });
+        assert_eq!(m.to_vec(), vec![(1, 1), (2, 234), (3, 5)]);
+    }
+
+    #[test]
+    fn build_with_folds_duplicates_in_input_order_across_runs_and_merges() {
+        // 100k pairs over 1000 scattered keys: many sort runs and merge
+        // levels on a pool of two or three, and groups the dedup's
+        // blocks split; the value is the input position
+        let items: Vec<(u64, u64)> = (0..100_000u64)
+            .map(|i| ((i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) % 1000, i))
+            .collect();
+        // not commutative, so the fold order shows
+        let fold = |a: &u64, b: &u64| (a * 31 + b) % 1_000_000_007;
+        let mut expect = std::collections::BTreeMap::new();
+        for &(k, v) in &items {
+            expect
+                .entry(k)
+                .and_modify(|acc| *acc = fold(acc, &v))
+                .or_insert(v);
+        }
+        let expect: Vec<(u64, u64)> = expect.into_iter().collect();
+        for threads in [1, 2, 3] {
+            let m = parlay::with_threads(threads, || M::build_with(items.clone(), fold));
+            assert_eq!(m.to_vec(), expect, "{threads} threads");
+        }
     }
 
     #[test]

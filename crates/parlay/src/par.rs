@@ -52,7 +52,7 @@ pub fn with_threads<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
 /// Leaf length of the index-range drivers: ⌈n / 4P⌉ — four leaves per
 /// thread, so a slow leaf can be balanced by stealing — or the whole range
 /// when P = 1, which makes every driver its plain sequential loop.
-fn leaf_len(n: usize) -> usize {
+pub(crate) fn leaf_len(n: usize) -> usize {
     match rayon::current_num_threads() {
         0 | 1 => n,
         p => n.div_ceil(4 * p),

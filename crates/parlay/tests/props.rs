@@ -6,30 +6,16 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    // Long enough for at least four runs (two merge levels) on a pool of
+    // two or three; one thread is `std`'s sort alone. Sixteen keys, so
+    // most compares tie and stability shows.
     #[test]
-    fn par_sort_matches_std_stable_sort(mut v in proptest::collection::vec((0u8..16, 0u32..1000), 0..3000)) {
+    fn par_sort_matches_std_stable_sort(v in proptest::collection::vec((0u8..16, 0u32..1000), 4 * parlay::granularity()..40_000),
+                                        threads in 1usize..4) {
         let mut expect = v.clone();
         expect.sort_by_key(|a| a.0); // stable
-        parlay::par_sort_by(&mut v, |a, b| a.0.cmp(&b.0));
-        prop_assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn merge_matches_concat_sort(a in proptest::collection::vec(0u64..500, 0..3000),
-                                 b in proptest::collection::vec(0u64..500, 0..3000)) {
-        let mut sa = a.clone();
-        sa.sort();
-        let mut sb = b.clone();
-        sb.sort();
-        // SAFETY: `par_merge_into` writes every slot of an `out` as long as
-        // its two inputs together
-        let got = unsafe {
-            parlay::par_fill(sa.len() + sb.len(), |out| {
-                parlay::par_merge_into(&sa, &sb, out, &|x: &u64, y: &u64| x.cmp(y))
-            })
-        };
-        let mut expect = [sa, sb].concat();
-        expect.sort();
+        let mut got = v.clone();
+        parlay::with_threads(threads, || parlay::par_sort_by(&mut got, |a, b| a.0.cmp(&b.0)));
         prop_assert_eq!(got, expect);
     }
 
