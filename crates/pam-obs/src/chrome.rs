@@ -5,7 +5,8 @@
 //! and [Perfetto](https://ui.perfetto.dev). The mapping:
 //!
 //! * one **track**, named `committer` via a thread-name metadata event:
-//!   a store has one committer, whatever its shard count;
+//!   a store commits one epoch at a time, whatever its shard count and
+//!   whichever thread runs the commit;
 //! * per epoch, a `window` slice (segment open → committer drain: the
 //!   group-commit window occupancy) followed by an enclosing
 //!   `epoch <n>` slice whose children are the four committer stages —

@@ -43,10 +43,11 @@ pub struct ShardedConfig {
     /// The committer estimates the gap between submissions and lingers
     /// only while more writers are due before the window runs out,
     /// closing on the first quiet stretch: a writer that waits for its
-    /// acks and has nobody to share an epoch with is committed at once
-    /// whatever this is set to, while many concurrent writers — or a
-    /// steady stream of writes nobody waits for — share epochs up to
-    /// this long.
+    /// acks and has nobody to share an epoch with commits its epoch at
+    /// once, on its own thread, whatever this is set to, while many
+    /// concurrent writers — or a steady stream of writes nobody waits
+    /// for — share epochs up to this long. A write such a writer leaves
+    /// unwaited, with nobody else writing, is also committed within it.
     /// `Duration::ZERO` never lingers: smallest latency, smallest
     /// batches.
     pub batch_window: Duration,

@@ -6,7 +6,7 @@
 //! * **One record per epoch.** The group-commit pipeline already merges
 //!   all concurrent writers into one normalized batch, so the WAL costs
 //!   one append — and under [`pam_wal::SyncPolicy::SyncEachEpoch`] one
-//!   *group* fsync — per epoch, not per write. The committer appends the
+//!   *group* fsync — per epoch, not per write. The commit appends the
 //!   batch to the log *before* the epoch is applied or any ticket wakes:
 //!   an acknowledged write is a durable write. A batch is one record, so
 //!   it is whole in the log or absent from it — its frame's checksum is
@@ -124,7 +124,7 @@ struct DurCounters {
     ckpt_pin_nanos: Histogram,
 }
 
-/// The durability part of a store: the one WAL the committer appends
+/// The durability part of a store: the one WAL every commit appends
 /// every epoch to, plus the checkpoint bookkeeping that truncates it.
 pub(crate) struct WalPart {
     wal: Mutex<Wal>,
@@ -187,7 +187,7 @@ impl WalPart {
     }
 
     /// Append the normalized `epoch` as one record, synced as the policy
-    /// says. The committer calls this before it applies the epoch.
+    /// says. A commit calls this before it applies the epoch.
     pub(crate) fn append<S: AugSpec>(
         &self,
         epoch: u64,
@@ -209,6 +209,12 @@ impl WalPart {
             self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
+    }
+
+    /// Best-effort fsync of the log's active segment (a no-op when every
+    /// append is already synced), as the log's own drop does.
+    pub(crate) fn sync(&self) {
+        let _ = self.wal.lock().sync();
     }
 
     /// Checkpoint now: pin the head at store epoch `E`, cut its map into

@@ -14,9 +14,9 @@
 //!   into N key-range files and crash recovery under it. The consistency
 //!   contract is stated in the [`store`] module docs.
 //! * **The write path** — concurrent writers enqueue operations into the
-//!   open epoch and immediately receive a [`CommitTicket`]. A dedicated
-//!   committer thread — the store's only writer — drains the epoch,
-//!   normalizes the batch (parallel sort + last-write-wins dedup, via
+//!   open epoch and immediately receive a [`CommitTicket`]. One commit at
+//!   a time — on the store's committer thread, or on a lone writer's own
+//!   while it waits on its ticket — takes the epoch, normalizes the batch (parallel sort + last-write-wins dedup, via
 //!   `parlay`), applies it with one work-optimal
 //!   `multi_insert`/`multi_delete` (amortizing the O(log n) tree work
 //!   across every writer in the window), and publishes the new root as
@@ -26,7 +26,7 @@
 //!   is nearly free — path-copying means N similar versions share almost
 //!   all of their nodes.
 //! * **Durability** ([`durable`]) — one WAL record, one group fsync per
-//!   epoch (see `pam-wal`), appended by the committer before the epoch
+//!   epoch (see `pam-wal`), appended by the commit before the epoch
 //!   is applied or acked, so a batch is whole in the log or absent;
 //!   non-blocking snapshot checkpoints, each cut by rank into N
 //!   contiguous key ranges; recovery bulk-loads the newest complete
@@ -50,7 +50,7 @@
 //!         .build(),
 //! );
 //!
-//! // writers get a ticket; the committer batches concurrent writes
+//! // writers get a ticket; concurrent writes share an epoch
 //! let t = store.put(1, 10);
 //! store.put(2, 20);
 //! let v = t.wait(); // published (and, on a durable store, logged) in version `v`

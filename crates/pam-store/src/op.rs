@@ -1,6 +1,6 @@
 //! Write operations and batch normalization.
 //!
-//! The committer receives an epoch's operations in arrival order, tagged
+//! A commit receives an epoch's operations in arrival order, tagged
 //! with global sequence numbers. Before touching the tree it *normalizes*
 //! the batch: parallel-sort by `(key, seq)` (`parlay::par_sort_by`), then
 //! collapse each key run to its **last** operation

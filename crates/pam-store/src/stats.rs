@@ -1,7 +1,7 @@
 //! The store's observability surface.
 //!
-//! Counters and latency histograms are lock-free atomics bumped by the
-//! committer (see `pam_obs::Histogram` — wait-free recording); a
+//! Counters and latency histograms are lock-free atomics bumped by each
+//! commit (see `pam_obs::Histogram` — wait-free recording); a
 //! coherent [`StoreStats`] snapshot is assembled on demand. The memory
 //! number ([`crate::Store::memory_bytes`]) is an exact distinct-node walk
 //! (`pam::stats`) over the head version alone: an older version a
@@ -18,8 +18,8 @@ use pam_obs::{Histogram, HistogramSnapshot, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Per-stage wall times of one committed epoch, measured by the
-/// committer loop.
+/// Per-stage wall times of one committed epoch, measured by whoever
+/// committed it.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct CommitTiming {
     /// Whole commit: normalize + WAL + apply + publish.
@@ -41,6 +41,7 @@ pub(crate) struct CommitTiming {
 #[derive(Default)]
 pub(crate) struct StatsInner {
     commits: AtomicU64,
+    commits_by_writer: AtomicU64,
     raw_ops: AtomicU64,
     applied_ops: AtomicU64,
     max_batch: AtomicU64,
@@ -53,10 +54,20 @@ pub(crate) struct StatsInner {
 }
 
 impl StatsInner {
-    pub fn record_commit(&self, raw_ops: usize, applied_ops: usize, timing: CommitTiming) {
+    pub fn record_commit(
+        &self,
+        raw_ops: usize,
+        applied_ops: usize,
+        by_writer: bool,
+        timing: CommitTiming,
+    ) {
         // relaxed: throughput counters on the commit hot path — nothing
-        // reads them for synchronization, only stats() (all four below)
+        // reads them for synchronization, only stats() (all five below)
         self.commits.fetch_add(1, Ordering::Relaxed);
+        if by_writer {
+            // relaxed: see above
+            self.commits_by_writer.fetch_add(1, Ordering::Relaxed);
+        }
         self.raw_ops.fetch_add(raw_ops as u64, Ordering::Relaxed); // relaxed: see above
         self.applied_ops
             // relaxed: see above
@@ -76,6 +87,10 @@ impl StatsInner {
 pub struct StoreStats {
     /// Commits (group-commit epochs) applied so far.
     pub commits: u64,
+    /// Of [`Self::commits`], those a waiting writer committed on its own
+    /// thread instead of handing the epoch to the committer thread (a
+    /// lone writer's epochs; see `CommitTicket::wait`).
+    pub commits_by_writer: u64,
     /// Operations enqueued by writers and drained by the committer.
     pub raw_ops: u64,
     /// Operations surviving last-write-wins deduplication.
@@ -182,8 +197,9 @@ impl StoreStats {
         let commit = inner.commit.snapshot();
         StoreStats {
             // relaxed: stats snapshot — counters are independent and
-            // tolerate sampling skew (all four below)
+            // tolerate sampling skew (all five below)
             commits: inner.commits.load(Ordering::Relaxed),
+            commits_by_writer: inner.commits_by_writer.load(Ordering::Relaxed), // relaxed: see above
             raw_ops: inner.raw_ops.load(Ordering::Relaxed), // relaxed: see above
             applied_ops: inner.applied_ops.load(Ordering::Relaxed), // relaxed: see above
             max_batch: inner.max_batch.load(Ordering::Relaxed), // relaxed: see above
@@ -217,6 +233,7 @@ impl StoreStats {
     /// registry yields a scrapeable surface.
     pub fn export_into(&self, registry: &MetricsRegistry) {
         registry.export_counter("pam_commits_total", self.commits);
+        registry.export_counter("pam_commits_by_writer_total", self.commits_by_writer);
         registry.export_counter("pam_raw_ops_total", self.raw_ops);
         registry.export_counter("pam_applied_ops_total", self.applied_ops);
         registry.export_counter("pam_max_batch_ops", self.max_batch);

@@ -4,14 +4,16 @@
 //! PAM's concurrency model (§4 of the paper) is "swap in a new root":
 //! readers take O(1) persistent snapshots while one writer applies bulk
 //! updates that are parallel inside. `Store` is exactly that shape: one
-//! `AugMap` behind one group-commit pipeline, one committer thread and
+//! `AugMap` behind one group-commit pipeline, one commit at a time and
 //! one head. A version is one root, so publishing is one swap and a
 //! snapshot of the whole store is one pin.
 //!
 //! * writes — `put`, `delete` and `write_batch` alike — join the one
-//!   open epoch. The committer normalizes the epoch once, logs it as one
-//!   record (when durable) and applies it as one `multi_insert` plus one
-//!   `multi_delete`, whose work forks inside the tree;
+//!   open epoch. Whoever commits it — the store's committer thread, or a
+//!   lone writer waiting on its ticket — normalizes the epoch once, logs
+//!   it as one record (when durable) and applies it as one
+//!   `multi_insert` plus one `multi_delete`, whose work forks inside the
+//!   tree;
 //! * point reads are one tree walk; [`Store::get_many`] probes its keys
 //!   in sorted order, so successive lookups share their upper path;
 //! * ordered scans ([`Store::range_for_each`]) are one streaming walk of
@@ -33,7 +35,7 @@
 //!   not at all, and sees every write acknowledged before it started.
 //! * **ack-vs-durable** — a write ticket resolves when its epoch is
 //!   *published* (readable by everyone). On a durable store the
-//!   committer appends the epoch to the WAL **before** publish, so an
+//!   commit appends the epoch to the WAL **before** publish, so an
 //!   acked write is as durable as the configured [`crate::SyncPolicy`]
 //!   promises (invariant I1); on a volatile store an ack promises
 //!   visibility only.
@@ -43,7 +45,7 @@
 
 use crate::config::{DurabilityConfig, ShardedConfig};
 use crate::durable::{self, RecoveryInfo, WalPart};
-use crate::pipeline::{CommitTicket, Pipeline};
+use crate::pipeline::{self, CommitTicket, Pipeline};
 use crate::registry::{Registry, VersionEntry, VersionId};
 use crate::stats::{StatsInner, StoreStats};
 use crate::WriteOp;
@@ -56,14 +58,15 @@ use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// What a store shares with its committer and checkpointer threads: the
-/// one head, the pipeline feeding it, the commit counters and — when
+/// What a store shares with its committer and checkpointer threads and
+/// its tickets (a waiting writer may commit its own epoch): the one
+/// head, the pipeline feeding it, the commit counters and — when
 /// durable — the log.
-struct Core<S: AugSpec> {
-    registry: Registry<S>,
-    pipeline: Arc<Pipeline<S>>,
-    stats: StatsInner,
-    wal: Option<WalPart>,
+pub(crate) struct Core<S: AugSpec> {
+    pub(crate) registry: Registry<S>,
+    pub(crate) pipeline: Pipeline<S>,
+    pub(crate) stats: StatsInner,
+    pub(crate) wal: Option<WalPart>,
 }
 
 impl<S: AugSpec> Core<S> {
@@ -95,8 +98,9 @@ impl<S: AugSpec> Core<S> {
 /// group-commit pipeline and one head — and, when opened on a directory,
 /// one WAL and one checkpointer.
 ///
-/// Writes batch, normalize, log and apply on the one committer thread,
-/// whose bulk operations are parallel inside; reads pin O(1) persistent
+/// Writes batch, normalize, log and apply one epoch at a time — on the
+/// committer thread, or on a lone writer's own — as bulk operations
+/// that are parallel inside; reads pin O(1) persistent
 /// snapshots and never block (see the module docs for the consistency
 /// contract). The store is `Send + Sync`; wrap it in an [`Arc`] to share
 /// it across threads. Dropping it drains outstanding writes, joins the
@@ -146,8 +150,8 @@ pub struct Store<S: AugSpec> {
     obs: Option<ObsServer>,
     checkpointer: Option<JoinHandle<()>>,
     committer: Option<JoinHandle<()>>,
-    /// The last handle once both threads are joined: dropping it closes
-    /// the log.
+    /// The last handle once both threads are joined and no ticket is
+    /// left: dropping it closes the log.
     core: Arc<Core<S>>,
     /// Files per checkpoint ([`ShardedConfig::shards`], at least 1).
     shards: usize,
@@ -246,19 +250,15 @@ where
         wal: Option<WalPart>,
     ) -> Self {
         let core = Arc::new(Core {
+            pipeline: Pipeline::new(config, version, map.clone()),
             registry: Registry::new(version, map),
-            pipeline: Arc::new(Pipeline::new(config, version)),
             stats: StatsInner::default(),
             wal,
         });
         let worker = core.clone();
         let committer = std::thread::Builder::new()
             .name("pam-store-committer".into())
-            .spawn(move || {
-                worker
-                    .pipeline
-                    .run_committer(&worker.registry, &worker.stats, worker.wal.as_ref());
-            })
+            .spawn(move || pipeline::run_committer(&worker))
             // lint: allow(panic) construction-time failure with no
             // caller to report to: a store without its committer thread
             // cannot exist, and spawn only fails on resource exhaustion
@@ -308,12 +308,12 @@ where
     /// published — and, on a durable store, logged first
     /// (**ack-vs-durable**, invariant I1).
     pub fn put(&self, key: S::K, value: S::V) -> CommitTicket<S> {
-        self.core.pipeline.submit(WriteOp::Put(key, value))
+        self.write_batch([WriteOp::Put(key, value)])
     }
 
     /// Remove `key` (a no-op if absent — still acked).
     pub fn delete(&self, key: S::K) -> CommitTicket<S> {
-        self.core.pipeline.submit(WriteOp::Delete(key))
+        self.write_batch([WriteOp::Delete(key)])
     }
 
     /// Enqueue several operations as one **atomic batch**: they share an
@@ -322,7 +322,7 @@ where
     /// The batch may share its epoch with concurrent writers (group
     /// commit).
     pub fn write_batch(&self, ops: impl IntoIterator<Item = WriteOp<S>>) -> CommitTicket<S> {
-        self.core.pipeline.submit_all(ops)
+        CommitTicket::new(self.core.pipeline.submit_all(ops), self.core.clone())
     }
 
     /// Upsert many pairs atomically (convenience over
@@ -467,6 +467,11 @@ impl<S: AugSpec> Drop for Store<S> {
         self.core.pipeline.begin_shutdown();
         if let Some(h) = self.committer.take() {
             let _ = h.join();
+        }
+        // A ticket still held keeps the core, and with it the log, open:
+        // sync the drained epochs now, before the directory lock goes.
+        if let Some(wal) = &self.core.wal {
+            wal.sync();
         }
     }
 }

@@ -47,7 +47,11 @@ fn a_lone_writer_never_waits_for_the_window() {
         t0.elapsed()
     );
     assert_eq!(store.len(), 100);
-    assert_eq!(store.stats().commits, 100);
+    let s = store.stats();
+    assert_eq!(s.commits, 100);
+    // each writer found its epoch open, nobody else waiting and nothing
+    // worth lingering for: it committed the epoch itself, no hand-off
+    assert_eq!(s.commits_by_writer, 100, "every epoch writer-led");
 }
 
 #[test]
@@ -159,6 +163,10 @@ fn a_flood_batches_and_no_epoch_outlasts_the_window() {
     let s = store.stats();
     assert_eq!(s.raw_ops, sent);
     assert_eq!(store.len() as u64, sent);
+    assert_eq!(
+        s.commits_by_writer, 0,
+        "nobody waited on a ticket: the committer thread took every epoch"
+    );
     assert!(
         s.commits * 10 < sent,
         "a flood should share epochs ({} commits for {sent} ops)",

@@ -9,14 +9,16 @@
 //! where the log's next segment must go makes the WAL's `create_new`
 //! fail with `AlreadyExists`.
 
-use pam::SumAug;
+use pam::{NoAug, SumAug};
 use pam_obs::json::Json;
 use pam_obs::Health;
-use pam_store::{DurabilityConfig, ShardedConfig, Store};
+use pam_store::{Codec, DurabilityConfig, ShardedConfig, Store};
+use pam_wal::{CodecError, Reader};
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 type Spec = SumAug<u64, u64>;
@@ -90,6 +92,7 @@ fn obs_endpoints_serve_live_store() {
     assert_prometheus_shape(&prom);
     for name in [
         "pam_commits_total",
+        "pam_commits_by_writer_total",
         "pam_raw_ops_total",
         "pam_applied_ops_total",
         "pam_commit_nanos",
@@ -390,6 +393,9 @@ fn flight_dump_written_on_poison() {
             "--nocapture",
         ])
         .env("PAM_OBS_CRASH_DIR", &dir)
+        // the child's harness leaves a half-printed "test … " line when it
+        // aborts; keep it out of this run's report
+        .stdout(std::process::Stdio::null())
         .status()
         .expect("spawn crashing child");
     assert!(!status.success(), "child is expected to abort");
@@ -427,4 +433,222 @@ fn flight_dump_written_on_poison() {
         "dump embeds recent events"
     );
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A value whose WAL encoding, for [`Gated::PARK`], parks the encoding
+/// thread until the test opens the gate: a commit frozen after it took
+/// its epoch and before its append meets the planted segment.
+#[derive(Clone, Debug, PartialEq)]
+struct Gated(u64);
+
+/// `(name of the thread parked in the encoding, gate open)`.
+static GATE: Mutex<(Option<String>, bool)> = Mutex::new((None, false));
+static GATE_MOVED: Condvar = Condvar::new();
+
+impl Gated {
+    const PARK: u64 = u64::MAX;
+
+    /// Block until a commit is parked in the encoding; returns the
+    /// committing thread's name.
+    fn parked_by() -> String {
+        let mut g = GATE.lock().unwrap();
+        loop {
+            if let Some(name) = &g.0 {
+                return name.clone();
+            }
+            g = GATE_MOVED.wait(g).unwrap();
+        }
+    }
+
+    fn open() {
+        GATE.lock().unwrap().1 = true;
+        GATE_MOVED.notify_all();
+    }
+}
+
+impl Codec for Gated {
+    fn encode(&self, out: &mut Vec<u8>) {
+        if self.0 == Self::PARK {
+            let mut g = GATE.lock().unwrap();
+            g.0 = Some(std::thread::current().name().unwrap_or("?").to_string());
+            GATE_MOVED.notify_all();
+            while !g.1 {
+                g = GATE_MOVED.wait(g).unwrap();
+            }
+        }
+        self.0.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        u64::decode(r).map(Gated)
+    }
+}
+
+/// The `/proc/self/task/<tid>` directories of this process's threads
+/// named `name` (the kernel keeps the first 15 bytes of a thread name).
+fn threads_named(name: &str) -> Vec<PathBuf> {
+    fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .map(|task| task.unwrap().path())
+        .filter(|task| {
+            fs::read_to_string(task.join("comm")).is_ok_and(|comm| name.starts_with(comm.trim()))
+        })
+        .collect()
+}
+
+/// Is the thread at `task` asleep (state `S`: blocked, here on the
+/// pipeline's condvar)?
+fn asleep(task: &Path) -> bool {
+    fs::read_to_string(task.join("stat")).is_ok_and(|stat| {
+        stat.rsplit_once(") ")
+            .is_some_and(|(_, rest)| rest.starts_with('S'))
+    })
+}
+
+/// Poll `done` every millisecond for up to five seconds.
+fn eventually(mut done: impl FnMut() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !done() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    done()
+}
+
+/// What a panic carried, as text.
+fn panic_text(panic: Box<dyn std::any::Any + Send>) -> String {
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| "<non-string panic>".into())
+}
+
+/// A lone writer commits its own epochs; when the append of one it leads
+/// fails, the store is poisoned exactly as when the committer thread's
+/// does. The scenario runs in a re-executed child (`PAM_OBS_LEAD_DIR`),
+/// alone in its process, so no other test's store receives the flight
+/// dump first: the child asserts every step and exits; the parent
+/// asserts it succeeded.
+///
+/// Writer 1 leads epoch 4, whose value parks the commit inside the WAL
+/// append's encoding; writer 2 then submits epoch 5 and waits on it
+/// behind the running commit. Opening the gate lets the append meet the
+/// planted segment. Both writers must panic with the root cause, the
+/// dump must name epoch 4, `/health` must say `poisoned`, the committer
+/// thread must exit and dropping the store must return.
+#[test]
+fn a_writer_led_commit_whose_append_fails_poisons_the_store() {
+    if let Ok(dir) = std::env::var("PAM_OBS_LEAD_DIR") {
+        writer_led_poison_child(PathBuf::from(dir));
+        return;
+    }
+    let dir = fresh_dir("writer-led-poison");
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "a_writer_led_commit_whose_append_fails_poisons_the_store",
+            "--exact",
+            "--test-threads=1",
+            "--nocapture",
+        ])
+        .env("PAM_OBS_LEAD_DIR", &dir)
+        .output()
+        .expect("spawn child");
+    assert!(
+        out.status.success(),
+        "child failed:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+fn writer_led_poison_child(dir: PathBuf) {
+    type GatedStore = Store<NoAug<u64, Gated>>;
+    // a window long enough that the committer thread never takes a lone
+    // writer's epoch: every commit below is writer-led
+    let lingering = ShardedConfig {
+        shards: 1,
+        batch_window: Duration::from_secs(10),
+        ..ShardedConfig::default()
+    };
+    let rotate_every_epoch = DurabilityConfig {
+        segment_bytes: 1,
+        ..with_obs()
+    };
+    let store = Arc::new(GatedStore::open(&dir, lingering, rotate_every_epoch).expect("open"));
+    let cause = block_segment(&dir.join(EPOCH_4_SEGMENT));
+    for e in 1..=3u64 {
+        assert_eq!(store.put(e, Gated(e)).wait(), e);
+    }
+    assert_eq!(
+        store.stats().commits_by_writer,
+        3,
+        "epochs 1..=3 writer-led"
+    );
+    assert_eq!(threads_named("pam-store-committer").len(), 1);
+
+    let leader = {
+        let store = store.clone();
+        std::thread::Builder::new()
+            .name("writer-1".into())
+            .spawn(move || {
+                let ticket = store.put(4, Gated(Gated::PARK));
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.wait()))
+            })
+            .unwrap()
+    };
+    assert_eq!(Gated::parked_by(), "writer-1", "writer 1 commits epoch 4");
+    let second = store.put(5, Gated(5));
+    assert_eq!(second.global_epoch(), Some(5), "epoch 4 is taken");
+    let second = std::thread::Builder::new()
+        .name("writer-2".into())
+        .spawn(move || std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| second.wait())))
+        .unwrap();
+    // writer 2 blocks on epoch 5 behind the running commit
+    assert!(eventually(|| {
+        let writer = threads_named("writer-2");
+        !writer.is_empty() && writer.iter().all(|t| asleep(t))
+    }));
+    Gated::open();
+
+    for (who, outcome) in [("writer 1", leader), ("writer 2", second)] {
+        let msg = panic_text(
+            outcome
+                .join()
+                .unwrap()
+                .expect_err("a wait on a poisoned store panics"),
+        );
+        assert!(
+            msg.contains("poisoned") && msg.contains(&cause) && msg.contains("epoch 4"),
+            "{who} must panic with the root cause {cause:?}, got {msg:?}"
+        );
+    }
+    let (code, body) = http_get(store.obs_addr().expect("obs server bound"), "/health");
+    assert_eq!(code, 503, "{body}");
+    let h = Json::parse(&body).unwrap();
+    assert_eq!(h.get("status").and_then(Json::as_str), Some("poisoned"));
+
+    assert!(
+        eventually(|| threads_named("pam-store-committer").is_empty()),
+        "the committer thread exits"
+    );
+    drop(Arc::into_inner(store).expect("the writers are gone"));
+
+    let dump = fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.starts_with("flight-") && name.ends_with(".json")
+        })
+        .expect("flight-<pid>.json written on poison");
+    let v = Json::parse(&fs::read_to_string(&dump).unwrap()).expect("flight dump parses");
+    assert_eq!(
+        v.get("poisoned_epoch").and_then(Json::as_f64),
+        Some(4.0),
+        "the dump names the poisoned epoch"
+    );
+    assert!(v
+        .get("reason")
+        .and_then(Json::as_str)
+        .is_some_and(|r| r.contains(&cause)));
 }

@@ -283,6 +283,9 @@ fn kill_and_recover() {
             "--nocapture",
         ])
         .env("PAM_CRASH_DIR", &dir)
+        // the child's harness leaves a half-printed "test … " line when it
+        // aborts; keep it out of this run's report
+        .stdout(std::process::Stdio::null())
         .status()
         .expect("spawn crash child");
     assert!(

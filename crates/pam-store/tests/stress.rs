@@ -8,13 +8,19 @@
 //! * **pinned historical versions** remain readable and bit-identical
 //!   while the head advances;
 //! * the **single-writer publish** hands out dense, strictly increasing
-//!   version ids that readers never see go backwards.
+//!   version ids that readers never see go backwards;
+//! * **seeded histories** — waited and fire-and-forget writes, batches,
+//!   flushes and a drop, from one to four writers — match a `BTreeMap`
+//!   oracle, whichever thread commits each epoch.
 
 use pam::{AugMap, SumAug};
-use pam_store::{ShardedConfig, WriteOp};
+use pam_store::{CommitTicket, DurabilityConfig, ShardedConfig, SyncPolicy, WriteOp};
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use workloads::rng::SplitMix;
 
 type Spec = SumAug<u64, u64>;
 type Store = pam_store::Store<Spec>;
@@ -330,4 +336,250 @@ fn single_writer_publish_is_dense_monotone_and_visible_in_order() {
         1,
         "with every reader's pin dropped, only the head is alive"
     );
+}
+
+/// Keys per writer in a model history: few enough that writes overwrite
+/// and delete each other.
+const MODEL_KEYS: u64 = 48;
+
+/// One writer of a model history, on its own keys (`w + writers · i`), so
+/// its local oracle — `oracle`, those keys' entries as the round found
+/// them — is exact whatever the other writers do. It mixes
+/// waited puts and deletes, fire-and-forget puts and deletes, waited
+/// batches and flushes, checking after every ack that the write is
+/// readable and that its acks' versions strictly increase. Returns its
+/// oracle and the ticket of its last fire-and-forget write, left
+/// unwaited for the drop.
+fn model_writer(
+    store: &Store,
+    seed: u64,
+    (w, writers): (u64, u64),
+    mut oracle: BTreeMap<u64, u64>,
+) -> (BTreeMap<u64, u64>, Option<CommitTicket<Spec>>) {
+    let mut rng = SplitMix::new(seed ^ (w << 32));
+    let (mut last_ack, mut unwaited) = (0u64, None);
+    let key = |rng: &mut SplitMix| w + writers * rng.below(MODEL_KEYS);
+    let acked = |ticket: CommitTicket<Spec>, last_ack: &mut u64| {
+        let version = ticket.wait();
+        assert_eq!(
+            ticket.global_epoch(),
+            Some(version),
+            "an ack names its epoch"
+        );
+        assert!(
+            version > *last_ack,
+            "writer {w}: ack v{version} after v{last_ack}"
+        );
+        *last_ack = version;
+    };
+    for step in 0..40 + rng.below(80) {
+        let (k, v) = (key(&mut rng), seed * 1_000_000 + w * 10_000 + step);
+        match rng.below(100) {
+            0..=29 => {
+                oracle.insert(k, v);
+                acked(store.put(k, v), &mut last_ack);
+                assert_eq!(store.get(&k), Some(v), "acked put not readable");
+            }
+            30..=37 => {
+                oracle.remove(&k);
+                acked(store.delete(k), &mut last_ack);
+                assert_eq!(store.get(&k), None, "acked delete still readable");
+            }
+            38..=64 => {
+                oracle.insert(k, v);
+                unwaited = Some(store.put(k, v));
+            }
+            65..=71 => {
+                oracle.remove(&k);
+                unwaited = Some(store.delete(k));
+            }
+            72..=89 => {
+                let ops: Vec<WriteOp<Spec>> = (0..1 + rng.below(8))
+                    .map(|i| match key(&mut rng) {
+                        k if i % 3 == 2 => WriteOp::Delete(k),
+                        k => WriteOp::Put(k, v + i),
+                    })
+                    .collect();
+                for op in &ops {
+                    match op {
+                        WriteOp::Put(k, v) => oracle.insert(*k, *v),
+                        WriteOp::Delete(k) => oracle.remove(k),
+                    };
+                }
+                acked(store.write_batch(ops.clone()), &mut last_ack);
+                for op in &ops {
+                    assert_eq!(store.get(op.key()), oracle.get(op.key()).copied());
+                }
+            }
+            _ => {
+                let version = store.flush();
+                assert!(
+                    version >= last_ack,
+                    "flush named v{version} before v{last_ack}"
+                );
+                for (k, v) in &oracle {
+                    assert_eq!(store.get(k), Some(*v), "flushed write not readable");
+                }
+            }
+        }
+    }
+    (oracle, unwaited)
+}
+
+/// Run one round of a model history on `store`, whose contents are
+/// `oracle`: 1–4 writers and a reader checking that the head's version
+/// never goes back. Returns the oracle after the round (the union of the
+/// writers') and the writers' unwaited tickets.
+fn model_round(
+    store: &Arc<Store>,
+    seed: u64,
+    oracle: BTreeMap<u64, u64>,
+) -> (BTreeMap<u64, u64>, Vec<CommitTicket<Spec>>) {
+    let writers = 1 + SplitMix::new(seed).below(4);
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (store, stop) = (store.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut last = 0;
+            while !stop.load(Ordering::Relaxed) {
+                let version = store.snapshot().version();
+                assert!(version >= last, "head went from v{last} back to v{version}");
+                last = version;
+                std::thread::yield_now();
+            }
+        })
+    };
+    let handles: Vec<_> = (0..writers)
+        .map(|w| {
+            let store = store.clone();
+            let own = oracle
+                .iter()
+                .filter(|&(k, _)| k % writers == w)
+                .map(|(&k, &v)| (k, v))
+                .collect();
+            std::thread::spawn(move || model_writer(&store, seed, (w, writers), own))
+        })
+        .collect();
+    let (mut oracle, mut unwaited) = (BTreeMap::new(), Vec::new());
+    for h in handles {
+        let (part, ticket) = h.join().expect("writer panicked");
+        oracle.extend(part);
+        unwaited.extend(ticket);
+    }
+    stop.store(true, Ordering::Relaxed);
+    reader.join().expect("reader panicked");
+    (oracle, unwaited)
+}
+
+/// Flush, then check the version bookkeeping of a store that opened at
+/// version `first` and its contents against `oracle`. Returns the
+/// commits `(by a writer, by the committer thread)`.
+fn check_quiesced(store: &Store, first: u64, oracle: &BTreeMap<u64, u64>) -> (u64, u64) {
+    let head = store.flush();
+    let s = store.stats();
+    assert_eq!(head, s.head_version);
+    assert_eq!(head, first + s.commits, "one dense version per commit");
+    assert_eq!(
+        s.live_versions as u64 + s.retired_versions,
+        s.commits + 1,
+        "every version published since open is live or retired"
+    );
+    assert!(s.commits_by_writer <= s.commits);
+    let got: BTreeMap<u64, u64> = store.range(&0, &u64::MAX).into_iter().collect();
+    assert_eq!(&got, oracle);
+    (s.commits_by_writer, s.commits - s.commits_by_writer)
+}
+
+/// Drop `store` with unwaited writes outstanding: the drop drains them,
+/// so every unwaited ticket resolves afterwards.
+fn drop_midway(store: Arc<Store>, unwaited: Vec<CommitTicket<Spec>>) {
+    drop(Arc::into_inner(store).expect("only the test holds the store"));
+    for ticket in unwaited {
+        assert!(ticket.is_done(), "the drop drained every epoch");
+        assert_eq!(Some(ticket.wait()), ticket.global_epoch());
+    }
+}
+
+fn model_config(seed: u64) -> ShardedConfig {
+    // a zero window, a short one, and one long enough that the committer
+    // thread leaves every lone writer's epoch to that writer
+    let window = [0u64, 100, 20_000][(seed % 3) as usize];
+    ShardedConfig::builder()
+        .shards(1 + (seed % 2) as usize)
+        .batch_window(Duration::from_micros(window))
+        .build()
+}
+
+fn open_durable(dir: &Path, seed: u64) -> Arc<Store> {
+    let durability = DurabilityConfig::builder()
+        .sync(SyncPolicy::NoSync)
+        .checkpoint_every_bytes(8 << 10)
+        .build();
+    Arc::new(Store::open(dir, model_config(seed), durability).expect("open"))
+}
+
+/// Seeded histories against a `BTreeMap` oracle, on a volatile store and
+/// on a durable `NoSync` one. Each history is two rounds of 1–4 writers
+/// mixing waited and fire-and-forget puts and deletes, batches and
+/// flushes (see [`model_writer`]); the store is dropped between the
+/// rounds with unwaited writes outstanding. Lone writers commit their
+/// own epochs, crowds and unwaited writes go to the committer thread:
+/// both paths, and their hand-overs, run. Checked:
+///
+/// * every acked write is readable by its writer right after the ack,
+///   and one writer's acks carry strictly increasing versions;
+/// * the head's version never goes back, versions are dense (`head ==
+///   opened-at + commits`) and `live_versions + retired_versions` is the
+///   number of versions published since open;
+/// * the drop drains: every unwaited ticket resolves after it, and the
+///   durable store reopens equal to the oracle, round after round.
+#[test]
+fn seeded_histories_match_a_btreemap_oracle() {
+    let base = std::env::temp_dir().join(format!("pam-stress-model-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let mut by = (0, 0);
+    let mut tally = |(writer, thread): (u64, u64)| {
+        by = (by.0 + writer, by.1 + thread);
+    };
+    for seed in 1..=9u64 {
+        // volatile: each round starts empty
+        for round in 0..2 {
+            let store = Arc::new(Store::volatile(model_config(seed)));
+            let (oracle, unwaited) = model_round(&store, seed * 2 + round, BTreeMap::new());
+            if round == 1 {
+                tally(check_quiesced(&store, 0, &oracle));
+            }
+            drop_midway(store, unwaited);
+        }
+
+        // durable: the oracle carries across the drop and the reopen
+        let dir = base.join(seed.to_string());
+        let mut oracle = BTreeMap::new();
+        for round in 0..2 {
+            let store = open_durable(&dir, seed);
+            let first = store.snapshot().version();
+            let got: BTreeMap<u64, u64> = store.range(&0, &u64::MAX).into_iter().collect();
+            assert_eq!(
+                got, oracle,
+                "seed {seed}: reopened store differs from the oracle"
+            );
+            let unwaited;
+            (oracle, unwaited) = model_round(&store, seed * 2 + round, oracle);
+            if round == 1 {
+                tally(check_quiesced(&store, first, &oracle));
+            }
+            drop_midway(store, unwaited);
+        }
+        let reopened = open_durable(&dir, seed);
+        let got: BTreeMap<u64, u64> = reopened.range(&0, &u64::MAX).into_iter().collect();
+        assert_eq!(
+            got, oracle,
+            "seed {seed}: final reopen differs from the oracle"
+        );
+    }
+    assert!(
+        by.0 > 0 && by.1 > 0,
+        "commits (by a writer, by the thread): {by:?}"
+    );
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -1,6 +1,10 @@
 //! A store runs one committer and, when durable, one checkpointer,
 //! however many files its checkpoints are cut into. Alone in its test binary, so no other
 //! test's store is alive while the threads are counted.
+//!
+//! A thread names itself once it runs, and nothing the test does waits
+//! for either thread to run — a lone writer commits its own epoch — so
+//! each count polls under a deadline until it reads what it must.
 
 use pam::SumAug;
 use pam_store::{DurabilityConfig, ShardedConfig, Store};
@@ -29,6 +33,15 @@ fn a_two_shard_durable_store_starts_one_committer_and_one_checkpointer() {
             threads_named("pam-store-checkpointer"),
         )
     };
+    // a thread starting, or a joined one lingering in procfs while it
+    // exits, is seen after a moment
+    let settled = |want| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while count() != want && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        count()
+    };
     assert_eq!(count(), (0, 0));
     let store: Store<SumAug<u64, u64>> = Store::open(
         &dir,
@@ -40,13 +53,8 @@ fn a_two_shard_durable_store_starts_one_committer_and_one_checkpointer() {
     )
     .unwrap();
     store.put_all((0..64u64).map(|k| (k, k))).wait();
-    assert_eq!(count(), (1, 1), "one of each for two shards");
+    assert_eq!(settled((1, 1)), (1, 1), "one of each for two shards");
     drop(store);
-    // a joined thread may linger in procfs for a moment while it exits
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while count() != (0, 0) && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(count(), (0, 0), "dropping the store joins both");
+    assert_eq!(settled((0, 0)), (0, 0), "dropping the store joins both");
     fs::remove_dir_all(&dir).unwrap();
 }
