@@ -35,14 +35,15 @@
 //!
 //! Recovery ([`crate::Store::open`]) loads the newest complete checkpoint
 //! whose N files all validate — the files in parallel, each chunk with
-//! the O(n)-work `AugMap::from_sorted_distinct` — unions the N disjoint
-//! ranges into one map, then replays the log once from E on through the
-//! same `multi_insert` / `multi_delete` path the committer uses. It never
-//! mixes files of two epochs: ranges are cut by rank, so two epochs' cuts
-//! differ, and a key no write touched in between can sit outside both
-//! files — where replay would not restore it either. Logged epochs are
-//! normalized (sorted, LWW-resolved), so replay is idempotent and may
-//! overlap a checkpoint's coverage, and a torn final record — the
+//! the O(n)-work `AugMap::from_sorted_distinct` once its keys are checked
+//! to ascend (a file whose keys do not is refused like one that fails its
+//! CRC) — unions the N disjoint ranges into one map, then replays the log
+//! once from E on through the same one-walk `op::apply` the committer
+//! uses. It never mixes files of two epochs: ranges are cut by rank, so
+//! two epochs' cuts differ, and a key no write touched in between can sit
+//! outside both files — where replay would not restore it either. Logged
+//! epochs are normalized (sorted, LWW-resolved), so replay is idempotent
+//! and may overlap a checkpoint's coverage, and a torn final record — the
 //! signature of a crash mid-append — is truncated away by
 //! [`pam_wal::Wal::open`].
 
@@ -525,19 +526,39 @@ where
     // 1. the newest complete checkpoint whose N files all validate, the
     //    files in parallel: each streams into its own map chunk by chunk
     //    — a chunk bulk-loads with the O(chunk) `from_sorted_distinct`
-    //    and unions onto the accumulated map's right edge (chunks ascend)
-    //    — so peak memory is one chunk per file, never a whole file
+    //    and unions onto the accumulated map's right edge, once one pass
+    //    has checked that its keys ascend past that edge — so peak memory
+    //    is one chunk per file, never a whole file
     let mut loaded = None;
     for epoch in complete_epochs(dir, shards)? {
         let files = parlay::tabulate(shards, |i| {
             let start = Instant::now();
+            let shard_dir = manifest::shard_dir(dir, i);
             let (entries, map) = checkpoint::load_at::<S::K, S::V, _>(
-                &manifest::shard_dir(dir, i),
+                &shard_dir,
                 epoch,
                 AugMap::new(),
                 |m: &mut AugMap<S>, chunk| {
+                    // a bulk load trusts the order, so check it: keys
+                    // ascend strictly within the chunk and past the map
+                    let after = |a: &S::K, b: &S::K| S::compare(a, b).is_lt();
+                    let sorted = chunk.windows(2).all(|w| after(&w[0].0, &w[1].0));
+                    let above = match (m.last(), chunk.first()) {
+                        (Some((last, _)), Some((first, _))) => after(last, first),
+                        _ => true,
+                    };
+                    if !(sorted && above) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "keys out of order in checkpoint {epoch} in {}",
+                                shard_dir.display()
+                            ),
+                        ));
+                    }
                     let right = AugMap::from_sorted_distinct(&chunk);
                     *m = std::mem::take(m).union(right);
+                    Ok(())
                 },
             )?;
             Ok((entries, map, start.elapsed()))

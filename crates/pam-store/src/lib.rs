@@ -17,8 +17,8 @@
 //!   open epoch and immediately receive a [`CommitTicket`]. One commit at
 //!   a time — on the store's committer thread, or on a lone writer's own
 //!   while it waits on its ticket — takes the epoch, normalizes the batch (parallel sort + last-write-wins dedup, via
-//!   `parlay`), applies it with one work-optimal
-//!   `multi_insert`/`multi_delete` (amortizing the O(log n) tree work
+//!   `parlay`), applies it with one work-optimal `multi_update` — puts
+//!   and deletes in one walk (amortizing the O(log n) tree work
 //!   across every writer in the window), and publishes the new root as
 //!   one version under the next [`VersionId`] — the single publication
 //!   point every reader pins from. A version lives exactly as long as it

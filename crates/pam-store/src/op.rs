@@ -1,15 +1,16 @@
 //! Write operations and batch normalization.
 //!
-//! A commit receives an epoch's operations in arrival order, tagged
-//! with global sequence numbers. Before touching the tree it *normalizes*
-//! the batch: parallel-sort by `(key, seq)` (`parlay::par_sort_by`), then
+//! A commit receives an epoch's operations in arrival order, tagged with
+//! global sequence numbers. Before touching the tree it *normalizes* the
+//! batch: parallel-sort by `(key, seq)` (`parlay::par_sort_by`), then
 //! collapse each key run to its **last** operation
 //! (`parlay::combine_duplicates_by` — last-write-wins), and split the
-//! survivors into one `multi_insert` batch and one `multi_delete` batch.
-//! After normalization the two batches have disjoint key sets, so the
-//! order they are applied in does not matter. The sort and the dedup move
-//! the operations; the only copies are last-write-wins' clone of the later
-//! operation, once per operation a later one overwrites.
+//! survivors into a list of puts and a list of deletes — the two lists a
+//! WAL record holds. They have disjoint key sets, so `apply` merges them
+//! back into one sorted stream and applies it in one `multi_update`. The
+//! sort and the dedup move the operations; the only copies are
+//! last-write-wins' clone of the later operation, once per operation a
+//! later one overwrites.
 
 use pam::{AugMap, AugSpec};
 
@@ -110,15 +111,20 @@ pub fn normalize<S: AugSpec>(mut ops: Vec<(u64, WriteOp<S>)>) -> NormalizedBatch
 }
 
 /// Apply one normalized epoch (`puts` and `deletes` sorted, distinct,
-/// disjoint) to `map` as one `multi_insert` plus one `multi_delete`. The
-/// committer and recovery's replay both apply through here.
+/// disjoint) to `map` in one walk of the tree: a linear merge makes the
+/// two lists one sorted stream for `multi_update`. The committer and
+/// recovery's replay both apply through here.
 pub(crate) fn apply<S: AugSpec>(map: &mut AugMap<S>, puts: Vec<(S::K, S::V)>, deletes: Vec<S::K>) {
-    if !puts.is_empty() {
-        map.multi_insert(puts);
+    let mut batch = Vec::with_capacity(puts.len() + deletes.len());
+    let mut deletes = deletes.into_iter().peekable();
+    for (k, v) in puts {
+        while let Some(d) = deletes.next_if(|d| S::compare(d, &k).is_lt()) {
+            batch.push((d, None));
+        }
+        batch.push((k, Some(v)));
     }
-    if !deletes.is_empty() {
-        map.multi_delete(deletes);
-    }
+    batch.extend(deletes.map(|d| (d, None)));
+    map.multi_update(batch);
 }
 
 #[cfg(test)]
@@ -237,5 +243,46 @@ mod tests {
             assert_eq!(b.deletes, deletes, "{threads} threads");
             assert_eq!(b.raw_ops, OPS as usize);
         }
+    }
+
+    #[test]
+    fn apply_walks_once_to_the_same_map_as_two_calls() {
+        let base = AugMap::<S>::build((0..5000u64).map(|i| (i * 2, i)).collect());
+        let puts = |keys: &mut dyn Iterator<Item = u64>| -> Vec<(u64, u64)> {
+            keys.map(|k| (k, k + 1)).collect()
+        };
+        // (puts, deletes): sorted, distinct, disjoint, as `normalize` leaves them
+        let cases = [
+            (
+                "deletes before the first put",
+                puts(&mut (9000..9100)),
+                (0..300).collect::<Vec<u64>>(),
+            ),
+            (
+                "deletes after the last put",
+                puts(&mut (0..300)),
+                (9000..9600).collect(),
+            ),
+            (
+                "interleaved",
+                puts(&mut (0..6000).filter(|k| k % 3 != 0)),
+                (0..6000).filter(|k| k % 3 == 0).collect(),
+            ),
+            ("no deletes", puts(&mut (0..4000).map(|k| k * 3)), vec![]),
+            ("no puts", vec![], (0..4000).map(|k| k * 3).collect()),
+            ("neither", vec![], vec![]),
+        ];
+        for threads in [1, 2, 3] {
+            for (case, puts, deletes) in &cases {
+                let mut one = base.clone();
+                parlay::with_threads(threads, || apply(&mut one, puts.clone(), deletes.clone()));
+                let mut two = base.clone();
+                two.multi_insert(puts.clone());
+                two.multi_delete(deletes.clone());
+                assert_eq!(one.to_vec(), two.to_vec(), "{case}, {threads} threads");
+                one.check_invariants().unwrap();
+            }
+        }
+        assert_eq!(base.len(), 5000);
     }
 }

@@ -16,9 +16,9 @@
 //!    published version, or none is);
 //! 2. normalizes the batch (parallel sort + last-write-wins dedup, see
 //!    [`crate::op`]), appends it to the WAL of a durable store and
-//!    applies it as one work-optimal `multi_insert` + `multi_delete` to
-//!    the map — no compare-and-swap, and no other thread touches the map
-//!    while the commit is held;
+//!    applies it as one work-optimal `multi_update` — puts and deletes in
+//!    one walk of the map — with no compare-and-swap; no other thread
+//!    touches the map while the commit is held;
 //! 3. publishes the new root in the registry as one version, numbered
 //!    by the epoch — the one place a new root becomes visible — drops
 //!    the replaced head, then wakes every ticket of the epoch. A failed

@@ -32,7 +32,7 @@ pub(crate) struct CommitTiming {
     /// WAL append (+ fsync, per the policy) for a durable store; zero
     /// for a volatile one.
     pub wal_log: Duration,
-    /// The epoch's `multi_insert` plus `multi_delete`.
+    /// The epoch's `multi_update`: its puts and deletes, in one walk.
     pub apply: Duration,
     /// Version-registry publish.
     pub publish: Duration,

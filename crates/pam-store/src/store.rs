@@ -11,9 +11,9 @@
 //! * writes — `put`, `delete` and `write_batch` alike — join the one
 //!   open epoch. Whoever commits it — the store's committer thread, or a
 //!   lone writer waiting on its ticket — normalizes the epoch once, logs
-//!   it as one record (when durable) and applies it as one
-//!   `multi_insert` plus one `multi_delete`, whose work forks inside the
-//!   tree;
+//!   it as one record (when durable) and applies its puts and deletes
+//!   in one `multi_update`, one walk of the tree whose work forks inside
+//!   it;
 //! * point reads are one tree walk; [`Store::get_many`] probes its keys
 //!   in sorted order, so successive lookups share their upper path;
 //! * ordered scans ([`Store::range_for_each`]) are one streaming walk of

@@ -190,6 +190,63 @@ fn checkpoint_truncates_wal_and_bulk_loads() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A checkpoint whose frames all pass their CRCs but whose keys are out
+/// of order — unsorted within a chunk, or a chunk that starts at or
+/// below the previous chunk's last key — is corrupt: bulk-loaded as it
+/// is, it would be a tree that breaks the search order. Recovery refuses
+/// it and falls back as on a CRC failure, or fails with `InvalidData`;
+/// it never serves a broken map.
+#[test]
+fn a_checkpoint_with_keys_out_of_order_is_refused() {
+    // 10k entries: three chunks of at most 4096
+    const N: u64 = 10_000;
+    const CHUNK: usize = 4096;
+    type Plant = fn(&mut [(u64, u64)]);
+    let plants: [(&str, Plant); 3] = [
+        ("unsorted-chunk", |p| p.swap(10, 20)),
+        ("repeated-key", |p| p[CHUNK].0 = p[CHUNK - 1].0),
+        ("descending-chunks", |p| p.swap(CHUNK - 1, CHUNK)),
+    ];
+    let manual = DurabilityConfig {
+        checkpoint_every_bytes: None,
+        ..DurabilityConfig::default()
+    };
+    for (name, plant) in plants {
+        let dir = fresh_dir(name);
+        let mut oracle = BTreeMap::new();
+        let (first, newest) = {
+            let store = open(&dir, manual.clone());
+            let mut put = |keys: std::ops::Range<u64>| {
+                let pairs: Vec<(u64, u64)> = keys.map(|k| (k * 2, k)).collect();
+                oracle.extend(pairs.iter().copied());
+                store.put_all(pairs).wait();
+            };
+            put(0..N / 2);
+            let first = store.checkpoint().unwrap();
+            put(N / 2..N);
+            (first, store.checkpoint().unwrap())
+        };
+        // rewrite the newest file: same epoch and count, valid frames
+        let mut pairs: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+        plant(&mut pairs);
+        pam_wal::checkpoint::write(&dir.join("shard-0"), newest, N, |emit| {
+            pairs.iter().for_each(|(k, v)| emit(k, v))
+        })
+        .unwrap();
+        match Store::open(&dir, eager(), manual.clone()) {
+            Ok(store) => {
+                assert_eq!(store.recovery()[0].checkpoint_epoch, first, "{name}");
+                let snap = store.snapshot();
+                snap.map().check_invariants().unwrap();
+                let recovered: BTreeMap<u64, u64> = snap.range(&0, &u64::MAX).into_iter().collect();
+                assert_eq!(recovered, oracle, "{name}");
+            }
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{name}: {e}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 #[test]
 fn background_checkpointer_fires_on_bytes_threshold() {
     let dir = fresh_dir("auto-ckpt");

@@ -205,11 +205,12 @@ fn list(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 
 /// Stream-decode one checkpoint file: chunks are handed to `sink` as they
 /// are read, so peak memory is one chunk, not the whole checkpoint.
-/// Errors on any framing/codec/count problem (possibly after `sink` has
-/// already consumed earlier chunks — callers discard partial state).
+/// Errors on any framing/codec/count problem, or with the first error
+/// `sink` returns (possibly after `sink` has already consumed earlier
+/// chunks — callers discard partial state).
 fn load_file_with<K: Codec, V: Codec>(
     path: &Path,
-    sink: &mut impl FnMut(Vec<(K, V)>),
+    sink: &mut impl FnMut(Vec<(K, V)>) -> io::Result<()>,
 ) -> io::Result<(u64, u64)> {
     let bad = |msg: &str| {
         io::Error::new(
@@ -260,7 +261,7 @@ fn load_file_with<K: Codec, V: Codec>(
             return Err(bad("trailing chunk bytes"));
         }
         seen += chunk.len() as u64;
-        sink(chunk);
+        sink(chunk)?;
     }
     if seen != total {
         return Err(bad("entry count mismatch"));
@@ -270,18 +271,21 @@ fn load_file_with<K: Codec, V: Codec>(
 
 /// Load the checkpoint at `epoch` in `dir`, streaming its chunks into
 /// `acc` instead of materializing one giant vector: `absorb` folds one
-/// decoded chunk (sorted by key, globally ascending across chunks) into
-/// it. Returns `(entries, acc)`.
+/// decoded chunk into it. The writer emits chunks sorted by key and
+/// ascending across the file, but this crate knows no key order: an
+/// `absorb` that relies on it checks it, and refuses a chunk out of
+/// order with `InvalidData`. Returns `(entries, acc)`.
 ///
 /// # Errors
 ///
 /// `InvalidData` when the file is corrupt (`acc` may then hold a prefix
-/// of it: discard it); other kinds pass through from the filesystem.
+/// of it: discard it); whatever `absorb` returns; other kinds pass
+/// through from the filesystem.
 pub fn load_at<K: Codec, V: Codec, M>(
     dir: &Path,
     epoch: u64,
     mut acc: M,
-    mut absorb: impl FnMut(&mut M, Vec<(K, V)>),
+    mut absorb: impl FnMut(&mut M, Vec<(K, V)>) -> io::Result<()>,
 ) -> io::Result<(u64, M)> {
     let path = checkpoint_path(dir, epoch);
     let (claimed, total) = load_file_with::<K, V>(&path, &mut |chunk| absorb(&mut acc, chunk))?;
@@ -317,7 +321,7 @@ pub fn load_at<K: Codec, V: Codec, M>(
 pub fn load_latest_with<K: Codec, V: Codec, M>(
     dir: &Path,
     mut fresh: impl FnMut() -> M,
-    mut absorb: impl FnMut(&mut M, Vec<(K, V)>),
+    mut absorb: impl FnMut(&mut M, Vec<(K, V)>) -> io::Result<()>,
 ) -> io::Result<Option<(u64, u64, M)>> {
     for epoch in epochs(dir)?.into_iter().rev() {
         match load_at::<K, V, M>(dir, epoch, fresh(), &mut absorb) {
@@ -345,7 +349,8 @@ pub type LoadedCheckpoint<K, V> = (u64, Vec<(K, V)>);
 pub fn load_latest<K: Codec, V: Codec>(dir: &Path) -> io::Result<Option<LoadedCheckpoint<K, V>>> {
     Ok(
         load_latest_with::<K, V, Vec<(K, V)>>(dir, Vec::new, |acc, mut chunk| {
-            acc.append(&mut chunk)
+            acc.append(&mut chunk);
+            Ok(())
         })?
         .map(|(epoch, _, entries)| (epoch, entries)),
     )
@@ -461,6 +466,7 @@ mod tests {
                     assert!(last.0 < first.0, "chunks ascend globally");
                 }
                 acc.extend(chunk);
+                Ok(())
             })
             .unwrap()
             .unwrap();
@@ -478,12 +484,22 @@ mod tests {
         fs::write(&newest, bytes).unwrap();
         let (epoch, _, flat) =
             load_latest_with::<u64, u64, Vec<(u64, u64)>>(&dir, Vec::new, |acc, chunk| {
-                acc.extend(chunk)
+                acc.extend(chunk);
+                Ok(())
             })
             .unwrap()
             .unwrap();
         assert_eq!(epoch, 5, "fell back past the corrupt newest");
         assert_eq!(flat.len(), 10_000, "no partial chunks leaked in");
+
+        // a chunk `absorb` refuses as invalid is corruption too: with
+        // both files refused there is no checkpoint, and any other error
+        // passes through
+        let refuse =
+            |kind| load_latest_with::<u64, u64, ()>(&dir, || (), |_, _| Err(io::Error::from(kind)));
+        assert!(refuse(io::ErrorKind::InvalidData).unwrap().is_none());
+        let err = refuse(io::ErrorKind::Other).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Other);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -519,13 +535,17 @@ mod tests {
             })
             .unwrap();
         }
-        let (n, got) = load_at::<u64, u64, _>(&dir, 4, Vec::new(), |acc, c| acc.extend(c)).unwrap();
+        let (n, got) = load_at::<u64, u64, _>(&dir, 4, Vec::new(), |acc, c| {
+            acc.extend(c);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!((n, got), (4, pairs(4)), "the older file, not the newest");
         // a file renamed to another epoch claims the wrong one: corrupt
         fs::rename(checkpoint_path(&dir, 4), checkpoint_path(&dir, 5)).unwrap();
-        let err = load_at::<u64, u64, _>(&dir, 5, (), |_, _| {}).unwrap_err();
+        let err = load_at::<u64, u64, _>(&dir, 5, (), |_, _| Ok(())).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        let err = load_at::<u64, u64, _>(&dir, 4, (), |_, _| {}).unwrap_err();
+        let err = load_at::<u64, u64, _>(&dir, 4, (), |_, _| Ok(())).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -4,7 +4,8 @@
 //! to the tree — the *normalized* epoch (puts sorted by key, deletes
 //! sorted, key sets disjoint, last-write-wins already resolved). Logging
 //! after normalization is what keeps replay trivial: applying an epoch
-//! body to a map is one `multi_insert` plus one `multi_delete`, and
+//! body to a map is one `multi_update` (its two lists merged into one
+//! sorted stream — one walk of the tree), and
 //! re-applying an epoch that is already reflected in a checkpoint is
 //! idempotent (same keys, same final values), so recovery may safely
 //! overlap checkpoint and log.

@@ -158,7 +158,12 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
 
     /// Insert; when the key exists the stored value becomes
     /// `combine(old, new)`. O(log n).
-    pub fn insert_with(&mut self, key: S::K, val: S::V, combine: impl Fn(&S::V, &S::V) -> S::V) {
+    pub fn insert_with(
+        &mut self,
+        key: S::K,
+        val: S::V,
+        combine: impl Fn(&S::V, &S::V) -> S::V + Sync,
+    ) {
         let root = self.root.take();
         self.root = ops::insert::<S, B, _>(root, key, val, &combine);
     }
@@ -171,7 +176,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
 
     /// Update the value at `key`: `f(&old)` returning `None` removes the
     /// entry, `Some(v)` replaces it. No-op if absent. O(log n).
-    pub fn update(&mut self, key: &S::K, f: impl Fn(&S::V) -> Option<S::V>) {
+    pub fn update(&mut self, key: &S::K, f: impl Fn(&S::V) -> Option<S::V> + Sync) {
         let root = self.root.take();
         self.root = ops::update::<S, B, _>(root, key, &f);
     }
@@ -243,6 +248,20 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     pub fn multi_delete(&mut self, keys: Vec<S::K>) {
         let root = self.root.take();
         self.root = ops::multi_delete::<S, B>(root, keys);
+    }
+
+    /// Bulk-apply puts (`Some`) and deletes (`None`) in one walk of the
+    /// tree. A key repeated in `batch` keeps its last element.
+    ///
+    /// ```
+    /// use pam::{AugMap, SumAug};
+    /// let mut m: AugMap<SumAug<u32, u64>> = AugMap::build(vec![(1, 10), (2, 20)]);
+    /// m.multi_update(vec![(3, Some(30)), (1, None), (3, Some(31))]);
+    /// assert_eq!(m.to_vec(), vec![(2, 20), (3, 31)]);
+    /// ```
+    pub fn multi_update(&mut self, batch: Vec<(S::K, Option<S::V>)>) {
+        let root = self.root.take();
+        self.root = ops::multi_update::<S, B>(root, batch);
     }
 
     // -- range extraction ---------------------------------------------------

@@ -1,17 +1,22 @@
-//! Bulk construction and bulk updates.
+//! Bulk construction and the one update recursion.
 //!
 //! `build` is the paper's BUILD (Figure 2): parallel sort, combine
 //! duplicates (contiguous after sorting) — both skipped for input already
 //! sorted and distinct — then a balanced divide-and-conquer of `join`s.
 //! Work O(n log n), span O(log n) given the sort.
-//! `multi_insert`/`multi_delete` recursively partition the sorted
-//! batch around the tree root, descending both sides in parallel — PAM's
-//! mechanism for applying accumulated concurrent updates in bulk (§4,
-//! Concurrency). Both bottom out at leaf blocks with a linear sorted
-//! merge of the batch slice into the block.
+//!
+//! `update_sorted` is every update: it partitions a sorted batch around
+//! the tree root and descends both sides in parallel — PAM's mechanism
+//! for applying accumulated concurrent updates in bulk (§4, Concurrency)
+//! — and bottoms out at leaf blocks with a linear sorted merge of the
+//! batch slice into the block. What a key keeps is its caller's
+//! `resolve`: `multi_insert`, `multi_delete` and `multi_update` here,
+//! the point updates of [`mod@crate::ops::insert`] with a one-element
+//! batch, and `from_sorted_distinct` on an empty tree, where the
+//! recursion is the median-split build.
 
 use crate::balance::{from_sorted_entries, join_tree, Balance};
-use crate::node::{expose, take_leaf_entries, EntryOwned, Node, Tree};
+use crate::node::{expose, size, take_leaf_entries, EntryOwned, Tree};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if};
@@ -26,28 +31,30 @@ where
     B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
-    from_sorted_distinct::<S, B>(&sorted_distinct::<S, F>(items, combine))
+    from_sorted_distinct::<S, B>(&sorted_distinct::<S, _>(items, |a, b| {
+        (a.0.clone(), combine(&a.1, &b.1))
+    }))
 }
 
-/// Sort `items` by key and merge the values of equal keys left-to-right
-/// with `combine` — BUILD's and `multi_insert`'s prelude. Input already
-/// sorted and distinct (a presorted bulk load, every normalized commit
-/// epoch and replayed WAL record) comes back as it is: the check stops at
-/// the first pair out of order, so on unsorted input it costs O(1).
-fn sorted_distinct<S, F>(mut items: Vec<(S::K, S::V)>, combine: &F) -> Vec<(S::K, S::V)>
+/// Sort `items` by key and fold each run of equal keys left-to-right with
+/// `combine` — the prelude of BUILD and of every batch update. Input
+/// already sorted and distinct (a presorted bulk load, every normalized
+/// commit epoch and replayed WAL record) comes back as it is: the check
+/// stops at the first pair out of order, so on unsorted input it costs
+/// O(1).
+fn sorted_distinct<S, X>(
+    mut items: Vec<(S::K, X)>,
+    combine: impl Fn(&(S::K, X), &(S::K, X)) -> (S::K, X) + Sync,
+) -> Vec<(S::K, X)>
 where
     S: AugSpec,
-    F: Fn(&S::V, &S::V) -> S::V + Sync,
+    X: Send + Sync,
 {
     if strictly_increasing(&items, |a, b| S::compare(&a.0, &b.0)) {
         return items;
     }
     parlay::par_sort_by(&mut items, |a, b| S::compare(&a.0, &b.0));
-    parlay::combine_duplicates_by(
-        items,
-        |a, b| S::compare(&a.0, &b.0) == Ordering::Equal,
-        |a, b| (a.0.clone(), combine(&a.1, &b.1)),
-    )
+    parlay::combine_duplicates_by(items, |a, b| S::compare(&a.0, &b.0).is_eq(), combine)
 }
 
 /// Construct a map from a slice already sorted by key with distinct keys.
@@ -57,42 +64,14 @@ where
     S: AugSpec,
     B: Balance,
 {
-    if items.is_empty() {
-        return None;
-    }
     debug_assert!(strictly_increasing(items, |a, b| S::compare(&a.0, &b.0)));
-    build_rec::<S, B>(items)
-}
-
-fn owned_entry<S: AugSpec>(item: &(S::K, S::V)) -> EntryOwned<S> {
-    EntryOwned {
-        key: item.0.clone(),
-        val: item.1.clone(),
-    }
-}
-
-fn build_rec<S: AugSpec, B: Balance>(items: &[(S::K, S::V)]) -> Tree<S, B> {
-    if items.is_empty() {
-        return None;
-    }
-    if items.len() <= B::LEAF_CAP.max(1) {
-        // bottom out with one full block (median recursion keeps every
-        // non-root block at least half full)
-        return Some(Node::make_leaf(items.iter().map(owned_entry).collect()));
-    }
-    let mid = items.len() / 2;
-    let (l, r) = par2_if(
-        items.len() > granularity(),
-        || build_rec::<S, B>(&items[..mid]),
-        || build_rec::<S, B>(&items[mid + 1..]),
-    );
-    join_tree(l, owned_entry(&items[mid]), r)
+    update_sorted(None, items, &|_, x| Some(x.1.clone()))
 }
 
 /// Fewest batch keys either side of a partition must carry before a
 /// bulk update forks the two recursions. A side with a handful of keys
 /// path-copies a handful of root-to-leaf paths — microseconds — while a
-/// fork can cost a thread hand-off, so a 3-key epoch into a large shard
+/// fork can cost a thread hand-off, so a 3-key epoch into a large map
 /// must stay on the calling thread. Balanced bulk batches (n ≈ m) clear
 /// this at every level above the grain and keep all their forks.
 const MIN_FORK_BATCH: usize = 64;
@@ -122,121 +101,131 @@ where
     B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
-    multi_insert_sorted::<S, B, F>(t, &sorted_distinct::<S, F>(batch, combine), combine)
+    let batch = sorted_distinct::<S, _>(batch, |a, b| (a.0.clone(), combine(&a.1, &b.1)));
+    update_sorted(t, &batch, &|old, x| {
+        Some(old.map_or_else(|| x.1.clone(), |old| combine(old, &x.1)))
+    })
 }
 
-fn multi_insert_sorted<S, B, F>(t: Tree<S, B>, batch: &[(S::K, S::V)], combine: &F) -> Tree<S, B>
+/// Delete a whole batch of keys (absent keys are ignored).
+pub fn multi_delete<S, B>(t: Tree<S, B>, keys: Vec<S::K>) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
-    F: Fn(&S::V, &S::V) -> S::V + Sync,
+{
+    let keys: Vec<(S::K, ())> = keys.into_iter().map(|k| (k, ())).collect();
+    let keys = sorted_distinct::<S, _>(keys, |a, _| (a.0.clone(), ()));
+    update_sorted(t, &keys, &|_, _| None)
+}
+
+/// Apply a batch of puts (`Some`) and deletes (`None`) in one walk. A key
+/// repeated in the batch keeps its last element.
+pub fn multi_update<S, B>(t: Tree<S, B>, batch: Vec<(S::K, Option<S::V>)>) -> Tree<S, B>
+where
+    S: AugSpec,
+    B: Balance,
+{
+    let batch = sorted_distinct::<S, _>(batch, |_, later| later.clone());
+    update_sorted(t, &batch, &|_, x| x.1.clone())
+}
+
+/// Apply `batch` — sorted by key, distinct — to `t`. Each batch key's
+/// new value is `resolve(old, item)`, where `old` is its value in `t`
+/// if any; `None` leaves the key out of the result. Keys of `t` outside
+/// the batch are kept as they are.
+pub(crate) fn update_sorted<S, B, X, R>(
+    t: Tree<S, B>,
+    batch: &[(S::K, X)],
+    resolve: &R,
+) -> Tree<S, B>
+where
+    S: AugSpec,
+    B: Balance,
+    X: Sync,
+    R: Fn(Option<&S::V>, &(S::K, X)) -> Option<S::V> + Sync,
 {
     if batch.is_empty() {
         return t;
     }
-    match t {
-        None => from_sorted_distinct::<S, B>(batch),
-        Some(n) if n.is_leaf() => {
-            // sorted merge of the batch into the block, then re-pack
-            let entries = take_leaf_entries(n);
-            let mut out = Vec::with_capacity(entries.len() + batch.len());
-            let mut bi = 0;
-            for e in entries {
-                while bi < batch.len() && S::compare(&batch[bi].0, &e.key) == Ordering::Less {
-                    out.push(owned_entry(&batch[bi]));
-                    bi += 1;
-                }
-                if bi < batch.len() && S::compare(&batch[bi].0, &e.key) == Ordering::Equal {
-                    out.push(EntryOwned {
-                        val: combine(&e.val, &batch[bi].1),
-                        key: e.key,
-                    });
-                    bi += 1;
-                } else {
-                    out.push(e);
-                }
-            }
-            out.extend(batch[bi..].iter().map(owned_entry));
-            from_sorted_entries::<S, B>(out)
+    let work = size(&t) + batch.len();
+    let (l, root, r, lo, hi) = match t {
+        Some(n) if n.is_leaf() => return merge_block(take_leaf_entries(n), batch, resolve),
+        None if batch.len() <= B::LEAF_CAP.max(1) => {
+            return merge_block(Vec::new(), batch, resolve)
+        }
+        // an empty tree splits the batch at its median: a balanced build
+        None => {
+            let mid = batch.len() / 2;
+            (None, None, None, mid, mid + 1)
         }
         Some(n) => {
-            let work = n.size_of() + batch.len();
             let (l, e, r) = expose(n);
-            let lo = batch.partition_point(|x| S::compare(&x.0, &e.key) == Ordering::Less);
-            let found = lo < batch.len() && S::compare(&batch[lo].0, &e.key) == Ordering::Equal;
-            let hi = lo + usize::from(found);
-            let (bl, br) = (&batch[..lo], &batch[hi..]);
-            let (l2, r2) = par2_if(
-                worth_forking(work, bl.len(), br.len()),
-                move || multi_insert_sorted::<S, B, F>(l, bl, combine),
-                move || multi_insert_sorted::<S, B, F>(r, br, combine),
-            );
-            let val = if found {
-                combine(&e.val, &batch[lo].1)
-            } else {
-                e.val
-            };
-            join_tree(l2, EntryOwned { key: e.key, val }, r2)
+            let lo = batch.partition_point(|x| S::compare(&x.0, &e.key).is_lt());
+            let found = lo < batch.len() && S::compare(&batch[lo].0, &e.key).is_eq();
+            (l, Some(e), r, lo, lo + usize::from(found))
         }
+    };
+    let (bl, br) = (&batch[..lo], &batch[hi..]);
+    let (l2, r2) = par2_if(
+        worth_forking(work, bl.len(), br.len()),
+        move || update_sorted::<S, B, X, R>(l, bl, resolve),
+        move || update_sorted::<S, B, X, R>(r, br, resolve),
+    );
+    let mid = match root {
+        Some(e) if lo == hi => Some(e),
+        root => resolved(root, &batch[lo], resolve),
+    };
+    match mid {
+        Some(e) => join_tree(l2, e, r2),
+        None => join2(l2, r2),
     }
 }
 
-/// Delete a whole batch of keys (absent keys are ignored).
-pub fn multi_delete<S, B>(t: Tree<S, B>, mut keys: Vec<S::K>) -> Tree<S, B>
+/// The entry `resolve` leaves at `x`'s key, given the entry there, if
+/// any.
+fn resolved<S, X, R>(
+    old: Option<EntryOwned<S>>,
+    x: &(S::K, X),
+    resolve: &R,
+) -> Option<EntryOwned<S>>
 where
     S: AugSpec,
-    B: Balance,
+    R: Fn(Option<&S::V>, &(S::K, X)) -> Option<S::V>,
 {
-    if !strictly_increasing(&keys, |a, b| S::compare(a, b)) {
-        parlay::par_sort_by(&mut keys, |a, b| S::compare(a, b));
-        keys.dedup_by(|a, b| S::compare(a, b) == Ordering::Equal);
+    match old {
+        Some(e) => resolve(Some(&e.val), x).map(|val| EntryOwned { key: e.key, val }),
+        None => resolve(None, x).map(|val| EntryOwned {
+            key: x.0.clone(),
+            val,
+        }),
     }
-    multi_delete_sorted::<S, B>(t, &keys)
 }
 
-fn multi_delete_sorted<S, B>(t: Tree<S, B>, keys: &[S::K]) -> Tree<S, B>
+/// [`update_sorted`]'s bottom: a sorted merge of the batch into one
+/// block's entries, then a re-pack.
+fn merge_block<S, B, X, R>(
+    entries: Vec<EntryOwned<S>>,
+    batch: &[(S::K, X)],
+    resolve: &R,
+) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
+    R: Fn(Option<&S::V>, &(S::K, X)) -> Option<S::V>,
 {
-    if keys.is_empty() {
-        return t;
-    }
-    match t {
-        None => None,
-        Some(n) if n.is_leaf() => {
-            let entries = take_leaf_entries(n);
-            let mut ki = 0;
-            let out: Vec<_> = entries
-                .into_iter()
-                .filter(|e| {
-                    while ki < keys.len() && S::compare(&keys[ki], &e.key) == Ordering::Less {
-                        ki += 1;
-                    }
-                    !(ki < keys.len() && S::compare(&keys[ki], &e.key) == Ordering::Equal)
-                })
-                .collect();
-            from_sorted_entries::<S, B>(out)
+    let mut out = Vec::with_capacity(entries.len() + batch.len());
+    let mut items = batch.iter().peekable();
+    for e in entries {
+        while let Some(x) = items.next_if(|x| S::compare(&x.0, &e.key).is_lt()) {
+            out.extend(resolved(None, x, resolve));
         }
-        Some(n) => {
-            let work = n.size_of() + keys.len();
-            let (l, e, r) = expose(n);
-            let lo = keys.partition_point(|x| S::compare(x, &e.key) == Ordering::Less);
-            let found = lo < keys.len() && S::compare(&keys[lo], &e.key) == Ordering::Equal;
-            let hi = lo + usize::from(found);
-            let (kl, kr) = (&keys[..lo], &keys[hi..]);
-            let (l2, r2) = par2_if(
-                worth_forking(work, kl.len(), kr.len()),
-                move || multi_delete_sorted::<S, B>(l, kl),
-                move || multi_delete_sorted::<S, B>(r, kr),
-            );
-            if found {
-                join2(l2, r2)
-            } else {
-                join_tree(l2, e, r2)
-            }
+        match items.next_if(|x| S::compare(&x.0, &e.key).is_eq()) {
+            Some(x) => out.extend(resolved(Some(e), x, resolve)),
+            None => out.push(e),
         }
     }
+    out.extend(items.filter_map(|x| resolved(None, x, resolve)));
+    from_sorted_entries::<S, B>(out)
 }
 
 #[cfg(test)]
@@ -337,7 +326,7 @@ mod tests {
         }
         let keys = |v: &[(u64, u64)]| v.iter().map(|p| p.0).collect::<Vec<_>>();
         // into an empty map neither op compares below the batch prelude
-        // (one pass here, one more in a debug_assert)
+        // (one pass here; the bound leaves room for a debug_assert's)
         let one_pass = 2 * (N as usize - 1);
 
         let mut a = AugMap::<CountingOrder>::new();

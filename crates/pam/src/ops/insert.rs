@@ -1,17 +1,18 @@
-//! Point updates (`insert`, `delete`), defined "purely based on JOIN, and
-//! hence independent of the balancing scheme" (§4, Figure 2).
+//! Point updates (`insert`, `update`, `delete`), defined "purely based
+//! on JOIN, and hence independent of the balancing scheme" (§4,
+//! Figure 2).
 //!
-//! With blocked leaves the descent bottoms out at a block: the update is a
-//! binary search plus an O(LEAF_CAP) vector edit, and the re-pack
-//! machinery in [`crate::balance`] restores the fill invariants (an
-//! overflowing block splits at its median; an underfull one merges into a
-//! neighbor through the parent's re-joining).
+//! Each is the batch recursion `update_sorted` on a one-element batch:
+//! the descent follows the key to one block, merges it there (an
+//! O(LEAF_CAP) edit), and re-joins the path, where the re-pack machinery
+//! in [`crate::balance`] restores the fill invariants (an overflowing
+//! block splits at its median; an underfull one merges into a neighbor).
+//! A batch of one never forks.
 
-use crate::balance::{from_sorted_entries, join_tree, singleton, Balance};
-use crate::node::{expose, take_leaf_entries, EntryOwned, Tree};
-use crate::ops::split::join2;
+use crate::balance::Balance;
+use crate::node::Tree;
+use crate::ops::build::update_sorted;
 use crate::spec::AugSpec;
-use std::cmp::Ordering;
 
 /// Insert `(k, v)`. If `k` is already present its value becomes
 /// `combine(old, new)` — the paper's extra argument `h` to INSERT.
@@ -20,34 +21,11 @@ pub fn insert<S, B, F>(t: Tree<S, B>, k: S::K, v: S::V, combine: &F) -> Tree<S, 
 where
     S: AugSpec,
     B: Balance,
-    F: Fn(&S::V, &S::V) -> S::V,
+    F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
-    match t {
-        None => singleton::<S, B>(k, v),
-        Some(n) if n.is_leaf() => {
-            let mut entries = take_leaf_entries(n);
-            match entries.binary_search_by(|x| S::compare(&x.key, &k)) {
-                Ok(i) => {
-                    entries[i].val = combine(&entries[i].val, &v);
-                }
-                Err(i) => entries.insert(i, EntryOwned { key: k, val: v }),
-            }
-            // up to LEAF_CAP + 1 entries: re-packs into one leaf or splits
-            // at the median into two half-full ones
-            from_sorted_entries::<S, B>(entries)
-        }
-        Some(n) => {
-            let (l, e, r) = expose(n);
-            match S::compare(&k, &e.key) {
-                Ordering::Less => join_tree(insert::<S, B, F>(l, k, v, combine), e, r),
-                Ordering::Greater => join_tree(l, e, insert::<S, B, F>(r, k, v, combine)),
-                Ordering::Equal => {
-                    let val = combine(&e.val, &v);
-                    join_tree(l, EntryOwned { key: e.key, val }, r)
-                }
-            }
-        }
-    }
+    update_sorted(t, &[(k, v)], &|old, x| {
+        Some(old.map_or_else(|| x.1.clone(), |old| combine(old, &x.1)))
+    })
 }
 
 /// Update the value at `k` in place (structurally: via path copy):
@@ -57,57 +35,14 @@ pub fn update<S, B, F>(t: Tree<S, B>, k: &S::K, f: &F) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
-    F: Fn(&S::V) -> Option<S::V>,
+    F: Fn(&S::V) -> Option<S::V> + Sync,
 {
-    match t {
-        None => None,
-        Some(n) if n.is_leaf() => {
-            let mut entries = take_leaf_entries(n);
-            if let Ok(i) = entries.binary_search_by(|x| S::compare(&x.key, k)) {
-                match f(&entries[i].val) {
-                    Some(val) => entries[i].val = val,
-                    None => {
-                        entries.remove(i);
-                    }
-                }
-            }
-            from_sorted_entries::<S, B>(entries)
-        }
-        Some(n) => {
-            let (l, e, r) = expose(n);
-            match S::compare(k, &e.key) {
-                Ordering::Less => join_tree(update(l, k, f), e, r),
-                Ordering::Greater => join_tree(l, e, update(r, k, f)),
-                Ordering::Equal => match f(&e.val) {
-                    Some(val) => join_tree(l, EntryOwned { key: e.key, val }, r),
-                    None => join2(l, r),
-                },
-            }
-        }
-    }
+    update_sorted(t, &[(k.clone(), ())], &|old, _| old.and_then(f))
 }
 
 /// Remove the entry at `k` (no-op if absent). O(log n).
 pub fn delete<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
-    match t {
-        None => None,
-        Some(n) if n.is_leaf() => {
-            let mut entries = take_leaf_entries(n);
-            if let Ok(i) = entries.binary_search_by(|x| S::compare(&x.key, k)) {
-                entries.remove(i);
-            }
-            // a now-underfull block is re-merged by the parent's join
-            from_sorted_entries::<S, B>(entries)
-        }
-        Some(n) => {
-            let (l, e, r) = expose(n);
-            match S::compare(k, &e.key) {
-                Ordering::Less => join_tree(delete(l, k), e, r),
-                Ordering::Greater => join_tree(l, e, delete(r, k)),
-                Ordering::Equal => join2(l, r),
-            }
-        }
-    }
+    update_sorted(t, &[(k.clone(), ())], &|_, _| None)
 }
 
 #[cfg(test)]

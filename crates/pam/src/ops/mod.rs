@@ -21,7 +21,7 @@ pub mod topk;
 
 pub use aug::{aug_filter, aug_filter_with_all, aug_left, aug_project, aug_range, aug_right};
 pub use basic::{contains, find, first, last, next, previous, rank, select};
-pub use build::{build, from_sorted_distinct, multi_delete, multi_insert};
+pub use build::{build, from_sorted_distinct, multi_delete, multi_insert, multi_update};
 pub use filter::filter;
 pub use insert::{delete, insert, update};
 pub use mapreduce::{filter_map_values, for_each, keys, map_reduce, map_values, to_vec, values};

@@ -1,10 +1,13 @@
 //! Parallel bulk set operations: `union`, `intersect`, `difference`.
 //!
-//! These are the split/join divide-and-conquer algorithms of the SPAA'16
-//! paper (UNION shown as Figure 2 of the PAM paper), extended with a value
-//! combine function `h` applied when a key occurs in both inputs. They are
-//! work-optimal — O(m·log(n/m + 1)) for inputs of size m ≤ n — and have
-//! O(log n · log m) span with the two recursive calls forked in parallel.
+//! All three are one split/join divide-and-conquer, `set_op` — the
+//! SPAA'16 paper's algorithm (UNION shown as Figure 2 of the PAM paper),
+//! extended with a value function `resolve` applied when a key occurs in
+//! both inputs. They differ only in what survives: which one-sided keys
+//! (`MergeKeep`) and what `resolve` makes of a key found on both
+//! sides. Work-optimal — O(m·log(n/m + 1)) for inputs of size m ≤ n —
+//! with O(log n · log m) span, the two recursive calls forked in
+//! parallel.
 //!
 //! With blocked leaves, the recursion bottoms out when both sides fit in
 //! a block: a sequential sorted merge of the two blocks replaces further
@@ -70,11 +73,48 @@ where
     from_sorted_entries::<S, B>(out)
 }
 
-/// Which one-sided keys survive a [`merge_blocks`].
+/// Which one-sided keys survive a [`set_op`].
 #[derive(Copy, Clone)]
 struct MergeKeep {
     left: bool,
     right: bool,
+}
+
+/// Merge `t1` and `t2`: a key found in one only survives if `keep` says
+/// so for its side; a key found in both becomes `resolve(v1, v2)`, with
+/// `v1` from `t1`, or leaves the result on `None`.
+fn set_op<S, B, F>(t1: Tree<S, B>, t2: Tree<S, B>, keep: MergeKeep, resolve: &F) -> Tree<S, B>
+where
+    S: AugSpec,
+    B: Balance,
+    F: Fn(&S::V, &S::V) -> Option<S::V> + Sync,
+{
+    match (t1, t2) {
+        (None, t2) => t2.filter(|_| keep.right),
+        (t1, None) => t1.filter(|_| keep.left),
+        (Some(n1), Some(n2)) => {
+            let cap = B::LEAF_CAP;
+            if n1.size_of() <= cap && n2.size_of() <= cap {
+                return merge_blocks(Some(n1), Some(n2), keep, resolve);
+            }
+            let work = n1.size_of() + n2.size_of();
+            let (l2, e2, r2) = expose(n2);
+            let (l1, v1, r1) = split(Some(n1), &e2.key);
+            let (l, r) = par2_if(
+                work > granularity(),
+                move || set_op(l1, l2, keep, resolve),
+                move || set_op(r1, r2, keep, resolve),
+            );
+            let val = match v1 {
+                Some(v1) => resolve(&v1, &e2.val),
+                None => Some(e2.val).filter(|_| keep.right),
+            };
+            match val {
+                Some(val) => join_tree(l, EntryOwned { key: e2.key, val }, r),
+                None => join2(l, r),
+            }
+        }
+    }
 }
 
 /// Union of two maps. When a key appears in both, the result value is
@@ -85,37 +125,11 @@ where
     B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
-    match (t1, t2) {
-        (None, t2) => t2,
-        (t1, None) => t1,
-        (Some(n1), Some(n2)) => {
-            let cap = B::LEAF_CAP;
-            if n1.size_of() <= cap && n2.size_of() <= cap {
-                return merge_blocks(
-                    Some(n1),
-                    Some(n2),
-                    MergeKeep {
-                        left: true,
-                        right: true,
-                    },
-                    &|v1, v2| Some(combine(v1, v2)),
-                );
-            }
-            let work = n1.size_of() + n2.size_of();
-            let (l2, e2, r2) = expose(n2);
-            let (l1, v1, r1) = split(Some(n1), &e2.key);
-            let (l, r) = par2_if(
-                work > granularity(),
-                move || union(l1, l2, combine),
-                move || union(r1, r2, combine),
-            );
-            let val = match v1 {
-                Some(v1) => combine(&v1, &e2.val),
-                None => e2.val,
-            };
-            join_tree(l, EntryOwned { key: e2.key, val }, r)
-        }
-    }
+    let keep = MergeKeep {
+        left: true,
+        right: true,
+    };
+    set_op(t1, t2, keep, &|v1, v2| Some(combine(v1, v2)))
 }
 
 /// Intersection of two maps: keys present in both, values combined with
@@ -126,38 +140,11 @@ where
     B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
-    match (t1, t2) {
-        (None, _) | (_, None) => None,
-        (Some(n1), Some(n2)) => {
-            let cap = B::LEAF_CAP;
-            if n1.size_of() <= cap && n2.size_of() <= cap {
-                return merge_blocks(
-                    Some(n1),
-                    Some(n2),
-                    MergeKeep {
-                        left: false,
-                        right: false,
-                    },
-                    &|v1, v2| Some(combine(v1, v2)),
-                );
-            }
-            let work = n1.size_of() + n2.size_of();
-            let (l2, e2, r2) = expose(n2);
-            let (l1, v1, r1) = split(Some(n1), &e2.key);
-            let (l, r) = par2_if(
-                work > granularity(),
-                move || intersect(l1, l2, combine),
-                move || intersect(r1, r2, combine),
-            );
-            match v1 {
-                Some(v1) => {
-                    let val = combine(&v1, &e2.val);
-                    join_tree(l, EntryOwned { key: e2.key, val }, r)
-                }
-                None => join2(l, r),
-            }
-        }
-    }
+    let keep = MergeKeep {
+        left: false,
+        right: false,
+    };
+    set_op(t1, t2, keep, &|v1, v2| Some(combine(v1, v2)))
 }
 
 /// Difference `t1 \ t2`: the entries of `t1` whose keys are absent from `t2`.
@@ -166,34 +153,11 @@ where
     S: AugSpec,
     B: Balance,
 {
-    match (t1, t2) {
-        (None, _) => None,
-        (t1, None) => t1,
-        (Some(n1), Some(n2)) => {
-            let cap = B::LEAF_CAP;
-            if n1.size_of() <= cap && n2.size_of() <= cap {
-                return merge_blocks(
-                    Some(n1),
-                    Some(n2),
-                    MergeKeep {
-                        left: true,
-                        right: false,
-                    },
-                    &|_, _| None,
-                );
-            }
-            let work = n1.size_of() + n2.size_of();
-            let (l2, e2, r2) = expose(n2);
-            let (l1, _v1, r1) = split(Some(n1), &e2.key);
-            drop(e2);
-            let (l, r) = par2_if(
-                work > granularity(),
-                move || difference(l1, l2),
-                move || difference(r1, r2),
-            );
-            join2(l, r)
-        }
-    }
+    let keep = MergeKeep {
+        left: true,
+        right: false,
+    };
+    set_op(t1, t2, keep, &|_, _| None)
 }
 
 #[cfg(test)]

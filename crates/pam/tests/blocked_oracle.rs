@@ -20,6 +20,8 @@ enum Op {
     Remove(u32),
     MultiInsert(Vec<(u32, u64)>),
     MultiDelete(Vec<u32>),
+    // puts and deletes in one walk; a repeated key keeps its last element
+    MultiUpdate(Vec<(u32, Option<u64>)>),
     // split at k, drop the pivot, join the halves back: exercises the
     // block slicing + underfull-repair join paths while preserving a
     // model that is easy to mirror
@@ -35,11 +37,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     let val = 0u64..1000;
     let pairs = proptest::collection::vec((0u32..300, 0u64..1000), 0..40);
     let keyvec = proptest::collection::vec(0u32..300, 0..40);
+    // a narrow key range, so keys repeat within one batch; a value drawn
+    // past 1000 (a third of them) is a delete
+    let updates = proptest::collection::vec(
+        (0u32..60, 0u64..1500).prop_map(|(k, v)| (k * 5, (v < 1000).then_some(v))),
+        0..40,
+    );
     prop_oneof![
         (key.clone(), val.clone()).prop_map(|(k, v)| Op::Insert(k, v)),
         key.clone().prop_map(Op::Remove),
         pairs.prop_map(Op::MultiInsert),
         keyvec.prop_map(Op::MultiDelete),
+        updates.prop_map(Op::MultiUpdate),
         key.clone().prop_map(Op::SplitJoinAround),
         key.clone().prop_map(Op::SplitKeepLeft),
         key.clone().prop_map(Op::SplitKeepRight),
@@ -64,6 +73,14 @@ fn apply_model(model: &mut BTreeMap<u32, u64>, op: &Op) {
         Op::MultiDelete(ks) => {
             for k in ks {
                 model.remove(k);
+            }
+        }
+        Op::MultiUpdate(us) => {
+            for (k, v) in us {
+                match v {
+                    Some(v) => model.insert(*k, *v),
+                    None => model.remove(k),
+                };
             }
         }
         Op::SplitJoinAround(k) => {
@@ -104,6 +121,10 @@ fn apply_map<B: Balance>(m: AugMap<Spec, B>, op: &Op) -> AugMap<Spec, B> {
         }
         Op::MultiDelete(ks) => {
             m.multi_delete(ks.clone());
+            m
+        }
+        Op::MultiUpdate(us) => {
+            m.multi_update(us.clone());
             m
         }
         Op::SplitJoinAround(k) => {

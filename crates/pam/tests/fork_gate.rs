@@ -1,5 +1,5 @@
-//! The fork decision of `multi_insert` / `multi_delete` follows the
-//! batch, not the map: a few keys into a large shared map never leave
+//! The fork decision of `multi_insert` / `multi_delete` /
+//! `multi_update` follows the batch, not the map: a few keys into a large shared map never leave
 //! the calling thread, a batch as large as the map still forks. Likewise
 //! `aug_filter` forks on what survives its prune test, not on size.
 //!
@@ -31,6 +31,14 @@ fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
         inserted.multi_insert(absent.clone());
         let mut deleted = base.clone();
         deleted.multi_delete(present.clone());
+        // a mixed batch: the absent keys put, the present ones deleted
+        let mixed: Vec<(u64, Option<u64>)> = absent
+            .iter()
+            .map(|&(k, v)| (k, Some(v)))
+            .chain(present.iter().map(|&k| (k, None)))
+            .collect();
+        let mut updated = base.clone();
+        updated.multi_update(mixed);
         assert_eq!(
             rayon::forks_spawned(),
             before,
@@ -44,6 +52,11 @@ fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
         assert_eq!(deleted.len() as u64, N - m);
         assert!(present.iter().all(|k| !deleted.contains_key(k)));
         deleted.check_invariants().unwrap();
+        assert_eq!(updated.len() as u64, N);
+        assert_eq!(updated.aug_val(), deleted.aug_val() + 7 * m);
+        assert!(absent.iter().all(|(k, v)| updated.get(k) == Some(v)));
+        assert!(present.iter().all(|k| !updated.contains_key(k)));
+        updated.check_invariants().unwrap();
     }
     assert_eq!((base.len() as u64, base.aug_val()), (N, base_sum));
 
@@ -57,6 +70,14 @@ fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
     assert_eq!(bulk.len() as u64, N);
     assert_eq!(bulk.aug_val(), N);
     bulk.check_invariants().unwrap();
+    // and a mixed one: every odd key deleted, every even key put back
+    let mut mixed = bulk.clone();
+    mixed.multi_update((0..2 * N).map(|k| (k, (k % 2 == 0).then_some(2))).collect());
+    let after_update = rayon::forks_spawned();
+    assert_eq!(mixed.len() as u64, N);
+    assert_eq!(mixed.aug_val(), 2 * N);
+    assert!(mixed.contains_key(&0) && !mixed.contains_key(&1));
+    mixed.check_invariants().unwrap();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores > 1 {
         assert!(
@@ -66,6 +87,11 @@ fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
         assert!(
             after_delete > after_insert,
             "a {N}-key multi_delete forked nothing on {cores} cores"
+        );
+        assert!(
+            after_update > after_delete,
+            "a {}-key multi_update forked nothing on {cores} cores",
+            2 * N
         );
     }
 
