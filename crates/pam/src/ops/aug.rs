@@ -3,130 +3,151 @@
 //! range sums in O(log n), filtered extraction in O(k log(n/k + 1)), and
 //! monoid projections of augmented values.
 //!
-//! With blocked leaves each query bottoms out with one binary search in a
-//! block and a fold of `g` over the in-range prefix/suffix — O(log n + B)
-//! per query.
+//! Two recursions carry them all:
+//!
+//! * `fold_range`, the bounded fold behind `aug_left`, `aug_right`,
+//!   `aug_range` and `aug_project`. Its ends are `Bound`s (a key or
+//!   `Open`), and what it sums is a `Fold`: the spec's own monoid, or
+//!   a projection `g'` of it reduced with `f'`. A subtree wholly inside
+//!   the range gives its cached augmented value. With blocked leaves a
+//!   query bottoms out with one binary search per bounded end in a block
+//!   and a fold over the in-range run — O(log n + B) per query.
+//! * `filter_by`, the filter behind `filter`, `aug_filter` and
+//!   `aug_filter_with_all`: linear work and O(log² n) span for `filter`,
+//!   O(k log(n/k + 1)) work for k results when an augmented value can
+//!   prune a subtree.
 
 use crate::balance::{from_sorted_entries, join_tree, Balance};
 use crate::node::{expose, take_leaf_entries, EntryOwned, Node, Tree};
+use crate::ops::range::{Bound, Open};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if};
-use std::cmp::Ordering;
 
-/// Fold `g` over a slice of leaf entries; `None` when empty.
-fn fold_slice<S: AugSpec>(entries: &[EntryOwned<S>]) -> Option<S::A> {
-    if entries.is_empty() {
-        None
+/// What `fold_range` sums over the entries in range.
+trait Fold<S: AugSpec> {
+    type T;
+    /// A whole subtree, from its cached augmented value.
+    fn whole(&self, a: &S::A) -> Self::T;
+    /// One entry.
+    fn entry(&self, k: &S::K, v: &S::V) -> Self::T;
+    /// `a` then `b`, in key order.
+    fn combine(&self, a: Self::T, b: Self::T) -> Self::T;
+    /// A non-empty run of leaf entries.
+    fn block(&self, es: &[EntryOwned<S>]) -> Self::T {
+        let (first, rest) = es.split_first().expect("a non-empty run");
+        rest.iter()
+            .fold(self.entry(&first.key, &first.val), |acc, e| {
+                self.combine(acc, self.entry(&e.key, &e.val))
+            })
+    }
+}
+
+/// The spec's own monoid: `g`, `f`, and `fold_block` over a leaf run.
+struct Monoid;
+
+impl<S: AugSpec> Fold<S> for Monoid {
+    type T = S::A;
+    fn whole(&self, a: &S::A) -> S::A {
+        a.clone()
+    }
+    fn entry(&self, k: &S::K, v: &S::V) -> S::A {
+        S::base(k, v)
+    }
+    fn combine(&self, a: S::A, b: S::A) -> S::A {
+        S::combine(&a, &b)
+    }
+    fn block(&self, es: &[EntryOwned<S>]) -> S::A {
+        S::fold_block(es.iter().map(|e| (&e.key, &e.val)))
+    }
+}
+
+/// A projection of the monoid: `g'` applied to each canonical subtree's
+/// value (and to each entry's `g(k, v)`), reduced with `f'`.
+struct Project<'a, G, F2> {
+    g: &'a G,
+    f: &'a F2,
+}
+
+impl<S, T, G, F2> Fold<S> for Project<'_, G, F2>
+where
+    S: AugSpec,
+    G: Fn(&S::A) -> T,
+    F2: Fn(T, T) -> T,
+{
+    type T = T;
+    fn whole(&self, a: &S::A) -> T {
+        (self.g)(a)
+    }
+    fn entry(&self, k: &S::K, v: &S::V) -> T {
+        (self.g)(&S::base(k, v))
+    }
+    fn combine(&self, a: T, b: T) -> T {
+        (self.f)(a, b)
+    }
+}
+
+/// `f` over the entries of `t` with keys in `[lo, hi]`; `None` when there
+/// are none (and so when `lo > hi`). A subtree wholly inside is read from
+/// its cached value. When one end of a node's range is open, that side's
+/// value is read before the bounded side is descended (EXPERIMENTS §27).
+fn fold_range<S, B, L, H, F>(t: &Tree<S, B>, lo: L, hi: H, f: &F) -> Option<F::T>
+where
+    S: AugSpec,
+    B: Balance,
+    L: Bound<S>,
+    H: Bound<S>,
+    F: Fold<S>,
+{
+    let n = t.as_deref()?;
+    if L::OPEN && H::OPEN {
+        return Some(f.whole(n.aug()));
+    }
+    let x = match n {
+        Node::Leaf(l) => {
+            let es = l.entries();
+            let to = hi.end(es);
+            let from = lo.start(&es[..to]);
+            return (from < to).then(|| f.block(&es[from..to]));
+        }
+        Node::Internal(x) => x,
+    };
+    if !lo.admits_from(&x.key) {
+        return fold_range(&x.right, lo, hi, f);
+    }
+    if !hi.admits_to(&x.key) {
+        return fold_range(&x.left, lo, hi, f);
+    }
+    let cat = |a: Option<F::T>, b: Option<F::T>| match (a, b) {
+        (Some(a), Some(b)) => Some(f.combine(a, b)),
+        (a, b) => a.or(b),
+    };
+    let mid = Some(f.entry(&x.key, &x.val));
+    if H::OPEN {
+        let mr = cat(mid, fold_range(&x.right, Open, Open, f));
+        cat(fold_range(&x.left, lo, Open, f), mr)
     } else {
-        Some(S::fold_block(entries.iter().map(|e| (&e.key, &e.val))))
+        let lm = cat(fold_range(&x.left, lo, Open, f), mid);
+        cat(lm, fold_range(&x.right, Open, hi, f))
     }
 }
 
 /// Augmented value of all entries with keys `<= k` (the paper's
 /// `augLeft`, Figure 2). O(log n).
 pub fn aug_left<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> S::A {
-    left_rec(t, k).unwrap_or_else(S::identity)
-}
-
-fn left_rec<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> Option<S::A> {
-    let n = t.as_deref()?;
-    match n {
-        Node::Leaf(l) => {
-            let idx = l
-                .entries()
-                .partition_point(|e| S::compare(&e.key, k) != Ordering::Greater);
-            fold_slice(&l.entries()[..idx])
-        }
-        Node::Internal(x) => {
-            if S::compare(k, &x.key) == Ordering::Less {
-                left_rec(&x.left, k)
-            } else {
-                // whole left subtree + root count; recurse right
-                let mid = S::base(&x.key, &x.val);
-                let lm = match x.left.as_deref() {
-                    Some(l) => S::combine(l.aug(), &mid),
-                    None => mid,
-                };
-                Some(match left_rec(&x.right, k) {
-                    Some(r) => S::combine(&lm, &r),
-                    None => lm,
-                })
-            }
-        }
-    }
+    fold_range(t, Open, k, &Monoid).unwrap_or_else(S::identity)
 }
 
 /// Augmented value of all entries with keys `>= k` (the mirror of
-/// [`aug_left`]; the paper calls the pair `augLeft`/`downTo` sums). O(log n).
+/// [`aug_left`]). O(log n).
 pub fn aug_right<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> S::A {
-    right_rec(t, k).unwrap_or_else(S::identity)
-}
-
-fn right_rec<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> Option<S::A> {
-    let n = t.as_deref()?;
-    match n {
-        Node::Leaf(l) => {
-            let idx = l
-                .entries()
-                .partition_point(|e| S::compare(&e.key, k) == Ordering::Less);
-            fold_slice(&l.entries()[idx..])
-        }
-        Node::Internal(x) => {
-            if S::compare(k, &x.key) == Ordering::Greater {
-                right_rec(&x.right, k)
-            } else {
-                let mid = S::base(&x.key, &x.val);
-                let mr = match x.right.as_deref() {
-                    Some(r) => S::combine(&mid, r.aug()),
-                    None => mid,
-                };
-                Some(match right_rec(&x.left, k) {
-                    Some(l) => S::combine(&l, &mr),
-                    None => mr,
-                })
-            }
-        }
-    }
+    fold_range(t, k, Open, &Monoid).unwrap_or_else(S::identity)
 }
 
 /// Augmented value of all entries with keys in `[lo, hi]` — equivalent to
 /// `augVal(range(m, lo, hi))` but O(log n) with no allocation.
 pub fn aug_range<S: AugSpec, B: Balance>(t: &Tree<S, B>, lo: &S::K, hi: &S::K) -> S::A {
-    range_rec(t, lo, hi).unwrap_or_else(S::identity)
-}
-
-fn range_rec<S: AugSpec, B: Balance>(t: &Tree<S, B>, lo: &S::K, hi: &S::K) -> Option<S::A> {
-    let n = t.as_deref()?;
-    match n {
-        Node::Leaf(l) => {
-            let from = l
-                .entries()
-                .partition_point(|e| S::compare(&e.key, lo) == Ordering::Less);
-            let to = l
-                .entries()
-                .partition_point(|e| S::compare(&e.key, hi) != Ordering::Greater);
-            fold_slice(&l.entries()[from..to.max(from)])
-        }
-        Node::Internal(x) => {
-            if S::compare(&x.key, lo) == Ordering::Less {
-                return range_rec(&x.right, lo, hi);
-            }
-            if S::compare(&x.key, hi) == Ordering::Greater {
-                return range_rec(&x.left, lo, hi);
-            }
-            // lo <= key <= hi: sum = (left >= lo) + g(k,v) + (right <= hi)
-            let mid = S::base(&x.key, &x.val);
-            let lm = match right_rec(&x.left, lo) {
-                Some(l) => S::combine(&l, &mid),
-                None => mid,
-            };
-            Some(match left_rec(&x.right, hi) {
-                Some(r) => S::combine(&lm, &r),
-                None => lm,
-            })
-        }
-    }
+    fold_range(t, lo, hi, &Monoid).unwrap_or_else(S::identity)
 }
 
 /// The paper's `augProject(g', f', m, k1, k2)`: equivalent to
@@ -148,129 +169,63 @@ where
     G: Fn(&S::A) -> T,
     F2: Fn(T, T) -> T,
 {
-    match project_range(t, lo, hi, project, reduce) {
-        Some(v) => v,
-        None => id,
-    }
+    let f = Project {
+        g: project,
+        f: reduce,
+    };
+    fold_range(t, lo, hi, &f).unwrap_or(id)
 }
 
-/// Project each in-range entry of a leaf slice through `g ∘ base` and
-/// fold with `f2`; `None` when the slice is empty.
-fn project_slice<S, T, G, F2>(entries: &[EntryOwned<S>], g2: &G, f2: &F2) -> Option<T>
-where
-    S: AugSpec,
-    G: Fn(&S::A) -> T,
-    F2: Fn(T, T) -> T,
-{
-    let mut it = entries.iter();
-    let first = it.next()?;
-    let mut acc = g2(&S::base(&first.key, &first.val));
-    for e in it {
-        acc = f2(acc, g2(&S::base(&e.key, &e.val)));
-    }
-    Some(acc)
-}
-
-fn project_range<S, B, T, G, F2>(t: &Tree<S, B>, lo: &S::K, hi: &S::K, g2: &G, f2: &F2) -> Option<T>
+/// Keep the entries `keep` admits. `any(a)` false prunes a subtree
+/// wholesale, `all(a)` true keeps it whole (zero copying, full sharing);
+/// both read only its augmented value. Both children are filtered in
+/// parallel when the node is big and both survive `any` — a child about
+/// to be pruned is an O(1) call, so offering it to the pool buys nothing —
+/// and rejoined with `join` (root kept) or `join2` (root dropped).
+fn filter_by<S, B, P, HAny, HAll>(t: Tree<S, B>, keep: &P, any: &HAny, all: &HAll) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
-    G: Fn(&S::A) -> T,
-    F2: Fn(T, T) -> T,
+    P: Fn(&S::K, &S::V) -> bool + Sync,
+    HAny: Fn(&S::A) -> bool + Sync,
+    HAll: Fn(&S::A) -> bool + Sync,
 {
-    let n = t.as_deref()?;
-    match n {
-        Node::Leaf(l) => {
-            let from = l
-                .entries()
-                .partition_point(|e| S::compare(&e.key, lo) == Ordering::Less);
-            let to = l
-                .entries()
-                .partition_point(|e| S::compare(&e.key, hi) != Ordering::Greater);
-            project_slice(&l.entries()[from..to.max(from)], g2, f2)
-        }
-        Node::Internal(x) => {
-            if S::compare(&x.key, lo) == Ordering::Less {
-                return project_range(&x.right, lo, hi, g2, f2);
-            }
-            if S::compare(&x.key, hi) == Ordering::Greater {
-                return project_range(&x.left, lo, hi, g2, f2);
-            }
-            let mid = g2(&S::base(&x.key, &x.val));
-            let lm = match project_ge(&x.left, lo, g2, f2) {
-                Some(l) => f2(l, mid),
-                None => mid,
-            };
-            Some(match project_le(&x.right, hi, g2, f2) {
-                Some(r) => f2(lm, r),
-                None => lm,
-            })
-        }
+    let n = t?;
+    if !any(n.aug()) {
+        return None;
+    }
+    if all(n.aug()) {
+        return Some(n);
+    }
+    if n.is_leaf() {
+        let mut entries = take_leaf_entries(n);
+        entries.retain(|e| keep(&e.key, &e.val));
+        return from_sorted_entries::<S, B>(entries);
+    }
+    let big = n.size_of() > granularity();
+    let (l, e, r) = expose(n);
+    let survives = |c: &Tree<S, B>| c.as_deref().is_some_and(|c| any(c.aug()));
+    let (l2, r2) = par2_if(
+        big && survives(&l) && survives(&r),
+        move || filter_by(l, keep, any, all),
+        move || filter_by(r, keep, any, all),
+    );
+    if keep(&e.key, &e.val) {
+        join_tree(l2, e, r2)
+    } else {
+        join2(l2, r2)
     }
 }
 
-fn project_ge<S, B, T, G, F2>(t: &Tree<S, B>, lo: &S::K, g2: &G, f2: &F2) -> Option<T>
+/// Keep the entries satisfying `pred` (the paper's `filter`, Figure 2):
+/// linear work, O(log² n) span. Leaf blocks are filtered in one pass.
+pub fn filter<S, B, P>(t: Tree<S, B>, pred: &P) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
-    G: Fn(&S::A) -> T,
-    F2: Fn(T, T) -> T,
+    P: Fn(&S::K, &S::V) -> bool + Sync,
 {
-    let n = t.as_deref()?;
-    match n {
-        Node::Leaf(l) => {
-            let idx = l
-                .entries()
-                .partition_point(|e| S::compare(&e.key, lo) == Ordering::Less);
-            project_slice(&l.entries()[idx..], g2, f2)
-        }
-        Node::Internal(x) => {
-            if S::compare(&x.key, lo) == Ordering::Less {
-                return project_ge(&x.right, lo, g2, f2);
-            }
-            let mid = g2(&S::base(&x.key, &x.val));
-            let mr = match x.right.as_deref() {
-                Some(r) => f2(mid, g2(r.aug())),
-                None => mid,
-            };
-            Some(match project_ge(&x.left, lo, g2, f2) {
-                Some(l) => f2(l, mr),
-                None => mr,
-            })
-        }
-    }
-}
-
-fn project_le<S, B, T, G, F2>(t: &Tree<S, B>, hi: &S::K, g2: &G, f2: &F2) -> Option<T>
-where
-    S: AugSpec,
-    B: Balance,
-    G: Fn(&S::A) -> T,
-    F2: Fn(T, T) -> T,
-{
-    let n = t.as_deref()?;
-    match n {
-        Node::Leaf(l) => {
-            let to = l
-                .entries()
-                .partition_point(|e| S::compare(&e.key, hi) != Ordering::Greater);
-            project_slice(&l.entries()[..to], g2, f2)
-        }
-        Node::Internal(x) => {
-            if S::compare(&x.key, hi) == Ordering::Greater {
-                return project_le(&x.left, hi, g2, f2);
-            }
-            let mid = g2(&S::base(&x.key, &x.val));
-            let lm = match x.left.as_deref() {
-                Some(l) => f2(g2(l.aug()), mid),
-                None => mid,
-            };
-            Some(match project_le(&x.right, hi, g2, f2) {
-                Some(r) => f2(lm, r),
-                None => lm,
-            })
-        }
-    }
+    filter_by(t, pred, &|_: &S::A| true, &|_: &S::A| false)
 }
 
 /// [`aug_filter`] extended with the paper's footnote 3 optimization:
@@ -295,34 +250,7 @@ where
     HAny: Fn(&S::A) -> bool + Sync,
     HAll: Fn(&S::A) -> bool + Sync,
 {
-    let n = t?;
-    if !h_any(n.aug()) {
-        return None; // prune: nothing below can match
-    }
-    if h_all(n.aug()) {
-        return Some(n); // everything below matches: share as-is
-    }
-    if n.is_leaf() {
-        let mut entries = take_leaf_entries(n);
-        entries.retain(|e| h_any(&S::base(&e.key, &e.val)));
-        return from_sorted_entries::<S, B>(entries);
-    }
-    let big = n.size_of() > granularity();
-    let (l, e, r) = expose(n);
-    let keep = h_any(&S::base(&e.key, &e.val));
-    // Fork on work that survives, not on size: a child about to be pruned
-    // is an O(1) call, so offering it to the pool buys nothing.
-    let survives = |c: &Tree<S, B>| c.as_deref().is_some_and(|c| h_any(c.aug()));
-    let (l2, r2) = par2_if(
-        big && survives(&l) && survives(&r),
-        move || aug_filter_with_all(l, h_any, h_all),
-        move || aug_filter_with_all(r, h_any, h_all),
-    );
-    if keep {
-        join_tree(l2, e, r2)
-    } else {
-        join2(l2, r2)
-    }
+    filter_by(t, &|k: &S::K, v: &S::V| h_any(&S::base(k, v)), h_any, h_all)
 }
 
 /// The paper's `augFilter(h, m)` (Figure 2): equivalent to filtering with
@@ -422,5 +350,22 @@ mod tests {
         assert_eq!(kept.to_vec(), brute);
         // filter that rejects the root aug prunes everything instantly
         assert!(m.aug_filter(|&a| a > 10_000).is_empty());
+    }
+
+    #[test]
+    fn filter_everything_and_nothing() {
+        let m = Sum::build((0..500u64).map(|i| (i, i)).collect());
+        assert_eq!(m.clone().filter(|_, _| true).len(), 500);
+        assert!(m.clone().filter(|_, _| false).is_empty());
+        assert!(Sum::new().filter(|_, _| true).is_empty());
+    }
+
+    #[test]
+    fn filter_maintains_aug_and_invariants() {
+        let m = Sum::build((0..2000u64).map(|i| (i, i)).collect());
+        let f = m.filter(|&k, _| k % 7 == 0);
+        f.check_invariants().unwrap();
+        let want: u64 = (0..2000u64).filter(|k| k % 7 == 0).sum();
+        assert_eq!(f.aug_val(), want);
     }
 }

@@ -1,84 +1,113 @@
-//! Range extraction: `up_to`, `down_to`, `range` — O(log n) each, returning
-//! persistent sub-maps that share structure with the input. A leaf block is
-//! truncated with one binary search and a slice copy.
+//! Range extraction: `up_to`, `down_to`, `range` — one recursion,
+//! `extract`, over a pair of `Bound`s. Each is O(log n) and returns a
+//! persistent sub-map that shares structure with the input. A leaf block
+//! is truncated with one binary search per bounded end and a slice copy.
+//!
+//! A `Bound` is a key or `Open`, so each query shape compiles to its
+//! own copy of the recursion and the tests of an absent end fold away.
+//! `ops::aug`'s bounded fold walks the same bounds.
 
 use crate::balance::{join_tree, Balance};
-use crate::node::{expose, take_leaf_entries, Node, Tree};
+use crate::node::{expose, take_leaf_entries, EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
 
+/// One end of an inclusive key range: a key, or `Open` for no end.
+pub(crate) trait Bound<S: AugSpec>: Copy {
+    /// This end cuts nothing off.
+    const OPEN: bool;
+    /// As the low end, `k` is inside: `lo <= k`.
+    fn admits_from(self, k: &S::K) -> bool;
+    /// As the high end, `k` is inside: `k <= hi`.
+    fn admits_to(self, k: &S::K) -> bool;
+    /// As the low end: the index of the first entry of `es` inside.
+    fn start(self, es: &[EntryOwned<S>]) -> usize;
+    /// As the high end: one past the last entry of `es` inside.
+    fn end(self, es: &[EntryOwned<S>]) -> usize;
+}
+
+/// The absent end of a one-sided range.
+#[derive(Copy, Clone)]
+pub(crate) struct Open;
+
+impl<S: AugSpec> Bound<S> for Open {
+    const OPEN: bool = true;
+    fn admits_from(self, _: &S::K) -> bool {
+        true
+    }
+    fn admits_to(self, _: &S::K) -> bool {
+        true
+    }
+    fn start(self, _: &[EntryOwned<S>]) -> usize {
+        0
+    }
+    fn end(self, es: &[EntryOwned<S>]) -> usize {
+        es.len()
+    }
+}
+
+impl<S: AugSpec> Bound<S> for &S::K {
+    const OPEN: bool = false;
+    fn admits_from(self, k: &S::K) -> bool {
+        S::compare(k, self) != Ordering::Less
+    }
+    fn admits_to(self, k: &S::K) -> bool {
+        S::compare(k, self) != Ordering::Greater
+    }
+    fn start(self, es: &[EntryOwned<S>]) -> usize {
+        es.partition_point(|e| S::compare(&e.key, self) == Ordering::Less)
+    }
+    fn end(self, es: &[EntryOwned<S>]) -> usize {
+        es.partition_point(|e| S::compare(&e.key, self) != Ordering::Greater)
+    }
+}
+
+/// The entries of `t` with keys in `[lo, hi]`; empty when `lo > hi`.
+/// A subtree wholly inside is kept as it is.
+pub(crate) fn extract<S, B, L, H>(t: Tree<S, B>, lo: L, hi: H) -> Tree<S, B>
+where
+    S: AugSpec,
+    B: Balance,
+    L: Bound<S>,
+    H: Bound<S>,
+{
+    if L::OPEN && H::OPEN {
+        return t;
+    }
+    let n = t?;
+    let x = match &*n {
+        Node::Leaf(_) => {
+            let mut entries = take_leaf_entries(n);
+            entries.truncate(hi.end(&entries));
+            entries.drain(..lo.start(&entries));
+            return (!entries.is_empty()).then(|| Node::make_leaf(entries));
+        }
+        Node::Internal(x) => x,
+    };
+    if !lo.admits_from(&x.key) {
+        return extract(expose(n).2, lo, hi);
+    }
+    if !hi.admits_to(&x.key) {
+        return extract(expose(n).0, lo, hi);
+    }
+    let (l, e, r) = expose(n);
+    join_tree(extract(l, lo, Open), e, extract(r, Open, hi))
+}
+
 /// Entries with keys `<= k`.
 pub fn up_to<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
-    match t {
-        None => None,
-        Some(n) if n.is_leaf() => {
-            let mut entries = take_leaf_entries(n);
-            entries
-                .truncate(entries.partition_point(|e| S::compare(&e.key, k) != Ordering::Greater));
-            if entries.is_empty() {
-                None
-            } else {
-                Some(Node::make_leaf(entries))
-            }
-        }
-        Some(n) => {
-            let (l, e, r) = expose(n);
-            if S::compare(&e.key, k) == Ordering::Greater {
-                up_to(l, k)
-            } else {
-                join_tree(l, e, up_to(r, k))
-            }
-        }
-    }
+    extract(t, Open, k)
 }
 
 /// Entries with keys `>= k`.
 pub fn down_to<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
-    match t {
-        None => None,
-        Some(n) if n.is_leaf() => {
-            let mut entries = take_leaf_entries(n);
-            let cut = entries.partition_point(|e| S::compare(&e.key, k) == Ordering::Less);
-            entries.drain(..cut);
-            if entries.is_empty() {
-                None
-            } else {
-                Some(Node::make_leaf(entries))
-            }
-        }
-        Some(n) => {
-            let (l, e, r) = expose(n);
-            if S::compare(&e.key, k) == Ordering::Less {
-                down_to(r, k)
-            } else {
-                join_tree(down_to(l, k), e, r)
-            }
-        }
-    }
+    extract(t, k, Open)
 }
 
 /// Entries with keys in the inclusive range `[lo, hi]` (the paper's
 /// `range(m, k1, k2)`).
 pub fn range<S: AugSpec, B: Balance>(t: Tree<S, B>, lo: &S::K, hi: &S::K) -> Tree<S, B> {
-    match t {
-        None => None,
-        Some(n) => match &*n {
-            Node::Leaf(_) => up_to(down_to(Some(n), lo), hi),
-            Node::Internal(x) => {
-                if S::compare(&x.key, lo) == Ordering::Less {
-                    let (_l, _e, r) = expose(n);
-                    range(r, lo, hi)
-                } else if S::compare(&x.key, hi) == Ordering::Greater {
-                    let (l, _e, _r) = expose(n);
-                    range(l, lo, hi)
-                } else {
-                    // lo <= key <= hi: keep root, trim both sides.
-                    let (l, e, r) = expose(n);
-                    join_tree(down_to(l, lo), e, up_to(r, hi))
-                }
-            }
-        },
-    }
+    extract(t, lo, hi)
 }
 
 #[cfg(test)]

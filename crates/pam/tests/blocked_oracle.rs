@@ -179,6 +179,21 @@ fn run_oracle<B: Balance>(init: Vec<(u32, u64)>, ops: Vec<Op>, probes: Vec<(u32,
                 .range(lo..=hi)
                 .fold(0u64, |s, (_, &v)| s.wrapping_add(v));
             assert_eq!(map.aug_range(&lo, &hi), want, "aug_range after {op:?}");
+            // g'(a) = truncate(a·C) is a homomorphism from wrapping u64
+            // addition to wrapping u32 addition; C makes the truncation bite
+            let project = |a: &u64| a.wrapping_mul(0x9E37_79B9_7F4A_7C15) as u32;
+            assert_eq!(
+                map.aug_project(&lo, &hi, project, u32::wrapping_add, 0),
+                project(&want),
+                "aug_project after {op:?}"
+            );
+            if lo < hi {
+                // reversed bounds hold no key
+                assert_eq!(map.aug_range(&hi, &lo), 0, "aug_range({hi}, {lo})");
+                let none = map.aug_project(&hi, &lo, project, u32::wrapping_add, 7);
+                assert_eq!(none, 7, "aug_project({hi}, {lo})");
+                assert!(map.range(&hi, &lo).is_empty(), "range({hi}, {lo})");
+            }
             let want_left: u64 = model
                 .range(..=lo)
                 .fold(0u64, |s, (_, &v)| s.wrapping_add(v));

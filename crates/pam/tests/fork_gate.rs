@@ -1,7 +1,8 @@
 //! The fork decision of `multi_insert` / `multi_delete` /
 //! `multi_update` follows the batch, not the map: a few keys into a large shared map never leave
 //! the calling thread, a batch as large as the map still forks. Likewise
-//! `aug_filter` forks on what survives its prune test, not on size.
+//! `aug_filter` forks on what survives its prune test, not on size, and
+//! `filter`, which shares its recursion and prunes nothing, still forks.
 //!
 //! `rayon::forks_spawned()` (shim-only) is process-wide, so this file
 //! holds exactly one test: nothing else may fork while it counts.
@@ -117,6 +118,32 @@ fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
         assert!(
             rayon::forks_spawned() > before,
             "a keep-everything aug_filter over {N} entries forked nothing on {cores} cores"
+        );
+    }
+
+    // filter: 2^16 entries down to half forks; a 3-entry map does not
+    let evens = 1u64 << 16;
+    let dense = M::from_sorted_distinct(&(0..evens).map(|i| (i, i)).collect::<Vec<_>>());
+    let tiny = M::from_sorted_distinct(&[(1, 1), (2, 2), (3, 3)]);
+    let before = rayon::forks_spawned();
+    let small = tiny.filter(|&k, _| k != 2);
+    assert_eq!(
+        rayon::forks_spawned(),
+        before,
+        "a 3-entry filter spawned a thread"
+    );
+    assert_eq!(small.to_vec(), vec![(1, 1), (3, 3)]);
+    let half = dense.filter(|&k, _| k % 2 == 0);
+    assert_eq!(half.len() as u64, evens / 2);
+    assert_eq!(
+        half.aug_val(),
+        (0..evens).filter(|k| k % 2 == 0).sum::<u64>()
+    );
+    half.check_invariants().unwrap();
+    if cores > 1 {
+        assert!(
+            rayon::forks_spawned() > before,
+            "filtering {evens} entries down to half forked nothing on {cores} cores"
         );
     }
 }

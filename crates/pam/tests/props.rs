@@ -132,7 +132,14 @@ fn apply_map<B: Balance>(m: AugMap<Spec, B>, op: &Op) -> AugMap<Spec, B> {
             let d = *d;
             m.filter(move |k, _| k % d == 0)
         }
-        Op::Range(a, b) => m.range(a.min(b), a.max(b)),
+        Op::Range(a, b) => {
+            let (lo, hi) = (a.min(b), a.max(b));
+            // reversed bounds hold no key
+            if lo < hi {
+                assert!(m.range(hi, lo).is_empty(), "range({hi}, {lo})");
+            }
+            m.range(lo, hi)
+        }
         Op::UpTo(k) => m.up_to(k),
         Op::DownTo(k) => m.down_to(k),
     }
