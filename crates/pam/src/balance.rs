@@ -32,11 +32,11 @@
 //!
 //! With PaC-tree-style leaf blocks (see [`crate::node`]), the crate-facing
 //! join is `join_tree`, which wraps the raw rotation join with block
-//! maintenance when [`Balance::LEAF_CAP`] `>= 2`:
+//! maintenance when the capacity `cap` = [`leaf_cap`] is `>= 2`:
 //!
 //! * if both sides fit in a block, the result is flattened and re-packed
 //!   into one full leaf (or one internal node over two half-full leaves);
-//! * if one side is an *underfull* block (fewer than `LEAF_CAP / 2`
+//! * if one side is an *underfull* block (fewer than `cap / 2`
 //!   entries, e.g. a fragment produced by exposing a leaf), the join
 //!   descends the other side's spine so the fragment merges into its
 //!   boundary blocks;
@@ -44,40 +44,88 @@
 //!   applies unchanged.
 //!
 //! This preserves, inductively, the invariants `validate` checks: any
-//! tree of `<= LEAF_CAP` entries is a single leaf, internal nodes root
-//! more than `LEAF_CAP` entries, and every non-root leaf holds
-//! `LEAF_CAP/2 ..= LEAF_CAP` entries. With `LEAF_CAP == 1`
+//! tree of `<= cap` entries is a single leaf, internal nodes root
+//! more than `cap` entries, and every non-root leaf holds
+//! `cap/2 ..= cap` entries. With `cap == 1`
 //! (`WeightBalancedCap<1>`) `join_tree` degenerates to the raw join and
 //! the tree is exactly the paper's one-entry-per-node structure — the
 //! reference the differential oracle compares every other capacity to.
+//!
+//! # The capacity
+//!
+//! [`leaf_cap`] is the only place a capacity is decided; nothing else in
+//! the crate reads one. The default [`WeightBalanced`] sizes blocks by
+//! what copying an entry costs, decided at compile time from the entry
+//! type. A path copy clones a block, and the old version later drops it:
+//!
+//! * an entry with no drop glue (`u64` pairs, intervals, points, posting
+//!   entries) is copied with a memcpy and freed with the block, so wide
+//!   blocks are cheap to copy and shorten every walk: [`DEFAULT_LEAF_B`]
+//!   (128) entries;
+//! * an entry that owns something (`Bytes`, `Vec<u8>`, `String`, an
+//!   `AugMap` value) pays a refcount increment or a deep clone per entry
+//!   on the copy and a decrement on the drop, so a write's cost grows with
+//!   the block: 32 entries.
+//!
+//! [`WeightBalancedCap<CAP>`] pins a capacity regardless of the entry type
+//! (the oracle suites instantiate several side by side).
 
-use crate::node::{expose, flatten_into, size, EntryOwned, Node, Tree, DEFAULT_LEAF_B};
+use crate::node::{expose, flatten_into, size, EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
 use std::sync::Arc;
 
-/// The tree's one remaining compile-time parameter: how many entries a
-/// leaf block may hold. (It was a balancing-scheme trait while the crate
+/// The tree's one remaining compile-time parameter: how a leaf block's
+/// capacity is chosen. (It was a balancing-scheme trait while the crate
 /// carried four schemes; the name and the second type argument of
 /// [`Tree`] outlive them until the frozen benchmark's
 /// `Tree<Spec, WeightBalanced>` can be edited — ROADMAP item 1(e).)
 pub trait Balance: Sized + Send + Sync + 'static {
-    /// Maximum number of entries a leaf block may hold. Must be 1 or an
-    /// even number `>= 2` (even capacities make the half-full invariant
-    /// achievable when splitting an overflowing block at the median).
-    const LEAF_CAP: usize;
+    /// A capacity pinned by the type, or `None` to size blocks by the
+    /// entry type. Read only through [`leaf_cap`]. A pinned capacity must
+    /// be 1 or an even number `>= 2` (even capacities make the half-full
+    /// invariant achievable when splitting an overflowing block at the
+    /// median).
+    const FIXED_CAP: Option<usize>;
 }
+
+/// The crate default: weight-balanced, with leaf blocks sized by the
+/// entry type (see [`leaf_cap`]).
+pub struct WeightBalanced;
 
 /// Weight-balanced tree with an explicit leaf-block capacity (1 restores
 /// the paper's one-entry-per-node tree). The differential oracle suite
-/// instantiates `WeightBalancedCap<1>` / `<2>` / `<8>` / `<32>` side by
-/// side in one binary.
+/// instantiates `WeightBalancedCap<1>` / `<2>` / `<8>` / `<32>` /
+/// `<128>` side by side in one binary.
 pub struct WeightBalancedCap<const CAP: usize>;
 
-/// The crate default: leaf blocks of [`DEFAULT_LEAF_B`] entries.
-pub type WeightBalanced = WeightBalancedCap<DEFAULT_LEAF_B>;
+impl Balance for WeightBalanced {
+    const FIXED_CAP: Option<usize> = None;
+}
 
 impl<const CAP: usize> Balance for WeightBalancedCap<CAP> {
-    const LEAF_CAP: usize = CAP;
+    const FIXED_CAP: Option<usize> = Some(CAP);
+}
+
+/// Leaf block capacity of [`WeightBalanced`] for entries with no drop
+/// glue: copying such a block is a memcpy and dropping it one `free`.
+pub const DEFAULT_LEAF_B: usize = 128;
+
+/// Leaf block capacity of [`WeightBalanced`] for entries with drop glue:
+/// every entry a path copy clones costs a refcount increment (or a deep
+/// clone) now and a decrement when the old version dies.
+const OWNING_LEAF_B: usize = 32;
+
+/// The maximum number of entries in a leaf block of a `Tree<S, B>`: the
+/// one place the crate decides it. `B`'s pinned capacity if it has one;
+/// otherwise [`DEFAULT_LEAF_B`] (128) when `EntryOwned<S>` has no drop
+/// glue and 32 when it does.
+#[inline]
+pub const fn leaf_cap<S: AugSpec, B: Balance>() -> usize {
+    match B::FIXED_CAP {
+        Some(cap) => cap,
+        None if std::mem::needs_drop::<EntryOwned<S>>() => OWNING_LEAF_B,
+        None => DEFAULT_LEAF_B,
+    }
 }
 
 const ALPHA_NUM: u64 = 29;
@@ -107,7 +155,7 @@ pub(crate) fn like(wa: u64, wb: u64) -> bool {
 /// blocks as opaque nodes and never re-packs them; [`join_blocked`]
 /// layers the fill-invariant maintenance on top, and its preconditions
 /// guarantee a descent here never exposes a block (a heavy side always
-/// outweighs `LEAF_CAP + 1`, hence is internal).
+/// outweighs `cap + 1`, hence is internal).
 fn join<S: AugSpec, B: Balance>(l: Tree<S, B>, e: EntryOwned<S>, r: Tree<S, B>) -> Arc<Node<S, B>> {
     let wl = weight(&l);
     let wr = weight(&r);
@@ -177,7 +225,7 @@ fn join_heavy<S: AugSpec, B: Balance, const FLIP: bool>(
         node::<S, B, FLIP>(Some(nl), e1, r1)
     } else if l1.as_deref().is_some_and(|n| n.is_leaf()) {
         // double rotation would split the inner leaf block, stranding
-        // underfull fragments mid-tree; the whole region is O(LEAF_CAP)
+        // underfull fragments mid-tree; the whole region is O(cap)
         // here, so re-pack it instead.
         let rest = Some(node::<S, B, FLIP>(l1, e1, r1));
         if FLIP {
@@ -218,7 +266,7 @@ fn join_blocked<S: AugSpec, B: Balance>(
     e: EntryOwned<S>,
     r: Tree<S, B>,
 ) -> Arc<Node<S, B>> {
-    let cap = B::LEAF_CAP;
+    let cap = leaf_cap::<S, B>();
     if cap <= 1 {
         // Degenerate blocks: the raw join is already the whole story.
         return join(l, e, r);
@@ -254,10 +302,10 @@ fn join_blocked<S: AugSpec, B: Balance>(
     join(l, e, r)
 }
 
-/// Pack `1..=2*LEAF_CAP+1` sorted entries into a single leaf, or an
+/// Pack `1..=2*cap+1` sorted entries into a single leaf, or an
 /// internal node over two at-least-half-full leaves.
 fn pack_block<S: AugSpec, B: Balance>(mut entries: Vec<EntryOwned<S>>) -> Arc<Node<S, B>> {
-    let cap = B::LEAF_CAP;
+    let cap = leaf_cap::<S, B>();
     if entries.len() <= cap {
         return Node::make_leaf(entries);
     }
@@ -275,7 +323,7 @@ fn pack_block<S: AugSpec, B: Balance>(mut entries: Vec<EntryOwned<S>>) -> Arc<No
 
 /// Build a tree from sorted, strictly-increasing entries by packing full
 /// blocks bottom-up (median recursion, so every leaf lands in
-/// `LEAF_CAP/2 ..= LEAF_CAP`). The bulk-load primitive behind
+/// `cap/2 ..= cap`). The bulk-load primitive behind
 /// `from_sorted_distinct` and the leaf fast paths of `multi_insert`.
 pub(crate) fn from_sorted_entries<S: AugSpec, B: Balance>(
     mut entries: Vec<EntryOwned<S>>,
@@ -283,7 +331,7 @@ pub(crate) fn from_sorted_entries<S: AugSpec, B: Balance>(
     if entries.is_empty() {
         return None;
     }
-    if entries.len() <= B::LEAF_CAP.max(1) {
+    if entries.len() <= leaf_cap::<S, B>().max(1) {
         return Some(Node::make_leaf(entries));
     }
     let mid = entries.len() / 2;
@@ -296,7 +344,7 @@ pub(crate) fn from_sorted_entries<S: AugSpec, B: Balance>(
 
 /// Flatten `(l, e, r)` into sorted entries and re-pack into a perfectly
 /// balanced blocked tree — the double rotation's fallback in
-/// [`join_heavy`]. Callers only reach this with O(LEAF_CAP)-sized
+/// [`join_heavy`]. Callers only reach this with O(cap)-sized
 /// regions, and the re-pack's internal joins are all trivially balanced
 /// (equal-weight halves), so this never re-enters a rotation.
 fn repack_region<S: AugSpec, B: Balance>(
@@ -334,5 +382,28 @@ mod tests {
         // extreme skew
         assert!(heavy(1000, 1));
         assert!(!heavy(1, 1000));
+    }
+
+    /// The default's capacity follows the entry type: a block of plain
+    /// entries is 128 wide, one of owning entries 32. Each spec stands
+    /// for maps the workspace builds.
+    #[test]
+    fn default_cap_follows_drop_glue() {
+        use crate::map::AugMap;
+        use crate::spec::{MaxAug, NoAug, SumAug};
+        // tree-bulk / tree-read's u64 map, and the range tree's points
+        assert_eq!(leaf_cap::<SumAug<u64, u64>, WeightBalanced>(), 128);
+        assert_eq!(leaf_cap::<SumAug<(u64, u64), u64>, WeightBalanced>(), 128);
+        // a store spec with owned byte strings, and an index term map
+        // whose values are maps
+        assert_eq!(leaf_cap::<NoAug<Vec<u8>, Vec<u8>>, WeightBalanced>(), 32);
+        type Postings = AugMap<MaxAug<u32, f32>>;
+        assert_eq!(leaf_cap::<NoAug<u32, Postings>, WeightBalanced>(), 32);
+        // a pinned capacity ignores the entry type
+        assert_eq!(
+            leaf_cap::<NoAug<Vec<u8>, Vec<u8>>, WeightBalancedCap<8>>(),
+            8
+        );
+        assert_eq!(leaf_cap::<SumAug<u64, u64>, WeightBalancedCap<2>>(), 2);
     }
 }

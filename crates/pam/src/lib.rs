@@ -23,10 +23,13 @@
 //! O(1). All algorithms are built on a single balance-aware `join`
 //! (Blelloch, Ferizovic, Sun; SPAA 2016) over weight-balanced trees —
 //! the scheme of the paper's experiments, and the only one here (see
-//! [`balance`]). Leaves are sorted blocks of up to [`DEFAULT_LEAF_B`]
-//! entries; [`WeightBalancedCap`] names another capacity. Bulk operations (`union`, `intersect`, `difference`, `filter`,
-//! `build`, `multi_insert`, `map_reduce`, ...) fork their recursive calls
-//! with rayon and are work-optimal.
+//! [`balance`]). Leaves are sorted blocks whose capacity
+//! [`balance::leaf_cap`] decides from the entry type: [`DEFAULT_LEAF_B`]
+//! (128) entries when copying one is a memcpy, 32 when an entry owns
+//! something a path copy must count or clone; [`WeightBalancedCap`] pins
+//! another capacity. Bulk operations (`union`, `intersect`,
+//! `difference`, `filter`, `build`, `multi_insert`, `map_reduce`, ...)
+//! fork their recursive calls with rayon and are work-optimal.
 //!
 //! Maps are **functional/persistent**: updates path-copy, snapshots are
 //! O(1) clones, and unique nodes are reused in place (the refcount-1
@@ -60,11 +63,11 @@ pub mod spec;
 pub mod stats;
 pub mod validate;
 
-pub use balance::{Balance, WeightBalanced, WeightBalancedCap};
+pub use balance::{Balance, WeightBalanced, WeightBalancedCap, DEFAULT_LEAF_B};
 pub use cursor::Cursor;
 pub use iter::{Iter, RangeIter};
 pub use map::AugMap;
-pub use node::{par_drop, EntryOwned, Node, Tree, DEFAULT_LEAF_B};
+pub use node::{par_drop, EntryOwned, Node, Tree};
 pub use spec::{Addable, AugSpec, MaxAug, Maxable, MinAug, Minable, NoAug, SumAug};
 
 /// A plain (un-augmented) ordered map.

@@ -11,7 +11,8 @@ use crate::ops;
 use crate::spec::AugSpec;
 
 /// A parallel, persistent, augmented ordered map with specification `S`
-/// and leaf-block capacity `B` (default: [`WeightBalanced`], blocks of 32).
+/// and leaf-block capacity `B` (default: [`WeightBalanced`], blocks of 128
+/// plain or 32 owning entries; see [`leaf_cap`](crate::balance::leaf_cap)).
 pub struct AugMap<S: AugSpec, B: Balance = WeightBalanced> {
     root: Tree<S, B>,
 }

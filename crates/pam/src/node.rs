@@ -12,13 +12,15 @@
 //! enum: an [`Internal`](Node::Internal) node carries one pivot entry and
 //! its subtree's size (all the weight-balanced invariant reads) exactly as
 //! in PAM, while a [`Leaf`](Node::Leaf) holds a *sorted block* of up to
-//! `B::LEAF_CAP` entries ([`DEFAULT_LEAF_B`] unless a
-//! [`WeightBalancedCap`](crate::balance::WeightBalancedCap) says
-//! otherwise). Blocking amortizes the per-entry `Arc` + pointer overhead
+//! `cap` = [`leaf_cap::<S, B>()`](crate::balance::leaf_cap) entries: by
+//! default 128 when an entry has no drop glue and 32 when it owns
+//! something, unless a
+//! [`WeightBalancedCap`](crate::balance::WeightBalancedCap) pins another
+//! capacity. Blocking amortizes the per-entry `Arc` + pointer overhead
 //! over a whole block, which is the dominant constant-factor cost in
 //! memory and scan speed.
-//! Fill invariants (every non-root leaf holds `LEAF_CAP/2 ..= LEAF_CAP`
-//! entries when `LEAF_CAP >= 2`) are maintained by
+//! Fill invariants (every non-root leaf holds `cap/2 ..= cap`
+//! entries when `cap >= 2`) are maintained by
 //! `join_tree` and checked by [`crate::validate`].
 //!
 //! PAM's "reuse optimization" — *"when the reference count is one we reuse
@@ -36,7 +38,7 @@
 //! "localizes application of the augmentation functions f and g to when a
 //! node is created" (§4).
 
-use crate::balance::Balance;
+use crate::balance::{leaf_cap, Balance};
 use crate::spec::AugSpec;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -44,15 +46,10 @@ use std::sync::Arc;
 /// A persistent augmented tree: `None` is the empty map.
 pub type Tree<S, B> = Option<Arc<Node<S, B>>>;
 
-/// Leaf block capacity of [`WeightBalanced`](crate::balance::WeightBalanced).
-/// Other capacities (1 restores the paper's one-entry-per-node layout)
-/// are instantiated as `WeightBalancedCap<CAP>`.
-pub const DEFAULT_LEAF_B: usize = 32;
-
 /// One tree node: a blocked leaf or a pivot-carrying internal node.
 pub enum Node<S: AugSpec, B: Balance> {
-    /// A sorted block of `1..=B::LEAF_CAP` entries plus the cached fold of
-    /// the augmentation over the block.
+    /// A sorted block of `1..=leaf_cap::<S, B>()` entries plus the cached
+    /// fold of the augmentation over the block.
     Leaf(LeafNode<S, B>),
     /// A pivot entry between two subtrees, as in the paper.
     Internal(InternalNode<S, B>),
@@ -63,8 +60,9 @@ pub enum Node<S: AugSpec, B: Balance> {
 pub struct LeafNode<S: AugSpec, B: Balance> {
     pub(crate) entries: Box<[EntryOwned<S>]>,
     pub(crate) aug: S::A,
-    /// No field type names `B`; it says the block is `B::LEAF_CAP` wide.
-    cap: PhantomData<B>,
+    /// No field type names `B`; it says the block is
+    /// `leaf_cap::<S, B>()` wide.
+    pub(crate) cap: PhantomData<B>,
 }
 
 /// Payload of [`Node::Internal`].
@@ -111,10 +109,14 @@ pub fn aug_val<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> S::A {
 
 impl<S: AugSpec, B: Balance> LeafNode<S, B> {
     /// Build a leaf from sorted, strictly-increasing entries, computing the
-    /// block's augmented value. `entries` must hold `1..=B::LEAF_CAP` items.
+    /// block's augmented value. `entries` must hold `1..=leaf_cap::<S, B>()`
+    /// items.
     pub(crate) fn from_entries(entries: Vec<EntryOwned<S>>) -> Self {
         debug_assert!(!entries.is_empty(), "leaf blocks are never empty");
-        debug_assert!(entries.len() <= B::LEAF_CAP.max(1), "leaf block overflow");
+        debug_assert!(
+            entries.len() <= leaf_cap::<S, B>().max(1),
+            "leaf block overflow"
+        );
         let aug = S::fold_block(entries.iter().map(|e| (&e.key, &e.val)));
         LeafNode {
             entries: entries.into_boxed_slice(),
@@ -161,7 +163,8 @@ impl<S: AugSpec, B: Balance> Node<S, B> {
         }))
     }
 
-    /// Create a leaf node from sorted entries (`1..=B::LEAF_CAP` of them).
+    /// Create a leaf node from sorted entries (`1..=leaf_cap::<S, B>()` of
+    /// them).
     #[inline]
     pub(crate) fn make_leaf(entries: Vec<EntryOwned<S>>) -> Arc<Self> {
         Arc::new(Node::Leaf(LeafNode::from_entries(entries)))
@@ -447,9 +450,8 @@ mod tests {
 
     #[test]
     fn cap_is_wired_through_schemes() {
-        use crate::balance::Balance as _;
-        assert_eq!(WeightBalancedCap::<8>::LEAF_CAP, 8);
-        assert_eq!(B::LEAF_CAP, DEFAULT_LEAF_B);
+        assert_eq!(leaf_cap::<S, WeightBalancedCap<8>>(), 8);
+        assert_eq!(leaf_cap::<S, B>(), crate::balance::DEFAULT_LEAF_B);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! batch, and `from_sorted_distinct` on an empty tree, where the
 //! recursion is the median-split build.
 
-use crate::balance::{from_sorted_entries, join_tree, Balance};
+use crate::balance::{from_sorted_entries, join_tree, leaf_cap, Balance};
 use crate::node::{expose, size, take_leaf_entries, EntryOwned, Tree};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
@@ -150,7 +150,7 @@ where
     let work = size(&t) + batch.len();
     let (l, root, r, lo, hi) = match t {
         Some(n) if n.is_leaf() => return merge_block(take_leaf_entries(n), batch, resolve),
-        None if batch.len() <= B::LEAF_CAP.max(1) => {
+        None if batch.len() <= leaf_cap::<S, B>().max(1) => {
             return merge_block(Vec::new(), batch, resolve)
         }
         // an empty tree splits the batch at its median: a balanced build

@@ -4,7 +4,7 @@
 //!
 //! Each is the batch recursion `update_sorted` on a one-element batch:
 //! the descent follows the key to one block, merges it there (an
-//! O(LEAF_CAP) edit), and re-joins the path, where the re-pack machinery
+//! O(leaf_cap) edit), and re-joins the path, where the re-pack machinery
 //! in [`crate::balance`] restores the fill invariants (an overflowing
 //! block splits at its median; an underfull one merges into a neighbor).
 //! A batch of one never forks.

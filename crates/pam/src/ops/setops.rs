@@ -13,7 +13,7 @@
 //! a block: a sequential sorted merge of the two blocks replaces further
 //! splitting.
 
-use crate::balance::{from_sorted_entries, join_tree, Balance};
+use crate::balance::{from_sorted_entries, join_tree, leaf_cap, Balance};
 use crate::node::{expose, flatten_into, size, EntryOwned, Tree};
 use crate::ops::split::{join2, split};
 use crate::spec::AugSpec;
@@ -93,7 +93,7 @@ where
         (None, t2) => t2.filter(|_| keep.right),
         (t1, None) => t1.filter(|_| keep.left),
         (Some(n1), Some(n2)) => {
-            let cap = B::LEAF_CAP;
+            let cap = leaf_cap::<S, B>();
             if n1.size_of() <= cap && n2.size_of() <= cap {
                 return merge_blocks(Some(n1), Some(n2), keep, resolve);
             }

@@ -1,6 +1,6 @@
 //! `split`, `join2` and their helpers — the glue between `join` and the
 //! bulk algorithms (§4, "Join, Split, Join2 and Union"). Splitting a leaf
-//! block slices it in O(LEAF_CAP); the halves stay legal because a
+//! block slices it in O(leaf_cap); the halves stay legal because a
 //! *root* leaf may hold any number of entries, and every non-root
 //! position is re-joined through the repairing `join_tree`.
 

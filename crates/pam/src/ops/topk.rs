@@ -10,7 +10,7 @@
 //! This is the generic engine behind the inverted index's "top 10
 //! documents by weight" query (§5.3): the paper stores the max weight as
 //! the augmentation precisely to make this search possible. Expanding a
-//! leaf block scores its (at most `LEAF_CAP`) entries individually.
+//! leaf block scores its (at most `leaf_cap`) entries individually.
 
 use crate::balance::Balance;
 use crate::node::{Node, Tree};

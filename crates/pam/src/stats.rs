@@ -9,7 +9,7 @@
 //! With blocked leaves a "node" is either an internal node or a whole
 //! leaf block; [`reachable_bytes`] adds the out-of-line entry array of
 //! each distinct leaf, so it reflects the real footprint win of packing
-//! `LEAF_CAP` entries per allocation.
+//! up to `leaf_cap` entries per allocation.
 
 use crate::balance::Balance;
 use crate::node::{Node, Tree};

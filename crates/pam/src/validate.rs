@@ -8,12 +8,13 @@
 //!    `f(g(k1,v1), ..., g(kn,vn))` recomputed from scratch;
 //! 4. **balance** — the children of every internal node are "like"
 //!    (neither outweighs the other beyond `1 − α`; see [`crate::balance`]);
-//! 5. **leaf fill** — blocks are non-empty, at most `LEAF_CAP` long, and
-//!    non-root blocks are at least half full; for `LEAF_CAP >= 2` a
-//!    subtree of size `<= LEAF_CAP` must *be* a single block (internal
+//! 5. **leaf fill** — blocks are non-empty, at most
+//!    `cap` = [`leaf_cap::<S, B>()`](crate::balance::leaf_cap) long, and
+//!    non-root blocks are at least half full; for `cap >= 2` a
+//!    subtree of size `<= cap` must *be* a single block (internal
 //!    nodes only exist above block capacity).
 
-use crate::balance::{like, weight, Balance};
+use crate::balance::{leaf_cap, like, weight, Balance};
 use crate::node::{Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
@@ -50,7 +51,7 @@ where
         None => return Ok((0, None)),
         Some(n) => n,
     };
-    let cap = B::LEAF_CAP;
+    let cap = leaf_cap::<S, B>();
     match n {
         Node::Leaf(l) => {
             let len = l.entries().len();
@@ -58,7 +59,7 @@ where
                 return Err("empty leaf block".into());
             }
             if cap <= 1 && len != 1 {
-                return Err(format!("leaf block of {len} entries with LEAF_CAP 1"));
+                return Err(format!("leaf block of {len} entries with cap 1"));
             }
             if cap >= 2 {
                 if len > cap {
@@ -125,9 +126,10 @@ mod tests {
     //! `check_tree` is the reference every oracle trusts, so each arm is
     //! shown to fire on a hand-built tree that breaks exactly one rule.
     use super::*;
-    use crate::balance::{from_sorted_entries, WeightBalancedCap};
-    use crate::node::EntryOwned;
-    use crate::spec::SumAug;
+    use crate::balance::{from_sorted_entries, WeightBalanced, WeightBalancedCap};
+    use crate::node::{EntryOwned, LeafNode};
+    use crate::spec::{NoAug, SumAug};
+    use std::marker::PhantomData;
     use std::sync::Arc;
 
     type S = SumAug<u64, u64>;
@@ -171,6 +173,36 @@ mod tests {
         assert!(err(n).starts_with("non-root leaf block underfull: 1 < cap/2 = 2"));
         // the same block is fine as a root
         assert_eq!(check_tree(&Some(leaf::<4>(5..6))), Ok(()));
+    }
+
+    /// A root leaf built past `make_leaf`'s overflow assertion.
+    fn raw_leaf<S2: AugSpec, B: Balance>(entries: Vec<EntryOwned<S2>>) -> Tree<S2, B> {
+        let aug = S2::fold_block(entries.iter().map(|e| (&e.key, &e.val)));
+        Some(Arc::new(Node::Leaf(LeafNode {
+            entries: entries.into_boxed_slice(),
+            aug,
+            cap: PhantomData,
+        })))
+    }
+
+    #[test]
+    fn rejects_default_leaf_past_its_entry_types_cap() {
+        let plain = |n| raw_leaf::<S, WeightBalanced>(entries(0..n));
+        assert_eq!(check_tree(&plain(128)), Ok(()));
+        assert_eq!(
+            check_tree(&plain(129)),
+            Err("leaf block overfull: 129 > cap 128".into())
+        );
+        type O = NoAug<u64, Vec<u8>>;
+        let owning = |n: u64| {
+            let block = (0..n).map(|key| EntryOwned { key, val: vec![1] });
+            raw_leaf::<O, WeightBalanced>(block.collect())
+        };
+        assert_eq!(check_tree(&owning(32)), Ok(()));
+        assert_eq!(
+            check_tree(&owning(33)),
+            Err("leaf block overfull: 33 > cap 32".into())
+        );
     }
 
     #[test]

@@ -1,18 +1,71 @@
 //! Differential harness pinning the blocked-leaf refactor: random
 //! operation sequences are replayed against a `BTreeMap` model, with
-//! augmented values recomputed by a naive fold, at four block sizes —
-//! `LEAF_CAP` = 1 (degenerate: the pre-refactor one-entry-per-leaf
-//! shape), 2 (the smallest real block, maximal boundary churn), 8 (blocks
-//! the 120-entry inputs fill several levels deep) and 32 (the default). Every intermediate tree is invariant-checked, so any
+//! augmented values recomputed by a naive fold, at block capacities
+//! 1 (degenerate: the pre-refactor one-entry-per-leaf shape), 2 (the
+//! smallest real block, maximal boundary churn), 8 (blocks the 120-entry
+//! inputs fill several levels deep), 32 and 128 — the two capacities the
+//! default `WeightBalanced` picks, for owning and for plain entries; the
+//! default itself runs with an owning spec. The 128-entry and owning runs
+//! draw their inputs from a wider key range so a map spans several
+//! blocks. Every intermediate tree is invariant-checked, so any
 //! fill/aug/balance violation is caught at the op that introduced it.
 
-use pam::balance::WeightBalancedCap;
+use pam::balance::{leaf_cap, WeightBalanced, WeightBalancedCap};
 use pam::ops::split::{join2, split};
-use pam::{AugMap, Balance, SumAug};
+use pam::{AugMap, AugSpec, Balance, SumAug};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 type Spec = SumAug<u32, u64>;
+
+/// `Spec` with each value held as its 8 little-endian bytes in a
+/// `Vec<u8>`: an entry with drop glue, so the default `WeightBalanced`
+/// gives it 32-entry blocks where `Spec` gets 128.
+struct OwnedSpec;
+
+impl AugSpec for OwnedSpec {
+    type K = u32;
+    type V = Vec<u8>;
+    type A = u64;
+    fn compare(a: &u32, b: &u32) -> Ordering {
+        a.cmp(b)
+    }
+    fn identity() -> u64 {
+        0
+    }
+    fn base(_: &u32, v: &Vec<u8>) -> u64 {
+        OwnedSpec::get(v)
+    }
+    fn combine(a: &u64, b: &u64) -> u64 {
+        a.wrapping_add(*b)
+    }
+}
+
+/// A spec the model can mirror: `u32` keys, values that stand for a
+/// `u64`, and the wrapping sum of those as the augmentation.
+trait Oracle: AugSpec<K = u32, A = u64> {
+    fn val(v: u64) -> Self::V;
+    fn get(v: &Self::V) -> u64;
+}
+
+impl Oracle for Spec {
+    fn val(v: u64) -> u64 {
+        v
+    }
+    fn get(v: &u64) -> u64 {
+        *v
+    }
+}
+
+impl Oracle for OwnedSpec {
+    fn val(v: u64) -> Vec<u8> {
+        v.to_le_bytes().to_vec()
+    }
+    fn get(v: &Vec<u8>) -> u64 {
+        u64::from_le_bytes(v[..].try_into().expect("8 bytes"))
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -32,16 +85,18 @@ enum Op {
     Filter(u32),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let key = 0u32..300;
+/// Operations over keys `0..keys` whose batches hold up to `batch`
+/// elements.
+fn op_strategy(keys: u32, batch: usize) -> impl Strategy<Value = Op> {
+    let key = 0u32..keys;
     let val = 0u64..1000;
-    let pairs = proptest::collection::vec((0u32..300, 0u64..1000), 0..40);
-    let keyvec = proptest::collection::vec(0u32..300, 0..40);
-    // a narrow key range, so keys repeat within one batch; a value drawn
-    // past 1000 (a third of them) is a delete
+    let pairs = proptest::collection::vec((0u32..keys, 0u64..1000), 0..batch);
+    let keyvec = proptest::collection::vec(0u32..keys, 0..batch);
+    // every fifth key only, so keys repeat within one batch; a value
+    // drawn past 1000 (a third of them) is a delete
     let updates = proptest::collection::vec(
-        (0u32..60, 0u64..1500).prop_map(|(k, v)| (k * 5, (v < 1000).then_some(v))),
-        0..40,
+        (0u32..keys / 5, 0u64..1500).prop_map(|(k, v)| (k * 5, (v < 1000).then_some(v))),
+        0..batch,
     );
     prop_oneof![
         (key.clone(), val.clone()).prop_map(|(k, v)| Op::Insert(k, v)),
@@ -104,11 +159,11 @@ fn apply_model(model: &mut BTreeMap<u32, u64>, op: &Op) {
     }
 }
 
-fn apply_map<B: Balance>(m: AugMap<Spec, B>, op: &Op) -> AugMap<Spec, B> {
+fn apply_map<S: Oracle, B: Balance>(m: AugMap<S, B>, op: &Op) -> AugMap<S, B> {
     let mut m = m;
     match op {
         Op::Insert(k, v) => {
-            m.insert(*k, *v);
+            m.insert(*k, S::val(*v));
             m
         }
         Op::Remove(k) => {
@@ -116,7 +171,7 @@ fn apply_map<B: Balance>(m: AugMap<Spec, B>, op: &Op) -> AugMap<Spec, B> {
             m
         }
         Op::MultiInsert(ps) => {
-            m.multi_insert(ps.clone());
+            m.multi_insert(ps.iter().map(|&(k, v)| (k, S::val(v))).collect());
             m
         }
         Op::MultiDelete(ks) => {
@@ -124,7 +179,7 @@ fn apply_map<B: Balance>(m: AugMap<Spec, B>, op: &Op) -> AugMap<Spec, B> {
             m
         }
         Op::MultiUpdate(us) => {
-            m.multi_update(us.clone());
+            m.multi_update(us.iter().map(|&(k, v)| (k, v.map(S::val))).collect());
             m
         }
         Op::SplitJoinAround(k) => {
@@ -156,21 +211,27 @@ fn naive_aug(model: &BTreeMap<u32, u64>) -> u64 {
 }
 
 /// An intermediate map version paired with its expected contents.
-type Versions<B> = Vec<(AugMap<Spec, B>, Vec<(u32, u64)>)>;
+type Versions<S, B> = Vec<(AugMap<S, B>, Vec<(u32, u64)>)>;
 
-fn run_oracle<B: Balance>(init: Vec<(u32, u64)>, ops: Vec<Op>, probes: Vec<(u32, u32)>) {
+/// `m`'s entries with each value read back as the `u64` it stands for.
+fn contents<S: Oracle, B: Balance>(m: &AugMap<S, B>) -> Vec<(u32, u64)> {
+    m.iter().map(|(&k, v)| (k, S::get(v))).collect()
+}
+
+fn run_oracle<S: Oracle, B: Balance>(init: Vec<(u32, u64)>, ops: Vec<Op>, probes: Vec<(u32, u32)>) {
+    let cap = leaf_cap::<S, B>();
     let mut model: BTreeMap<u32, u64> = init.iter().copied().collect();
-    let mut map: AugMap<Spec, B> = AugMap::build(init);
-    let mut versions: Versions<B> = Vec::new();
+    let mut map: AugMap<S, B> =
+        AugMap::build(init.into_iter().map(|(k, v)| (k, S::val(v))).collect());
+    let mut versions: Versions<S, B> = Vec::new();
     for op in &ops {
         versions.push((map.clone(), model.iter().map(|(&k, &v)| (k, v)).collect()));
         map = apply_map(map, op);
         apply_model(&mut model, op);
         map.check_invariants()
-            .unwrap_or_else(|e| panic!("invariants after {op:?} (B={}): {e}", B::LEAF_CAP));
-        let got = map.to_vec();
+            .unwrap_or_else(|e| panic!("invariants after {op:?} (B={cap}): {e}"));
         let want: Vec<(u32, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(got, want, "contents after {op:?} (B={})", B::LEAF_CAP);
+        assert_eq!(contents(&map), want, "contents after {op:?} (B={cap})");
         // augmentation vs naive fold, whole-map and ranged
         assert_eq!(map.aug_val(), naive_aug(&model), "aug after {op:?}");
         for &(a, b) in &probes {
@@ -204,12 +265,7 @@ fn run_oracle<B: Balance>(init: Vec<(u32, u64)>, ops: Vec<Op>, probes: Vec<(u32,
     }
     // persistence: every intermediate version is intact
     for (v, expect) in versions {
-        assert_eq!(
-            v.to_vec(),
-            expect,
-            "old version mutated (B={})",
-            B::LEAF_CAP
-        );
+        assert_eq!(contents(&v), expect, "old version mutated (B={cap})");
         v.check_invariants().expect("old version invariants");
     }
 }
@@ -220,37 +276,56 @@ proptest! {
     #[test]
     fn oracle_block_size_1(
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
-        ops in proptest::collection::vec(op_strategy(), 1..20),
+        ops in proptest::collection::vec(op_strategy(300, 40), 1..20),
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
-        run_oracle::<WeightBalancedCap<1>>(init, ops, probes);
+        run_oracle::<Spec, WeightBalancedCap<1>>(init, ops, probes);
     }
 
     #[test]
     fn oracle_block_size_2(
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
-        ops in proptest::collection::vec(op_strategy(), 1..20),
+        ops in proptest::collection::vec(op_strategy(300, 40), 1..20),
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
-        run_oracle::<WeightBalancedCap<2>>(init, ops, probes);
+        run_oracle::<Spec, WeightBalancedCap<2>>(init, ops, probes);
     }
 
     #[test]
     fn oracle_block_size_8(
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
-        ops in proptest::collection::vec(op_strategy(), 1..20),
+        ops in proptest::collection::vec(op_strategy(300, 40), 1..20),
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
-        run_oracle::<WeightBalancedCap<8>>(init, ops, probes);
+        run_oracle::<Spec, WeightBalancedCap<8>>(init, ops, probes);
     }
 
     #[test]
     fn oracle_block_size_32(
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
-        ops in proptest::collection::vec(op_strategy(), 1..20),
+        ops in proptest::collection::vec(op_strategy(300, 40), 1..20),
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
-        run_oracle::<WeightBalancedCap<32>>(init, ops, probes);
+        run_oracle::<Spec, WeightBalancedCap<32>>(init, ops, probes);
+    }
+
+    #[test]
+    fn oracle_block_size_128(
+        init in proptest::collection::vec((0u32..5000, 0u64..1000), 0..1500),
+        ops in proptest::collection::vec(op_strategy(5000, 600), 1..20),
+        probes in proptest::collection::vec((0u32..5200, 0u32..5200), 1..4),
+    ) {
+        run_oracle::<Spec, WeightBalancedCap<128>>(init, ops, probes);
+    }
+
+    #[test]
+    fn oracle_default_owning_entries(
+        init in proptest::collection::vec((0u32..1200, 0u64..1000), 0..400),
+        ops in proptest::collection::vec(op_strategy(1200, 160), 1..20),
+        probes in proptest::collection::vec((0u32..1250, 0u32..1250), 1..4),
+    ) {
+        assert_eq!(leaf_cap::<OwnedSpec, WeightBalanced>(), 32);
+        run_oracle::<OwnedSpec, WeightBalanced>(init, ops, probes);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Model-based tests: every operation checked against `BTreeMap` (the
 //! oracle), instantiated at leaf-block capacities 1 (the paper's
-//! one-entry-per-node layout), 2 and the default 32. After every operation the full invariant set (order, size, augmentation, balance)
+//! one-entry-per-node layout), 2 and the default (128 for these plain
+//! entries). Every input spans many 128-entry blocks. After every
+//! operation the full invariant set (order, size, augmentation, balance)
 //! is re-verified.
 
 use pam::{AugMap, Balance, SumAug, WeightBalanced, WeightBalancedCap};
@@ -57,8 +59,8 @@ fn build_matches_model<B: Balance>() {
 fn insert_delete_match_model<B: Balance>() {
     let mut m: AugMap<Spec, B> = AugMap::new();
     let mut oracle = BTreeMap::new();
-    for i in 0..3000u64 {
-        let k = hash64(i) % 500;
+    for i in 0..6000u64 {
+        let k = hash64(i) % 5000;
         let v = hash64(i + 7);
         if i % 3 == 2 {
             m.remove(&k);

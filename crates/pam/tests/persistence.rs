@@ -1,10 +1,12 @@
 //! Persistence and node-sharing tests: the behaviour Table 4 of the paper
 //! quantifies.
 
+use pam::balance::leaf_cap;
 use pam::stats::{node_size, shared_with, unique_nodes};
-use pam::{AugMap, EntryOwned, NoAug, SumAug, WeightBalanced};
+use pam::{AugMap, Balance, EntryOwned, NoAug, SumAug, WeightBalanced, WeightBalancedCap};
 
-type M = AugMap<SumAug<u64, u64>, WeightBalanced>;
+type Spec = SumAug<u64, u64>;
+type M = AugMap<Spec, WeightBalanced>;
 
 #[test]
 fn snapshots_survive_heavy_mutation() {
@@ -20,28 +22,48 @@ fn snapshots_survive_heavy_mutation() {
     m.check_invariants().unwrap();
 }
 
-#[test]
-fn union_shares_nodes_with_larger_input() {
-    // Table 4's headline: union of 10^8 with 10^5 re-uses ~half the
-    // larger tree's nodes. Shape check at 10^5 vs 10^2.
-    let big = M::build((0..100_000u64).map(|i| (i * 2, 1)).collect());
-    let small = M::build((0..100u64).map(|i| (i * 1001, 1)).collect());
-    let before = unique_nodes(&[big.root()]);
+/// Union a map of `n` entries with one of `m`, and check the nodes the
+/// output does not share with the larger input against the paper's cost
+/// bound, O(m·log(n/m + 1)) (Table 3), taken over the tree's `n / cap`
+/// blocks: `fresh ≤ 3·m·(log2(n/(m·cap) + 1) + 1)`. Over blocks, because
+/// at 128 entries per block the whole larger tree is fewer nodes than
+/// the bound over entries, which a union that copied everything would
+/// then meet. (The paper's one-entry-per-node layout,
+/// `WeightBalancedCap<1>`, uses 0.53–0.55 of the bound on these inputs.)
+fn check_union_fresh_nodes<B: Balance>(n: u64, m: u64) {
+    let big: AugMap<Spec, B> = AugMap::build((0..n).map(|i| (i * 2, 1)).collect());
+    let step = 2 * n / m + 1;
+    let small: AugMap<Spec, B> = AugMap::build((0..m).map(|i| (i * step, 1)).collect());
     let out = big.clone().union_with(small, |a, b| a + b);
     let (total, shared) = shared_with(out.root(), &[big.root()]);
-    // with blocked leaves a node covers up to LEAF_CAP entries, so the
+    // with blocked leaves a node covers up to a block of entries, so the
     // node count is far below the entry count
     assert!(
         total <= out.len(),
         "{total} nodes for {} entries",
         out.len()
     );
-    // most nodes must be shared: only the ~100 touched blocks and their
-    // root paths are copied
+    let cap = leaf_cap::<Spec, B>();
+    let blocks_per_key = n as f64 / (m as f64 * cap as f64);
+    let bound = 3.0 * m as f64 * ((blocks_per_key + 1.0).log2() + 1.0);
+    let fresh = total - shared;
     assert!(
-        shared * 10 > before * 8,
-        "expected >80% sharing, got {shared}/{before}"
+        fresh as f64 <= bound,
+        "{fresh} of {total} nodes fresh, over 3·m·(log2(n/(m·cap) + 1) + 1) = {bound:.0} \
+         (n = {n}, m = {m}, cap {cap})"
     );
+}
+
+#[test]
+fn union_shares_nodes_with_larger_input() {
+    // Table 4's headline: union of 10^8 with 10^5 re-uses ~half the
+    // larger tree's nodes. Shape check at 10^5 vs 10 and 10^2 spread
+    // over the whole key range, at the default's capacity for these
+    // entries (128) and at the owning entries' 32.
+    for m in [10, 100] {
+        check_union_fresh_nodes::<WeightBalanced>(100_000, m);
+        check_union_fresh_nodes::<WeightBalancedCap<32>>(100_000, m);
+    }
 }
 
 #[test]
@@ -115,7 +137,7 @@ fn par_drop_releases_unique_tree() {
 fn unique_trees_mutate_without_copying_everything() {
     // With the reuse optimization, inserting into a uniquely-owned tree
     // allocates only the path; the reachable node count stays between
-    // n / LEAF_CAP (all entries packed into full blocks) and n.
+    // n / cap (all entries packed into full blocks) and n.
     let mut m = M::build((0..10_000u64).map(|i| (i, i)).collect());
     for i in 0..1000u64 {
         m.insert(20_000 + i, 1);
@@ -123,7 +145,7 @@ fn unique_trees_mutate_without_copying_everything() {
     let nodes = unique_nodes(&[m.root()]);
     assert!(nodes <= m.len(), "{nodes} nodes for {} entries", m.len());
     assert!(
-        nodes * pam::DEFAULT_LEAF_B.max(1) >= m.len(),
+        nodes * leaf_cap::<Spec, WeightBalanced>() >= m.len(),
         "{nodes} nodes cannot cover {} entries",
         m.len()
     );

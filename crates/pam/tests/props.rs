@@ -1,5 +1,7 @@
 //! Property-based tests over random operation sequences, at leaf-block
-//! capacities 1, 2 and the default 32.
+//! capacities 1, 2 and the default (128 for these plain entries). The
+//! default's inputs span `0..5_000` with up to 1 500 entries, so its maps
+//! hold several blocks and join, split, rotate and re-pack them.
 
 use pam::{AugMap, Balance, SumAug, WeightBalanced, WeightBalancedCap};
 use proptest::prelude::*;
@@ -22,11 +24,13 @@ enum Op {
     DownTo(u32),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let key = 0u32..300;
+/// Operations over keys `0..keys` whose batches hold up to `batch`
+/// elements.
+fn op_strategy(keys: u32, batch: usize) -> impl Strategy<Value = Op> {
+    let key = 0u32..keys;
     let val = 0u64..1000;
-    let pairs = proptest::collection::vec((0u32..300, 0u64..1000), 0..40);
-    let keyvec = proptest::collection::vec(0u32..300, 0..40);
+    let pairs = proptest::collection::vec((0u32..keys, 0u64..1000), 0..batch);
+    let keyvec = proptest::collection::vec(0u32..keys, 0..batch);
     prop_oneof![
         (key.clone(), val.clone()).prop_map(|(k, v)| Op::Insert(k, v)),
         key.clone().prop_map(Op::Remove),
@@ -172,8 +176,8 @@ proptest! {
 
     #[test]
     fn random_ops_weight_balanced(
-        init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
-        ops in proptest::collection::vec(op_strategy(), 1..25),
+        init in proptest::collection::vec((0u32..5000, 0u64..1000), 0..1500),
+        ops in proptest::collection::vec(op_strategy(5000, 600), 1..25),
     ) {
         run_sequence::<WeightBalanced>(init, ops);
     }
@@ -181,7 +185,7 @@ proptest! {
     #[test]
     fn random_ops_block_size_1(
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
-        ops in proptest::collection::vec(op_strategy(), 1..25),
+        ops in proptest::collection::vec(op_strategy(300, 40), 1..25),
     ) {
         run_sequence::<WeightBalancedCap<1>>(init, ops);
     }
@@ -189,15 +193,15 @@ proptest! {
     #[test]
     fn random_ops_block_size_2(
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
-        ops in proptest::collection::vec(op_strategy(), 1..25),
+        ops in proptest::collection::vec(op_strategy(300, 40), 1..25),
     ) {
         run_sequence::<WeightBalancedCap<2>>(init, ops);
     }
 
     #[test]
     fn aug_queries_match_bruteforce(
-        init in proptest::collection::vec((0u32..500, 0u64..1000), 0..200),
-        probes in proptest::collection::vec((0u32..520, 0u32..520), 1..20),
+        init in proptest::collection::vec((0u32..5000, 0u64..1000), 0..1500),
+        probes in proptest::collection::vec((0u32..5200, 0u32..5200), 1..20),
     ) {
         let model: BTreeMap<u32, u64> = init.iter().copied().collect();
         let map: AugMap<Spec, WeightBalanced> = AugMap::build(init);
@@ -214,8 +218,8 @@ proptest! {
 
     #[test]
     fn union_is_symmetric_on_keys(
-        p1 in proptest::collection::vec((0u32..200, 0u64..100), 0..100),
-        p2 in proptest::collection::vec((0u32..200, 0u64..100), 0..100),
+        p1 in proptest::collection::vec((0u32..5000, 0u64..100), 0..1500),
+        p2 in proptest::collection::vec((0u32..5000, 0u64..100), 0..1500),
     ) {
         let m1: AugMap<Spec, WeightBalanced> = AugMap::build(p1);
         let m2: AugMap<Spec, WeightBalanced> = AugMap::build(p2);
@@ -227,8 +231,8 @@ proptest! {
 
     #[test]
     fn split_union_roundtrip(
-        init in proptest::collection::vec((0u32..200, 0u64..100), 1..150),
-        pivot in 0u32..220,
+        init in proptest::collection::vec((0u32..5000, 0u64..100), 1..1500),
+        pivot in 0u32..5200,
     ) {
         let m: AugMap<Spec, WeightBalanced> = AugMap::build(init);
         let lo = m.up_to(&pivot);
