@@ -24,12 +24,12 @@
 //!    named snapshot pins, the last holders of the versions they name.
 
 use crate::wire::{
-    decode_message, frame_message, read_frame_capped, EntriesFrame, Request, Response, WireOp,
+    decode_message, frame_message, read_frame_capped, Request, Response, WireOp, ENTRIES,
     MAX_FRAME, MAX_SCAN,
 };
 use pam::AugSpec;
 use pam_store::{Bytes, Snapshot, Store, WriteOp};
-use pam_wal::frame::HEADER_LEN;
+use pam_wal::frame::{RunFrame, HEADER_LEN};
 use pam_wal::varint_len;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -448,13 +448,13 @@ where
 {
     let (lo, hi) = (Bytes::from(lo), Bytes::from(hi));
     let limit = limit.min(MAX_SCAN);
-    let mut entries = EntriesFrame::new(out, MAX_FRAME);
+    let mut entries = RunFrame::open(out, Some(ENTRIES), MAX_SCAN, MAX_FRAME);
     let mut full = false;
     if limit > 0 {
         // Break as soon as the limit is reached: the walk reads no
         // further entry, however wide `[lo, hi]` is.
         let encode = |k: &Bytes, v: &Bytes| {
-            if !entries.push(k, v) {
+            if !entries.push(out, k, v) {
                 full = true;
                 return ControlFlow::Break(());
             }
@@ -472,7 +472,7 @@ where
     if full && entries.is_empty() {
         return frame_reply(out, &over_frame_limit());
     }
-    entries.finish()
+    entries.close(out)
 }
 
 /// The reply to a write whose ticket has resolved: the write is

@@ -5,7 +5,11 @@
 //! (`pam_wal::frame`), so the network protocol inherits the same torn- and
 //! corrupt-input discipline the recovery path already trusts. Payloads are
 //! encoded with [`pam_wal::Codec`]: a one-byte message tag followed by the
-//! variant's fields (LEB128 varints, length-prefixed byte strings).
+//! variant's fields (LEB128 varints, length-prefixed byte strings). Every
+//! list is a run ([`pam_wal::codec::put_run`], [`Reader::run`]), so a
+//! [`Response::Entries`] payload after its tag is the bytes of a
+//! checkpoint chunk of the same pairs; the server encodes it in place
+//! with the checkpoint writer's [`pam_wal::frame::RunFrame`].
 //!
 //! One deliberate difference from the WAL reader: the server never
 //! allocates a length it has not capped. `pam_wal::frame::read_frame`
@@ -14,8 +18,9 @@
 //! rejects anything over its cap (default [`MAX_FRAME`], 16 MiB) *before*
 //! allocating.
 
-use pam_wal::frame::{self, OpenFrame};
-use pam_wal::{put_varint, varint_len, Codec, CodecError, Reader};
+use pam_wal::codec::put_run;
+use pam_wal::frame;
+use pam_wal::{put_varint, Codec, CodecError, Reader};
 use std::io::{self, Write};
 
 /// Default maximum frame payload accepted from a peer (16 MiB). Generous
@@ -29,7 +34,7 @@ pub const MAX_FRAME: usize = 16 << 20;
 pub const MAX_SCAN: u64 = 1 << 16;
 
 /// The [`Response::Entries`] tag.
-const ENTRIES: u8 = 4;
+pub(crate) const ENTRIES: u8 = 4;
 
 /// One write inside a [`Request::Batch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,7 +122,7 @@ impl Codec for Request {
             }
             Request::GetMany(keys) => {
                 out.push(3);
-                put_seq(out, keys);
+                put_run(out, keys);
             }
             Request::Scan { lo, hi, limit } => {
                 out.push(4);
@@ -137,7 +142,7 @@ impl Codec for Request {
             }
             Request::Batch(ops) => {
                 out.push(8);
-                put_seq(out, ops);
+                put_run(out, ops);
             }
             Request::Pin(name) => {
                 out.push(9);
@@ -159,7 +164,7 @@ impl Codec for Request {
         Ok(match r.byte()? {
             1 => Request::Ping,
             2 => Request::Get(Vec::decode(r)?),
-            3 => Request::GetMany(get_seq(r)?),
+            3 => Request::GetMany(r.run()?),
             4 => Request::Scan {
                 lo: Vec::decode(r)?,
                 hi: Vec::decode(r)?,
@@ -168,7 +173,7 @@ impl Codec for Request {
             5 => Request::Len,
             6 => Request::Put(Vec::decode(r)?, Vec::decode(r)?),
             7 => Request::Delete(Vec::decode(r)?),
-            8 => Request::Batch(get_seq(r)?),
+            8 => Request::Batch(r.run()?),
             9 => Request::Pin(String::decode(r)?),
             10 => Request::UsePin(String::decode(r)?),
             11 => Request::Unpin(String::decode(r)?),
@@ -224,11 +229,11 @@ impl Codec for Response {
             }
             Response::Values(vs) => {
                 out.push(3);
-                put_seq(out, vs);
+                put_run(out, vs);
             }
             Response::Entries(es) => {
                 out.push(ENTRIES);
-                put_seq(out, es);
+                put_run(out, es);
             }
             Response::Count(n) => {
                 out.push(5);
@@ -258,8 +263,8 @@ impl Codec for Response {
         Ok(match r.byte()? {
             1 => Response::Pong,
             2 => Response::Value(Option::decode(r)?),
-            3 => Response::Values(get_seq(r)?),
-            ENTRIES => Response::Entries(get_seq(r)?),
+            3 => Response::Values(r.run()?),
+            ENTRIES => Response::Entries(r.run()?),
             5 => Response::Count(r.varint()?),
             6 => Response::Acked {
                 version: r.varint()?,
@@ -275,25 +280,6 @@ impl Codec for Response {
             }
         })
     }
-}
-
-fn put_seq<T: Codec>(out: &mut Vec<u8>, items: &[T]) {
-    put_varint(out, items.len() as u64);
-    for it in items {
-        it.encode(out);
-    }
-}
-
-fn get_seq<T: Codec>(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
-    // `length()` range-checks the count against the remaining input
-    // (every element costs >= 1 byte), so a hostile count cannot force a
-    // huge allocation.
-    let n = r.length()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(T::decode(r)?);
-    }
-    Ok(out)
 }
 
 /// Frame `msg` into `out`, replacing its contents: the payload is
@@ -316,74 +302,6 @@ pub fn write_message<W: Write, M: Codec>(w: &mut W, msg: &M) -> io::Result<()> {
     frame_message(&mut framed, msg);
     w.write_all(&framed)?;
     w.flush()
-}
-
-/// A [`Response::Entries`] frame encoded one entry at a time into a
-/// caller's buffer: byte for byte what `write_message` sends for the same
-/// entries, without building them as owned pairs first. The entry count
-/// is known only at the end, so the tag and count go in front of the
-/// entries when the frame is [finished](EntriesFrame::finish).
-pub struct EntriesFrame<'a> {
-    out: &'a mut Vec<u8>,
-    frame: OpenFrame,
-    count: u64,
-    cap: usize,
-}
-
-impl<'a> EntriesFrame<'a> {
-    /// Room in front of the entries: the tag and a count of at most
-    /// [`MAX_SCAN`].
-    const PREFIX_ROOM: usize = 1 + varint_len(MAX_SCAN);
-
-    /// Start an `Entries` frame in `out` (its contents are replaced)
-    /// whose payload may hold at most `cap` bytes.
-    pub fn new(out: &'a mut Vec<u8>, cap: usize) -> Self {
-        out.clear();
-        let frame = frame::open_frame(out, Self::PREFIX_ROOM);
-        EntriesFrame {
-            out,
-            frame,
-            count: 0,
-            cap,
-        }
-    }
-
-    /// Append one entry. Returns `false`, appending nothing, when the
-    /// frame already holds [`MAX_SCAN`] entries or the entry would push
-    /// its payload over the cap.
-    pub fn push(&mut self, key: &[u8], value: &[u8]) -> bool {
-        let entry =
-            varint_len(key.len() as u64) + key.len() + varint_len(value.len() as u64) + value.len();
-        let payload = 1 + varint_len(self.count + 1) + self.frame.body_len(self.out) + entry;
-        if self.count == MAX_SCAN || payload > self.cap {
-            return false;
-        }
-        put_varint(self.out, key.len() as u64);
-        self.out.extend_from_slice(key);
-        put_varint(self.out, value.len() as u64);
-        self.out.extend_from_slice(value);
-        self.count += 1;
-        true
-    }
-
-    /// Entries appended so far.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether no entry has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Finish the frame; returns where it starts in the buffer, so the
-    /// frame is `out[start..]`.
-    pub fn finish(self) -> usize {
-        let mut prefix = Vec::with_capacity(Self::PREFIX_ROOM);
-        prefix.push(ENTRIES);
-        put_varint(&mut prefix, self.count);
-        self.frame.close(self.out, &prefix)
-    }
 }
 
 /// The hostile-peer frame reader, now shared workspace-wide from
@@ -495,37 +413,45 @@ mod tests {
     }
 
     #[test]
-    fn entries_frame_matches_the_codec_and_stops_at_its_caps() {
+    fn a_scan_reply_a_checkpoint_chunk_and_an_epoch_body_share_one_run() {
         let entries: Vec<(Vec<u8>, Vec<u8>)> = [0usize, 1, 127, 128, 300]
             .iter()
-            .map(|&n| (vec![n as u8; n % 7], vec![0xab; n]))
+            .map(|&n| (format!("key{n:04}").into_bytes(), vec![0xab; n]))
             .collect();
-        let frame_of = |es: &[(Vec<u8>, Vec<u8>)]| {
-            let mut want = Vec::new();
-            write_message(&mut want, &Response::Entries(es.to_vec())).unwrap();
-            want
+        // the Entries payload minus its tag byte
+        let mut reply = Vec::new();
+        Response::Entries(entries.clone()).encode(&mut reply);
+        assert_eq!(reply[0], ENTRIES);
+        // the puts half of an epoch body: all of it but the empty deletes
+        // run, one zero byte
+        let mut body = Vec::new();
+        pam_wal::record::encode_epoch_body(&entries, &[] as &[Vec<u8>], &mut body);
+        assert_eq!(body.pop(), Some(0));
+        // the one chunk of a checkpoint of the same pairs
+        let dir = std::env::temp_dir().join(format!("pam-serve-run-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        pam_wal::checkpoint::write(&dir, 1, entries.len() as u64, |emit| {
+            entries.iter().for_each(|(k, v)| emit(k, v))
+        })
+        .unwrap();
+        let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+        let bytes = std::fs::read(file.path()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let frames = &bytes[pam_wal::checkpoint::CHECKPOINT_MAGIC.len()..];
+        let frame::Frame::Ok { consumed, .. } = frame::next_frame(frames) else {
+            panic!("no header frame");
         };
-        let whole = frame_of(&entries);
-        // a cap of exactly the payload fits every entry; one byte less
-        // drops the last, which then is not appended
-        for (cap, fits) in [(whole.len() - 8, 5), (whole.len() - 9, 4)] {
-            let mut out = Vec::new();
-            let mut frame = EntriesFrame::new(&mut out, cap);
-            let pushed = entries.iter().take_while(|(k, v)| frame.push(k, v)).count();
-            assert_eq!(pushed, fits, "cap {cap}");
-            let start = frame.finish();
-            assert_eq!(&out[start..], &frame_of(&entries[..fits])[..], "cap {cap}");
-        }
-        // the count stops at MAX_SCAN, whose varint fills the prefix room
-        let mut out = Vec::new();
-        let mut frame = EntriesFrame::new(&mut out, MAX_FRAME);
-        assert!(frame.is_empty());
-        while frame.push(b"", b"") {}
-        assert_eq!(frame.len(), MAX_SCAN);
-        let start = frame.finish();
-        let empty = vec![(Vec::new(), Vec::new()); MAX_SCAN as usize];
-        assert_eq!(start, 0);
-        assert_eq!(out, frame_of(&empty));
+        let frame::Frame::Ok {
+            payload,
+            consumed: rest,
+        } = frame::next_frame(&frames[consumed..])
+        else {
+            panic!("no chunk frame");
+        };
+        assert_eq!(consumed + rest, frames.len(), "one chunk");
+
+        assert_eq!(&reply[1..], &body[..]);
+        assert_eq!(payload, &body[..]);
     }
 
     #[test]

@@ -8,17 +8,17 @@
 //!
 //! Committing is a role, not a thread. One routine (`commit`) turns the
 //! open segment into an epoch, and whoever runs it *holds the commit*
-//! (`PipeState::committing`, and with it the map the epoch applies to),
-//! so epochs commit one at a time, in epoch order. It:
+//! (`PipeState::committing`), so epochs commit one at a time, in epoch
+//! order, each onto the head the previous one published. It:
 //!
 //! 1. takes the segment atomically (this is what makes an epoch an
 //!    all-or-nothing unit: either every operation of an epoch is in the
 //!    published version, or none is);
 //! 2. normalizes the batch (parallel sort + last-write-wins dedup, see
 //!    [`crate::op`]), appends it to the WAL of a durable store and
-//!    applies it as one work-optimal `multi_update` — puts and deletes in
-//!    one walk of the map — with no compare-and-swap; no other thread
-//!    touches the map while the commit is held;
+//!    applies it to the head's map as one work-optimal `multi_update` —
+//!    puts and deletes in one walk of the map — with no compare-and-swap
+//!    and no lock: only the commit holder publishes a head;
 //! 3. publishes the new root in the registry as one version, numbered
 //!    by the epoch — the one place a new root becomes visible — drops
 //!    the replaced head, then wakes every ticket of the epoch. A failed
@@ -57,7 +57,7 @@ use crate::op::{self, normalize, WriteOp};
 use crate::registry::VersionId;
 use crate::stats::CommitTiming;
 use crate::store::Core;
-use pam::{AugMap, AugSpec};
+use pam::AugSpec;
 use pam_obs::{event, flight, EpochTrace, FlightRecorder, Level};
 use pam_wal::Codec;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -109,9 +109,10 @@ struct PipeState<S: AugSpec> {
     /// version id.
     committed_epoch: u64,
     /// Somebody holds the commit: it took a segment and has not yet
-    /// published it (or poisoned the store). Only the holder touches
-    /// [`Pipeline::current`]; the next segment waits for the flag to
-    /// clear, which keeps commits one at a time and in epoch order.
+    /// published it (or poisoned the store). Only the holder publishes a
+    /// head, so the head it starts from is the previous epoch's; the next
+    /// segment waits for the flag to clear, which keeps commits one at a
+    /// time and in epoch order.
     committing: bool,
     /// Threads blocked in [`CommitTicket::wait`] or [`Pipeline::flush`]
     /// on an epoch not yet committed: a writer leads only when it would
@@ -179,11 +180,6 @@ impl<S: AugSpec> PipeState<S> {
 
 pub(crate) struct Pipeline<S: AugSpec> {
     state: Mutex<PipeState<S>>,
-    /// The map the next epoch applies to — the head's map between
-    /// commits. Owned by whoever holds the commit
-    /// ([`PipeState::committing`]) and locked only with `state` released,
-    /// so it is never contended.
-    current: Mutex<AugMap<S>>,
     /// Wakes the committer thread: a segment created while it is parked,
     /// a lone epoch that got company, the batch cap crossed, a segment
     /// handed over ([`Pipeline::hand_over`]), `flush`, shutdown.
@@ -199,9 +195,9 @@ pub(crate) struct Pipeline<S: AugSpec> {
 }
 
 impl<S: AugSpec> Pipeline<S> {
-    /// A pipeline whose last committed epoch is `committed`, whose map —
-    /// the registry head's — is `map`.
-    pub fn new(config: &ShardedConfig, committed: VersionId, map: AugMap<S>) -> Self {
+    /// A pipeline whose last committed epoch — the registry head's
+    /// version — is `committed`.
+    pub fn new(config: &ShardedConfig, committed: VersionId) -> Self {
         // Settle the flight-recorder anchor before the first segment
         // Instant exists, or early epochs' window timestamps would clamp
         // to zero (see `pam_obs::flight`).
@@ -224,7 +220,6 @@ impl<S: AugSpec> Pipeline<S> {
                 arrival_gap: config.batch_window,
                 awaited_epoch: committed,
             }),
-            current: Mutex::new(map),
             work: Condvar::new(),
             done: Condvar::new(),
         }
@@ -507,7 +502,9 @@ where
     let (epoch, opened_at) = (seg.epoch, seg.opened_at);
     // Window occupancy: segment creation → taken by the commit.
     let window = opened_at.elapsed();
-    let mut current = pipe.current.lock();
+    // The epoch applies to the head's map: only a commit publishes a head,
+    // and this one holds the commit.
+    let mut map = core.registry.pin_head().entry.map.clone();
 
     let t0 = Instant::now();
     let normalized = normalize::<S>(seg.ops);
@@ -519,7 +516,6 @@ where
     // store.
     if let Some(wal) = &core.wal {
         if let Err(e) = wal.append(epoch, &normalized) {
-            drop(current);
             let reason = format!("WAL append failed for epoch {epoch}: {e}");
             eprintln!("pam-store: {reason}; poisoning store");
             event!(
@@ -532,7 +528,6 @@ where
             // (first-wins, so a later panic hook firing for a cascading
             // waiter changes nothing).
             flight::dump_registered(&reason, Some(epoch));
-            // lint: allow(lock-order) the map guard is dropped above
             let mut g = pipe.state.lock();
             g.poisoned = Some(reason);
             g.shutdown = true;
@@ -548,15 +543,14 @@ where
     // Apply outside the state lock: the commit holder is the only
     // writer, and the batch vectors are *moved* into the tree ops — no
     // per-commit clone. Published versions are untouched (path copying).
-    op::apply(&mut current, normalized.puts, normalized.deletes);
+    op::apply(&mut map, normalized.puts, normalized.deletes);
     let t_applied = Instant::now();
     // O(1) snapshot of the result: the one publication point. The
     // replaced head dies here, before the tickets wake (so a writer's
     // next `stats()` does not count it) and outside the registry lock:
     // unless somebody pinned it, this drop frees the nodes the epoch
     // path-copied away from.
-    drop(core.registry.publish(epoch, current.clone()));
-    drop(current);
+    drop(core.registry.publish(epoch, map));
     let t_published = Instant::now();
     core.stats.record_commit(
         raw_ops,
@@ -587,7 +581,6 @@ where
         publish_ns: (t_published - t_applied).as_nanos() as u64,
     });
 
-    // lint: allow(lock-order) the map guard is dropped above
     let mut g = pipe.state.lock();
     g.committed_epoch = epoch;
     g.committing = false;

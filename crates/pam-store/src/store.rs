@@ -250,7 +250,7 @@ where
         wal: Option<WalPart>,
     ) -> Self {
         let core = Arc::new(Core {
-            pipeline: Pipeline::new(config, version, map.clone()),
+            pipeline: Pipeline::new(config, version),
             registry: Registry::new(version, map),
             stats: StatsInner::default(),
             wal,
@@ -732,10 +732,14 @@ mod tests {
             let mut joined = Vec::new();
             for i in 0..files {
                 let shard_dir = pam_wal::manifest::shard_dir(&dir, i);
-                let (at, part) = pam_wal::checkpoint::load_latest::<u64, u64>(&shard_dir)
-                    .unwrap()
-                    .expect("every file is written, an empty range too");
-                assert_eq!(at, epoch, "one epoch for every file");
+                let at = pam_wal::checkpoint::epochs(&shard_dir).unwrap();
+                assert_eq!(at, [epoch], "every file is written, an empty range too");
+                let gather = |part: &mut Vec<_>, chunk: Vec<(u64, u64)>| {
+                    part.extend(chunk);
+                    Ok(())
+                };
+                let (_, part) =
+                    pam_wal::checkpoint::load_at(&shard_dir, epoch, Vec::new(), gather).unwrap();
                 assert_eq!(part.len(), (i + 1) * n / files - i * n / files, "file {i}");
                 joined.extend(part);
             }

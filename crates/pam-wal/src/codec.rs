@@ -8,6 +8,17 @@
 //! allocation-bounded and never trusts a length it has not range-checked
 //! against the remaining input, so a corrupt frame fails with a
 //! [`CodecError`] instead of a huge allocation or a panic.
+//!
+//! Every counted sequence — a checkpoint chunk, each half of a WAL epoch
+//! body, each list in a `pam-serve` message — is one layout, a *run*:
+//!
+//! ```text
+//! [ n : varint ][ item ... ]        (n items, each as its Codec writes it)
+//! ```
+//!
+//! [`put_run`] writes one and [`Reader::run`] reads one; a run whose
+//! count is known only at the end is framed in place by
+//! [`crate::frame::RunFrame`].
 
 use std::fmt;
 
@@ -116,6 +127,33 @@ impl<'a> Reader<'a> {
             return Err(CodecError::new("length prefix exceeds input"));
         }
         Ok(n as usize)
+    }
+
+    /// Consume a run (`varint(n) ++ n × item`, see [`put_run`]). Every
+    /// item takes at least one byte, so a count over the remaining input
+    /// is refused before anything is allocated, and the room reserved up
+    /// front is no more bytes than the input has left: a count that lies
+    /// costs at most the input's size before an item fails to decode.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a malformed count, a count larger than the remaining
+    /// input, or a malformed item.
+    pub fn run<T: Codec>(&mut self) -> Result<Vec<T>, CodecError> {
+        let n = self.length()?;
+        let mut out = Vec::with_capacity(n.min(self.remaining() / size_of::<T>().max(1)));
+        for _ in 0..n {
+            out.push(T::decode(self)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Append `items` as a run: their count as a varint, then each item.
+pub fn put_run<T: Codec>(out: &mut Vec<u8>, items: &[T]) {
+    put_varint(out, items.len() as u64);
+    for it in items {
+        it.encode(out);
     }
 }
 
@@ -366,6 +404,15 @@ mod tests {
         buf.extend_from_slice(b"xy");
         assert!(String::decode(&mut Reader::new(&buf)).is_err());
         assert!(Vec::<u8>::decode(&mut Reader::new(&buf)).is_err());
+        // the same count as a run of pairs: refused before the reader
+        // reserves room for 2^60 of them
+        let err = Reader::new(&buf).run::<(u64, Vec<u8>)>().unwrap_err();
+        assert_eq!(err.msg, "length prefix exceeds input");
+        // and as a checkpoint chunk and an epoch body, which read runs
+        let chunk = crate::checkpoint::decode_chunk::<u64, u64>(&buf).unwrap_err();
+        assert_eq!(chunk.msg, "length prefix exceeds input");
+        let body = crate::record::decode_epoch_body::<u64, u64>(&buf).unwrap_err();
+        assert_eq!(body.msg, "length prefix exceeds input");
     }
 
     #[test]

@@ -22,8 +22,12 @@
 //! Writers build a frame in place ([`open_frame`] … [`OpenFrame::close`]):
 //! the header is reserved, the payload encoded straight after it, and the
 //! length and CRC patched in at the end — no payload buffer copied into a
-//! second frame buffer.
+//! second frame buffer. A frame whose payload is a run of pairs (a
+//! checkpoint chunk, a `pam-serve` `Scan` reply) is a [`RunFrame`]: pairs
+//! are encoded one at a time until a cap, and the count goes in front of
+//! them at close.
 
+use crate::codec::{put_varint, varint_len, Codec};
 use std::io::{self, Read};
 
 /// Frame header size: `u32` length + `u32` CRC.
@@ -264,6 +268,78 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> usize {
     out.extend_from_slice(payload);
     frame.close(out, &[]);
     HEADER_LEN + payload.len()
+}
+
+/// A frame whose payload is an optional tag byte and then a run of
+/// `(key, value)` pairs (`varint(n) ++ n × (key ++ value)`, see
+/// [`crate::codec::put_run`]), built in place at the end of a buffer one
+/// pair at a time: byte for byte the frame of the tag and `put_run` over
+/// the same pairs, without the pairs ever being gathered. The count is
+/// known only at the end, so it (and the tag) go in front of the pairs at
+/// [close](RunFrame::close). Like [`OpenFrame`], it takes the buffer at
+/// every step, so the buffer stays free between steps.
+#[must_use = "a frame has no length or checksum until it is closed"]
+#[derive(Clone, Copy, Debug)]
+pub struct RunFrame {
+    frame: OpenFrame,
+    tag: Option<u8>,
+    count: u64,
+    max_count: u64,
+    max_bytes: usize,
+}
+
+impl RunFrame {
+    /// Start a frame at the end of `out` that holds at most `max_count`
+    /// pairs and a payload of at most `max_bytes` bytes.
+    pub fn open(out: &mut Vec<u8>, tag: Option<u8>, max_count: u64, max_bytes: usize) -> Self {
+        let room = usize::from(tag.is_some()) + varint_len(max_count);
+        RunFrame {
+            frame: open_frame(out, room),
+            tag,
+            count: 0,
+            max_count,
+            max_bytes,
+        }
+    }
+
+    /// Append one pair to `out`, which the frame must end. Returns
+    /// `false`, leaving `out` as it was, when the frame already holds its
+    /// `max_count` pairs or the pair would push its payload over
+    /// `max_bytes`.
+    pub fn push<K: Codec, V: Codec>(&mut self, out: &mut Vec<u8>, key: &K, value: &V) -> bool {
+        if self.count == self.max_count {
+            return false;
+        }
+        let before = out.len();
+        key.encode(out);
+        value.encode(out);
+        let prefix = usize::from(self.tag.is_some()) + varint_len(self.count + 1);
+        if prefix + self.frame.body_len(out) > self.max_bytes {
+            out.truncate(before);
+            return false;
+        }
+        self.count += 1;
+        true
+    }
+
+    /// Pairs appended so far.
+    pub fn len(&self) -> u64 {
+        self.count
+    }
+
+    /// Whether no pair has been appended.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Finish the frame, which must end `out`; returns where it starts,
+    /// so the frame is `out[start..]`.
+    pub fn close(self, out: &mut [u8]) -> usize {
+        let mut prefix = Vec::with_capacity(self.frame.room);
+        prefix.extend(self.tag);
+        put_varint(&mut prefix, self.count);
+        self.frame.close(out, &prefix)
+    }
 }
 
 /// One step of a frame scan over `buf` (see [`next_frame`]).
@@ -513,6 +589,50 @@ mod tests {
         put_frame(&mut want, b"one");
         put_frame(&mut want, b"two");
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn entries_frame_matches_the_codec_and_stops_at_its_caps() {
+        const TAG: u8 = 4;
+        const MAX_COUNT: u64 = 1 << 16;
+        const MAX_BYTES: usize = 16 << 20;
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = [0usize, 1, 127, 128, 300]
+            .iter()
+            .map(|&n| (vec![n as u8; n % 7], vec![0xab; n]))
+            .collect();
+        // the frame of the tag and the shared run codec
+        let frame_of = |es: &[(Vec<u8>, Vec<u8>)]| {
+            let mut payload = vec![TAG];
+            crate::codec::put_run(&mut payload, es);
+            let mut want = Vec::new();
+            put_frame(&mut want, &payload);
+            want
+        };
+        let whole = frame_of(&entries);
+        // a cap of exactly the payload fits every entry; one byte less
+        // drops the last, which then is not appended
+        for (cap, fits) in [(whole.len() - 8, 5), (whole.len() - 9, 4)] {
+            let mut out = Vec::new();
+            let mut frame = RunFrame::open(&mut out, Some(TAG), MAX_COUNT, cap);
+            let pushed = entries
+                .iter()
+                .take_while(|(k, v)| frame.push(&mut out, k, v))
+                .count();
+            assert_eq!(pushed, fits, "cap {cap}");
+            let start = frame.close(&mut out);
+            assert_eq!(&out[start..], &frame_of(&entries[..fits])[..], "cap {cap}");
+        }
+        // the count stops at its cap, whose varint fills the prefix room
+        let mut out = Vec::new();
+        let mut frame = RunFrame::open(&mut out, Some(TAG), MAX_COUNT, MAX_BYTES);
+        assert!(frame.is_empty());
+        let empty = Vec::<u8>::new();
+        while frame.push(&mut out, &empty, &empty) {}
+        assert_eq!(frame.len(), MAX_COUNT);
+        let start = frame.close(&mut out);
+        let empties = vec![(Vec::new(), Vec::new()); MAX_COUNT as usize];
+        assert_eq!(start, 0);
+        assert_eq!(out, frame_of(&empties));
     }
 
     #[test]

@@ -27,14 +27,22 @@
 //!
 //! Serialization goes through the [`Codec`] trait ([`codec`]), with
 //! implementations for the usual key/value primitives (integers, strings,
-//! byte vectors, tuples). The crate is deliberately free of any
-//! tree-library dependency: it moves bytes, not maps. `pam-store`'s
+//! byte vectors, tuples). Each byte layout is written once: every counted
+//! sequence is a *run* (`varint(n) ++ n × item`, [`codec::put_run`] and
+//! [`Reader::run`]), so a checkpoint chunk, the puts of an epoch record
+//! and a `pam-serve` `Scan` reply hold the same bytes for the same pairs,
+//! and a run built in place is a [`frame::RunFrame`]. Each file step is
+//! written once too: the log, the checkpoints and the manifest share one
+//! private module for the directory fsync, the numbered file names and
+//! the tmp → fsync → rename publish. The crate is deliberately free of
+//! any tree-library dependency: it moves bytes, not maps. `pam-store`'s
 //! `Store::open` does the wiring.
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
 pub mod codec;
+mod files;
 pub mod frame;
 pub mod lock;
 pub mod manifest;

@@ -21,8 +21,9 @@
 //! (checkpoint files partitioned by a key hash, not by key range).
 
 use crate::codec::{put_varint, Reader};
+use crate::files;
 use crate::frame::{self, Frame};
-use std::fs::{self, File, OpenOptions};
+use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -49,10 +50,6 @@ pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}"))
 }
 
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
 /// Atomically write the manifest pinning `shards`, once, when the store
 /// is created.
 ///
@@ -62,24 +59,12 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 /// rename.
 pub fn write(dir: &Path, shards: u64) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    let final_path = manifest_path(dir);
-    let tmp_path = final_path.with_extension("tmp");
-    let mut out = Vec::new();
-    out.extend_from_slice(MANIFEST_MAGIC);
+    let mut out = MANIFEST_MAGIC.to_vec();
     let mut payload = Vec::new();
     put_varint(&mut payload, MANIFEST_FORMAT);
     put_varint(&mut payload, shards);
     frame::put_frame(&mut out, &payload);
-    let mut file = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(&tmp_path)?;
-    file.write_all(&out)?;
-    file.sync_all()?;
-    drop(file);
-    fs::rename(&tmp_path, &final_path)?;
-    sync_dir(dir)
+    files::publish(dir, &manifest_path(dir), |file| file.write_all(&out))
 }
 
 /// Load the manifest, if one exists. A present-but-invalid manifest is an

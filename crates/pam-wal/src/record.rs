@@ -10,13 +10,15 @@
 //! idempotent (same keys, same final values), so recovery may safely
 //! overlap checkpoint and log.
 //!
-//! Wire layout (all inside one checksummed frame, see [`crate::frame`]):
+//! Layout (all inside one checksummed frame, see [`crate::frame`]): two
+//! runs ([`crate::codec`]), the puts as `(key, value)` pairs — the bytes
+//! of a checkpoint chunk holding the same pairs — then the deleted keys:
 //!
 //! ```text
 //! [ puts_len : varint ][ (key, value) ... ][ dels_len : varint ][ key ... ]
 //! ```
 
-use crate::codec::{put_varint, Codec, CodecError, Reader};
+use crate::codec::{put_run, Codec, CodecError, Reader};
 
 /// A decoded epoch body: the normalized batch that was committed.
 #[derive(Debug, PartialEq, Eq)]
@@ -29,15 +31,8 @@ pub struct EpochBody<K, V> {
 
 /// Serialize a normalized batch into `out`.
 pub fn encode_epoch_body<K: Codec, V: Codec>(puts: &[(K, V)], deletes: &[K], out: &mut Vec<u8>) {
-    put_varint(out, puts.len() as u64);
-    for (k, v) in puts {
-        k.encode(out);
-        v.encode(out);
-    }
-    put_varint(out, deletes.len() as u64);
-    for k in deletes {
-        k.encode(out);
-    }
+    put_run(out, puts);
+    put_run(out, deletes);
 }
 
 /// Deserialize an epoch body; the whole of `body` must be consumed.
@@ -49,18 +44,8 @@ pub fn encode_epoch_body<K: Codec, V: Codec>(puts: &[(K, V)], deletes: &[K], out
 /// written by something speaking a different schema).
 pub fn decode_epoch_body<K: Codec, V: Codec>(body: &[u8]) -> Result<EpochBody<K, V>, CodecError> {
     let mut r = Reader::new(body);
-    let n_puts = r.varint()?;
-    let mut puts = Vec::with_capacity(n_puts.min(1 << 20) as usize);
-    for _ in 0..n_puts {
-        let k = K::decode(&mut r)?;
-        let v = V::decode(&mut r)?;
-        puts.push((k, v));
-    }
-    let n_dels = r.varint()?;
-    let mut deletes = Vec::with_capacity(n_dels.min(1 << 20) as usize);
-    for _ in 0..n_dels {
-        deletes.push(K::decode(&mut r)?);
-    }
+    let puts = r.run()?;
+    let deletes = r.run()?;
     if !r.is_empty() {
         return Err(CodecError::new("trailing bytes after epoch body"));
     }

@@ -39,6 +39,7 @@
 //! to crash damage) silently discards the records after it; bit rot in
 //! the much larger sealed portion of the log is still a hard error.
 
+use crate::files::{sync_dir, Numbered};
 use crate::frame::{self, Frame};
 use pam_obs::{event, Histogram, Level};
 use std::fs::{self, File, OpenOptions};
@@ -154,20 +155,11 @@ pub struct Wal {
     obs: Arc<WalObs>,
 }
 
-fn segment_path(dir: &Path, first_epoch: u64) -> PathBuf {
-    dir.join(format!("wal-{first_epoch:020}.seg"))
-}
-
-fn parse_segment_name(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let digits = name.strip_prefix("wal-")?.strip_suffix(".seg")?;
-    digits.parse().ok()
-}
-
-/// Flush directory metadata (file creation/deletion) to disk.
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
-}
+/// Segment files, named for the first epoch each holds.
+const SEGMENTS: Numbered = Numbered {
+    prefix: "wal",
+    ext: "seg",
+};
 
 fn corrupt(msg: &str, path: &Path) -> io::Error {
     io::Error::new(
@@ -228,24 +220,6 @@ fn scan_segment(path: &Path, tolerate_torn_tail: bool) -> io::Result<SegmentScan
     })
 }
 
-/// List the segment files in `dir`, sorted by first epoch. A missing
-/// directory yields an empty list (a store that has never written).
-fn segment_paths(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut paths: Vec<(u64, PathBuf)> = entries
-        .filter_map(|e| {
-            let p = e.ok()?.path();
-            Some((parse_segment_name(&p)?, p))
-        })
-        .collect();
-    paths.sort_by_key(|&(e, _)| e);
-    Ok(paths)
-}
-
 impl Wal {
     /// Open (or create) the log in `dir`, returning the WAL positioned
     /// for appending plus every valid epoch record, in log order.
@@ -268,7 +242,7 @@ impl Wal {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
 
-        let paths = segment_paths(&dir)?;
+        let paths = SEGMENTS.list(&dir)?;
 
         // Every segment but the last is sealed: decode them concurrently.
         let sealed_count = paths.len().saturating_sub(1);
@@ -364,7 +338,7 @@ impl Wal {
         if self.current.is_none() {
             let seg = Segment {
                 first_epoch: epoch,
-                path: segment_path(&self.dir, epoch),
+                path: SEGMENTS.path(&self.dir, epoch),
             };
             let mut file = OpenOptions::new()
                 .create_new(true)
@@ -590,7 +564,7 @@ mod tests {
         }
         // simulate a crash mid-append: a frame header promising more
         // bytes than were written
-        let seg = segment_path(&dir, 1);
+        let seg = SEGMENTS.path(&dir, 1);
         let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
         f.write_all(&[200, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3])
             .unwrap();
@@ -624,7 +598,7 @@ mod tests {
             assert!(wal.segments() >= 2);
         }
         // flip a byte in the first (sealed) segment's first record
-        let seg = segment_path(&dir, 1);
+        let seg = SEGMENTS.path(&dir, 1);
         let mut bytes = fs::read(&seg).unwrap();
         let idx = SEGMENT_MAGIC.len() + frame::HEADER_LEN + 1;
         bytes[idx] ^= 0xff;
@@ -735,8 +709,8 @@ mod tests {
         // a sealed v1 segment followed by a current-format tail
         let dir = tmp_dir("v1-sealed");
         fs::create_dir_all(&dir).unwrap();
-        write_old_segment(&segment_path(&dir, 1), b'1', &[1, 2, 3]);
-        fs::write(segment_path(&dir, 4), SEGMENT_MAGIC).unwrap();
+        write_old_segment(&SEGMENTS.path(&dir, 1), b'1', &[1, 2, 3]);
+        fs::write(SEGMENTS.path(&dir, 4), SEGMENT_MAGIC).unwrap();
         assert_refused_untouched(&dir);
     }
 
@@ -746,7 +720,7 @@ mod tests {
         // tail would have truncated
         let dir = tmp_dir("v1-tail");
         fs::create_dir_all(&dir).unwrap();
-        let seg = segment_path(&dir, 1);
+        let seg = SEGMENTS.path(&dir, 1);
         write_old_segment(&seg, b'1', &[1, 2]);
         let mut bytes = fs::read(&seg).unwrap();
         bytes.extend_from_slice(&[44, 0, 0, 0, 0xde, 0xad]);
@@ -760,7 +734,7 @@ mod tests {
         // a torn half-record that a readable tail would have truncated
         let dir = tmp_dir("v2-tail");
         fs::create_dir_all(&dir).unwrap();
-        let seg = segment_path(&dir, 1);
+        let seg = SEGMENTS.path(&dir, 1);
         write_old_segment(&seg, b'2', &[1, 2, 3]);
         let mut bytes = fs::read(&seg).unwrap();
         bytes.extend_from_slice(&[44, 0, 0, 0, 0xde, 0xad]);
