@@ -85,10 +85,10 @@ impl InvertedIndex {
             let group = &items[starts[g]..starts[g + 1]];
             let term = group[0].0 .0;
             let docs: Vec<(Doc, Weight)> = group.iter().map(|&((_, d), w)| (d, w)).collect();
-            (term, PostingList::from_sorted_distinct(&docs))
+            (term, PostingList::from_sorted_distinct(docs))
         });
         InvertedIndex {
-            terms: TermMap::from_sorted_distinct(&term_lists),
+            terms: TermMap::from_sorted_distinct(term_lists),
         }
     }
 

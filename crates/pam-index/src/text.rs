@@ -37,10 +37,10 @@ impl TextIndex {
         parlay::par_sort_by(&mut vocab, |a, b| a.cmp(b));
         vocab.dedup();
         let dict: OrdMap<String, Term> = OrdMap::from_sorted_distinct(
-            &vocab
-                .iter()
+            vocab
+                .into_iter()
                 .enumerate()
-                .map(|(i, w)| (w.clone(), i as Term))
+                .map(|(i, w)| (w, i as Term))
                 .collect::<Vec<_>>(),
         );
         // (term, doc, count) triples; InvertedIndex::build keeps the max

@@ -59,6 +59,12 @@ impl AugSpec for OuterSpec {
         // persistent union: neither input is modified (O(1) root clones)
         a.clone().union_with(b.clone(), |x, y| x + y)
     }
+    fn fold_block<'a>(items: impl Iterator<Item = (&'a (Coord, Coord), &'a Weight)>) -> InnerMap {
+        // a leaf's inner map in one bulk build (a block holds distinct
+        // points, so re-keyed by (y, x) they stay distinct), not one
+        // union per entry
+        AugMap::build(items.map(|(&(x, y), &w)| ((y, x), w)).collect())
+    }
 }
 
 /// A static-build, persistent 2D range tree.
@@ -266,6 +272,27 @@ mod tests {
             assert_eq!(t.query_count(xl, xr, yl, yr), want.len());
             assert_eq!(t.query_points(xl, xr, yl, yr), want);
         }
+    }
+
+    #[test]
+    fn fold_block_equals_the_pairwise_fold_of_base() {
+        // a leaf-sized run in (x, y) order, whose (y, x) order differs
+        let run: Vec<((Coord, Coord), Weight)> = (0..127u32)
+            .map(|i| ((i / 3, (i * 37) % 101), u64::from(i) + 1))
+            .collect();
+        for len in [1, 2, 64, run.len()] {
+            let items = run[..len].iter().map(|(k, w)| (k, w));
+            let bulk = OuterSpec::fold_block(items);
+            // the trait's default: `combine` folded over the bases
+            let want = run[..len]
+                .iter()
+                .map(|(k, w)| OuterSpec::base(k, w))
+                .reduce(|a, b| OuterSpec::combine(&a, &b))
+                .expect("a non-empty run");
+            assert_eq!(bulk.to_vec(), want.to_vec(), "{len} entries");
+            bulk.check_invariants().unwrap();
+        }
+        assert!(OuterSpec::fold_block(std::iter::empty()).is_empty());
     }
 
     #[test]

@@ -35,9 +35,10 @@
 //!
 //! Recovery ([`crate::Store::open`]) loads the newest complete checkpoint
 //! whose N files all validate — the files in parallel, each chunk with
-//! the O(n)-work `AugMap::from_sorted_distinct` once its keys are checked
-//! to ascend (a file whose keys do not is refused like one that fails its
-//! CRC) — unions the N disjoint ranges into one map, then replays the log
+//! the O(n)-work `AugMap::from_sorted_distinct`, which moves the decoded
+//! entries into the tree, once its keys are checked to ascend (a file
+//! whose keys do not is refused like one that fails its CRC) — unions
+//! the N disjoint ranges into one map, then replays the log
 //! once from E on through the same one-walk `op::apply` the committer
 //! uses. It never mixes files of two epochs: ranges are cut by rank, so
 //! two epochs' cuts differ, and a key no write touched in between can sit
@@ -393,41 +394,6 @@ struct StopSignal {
     cv: Condvar,
 }
 
-/// What a directory without a `MANIFEST` holds that only a store could
-/// have written, if anything: `shard-<i>` subdirectories or top-level
-/// `wal-*.seg` files (a store whose manifest was lost), or top-level
-/// `ckpt-*.ckpt` files (the retired single-directory layout). Either way
-/// there is acknowledged data here and no manifest saying how it is laid
-/// out.
-fn unmanifested_data(dir: &Path) -> io::Result<Option<&'static str>> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let is_dir = entry.file_type()?.is_dir();
-        if is_dir
-            && name
-                .strip_prefix("shard-")
-                .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
-        {
-            return Ok(Some("shard directories but no manifest"));
-        }
-        if !is_dir && name.starts_with("wal-") && name.ends_with(".seg") {
-            return Ok(Some(
-                "WAL segments but no manifest (a store whose manifest was lost, or \
-                 the retired single-directory layout)",
-            ));
-        }
-        if !is_dir && name.starts_with("ckpt-") && name.ends_with(".ckpt") {
-            return Ok(Some(
-                "checkpoints at its top level (the retired single-directory layout, \
-                 which this version cannot open)",
-            ));
-        }
-    }
-    Ok(None)
-}
-
 /// The WAL records must be a contiguous run starting at or before
 /// `from + 1`, the loaded checkpoint's epoch plus one.
 ///
@@ -486,7 +452,6 @@ where
     // one writer per directory: a second open (double-started
     // service) must fail fast, not interleave WAL frames
     let lock = DirLock::acquire(dir)?;
-    manifest::clean_temp_file(dir)?;
     match manifest::load(dir)? {
         Some(m) if m.shards == shards as u64 => {}
         Some(m) => {
@@ -504,7 +469,7 @@ where
         // is data we would be guessing the layout of — or silently
         // shadowing with an empty store
         None => {
-            if let Some(found) = unmanifested_data(dir)? {
+            if let Some(found) = manifest::unmanifested_data(dir)? {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
@@ -517,18 +482,22 @@ where
         }
     }
 
+    // what a publish cut short by a crash left: `MANIFEST.tmp` here, a
+    // checkpoint file's `.tmp` in each shard directory
+    pam_wal::clean_temp_files(dir)?;
     for i in 0..shards {
         let shard_dir = manifest::shard_dir(dir, i);
         std::fs::create_dir_all(&shard_dir)?;
-        checkpoint::clean_temp_files(&shard_dir)?;
+        pam_wal::clean_temp_files(&shard_dir)?;
     }
 
     // 1. the newest complete checkpoint whose N files all validate, the
     //    files in parallel: each streams into its own map chunk by chunk
-    //    — a chunk bulk-loads with the O(chunk) `from_sorted_distinct`
-    //    and unions onto the accumulated map's right edge, once one pass
-    //    has checked that its keys ascend past that edge — so peak memory
-    //    is one chunk per file, never a whole file
+    //    — a decoded chunk is moved into the O(chunk) `from_sorted_distinct`
+    //    (each entry once, none copied) and unions onto the accumulated
+    //    map's right edge, once one pass has checked that its keys ascend
+    //    past that edge — so peak memory is one chunk per file, never a
+    //    whole file
     let mut loaded = None;
     for epoch in complete_epochs(dir, shards)? {
         let files = parlay::tabulate(shards, |i| {
@@ -556,7 +525,7 @@ where
                             ),
                         ));
                     }
-                    let right = AugMap::from_sorted_distinct(&chunk);
+                    let right = AugMap::from_sorted_distinct(chunk);
                     *m = std::mem::take(m).union(right);
                     Ok(())
                 },

@@ -7,10 +7,12 @@
 //! (`parlay::combine_duplicates_by` — last-write-wins), and split the
 //! survivors into a list of puts and a list of deletes — the two lists a
 //! WAL record holds. They have disjoint key sets, so `apply` merges them
-//! back into one sorted stream and applies it in one `multi_update`. The
-//! sort and the dedup move the operations; the only copies are
-//! last-write-wins' clone of the later operation, once per operation a
-//! later one overwrites.
+//! back into one sorted stream and applies it in one `multi_update`.
+//! Nothing on this path copies a key or a value: the sort and the dedup
+//! move the operations (last-write-wins keeps the later operation and
+//! drops the earlier), `apply` moves them into the merged stream, and
+//! `multi_update` moves each into the tree's entry, or drops it where a
+//! key is already present or deleted.
 
 use pam::{AugMap, AugSpec};
 
@@ -93,7 +95,7 @@ pub fn normalize<S: AugSpec>(mut ops: Vec<(u64, WriteOp<S>)>) -> NormalizedBatch
     let survivors = parlay::combine_duplicates_by(
         ops,
         |a, b| S::compare(a.1.key(), b.1.key()).is_eq(),
-        |_earlier, later| later.clone(),
+        |_earlier, later| later,
     );
     let mut puts = Vec::with_capacity(survivors.len());
     let mut deletes = Vec::new();
@@ -111,9 +113,10 @@ pub fn normalize<S: AugSpec>(mut ops: Vec<(u64, WriteOp<S>)>) -> NormalizedBatch
 }
 
 /// Apply one normalized epoch (`puts` and `deletes` sorted, distinct,
-/// disjoint) to `map` in one walk of the tree: a linear merge makes the
-/// two lists one sorted stream for `multi_update`. The committer and
-/// recovery's replay both apply through here.
+/// disjoint) to `map` in one walk of the tree: a linear merge moves the
+/// two lists into one sorted stream for `multi_update`, which moves each
+/// key and value into the tree. The committer and recovery's replay
+/// both apply through here.
 pub(crate) fn apply<S: AugSpec>(map: &mut AugMap<S>, puts: Vec<(S::K, S::V)>, deletes: Vec<S::K>) {
     let mut batch = Vec::with_capacity(puts.len() + deletes.len());
     let mut deletes = deletes.into_iter().peekable();
@@ -242,6 +245,72 @@ mod tests {
             assert_eq!(b.puts, puts, "{threads} threads");
             assert_eq!(b.deletes, deletes, "{threads} threads");
             assert_eq!(b.raw_ops, OPS as usize);
+        }
+    }
+
+    static CLONES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// A key or value that owns a buffer, as `Bytes` and `Vec<u8>` do,
+    /// and counts its clones.
+    #[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+    struct Counted(Box<u64>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Counted(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn an_epoch_is_normalized_and_applied_without_a_clone() {
+        type C = pam::NoAug<Counted, Counted>;
+        let c = |n: u64| Counted(Box::new(n));
+        const OPS: u64 = 16_384;
+        // ~4k keys, each written several times; a fifth of the ops deletes
+        let ops = || -> Vec<(u64, WriteOp<C>)> {
+            (0..OPS)
+                .map(|seq| {
+                    let k = (seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 50) % 4096;
+                    match seq % 5 {
+                        0 => (seq, WriteOp::Delete(c(k))),
+                        _ => (seq, WriteOp::Put(c(k), c(seq))),
+                    }
+                })
+                .collect()
+        };
+        for threads in [1, 2, 3] {
+            // an unshared map holding half the keys the epoch touches
+            let mut map = AugMap::<C>::from_sorted_distinct(
+                (0..4096u64)
+                    .step_by(2)
+                    .map(|k| (c(k), c(0)))
+                    .collect::<Vec<_>>(),
+            );
+            let before = CLONES.load(std::sync::atomic::Ordering::Relaxed);
+            parlay::with_threads(threads, || {
+                let epoch = normalize::<C>(ops());
+                apply(&mut map, epoch.puts, epoch.deletes);
+            });
+            let clones = CLONES.load(std::sync::atomic::Ordering::Relaxed) - before;
+            assert_eq!(clones, 0, "{threads} threads");
+            // last write wins per key, over the map's old values
+            let mut want = std::collections::BTreeMap::new();
+            want.extend((0..4096u64).step_by(2).map(|k| (k, 0)));
+            for seq in 0..OPS {
+                let k = (seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 50) % 4096;
+                match seq % 5 {
+                    0 => want.remove(&k),
+                    _ => want.insert(k, seq),
+                };
+            }
+            let mut got = Vec::with_capacity(map.len());
+            map.for_each(|k, v| got.push((*k.0, *v.0)));
+            assert_eq!(
+                got,
+                want.into_iter().collect::<Vec<_>>(),
+                "{threads} threads"
+            );
         }
     }
 

@@ -38,7 +38,7 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"PAMCKPT1";
 const CHUNK_ENTRIES: u64 = 4096;
 
 /// Checkpoint files, named for the epoch each holds.
-const CHECKPOINTS: Numbered = Numbered {
+pub(crate) const CHECKPOINTS: Numbered = Numbered {
     prefix: "ckpt",
     ext: "ckpt",
 };
@@ -238,25 +238,6 @@ pub fn load_at<K: Codec, V: Codec, M>(
         return Err(bad("entry count mismatch"));
     }
     Ok((total, acc))
-}
-
-/// Remove leftover `.tmp` files from a checkpoint interrupted by a crash.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the directory walk or removals (a
-/// missing directory is fine: there is nothing to clean).
-pub fn clean_temp_files(dir: &Path) -> io::Result<()> {
-    if !dir.exists() {
-        return Ok(());
-    }
-    for entry in fs::read_dir(dir)? {
-        let p = entry?.path();
-        if p.extension().is_some_and(|e| e == "tmp") {
-            fs::remove_file(p)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -480,7 +461,7 @@ mod tests {
         let dir = tmp_dir("tmpclean");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("ckpt-00000000000000000001.tmp"), b"junk").unwrap();
-        clean_temp_files(&dir).unwrap();
+        files::clean_temp_files(&dir).unwrap();
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,6 +1,7 @@
 //! The file steps of the log, the checkpoints and the manifest, each
-//! written once: the directory fsync, the numbered file names, and the
-//! publish of a whole file by rename.
+//! written once: the directory fsync, the numbered file names, the
+//! publish of a whole file by rename, and the cleanup of what an
+//! interrupted publish leaves behind.
 //!
 //! Log segments and checkpoint files are named for an epoch,
 //! `<prefix>-<epoch:020>.<ext>`, so a name sorts as its number does and
@@ -83,4 +84,28 @@ pub(crate) fn publish<T>(
     fs::rename(&tmp, path)?;
     sync_dir(dir)?;
     Ok(out)
+}
+
+/// Remove every `.tmp` file in `dir`: what a publish (a `.tmp` sibling,
+/// fsynced, then renamed over its file) interrupted by a crash leaves
+/// beside the file it was writing — `MANIFEST.tmp` at a store's top
+/// level, `ckpt-<E>.tmp` in a checkpoint directory. A missing directory
+/// has none.
+///
+/// # Errors
+///
+/// Propagates filesystem errors from the listing or a removal.
+pub fn clean_temp_files(dir: &Path) -> io::Result<()> {
+    let entries = match fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    for entry in entries {
+        let p = entry?.path();
+        if p.extension().is_some_and(|e| e == "tmp") {
+            fs::remove_file(p)?;
+        }
+    }
+    Ok(())
 }

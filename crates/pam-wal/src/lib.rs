@@ -34,7 +34,8 @@
 //! and a run built in place is a [`frame::RunFrame`]. Each file step is
 //! written once too: the log, the checkpoints and the manifest share one
 //! private module for the directory fsync, the numbered file names and
-//! the tmp → fsync → rename publish. The crate is deliberately free of
+//! the tmp → fsync → rename publish, whose leftovers
+//! [`clean_temp_files`] removes at open. The crate is deliberately free of
 //! any tree-library dependency: it moves bytes, not maps. `pam-store`'s
 //! `Store::open` does the wiring.
 
@@ -50,6 +51,7 @@ pub mod record;
 pub mod wal;
 
 pub use codec::{put_varint, varint_len, Codec, CodecError, Reader};
+pub use files::clean_temp_files;
 pub use lock::DirLock;
 pub use manifest::Manifest;
 pub use record::EpochBody;

@@ -20,9 +20,11 @@
 //! each, with a global-epoch watermark and discard list) and format 3
 //! (checkpoint files partitioned by a key hash, not by key range).
 
+use crate::checkpoint::CHECKPOINTS;
 use crate::codec::{put_varint, Reader};
 use crate::files;
 use crate::frame::{self, Frame};
+use crate::wal::SEGMENTS;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -48,6 +50,44 @@ fn manifest_path(dir: &Path) -> PathBuf {
 /// key range.
 pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}"))
+}
+
+/// What store data `dir` holds that only a manifest could say the layout
+/// of — for a directory with no manifest, where creating a store would
+/// guess it, or shadow acknowledged data with an empty map: `shard-<i>`
+/// directories, log segments (a store whose manifest was lost, or the
+/// retired single-directory layout), or checkpoints at the top level
+/// (that retired layout). `None` when there is none; a file no store
+/// writes is not data.
+///
+/// # Errors
+///
+/// Propagates filesystem errors from the listing.
+pub fn unmanifested_data(dir: &Path) -> io::Result<Option<&'static str>> {
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let is_shard = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("shard-"))
+            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()));
+        if is_shard && entry.file_type()?.is_dir() {
+            return Ok(Some("shard directories but no manifest"));
+        }
+    }
+    if !SEGMENTS.list(dir)?.is_empty() {
+        return Ok(Some(
+            "WAL segments but no manifest (a store whose manifest was lost, or \
+             the retired single-directory layout)",
+        ));
+    }
+    if !CHECKPOINTS.list(dir)?.is_empty() {
+        return Ok(Some(
+            "checkpoints at its top level (the retired single-directory layout, \
+             which this version cannot open)",
+        ));
+    }
+    Ok(None)
 }
 
 /// Atomically write the manifest pinning `shards`, once, when the store
@@ -109,19 +149,6 @@ pub fn load(dir: &Path) -> io::Result<Option<Manifest>> {
         return Err(bad("zero shards"));
     }
     Ok(Some(Manifest { shards }))
-}
-
-/// Remove a leftover `MANIFEST.tmp` from a crash mid-write.
-///
-/// # Errors
-///
-/// Propagates filesystem errors other than the file being absent.
-pub fn clean_temp_file(dir: &Path) -> io::Result<()> {
-    match fs::remove_file(manifest_path(dir).with_extension("tmp")) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]
@@ -213,9 +240,9 @@ mod tests {
         let dir = tmp_dir("tmpclean");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("MANIFEST.tmp"), b"junk").unwrap();
-        clean_temp_file(&dir).unwrap();
+        files::clean_temp_files(&dir).unwrap();
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
-        clean_temp_file(&dir).unwrap(); // idempotent
+        files::clean_temp_files(&dir).unwrap(); // idempotent
         fs::remove_dir_all(&dir).unwrap();
     }
 

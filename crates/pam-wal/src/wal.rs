@@ -156,7 +156,7 @@ pub struct Wal {
 }
 
 /// Segment files, named for the first epoch each holds.
-const SEGMENTS: Numbered = Numbered {
+pub(crate) const SEGMENTS: Numbered = Numbered {
     prefix: "wal",
     ext: "seg",
 };

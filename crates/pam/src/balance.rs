@@ -72,6 +72,7 @@
 
 use crate::node::{expose, flatten_into, size, EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
+use parlay::{granularity, par2_if, OwnedSlice};
 use std::sync::Arc;
 
 /// The tree's one remaining compile-time parameter: how a leaf block's
@@ -323,22 +324,43 @@ fn pack_block<S: AugSpec, B: Balance>(mut entries: Vec<EntryOwned<S>>) -> Arc<No
 
 /// Build a tree from sorted, strictly-increasing entries by packing full
 /// blocks bottom-up (median recursion, so every leaf lands in
-/// `cap/2 ..= cap`). The bulk-load primitive behind
-/// `from_sorted_distinct` and the leaf fast paths of `multi_insert`.
+/// `cap/2 ..= cap`). Every re-pack of a merged or filtered block builds
+/// through it: the leaf merges under `update_sorted` (which can hand it a
+/// whole batch slice) and the set operations, the filters' leaf paths,
+/// and the double rotation's fallback.
 pub(crate) fn from_sorted_entries<S: AugSpec, B: Balance>(
     mut entries: Vec<EntryOwned<S>>,
 ) -> Tree<S, B> {
-    if entries.is_empty() {
-        return None;
+    if at_most_two_blocks::<S, B>(entries.len()) {
+        // the Vec as it is: one block, or the left one of two
+        return (!entries.is_empty()).then(|| pack_block::<S, B>(entries));
     }
-    if entries.len() <= leaf_cap::<S, B>().max(1) {
-        return Some(Node::make_leaf(entries));
+    build_blocks::<S, B>(OwnedSlice::new(&mut entries))
+}
+
+/// Do `n` entries make one block, or two around their median? Then
+/// [`pack_block`] builds them as the median recursion would, without
+/// building two leaves only for `join_blocked` to flatten and re-pack.
+fn at_most_two_blocks<S: AugSpec, B: Balance>(n: usize) -> bool {
+    let cap = leaf_cap::<S, B>();
+    n <= cap.max(1) || (cap >= 2 && n <= 2 * cap + 1)
+}
+
+/// [`from_sorted_entries`] over an owned view: split by index at the
+/// median, each entry moved once into its leaf or its pivot, the halves
+/// forked as the batch recursion's median split forks them.
+fn build_blocks<S: AugSpec, B: Balance>(entries: OwnedSlice<'_, EntryOwned<S>>) -> Tree<S, B> {
+    let n = entries.len();
+    if at_most_two_blocks::<S, B>(n) {
+        return (n > 0).then(|| pack_block::<S, B>(entries.into_vec()));
     }
-    let mid = entries.len() / 2;
-    let mut right = entries.split_off(mid);
-    let pivot = right.remove(0);
-    let l = from_sorted_entries::<S, B>(entries);
-    let r = from_sorted_entries::<S, B>(right);
+    let (left, mut right) = entries.split_at(n / 2);
+    let pivot = right.next().expect("the right half holds the median");
+    let (l, r) = par2_if(
+        n > granularity(),
+        move || build_blocks::<S, B>(left),
+        move || build_blocks::<S, B>(right),
+    );
     Some(join_blocked(l, pivot, r))
 }
 

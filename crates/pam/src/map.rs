@@ -9,6 +9,7 @@ use crate::iter::Iter;
 use crate::node::{self, Tree};
 use crate::ops;
 use crate::spec::AugSpec;
+use std::borrow::Cow;
 
 /// A parallel, persistent, augmented ordered map with specification `S`
 /// and leaf-block capacity `B` (default: [`WeightBalanced`], blocks of 128
@@ -57,7 +58,9 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// wins (like repeated insertion): the sort under it is stable, so
     /// "last" means last in `items`.
     pub fn build(items: Vec<(S::K, S::V)>) -> Self {
-        Self::build_with(items, |_old, new| new.clone())
+        AugMap {
+            root: ops::build::<S, B, _>(items, &|_old, new| new),
+        }
     }
 
     /// Build from unsorted pairs, merging duplicate-key values
@@ -81,13 +84,14 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
         combine: impl Fn(&S::V, &S::V) -> S::V + Sync,
     ) -> Self {
         AugMap {
-            root: ops::build::<S, B, _>(items, &combine),
+            root: ops::build::<S, B, _>(items, &|a, b| combine(&a, &b)),
         }
     }
 
-    /// Build from a slice already sorted by key with distinct keys
-    /// (O(n) work, O(log n) span).
-    pub fn from_sorted_distinct(items: &[(S::K, S::V)]) -> Self {
+    /// Build from pairs already sorted by key with distinct keys (O(n)
+    /// work, O(log n) span). An owned `Vec` is moved into the map, each
+    /// entry once; a borrowed slice (`&v`) is cloned once first.
+    pub fn from_sorted_distinct<'a>(items: impl Into<Cow<'a, [(S::K, S::V)]>>) -> Self {
         AugMap {
             root: ops::from_sorted_distinct::<S, B>(items),
         }
@@ -154,7 +158,8 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
 
     /// Insert, replacing any existing value. O(log n).
     pub fn insert(&mut self, key: S::K, val: S::V) {
-        self.insert_with(key, val, |_old, new| new.clone());
+        let root = self.root.take();
+        self.root = ops::insert::<S, B, _>(root, key, val, &|_old, new| new);
     }
 
     /// Insert; when the key exists the stored value becomes
@@ -166,7 +171,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
         combine: impl Fn(&S::V, &S::V) -> S::V + Sync,
     ) {
         let root = self.root.take();
-        self.root = ops::insert::<S, B, _>(root, key, val, &combine);
+        self.root = ops::insert::<S, B, _>(root, key, val, &|old, new| combine(&old, &new));
     }
 
     /// Remove the entry at `key` (no-op if absent). O(log n).
@@ -232,7 +237,8 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
 
     /// Bulk-insert, replacing existing values.
     pub fn multi_insert(&mut self, batch: Vec<(S::K, S::V)>) {
-        self.multi_insert_with(batch, |_old, new| new.clone());
+        let root = self.root.take();
+        self.root = ops::multi_insert::<S, B, _>(root, batch, &|_old, new| new);
     }
 
     /// Bulk-insert with `combine(old, new)` on existing keys.
@@ -242,7 +248,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
         combine: impl Fn(&S::V, &S::V) -> S::V + Sync,
     ) {
         let root = self.root.take();
-        self.root = ops::multi_insert::<S, B, _>(root, batch, &combine);
+        self.root = ops::multi_insert::<S, B, _>(root, batch, &|old, new| combine(&old, &new));
     }
 
     /// Bulk-delete a set of keys.

@@ -63,7 +63,11 @@ impl<S: AugSpec> Fold<S> for Monoid {
 }
 
 /// A projection of the monoid: `g'` applied to each canonical subtree's
-/// value (and to each entry's `g(k, v)`), reduced with `f'`.
+/// value (and to each entry's `g(k, v)`), reduced with `f'`. A boundary
+/// run of a leaf is one canonical piece, `g'(fold_block(run))`: the
+/// contract `f'(g'(a), g'(b)) = g'(f(a, b))` makes it the `f'`-fold of
+/// its entries, and a spec whose `g` is costly (a range tree's inner
+/// map) builds the run's value in one call.
 struct Project<'a, G, F2> {
     g: &'a G,
     f: &'a F2,
@@ -84,6 +88,9 @@ where
     }
     fn combine(&self, a: T, b: T) -> T {
         (self.f)(a, b)
+    }
+    fn block(&self, es: &[EntryOwned<S>]) -> T {
+        (self.g)(&S::fold_block(es.iter().map(|e| (&e.key, &e.val))))
     }
 }
 

@@ -14,12 +14,20 @@
 //! the point updates of [`mod@crate::ops::insert`] with a one-element
 //! batch, and `from_sorted_distinct` on an empty tree, where the
 //! recursion is the median-split build.
+//!
+//! The recursion owns its batch (a [`parlay::OwnedSlice`] over the
+//! caller's sorted `Vec`), so the paper's reuse rule holds for the batch
+//! as it does for the tree: each batch key and value is moved once —
+//! into a leaf entry or a pivot, or into `resolve` — or dropped, and
+//! none is cloned. The sort and the dedup in front of it move too, and
+//! the internal `combine`s and `resolve`s take their values by value.
 
 use crate::balance::{from_sorted_entries, join_tree, leaf_cap, Balance};
 use crate::node::{expose, size, take_leaf_entries, EntryOwned, Tree};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
-use parlay::{granularity, par2_if};
+use parlay::{granularity, par2_if, OwnedSlice};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Construct a map from an unsorted sequence of key-value pairs. Values of
@@ -29,10 +37,10 @@ pub fn build<S, B, F>(items: Vec<(S::K, S::V)>, combine: &F) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
-    F: Fn(&S::V, &S::V) -> S::V + Sync,
+    F: Fn(S::V, S::V) -> S::V + Sync,
 {
-    from_sorted_distinct::<S, B>(&sorted_distinct::<S, _>(items, |a, b| {
-        (a.0.clone(), combine(&a.1, &b.1))
+    from_sorted_distinct::<S, B>(sorted_distinct::<S, _>(items, |a, b| {
+        (a.0, combine(a.1, b.1))
     }))
 }
 
@@ -44,7 +52,7 @@ where
 /// O(1).
 fn sorted_distinct<S, X>(
     mut items: Vec<(S::K, X)>,
-    combine: impl Fn(&(S::K, X), &(S::K, X)) -> (S::K, X) + Sync,
+    combine: impl Fn((S::K, X), (S::K, X)) -> (S::K, X) + Sync,
 ) -> Vec<(S::K, X)>
 where
     S: AugSpec,
@@ -57,15 +65,18 @@ where
     parlay::combine_duplicates_by(items, |a, b| S::compare(&a.0, &b.0).is_eq(), combine)
 }
 
-/// Construct a map from a slice already sorted by key with distinct keys.
-/// Work O(n) joins (each O(1) amortized on balanced halves), span O(log n).
-pub fn from_sorted_distinct<S, B>(items: &[(S::K, S::V)]) -> Tree<S, B>
+/// Construct a map from pairs already sorted by key with distinct keys.
+/// An owned `Vec` is moved into the tree; a borrowed slice is cloned
+/// once first. Work O(n) joins (each O(1) amortized on balanced halves),
+/// span O(log n).
+pub fn from_sorted_distinct<'a, S, B>(items: impl Into<Cow<'a, [(S::K, S::V)]>>) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
 {
-    debug_assert!(strictly_increasing(items, |a, b| S::compare(&a.0, &b.0)));
-    update_sorted(None, items, &|_, x| Some(x.1.clone()))
+    let mut items = items.into().into_owned();
+    debug_assert!(strictly_increasing(&items, |a, b| S::compare(&a.0, &b.0)));
+    update_sorted(None, OwnedSlice::new(&mut items), &|_, v| Some(v))
 }
 
 /// Fewest batch keys either side of a partition must carry before a
@@ -92,6 +103,16 @@ fn strictly_increasing<T>(items: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> bool
         .all(|w| cmp(&w[0], &w[1]) == Ordering::Less)
 }
 
+/// `combine(old, new)` where a key holds a value, `new` where it holds
+/// none: the `resolve` of every insert.
+#[inline]
+pub(crate) fn upsert<V>(old: Option<V>, new: V, combine: impl Fn(V, V) -> V) -> Option<V> {
+    Some(match old {
+        Some(old) => combine(old, new),
+        None => new,
+    })
+}
+
 /// Insert a whole batch. Existing values are merged with
 /// `combine(old, new)`; duplicate keys within the batch are merged
 /// left-to-right first.
@@ -99,11 +120,11 @@ pub fn multi_insert<S, B, F>(t: Tree<S, B>, batch: Vec<(S::K, S::V)>, combine: &
 where
     S: AugSpec,
     B: Balance,
-    F: Fn(&S::V, &S::V) -> S::V + Sync,
+    F: Fn(S::V, S::V) -> S::V + Sync,
 {
-    let batch = sorted_distinct::<S, _>(batch, |a, b| (a.0.clone(), combine(&a.1, &b.1)));
-    update_sorted(t, &batch, &|old, x| {
-        Some(old.map_or_else(|| x.1.clone(), |old| combine(old, &x.1)))
+    let mut batch = sorted_distinct::<S, _>(batch, |a, b| (a.0, combine(a.1, b.1)));
+    update_sorted(t, OwnedSlice::new(&mut batch), &|old, new| {
+        upsert(old, new, combine)
     })
 }
 
@@ -114,8 +135,8 @@ where
     B: Balance,
 {
     let keys: Vec<(S::K, ())> = keys.into_iter().map(|k| (k, ())).collect();
-    let keys = sorted_distinct::<S, _>(keys, |a, _| (a.0.clone(), ()));
-    update_sorted(t, &keys, &|_, _| None)
+    let mut keys = sorted_distinct::<S, _>(keys, |a, _| a);
+    update_sorted(t, OwnedSlice::new(&mut keys), &|_, ()| None)
 }
 
 /// Apply a batch of puts (`Some`) and deletes (`None`) in one walk. A key
@@ -125,24 +146,26 @@ where
     S: AugSpec,
     B: Balance,
 {
-    let batch = sorted_distinct::<S, _>(batch, |_, later| later.clone());
-    update_sorted(t, &batch, &|_, x| x.1.clone())
+    let mut batch = sorted_distinct::<S, _>(batch, |_, later| later);
+    update_sorted(t, OwnedSlice::new(&mut batch), &|_, x| x)
 }
 
 /// Apply `batch` — sorted by key, distinct — to `t`. Each batch key's
-/// new value is `resolve(old, item)`, where `old` is its value in `t`
-/// if any; `None` leaves the key out of the result. Keys of `t` outside
-/// the batch are kept as they are.
+/// new value is `resolve(old, x)`, where `old` is its value in `t` if
+/// any and `x` the batch item's payload, both by value; `None` leaves
+/// the key out of the result. Keys of `t` outside the batch are kept as
+/// they are. A batch key is moved into the entry it creates, or dropped
+/// where the tree's key stays.
 pub(crate) fn update_sorted<S, B, X, R>(
     t: Tree<S, B>,
-    batch: &[(S::K, X)],
+    batch: OwnedSlice<'_, (S::K, X)>,
     resolve: &R,
 ) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
-    X: Sync,
-    R: Fn(Option<&S::V>, &(S::K, X)) -> Option<S::V> + Sync,
+    X: Send,
+    R: Fn(Option<S::V>, X) -> Option<S::V> + Sync,
 {
     if batch.is_empty() {
         return t;
@@ -160,20 +183,22 @@ where
         }
         Some(n) => {
             let (l, e, r) = expose(n);
-            let lo = batch.partition_point(|x| S::compare(&x.0, &e.key).is_lt());
-            let found = lo < batch.len() && S::compare(&batch[lo].0, &e.key).is_eq();
+            let items = batch.as_slice();
+            let lo = items.partition_point(|x| S::compare(&x.0, &e.key).is_lt());
+            let found = lo < items.len() && S::compare(&items[lo].0, &e.key).is_eq();
             (l, Some(e), r, lo, lo + usize::from(found))
         }
     };
-    let (bl, br) = (&batch[..lo], &batch[hi..]);
+    let (bl, mut br) = batch.split_at(lo);
+    let x = if hi > lo { br.next() } else { None };
     let (l2, r2) = par2_if(
         worth_forking(work, bl.len(), br.len()),
         move || update_sorted::<S, B, X, R>(l, bl, resolve),
         move || update_sorted::<S, B, X, R>(r, br, resolve),
     );
-    let mid = match root {
-        Some(e) if lo == hi => Some(e),
-        root => resolved(root, &batch[lo], resolve),
+    let mid = match x {
+        Some(x) => resolved(root, x, resolve),
+        None => root,
     };
     match mid {
         Some(e) => join_tree(l2, e, r2),
@@ -182,22 +207,16 @@ where
 }
 
 /// The entry `resolve` leaves at `x`'s key, given the entry there, if
-/// any.
-fn resolved<S, X, R>(
-    old: Option<EntryOwned<S>>,
-    x: &(S::K, X),
-    resolve: &R,
-) -> Option<EntryOwned<S>>
+/// any: the tree's key stays, or `x`'s key moves in.
+fn resolved<S, X, R>(old: Option<EntryOwned<S>>, x: (S::K, X), resolve: &R) -> Option<EntryOwned<S>>
 where
     S: AugSpec,
-    R: Fn(Option<&S::V>, &(S::K, X)) -> Option<S::V>,
+    R: Fn(Option<S::V>, X) -> Option<S::V>,
 {
+    let (key, x) = x;
     match old {
-        Some(e) => resolve(Some(&e.val), x).map(|val| EntryOwned { key: e.key, val }),
-        None => resolve(None, x).map(|val| EntryOwned {
-            key: x.0.clone(),
-            val,
-        }),
+        Some(e) => resolve(Some(e.val), x).map(|val| EntryOwned { key: e.key, val }),
+        None => resolve(None, x).map(|val| EntryOwned { key, val }),
     }
 }
 
@@ -205,16 +224,16 @@ where
 /// block's entries, then a re-pack.
 fn merge_block<S, B, X, R>(
     entries: Vec<EntryOwned<S>>,
-    batch: &[(S::K, X)],
+    batch: OwnedSlice<'_, (S::K, X)>,
     resolve: &R,
 ) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
-    R: Fn(Option<&S::V>, &(S::K, X)) -> Option<S::V>,
+    R: Fn(Option<S::V>, X) -> Option<S::V>,
 {
     let mut out = Vec::with_capacity(entries.len() + batch.len());
-    let mut items = batch.iter().peekable();
+    let mut items = batch.peekable();
     for e in entries {
         while let Some(x) = items.next_if(|x| S::compare(&x.0, &e.key).is_lt()) {
             out.extend(resolved(None, x, resolve));

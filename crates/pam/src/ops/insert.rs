@@ -2,8 +2,9 @@
 //! on JOIN, and hence independent of the balancing scheme" (§4,
 //! Figure 2).
 //!
-//! Each is the batch recursion `update_sorted` on a one-element batch:
-//! the descent follows the key to one block, merges it there (an
+//! Each is the batch recursion `update_sorted` on a one-element batch
+//! held on the stack ([`parlay::OwnedSlice::one`], no allocation): the
+//! descent follows the key to one block, merges it there (an
 //! O(leaf_cap) edit), and re-joins the path, where the re-pack machinery
 //! in [`crate::balance`] restores the fill invariants (an overflowing
 //! block splits at its median; an underfull one merges into a neighbor).
@@ -11,20 +12,23 @@
 
 use crate::balance::Balance;
 use crate::node::Tree;
-use crate::ops::build::update_sorted;
+use crate::ops::build::{update_sorted, upsert};
 use crate::spec::AugSpec;
+use parlay::OwnedSlice;
+use std::mem::MaybeUninit;
 
 /// Insert `(k, v)`. If `k` is already present its value becomes
-/// `combine(old, new)` — the paper's extra argument `h` to INSERT.
-/// O(log n).
+/// `combine(old, new)` — the paper's extra argument `h` to INSERT. Both
+/// values are passed by value. O(log n).
 pub fn insert<S, B, F>(t: Tree<S, B>, k: S::K, v: S::V, combine: &F) -> Tree<S, B>
 where
     S: AugSpec,
     B: Balance,
-    F: Fn(&S::V, &S::V) -> S::V + Sync,
+    F: Fn(S::V, S::V) -> S::V + Sync,
 {
-    update_sorted(t, &[(k, v)], &|old, x| {
-        Some(old.map_or_else(|| x.1.clone(), |old| combine(old, &x.1)))
+    let mut slot = MaybeUninit::uninit();
+    update_sorted(t, OwnedSlice::one(&mut slot, (k, v)), &|old, new| {
+        upsert(old, new, combine)
     })
 }
 
@@ -37,12 +41,20 @@ where
     B: Balance,
     F: Fn(&S::V) -> Option<S::V> + Sync,
 {
-    update_sorted(t, &[(k.clone(), ())], &|old, _| old.and_then(f))
+    let mut slot = MaybeUninit::uninit();
+    update_sorted(
+        t,
+        OwnedSlice::one(&mut slot, (k.clone(), ())),
+        &|old, ()| old.and_then(|v| f(&v)),
+    )
 }
 
 /// Remove the entry at `k` (no-op if absent). O(log n).
 pub fn delete<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
-    update_sorted(t, &[(k.clone(), ())], &|_, _| None)
+    let mut slot = MaybeUninit::uninit();
+    update_sorted(t, OwnedSlice::one(&mut slot, (k.clone(), ())), &|_, ()| {
+        None
+    })
 }
 
 #[cfg(test)]

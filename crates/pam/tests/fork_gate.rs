@@ -15,7 +15,7 @@ const N: u64 = 200_000;
 
 #[test]
 fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
-    let base = M::from_sorted_distinct(&(0..N).map(|i| (i * 2, i)).collect::<Vec<_>>());
+    let base = M::from_sorted_distinct((0..N).map(|i| (i * 2, i)).collect::<Vec<_>>());
     let base_sum = base.aug_val();
 
     for m in [1u64, 3, 16] {
@@ -101,7 +101,7 @@ fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
     assert!(N as usize > parlay::granularity());
     let hot = N / 3;
     let sparse =
-        M::from_sorted_distinct(&(0..N).map(|i| (i, u64::from(i == hot))).collect::<Vec<_>>());
+        M::from_sorted_distinct((0..N).map(|i| (i, u64::from(i == hot))).collect::<Vec<_>>());
     let before = rayon::forks_spawned();
     let kept = sparse.aug_filter(|&sum| sum > 0);
     assert_eq!(
@@ -123,7 +123,7 @@ fn small_batches_stay_on_the_calling_thread_and_bulk_batches_fork() {
 
     // filter: 2^16 entries down to half forks; a 3-entry map does not
     let evens = 1u64 << 16;
-    let dense = M::from_sorted_distinct(&(0..evens).map(|i| (i, i)).collect::<Vec<_>>());
+    let dense = M::from_sorted_distinct((0..evens).map(|i| (i, i)).collect::<Vec<_>>());
     let tiny = M::from_sorted_distinct(&[(1, 1), (2, 2), (3, 3)]);
     let before = rayon::forks_spawned();
     let small = tiny.filter(|&k, _| k != 2);

@@ -6,15 +6,18 @@
 //! that group-combine step in parallel, moving every element exactly once.
 //!
 //! The input is cut into blocks of ⌈n / 4P⌉ elements, no fewer than the
-//! grain; one block (always the case at P = 1) is folded in place by
-//! `Vec::dedup_by`. Otherwise a group belongs to the block where it
-//! starts, and the block folds every group it owns, reading past its own
-//! end when its last group runs on. A first pass counts each block's
-//! groups, an exclusive prefix sum of the counts gives each block's offset
-//! in one output buffer, and a second pass moves each element out of the
-//! input once — a group's first element as the accumulator, the rest into
-//! `combine` — and each group's result into its slot. A singleton group is
-//! moved, not cloned. Work O(n), span O(n/B + B) for B blocks.
+//! grain; one block (always the case at P = 1) is folded in place, group
+//! `g` landing in slot `g` of the input's own buffer. Otherwise a group
+//! belongs to the block where it starts, and the block folds every group
+//! it owns, reading past its own end when its last group runs on. A first
+//! pass counts each block's groups, an exclusive prefix sum of the counts
+//! gives each block's offset in one output buffer, and a second pass
+//! finds each group by comparing neighbours, as the first did, then moves
+//! its elements out of the input once, by value, into `combine` — the
+//! first as the accumulator — and the result into its slot. A singleton
+//! group, and whatever `combine` passes through (last-write-wins returns
+//! its second argument), is moved, not cloned. Work O(n), span O(n/B + B)
+//! for B blocks.
 //!
 //! During the second pass the elements belong to the pass, not to the
 //! input `Vec` (its length is 0), and the output buffer holds
@@ -30,26 +33,28 @@ use std::ops::Range;
 
 /// Collapse runs of "same" elements in (sorted) `v`, combining each run
 /// left-to-right with `combine` (so `combine(combine(x0, x1), x2)` for a
-/// run of three). Order of surviving elements is preserved. No element is
-/// cloned; see the module docs for the algorithm and for what a panic
-/// leaves behind.
+/// run of three), each element passed by value. Order of surviving
+/// elements is preserved. No element is cloned; see the module docs for
+/// the algorithm and for what a panic leaves behind.
 pub fn combine_duplicates_by<T, S, C>(mut v: Vec<T>, same: S, combine: C) -> Vec<T>
 where
     T: Send + Sync,
     S: Fn(&T, &T) -> bool + Sync,
-    C: Fn(&T, &T) -> T + Sync,
+    C: Fn(T, T) -> T + Sync,
 {
     let n = v.len();
     let block = leaf_len(n).max(granularity());
     if n <= block {
-        // `dedup_by` hands over (next, kept): fold `next` into `kept`
-        v.dedup_by(|next, kept| {
-            let dup = same(kept, next);
-            if dup {
-                *kept = combine(kept, next);
-            }
-            dup
-        });
+        // SAFETY: from here the elements belong to the fold, which reads
+        // each once; an unwind drops none left in `v`'s buffer
+        unsafe { v.set_len(0) };
+        let base = v.as_mut_ptr();
+        // SAFETY: the `n` slots hold initialized elements no one else
+        // touches, and the fold writes group `g` to slot `g`, which it
+        // has read by then (a group starts at or after its own number)
+        let groups = unsafe { fold_groups(base, 0..n, base, n, &same, &combine) };
+        // SAFETY: the fold wrote the first `groups` slots
+        unsafe { v.set_len(groups) };
         return v;
     }
     let blocks = n.div_ceil(block);
@@ -81,15 +86,23 @@ where
     unsafe { v.set_len(0) };
     let src = Base(v.as_mut_ptr());
     let fill = |out: &mut [MaybeUninit<T>]| {
-        let dst = Base(out.as_mut_ptr());
+        let dst = Base(out.as_mut_ptr().cast::<T>());
         for_each(blocks, |b| {
             let count = found[b].1;
-            // SAFETY: this block's output range, disjoint from every other
-            // block's, within the `total` slots of `out`
-            let out = unsafe { std::slice::from_raw_parts_mut(dst.get().add(offsets[b]), count) };
             // SAFETY: `owned[b]` holds initialized elements no other block
-            // touches, and none is read again after this
-            let written = unsafe { fold_groups(src.get(), owned[b].clone(), out, &same, &combine) };
+            // touches, and none is read again after this; the block writes
+            // only its own output range, `count` slots from `offsets[b]`,
+            // disjoint from every other block's and within `out`
+            let written = unsafe {
+                fold_groups(
+                    src.get(),
+                    owned[b].clone(),
+                    dst.get().add(offsets[b]),
+                    count,
+                    &same,
+                    &combine,
+                )
+            };
             assert_eq!(
                 written, count,
                 "`same` answered differently on a second look"
@@ -117,44 +130,54 @@ impl<T> Base<T> {
 }
 
 /// Fold the groups in `src[range]` — the first starts at `range.start` —
-/// into consecutive slots of `out`, moving each element out of `src`
-/// once, and return how many groups there were. Panics if `out` is short.
+/// into consecutive slots from `dst`, moving each element out of `src`
+/// once, and return how many groups there were. Panics before writing
+/// past `slots` slots.
 ///
 /// # Safety
 ///
 /// The elements of `src[range]` must be initialized and touched by no one
-/// else; the caller must treat them as moved out once this returns or
-/// unwinds.
+/// else, and the caller must treat them as moved out once this returns or
+/// unwinds. The `slots` slots from `dst` must be writable and touched by
+/// no one else, except that `dst` may be `src.add(range.start)` itself:
+/// group `g` is written only after the elements up to its end are read.
 unsafe fn fold_groups<T, S, C>(
-    src: *const T,
+    src: *mut T,
     range: Range<usize>,
-    out: &mut [MaybeUninit<T>],
+    dst: *mut T,
+    slots: usize,
     same: &S,
     combine: &C,
 ) -> usize
 where
     S: Fn(&T, &T) -> bool,
-    C: Fn(&T, &T) -> T,
+    C: Fn(T, T) -> T,
 {
     let mut groups = 0;
     let mut i = range.start;
     while i < range.end {
+        // the group is `i..end`: neighbours compared, as the first pass
+        // did, before any of them moves
+        let mut end = i + 1;
+        // SAFETY: `end - 1` and `end` are in `range` and not read yet
+        while end < range.end && same(unsafe { &*src.add(end - 1) }, unsafe { &*src.add(end) }) {
+            end += 1;
+        }
         // SAFETY: `i` is in `range` and read only here
         let mut acc = unsafe { src.add(i).read() };
-        // the group's latest element once it has two: `same` compares
-        // neighbours, as the first pass did
-        let mut last: Option<T> = None;
-        i += 1;
-        // SAFETY: `i` is in `range` and not read yet
-        while i < range.end && same(last.as_ref().unwrap_or(&acc), unsafe { &*src.add(i) }) {
-            // SAFETY: `i` is in `range` and read only here
-            let x = unsafe { src.add(i).read() };
-            acc = combine(&acc, &x);
-            last = Some(x);
-            i += 1;
+        for j in i + 1..end {
+            // SAFETY: `j` is in `range` and read only here
+            acc = combine(acc, unsafe { src.add(j).read() });
         }
-        out[groups].write(acc);
+        assert!(
+            groups < slots,
+            "`same` answered differently on a second look"
+        );
+        // SAFETY: `groups < slots`, and the slot holds nothing to drop:
+        // it is uninitialized, or (in place) an element already read
+        unsafe { dst.add(groups).write(acc) };
         groups += 1;
+        i = end;
     }
     groups
 }
@@ -171,14 +194,10 @@ mod tests {
     /// Combine the *values* of equal keys.
     fn combine_duplicates<K, V>(v: Vec<(K, V)>, combine: impl Fn(&V, &V) -> V + Sync) -> Vec<(K, V)>
     where
-        K: PartialEq + Clone + Send + Sync,
-        V: Clone + Send + Sync,
+        K: PartialEq + Send + Sync,
+        V: Send + Sync,
     {
-        combine_duplicates_by(
-            v,
-            |a, b| a.0 == b.0,
-            |a, b| (a.0.clone(), combine(&a.1, &b.1)),
-        )
+        combine_duplicates_by(v, |a, b| a.0 == b.0, |a, b| (a.0, combine(&a.1, &b.1)))
     }
 
     #[test]
@@ -292,15 +311,24 @@ mod tests {
                 combine_duplicates_by(
                     tracked(n, &clones, &dropped),
                     |a, b| a.0 == b.0,
-                    |a, _| a.clone(),
+                    // last-write-wins: the later element passes through
+                    |_, later| later,
                 )
             });
-            // one clone per pair, none for the singletons
-            assert_eq!(clones.load(Relaxed), n as usize / 3, "{threads} threads");
+            // the fold takes its elements by value: nothing is cloned
+            assert_eq!(clones.load(Relaxed), 0, "{threads} threads");
             assert_eq!(survivors.len(), n as usize - n as usize / 3);
+            // each pair's earlier element was dropped in the fold, and
+            // the survivor is the later one
+            assert_eq!(dropped.lock().unwrap().len(), n as usize / 3);
+            let later = |t: &Tracked| match t.0 % 3 {
+                1 if t.0 + 1 < n => t.0 + 1,
+                _ => t.0,
+            };
+            assert!(survivors.iter().all(|t| t.1 == later(t)));
             drop(survivors);
-            // the originals and the clones, each dropped once
-            assert_eq!(dropped.lock().unwrap().len(), (n + n / 3) as usize);
+            // every original, each dropped once
+            assert_eq!(dropped.lock().unwrap().len(), n as usize);
         }
     }
 
@@ -332,7 +360,7 @@ mod tests {
                             },
                             |a, _| {
                                 boom(false);
-                                a.clone()
+                                a
                             },
                         )
                     })
@@ -342,7 +370,8 @@ mod tests {
                 };
                 assert_eq!(panic.downcast_ref::<String>(), Some(&format!("call {k}")));
                 // a second drop would have failed inside `Tracked::drop`
-                assert!(dropped.lock().unwrap().len() <= (n + n / 3) as usize);
+                assert_eq!(clones.load(Relaxed), 0);
+                assert!(dropped.lock().unwrap().len() <= n as usize);
             }
         }
     }

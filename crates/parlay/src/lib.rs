@@ -21,10 +21,12 @@
 //! alone. [`combine_duplicates_by`] folds each group of equal neighbours
 //! in two O(n)-work passes over blocks. Both **move** elements and never
 //! clone one (neither needs `T: Clone`): a sort moves each element once
-//! per merge level, bitwise, and the dedup moves each input element once.
-//! While they run the elements belong to raw buffers, so a comparator or
-//! combine that panics leaks elements, never drops one twice, and the
-//! panic reaches the caller.
+//! per merge level, bitwise, and the dedup moves each input element once,
+//! into the fold or out as a survivor. While they run the elements belong
+//! to raw buffers, so a comparator or combine that panics leaks elements,
+//! never drops one twice, and the panic reaches the caller.
+//! [`OwnedSlice`] hands a sorted batch on the same terms to a recursion
+//! that partitions it: disjoint owned parts, elements taken by value.
 //!
 //! The recursive algorithms run sequentially below a fixed granularity
 //! (see [`granularity`]), mirroring PAM's "granularity set so parallelism
@@ -33,12 +35,14 @@
 
 mod dedup;
 mod merge;
+mod owned;
 mod par;
 mod scan;
 mod sort;
 mod uninit;
 
 pub use dedup::combine_duplicates_by;
+pub use owned::OwnedSlice;
 pub use par::{for_each, granularity, par2_if, reduce, tabulate, with_threads};
 pub use scan::pack_index;
 pub use sort::par_sort_by;
