@@ -41,6 +41,7 @@
 use crate::balance::{leaf_cap, Balance};
 use crate::spec::AugSpec;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A persistent augmented tree: `None` is the empty map.
@@ -291,14 +292,40 @@ fn clone_out<S: AugSpec, B: Balance>(
 /// [`expose`]). Panics on an internal node — callers check `is_leaf`
 /// first. This is the entry point of the per-block fast paths in `ops`.
 pub(crate) fn take_leaf_entries<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> Vec<EntryOwned<S>> {
-    let n = match Arc::try_unwrap(n) {
-        Ok(Node::Leaf(l)) => return l.entries.into_vec(),
-        Ok(Node::Internal(_)) => unreachable!("take_leaf_entries on internal node"),
-        Err(shared) => shared,
-    };
-    match &*n {
-        Node::Leaf(l) => l.entries.to_vec(),
-        Node::Internal(_) => unreachable!("take_leaf_entries on internal node"),
+    let len = n.size_of();
+    take_leaf_run(n, 0..len)
+}
+
+/// The run `run` of a **leaf** node's entry block: moved out when the
+/// `Arc` is unique, and only the run cloned when it is shared.
+pub(crate) fn take_leaf_run<S: AugSpec, B: Balance>(
+    n: Arc<Node<S, B>>,
+    run: Range<usize>,
+) -> Vec<EntryOwned<S>> {
+    match Arc::try_unwrap(n) {
+        Ok(Node::Leaf(l)) => {
+            let mut es = l.entries.into_vec();
+            es.truncate(run.end);
+            es.drain(..run.start);
+            es
+        }
+        Ok(Node::Internal(_)) => unreachable!("take_leaf_run on internal node"),
+        Err(shared) => shared.as_leaf().expect("a leaf").entries[run].to_vec(),
+    }
+}
+
+/// One child of an **internal** node, the right one if `right`, the rest
+/// of the node dropped: moved out when the `Arc` is unique, an `Arc` bump
+/// when it is shared. A walk that passes a node by clones none of it.
+pub(crate) fn take_child<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>, right: bool) -> Tree<S, B> {
+    match Arc::try_unwrap(n) {
+        Ok(Node::Internal(x)) if right => x.right,
+        Ok(Node::Internal(x)) => x.left,
+        Ok(Node::Leaf(_)) => unreachable!("take_child on a leaf"),
+        Err(shared) => {
+            let (l, r) = shared.children().expect("an internal node");
+            if right { r } else { l }.clone()
+        }
     }
 }
 

@@ -3,26 +3,33 @@
 //! range sums in O(log n), filtered extraction in O(k log(n/k + 1)), and
 //! monoid projections of augmented values.
 //!
-//! Two recursions carry them all:
+//! Two bodies carry them all:
 //!
 //! * `fold_range`, the bounded fold behind `aug_left`, `aug_right`,
 //!   `aug_range` and `aug_project`. Its ends are `Bound`s (a key or
 //!   `Open`), and what it sums is a `Fold`: the spec's own monoid, or
-//!   a projection `g'` of it reduced with `f'`. A subtree wholly inside
-//!   the range gives its cached augmented value. With blocked leaves a
-//!   query bottoms out with one binary search per bounded end in a block
-//!   and a fold over the in-range run — O(log n + B) per query.
+//!   a projection `g'` of it reduced with `f'`. It is one loop, not a
+//!   recursion: it descends to the split node, the first pivot inside
+//!   the range, and then advances a low-side and a high-side cursor one
+//!   level per turn of the same loop, so the two boundary paths' cache
+//!   misses overlap. A subtree wholly inside the range gives its cached
+//!   augmented value. A boundary block with one end inside finds that end
+//!   by a linear pass over the lines its fold then reads (backward from
+//!   the block's end on the low side, forward from its start on the high
+//!   side); a block that holds both ends binary-searches them. O(log n + B)
+//!   per query.
 //! * `filter_by`, the filter behind `filter`, `aug_filter` and
 //!   `aug_filter_with_all`: linear work and O(log² n) span for `filter`,
 //!   O(k log(n/k + 1)) work for k results when an augmented value can
 //!   prune a subtree.
 
 use crate::balance::{from_sorted_entries, join_tree, Balance};
-use crate::node::{expose, take_leaf_entries, EntryOwned, Node, Tree};
-use crate::ops::range::{Bound, Open};
+use crate::node::{expose, take_leaf_entries, EntryOwned, InternalNode, Node, Tree};
+use crate::ops::range::{run, Bound, Open};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if};
+use std::ops::Range;
 
 /// What `fold_range` sums over the entries in range.
 trait Fold<S: AugSpec> {
@@ -40,6 +47,13 @@ trait Fold<S: AugSpec> {
             .fold(self.entry(&first.key, &first.val), |acc, e| {
                 self.combine(acc, self.entry(&e.key, &e.val))
             })
+    }
+    /// `a` then `b`, either of them possibly empty.
+    fn cat(&self, a: Option<Self::T>, b: Option<Self::T>) -> Option<Self::T> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(self.combine(a, b)),
+            (a, b) => a.or(b),
+        }
     }
 }
 
@@ -94,10 +108,22 @@ where
     }
 }
 
+/// Internal nodes on any root-to-leaf path bound this: a child weighs at
+/// most 71 % of its parent (`balance::like`), a leaf at least 2 and a
+/// tree at most 2^64, so a path holds at most 127.
+const MAX_PATH: usize = 128;
+
 /// `f` over the entries of `t` with keys in `[lo, hi]`; `None` when there
 /// are none (and so when `lo > hi`). A subtree wholly inside is read from
-/// its cached value. When one end of a node's range is open, that side's
-/// value is read before the bounded side is descended (EXPERIMENTS §27).
+/// its cached value; an open end's side is read whole at the split node
+/// (EXPERIMENTS §27).
+///
+/// Below the split node the high side's pieces arrive in key order and
+/// are summed as they come. The low side's arrive last piece first, so
+/// its pivots wait in `taken` and are summed bottom-up at the end. Each
+/// piece is then combined once, onto the right of the sum so far, and a
+/// reduce like `Vec::append` moves each element at most twice, not once
+/// a level.
 fn fold_range<S, B, L, H, F>(t: &Tree<S, B>, lo: L, hi: H, f: &F) -> Option<F::T>
 where
     S: AugSpec,
@@ -106,37 +132,71 @@ where
     H: Bound<S>,
     F: Fold<S>,
 {
-    let n = t.as_deref()?;
+    let mut n = t.as_deref()?;
     if L::OPEN && H::OPEN {
         return Some(f.whole(n.aug()));
     }
-    let x = match n {
-        Node::Leaf(l) => {
-            let es = l.entries();
-            let to = hi.end(es);
-            let from = lo.start(&es[..to]);
-            return (from < to).then(|| f.block(&es[from..to]));
-        }
-        Node::Internal(x) => x,
+    let part = |es: &[EntryOwned<S>], r: Range<usize>| (!r.is_empty()).then(|| f.block(&es[r]));
+    let split = loop {
+        let x = match n {
+            Node::Leaf(l) => return part(l.entries(), run(l.entries(), lo, hi)),
+            Node::Internal(x) => x,
+        };
+        n = if !lo.admits_from(&x.key) {
+            x.right.as_deref()?
+        } else if !hi.admits_to(&x.key) {
+            x.left.as_deref()?
+        } else {
+            break x;
+        };
     };
-    if !lo.admits_from(&x.key) {
-        return fold_range(&x.right, lo, hi, f);
-    }
-    if !hi.admits_to(&x.key) {
-        return fold_range(&x.left, lo, hi, f);
-    }
-    let cat = |a: Option<F::T>, b: Option<F::T>| match (a, b) {
-        (Some(a), Some(b)) => Some(f.combine(a, b)),
-        (a, b) => a.or(b),
-    };
-    let mid = Some(f.entry(&x.key, &x.val));
-    if H::OPEN {
-        let mr = cat(mid, fold_range(&x.right, Open, Open, f));
-        cat(fold_range(&x.left, lo, Open, f), mr)
+    let whole = |c: &Tree<S, B>| c.as_deref().map(|c| f.whole(c.aug()));
+    let entry = |x: &InternalNode<S, B>| Some(f.entry(&x.key, &x.val));
+    let (mut low, mut low_at) = if L::OPEN {
+        (whole(&split.left), None)
     } else {
-        let lm = cat(fold_range(&x.left, lo, Open, f), mid);
-        cat(lm, fold_range(&x.right, Open, hi, f))
+        (None, split.left.as_deref())
+    };
+    let (mut high, mut high_at) = if H::OPEN {
+        (whole(&split.right), None)
+    } else {
+        (None, split.right.as_deref())
+    };
+    let mut taken = [split; MAX_PATH];
+    let mut depth = 0;
+    while low_at.is_some() || high_at.is_some() {
+        if let Some(n) = low_at {
+            low_at = match n {
+                Node::Leaf(l) => {
+                    low = part(l.entries(), run(l.entries(), lo, Open));
+                    None
+                }
+                Node::Internal(x) if lo.admits_from(&x.key) => {
+                    taken[depth] = x;
+                    depth += 1;
+                    x.left.as_deref()
+                }
+                Node::Internal(x) => x.right.as_deref(),
+            };
+        }
+        if let Some(n) = high_at {
+            high_at = match n {
+                Node::Leaf(l) => {
+                    high = f.cat(high, part(l.entries(), run(l.entries(), Open, hi)));
+                    None
+                }
+                Node::Internal(x) if hi.admits_to(&x.key) => {
+                    high = f.cat(f.cat(high, whole(&x.left)), entry(x));
+                    x.right.as_deref()
+                }
+                Node::Internal(x) => x.left.as_deref(),
+            };
+        }
     }
+    for x in taken[..depth].iter().rev() {
+        low = f.cat(f.cat(low, entry(x)), whole(&x.right));
+    }
+    f.cat(f.cat(low, entry(split)), high)
 }
 
 /// Augmented value of all entries with keys `<= k` (the paper's
@@ -275,6 +335,9 @@ where
 
 #[cfg(test)]
 mod tests {
+    use crate::balance::{leaf_cap, WeightBalanced};
+    use crate::node::{Node, Tree};
+    use crate::ops::counting::{calls_of, CountingOrder};
     use crate::spec::{MaxAug, SumAug};
     use crate::AugMap;
 
@@ -374,5 +437,77 @@ mod tests {
         f.check_invariants().unwrap();
         let want: u64 = (0..2000u64).filter(|k| k % 7 == 0).sum();
         assert_eq!(f.aug_val(), want);
+    }
+
+    type Counting = Tree<CountingOrder, WeightBalanced>;
+
+    /// Nodes on the longest root-to-leaf path.
+    fn height(t: &Counting) -> usize {
+        t.as_deref().map_or(0, |n| match n {
+            Node::Leaf(_) => 1,
+            Node::Internal(x) => 1 + height(&x.left).max(height(&x.right)),
+        })
+    }
+
+    /// Each block's first key, last key and length, in key order.
+    fn blocks(t: &Counting, out: &mut Vec<(u64, u64, usize)>) {
+        match t.as_deref() {
+            None => {}
+            Some(Node::Leaf(l)) => {
+                let es = l.entries();
+                out.push((es[0].key, es[es.len() - 1].key, es.len()));
+            }
+            Some(Node::Internal(x)) => {
+                blocks(&x.left, out);
+                blocks(&x.right, out);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_folds_read_each_boundary_block_once_and_the_rest_from_cached_sums() {
+        // keys 0, 2, 4, ...; the value of key k is k / 2
+        const N: u64 = 100_000;
+        let m = AugMap::<CountingOrder>::build((0..N).map(|i| (2 * i, i)).collect());
+        let cap = leaf_cap::<CountingOrder, WeightBalanced>();
+        let h = height(m.root());
+        // at most two compares a level down to the split node and one a
+        // level on each side below it, then one pass over each boundary
+        // block; the entries folded one by one are the boundary runs and
+        // the pivots on the paths
+        let compares = |ends: usize| 2 * h + ends * (cap + 1);
+        let bases = |ends: usize| 2 * h + ends * cap;
+        let sum = |lo: u64, hi: u64| (lo.div_ceil(2)..=hi / 2).sum::<u64>();
+        let check = |what: String, ends: usize, want: u64, q: &dyn Fn() -> u64| {
+            let mut got = 0;
+            let (c, g) = calls_of(|| got = q());
+            assert_eq!(got, want, "{what}");
+            assert!(
+                c <= compares(ends),
+                "{what}: {c} compares > {}",
+                compares(ends)
+            );
+            assert!(g <= bases(ends), "{what}: {g} bases > {}", bases(ends));
+        };
+        // windows from the first key of one block to the last of another,
+        // so each boundary pass reads a whole block; the blocks are over
+        // three quarters full, so reading one twice breaks the bound
+        let mut bs = Vec::new();
+        blocks(m.root(), &mut bs);
+        let least = bs.iter().map(|b| b.2).min();
+        assert!(least.is_some_and(|l| 4 * l >= 3 * cap), "{least:?}");
+        for (i, a) in bs.iter().enumerate().step_by(7) {
+            for b in bs[i + 1..].iter().step_by(13) {
+                let (lo, hi) = (a.0, b.1);
+                check(format!("aug_range({lo}, {hi})"), 2, sum(lo, hi), &|| {
+                    m.aug_range(&lo, &hi)
+                });
+            }
+            check(format!("aug_left({})", a.1), 1, sum(0, a.1), &|| {
+                m.aug_left(&a.1)
+            });
+            let all = sum(a.0, 2 * (N - 1));
+            check(format!("aug_right({})", a.0), 1, all, &|| m.aug_right(&a.0));
+        }
     }
 }

@@ -249,6 +249,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use crate::ops::counting::{compares_of, CountingOrder};
     use crate::spec::SumAug;
     use crate::AugMap;
 
@@ -296,38 +297,6 @@ mod tests {
             old * 10 + new
         });
         assert_eq!(m.to_vec(), vec![(1, 1), (2, 1023), (3, 4)]);
-    }
-
-    thread_local! {
-        static COMPARES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
-    /// `SumAug<u64, u64>` whose key order counts its calls per thread.
-    struct CountingOrder;
-
-    impl crate::AugSpec for CountingOrder {
-        type K = u64;
-        type V = u64;
-        type A = u64;
-        fn compare(a: &u64, b: &u64) -> std::cmp::Ordering {
-            COMPARES.with(|c| c.set(c.get() + 1));
-            a.cmp(b)
-        }
-        fn identity() -> u64 {
-            0
-        }
-        fn base(_: &u64, v: &u64) -> u64 {
-            *v
-        }
-        fn combine(a: &u64, b: &u64) -> u64 {
-            a.wrapping_add(*b)
-        }
-    }
-
-    fn compares_of(f: impl FnOnce()) -> usize {
-        let before = COMPARES.with(|c| c.get());
-        f();
-        COMPARES.with(|c| c.get()) - before
     }
 
     #[test]

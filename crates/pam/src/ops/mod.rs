@@ -5,14 +5,15 @@
 //! is O(1), and passing ownership is what enables the refcount-1 reuse
 //! optimization); pure queries borrow.
 //!
-//! Each operation shape is one recursion, whatever its callers differ
-//! in: [`mod@build`]'s `update_sorted` (every point and batch update),
+//! Each operation shape has one body, whatever its callers differ in:
+//! [`mod@build`]'s `update_sorted` (every point and batch update),
 //! [`setops`]'s `set_op` (`union` / `intersect` / `difference`),
 //! [`aug`]'s `fold_range` (`aug_left` / `aug_right` / `aug_range` /
-//! `aug_project`) and `filter_by` (`filter` / `aug_filter` /
-//! `aug_filter_with_all`), and [`mod@range`]'s `extract` (`up_to` /
-//! `down_to` / `range`). A range end is a type, a key or `Open`, so a
-//! one-sided query compiles to its own copy of the recursion.
+//! `aug_project`; a loop that walks both boundary paths at once) and
+//! `filter_by` (`filter` / `aug_filter` / `aug_filter_with_all`), and
+//! [`mod@range`]'s `extract` (`up_to` / `down_to` / `range`). A range
+//! end is a type, a key or `Open`, so a one-sided query compiles to its
+//! own copy of the body.
 //!
 //! These free functions are the low-level interface; most users want the
 //! [`crate::AugMap`] wrapper.
@@ -38,3 +39,53 @@ pub use range::{down_to, range, up_to};
 pub use setops::{difference, intersect, union};
 pub use split::{join2, split, split_first, split_last, split_rank};
 pub use topk::top_k_by;
+
+/// A spec whose key order and base function count their calls, for the
+/// tests that bound an operation's work.
+#[cfg(test)]
+pub(crate) mod counting {
+    use std::cell::Cell;
+
+    thread_local! {
+        static COMPARES: Cell<usize> = const { Cell::new(0) };
+        static BASES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `SumAug<u64, u64>` whose `compare` and `base` count their calls
+    /// per thread.
+    pub(crate) struct CountingOrder;
+
+    impl crate::AugSpec for CountingOrder {
+        type K = u64;
+        type V = u64;
+        type A = u64;
+        fn compare(a: &u64, b: &u64) -> std::cmp::Ordering {
+            COMPARES.with(|c| c.set(c.get() + 1));
+            a.cmp(b)
+        }
+        fn identity() -> u64 {
+            0
+        }
+        fn base(_: &u64, v: &u64) -> u64 {
+            BASES.with(|c| c.set(c.get() + 1));
+            *v
+        }
+        fn combine(a: &u64, b: &u64) -> u64 {
+            a.wrapping_add(*b)
+        }
+    }
+
+    /// The `compare` and `base` calls `f` makes on this thread.
+    pub(crate) fn calls_of(f: impl FnOnce()) -> (usize, usize) {
+        let now = || (COMPARES.with(Cell::get), BASES.with(Cell::get));
+        let before = now();
+        f();
+        let after = now();
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    /// The `compare` calls `f` makes on this thread.
+    pub(crate) fn compares_of(f: impl FnOnce()) -> usize {
+        calls_of(f).0
+    }
+}

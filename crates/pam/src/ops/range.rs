@@ -1,16 +1,18 @@
 //! Range extraction: `up_to`, `down_to`, `range` — one recursion,
 //! `extract`, over a pair of `Bound`s. Each is O(log n) and returns a
-//! persistent sub-map that shares structure with the input. A leaf block
-//! is truncated with one binary search per bounded end and a slice copy.
+//! persistent sub-map that shares structure with the input. A boundary
+//! block's run is found by `run`, which `ops::aug`'s bounded fold uses
+//! too; a shared block clones only that run, and a node the walk passes
+//! by gives up its child without a clone of its pivot.
 //!
 //! A `Bound` is a key or `Open`, so each query shape compiles to its
 //! own copy of the recursion and the tests of an absent end fold away.
-//! `ops::aug`'s bounded fold walks the same bounds.
 
 use crate::balance::{join_tree, Balance};
-use crate::node::{expose, take_leaf_entries, EntryOwned, Node, Tree};
+use crate::node::{expose, take_child, take_leaf_run, EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// One end of an inclusive key range: a key, or `Open` for no end.
 pub(crate) trait Bound<S: AugSpec>: Copy {
@@ -20,10 +22,36 @@ pub(crate) trait Bound<S: AugSpec>: Copy {
     fn admits_from(self, k: &S::K) -> bool;
     /// As the high end, `k` is inside: `k <= hi`.
     fn admits_to(self, k: &S::K) -> bool;
-    /// As the low end: the index of the first entry of `es` inside.
-    fn start(self, es: &[EntryOwned<S>]) -> usize;
-    /// As the high end: one past the last entry of `es` inside.
-    fn end(self, es: &[EntryOwned<S>]) -> usize;
+}
+
+/// The entries of the sorted block `es` with keys in `[lo, hi]`. With one
+/// end open, a pass from the open side finds the other: it reads only
+/// lines the caller is about to read (fold or copy) anyway, and streams
+/// them, where a binary search on a block not yet in cache makes
+/// dependent misses. With both ends bounded in one block, two binary
+/// searches.
+pub(crate) fn run<S: AugSpec, L: Bound<S>, H: Bound<S>>(
+    es: &[EntryOwned<S>],
+    lo: L,
+    hi: H,
+) -> Range<usize> {
+    let below = |e: &EntryOwned<S>| !lo.admits_from(&e.key);
+    let above = |e: &EntryOwned<S>| !hi.admits_to(&e.key);
+    if !L::OPEN && !H::OPEN {
+        let to = es.partition_point(|e| !above(e));
+        return es[..to].partition_point(below)..to;
+    }
+    let to = if H::OPEN {
+        es.len()
+    } else {
+        es.iter().position(above).unwrap_or(es.len())
+    };
+    let from = if L::OPEN {
+        0
+    } else {
+        es[..to].iter().rposition(below).map_or(0, |i| i + 1)
+    };
+    from..to
 }
 
 /// The absent end of a one-sided range.
@@ -38,12 +66,6 @@ impl<S: AugSpec> Bound<S> for Open {
     fn admits_to(self, _: &S::K) -> bool {
         true
     }
-    fn start(self, _: &[EntryOwned<S>]) -> usize {
-        0
-    }
-    fn end(self, es: &[EntryOwned<S>]) -> usize {
-        es.len()
-    }
 }
 
 impl<S: AugSpec> Bound<S> for &S::K {
@@ -54,16 +76,11 @@ impl<S: AugSpec> Bound<S> for &S::K {
     fn admits_to(self, k: &S::K) -> bool {
         S::compare(k, self) != Ordering::Greater
     }
-    fn start(self, es: &[EntryOwned<S>]) -> usize {
-        es.partition_point(|e| S::compare(&e.key, self) == Ordering::Less)
-    }
-    fn end(self, es: &[EntryOwned<S>]) -> usize {
-        es.partition_point(|e| S::compare(&e.key, self) != Ordering::Greater)
-    }
 }
 
 /// The entries of `t` with keys in `[lo, hi]`; empty when `lo > hi`.
-/// A subtree wholly inside is kept as it is.
+/// A subtree wholly inside is kept as it is, and nothing outside is
+/// cloned.
 pub(crate) fn extract<S, B, L, H>(t: Tree<S, B>, lo: L, hi: H) -> Tree<S, B>
 where
     S: AugSpec,
@@ -76,19 +93,21 @@ where
     }
     let n = t?;
     let x = match &*n {
-        Node::Leaf(_) => {
-            let mut entries = take_leaf_entries(n);
-            entries.truncate(hi.end(&entries));
-            entries.drain(..lo.start(&entries));
-            return (!entries.is_empty()).then(|| Node::make_leaf(entries));
+        Node::Leaf(l) => {
+            let r = run(l.entries(), lo, hi);
+            return match r.len() {
+                0 => None,
+                k if k == l.entries().len() => Some(n),
+                _ => Some(Node::make_leaf(take_leaf_run(n, r))),
+            };
         }
         Node::Internal(x) => x,
     };
     if !lo.admits_from(&x.key) {
-        return extract(expose(n).2, lo, hi);
+        return extract(take_child(n, true), lo, hi);
     }
     if !hi.admits_to(&x.key) {
-        return extract(expose(n).0, lo, hi);
+        return extract(take_child(n, false), lo, hi);
     }
     let (l, e, r) = expose(n);
     join_tree(extract(l, lo, Open), e, extract(r, Open, hi))

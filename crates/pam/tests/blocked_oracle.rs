@@ -9,6 +9,8 @@
 //! draw their inputs from a wider key range so a map spans several
 //! blocks. Every intermediate tree is invariant-checked, so any
 //! fill/aug/balance violation is caught at the op that introduced it.
+//! The range sums are probed once more with an order-sensitive monoid,
+//! so a combine with its operands swapped cannot pass.
 
 use pam::balance::{leaf_cap, WeightBalanced, WeightBalancedCap};
 use pam::ops::split::{join2, split};
@@ -399,5 +401,134 @@ proptest! {
         }
         prop_assert_eq!(got, expect);
         live.check_invariants().unwrap();
+    }
+}
+
+/// An order-sensitive monoid: the polynomial hash of a map's entries in
+/// key order. `A = (h, p)` with `p = P^len`, combined as
+/// `(h1 · p2 + h2, p1 · p2)` in wrapping arithmetic, which is
+/// associative, and which changes when two operands swap.
+struct HashSpec;
+
+const P: u64 = 0x0000_0100_0000_01b3;
+
+impl AugSpec for HashSpec {
+    type K = u32;
+    type V = u64;
+    type A = (u64, u64);
+    fn compare(a: &u32, b: &u32) -> Ordering {
+        a.cmp(b)
+    }
+    fn identity() -> (u64, u64) {
+        (0, 1)
+    }
+    fn base(k: &u32, v: &u64) -> (u64, u64) {
+        ((u64::from(*k) << 20) ^ v ^ 1, P)
+    }
+    fn combine(a: &(u64, u64), b: &(u64, u64)) -> (u64, u64) {
+        (
+            a.0.wrapping_mul(b.1).wrapping_add(b.0),
+            a.1.wrapping_mul(b.1),
+        )
+    }
+}
+
+/// The same monoid taken mod 2^32: truncation is a ring homomorphism, so
+/// it is a valid `aug_project` target and just as order-sensitive.
+fn project32(a: &(u64, u64)) -> (u32, u32) {
+    (a.0 as u32, a.1 as u32)
+}
+
+fn reduce32(a: (u32, u32), b: (u32, u32)) -> (u32, u32) {
+    (
+        a.0.wrapping_mul(b.1).wrapping_add(b.0),
+        a.1.wrapping_mul(b.1),
+    )
+}
+
+/// Every bounded fold against a left-to-right fold of the model. The map
+/// holds even keys only; its ends are every key in it (pivots and keys
+/// inside blocks alike) and the odd key after each (outside the key set),
+/// each paired with itself, with nearby ends and with ends some blocks
+/// away, in both orders.
+fn hash_oracle<B: Balance>(init: Vec<(u32, u64)>) {
+    let cap = leaf_cap::<HashSpec, B>();
+    let model: BTreeMap<u32, u64> = init.into_iter().map(|(k, v)| (2 * k, v)).collect();
+    // every other entry bulk-built, the rest inserted one by one, for
+    // uneven blocks
+    let mut m: AugMap<HashSpec, B> =
+        AugMap::build(model.iter().step_by(2).map(|(&k, &v)| (k, v)).collect());
+    for (&k, &v) in model.iter().skip(1).step_by(2) {
+        m.insert(k, v);
+    }
+    m.check_invariants().unwrap();
+    let brute = |r: std::collections::btree_map::Range<'_, u32, u64>| {
+        r.fold(HashSpec::identity(), |a, (k, v)| {
+            HashSpec::combine(&a, &HashSpec::base(k, v))
+        })
+    };
+    let mut ends: Vec<u32> = model.keys().flat_map(|&k| [k, k + 1]).collect();
+    ends.insert(0, 0);
+    for (i, &lo) in ends.iter().enumerate() {
+        let what = |op: &str, hi: u32| format!("{op}({lo}, {hi}), B={cap}");
+        assert_eq!(
+            m.aug_left(&lo),
+            brute(model.range(..=lo)),
+            "{}",
+            what("aug_left", lo)
+        );
+        assert_eq!(
+            m.aug_right(&lo),
+            brute(model.range(lo..)),
+            "{}",
+            what("aug_right", lo)
+        );
+        for j in [i, i + 1, i + 2, i + cap, i + 2 * cap + 3, i + 6 * cap] {
+            let Some(&hi) = ends.get(j) else { continue };
+            let want = brute(model.range(lo..=hi));
+            assert_eq!(m.aug_range(&lo, &hi), want, "{}", what("aug_range", hi));
+            let got = m.aug_project(&lo, &hi, project32, reduce32, (0, 1));
+            assert_eq!(got, project32(&want), "{}", what("aug_project", hi));
+            if lo < hi {
+                let id = HashSpec::identity();
+                assert_eq!(
+                    m.aug_range(&hi, &lo),
+                    id,
+                    "{}",
+                    what("reversed aug_range", hi)
+                );
+                let none = m.aug_project(&hi, &lo, project32, reduce32, (7, 7));
+                assert_eq!(none, (7, 7), "{}", what("reversed aug_project", hi));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn hash_oracle_block_size_1(init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120)) {
+        hash_oracle::<WeightBalancedCap<1>>(init);
+    }
+
+    #[test]
+    fn hash_oracle_block_size_2(init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120)) {
+        hash_oracle::<WeightBalancedCap<2>>(init);
+    }
+
+    #[test]
+    fn hash_oracle_block_size_8(init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120)) {
+        hash_oracle::<WeightBalancedCap<8>>(init);
+    }
+
+    #[test]
+    fn hash_oracle_block_size_32(init in proptest::collection::vec((0u32..600, 0u64..1000), 0..400)) {
+        hash_oracle::<WeightBalancedCap<32>>(init);
+    }
+
+    #[test]
+    fn hash_oracle_block_size_128(init in proptest::collection::vec((0u32..2000, 0u64..1000), 0..1200)) {
+        hash_oracle::<WeightBalancedCap<128>>(init);
     }
 }

@@ -1,6 +1,7 @@
 //! A batch reaches the tree by move: no bulk load, batch update or point
 //! insert clones a key or value of its input on an unshared map, and a
 //! `combine` or `resolve` that panics part-way drops no element twice.
+//! A range extracted from a shared map clones only the entries it holds.
 //!
 //! Each test owns its element type and the global counter behind it, so
 //! tests running side by side do not see each other's elements.
@@ -113,6 +114,64 @@ fn no_batch_key_or_value_is_cloned_on_an_unshared_map() {
             m.check_invariants().unwrap();
         });
     }
+}
+
+static KEY_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A key that owns a buffer and counts its clones.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct CountedKey(Box<u64>);
+
+impl Clone for CountedKey {
+    fn clone(&self) -> Self {
+        KEY_CLONES.fetch_add(1, Relaxed);
+        CountedKey(self.0.clone())
+    }
+}
+
+#[test]
+fn a_range_inside_one_block_of_a_shared_map_clones_only_its_entries() {
+    const N: u64 = 10_000;
+    type M = AugMap<NoAug<CountedKey, u64>>;
+    let m = M::from_sorted_distinct(
+        (0..N)
+            .map(|i| (CountedKey(Box::new(2 * i)), i))
+            .collect::<Vec<_>>(),
+    );
+    // each block's keys, by a walk over the tree's public shape
+    fn blocks(
+        t: &pam::node::Tree<NoAug<CountedKey, u64>, pam::WeightBalanced>,
+        out: &mut Vec<Vec<u64>>,
+    ) {
+        let Some(n) = t.as_deref() else { return };
+        match (n.as_leaf(), n.children()) {
+            (Some(l), _) => out.push(l.entries().iter().map(|e| *e.key.0).collect()),
+            (None, Some((l, r))) => {
+                blocks(l, out);
+                blocks(r, out);
+            }
+            (None, None) => unreachable!(),
+        }
+    }
+    let mut bs = Vec::new();
+    blocks(m.root(), &mut bs);
+    assert!(bs.len() > 100, "{} blocks", bs.len());
+    for (i, b) in bs.iter().enumerate().step_by(17) {
+        // ends on keys (the block's second and second-last), then ends
+        // between keys (one below each of those)
+        for (lo, hi) in [(b[1], b[b.len() - 2]), (b[1] - 1, b[b.len() - 2] - 1)] {
+            let k = (lo..=hi).filter(|k| k % 2 == 0).count();
+            let before = KEY_CLONES.load(Relaxed);
+            let r = m.range(&CountedKey(Box::new(lo)), &CountedKey(Box::new(hi)));
+            let clones = KEY_CLONES.load(Relaxed) - before;
+            assert_eq!(clones, k, "block {i}: range({lo}, {hi}) holds {}", r.len());
+            let got: Vec<u64> = r.iter().map(|(k, _)| *k.0).collect();
+            let want: Vec<u64> = (lo..=hi).filter(|k| k % 2 == 0).collect();
+            assert_eq!(got, want, "block {i}: range({lo}, {hi})");
+        }
+    }
+    assert_eq!(m.len(), N as usize);
+    m.check_invariants().unwrap();
 }
 
 /// Every element's ID goes in here when it is dropped, and a drop of an
