@@ -183,12 +183,12 @@ impl RangeTree {
     }
 }
 
-fn check_outer(t: &pam::Tree<OuterSpec, pam::WeightBalanced>) -> Result<(), String> {
+fn check_outer(t: &pam::node::Tree<OuterSpec>) -> Result<(), String> {
     // The generic checker recomputes outer augmented values (inner maps)
     // and compares them entry-wise via PartialEq on AugMap.
     pam::validate::check_tree(t)?;
     // Additionally validate each inner map's own invariants.
-    fn rec(t: &pam::Tree<OuterSpec, pam::WeightBalanced>) -> Result<(), String> {
+    fn rec(t: &pam::node::Tree<OuterSpec>) -> Result<(), String> {
         if let Some(n) = t.as_deref() {
             n.aug().check_invariants()?;
             if let Some((l, r)) = n.children() {

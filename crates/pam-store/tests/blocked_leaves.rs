@@ -4,7 +4,7 @@
 //! (one node per entry) seed layout could not meet.
 
 use pam::balance::leaf_cap;
-use pam::{NoAug, SumAug, WeightBalanced};
+use pam::{NoAug, SumAug};
 use pam_store::{Bytes, DurabilityConfig, ShardedConfig, Store};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -17,7 +17,7 @@ const N: u64 = 100_000;
 /// Heap bytes the pre-blocking layout would need: one heap node (+ two
 /// `Arc` refcount words) per entry.
 fn per_entry_baseline(n: usize) -> usize {
-    n * (pam::stats::node_size::<Spec, WeightBalanced>() + 2 * std::mem::size_of::<usize>())
+    n * (pam::stats::node_size::<Spec>() + 2 * std::mem::size_of::<usize>())
 }
 
 /// A one-shard volatile store holding `(i, i)` for every `i < N`.
@@ -39,8 +39,8 @@ fn seeded(batch_window: Duration) -> Store<Spec> {
 /// `batch_ack_p50_us` +45–62 % on the served store (EXPERIMENTS §28.2).
 #[test]
 fn served_bytes_entries_keep_32_entry_blocks() {
-    assert_eq!(leaf_cap::<NoAug<Bytes, Bytes>, WeightBalanced>(), 32);
-    assert_eq!(leaf_cap::<Spec, WeightBalanced>(), 128);
+    assert_eq!(leaf_cap::<NoAug<Bytes, Bytes>>(), 32);
+    assert_eq!(leaf_cap::<Spec>(), 128);
 }
 
 #[test]

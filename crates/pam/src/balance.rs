@@ -47,16 +47,18 @@
 //! tree of `<= cap` entries is a single leaf, internal nodes root
 //! more than `cap` entries, and every non-root leaf holds
 //! `cap/2 ..= cap` entries. With `cap == 1`
-//! (`WeightBalancedCap<1>`) `join_tree` degenerates to the raw join and
-//! the tree is exactly the paper's one-entry-per-node structure — the
-//! reference the differential oracle compares every other capacity to.
+//! (`Capped<S, 1>`) `join_tree` degenerates to the raw join and the tree
+//! is exactly the paper's one-entry-per-node structure — the reference
+//! the differential oracle compares every other capacity to.
 //!
 //! # The capacity
 //!
 //! [`leaf_cap`] is the only place a capacity is decided; nothing else in
-//! the crate reads one. The default [`WeightBalanced`] sizes blocks by
-//! what copying an entry costs, decided at compile time from the entry
-//! type. A path copy clones a block, and the old version later drops it:
+//! the crate reads one. Like PaC-trees, which make block size a property
+//! of the entry type, the tree takes no parameter besides its spec:
+//! blocks are sized by what copying an entry costs, decided at compile
+//! time from the entry type. A path copy clones a block, and the old
+//! version later drops it:
 //!
 //! * an entry with no drop glue (`u64` pairs, intervals, points, posting
 //!   entries) is copied with a memcpy and freed with the block, so wide
@@ -67,65 +69,45 @@
 //!   on the copy and a decrement on the drop, so a write's cost grows with
 //!   the block: 32 entries.
 //!
-//! [`WeightBalancedCap<CAP>`] pins a capacity regardless of the entry type
-//! (the oracle suites instantiate several side by side).
+//! A spec's [`AugSpec::PINNED_CAP`] overrides that choice;
+//! [`Capped<S, CAP>`](crate::spec::Capped) sets it on any spec (the
+//! oracle suites instantiate several capacities side by side).
 
 use crate::node::{expose, flatten_into, size, EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if, OwnedSlice};
 use std::sync::Arc;
 
-/// The tree's one remaining compile-time parameter: how a leaf block's
-/// capacity is chosen. (It was a balancing-scheme trait while the crate
-/// carried four schemes; the name and the second type argument of
-/// [`Tree`] outlive them until the frozen benchmark's
-/// `Tree<Spec, WeightBalanced>` can be edited — ROADMAP item 1(e).)
-pub trait Balance: Sized + Send + Sync + 'static {
-    /// A capacity pinned by the type, or `None` to size blocks by the
-    /// entry type. Read only through [`leaf_cap`]. A pinned capacity must
-    /// be 1 or an even number `>= 2` (even capacities make the half-full
-    /// invariant achievable when splitting an overflowing block at the
-    /// median).
-    const FIXED_CAP: Option<usize>;
-}
-
-/// The crate default: weight-balanced, with leaf blocks sized by the
-/// entry type (see [`leaf_cap`]).
-pub struct WeightBalanced;
-
-/// Weight-balanced tree with an explicit leaf-block capacity (1 restores
-/// the paper's one-entry-per-node tree). The differential oracle suite
-/// instantiates `WeightBalancedCap<1>` / `<2>` / `<8>` / `<32>` /
-/// `<128>` side by side in one binary.
-pub struct WeightBalancedCap<const CAP: usize>;
-
-impl Balance for WeightBalanced {
-    const FIXED_CAP: Option<usize> = None;
-}
-
-impl<const CAP: usize> Balance for WeightBalancedCap<CAP> {
-    const FIXED_CAP: Option<usize> = Some(CAP);
-}
-
-/// Leaf block capacity of [`WeightBalanced`] for entries with no drop
-/// glue: copying such a block is a memcpy and dropping it one `free`.
+/// Leaf block capacity for entries with no drop glue: copying such a
+/// block is a memcpy and dropping it one `free`.
 pub const DEFAULT_LEAF_B: usize = 128;
 
-/// Leaf block capacity of [`WeightBalanced`] for entries with drop glue:
-/// every entry a path copy clones costs a refcount increment (or a deep
-/// clone) now and a decrement when the old version dies.
+/// Leaf block capacity for entries with drop glue: every entry a path
+/// copy clones costs a refcount increment (or a deep clone) now and a
+/// decrement when the old version dies.
 const OWNING_LEAF_B: usize = 32;
 
-/// The maximum number of entries in a leaf block of a `Tree<S, B>`: the
-/// one place the crate decides it. `B`'s pinned capacity if it has one;
-/// otherwise [`DEFAULT_LEAF_B`] (128) when `EntryOwned<S>` has no drop
-/// glue and 32 when it does.
+/// The maximum number of entries in a leaf block of a `Tree<S>`: the one
+/// place the crate decides it. The spec's [`AugSpec::PINNED_CAP`] if it
+/// has one (which must be 1 or an even number `>= 2`: even capacities
+/// make the half-full invariant achievable when an overflowing block
+/// splits at the median; any other pin fails to compile); otherwise
+/// [`DEFAULT_LEAF_B`] (128) when `EntryOwned<S>` has no drop glue and 32
+/// when it does.
 #[inline]
-pub const fn leaf_cap<S: AugSpec, B: Balance>() -> usize {
-    match B::FIXED_CAP {
-        Some(cap) => cap,
-        None if std::mem::needs_drop::<EntryOwned<S>>() => OWNING_LEAF_B,
-        None => DEFAULT_LEAF_B,
+pub const fn leaf_cap<S: AugSpec>() -> usize {
+    const {
+        match S::PINNED_CAP {
+            Some(cap) => {
+                assert!(
+                    cap == 1 || (cap >= 2 && cap % 2 == 0),
+                    "a pinned leaf capacity is 1 or an even number >= 2"
+                );
+                cap
+            }
+            None if std::mem::needs_drop::<EntryOwned<S>>() => OWNING_LEAF_B,
+            None => DEFAULT_LEAF_B,
+        }
     }
 }
 
@@ -133,7 +115,7 @@ const ALPHA_NUM: u64 = 29;
 const ALPHA_DEN: u64 = 100;
 
 #[inline]
-pub(crate) fn weight<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> u64 {
+pub(crate) fn weight<S: AugSpec>(t: &Tree<S>) -> u64 {
     size(t) as u64 + 1
 }
 
@@ -157,13 +139,13 @@ pub(crate) fn like(wa: u64, wb: u64) -> bool {
 /// layers the fill-invariant maintenance on top, and its preconditions
 /// guarantee a descent here never exposes a block (a heavy side always
 /// outweighs `cap + 1`, hence is internal).
-fn join<S: AugSpec, B: Balance>(l: Tree<S, B>, e: EntryOwned<S>, r: Tree<S, B>) -> Arc<Node<S, B>> {
+fn join<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Arc<Node<S>> {
     let wl = weight(&l);
     let wr = weight(&r);
     if heavy(wl, wr) {
-        join_heavy::<S, B, false>(l, e, r)
+        join_heavy::<S, false>(l, e, r)
     } else if heavy(wr, wl) {
-        join_heavy::<S, B, true>(r, e, l)
+        join_heavy::<S, true>(r, e, l)
     } else {
         Node::make(l, e, r)
     }
@@ -172,11 +154,11 @@ fn join<S: AugSpec, B: Balance>(l: Tree<S, B>, e: EntryOwned<S>, r: Tree<S, B>) 
 /// `Node(near, e, far)` as written for a heavy *left* side; `FLIP` builds
 /// the mirror image, so one body serves both spines.
 #[inline]
-fn node<S: AugSpec, B: Balance, const FLIP: bool>(
-    near: Tree<S, B>,
+fn node<S: AugSpec, const FLIP: bool>(
+    near: Tree<S>,
     e: EntryOwned<S>,
-    far: Tree<S, B>,
-) -> Arc<Node<S, B>> {
+    far: Tree<S>,
+) -> Arc<Node<S>> {
     if FLIP {
         Node::make(far, e, near)
     } else {
@@ -186,9 +168,7 @@ fn node<S: AugSpec, B: Balance, const FLIP: bool>(
 
 /// [`expose`] as `(near, entry, far)` in [`node`]'s orientation.
 #[inline]
-fn expose_dir<S: AugSpec, B: Balance, const FLIP: bool>(
-    n: Arc<Node<S, B>>,
-) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
+fn expose_dir<S: AugSpec, const FLIP: bool>(n: Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) {
     let (l, e, r) = expose(n);
     if FLIP {
         (r, e, l)
@@ -202,33 +182,33 @@ fn expose_dir<S: AugSpec, B: Balance, const FLIP: bool>(
 /// with single or double rotations on the way back up. Comments read for
 /// a heavy left side (`FLIP = false`); `FLIP = true` is the mirror image.
 /// The only place in the crate that constructs rotations.
-fn join_heavy<S: AugSpec, B: Balance, const FLIP: bool>(
-    th: Tree<S, B>,
+fn join_heavy<S: AugSpec, const FLIP: bool>(
+    th: Tree<S>,
     e: EntryOwned<S>,
-    tl: Tree<S, B>,
-) -> Arc<Node<S, B>> {
+    tl: Tree<S>,
+) -> Arc<Node<S>> {
     if like(weight(&th), weight(&tl)) {
-        return node::<S, B, FLIP>(th, e, tl);
+        return node::<S, FLIP>(th, e, tl);
     }
-    let (l, le, c) = expose_dir::<S, B, FLIP>(th.expect("heavy side cannot be empty"));
+    let (l, le, c) = expose_dir::<S, FLIP>(th.expect("heavy side cannot be empty"));
     let wl = weight(&l);
-    let tp = join_heavy::<S, B, FLIP>(c, e, tl); // T' in the paper's pseudocode
+    let tp = join_heavy::<S, FLIP>(c, e, tl); // T' in the paper's pseudocode
     let wtp = tp.size_of() as u64 + 1;
     if like(wl, wtp) {
-        return node::<S, B, FLIP>(l, le, Some(tp));
+        return node::<S, FLIP>(l, le, Some(tp));
     }
-    let (l1, e1, r1) = expose_dir::<S, B, FLIP>(tp);
+    let (l1, e1, r1) = expose_dir::<S, FLIP>(tp);
     let wl1 = weight(&l1);
     let wr1 = weight(&r1);
     if like(wl, wl1) && like(wl + wl1, wr1) {
         // single rotation: rotateLeft(Node(l, le, T'))
-        let nl = node::<S, B, FLIP>(l, le, l1);
-        node::<S, B, FLIP>(Some(nl), e1, r1)
+        let nl = node::<S, FLIP>(l, le, l1);
+        node::<S, FLIP>(Some(nl), e1, r1)
     } else if l1.as_deref().is_some_and(|n| n.is_leaf()) {
         // double rotation would split the inner leaf block, stranding
         // underfull fragments mid-tree; the whole region is O(cap)
         // here, so re-pack it instead.
-        let rest = Some(node::<S, B, FLIP>(l1, e1, r1));
+        let rest = Some(node::<S, FLIP>(l1, e1, r1));
         if FLIP {
             repack_region(rest, le, l)
         } else {
@@ -236,11 +216,10 @@ fn join_heavy<S: AugSpec, B: Balance, const FLIP: bool>(
         }
     } else {
         // double rotation: rotateLeft(Node(l, le, rotateRight(T')))
-        let (l2, e2, r2) =
-            expose_dir::<S, B, FLIP>(l1.expect("double rotation requires inner child"));
-        let nl = node::<S, B, FLIP>(l, le, l2);
-        let nr = node::<S, B, FLIP>(r2, e1, r1);
-        node::<S, B, FLIP>(Some(nl), e2, Some(nr))
+        let (l2, e2, r2) = expose_dir::<S, FLIP>(l1.expect("double rotation requires inner child"));
+        let nl = node::<S, FLIP>(l, le, l2);
+        let nr = node::<S, FLIP>(r2, e1, r1);
+        node::<S, FLIP>(Some(nl), e2, Some(nr))
     }
 }
 
@@ -254,20 +233,12 @@ fn join_heavy<S: AugSpec, B: Balance, const FLIP: bool>(
 /// is also where augmented values get recomputed (inside `Node::make`)
 /// and where persistence-driven path copying happens (via
 /// [`crate::node::expose`]). O(|rank(l) - rank(r)|) work.
-pub(crate) fn join_tree<S: AugSpec, B: Balance>(
-    l: Tree<S, B>,
-    e: EntryOwned<S>,
-    r: Tree<S, B>,
-) -> Tree<S, B> {
+pub(crate) fn join_tree<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Tree<S> {
     Some(join_blocked(l, e, r))
 }
 
-fn join_blocked<S: AugSpec, B: Balance>(
-    l: Tree<S, B>,
-    e: EntryOwned<S>,
-    r: Tree<S, B>,
-) -> Arc<Node<S, B>> {
-    let cap = leaf_cap::<S, B>();
+fn join_blocked<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Arc<Node<S>> {
+    let cap = leaf_cap::<S>();
     if cap <= 1 {
         // Degenerate blocks: the raw join is already the whole story.
         return join(l, e, r);
@@ -282,7 +253,7 @@ fn join_blocked<S: AugSpec, B: Balance>(
         flatten_into(l, &mut entries);
         entries.push(e);
         flatten_into(r, &mut entries);
-        return pack_block::<S, B>(entries);
+        return pack_block::<S>(entries);
     }
     let min_fill = cap / 2;
     if nr < min_fill {
@@ -305,8 +276,8 @@ fn join_blocked<S: AugSpec, B: Balance>(
 
 /// Pack `1..=2*cap+1` sorted entries into a single leaf, or an
 /// internal node over two at-least-half-full leaves.
-fn pack_block<S: AugSpec, B: Balance>(mut entries: Vec<EntryOwned<S>>) -> Arc<Node<S, B>> {
-    let cap = leaf_cap::<S, B>();
+fn pack_block<S: AugSpec>(mut entries: Vec<EntryOwned<S>>) -> Arc<Node<S>> {
+    let cap = leaf_cap::<S>();
     if entries.len() <= cap {
         return Node::make_leaf(entries);
     }
@@ -328,38 +299,36 @@ fn pack_block<S: AugSpec, B: Balance>(mut entries: Vec<EntryOwned<S>>) -> Arc<No
 /// through it: the leaf merges under `update_sorted` (which can hand it a
 /// whole batch slice) and the set operations, the filters' leaf paths,
 /// and the double rotation's fallback.
-pub(crate) fn from_sorted_entries<S: AugSpec, B: Balance>(
-    mut entries: Vec<EntryOwned<S>>,
-) -> Tree<S, B> {
-    if at_most_two_blocks::<S, B>(entries.len()) {
+pub(crate) fn from_sorted_entries<S: AugSpec>(mut entries: Vec<EntryOwned<S>>) -> Tree<S> {
+    if at_most_two_blocks::<S>(entries.len()) {
         // the Vec as it is: one block, or the left one of two
-        return (!entries.is_empty()).then(|| pack_block::<S, B>(entries));
+        return (!entries.is_empty()).then(|| pack_block::<S>(entries));
     }
-    build_blocks::<S, B>(OwnedSlice::new(&mut entries))
+    build_blocks::<S>(OwnedSlice::new(&mut entries))
 }
 
 /// Do `n` entries make one block, or two around their median? Then
 /// [`pack_block`] builds them as the median recursion would, without
 /// building two leaves only for `join_blocked` to flatten and re-pack.
-fn at_most_two_blocks<S: AugSpec, B: Balance>(n: usize) -> bool {
-    let cap = leaf_cap::<S, B>();
+fn at_most_two_blocks<S: AugSpec>(n: usize) -> bool {
+    let cap = leaf_cap::<S>();
     n <= cap.max(1) || (cap >= 2 && n <= 2 * cap + 1)
 }
 
 /// [`from_sorted_entries`] over an owned view: split by index at the
 /// median, each entry moved once into its leaf or its pivot, the halves
 /// forked as the batch recursion's median split forks them.
-fn build_blocks<S: AugSpec, B: Balance>(entries: OwnedSlice<'_, EntryOwned<S>>) -> Tree<S, B> {
+fn build_blocks<S: AugSpec>(entries: OwnedSlice<'_, EntryOwned<S>>) -> Tree<S> {
     let n = entries.len();
-    if at_most_two_blocks::<S, B>(n) {
-        return (n > 0).then(|| pack_block::<S, B>(entries.into_vec()));
+    if at_most_two_blocks::<S>(n) {
+        return (n > 0).then(|| pack_block::<S>(entries.into_vec()));
     }
     let (left, mut right) = entries.split_at(n / 2);
     let pivot = right.next().expect("the right half holds the median");
     let (l, r) = par2_if(
         n > granularity(),
-        move || build_blocks::<S, B>(left),
-        move || build_blocks::<S, B>(right),
+        move || build_blocks::<S>(left),
+        move || build_blocks::<S>(right),
     );
     Some(join_blocked(l, pivot, r))
 }
@@ -369,21 +338,17 @@ fn build_blocks<S: AugSpec, B: Balance>(entries: OwnedSlice<'_, EntryOwned<S>>) 
 /// [`join_heavy`]. Callers only reach this with O(cap)-sized
 /// regions, and the re-pack's internal joins are all trivially balanced
 /// (equal-weight halves), so this never re-enters a rotation.
-fn repack_region<S: AugSpec, B: Balance>(
-    l: Tree<S, B>,
-    e: EntryOwned<S>,
-    r: Tree<S, B>,
-) -> Arc<Node<S, B>> {
+fn repack_region<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Arc<Node<S>> {
     let mut entries = Vec::with_capacity(size(&l) + size(&r) + 1);
     flatten_into(l, &mut entries);
     entries.push(e);
     flatten_into(r, &mut entries);
-    from_sorted_entries::<S, B>(entries).expect("region is nonempty")
+    from_sorted_entries::<S>(entries).expect("region is nonempty")
 }
 
 /// Build a singleton map (a one-entry leaf block).
 #[inline]
-pub(crate) fn singleton<S: AugSpec, B: Balance>(key: S::K, val: S::V) -> Tree<S, B> {
+pub(crate) fn singleton<S: AugSpec>(key: S::K, val: S::V) -> Tree<S> {
     Some(Node::make_leaf(vec![EntryOwned { key, val }]))
 }
 
@@ -406,26 +371,23 @@ mod tests {
         assert!(!heavy(1, 1000));
     }
 
-    /// The default's capacity follows the entry type: a block of plain
+    /// The default capacity follows the entry type: a block of plain
     /// entries is 128 wide, one of owning entries 32. Each spec stands
     /// for maps the workspace builds.
     #[test]
     fn default_cap_follows_drop_glue() {
         use crate::map::AugMap;
-        use crate::spec::{MaxAug, NoAug, SumAug};
+        use crate::spec::{Capped, MaxAug, NoAug, SumAug};
         // tree-bulk / tree-read's u64 map, and the range tree's points
-        assert_eq!(leaf_cap::<SumAug<u64, u64>, WeightBalanced>(), 128);
-        assert_eq!(leaf_cap::<SumAug<(u64, u64), u64>, WeightBalanced>(), 128);
+        assert_eq!(leaf_cap::<SumAug<u64, u64>>(), 128);
+        assert_eq!(leaf_cap::<SumAug<(u64, u64), u64>>(), 128);
         // a store spec with owned byte strings, and an index term map
         // whose values are maps
-        assert_eq!(leaf_cap::<NoAug<Vec<u8>, Vec<u8>>, WeightBalanced>(), 32);
+        assert_eq!(leaf_cap::<NoAug<Vec<u8>, Vec<u8>>>(), 32);
         type Postings = AugMap<MaxAug<u32, f32>>;
-        assert_eq!(leaf_cap::<NoAug<u32, Postings>, WeightBalanced>(), 32);
+        assert_eq!(leaf_cap::<NoAug<u32, Postings>>(), 32);
         // a pinned capacity ignores the entry type
-        assert_eq!(
-            leaf_cap::<NoAug<Vec<u8>, Vec<u8>>, WeightBalancedCap<8>>(),
-            8
-        );
-        assert_eq!(leaf_cap::<SumAug<u64, u64>, WeightBalancedCap<2>>(), 2);
+        assert_eq!(leaf_cap::<Capped<NoAug<Vec<u8>, Vec<u8>>, 8>>(), 8);
+        assert_eq!(leaf_cap::<Capped<SumAug<u64, u64>, 2>>(), 2);
     }
 }

@@ -10,7 +10,6 @@
 //! `Tree` cannot change underneath it, and mutations to clones of the map
 //! (path copying) never disturb the blocks the cursor walks.
 
-use crate::balance::Balance;
 use crate::node::{EntryOwned, InternalNode, Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
@@ -18,17 +17,17 @@ use std::cmp::Ordering;
 /// An in-order streaming position in a tree. Created via
 /// [`AugMap::cursor`](crate::AugMap::cursor) /
 /// [`AugMap::cursor_at`](crate::AugMap::cursor_at).
-pub struct Cursor<'a, S: AugSpec, B: Balance> {
+pub struct Cursor<'a, S: AugSpec> {
     /// Ancestors whose own entry (and right subtree) are still pending,
     /// innermost last.
-    stack: Vec<&'a InternalNode<S, B>>,
+    stack: Vec<&'a InternalNode<S>>,
     /// Unconsumed suffix of the current leaf block.
     block: &'a [EntryOwned<S>],
 }
 
-impl<'a, S: AugSpec, B: Balance> Cursor<'a, S, B> {
+impl<'a, S: AugSpec> Cursor<'a, S> {
     /// A cursor positioned at the smallest key.
-    pub fn first(t: &'a Tree<S, B>) -> Self {
+    pub fn first(t: &'a Tree<S>) -> Self {
         let mut c = Cursor {
             stack: Vec::with_capacity(16),
             block: &[],
@@ -38,7 +37,7 @@ impl<'a, S: AugSpec, B: Balance> Cursor<'a, S, B> {
     }
 
     /// A cursor positioned at the smallest key `>= lo`.
-    pub fn seek(t: &'a Tree<S, B>, lo: &S::K) -> Self {
+    pub fn seek(t: &'a Tree<S>, lo: &S::K) -> Self {
         let mut c = Cursor {
             stack: Vec::with_capacity(16),
             block: &[],
@@ -47,7 +46,7 @@ impl<'a, S: AugSpec, B: Balance> Cursor<'a, S, B> {
         c
     }
 
-    fn descend_left(&mut self, mut t: &'a Tree<S, B>) {
+    fn descend_left(&mut self, mut t: &'a Tree<S>) {
         while let Some(n) = t.as_deref() {
             match n {
                 Node::Leaf(l) => {
@@ -62,7 +61,7 @@ impl<'a, S: AugSpec, B: Balance> Cursor<'a, S, B> {
         }
     }
 
-    fn descend_ge(&mut self, mut t: &'a Tree<S, B>, lo: &S::K) {
+    fn descend_ge(&mut self, mut t: &'a Tree<S>, lo: &S::K) {
         while let Some(n) = t.as_deref() {
             match n {
                 Node::Leaf(l) => {

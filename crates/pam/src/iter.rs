@@ -3,19 +3,18 @@
 //! slice step, and each internal node is visited exactly once per scan —
 //! no per-entry re-descent.
 
-use crate::balance::Balance;
 use crate::cursor::Cursor;
 use crate::node::Tree;
 use crate::spec::AugSpec;
 
 /// Borrowing in-order iterator over `(key, value)` pairs.
-pub struct Iter<'a, S: AugSpec, B: Balance> {
-    cur: Cursor<'a, S, B>,
+pub struct Iter<'a, S: AugSpec> {
+    cur: Cursor<'a, S>,
     remaining: usize,
 }
 
-impl<'a, S: AugSpec, B: Balance> Iter<'a, S, B> {
-    pub(crate) fn new(t: &'a Tree<S, B>) -> Self {
+impl<'a, S: AugSpec> Iter<'a, S> {
+    pub(crate) fn new(t: &'a Tree<S>) -> Self {
         Iter {
             cur: Cursor::first(t),
             remaining: crate::node::size(t),
@@ -23,7 +22,7 @@ impl<'a, S: AugSpec, B: Balance> Iter<'a, S, B> {
     }
 }
 
-impl<'a, S: AugSpec, B: Balance> Iterator for Iter<'a, S, B> {
+impl<'a, S: AugSpec> Iterator for Iter<'a, S> {
     type Item = (&'a S::K, &'a S::V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -37,18 +36,18 @@ impl<'a, S: AugSpec, B: Balance> Iterator for Iter<'a, S, B> {
     }
 }
 
-impl<'a, S: AugSpec, B: Balance> ExactSizeIterator for Iter<'a, S, B> {}
+impl<'a, S: AugSpec> ExactSizeIterator for Iter<'a, S> {}
 
 /// Borrowing in-order iterator over the keys in `[lo, hi]`, visiting
 /// only the O(log n + output) relevant nodes — no sub-map is
 /// materialized.
-pub struct RangeIter<'a, S: AugSpec, B: Balance> {
-    cur: Cursor<'a, S, B>,
+pub struct RangeIter<'a, S: AugSpec> {
+    cur: Cursor<'a, S>,
     hi: &'a S::K,
 }
 
-impl<'a, S: AugSpec, B: Balance> RangeIter<'a, S, B> {
-    pub(crate) fn new(t: &'a Tree<S, B>, lo: &'a S::K, hi: &'a S::K) -> Self {
+impl<'a, S: AugSpec> RangeIter<'a, S> {
+    pub(crate) fn new(t: &'a Tree<S>, lo: &'a S::K, hi: &'a S::K) -> Self {
         RangeIter {
             cur: Cursor::seek(t, lo),
             hi,
@@ -56,7 +55,7 @@ impl<'a, S: AugSpec, B: Balance> RangeIter<'a, S, B> {
     }
 }
 
-impl<'a, S: AugSpec, B: Balance> Iterator for RangeIter<'a, S, B> {
+impl<'a, S: AugSpec> Iterator for RangeIter<'a, S> {
     type Item = (&'a S::K, &'a S::V);
 
     fn next(&mut self) -> Option<Self::Item> {

@@ -26,8 +26,9 @@
 //! [`balance`]). Leaves are sorted blocks whose capacity
 //! [`balance::leaf_cap`] decides from the entry type: [`DEFAULT_LEAF_B`]
 //! (128) entries when copying one is a memcpy, 32 when an entry owns
-//! something a path copy must count or clone; [`WeightBalancedCap`] pins
-//! another capacity. Bulk operations (`union`, `intersect`,
+//! something a path copy must count or clone; a spec may pin another
+//! capacity ([`spec::Capped`]). The spec is the only type parameter of
+//! every type and function here. Bulk operations (`union`, `intersect`,
 //! `difference`, `filter`, `build`, `multi_insert`, `map_reduce`, ...)
 //! fork their recursive calls with rayon and are work-optimal.
 //!
@@ -63,20 +64,39 @@ pub mod spec;
 pub mod stats;
 pub mod validate;
 
-pub use balance::{Balance, WeightBalanced, WeightBalancedCap, DEFAULT_LEAF_B};
+pub use balance::DEFAULT_LEAF_B;
 pub use cursor::Cursor;
 pub use iter::{Iter, RangeIter};
 pub use map::AugMap;
-pub use node::{par_drop, EntryOwned, Node, Tree};
+pub use node::{par_drop, EntryOwned, Node};
 pub use spec::{Addable, AugSpec, MaxAug, Maxable, MinAug, Minable, NoAug, SumAug};
 
 /// A plain (un-augmented) ordered map.
-pub type OrdMap<K, V, B = WeightBalanced> = AugMap<NoAug<K, V>, B>;
+pub type OrdMap<K, V> = AugMap<NoAug<K, V>>;
+
+/// [`node::Tree<S>`] under a compatibility name that also accepts a
+/// second argument, [`WeightBalanced`], the only one it resolves. The
+/// frozen benchmark package spells `Tree<Spec, WeightBalanced>` and is the
+/// alias's only user; ROADMAP item 1(e) deletes the second parameter and
+/// `WeightBalanced` with it.
+pub type Tree<S, B = WeightBalanced> = <B as TreeOf<S>>::Tree;
+
+/// The weight-balanced scheme, the only one here: kept as a name only for
+/// the [`Tree`] alias's second argument (ROADMAP item 1(e)).
+pub struct WeightBalanced;
+
+#[doc(hidden)]
+pub trait TreeOf<S> {
+    type Tree;
+}
+
+impl<S: AugSpec> TreeOf<S> for WeightBalanced {
+    type Tree = node::Tree<S>;
+}
 
 /// Everything most users need.
 pub mod prelude {
     pub use crate::{
-        Addable, AugMap, AugSpec, Balance, MaxAug, Maxable, MinAug, Minable, NoAug, OrdMap, SumAug,
-        WeightBalanced,
+        Addable, AugMap, AugSpec, MaxAug, Maxable, MinAug, Minable, NoAug, OrdMap, SumAug,
     };
 }

@@ -4,7 +4,6 @@
 //! independent snapshot (persistence); all bulk operations run in
 //! parallel internally. See the crate docs for the full tour.
 
-use crate::balance::{Balance, WeightBalanced};
 use crate::iter::Iter;
 use crate::node::{self, Tree};
 use crate::ops;
@@ -12,13 +11,13 @@ use crate::spec::AugSpec;
 use std::borrow::Cow;
 
 /// A parallel, persistent, augmented ordered map with specification `S`
-/// and leaf-block capacity `B` (default: [`WeightBalanced`], blocks of 128
-/// plain or 32 owning entries; see [`leaf_cap`](crate::balance::leaf_cap)).
-pub struct AugMap<S: AugSpec, B: Balance = WeightBalanced> {
-    root: Tree<S, B>,
+/// (leaf blocks of 128 plain or 32 owning entries unless the spec pins a
+/// capacity; see [`leaf_cap`](crate::balance::leaf_cap)).
+pub struct AugMap<S: AugSpec> {
+    root: Tree<S>,
 }
 
-impl<S: AugSpec, B: Balance> Clone for AugMap<S, B> {
+impl<S: AugSpec> Clone for AugMap<S> {
     /// O(1): snapshots share all nodes until either side is modified.
     fn clone(&self) -> Self {
         AugMap {
@@ -27,19 +26,19 @@ impl<S: AugSpec, B: Balance> Clone for AugMap<S, B> {
     }
 }
 
-impl<S: AugSpec, B: Balance> Default for AugMap<S, B> {
+impl<S: AugSpec> Default for AugMap<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S: AugSpec, B: Balance> std::fmt::Debug for AugMap<S, B> {
+impl<S: AugSpec> std::fmt::Debug for AugMap<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "AugMap{{ len: {} }}", self.len())
     }
 }
 
-impl<S: AugSpec, B: Balance> AugMap<S, B> {
+impl<S: AugSpec> AugMap<S> {
     // -- constructors -----------------------------------------------------
 
     /// The empty map.
@@ -50,7 +49,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// A map with a single entry.
     pub fn singleton(key: S::K, val: S::V) -> Self {
         AugMap {
-            root: crate::balance::singleton::<S, B>(key, val),
+            root: crate::balance::singleton::<S>(key, val),
         }
     }
 
@@ -59,7 +58,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// "last" means last in `items`.
     pub fn build(items: Vec<(S::K, S::V)>) -> Self {
         AugMap {
-            root: ops::build::<S, B, _>(items, &|_old, new| new),
+            root: ops::build::<S, _>(items, &|_old, new| new),
         }
     }
 
@@ -84,7 +83,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
         combine: impl Fn(&S::V, &S::V) -> S::V + Sync,
     ) -> Self {
         AugMap {
-            root: ops::build::<S, B, _>(items, &|a, b| combine(&a, &b)),
+            root: ops::build::<S, _>(items, &|a, b| combine(&a, &b)),
         }
     }
 
@@ -93,12 +92,12 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// entry once; a borrowed slice (`&v`) is cloned once first.
     pub fn from_sorted_distinct<'a>(items: impl Into<Cow<'a, [(S::K, S::V)]>>) -> Self {
         AugMap {
-            root: ops::from_sorted_distinct::<S, B>(items),
+            root: ops::from_sorted_distinct::<S>(items),
         }
     }
 
     /// Wrap a raw tree (advanced; used by the stats helpers and tests).
-    pub fn from_root(root: Tree<S, B>) -> Self {
+    pub fn from_root(root: Tree<S>) -> Self {
         AugMap { root }
     }
 
@@ -159,7 +158,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// Insert, replacing any existing value. O(log n).
     pub fn insert(&mut self, key: S::K, val: S::V) {
         let root = self.root.take();
-        self.root = ops::insert::<S, B, _>(root, key, val, &|_old, new| new);
+        self.root = ops::insert::<S, _>(root, key, val, &|_old, new| new);
     }
 
     /// Insert; when the key exists the stored value becomes
@@ -171,7 +170,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
         combine: impl Fn(&S::V, &S::V) -> S::V + Sync,
     ) {
         let root = self.root.take();
-        self.root = ops::insert::<S, B, _>(root, key, val, &|old, new| combine(&old, &new));
+        self.root = ops::insert::<S, _>(root, key, val, &|old, new| combine(&old, &new));
     }
 
     /// Remove the entry at `key` (no-op if absent). O(log n).
@@ -184,7 +183,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// entry, `Some(v)` replaces it. No-op if absent. O(log n).
     pub fn update(&mut self, key: &S::K, f: impl Fn(&S::V) -> Option<S::V> + Sync) {
         let root = self.root.take();
-        self.root = ops::update::<S, B, _>(root, key, &f);
+        self.root = ops::update::<S, _>(root, key, &f);
     }
 
     // -- bulk operations ---------------------------------------------------
@@ -206,7 +205,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// ```
     pub fn union_with(self, other: Self, combine: impl Fn(&S::V, &S::V) -> S::V + Sync) -> Self {
         AugMap {
-            root: ops::union::<S, B, _>(self.root, other.root, &combine),
+            root: ops::union::<S, _>(self.root, other.root, &combine),
         }
     }
 
@@ -217,7 +216,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
         combine: impl Fn(&S::V, &S::V) -> S::V + Sync,
     ) -> Self {
         AugMap {
-            root: ops::intersect::<S, B, _>(self.root, other.root, &combine),
+            root: ops::intersect::<S, _>(self.root, other.root, &combine),
         }
     }
 
@@ -231,14 +230,14 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// Keep the entries satisfying `pred` (parallel; linear work).
     pub fn filter(self, pred: impl Fn(&S::K, &S::V) -> bool + Sync) -> Self {
         AugMap {
-            root: ops::filter::<S, B, _>(self.root, &pred),
+            root: ops::filter::<S, _>(self.root, &pred),
         }
     }
 
     /// Bulk-insert, replacing existing values.
     pub fn multi_insert(&mut self, batch: Vec<(S::K, S::V)>) {
         let root = self.root.take();
-        self.root = ops::multi_insert::<S, B, _>(root, batch, &|_old, new| new);
+        self.root = ops::multi_insert::<S, _>(root, batch, &|_old, new| new);
     }
 
     /// Bulk-insert with `combine(old, new)` on existing keys.
@@ -248,13 +247,13 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
         combine: impl Fn(&S::V, &S::V) -> S::V + Sync,
     ) {
         let root = self.root.take();
-        self.root = ops::multi_insert::<S, B, _>(root, batch, &|old, new| combine(&old, &new));
+        self.root = ops::multi_insert::<S, _>(root, batch, &|old, new| combine(&old, &new));
     }
 
     /// Bulk-delete a set of keys.
     pub fn multi_delete(&mut self, keys: Vec<S::K>) {
         let root = self.root.take();
-        self.root = ops::multi_delete::<S, B>(root, keys);
+        self.root = ops::multi_delete::<S>(root, keys);
     }
 
     /// Bulk-apply puts (`Some`) and deletes (`None`) in one walk of the
@@ -268,7 +267,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// ```
     pub fn multi_update(&mut self, batch: Vec<(S::K, Option<S::V>)>) {
         let root = self.root.take();
-        self.root = ops::multi_update::<S, B>(root, batch);
+        self.root = ops::multi_update::<S>(root, batch);
     }
 
     // -- range extraction ---------------------------------------------------
@@ -366,7 +365,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// ```
     pub fn aug_filter(&self, h: impl Fn(&S::A) -> bool + Sync) -> Self {
         AugMap {
-            root: ops::aug_filter::<S, B, _>(self.root.clone(), &h),
+            root: ops::aug_filter::<S, _>(self.root.clone(), &h),
         }
     }
 
@@ -379,7 +378,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
         h_all: impl Fn(&S::A) -> bool + Sync,
     ) -> Self {
         AugMap {
-            root: ops::aug_filter_with_all::<S, B, _, _>(self.root.clone(), &h_any, &h_all),
+            root: ops::aug_filter_with_all::<S, _, _>(self.root.clone(), &h_any, &h_all),
         }
     }
 
@@ -400,16 +399,16 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     pub fn filter_map_values<S2: AugSpec<K = S::K>>(
         &self,
         f: impl Fn(&S::K, &S::V) -> Option<S2::V> + Sync,
-    ) -> AugMap<S2, B> {
+    ) -> AugMap<S2> {
         AugMap {
-            root: ops::filter_map_values::<S, S2, B, _>(&self.root, &f),
+            root: ops::filter_map_values::<S, S2, _>(&self.root, &f),
         }
     }
 
     // -- traversal -----------------------------------------------------------
 
     /// Borrowing in-order iterator.
-    pub fn iter(&self) -> Iter<'_, S, B> {
+    pub fn iter(&self) -> Iter<'_, S> {
         Iter::new(&self.root)
     }
 
@@ -423,11 +422,7 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// let keys: Vec<u32> = m.iter_range(&10, &13).map(|(&k, _)| k).collect();
     /// assert_eq!(keys, vec![10, 11, 12, 13]);
     /// ```
-    pub fn iter_range<'a>(
-        &'a self,
-        lo: &'a S::K,
-        hi: &'a S::K,
-    ) -> crate::iter::RangeIter<'a, S, B> {
+    pub fn iter_range<'a>(&'a self, lo: &'a S::K, hi: &'a S::K) -> crate::iter::RangeIter<'a, S> {
         crate::iter::RangeIter::new(&self.root, lo, hi)
     }
 
@@ -435,13 +430,13 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     /// key. Advancing streams block-to-block (one slice step inside a
     /// leaf) instead of re-descending from the root; because maps are
     /// persistent the cursor pins this snapshot even if clones mutate.
-    pub fn cursor(&self) -> crate::cursor::Cursor<'_, S, B> {
+    pub fn cursor(&self) -> crate::cursor::Cursor<'_, S> {
         crate::cursor::Cursor::first(&self.root)
     }
 
     /// A [`Cursor`](crate::cursor::Cursor) positioned at the smallest
     /// key `>= lo` — one O(log n) descent, then streaming advances.
-    pub fn cursor_at(&self, lo: &S::K) -> crate::cursor::Cursor<'_, S, B> {
+    pub fn cursor_at(&self, lo: &S::K) -> crate::cursor::Cursor<'_, S> {
         crate::cursor::Cursor::seek(&self.root, lo)
     }
 
@@ -477,9 +472,9 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     pub fn map_values<S2: AugSpec<K = S::K>>(
         &self,
         f: impl Fn(&S::K, &S::V) -> S2::V + Sync,
-    ) -> AugMap<S2, B> {
+    ) -> AugMap<S2> {
         AugMap {
-            root: ops::map_values::<S, S2, B, _>(&self.root, &f),
+            root: ops::map_values::<S, S2, _>(&self.root, &f),
         }
     }
 
@@ -501,12 +496,12 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     // -- plumbing --------------------------------------------------------------
 
     /// Borrow the raw root (stats helpers, advanced composition).
-    pub fn root(&self) -> &Tree<S, B> {
+    pub fn root(&self) -> &Tree<S> {
         &self.root
     }
 
     /// Unwrap into the raw root.
-    pub fn into_root(self) -> Tree<S, B> {
+    pub fn into_root(self) -> Tree<S> {
         self.root
     }
 
@@ -534,26 +529,25 @@ impl<S: AugSpec, B: Balance> AugMap<S, B> {
     }
 }
 
-impl<S: AugSpec, B: Balance> FromIterator<(S::K, S::V)> for AugMap<S, B> {
+impl<S: AugSpec> FromIterator<(S::K, S::V)> for AugMap<S> {
     fn from_iter<I: IntoIterator<Item = (S::K, S::V)>>(iter: I) -> Self {
         Self::build(iter.into_iter().collect())
     }
 }
 
-impl<'a, S: AugSpec, B: Balance> IntoIterator for &'a AugMap<S, B> {
+impl<'a, S: AugSpec> IntoIterator for &'a AugMap<S> {
     type Item = (&'a S::K, &'a S::V);
-    type IntoIter = Iter<'a, S, B>;
+    type IntoIter = Iter<'a, S>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
 
-impl<S, B> PartialEq for AugMap<S, B>
+impl<S> PartialEq for AugMap<S>
 where
     S: AugSpec,
     S::K: PartialEq,
     S::V: PartialEq,
-    B: Balance,
 {
     /// Entry-wise equality (keys and values, in order).
     fn eq(&self, other: &Self) -> bool {

@@ -12,11 +12,11 @@
 //! enum: an [`Internal`](Node::Internal) node carries one pivot entry and
 //! its subtree's size (all the weight-balanced invariant reads) exactly as
 //! in PAM, while a [`Leaf`](Node::Leaf) holds a *sorted block* of up to
-//! `cap` = [`leaf_cap::<S, B>()`](crate::balance::leaf_cap) entries: by
-//! default 128 when an entry has no drop glue and 32 when it owns
-//! something, unless a
-//! [`WeightBalancedCap`](crate::balance::WeightBalancedCap) pins another
-//! capacity. Blocking amortizes the per-entry `Arc` + pointer overhead
+//! `cap` = [`leaf_cap::<S>()`](crate::balance::leaf_cap) entries: 128
+//! when an entry has no drop glue and 32 when it owns something, unless
+//! the spec pins another capacity
+//! ([`AugSpec::PINNED_CAP`], set by [`Capped`](crate::spec::Capped)).
+//! The spec is the node's only type parameter. Blocking amortizes the per-entry `Arc` + pointer overhead
 //! over a whole block, which is the dominant constant-factor cost in
 //! memory and scan speed.
 //! Fill invariants (every non-root leaf holds `cap/2 ..= cap`
@@ -38,42 +38,38 @@
 //! "localizes application of the augmentation functions f and g to when a
 //! node is created" (§4).
 
-use crate::balance::{leaf_cap, Balance};
+use crate::balance::leaf_cap;
 use crate::spec::AugSpec;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// A persistent augmented tree: `None` is the empty map.
-pub type Tree<S, B> = Option<Arc<Node<S, B>>>;
+pub type Tree<S> = Option<Arc<Node<S>>>;
 
 /// One tree node: a blocked leaf or a pivot-carrying internal node.
-pub enum Node<S: AugSpec, B: Balance> {
-    /// A sorted block of `1..=leaf_cap::<S, B>()` entries plus the cached
+pub enum Node<S: AugSpec> {
+    /// A sorted block of `1..=leaf_cap::<S>()` entries plus the cached
     /// fold of the augmentation over the block.
-    Leaf(LeafNode<S, B>),
+    Leaf(LeafNode<S>),
     /// A pivot entry between two subtrees, as in the paper.
-    Internal(InternalNode<S, B>),
+    Internal(InternalNode<S>),
 }
 
 /// Payload of [`Node::Leaf`]: the sorted entry block and its cached
 /// augmented value.
-pub struct LeafNode<S: AugSpec, B: Balance> {
+pub struct LeafNode<S: AugSpec> {
     pub(crate) entries: Box<[EntryOwned<S>]>,
     pub(crate) aug: S::A,
-    /// No field type names `B`; it says the block is
-    /// `leaf_cap::<S, B>()` wide.
-    pub(crate) cap: PhantomData<B>,
 }
 
 /// Payload of [`Node::Internal`].
-pub struct InternalNode<S: AugSpec, B: Balance> {
+pub struct InternalNode<S: AugSpec> {
     pub(crate) size: usize,
     pub(crate) key: S::K,
     pub(crate) val: S::V,
     pub(crate) aug: S::A,
-    pub(crate) left: Tree<S, B>,
-    pub(crate) right: Tree<S, B>,
+    pub(crate) left: Tree<S>,
+    pub(crate) right: Tree<S>,
 }
 
 /// An entry (key, value) detached from a node — what the paper's `expose`
@@ -97,32 +93,31 @@ impl<S: AugSpec> Clone for EntryOwned<S> {
 
 /// Number of entries in `t`.
 #[inline]
-pub fn size<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> usize {
+pub fn size<S: AugSpec>(t: &Tree<S>) -> usize {
     t.as_ref().map_or(0, |n| n.size_of())
 }
 
 /// The augmented value of `t`, or the identity for the empty tree.
 /// This is the paper's `augVal` — O(1) because sums are maintained.
 #[inline]
-pub fn aug_val<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> S::A {
+pub fn aug_val<S: AugSpec>(t: &Tree<S>) -> S::A {
     t.as_ref().map_or_else(S::identity, |n| n.aug().clone())
 }
 
-impl<S: AugSpec, B: Balance> LeafNode<S, B> {
+impl<S: AugSpec> LeafNode<S> {
     /// Build a leaf from sorted, strictly-increasing entries, computing the
-    /// block's augmented value. `entries` must hold `1..=leaf_cap::<S, B>()`
+    /// block's augmented value. `entries` must hold `1..=leaf_cap::<S>()`
     /// items.
     pub(crate) fn from_entries(entries: Vec<EntryOwned<S>>) -> Self {
         debug_assert!(!entries.is_empty(), "leaf blocks are never empty");
         debug_assert!(
-            entries.len() <= leaf_cap::<S, B>().max(1),
+            entries.len() <= leaf_cap::<S>().max(1),
             "leaf block overflow"
         );
         let aug = S::fold_block(entries.iter().map(|e| (&e.key, &e.val)));
         LeafNode {
             entries: entries.into_boxed_slice(),
             aug,
-            cap: PhantomData,
         }
     }
 
@@ -139,10 +134,10 @@ impl<S: AugSpec, B: Balance> LeafNode<S, B> {
     }
 }
 
-impl<S: AugSpec, B: Balance> Node<S, B> {
+impl<S: AugSpec> Node<S> {
     /// Create an internal node, computing `size` and the augmented value
     /// from the children.
-    pub(crate) fn make(left: Tree<S, B>, entry: EntryOwned<S>, right: Tree<S, B>) -> Arc<Self> {
+    pub(crate) fn make(left: Tree<S>, entry: EntryOwned<S>, right: Tree<S>) -> Arc<Self> {
         let size = size(&left) + size(&right) + 1;
         let mid = S::base(&entry.key, &entry.val);
         // f(A(L), f(g(k,v), A(R))); absent children contribute nothing
@@ -164,7 +159,7 @@ impl<S: AugSpec, B: Balance> Node<S, B> {
         }))
     }
 
-    /// Create a leaf node from sorted entries (`1..=leaf_cap::<S, B>()` of
+    /// Create a leaf node from sorted entries (`1..=leaf_cap::<S>()` of
     /// them).
     #[inline]
     pub(crate) fn make_leaf(entries: Vec<EntryOwned<S>>) -> Arc<Self> {
@@ -200,7 +195,7 @@ impl<S: AugSpec, B: Balance> Node<S, B> {
     /// [`Self::aug`]; leaf blocks have no children.)
     #[inline]
     #[allow(clippy::type_complexity)]
-    pub fn children(&self) -> Option<(&Tree<S, B>, &Tree<S, B>)> {
+    pub fn children(&self) -> Option<(&Tree<S>, &Tree<S>)> {
         match self {
             Node::Leaf(_) => None,
             Node::Internal(x) => Some((&x.left, &x.right)),
@@ -209,7 +204,7 @@ impl<S: AugSpec, B: Balance> Node<S, B> {
 
     /// The leaf payload, if this is a leaf.
     #[inline]
-    pub fn as_leaf(&self) -> Option<&LeafNode<S, B>> {
+    pub fn as_leaf(&self) -> Option<&LeafNode<S>> {
         match self {
             Node::Leaf(l) => Some(l),
             Node::Internal(_) => None,
@@ -220,9 +215,7 @@ impl<S: AugSpec, B: Balance> Node<S, B> {
 /// Split leaf entries at the median: `(left, pivot, right)` where both
 /// sides stay sorted. For a single entry both sides are empty.
 #[allow(clippy::type_complexity)]
-fn split_block<S: AugSpec, B: Balance>(
-    mut entries: Vec<EntryOwned<S>>,
-) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
+fn split_block<S: AugSpec>(mut entries: Vec<EntryOwned<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) {
     debug_assert!(!entries.is_empty());
     let mid = entries.len() / 2;
     let mut right = entries.split_off(mid);
@@ -253,9 +246,7 @@ fn split_block<S: AugSpec, B: Balance>(
 /// `join_tree` re-packs underfull blocks on the way up.
 #[inline]
 #[allow(clippy::type_complexity)]
-pub fn expose<S: AugSpec, B: Balance>(
-    n: Arc<Node<S, B>>,
-) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
+pub fn expose<S: AugSpec>(n: Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) {
     match Arc::try_unwrap(n) {
         Ok(Node::Internal(x)) => (
             x.left,
@@ -271,9 +262,7 @@ pub fn expose<S: AugSpec, B: Balance>(
 }
 
 #[allow(clippy::type_complexity)]
-fn clone_out<S: AugSpec, B: Balance>(
-    n: &Arc<Node<S, B>>,
-) -> (Tree<S, B>, EntryOwned<S>, Tree<S, B>) {
+fn clone_out<S: AugSpec>(n: &Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) {
     match &**n {
         Node::Internal(x) => (
             x.left.clone(),
@@ -291,17 +280,14 @@ fn clone_out<S: AugSpec, B: Balance>(
 /// when the `Arc` is unique, clones them when shared (same policy as
 /// [`expose`]). Panics on an internal node — callers check `is_leaf`
 /// first. This is the entry point of the per-block fast paths in `ops`.
-pub(crate) fn take_leaf_entries<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> Vec<EntryOwned<S>> {
+pub(crate) fn take_leaf_entries<S: AugSpec>(n: Arc<Node<S>>) -> Vec<EntryOwned<S>> {
     let len = n.size_of();
     take_leaf_run(n, 0..len)
 }
 
 /// The run `run` of a **leaf** node's entry block: moved out when the
 /// `Arc` is unique, and only the run cloned when it is shared.
-pub(crate) fn take_leaf_run<S: AugSpec, B: Balance>(
-    n: Arc<Node<S, B>>,
-    run: Range<usize>,
-) -> Vec<EntryOwned<S>> {
+pub(crate) fn take_leaf_run<S: AugSpec>(n: Arc<Node<S>>, run: Range<usize>) -> Vec<EntryOwned<S>> {
     match Arc::try_unwrap(n) {
         Ok(Node::Leaf(l)) => {
             let mut es = l.entries.into_vec();
@@ -314,10 +300,43 @@ pub(crate) fn take_leaf_run<S: AugSpec, B: Balance>(
     }
 }
 
+/// The entries of a **leaf** node's block that `keep` admits: moved out
+/// when the `Arc` is unique, and only those cloned when it is shared.
+pub(crate) fn take_leaf_where<S: AugSpec>(
+    n: Arc<Node<S>>,
+    keep: impl Fn(&EntryOwned<S>) -> bool,
+) -> Vec<EntryOwned<S>> {
+    match Arc::try_unwrap(n) {
+        Ok(Node::Leaf(l)) => {
+            let mut es = l.entries.into_vec();
+            es.retain(keep);
+            es
+        }
+        Ok(Node::Internal(_)) => unreachable!("take_leaf_where on internal node"),
+        Err(shared) => {
+            let es = shared.as_leaf().expect("a leaf").entries.iter();
+            es.filter(|e| keep(e)).cloned().collect()
+        }
+    }
+}
+
+/// Both children of an **internal** node, its pivot dropped: moved out
+/// when the `Arc` is unique, two `Arc` bumps when it is shared.
+pub(crate) fn take_children<S: AugSpec>(n: Arc<Node<S>>) -> (Tree<S>, Tree<S>) {
+    match Arc::try_unwrap(n) {
+        Ok(Node::Internal(x)) => (x.left, x.right),
+        Ok(Node::Leaf(_)) => unreachable!("take_children on a leaf"),
+        Err(shared) => {
+            let (l, r) = shared.children().expect("an internal node");
+            (l.clone(), r.clone())
+        }
+    }
+}
+
 /// One child of an **internal** node, the right one if `right`, the rest
 /// of the node dropped: moved out when the `Arc` is unique, an `Arc` bump
 /// when it is shared. A walk that passes a node by clones none of it.
-pub(crate) fn take_child<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>, right: bool) -> Tree<S, B> {
+pub(crate) fn take_child<S: AugSpec>(n: Arc<Node<S>>, right: bool) -> Tree<S> {
     match Arc::try_unwrap(n) {
         Ok(Node::Internal(x)) if right => x.right,
         Ok(Node::Internal(x)) => x.left,
@@ -332,7 +351,7 @@ pub(crate) fn take_child<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>, right: bool
 /// Append every entry of `t` to `out` in key order, reusing uniquely-owned
 /// allocations. Used by the blocked join to flatten small trees before
 /// re-packing them into full blocks.
-pub(crate) fn flatten_into<S: AugSpec, B: Balance>(t: Tree<S, B>, out: &mut Vec<EntryOwned<S>>) {
+pub(crate) fn flatten_into<S: AugSpec>(t: Tree<S>, out: &mut Vec<EntryOwned<S>>) {
     let Some(n) = t else { return };
     match Arc::try_unwrap(n) {
         Ok(Node::Leaf(l)) => out.extend(l.entries.into_vec()),
@@ -348,7 +367,7 @@ pub(crate) fn flatten_into<S: AugSpec, B: Balance>(t: Tree<S, B>, out: &mut Vec<
     }
 }
 
-fn flatten_ref<S: AugSpec, B: Balance>(n: &Node<S, B>, out: &mut Vec<EntryOwned<S>>) {
+fn flatten_ref<S: AugSpec>(n: &Node<S>, out: &mut Vec<EntryOwned<S>>) {
     match n {
         Node::Leaf(l) => out.extend(l.entries.iter().cloned()),
         Node::Internal(x) => {
@@ -372,7 +391,7 @@ fn flatten_ref<S: AugSpec, B: Balance>(n: &Node<S, B>, out: &mut Vec<EntryOwned<
 /// cost of any necessary garbage collection", and its collector frees
 /// subtrees in parallel. This helper descends while the nodes are uniquely
 /// owned, releasing the two subtrees as parallel tasks.
-pub fn par_drop<S: AugSpec, B: Balance>(t: Tree<S, B>) {
+pub fn par_drop<S: AugSpec>(t: Tree<S>) {
     const DROP_GRAN: usize = 1 << 12;
     if let Some(n) = t {
         if n.size_of() <= DROP_GRAN {
@@ -393,17 +412,15 @@ pub fn par_drop<S: AugSpec, B: Balance>(t: Tree<S, B>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::{WeightBalanced, WeightBalancedCap};
-    use crate::spec::SumAug;
+    use crate::spec::{Capped, SumAug};
 
     type S = SumAug<u64, u64>;
-    type B = WeightBalanced;
 
     fn entry(k: u64, v: u64) -> EntryOwned<S> {
         EntryOwned { key: k, val: v }
     }
 
-    fn leaf(k: u64, v: u64) -> Arc<Node<S, B>> {
+    fn leaf(k: u64, v: u64) -> Arc<Node<S>> {
         Node::make_leaf(vec![entry(k, v)])
     }
 
@@ -418,7 +435,7 @@ mod tests {
 
     #[test]
     fn leaf_block_caches_fold() {
-        let n: Arc<Node<S, B>> = Node::make_leaf(vec![entry(1, 10), entry(2, 20), entry(3, 30)]);
+        let n: Arc<Node<S>> = Node::make_leaf(vec![entry(1, 10), entry(2, 20), entry(3, 30)]);
         assert_eq!(n.size_of(), 3);
         assert_eq!(*n.aug(), 60);
         assert!(n.is_leaf());
@@ -436,7 +453,7 @@ mod tests {
 
     #[test]
     fn expose_splits_leaf_block_at_median() {
-        let n: Arc<Node<S, B>> =
+        let n: Arc<Node<S>> =
             Node::make_leaf(vec![entry(1, 1), entry(2, 2), entry(3, 3), entry(4, 4)]);
         let (l, e, r) = expose(n);
         assert_eq!(e.key, 3);
@@ -470,15 +487,15 @@ mod tests {
 
     #[test]
     fn size_and_aug_val_of_empty() {
-        let t: Tree<S, B> = None;
+        let t: Tree<S> = None;
         assert_eq!(size(&t), 0);
         assert_eq!(aug_val(&t), 0);
     }
 
     #[test]
     fn cap_is_wired_through_schemes() {
-        assert_eq!(leaf_cap::<S, WeightBalancedCap<8>>(), 8);
-        assert_eq!(leaf_cap::<S, B>(), crate::balance::DEFAULT_LEAF_B);
+        assert_eq!(leaf_cap::<Capped<S, 8>>(), 8);
+        assert_eq!(leaf_cap::<S>(), crate::balance::DEFAULT_LEAF_B);
     }
 
     #[test]

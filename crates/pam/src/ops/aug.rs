@@ -23,8 +23,8 @@
 //!   O(k log(n/k + 1)) work for k results when an augmented value can
 //!   prune a subtree.
 
-use crate::balance::{from_sorted_entries, join_tree, Balance};
-use crate::node::{expose, take_leaf_entries, EntryOwned, InternalNode, Node, Tree};
+use crate::balance::{from_sorted_entries, join_tree};
+use crate::node::{expose, take_children, take_leaf_where, EntryOwned, InternalNode, Node, Tree};
 use crate::ops::range::{run, Bound, Open};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
@@ -124,10 +124,9 @@ const MAX_PATH: usize = 128;
 /// piece is then combined once, onto the right of the sum so far, and a
 /// reduce like `Vec::append` moves each element at most twice, not once
 /// a level.
-fn fold_range<S, B, L, H, F>(t: &Tree<S, B>, lo: L, hi: H, f: &F) -> Option<F::T>
+fn fold_range<S, L, H, F>(t: &Tree<S>, lo: L, hi: H, f: &F) -> Option<F::T>
 where
     S: AugSpec,
-    B: Balance,
     L: Bound<S>,
     H: Bound<S>,
     F: Fold<S>,
@@ -150,8 +149,8 @@ where
             break x;
         };
     };
-    let whole = |c: &Tree<S, B>| c.as_deref().map(|c| f.whole(c.aug()));
-    let entry = |x: &InternalNode<S, B>| Some(f.entry(&x.key, &x.val));
+    let whole = |c: &Tree<S>| c.as_deref().map(|c| f.whole(c.aug()));
+    let entry = |x: &InternalNode<S>| Some(f.entry(&x.key, &x.val));
     let (mut low, mut low_at) = if L::OPEN {
         (whole(&split.left), None)
     } else {
@@ -201,19 +200,19 @@ where
 
 /// Augmented value of all entries with keys `<= k` (the paper's
 /// `augLeft`, Figure 2). O(log n).
-pub fn aug_left<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> S::A {
+pub fn aug_left<S: AugSpec>(t: &Tree<S>, k: &S::K) -> S::A {
     fold_range(t, Open, k, &Monoid).unwrap_or_else(S::identity)
 }
 
 /// Augmented value of all entries with keys `>= k` (the mirror of
 /// [`aug_left`]). O(log n).
-pub fn aug_right<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> S::A {
+pub fn aug_right<S: AugSpec>(t: &Tree<S>, k: &S::K) -> S::A {
     fold_range(t, k, Open, &Monoid).unwrap_or_else(S::identity)
 }
 
 /// Augmented value of all entries with keys in `[lo, hi]` — equivalent to
 /// `augVal(range(m, lo, hi))` but O(log n) with no allocation.
-pub fn aug_range<S: AugSpec, B: Balance>(t: &Tree<S, B>, lo: &S::K, hi: &S::K) -> S::A {
+pub fn aug_range<S: AugSpec>(t: &Tree<S>, lo: &S::K, hi: &S::K) -> S::A {
     fold_range(t, lo, hi, &Monoid).unwrap_or_else(S::identity)
 }
 
@@ -222,8 +221,8 @@ pub fn aug_range<S: AugSpec, B: Balance>(t: &Tree<S, B>, lo: &S::K, hi: &S::K) -
 /// projects each of the O(log n) canonical subtrees of the range through
 /// `g'` *before* combining with `f'`. When `A` is a large structure (the
 /// range tree's inner maps) this avoids materializing any combined `A`.
-pub fn aug_project<S, B, T, G, F2>(
-    t: &Tree<S, B>,
+pub fn aug_project<S, T, G, F2>(
+    t: &Tree<S>,
     lo: &S::K,
     hi: &S::K,
     project: &G,
@@ -232,7 +231,6 @@ pub fn aug_project<S, B, T, G, F2>(
 ) -> T
 where
     S: AugSpec,
-    B: Balance,
     G: Fn(&S::A) -> T,
     F2: Fn(T, T) -> T,
 {
@@ -248,11 +246,12 @@ where
 /// both read only its augmented value. Both children are filtered in
 /// parallel when the node is big and both survive `any` — a child about
 /// to be pruned is an O(1) call, so offering it to the pool buys nothing —
-/// and rejoined with `join` (root kept) or `join2` (root dropped).
-fn filter_by<S, B, P, HAny, HAll>(t: Tree<S, B>, keep: &P, any: &HAny, all: &HAll) -> Tree<S, B>
+/// and rejoined with `join` (root kept) or `join2` (root dropped). On a
+/// shared tree only what survives is cloned: a block is filtered where it
+/// lies and a pivot is tested before it is taken.
+fn filter_by<S, P, HAny, HAll>(t: Tree<S>, keep: &P, any: &HAny, all: &HAll) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     P: Fn(&S::K, &S::V) -> bool + Sync,
     HAny: Fn(&S::A) -> bool + Sync,
     HAll: Fn(&S::A) -> bool + Sync,
@@ -264,32 +263,38 @@ where
     if all(n.aug()) {
         return Some(n);
     }
-    if n.is_leaf() {
-        let mut entries = take_leaf_entries(n);
-        entries.retain(|e| keep(&e.key, &e.val));
-        return from_sorted_entries::<S, B>(entries);
-    }
+    let kept = match &*n {
+        Node::Leaf(_) => {
+            let entries = take_leaf_where(n, |e| keep(&e.key, &e.val));
+            return from_sorted_entries::<S>(entries);
+        }
+        Node::Internal(x) => keep(&x.key, &x.val),
+    };
     let big = n.size_of() > granularity();
-    let (l, e, r) = expose(n);
-    let survives = |c: &Tree<S, B>| c.as_deref().is_some_and(|c| any(c.aug()));
+    let (l, e, r) = if kept {
+        let (l, e, r) = expose(n);
+        (l, Some(e), r)
+    } else {
+        let (l, r) = take_children(n);
+        (l, None, r)
+    };
+    let survives = |c: &Tree<S>| c.as_deref().is_some_and(|c| any(c.aug()));
     let (l2, r2) = par2_if(
         big && survives(&l) && survives(&r),
         move || filter_by(l, keep, any, all),
         move || filter_by(r, keep, any, all),
     );
-    if keep(&e.key, &e.val) {
-        join_tree(l2, e, r2)
-    } else {
-        join2(l2, r2)
+    match e {
+        Some(e) => join_tree(l2, e, r2),
+        None => join2(l2, r2),
     }
 }
 
 /// Keep the entries satisfying `pred` (the paper's `filter`, Figure 2):
 /// linear work, O(log² n) span. Leaf blocks are filtered in one pass.
-pub fn filter<S, B, P>(t: Tree<S, B>, pred: &P) -> Tree<S, B>
+pub fn filter<S, P>(t: Tree<S>, pred: &P) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     P: Fn(&S::K, &S::V) -> bool + Sync,
 {
     filter_by(t, pred, &|_: &S::A| true, &|_: &S::A| false)
@@ -306,14 +311,9 @@ where
 /// min/max augmentations both directions come for free (e.g. keep
 /// values > θ: `h_any = max > θ`, `h_all = min > θ` with a (min,max)
 /// pair augmentation).
-pub fn aug_filter_with_all<S, B, HAny, HAll>(
-    t: Tree<S, B>,
-    h_any: &HAny,
-    h_all: &HAll,
-) -> Tree<S, B>
+pub fn aug_filter_with_all<S, HAny, HAll>(t: Tree<S>, h_any: &HAny, h_all: &HAll) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     HAny: Fn(&S::A) -> bool + Sync,
     HAll: Fn(&S::A) -> bool + Sync,
 {
@@ -324,10 +324,9 @@ where
 /// `h'(k,v) ⇔ h(g(k,v))`, valid only when `h(a) ∨ h(b) ⇔ h(f(a,b))` —
 /// then a subtree whose augmented value fails `h` contains no matching
 /// entry and is pruned wholesale. O(k log(n/k + 1)) work for k results.
-pub fn aug_filter<S, B, H>(t: Tree<S, B>, h: &H) -> Tree<S, B>
+pub fn aug_filter<S, H>(t: Tree<S>, h: &H) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     H: Fn(&S::A) -> bool + Sync,
 {
     aug_filter_with_all(t, h, &|_| false)
@@ -335,7 +334,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::balance::{leaf_cap, WeightBalanced};
+    use crate::balance::leaf_cap;
     use crate::node::{Node, Tree};
     use crate::ops::counting::{calls_of, CountingOrder};
     use crate::spec::{MaxAug, SumAug};
@@ -439,7 +438,7 @@ mod tests {
         assert_eq!(f.aug_val(), want);
     }
 
-    type Counting = Tree<CountingOrder, WeightBalanced>;
+    type Counting = Tree<CountingOrder>;
 
     /// Nodes on the longest root-to-leaf path.
     fn height(t: &Counting) -> usize {
@@ -469,7 +468,7 @@ mod tests {
         // keys 0, 2, 4, ...; the value of key k is k / 2
         const N: u64 = 100_000;
         let m = AugMap::<CountingOrder>::build((0..N).map(|i| (2 * i, i)).collect());
-        let cap = leaf_cap::<CountingOrder, WeightBalanced>();
+        let cap = leaf_cap::<CountingOrder>();
         let h = height(m.root());
         // at most two compares a level down to the split node and one a
         // level on each side below it, then one pass over each boundary

@@ -2,7 +2,6 @@
 //! borrowing (they never restructure the tree). Blocked leaves end the
 //! descent with one binary search inside the block.
 
-use crate::balance::Balance;
 use crate::node::{EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
@@ -14,7 +13,7 @@ fn block_search<S: AugSpec>(entries: &[EntryOwned<S>], k: &S::K) -> Result<usize
 }
 
 /// Look up the value stored at `k`.
-pub fn find<'a, S: AugSpec, B: Balance>(t: &'a Tree<S, B>, k: &S::K) -> Option<&'a S::V> {
+pub fn find<'a, S: AugSpec>(t: &'a Tree<S>, k: &S::K) -> Option<&'a S::V> {
     let mut cur = t;
     while let Some(n) = cur.as_deref() {
         match n {
@@ -34,13 +33,13 @@ pub fn find<'a, S: AugSpec, B: Balance>(t: &'a Tree<S, B>, k: &S::K) -> Option<&
 }
 
 /// Is `k` present?
-pub fn contains<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> bool {
+pub fn contains<S: AugSpec>(t: &Tree<S>, k: &S::K) -> bool {
     find(t, k).is_some()
 }
 
 /// The minimum entry.
-pub fn first<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Option<(&S::K, &S::V)> {
-    let mut n: &Node<S, B> = t.as_deref()?;
+pub fn first<S: AugSpec>(t: &Tree<S>) -> Option<(&S::K, &S::V)> {
+    let mut n: &Node<S> = t.as_deref()?;
     loop {
         match n {
             Node::Leaf(l) => {
@@ -56,8 +55,8 @@ pub fn first<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Option<(&S::K, &S::V)> {
 }
 
 /// The maximum entry.
-pub fn last<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Option<(&S::K, &S::V)> {
-    let mut n: &Node<S, B> = t.as_deref()?;
+pub fn last<S: AugSpec>(t: &Tree<S>) -> Option<(&S::K, &S::V)> {
+    let mut n: &Node<S> = t.as_deref()?;
     loop {
         match n {
             Node::Leaf(l) => {
@@ -73,10 +72,7 @@ pub fn last<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Option<(&S::K, &S::V)> {
 }
 
 /// The entry with the largest key strictly less than `k`.
-pub fn previous<'a, S: AugSpec, B: Balance>(
-    t: &'a Tree<S, B>,
-    k: &S::K,
-) -> Option<(&'a S::K, &'a S::V)> {
+pub fn previous<'a, S: AugSpec>(t: &'a Tree<S>, k: &S::K) -> Option<(&'a S::K, &'a S::V)> {
     let mut best: Option<(&S::K, &S::V)> = None;
     let mut cur = t;
     while let Some(n) = cur.as_deref() {
@@ -107,10 +103,7 @@ pub fn previous<'a, S: AugSpec, B: Balance>(
 }
 
 /// The entry with the smallest key strictly greater than `k`.
-pub fn next<'a, S: AugSpec, B: Balance>(
-    t: &'a Tree<S, B>,
-    k: &S::K,
-) -> Option<(&'a S::K, &'a S::V)> {
+pub fn next<'a, S: AugSpec>(t: &'a Tree<S>, k: &S::K) -> Option<(&'a S::K, &'a S::V)> {
     let mut best: Option<(&S::K, &S::V)> = None;
     let mut cur = t;
     while let Some(n) = cur.as_deref() {
@@ -139,7 +132,7 @@ pub fn next<'a, S: AugSpec, B: Balance>(
 }
 
 /// Number of entries with keys strictly less than `k`.
-pub fn rank<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> usize {
+pub fn rank<S: AugSpec>(t: &Tree<S>, k: &S::K) -> usize {
     let mut acc = 0;
     let mut cur = t;
     while let Some(n) = cur.as_deref() {
@@ -163,7 +156,7 @@ pub fn rank<S: AugSpec, B: Balance>(t: &Tree<S, B>, k: &S::K) -> usize {
 }
 
 /// The `i`-th smallest entry (0-based), if `i < size`.
-pub fn select<S: AugSpec, B: Balance>(t: &Tree<S, B>, mut i: usize) -> Option<(&S::K, &S::V)> {
+pub fn select<S: AugSpec>(t: &Tree<S>, mut i: usize) -> Option<(&S::K, &S::V)> {
     let mut cur = t;
     while let Some(n) = cur.as_deref() {
         match n {

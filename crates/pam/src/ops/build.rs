@@ -22,7 +22,7 @@
 //! none is cloned. The sort and the dedup in front of it move too, and
 //! the internal `combine`s and `resolve`s take their values by value.
 
-use crate::balance::{from_sorted_entries, join_tree, leaf_cap, Balance};
+use crate::balance::{from_sorted_entries, join_tree, leaf_cap};
 use crate::node::{expose, size, take_leaf_entries, EntryOwned, Tree};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
@@ -33,13 +33,12 @@ use std::cmp::Ordering;
 /// Construct a map from an unsorted sequence of key-value pairs. Values of
 /// duplicate keys are merged left-to-right with `combine` (in input
 /// order, because the sort is stable).
-pub fn build<S, B, F>(items: Vec<(S::K, S::V)>, combine: &F) -> Tree<S, B>
+pub fn build<S, F>(items: Vec<(S::K, S::V)>, combine: &F) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     F: Fn(S::V, S::V) -> S::V + Sync,
 {
-    from_sorted_distinct::<S, B>(sorted_distinct::<S, _>(items, |a, b| {
+    from_sorted_distinct::<S>(sorted_distinct::<S, _>(items, |a, b| {
         (a.0, combine(a.1, b.1))
     }))
 }
@@ -69,10 +68,9 @@ where
 /// An owned `Vec` is moved into the tree; a borrowed slice is cloned
 /// once first. Work O(n) joins (each O(1) amortized on balanced halves),
 /// span O(log n).
-pub fn from_sorted_distinct<'a, S, B>(items: impl Into<Cow<'a, [(S::K, S::V)]>>) -> Tree<S, B>
+pub fn from_sorted_distinct<'a, S>(items: impl Into<Cow<'a, [(S::K, S::V)]>>) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
 {
     let mut items = items.into().into_owned();
     debug_assert!(strictly_increasing(&items, |a, b| S::compare(&a.0, &b.0)));
@@ -116,10 +114,9 @@ pub(crate) fn upsert<V>(old: Option<V>, new: V, combine: impl Fn(V, V) -> V) -> 
 /// Insert a whole batch. Existing values are merged with
 /// `combine(old, new)`; duplicate keys within the batch are merged
 /// left-to-right first.
-pub fn multi_insert<S, B, F>(t: Tree<S, B>, batch: Vec<(S::K, S::V)>, combine: &F) -> Tree<S, B>
+pub fn multi_insert<S, F>(t: Tree<S>, batch: Vec<(S::K, S::V)>, combine: &F) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     F: Fn(S::V, S::V) -> S::V + Sync,
 {
     let mut batch = sorted_distinct::<S, _>(batch, |a, b| (a.0, combine(a.1, b.1)));
@@ -129,10 +126,9 @@ where
 }
 
 /// Delete a whole batch of keys (absent keys are ignored).
-pub fn multi_delete<S, B>(t: Tree<S, B>, keys: Vec<S::K>) -> Tree<S, B>
+pub fn multi_delete<S>(t: Tree<S>, keys: Vec<S::K>) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
 {
     let keys: Vec<(S::K, ())> = keys.into_iter().map(|k| (k, ())).collect();
     let mut keys = sorted_distinct::<S, _>(keys, |a, _| a);
@@ -141,10 +137,9 @@ where
 
 /// Apply a batch of puts (`Some`) and deletes (`None`) in one walk. A key
 /// repeated in the batch keeps its last element.
-pub fn multi_update<S, B>(t: Tree<S, B>, batch: Vec<(S::K, Option<S::V>)>) -> Tree<S, B>
+pub fn multi_update<S>(t: Tree<S>, batch: Vec<(S::K, Option<S::V>)>) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
 {
     let mut batch = sorted_distinct::<S, _>(batch, |_, later| later);
     update_sorted(t, OwnedSlice::new(&mut batch), &|_, x| x)
@@ -156,14 +151,13 @@ where
 /// the key out of the result. Keys of `t` outside the batch are kept as
 /// they are. A batch key is moved into the entry it creates, or dropped
 /// where the tree's key stays.
-pub(crate) fn update_sorted<S, B, X, R>(
-    t: Tree<S, B>,
+pub(crate) fn update_sorted<S, X, R>(
+    t: Tree<S>,
     batch: OwnedSlice<'_, (S::K, X)>,
     resolve: &R,
-) -> Tree<S, B>
+) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     X: Send,
     R: Fn(Option<S::V>, X) -> Option<S::V> + Sync,
 {
@@ -173,7 +167,7 @@ where
     let work = size(&t) + batch.len();
     let (l, root, r, lo, hi) = match t {
         Some(n) if n.is_leaf() => return merge_block(take_leaf_entries(n), batch, resolve),
-        None if batch.len() <= leaf_cap::<S, B>().max(1) => {
+        None if batch.len() <= leaf_cap::<S>().max(1) => {
             return merge_block(Vec::new(), batch, resolve)
         }
         // an empty tree splits the batch at its median: a balanced build
@@ -193,8 +187,8 @@ where
     let x = if hi > lo { br.next() } else { None };
     let (l2, r2) = par2_if(
         worth_forking(work, bl.len(), br.len()),
-        move || update_sorted::<S, B, X, R>(l, bl, resolve),
-        move || update_sorted::<S, B, X, R>(r, br, resolve),
+        move || update_sorted::<S, X, R>(l, bl, resolve),
+        move || update_sorted::<S, X, R>(r, br, resolve),
     );
     let mid = match x {
         Some(x) => resolved(root, x, resolve),
@@ -222,14 +216,13 @@ where
 
 /// [`update_sorted`]'s bottom: a sorted merge of the batch into one
 /// block's entries, then a re-pack.
-fn merge_block<S, B, X, R>(
+fn merge_block<S, X, R>(
     entries: Vec<EntryOwned<S>>,
     batch: OwnedSlice<'_, (S::K, X)>,
     resolve: &R,
-) -> Tree<S, B>
+) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     R: Fn(Option<S::V>, X) -> Option<S::V>,
 {
     let mut out = Vec::with_capacity(entries.len() + batch.len());
@@ -244,7 +237,7 @@ where
         }
     }
     out.extend(items.filter_map(|x| resolved(None, x, resolve)));
-    from_sorted_entries::<S, B>(out)
+    from_sorted_entries::<S>(out)
 }
 
 #[cfg(test)]

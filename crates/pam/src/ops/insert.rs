@@ -10,7 +10,6 @@
 //! block splits at its median; an underfull one merges into a neighbor).
 //! A batch of one never forks.
 
-use crate::balance::Balance;
 use crate::node::Tree;
 use crate::ops::build::{update_sorted, upsert};
 use crate::spec::AugSpec;
@@ -20,10 +19,9 @@ use std::mem::MaybeUninit;
 /// Insert `(k, v)`. If `k` is already present its value becomes
 /// `combine(old, new)` — the paper's extra argument `h` to INSERT. Both
 /// values are passed by value. O(log n).
-pub fn insert<S, B, F>(t: Tree<S, B>, k: S::K, v: S::V, combine: &F) -> Tree<S, B>
+pub fn insert<S, F>(t: Tree<S>, k: S::K, v: S::V, combine: &F) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     F: Fn(S::V, S::V) -> S::V + Sync,
 {
     let mut slot = MaybeUninit::uninit();
@@ -35,10 +33,9 @@ where
 /// Update the value at `k` in place (structurally: via path copy):
 /// `f(&old)` returning `None` deletes the entry, `Some(v)` replaces it.
 /// No-op if `k` is absent. O(log n).
-pub fn update<S, B, F>(t: Tree<S, B>, k: &S::K, f: &F) -> Tree<S, B>
+pub fn update<S, F>(t: Tree<S>, k: &S::K, f: &F) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     F: Fn(&S::V) -> Option<S::V> + Sync,
 {
     let mut slot = MaybeUninit::uninit();
@@ -50,7 +47,7 @@ where
 }
 
 /// Remove the entry at `k` (no-op if absent). O(log n).
-pub fn delete<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
+pub fn delete<S: AugSpec>(t: Tree<S>, k: &S::K) -> Tree<S> {
     let mut slot = MaybeUninit::uninit();
     update_sorted(t, OwnedSlice::one(&mut slot, (k.clone(), ())), &|_, ()| {
         None

@@ -1,6 +1,6 @@
 //! `mapReduce`, structure-preserving `map_values`, and parallel flattening.
 
-use crate::balance::{join_tree, Balance};
+use crate::balance::join_tree;
 use crate::node::{size, EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if, par_fill};
@@ -9,10 +9,9 @@ use std::mem::MaybeUninit;
 /// The paper's `mapReduce(g', f', I', m)`: apply `map` to every entry and
 /// fold the results with the associative `reduce` (identity `id`).
 /// Linear work, O(log n) span.
-pub fn map_reduce<S, B, T, M, R>(t: &Tree<S, B>, map: &M, reduce: &R, id: T) -> T
+pub fn map_reduce<S, T, M, R>(t: &Tree<S>, map: &M, reduce: &R, id: T) -> T
 where
     S: AugSpec,
-    B: Balance,
     T: Send,
     M: Fn(&S::K, &S::V) -> T + Sync,
     R: Fn(T, T) -> T + Sync,
@@ -23,10 +22,9 @@ where
     }
 }
 
-fn rec<S, B, T, M, R>(t: &Tree<S, B>, map: &M, reduce: &R) -> Option<T>
+fn rec<S, T, M, R>(t: &Tree<S>, map: &M, reduce: &R) -> Option<T>
 where
     S: AugSpec,
-    B: Balance,
     T: Send,
     M: Fn(&S::K, &S::V) -> T + Sync,
     R: Fn(T, T) -> T + Sync,
@@ -66,10 +64,9 @@ where
 /// export primitive (checkpoint writers, serializers): no intermediate
 /// vector, no iterator stack churn — one in-order recursion whose depth
 /// is the tree height, emitting whole leaf blocks with a tight loop.
-pub fn for_each<'a, S, B, F>(t: &'a Tree<S, B>, f: &mut F)
+pub fn for_each<'a, S, F>(t: &'a Tree<S>, f: &mut F)
 where
     S: AugSpec,
-    B: Balance,
     F: FnMut(&'a S::K, &'a S::V),
 {
     if let Some(n) = t.as_deref() {
@@ -92,14 +89,13 @@ where
 /// *shape* (sizes are all the balance invariant reads) while recomputing
 /// the augmented values under the target spec `S2`. The key type and order
 /// must be unchanged. Linear work, O(log n) span.
-pub fn map_values<S, S2, B, F>(t: &Tree<S, B>, f: &F) -> Tree<S2, B>
+pub fn map_values<S, S2, F>(t: &Tree<S>, f: &F) -> Tree<S2>
 where
     S: AugSpec,
     S2: AugSpec<K = S::K>,
-    B: Balance,
     F: Fn(&S::K, &S::V) -> S2::V + Sync,
 {
-    let n: &Node<S, B> = t.as_deref()?;
+    let n: &Node<S> = t.as_deref()?;
     match n {
         Node::Leaf(l) => {
             let entries = l
@@ -115,8 +111,8 @@ where
         Node::Internal(x) => {
             let (l, r) = par2_if(
                 x.size > granularity(),
-                || map_values::<S, S2, B, F>(&x.left, f),
-                || map_values::<S, S2, B, F>(&x.right, f),
+                || map_values::<S, S2, F>(&x.left, f),
+                || map_values::<S, S2, F>(&x.right, f),
             );
             Some(Node::make(
                 l,
@@ -133,14 +129,13 @@ where
 /// Filter-and-map in one pass: rebuild the map keeping only entries for
 /// which `f` returns `Some`, with transformed values under spec `S2`.
 /// Linear work, O(log² n) span (join-based, like `filter`).
-pub fn filter_map_values<S, S2, B, F>(t: &Tree<S, B>, f: &F) -> Tree<S2, B>
+pub fn filter_map_values<S, S2, F>(t: &Tree<S>, f: &F) -> Tree<S2>
 where
     S: AugSpec,
     S2: AugSpec<K = S::K>,
-    B: Balance,
     F: Fn(&S::K, &S::V) -> Option<S2::V> + Sync,
 {
-    let n: &Node<S, B> = t.as_deref()?;
+    let n: &Node<S> = t.as_deref()?;
     match n {
         Node::Leaf(l) => {
             let entries: Vec<EntryOwned<S2>> = l
@@ -153,14 +148,14 @@ where
                     })
                 })
                 .collect();
-            crate::balance::from_sorted_entries::<S2, B>(entries)
+            crate::balance::from_sorted_entries::<S2>(entries)
         }
         Node::Internal(x) => {
             let kept = f(&x.key, &x.val);
             let (l, r) = par2_if(
                 x.size > granularity(),
-                || filter_map_values::<S, S2, B, F>(&x.left, f),
-                || filter_map_values::<S, S2, B, F>(&x.right, f),
+                || filter_map_values::<S, S2, F>(&x.left, f),
+                || filter_map_values::<S, S2, F>(&x.right, f),
             );
             match kept {
                 Some(val) => join_tree(
@@ -178,24 +173,23 @@ where
 }
 
 /// Flatten to a sorted `Vec<(K, V)>` in parallel.
-pub fn to_vec<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Vec<(S::K, S::V)> {
+pub fn to_vec<S: AugSpec>(t: &Tree<S>) -> Vec<(S::K, S::V)> {
     flatten(t, &|k, v| (k.clone(), v.clone()))
 }
 
 /// The keys, in order, in parallel.
-pub fn keys<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Vec<S::K> {
+pub fn keys<S: AugSpec>(t: &Tree<S>) -> Vec<S::K> {
     flatten(t, &|k, _| k.clone())
 }
 
 /// The values, in key order, in parallel.
-pub fn values<S: AugSpec, B: Balance>(t: &Tree<S, B>) -> Vec<S::V> {
+pub fn values<S: AugSpec>(t: &Tree<S>) -> Vec<S::V> {
     flatten(t, &|_, v| v.clone())
 }
 
-fn flatten<S, B, T, P>(t: &Tree<S, B>, project: &P) -> Vec<T>
+fn flatten<S, T, P>(t: &Tree<S>, project: &P) -> Vec<T>
 where
     S: AugSpec,
-    B: Balance,
     T: Send,
     P: Fn(&S::K, &S::V) -> T + Sync,
 {
@@ -206,10 +200,9 @@ where
 
 /// Write `project` of every entry of `t` into `out` (one slot per entry,
 /// in key order), forking over large subtrees.
-fn fill_with<S, B, T, P>(t: &Tree<S, B>, out: &mut [MaybeUninit<T>], project: &P)
+fn fill_with<S, T, P>(t: &Tree<S>, out: &mut [MaybeUninit<T>], project: &P)
 where
     S: AugSpec,
-    B: Balance,
     T: Send,
     P: Fn(&S::K, &S::V) -> T + Sync,
 {

@@ -3,7 +3,8 @@
 //! Everything here follows the paper's Figure 2 pseudocode. Functions that
 //! *produce* trees take their inputs **by value** (an `Arc` clone of a root
 //! is O(1), and passing ownership is what enables the refcount-1 reuse
-//! optimization); pure queries borrow.
+//! optimization); pure queries borrow. A tree is a [`Tree<S>`](crate::node::Tree):
+//! every function is generic over the spec and its own closures alone.
 //!
 //! Each operation shape has one body, whatever its callers differ in:
 //! [`mod@build`]'s `update_sorted` (every point and batch update),

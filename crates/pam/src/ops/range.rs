@@ -8,7 +8,7 @@
 //! A `Bound` is a key or `Open`, so each query shape compiles to its
 //! own copy of the recursion and the tests of an absent end fold away.
 
-use crate::balance::{join_tree, Balance};
+use crate::balance::join_tree;
 use crate::node::{expose, take_child, take_leaf_run, EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
@@ -81,10 +81,9 @@ impl<S: AugSpec> Bound<S> for &S::K {
 /// The entries of `t` with keys in `[lo, hi]`; empty when `lo > hi`.
 /// A subtree wholly inside is kept as it is, and nothing outside is
 /// cloned.
-pub(crate) fn extract<S, B, L, H>(t: Tree<S, B>, lo: L, hi: H) -> Tree<S, B>
+pub(crate) fn extract<S, L, H>(t: Tree<S>, lo: L, hi: H) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     L: Bound<S>,
     H: Bound<S>,
 {
@@ -114,18 +113,18 @@ where
 }
 
 /// Entries with keys `<= k`.
-pub fn up_to<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
+pub fn up_to<S: AugSpec>(t: Tree<S>, k: &S::K) -> Tree<S> {
     extract(t, Open, k)
 }
 
 /// Entries with keys `>= k`.
-pub fn down_to<S: AugSpec, B: Balance>(t: Tree<S, B>, k: &S::K) -> Tree<S, B> {
+pub fn down_to<S: AugSpec>(t: Tree<S>, k: &S::K) -> Tree<S> {
     extract(t, k, Open)
 }
 
 /// Entries with keys in the inclusive range `[lo, hi]` (the paper's
 /// `range(m, k1, k2)`).
-pub fn range<S: AugSpec, B: Balance>(t: Tree<S, B>, lo: &S::K, hi: &S::K) -> Tree<S, B> {
+pub fn range<S: AugSpec>(t: Tree<S>, lo: &S::K, hi: &S::K) -> Tree<S> {
     extract(t, lo, hi)
 }
 

@@ -13,7 +13,7 @@
 //! a block: a sequential sorted merge of the two blocks replaces further
 //! splitting.
 
-use crate::balance::{from_sorted_entries, join_tree, leaf_cap, Balance};
+use crate::balance::{from_sorted_entries, join_tree, leaf_cap};
 use crate::node::{expose, flatten_into, size, EntryOwned, Tree};
 use crate::ops::split::{join2, split};
 use crate::spec::AugSpec;
@@ -22,10 +22,9 @@ use std::cmp::Ordering;
 
 /// Flatten two key-disjoint-or-overlapping small trees and merge them,
 /// resolving duplicate keys with `resolve` (`None` drops the key).
-fn merge_blocks<S, B, F>(t1: Tree<S, B>, t2: Tree<S, B>, each: MergeKeep, resolve: &F) -> Tree<S, B>
+fn merge_blocks<S, F>(t1: Tree<S>, t2: Tree<S>, each: MergeKeep, resolve: &F) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     F: Fn(&S::V, &S::V) -> Option<S::V>,
 {
     let mut a = Vec::with_capacity(size(&t1));
@@ -70,7 +69,7 @@ where
     if each.right {
         out.extend(bi);
     }
-    from_sorted_entries::<S, B>(out)
+    from_sorted_entries::<S>(out)
 }
 
 /// Which one-sided keys survive a [`set_op`].
@@ -83,17 +82,16 @@ struct MergeKeep {
 /// Merge `t1` and `t2`: a key found in one only survives if `keep` says
 /// so for its side; a key found in both becomes `resolve(v1, v2)`, with
 /// `v1` from `t1`, or leaves the result on `None`.
-fn set_op<S, B, F>(t1: Tree<S, B>, t2: Tree<S, B>, keep: MergeKeep, resolve: &F) -> Tree<S, B>
+fn set_op<S, F>(t1: Tree<S>, t2: Tree<S>, keep: MergeKeep, resolve: &F) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     F: Fn(&S::V, &S::V) -> Option<S::V> + Sync,
 {
     match (t1, t2) {
         (None, t2) => t2.filter(|_| keep.right),
         (t1, None) => t1.filter(|_| keep.left),
         (Some(n1), Some(n2)) => {
-            let cap = leaf_cap::<S, B>();
+            let cap = leaf_cap::<S>();
             if n1.size_of() <= cap && n2.size_of() <= cap {
                 return merge_blocks(Some(n1), Some(n2), keep, resolve);
             }
@@ -119,10 +117,9 @@ where
 
 /// Union of two maps. When a key appears in both, the result value is
 /// `combine(v1, v2)` with `v1` from `t1` and `v2` from `t2`.
-pub fn union<S, B, F>(t1: Tree<S, B>, t2: Tree<S, B>, combine: &F) -> Tree<S, B>
+pub fn union<S, F>(t1: Tree<S>, t2: Tree<S>, combine: &F) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
     let keep = MergeKeep {
@@ -134,10 +131,9 @@ where
 
 /// Intersection of two maps: keys present in both, values combined with
 /// `combine(v1, v2)`.
-pub fn intersect<S, B, F>(t1: Tree<S, B>, t2: Tree<S, B>, combine: &F) -> Tree<S, B>
+pub fn intersect<S, F>(t1: Tree<S>, t2: Tree<S>, combine: &F) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
     F: Fn(&S::V, &S::V) -> S::V + Sync,
 {
     let keep = MergeKeep {
@@ -148,10 +144,9 @@ where
 }
 
 /// Difference `t1 \ t2`: the entries of `t1` whose keys are absent from `t2`.
-pub fn difference<S, B>(t1: Tree<S, B>, t2: Tree<S, B>) -> Tree<S, B>
+pub fn difference<S>(t1: Tree<S>, t2: Tree<S>) -> Tree<S>
 where
     S: AugSpec,
-    B: Balance,
 {
     let keep = MergeKeep {
         left: true,

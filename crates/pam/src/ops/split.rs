@@ -4,14 +4,14 @@
 //! *root* leaf may hold any number of entries, and every non-root
 //! position is re-joined through the repairing `join_tree`.
 
-use crate::balance::{join_tree, Balance};
+use crate::balance::join_tree;
 use crate::node::{expose, take_leaf_entries, EntryOwned, Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Wrap entries as a leaf, or `None` when empty.
-fn leaf_or_empty<S: AugSpec, B: Balance>(entries: Vec<EntryOwned<S>>) -> Tree<S, B> {
+fn leaf_or_empty<S: AugSpec>(entries: Vec<EntryOwned<S>>) -> Tree<S> {
     if entries.is_empty() {
         None
     } else {
@@ -22,10 +22,7 @@ fn leaf_or_empty<S: AugSpec, B: Balance>(entries: Vec<EntryOwned<S>>) -> Tree<S,
 /// `⟨L, v, R⟩ = split(T, k)`: entries less than `k`, the value at `k` (if
 /// present), and entries greater than `k`. O(log n).
 #[allow(clippy::type_complexity)]
-pub fn split<S: AugSpec, B: Balance>(
-    t: Tree<S, B>,
-    k: &S::K,
-) -> (Tree<S, B>, Option<S::V>, Tree<S, B>) {
+pub fn split<S: AugSpec>(t: Tree<S>, k: &S::K) -> (Tree<S>, Option<S::V>, Tree<S>) {
     match t {
         None => (None, None, None),
         Some(n) if n.is_leaf() => {
@@ -58,7 +55,7 @@ pub fn split<S: AugSpec, B: Balance>(
 }
 
 /// Remove and return the maximum entry. O(log n).
-pub fn split_last<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (Tree<S, B>, EntryOwned<S>) {
+pub fn split_last<S: AugSpec>(n: Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>) {
     if n.is_leaf() {
         let mut entries = take_leaf_entries(n);
         let last = entries.pop().expect("leaf blocks are never empty");
@@ -75,7 +72,7 @@ pub fn split_last<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (Tree<S, B>, En
 }
 
 /// Remove and return the minimum entry. O(log n).
-pub fn split_first<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (EntryOwned<S>, Tree<S, B>) {
+pub fn split_first<S: AugSpec>(n: Arc<Node<S>>) -> (EntryOwned<S>, Tree<S>) {
     if n.is_leaf() {
         let mut entries = take_leaf_entries(n);
         let first = entries.remove(0);
@@ -93,7 +90,7 @@ pub fn split_first<S: AugSpec, B: Balance>(n: Arc<Node<S, B>>) -> (EntryOwned<S>
 
 /// Join without a middle entry: all keys of `l` must be less than all keys
 /// of `r`. O(log n).
-pub fn join2<S: AugSpec, B: Balance>(l: Tree<S, B>, r: Tree<S, B>) -> Tree<S, B> {
+pub fn join2<S: AugSpec>(l: Tree<S>, r: Tree<S>) -> Tree<S> {
     match l {
         None => r,
         Some(ln) => {
@@ -106,7 +103,7 @@ pub fn join2<S: AugSpec, B: Balance>(l: Tree<S, B>, r: Tree<S, B>) -> Tree<S, B>
 /// Split by *rank*: the first `i` entries (by key order) and the rest.
 /// O(log n) — the ordinal counterpart of [`split`], built on the stored
 /// subtree sizes.
-pub fn split_rank<S: AugSpec, B: Balance>(t: Tree<S, B>, i: usize) -> (Tree<S, B>, Tree<S, B>) {
+pub fn split_rank<S: AugSpec>(t: Tree<S>, i: usize) -> (Tree<S>, Tree<S>) {
     match t {
         None => (None, None),
         Some(n) => {
@@ -143,14 +140,14 @@ pub fn split_rank<S: AugSpec, B: Balance>(t: Tree<S, B>, i: usize) -> (Tree<S, B
 mod tests {
     use super::*;
     use crate::spec::SumAug;
-    use crate::{AugMap, WeightBalanced};
+    use crate::AugMap;
 
     type S = SumAug<u64, u64>;
     type M = AugMap<S>;
 
     #[test]
     fn split_on_empty_and_boundaries() {
-        let (l, v, r) = split::<S, WeightBalanced>(None, &5);
+        let (l, v, r) = split::<S>(None, &5);
         assert!(l.is_none() && v.is_none() && r.is_none());
 
         let m = M::build(vec![(10, 1), (20, 2), (30, 3)]);
@@ -186,7 +183,7 @@ mod tests {
         assert_eq!(j.first().map(|(k, _)| *k), Some(0));
         assert_eq!(j.last().map(|(k, _)| *k), Some(149));
         // empty sides
-        assert!(join2::<S, WeightBalanced>(None, None).is_none());
+        assert!(join2::<S>(None, None).is_none());
     }
 
     #[test]
@@ -198,7 +195,7 @@ mod tests {
         let (l, r) = split_rank(m.root().clone(), 10);
         assert_eq!(crate::node::size(&l), 10);
         assert!(r.is_none());
-        let (l, r) = split_rank::<S, WeightBalanced>(None, 3);
+        let (l, r) = split_rank::<S>(None, 3);
         assert!(l.is_none() && r.is_none());
     }
 

@@ -12,33 +12,32 @@
 //! the augmentation precisely to make this search possible. Expanding a
 //! leaf block scores its (at most `leaf_cap`) entries individually.
 
-use crate::balance::Balance;
 use crate::node::{Node, Tree};
 use crate::spec::AugSpec;
 use std::collections::BinaryHeap;
 
-enum Item<'a, S: AugSpec, B: Balance> {
-    Sub(&'a Node<S, B>),
+enum Item<'a, S: AugSpec> {
+    Sub(&'a Node<S>),
     Entry(&'a S::K, &'a S::V),
 }
 
-struct Ranked<'a, S: AugSpec, B: Balance, W: Ord> {
+struct Ranked<'a, S: AugSpec, W: Ord> {
     score: W,
-    item: Item<'a, S, B>,
+    item: Item<'a, S>,
 }
 
-impl<S: AugSpec, B: Balance, W: Ord> PartialEq for Ranked<'_, S, B, W> {
+impl<S: AugSpec, W: Ord> PartialEq for Ranked<'_, S, W> {
     fn eq(&self, other: &Self) -> bool {
         self.score == other.score
     }
 }
-impl<S: AugSpec, B: Balance, W: Ord> Eq for Ranked<'_, S, B, W> {}
-impl<S: AugSpec, B: Balance, W: Ord> PartialOrd for Ranked<'_, S, B, W> {
+impl<S: AugSpec, W: Ord> Eq for Ranked<'_, S, W> {}
+impl<S: AugSpec, W: Ord> PartialOrd for Ranked<'_, S, W> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<S: AugSpec, B: Balance, W: Ord> Ord for Ranked<'_, S, B, W> {
+impl<S: AugSpec, W: Ord> Ord for Ranked<'_, S, W> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.score.cmp(&other.score)
     }
@@ -50,19 +49,18 @@ impl<S: AugSpec, B: Balance, W: Ord> Ord for Ranked<'_, S, B, W> {
 /// subtree whose augmented value is `aug` — which holds by construction
 /// when the augmentation is the max of the scores (e.g. [`crate::MaxAug`]
 /// with `bound = identity`, `score = value`).
-pub fn top_k_by<'a, S, B, W>(
-    t: &'a Tree<S, B>,
+pub fn top_k_by<'a, S, W>(
+    t: &'a Tree<S>,
     k: usize,
     bound: impl Fn(&S::A) -> W,
     score: impl Fn(&S::K, &S::V) -> W,
 ) -> Vec<(&'a S::K, &'a S::V)>
 where
     S: AugSpec,
-    B: Balance,
     W: Ord,
 {
     let mut out = Vec::with_capacity(k.min(crate::node::size(t)));
-    let mut heap: BinaryHeap<Ranked<'a, S, B, W>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Ranked<'a, S, W>> = BinaryHeap::new();
     if let Some(root) = t.as_deref() {
         heap.push(Ranked {
             score: bound(root.aug()),

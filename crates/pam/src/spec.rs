@@ -20,6 +20,13 @@
 //! Ready-made specs are provided for the common cases: [`NoAug`] (a plain
 //! ordered map), [`SumAug`] (Equation 1 of the paper), [`MaxAug`] and
 //! [`MinAug`].
+//!
+//! The spec is the tree's only type parameter. Besides the monoid it may
+//! pin the leaf-block capacity ([`AugSpec::PINNED_CAP`]); none of the
+//! ready-made specs does, so their blocks are sized by the entry type
+//! ([`crate::balance::leaf_cap`]). [`Capped<S, CAP>`](Capped) is `S` with
+//! blocks of `CAP` entries: the oracle suites run one spec's fold at
+//! several capacities side by side.
 
 use std::cmp::Ordering;
 use std::marker::PhantomData;
@@ -37,6 +44,12 @@ pub trait AugSpec: 'static {
     type V: Clone + Send + Sync + 'static;
     /// Augmented-value type.
     type A: Clone + Send + Sync + 'static;
+
+    /// A leaf-block capacity pinned by the spec, or `None` (the default)
+    /// to size blocks by the entry type. Read only through
+    /// [`leaf_cap`](crate::balance::leaf_cap), which refuses at compile
+    /// time a pin that is not 1 or an even number `>= 2`.
+    const PINNED_CAP: Option<usize> = None;
 
     /// Total order on keys (the paper's `<`).
     fn compare(a: &Self::K, b: &Self::K) -> Ordering;
@@ -267,6 +280,56 @@ where
     #[inline]
     fn combine(a: &V, b: &V) -> V {
         V::min2(a, b)
+    }
+}
+
+/// `S` with leaf blocks of `CAP` entries: every other item of the spec,
+/// `combine3` and `fold_block` included, is `S`'s own. `Capped<S, 1>` is
+/// the paper's one-entry-per-node tree.
+///
+/// `CAP` must be 1 or an even number `>= 2`; any other value does not
+/// compile:
+///
+/// ```compile_fail,E0080
+/// use pam::spec::Capped;
+/// use pam::{AugMap, SumAug};
+///
+/// let m: AugMap<Capped<SumAug<u64, u64>, 3>> = AugMap::build(vec![(1, 1)]);
+/// ```
+pub struct Capped<S, const CAP: usize>(PhantomData<fn() -> S>);
+
+impl<S: AugSpec, const CAP: usize> AugSpec for Capped<S, CAP> {
+    type K = S::K;
+    type V = S::V;
+    type A = S::A;
+    const PINNED_CAP: Option<usize> = Some(CAP);
+    #[inline]
+    fn compare(a: &S::K, b: &S::K) -> Ordering {
+        S::compare(a, b)
+    }
+    #[inline]
+    fn identity() -> S::A {
+        S::identity()
+    }
+    #[inline]
+    fn base(k: &S::K, v: &S::V) -> S::A {
+        S::base(k, v)
+    }
+    #[inline]
+    fn combine(a: &S::A, b: &S::A) -> S::A {
+        S::combine(a, b)
+    }
+    #[inline]
+    fn combine3(l: &S::A, m: S::A, r: &S::A) -> S::A {
+        S::combine3(l, m, r)
+    }
+    #[inline]
+    fn fold_block<'a>(items: impl Iterator<Item = (&'a S::K, &'a S::V)>) -> S::A
+    where
+        S::K: 'a,
+        S::V: 'a,
+    {
+        S::fold_block(items)
     }
 }
 

@@ -11,7 +11,6 @@
 //! each distinct leaf, so it reflects the real footprint win of packing
 //! up to `leaf_cap` entries per allocation.
 
-use crate::balance::Balance;
 use crate::node::{Node, Tree};
 use crate::spec::AugSpec;
 use std::collections::HashSet;
@@ -19,16 +18,16 @@ use std::collections::HashSet;
 /// Size in bytes of one tree node for this spec (excluding the two
 /// `Arc` refcount words, which add 16 bytes per heap allocation, and
 /// excluding leaf entry arrays).
-pub fn node_size<S: AugSpec, B: Balance>() -> usize {
-    std::mem::size_of::<Node<S, B>>()
+pub fn node_size<S: AugSpec>() -> usize {
+    std::mem::size_of::<Node<S>>()
 }
 
-fn collect<'a, S: AugSpec, B: Balance>(
-    t: &'a Tree<S, B>,
-    seen: &mut HashSet<*const Node<S, B>>,
-    nodes: &mut Vec<&'a Node<S, B>>,
+fn collect<'a, S: AugSpec>(
+    t: &'a Tree<S>,
+    seen: &mut HashSet<*const Node<S>>,
+    nodes: &mut Vec<&'a Node<S>>,
 ) {
-    let mut stack: Vec<&Node<S, B>> = Vec::new();
+    let mut stack: Vec<&Node<S>> = Vec::new();
     if let Some(n) = t.as_deref() {
         stack.push(n);
     }
@@ -51,7 +50,7 @@ fn collect<'a, S: AugSpec, B: Balance>(
 /// Number of *distinct* nodes reachable from any of `roots` (shared nodes
 /// counted once). A leaf block counts as one node regardless of how many
 /// entries it packs.
-pub fn unique_nodes<S: AugSpec, B: Balance>(roots: &[&Tree<S, B>]) -> usize {
+pub fn unique_nodes<S: AugSpec>(roots: &[&Tree<S>]) -> usize {
     let mut seen = HashSet::new();
     let mut nodes = Vec::new();
     for t in roots {
@@ -66,7 +65,7 @@ pub fn unique_nodes<S: AugSpec, B: Balance>(roots: &[&Tree<S, B>]) -> usize {
 /// counted once, which is exactly what makes multi-version stores cheap —
 /// N snapshots of similar maps cost barely more than one.
 /// (Used by `pam-store`'s stats surface.)
-pub fn reachable_bytes<S: AugSpec, B: Balance>(roots: &[&Tree<S, B>]) -> usize {
+pub fn reachable_bytes<S: AugSpec>(roots: &[&Tree<S>]) -> usize {
     let mut seen = HashSet::new();
     let mut nodes = Vec::new();
     for t in roots {
@@ -75,7 +74,7 @@ pub fn reachable_bytes<S: AugSpec, B: Balance>(roots: &[&Tree<S, B>]) -> usize {
     nodes
         .iter()
         .map(|n| {
-            let base = node_size::<S, B>() + 2 * std::mem::size_of::<usize>();
+            let base = node_size::<S>() + 2 * std::mem::size_of::<usize>();
             match n.as_leaf() {
                 Some(l) => base + std::mem::size_of_val(l.entries()),
                 None => base,
@@ -88,10 +87,7 @@ pub fn reachable_bytes<S: AugSpec, B: Balance>(roots: &[&Tree<S, B>]) -> usize {
 ///
 /// `unique - shared` is the number of freshly allocated nodes the
 /// operation producing `result` had to create.
-pub fn shared_with<S: AugSpec, B: Balance>(
-    result: &Tree<S, B>,
-    inputs: &[&Tree<S, B>],
-) -> (usize, usize) {
+pub fn shared_with<S: AugSpec>(result: &Tree<S>, inputs: &[&Tree<S>]) -> (usize, usize) {
     let mut input_nodes = HashSet::new();
     let mut scratch = Vec::new();
     for t in inputs {

@@ -9,23 +9,22 @@
 //! 4. **balance** — the children of every internal node are "like"
 //!    (neither outweighs the other beyond `1 − α`; see [`crate::balance`]);
 //! 5. **leaf fill** — blocks are non-empty, at most
-//!    `cap` = [`leaf_cap::<S, B>()`](crate::balance::leaf_cap) long, and
+//!    `cap` = [`leaf_cap::<S>()`](crate::balance::leaf_cap) long, and
 //!    non-root blocks are at least half full; for `cap >= 2` a
 //!    subtree of size `<= cap` must *be* a single block (internal
 //!    nodes only exist above block capacity).
 
-use crate::balance::{leaf_cap, like, weight, Balance};
+use crate::balance::{leaf_cap, like, weight};
 use crate::node::{Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
 
 /// Check all structural invariants of `t`; returns a description of the
 /// first violation found.
-pub fn check_tree<S, B>(t: &Tree<S, B>) -> Result<(), String>
+pub fn check_tree<S>(t: &Tree<S>) -> Result<(), String>
 where
     S: AugSpec,
     S::A: PartialEq + std::fmt::Debug,
-    B: Balance,
 {
     // order
     let mut prev: Option<&S::K> = None;
@@ -41,17 +40,16 @@ where
     rec(t, true).map(|_| ())
 }
 
-fn rec<S, B>(t: &Tree<S, B>, is_root: bool) -> Result<(usize, Option<S::A>), String>
+fn rec<S>(t: &Tree<S>, is_root: bool) -> Result<(usize, Option<S::A>), String>
 where
     S: AugSpec,
     S::A: PartialEq + std::fmt::Debug,
-    B: Balance,
 {
-    let n: &Node<S, B> = match t.as_deref() {
+    let n: &Node<S> = match t.as_deref() {
         None => return Ok((0, None)),
         Some(n) => n,
     };
-    let cap = leaf_cap::<S, B>();
+    let cap = leaf_cap::<S>();
     match n {
         Node::Leaf(l) => {
             let len = l.entries().len();
@@ -126,20 +124,20 @@ mod tests {
     //! `check_tree` is the reference every oracle trusts, so each arm is
     //! shown to fire on a hand-built tree that breaks exactly one rule.
     use super::*;
-    use crate::balance::{from_sorted_entries, WeightBalanced, WeightBalancedCap};
+    use crate::balance::from_sorted_entries;
     use crate::node::{EntryOwned, LeafNode};
-    use crate::spec::{NoAug, SumAug};
-    use std::marker::PhantomData;
+    use crate::spec::{Capped, NoAug, SumAug};
     use std::sync::Arc;
 
     type S = SumAug<u64, u64>;
-    type N<const CAP: usize> = Arc<Node<S, WeightBalancedCap<CAP>>>;
+    type C<const CAP: usize> = Capped<S, CAP>;
+    type N<const CAP: usize> = Arc<Node<C<CAP>>>;
 
-    fn pivot(k: u64) -> EntryOwned<S> {
+    fn pivot<X: AugSpec<K = u64, V = u64>>(k: u64) -> EntryOwned<X> {
         EntryOwned { key: k, val: k }
     }
 
-    fn entries(keys: std::ops::Range<u64>) -> Vec<EntryOwned<S>> {
+    fn entries<X: AugSpec<K = u64, V = u64>>(keys: std::ops::Range<u64>) -> Vec<EntryOwned<X>> {
         keys.map(pivot).collect()
     }
 
@@ -154,7 +152,7 @@ mod tests {
     #[test]
     fn accepts_what_join_builds() {
         for n in [0, 1, 2, 3, 9, 100] {
-            let t = from_sorted_entries::<S, WeightBalancedCap<2>>(entries(0..n));
+            let t = from_sorted_entries::<C<2>>(entries(0..n));
             assert_eq!(check_tree(&t), Ok(()), "n = {n}");
         }
     }
@@ -162,7 +160,7 @@ mod tests {
     #[test]
     fn rejects_unlike_children() {
         // weights 2 and 8: the right side holds 80 % > 1 - α
-        let heavy = from_sorted_entries::<S, WeightBalancedCap<2>>(entries(2..9));
+        let heavy = from_sorted_entries::<C<2>>(entries(2..9));
         let n = Node::make(Some(leaf(0..1)), pivot(1), heavy);
         assert!(err(n).starts_with("balance invariant violated"));
     }
@@ -176,18 +174,17 @@ mod tests {
     }
 
     /// A root leaf built past `make_leaf`'s overflow assertion.
-    fn raw_leaf<S2: AugSpec, B: Balance>(entries: Vec<EntryOwned<S2>>) -> Tree<S2, B> {
+    fn raw_leaf<S2: AugSpec>(entries: Vec<EntryOwned<S2>>) -> Tree<S2> {
         let aug = S2::fold_block(entries.iter().map(|e| (&e.key, &e.val)));
         Some(Arc::new(Node::Leaf(LeafNode {
             entries: entries.into_boxed_slice(),
             aug,
-            cap: PhantomData,
         })))
     }
 
     #[test]
     fn rejects_default_leaf_past_its_entry_types_cap() {
-        let plain = |n| raw_leaf::<S, WeightBalanced>(entries(0..n));
+        let plain = |n| raw_leaf::<S>(entries(0..n));
         assert_eq!(check_tree(&plain(128)), Ok(()));
         assert_eq!(
             check_tree(&plain(129)),
@@ -196,7 +193,7 @@ mod tests {
         type O = NoAug<u64, Vec<u8>>;
         let owning = |n: u64| {
             let block = (0..n).map(|key| EntryOwned { key, val: vec![1] });
-            raw_leaf::<O, WeightBalanced>(block.collect())
+            raw_leaf::<O>(block.collect())
         };
         assert_eq!(check_tree(&owning(32)), Ok(()));
         assert_eq!(

@@ -3,18 +3,20 @@
 //! augmented values recomputed by a naive fold, at block capacities
 //! 1 (degenerate: the pre-refactor one-entry-per-leaf shape), 2 (the
 //! smallest real block, maximal boundary churn), 8 (blocks the 120-entry
-//! inputs fill several levels deep), 32 and 128 — the two capacities the
-//! default `WeightBalanced` picks, for owning and for plain entries; the
-//! default itself runs with an owning spec. The 128-entry and owning runs
+//! inputs fill several levels deep), 32 and 128 — the two capacities
+//! `leaf_cap` picks by default, for owning and for plain entries; the
+//! default itself runs with an owning spec. Each pinned capacity wraps
+//! the spec in `Capped`, which keeps the spec's own fold. The 128-entry and owning runs
 //! draw their inputs from a wider key range so a map spans several
 //! blocks. Every intermediate tree is invariant-checked, so any
 //! fill/aug/balance violation is caught at the op that introduced it.
 //! The range sums are probed once more with an order-sensitive monoid,
 //! so a combine with its operands swapped cannot pass.
 
-use pam::balance::{leaf_cap, WeightBalanced, WeightBalancedCap};
+use pam::balance::leaf_cap;
 use pam::ops::split::{join2, split};
-use pam::{AugMap, AugSpec, Balance, SumAug};
+use pam::spec::Capped;
+use pam::{AugMap, AugSpec, SumAug};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -22,8 +24,8 @@ use std::collections::BTreeMap;
 type Spec = SumAug<u32, u64>;
 
 /// `Spec` with each value held as its 8 little-endian bytes in a
-/// `Vec<u8>`: an entry with drop glue, so the default `WeightBalanced`
-/// gives it 32-entry blocks where `Spec` gets 128.
+/// `Vec<u8>`: an entry with drop glue, so by default it gets 32-entry
+/// blocks where `Spec` gets 128.
 struct OwnedSpec;
 
 impl AugSpec for OwnedSpec {
@@ -49,6 +51,16 @@ impl AugSpec for OwnedSpec {
 trait Oracle: AugSpec<K = u32, A = u64> {
     fn val(v: u64) -> Self::V;
     fn get(v: &Self::V) -> u64;
+}
+
+/// A capped spec mirrors as the spec it wraps.
+impl<S: Oracle, const CAP: usize> Oracle for Capped<S, CAP> {
+    fn val(v: u64) -> S::V {
+        S::val(v)
+    }
+    fn get(v: &S::V) -> u64 {
+        S::get(v)
+    }
 }
 
 impl Oracle for Spec {
@@ -161,7 +173,7 @@ fn apply_model(model: &mut BTreeMap<u32, u64>, op: &Op) {
     }
 }
 
-fn apply_map<S: Oracle, B: Balance>(m: AugMap<S, B>, op: &Op) -> AugMap<S, B> {
+fn apply_map<S: Oracle>(m: AugMap<S>, op: &Op) -> AugMap<S> {
     let mut m = m;
     match op {
         Op::Insert(k, v) => {
@@ -213,19 +225,18 @@ fn naive_aug(model: &BTreeMap<u32, u64>) -> u64 {
 }
 
 /// An intermediate map version paired with its expected contents.
-type Versions<S, B> = Vec<(AugMap<S, B>, Vec<(u32, u64)>)>;
+type Versions<S> = Vec<(AugMap<S>, Vec<(u32, u64)>)>;
 
 /// `m`'s entries with each value read back as the `u64` it stands for.
-fn contents<S: Oracle, B: Balance>(m: &AugMap<S, B>) -> Vec<(u32, u64)> {
+fn contents<S: Oracle>(m: &AugMap<S>) -> Vec<(u32, u64)> {
     m.iter().map(|(&k, v)| (k, S::get(v))).collect()
 }
 
-fn run_oracle<S: Oracle, B: Balance>(init: Vec<(u32, u64)>, ops: Vec<Op>, probes: Vec<(u32, u32)>) {
-    let cap = leaf_cap::<S, B>();
+fn run_oracle<S: Oracle>(init: Vec<(u32, u64)>, ops: Vec<Op>, probes: Vec<(u32, u32)>) {
+    let cap = leaf_cap::<S>();
     let mut model: BTreeMap<u32, u64> = init.iter().copied().collect();
-    let mut map: AugMap<S, B> =
-        AugMap::build(init.into_iter().map(|(k, v)| (k, S::val(v))).collect());
-    let mut versions: Versions<S, B> = Vec::new();
+    let mut map: AugMap<S> = AugMap::build(init.into_iter().map(|(k, v)| (k, S::val(v))).collect());
+    let mut versions: Versions<S> = Vec::new();
     for op in &ops {
         versions.push((map.clone(), model.iter().map(|(&k, &v)| (k, v)).collect()));
         map = apply_map(map, op);
@@ -281,7 +292,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(300, 40), 1..20),
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
-        run_oracle::<Spec, WeightBalancedCap<1>>(init, ops, probes);
+        run_oracle::<Capped<Spec, 1>>(init, ops, probes);
     }
 
     #[test]
@@ -290,7 +301,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(300, 40), 1..20),
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
-        run_oracle::<Spec, WeightBalancedCap<2>>(init, ops, probes);
+        run_oracle::<Capped<Spec, 2>>(init, ops, probes);
     }
 
     #[test]
@@ -299,7 +310,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(300, 40), 1..20),
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
-        run_oracle::<Spec, WeightBalancedCap<8>>(init, ops, probes);
+        run_oracle::<Capped<Spec, 8>>(init, ops, probes);
     }
 
     #[test]
@@ -308,7 +319,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(300, 40), 1..20),
         probes in proptest::collection::vec((0u32..320, 0u32..320), 1..4),
     ) {
-        run_oracle::<Spec, WeightBalancedCap<32>>(init, ops, probes);
+        run_oracle::<Capped<Spec, 32>>(init, ops, probes);
     }
 
     #[test]
@@ -317,7 +328,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(5000, 600), 1..20),
         probes in proptest::collection::vec((0u32..5200, 0u32..5200), 1..4),
     ) {
-        run_oracle::<Spec, WeightBalancedCap<128>>(init, ops, probes);
+        run_oracle::<Capped<Spec, 128>>(init, ops, probes);
     }
 
     #[test]
@@ -326,15 +337,15 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(1200, 160), 1..20),
         probes in proptest::collection::vec((0u32..1250, 0u32..1250), 1..4),
     ) {
-        assert_eq!(leaf_cap::<OwnedSpec, WeightBalanced>(), 32);
-        run_oracle::<OwnedSpec, WeightBalanced>(init, ops, probes);
+        assert_eq!(leaf_cap::<OwnedSpec>(), 32);
+        run_oracle::<OwnedSpec>(init, ops, probes);
     }
 
     #[test]
     fn cursor_full_scan_equals_iter(
         init in proptest::collection::vec((0u32..500, 0u64..1000), 0..200),
     ) {
-        let m: AugMap<Spec, WeightBalancedCap<2>> = AugMap::build(init.clone());
+        let m: AugMap<Capped<Spec, 2>> = AugMap::build(init.clone());
         let mut c = m.cursor();
         let mut scanned = Vec::new();
         while let Some((k, v)) = c.advance() {
@@ -344,7 +355,7 @@ proptest! {
         prop_assert_eq!(scanned, via_iter);
         prop_assert!(c.is_exhausted());
 
-        let m32: AugMap<Spec, WeightBalancedCap<32>> = AugMap::build(init);
+        let m32: AugMap<Capped<Spec, 32>> = AugMap::build(init);
         let mut c = m32.cursor();
         let mut scanned = Vec::new();
         while let Some((k, v)) = c.advance() {
@@ -360,7 +371,7 @@ proptest! {
         b in 0u32..520,
     ) {
         let (lo, hi) = (a.min(b), a.max(b));
-        let m: AugMap<Spec, WeightBalancedCap<32>> = AugMap::build(init);
+        let m: AugMap<Capped<Spec, 32>> = AugMap::build(init);
         let mut c = m.cursor_at(&lo);
         let mut got = Vec::new();
         while let Some((&k, &v)) = c.peek() {
@@ -379,7 +390,7 @@ proptest! {
         init in proptest::collection::vec((0u32..300, 0u64..1000), 1..150),
         edits in proptest::collection::vec((0u32..300, 0u64..1000), 1..60),
     ) {
-        let mut live: AugMap<Spec, WeightBalancedCap<32>> = AugMap::build(init);
+        let mut live: AugMap<Capped<Spec, 32>> = AugMap::build(init);
         let snapshot = live.clone();
         let expect = snapshot.to_vec();
         let mut c = snapshot.cursor();
@@ -451,12 +462,12 @@ fn reduce32(a: (u32, u32), b: (u32, u32)) -> (u32, u32) {
 /// inside blocks alike) and the odd key after each (outside the key set),
 /// each paired with itself, with nearby ends and with ends some blocks
 /// away, in both orders.
-fn hash_oracle<B: Balance>(init: Vec<(u32, u64)>) {
-    let cap = leaf_cap::<HashSpec, B>();
+fn hash_oracle<const CAP: usize>(init: Vec<(u32, u64)>) {
+    let cap = leaf_cap::<Capped<HashSpec, CAP>>();
     let model: BTreeMap<u32, u64> = init.into_iter().map(|(k, v)| (2 * k, v)).collect();
     // every other entry bulk-built, the rest inserted one by one, for
     // uneven blocks
-    let mut m: AugMap<HashSpec, B> =
+    let mut m: AugMap<Capped<HashSpec, CAP>> =
         AugMap::build(model.iter().step_by(2).map(|(&k, &v)| (k, v)).collect());
     for (&k, &v) in model.iter().skip(1).step_by(2) {
         m.insert(k, v);
@@ -509,26 +520,26 @@ proptest! {
 
     #[test]
     fn hash_oracle_block_size_1(init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120)) {
-        hash_oracle::<WeightBalancedCap<1>>(init);
+        hash_oracle::<1>(init);
     }
 
     #[test]
     fn hash_oracle_block_size_2(init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120)) {
-        hash_oracle::<WeightBalancedCap<2>>(init);
+        hash_oracle::<2>(init);
     }
 
     #[test]
     fn hash_oracle_block_size_8(init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120)) {
-        hash_oracle::<WeightBalancedCap<8>>(init);
+        hash_oracle::<8>(init);
     }
 
     #[test]
     fn hash_oracle_block_size_32(init in proptest::collection::vec((0u32..600, 0u64..1000), 0..400)) {
-        hash_oracle::<WeightBalancedCap<32>>(init);
+        hash_oracle::<32>(init);
     }
 
     #[test]
     fn hash_oracle_block_size_128(init in proptest::collection::vec((0u32..2000, 0u64..1000), 0..1200)) {
-        hash_oracle::<WeightBalancedCap<128>>(init);
+        hash_oracle::<128>(init);
     }
 }

@@ -1,14 +1,22 @@
 //! Model-based tests: every operation checked against `BTreeMap` (the
 //! oracle), instantiated at leaf-block capacities 1 (the paper's
 //! one-entry-per-node layout), 2 and the default (128 for these plain
-//! entries). Every input spans many 128-entry blocks. After every
+//! entries); a pinned capacity wraps each spec in `Capped`. Every input spans many 128-entry blocks. After every
 //! operation the full invariant set (order, size, augmentation, balance)
 //! is re-verified.
 
-use pam::{AugMap, Balance, SumAug, WeightBalanced, WeightBalancedCap};
+use pam::spec::Capped;
+use pam::{AugMap, AugSpec, MaxAug, SumAug};
 use std::collections::BTreeMap;
 
 type Spec = SumAug<u64, u64>;
+type Max = MaxAug<u64, u64>;
+
+/// A spec over `u64` keys, values and augmented values: `Spec` and `Max`
+/// at any leaf-block capacity.
+trait U64Spec: AugSpec<K = u64, V = u64, A = u64> {}
+
+impl<S: AugSpec<K = u64, V = u64, A = u64>> U64Spec for S {}
 
 fn hash64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
@@ -27,7 +35,7 @@ fn oracle_of(pairs: &[(u64, u64)]) -> BTreeMap<u64, u64> {
     pairs.iter().copied().collect() // last value wins
 }
 
-fn check<B: Balance>(m: &AugMap<Spec, B>, oracle: &BTreeMap<u64, u64>) {
+fn check<S: U64Spec>(m: &AugMap<S>, oracle: &BTreeMap<u64, u64>) {
     m.check_invariants().expect("invariants");
     assert_eq!(m.len(), oracle.len());
     let got: Vec<(u64, u64)> = m.to_vec();
@@ -37,27 +45,28 @@ fn check<B: Balance>(m: &AugMap<Spec, B>, oracle: &BTreeMap<u64, u64>) {
     assert_eq!(m.aug_val(), sum);
 }
 
-fn run_all<B: Balance>() {
-    build_matches_model::<B>();
-    insert_delete_match_model::<B>();
-    union_intersect_difference_match_model::<B>();
-    ranges_match_model::<B>();
-    multi_ops_match_model::<B>();
-    order_statistics_match_model::<B>();
-    filter_and_mapreduce_match_model::<B>();
-    aug_queries_match_model::<B>();
+/// `S` is the sum spec under test, `M` the max spec at the same capacity.
+fn run_all<S: U64Spec, M: U64Spec>() {
+    build_matches_model::<S>();
+    insert_delete_match_model::<S>();
+    union_intersect_difference_match_model::<S>();
+    ranges_match_model::<S>();
+    multi_ops_match_model::<S>();
+    order_statistics_match_model::<S>();
+    filter_and_mapreduce_match_model::<S, M>();
+    aug_queries_match_model::<S, M>();
 }
 
-fn build_matches_model<B: Balance>() {
+fn build_matches_model<S: U64Spec>() {
     for n in [0u64, 1, 2, 7, 100, 2000, 20_000] {
         let ps = pairs(n, 42, (n * 2).max(1));
-        let m: AugMap<Spec, B> = AugMap::build(ps.clone());
+        let m: AugMap<S> = AugMap::build(ps.clone());
         check(&m, &oracle_of(&ps));
     }
 }
 
-fn insert_delete_match_model<B: Balance>() {
-    let mut m: AugMap<Spec, B> = AugMap::new();
+fn insert_delete_match_model<S: U64Spec>() {
+    let mut m: AugMap<S> = AugMap::new();
     let mut oracle = BTreeMap::new();
     for i in 0..6000u64 {
         let k = hash64(i) % 5000;
@@ -75,14 +84,14 @@ fn insert_delete_match_model<B: Balance>() {
     }
     check(&m, &oracle);
     // insert_with combines old and new
-    let mut m2: AugMap<Spec, B> = AugMap::new();
+    let mut m2: AugMap<S> = AugMap::new();
     m2.insert_with(5, 10, |a, b| a + b);
     m2.insert_with(5, 32, |a, b| a + b);
     assert_eq!(m2.get(&5), Some(&42));
     m2.check_invariants().unwrap();
 }
 
-fn union_intersect_difference_match_model<B: Balance>() {
+fn union_intersect_difference_match_model<S: U64Spec>() {
     for (n1, n2) in [
         (1000u64, 1000u64),
         (5000, 50),
@@ -92,8 +101,8 @@ fn union_intersect_difference_match_model<B: Balance>() {
     ] {
         let p1 = pairs(n1, 1, 3000);
         let p2 = pairs(n2, 2, 3000);
-        let m1: AugMap<Spec, B> = AugMap::build(p1.clone());
-        let m2: AugMap<Spec, B> = AugMap::build(p2.clone());
+        let m1: AugMap<S> = AugMap::build(p1.clone());
+        let m2: AugMap<S> = AugMap::build(p2.clone());
         let (o1, o2) = (oracle_of(&p1), oracle_of(&p2));
 
         // union with value combine v1 + v2
@@ -123,9 +132,9 @@ fn union_intersect_difference_match_model<B: Balance>() {
     }
 }
 
-fn ranges_match_model<B: Balance>() {
+fn ranges_match_model<S: U64Spec>() {
     let ps = pairs(5000, 9, 10_000);
-    let m: AugMap<Spec, B> = AugMap::build(ps.clone());
+    let m: AugMap<S> = AugMap::build(ps.clone());
     let o = oracle_of(&ps);
     for (lo, hi) in [
         (0u64, 10_000u64),
@@ -150,10 +159,10 @@ fn ranges_match_model<B: Balance>() {
     check(&down, &odn);
 }
 
-fn multi_ops_match_model<B: Balance>() {
+fn multi_ops_match_model<S: U64Spec>() {
     let base = pairs(4000, 3, 6000);
     let batch = pairs(1500, 4, 6000);
-    let mut m: AugMap<Spec, B> = AugMap::build(base.clone());
+    let mut m: AugMap<S> = AugMap::build(base.clone());
     let mut o = oracle_of(&base);
 
     // multi_insert with combine(old, new) = old + new; batch-internal
@@ -181,9 +190,9 @@ fn multi_ops_match_model<B: Balance>() {
     check(&m, &o);
 }
 
-fn order_statistics_match_model<B: Balance>() {
+fn order_statistics_match_model<S: U64Spec>() {
     let ps = pairs(2000, 5, 4000);
-    let m: AugMap<Spec, B> = AugMap::build(ps.clone());
+    let m: AugMap<S> = AugMap::build(ps.clone());
     let o = oracle_of(&ps);
     let sorted: Vec<(u64, u64)> = o.iter().map(|(&k, &v)| (k, v)).collect();
 
@@ -214,9 +223,9 @@ fn order_statistics_match_model<B: Balance>() {
     assert_eq!(m.select(sorted.len()), None);
 }
 
-fn filter_and_mapreduce_match_model<B: Balance>() {
+fn filter_and_mapreduce_match_model<S: U64Spec, M: U64Spec>() {
     let ps = pairs(4000, 6, 9000);
-    let m: AugMap<Spec, B> = AugMap::build(ps.clone());
+    let m: AugMap<S> = AugMap::build(ps.clone());
     let o = oracle_of(&ps);
 
     let f = m.clone().filter(|k, v| k % 3 == 0 && v % 2 == 0);
@@ -232,15 +241,15 @@ fn filter_and_mapreduce_match_model<B: Balance>() {
     assert_eq!(mr, want);
 
     // map_values into a Max-augmented map
-    let mv: AugMap<pam::MaxAug<u64, u64>, B> = m.map_values(|_k, v| v * 2);
+    let mv: AugMap<M> = m.map_values(|_k, v| v * 2);
     mv.check_invariants().unwrap();
     assert_eq!(mv.len(), m.len());
     assert_eq!(mv.aug_val(), o.values().map(|v| v * 2).max().unwrap());
 }
 
-fn aug_queries_match_model<B: Balance>() {
+fn aug_queries_match_model<S: U64Spec, M: U64Spec>() {
     let ps = pairs(3000, 8, 5000);
-    let m: AugMap<Spec, B> = AugMap::build(ps.clone());
+    let m: AugMap<S> = AugMap::build(ps.clone());
     let o = oracle_of(&ps);
     for probe in [0u64, 100, 2500, 4999, 6000] {
         let left: u64 = o.range(..=probe).map(|(_, &v)| v).sum();
@@ -260,7 +269,7 @@ fn aug_queries_match_model<B: Balance>() {
         assert_eq!(proj, want, "aug_project({lo},{hi})");
     }
     // aug_filter: keep entries with value above a threshold, using MaxAug
-    let mm: AugMap<pam::MaxAug<u64, u64>, B> = AugMap::build(ps.clone());
+    let mm: AugMap<M> = AugMap::build(ps.clone());
     let theta = 800u64;
     let kept = mm.aug_filter(|&a| a > theta);
     kept.check_invariants().unwrap();
@@ -294,15 +303,15 @@ fn iterator_is_exact_size_and_sorted() {
 
 #[test]
 fn weight_balanced_all() {
-    run_all::<WeightBalanced>();
+    run_all::<Spec, Max>();
 }
 
 #[test]
 fn block_size_1_all() {
-    run_all::<WeightBalancedCap<1>>();
+    run_all::<Capped<Spec, 1>, Capped<Max, 1>>();
 }
 
 #[test]
 fn block_size_2_all() {
-    run_all::<WeightBalancedCap<2>>();
+    run_all::<Capped<Spec, 2>, Capped<Max, 2>>();
 }

@@ -1,7 +1,8 @@
 //! A batch reaches the tree by move: no bulk load, batch update or point
 //! insert clones a key or value of its input on an unshared map, and a
 //! `combine` or `resolve` that panics part-way drops no element twice.
-//! A range extracted from a shared map clones only the entries it holds.
+//! A range extracted from or a filter of a shared map clones only the
+//! entries it keeps.
 //!
 //! Each test owns its element type and the global counter behind it, so
 //! tests running side by side do not see each other's elements.
@@ -40,11 +41,11 @@ fn scattered(n: u64) -> Vec<(Counted, Counted)> {
         .collect()
 }
 
-/// The clones `f` makes.
-fn clones_of<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = CLONES.load(Relaxed);
+/// The clones `f` makes, as `counter` counts them.
+fn clones_of<T>(counter: &AtomicUsize, f: impl FnOnce() -> T) -> (usize, T) {
+    let before = counter.load(Relaxed);
     let out = f();
-    (CLONES.load(Relaxed) - before, out)
+    (counter.load(Relaxed) - before, out)
 }
 
 fn pairs(m: &CountedMap) -> Vec<(u64, u64)> {
@@ -62,36 +63,37 @@ fn no_batch_key_or_value_is_cloned_on_an_unshared_map() {
         parlay::with_threads(threads, || {
             let at = |what: &str| format!("{what}, {threads} threads");
             // build, last value wins, and build_with over duplicates
-            let (n, built) = clones_of(|| CountedMap::build(scattered(N)));
+            let (n, built) = clones_of(&CLONES, || CountedMap::build(scattered(N)));
             assert_eq!(n, 0, "{}", at("build"));
-            let (n, summed) =
-                clones_of(|| CountedMap::build_with(scattered(N), |a, b| c(*a.0 + *b.0)));
+            let (n, summed) = clones_of(&CLONES, || {
+                CountedMap::build_with(scattered(N), |a, b| c(*a.0 + *b.0))
+            });
             assert_eq!(n, 0, "{}", at("build_with"));
             assert_eq!(built.len(), summed.len());
             drop(summed);
 
             // an owned sorted Vec is moved in; a borrowed one is cloned once
             let sorted = || (0..N).map(|i| (c(2 * i), c(i))).collect::<Vec<_>>();
-            let (n, mut m) = clones_of(|| CountedMap::from_sorted_distinct(sorted()));
+            let (n, mut m) = clones_of(&CLONES, || CountedMap::from_sorted_distinct(sorted()));
             assert_eq!(n, 0, "{}", at("from_sorted_distinct(Vec)"));
             let borrowed = sorted();
-            let (n, _) = clones_of(|| CountedMap::from_sorted_distinct(&borrowed));
+            let (n, _) = clones_of(&CLONES, || CountedMap::from_sorted_distinct(&borrowed));
             assert_eq!(n, 2 * N as usize, "{}", at("from_sorted_distinct(&Vec)"));
 
             // batch updates into the map: half the keys new, half present,
             // with repeats inside the batch
-            let (n, ()) = clones_of(|| m.multi_insert(scattered(N)));
+            let (n, ()) = clones_of(&CLONES, || m.multi_insert(scattered(N)));
             assert_eq!(n, 0, "{}", at("multi_insert"));
             let batch: Vec<(Counted, Option<Counted>)> = (0..N)
                 .map(|i| (c(i * 3 % N), (i % 4 != 0).then(|| c(i))))
                 .collect();
-            let (n, ()) = clones_of(|| m.multi_update(batch));
+            let (n, ()) = clones_of(&CLONES, || m.multi_update(batch));
             assert_eq!(n, 0, "{}", at("multi_update"));
 
             // point inserts: a new key, then over a present one
-            let (n, ()) = clones_of(|| m.insert(c(2 * N + 1), c(7)));
+            let (n, ()) = clones_of(&CLONES, || m.insert(c(2 * N + 1), c(7)));
             assert_eq!(n, 0, "{}", at("insert (new key)"));
-            let (n, ()) = clones_of(|| m.insert(c(2 * N + 1), c(8)));
+            let (n, ()) = clones_of(&CLONES, || m.insert(c(2 * N + 1), c(8)));
             assert_eq!(n, 0, "{}", at("insert (present key)"));
 
             // and the result is what the operations say
@@ -139,10 +141,7 @@ fn a_range_inside_one_block_of_a_shared_map_clones_only_its_entries() {
             .collect::<Vec<_>>(),
     );
     // each block's keys, by a walk over the tree's public shape
-    fn blocks(
-        t: &pam::node::Tree<NoAug<CountedKey, u64>, pam::WeightBalanced>,
-        out: &mut Vec<Vec<u64>>,
-    ) {
+    fn blocks(t: &pam::node::Tree<NoAug<CountedKey, u64>>, out: &mut Vec<Vec<u64>>) {
         let Some(n) = t.as_deref() else { return };
         match (n.as_leaf(), n.children()) {
             (Some(l), _) => out.push(l.entries().iter().map(|e| *e.key.0).collect()),
@@ -172,6 +171,46 @@ fn a_range_inside_one_block_of_a_shared_map_clones_only_its_entries() {
     }
     assert_eq!(m.len(), N as usize);
     m.check_invariants().unwrap();
+}
+
+static SURVIVOR_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A key that owns a buffer and counts its clones, for the filter test.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct FilterKey(Box<u64>);
+
+impl Clone for FilterKey {
+    fn clone(&self) -> Self {
+        SURVIVOR_CLONES.fetch_add(1, Relaxed);
+        FilterKey(self.0.clone())
+    }
+}
+
+#[test]
+fn a_filter_of_a_shared_map_clones_only_the_survivors() {
+    const N: u64 = 10_000;
+    type M = AugMap<NoAug<FilterKey, u64>>;
+    let m = M::from_sorted_distinct(
+        (0..N)
+            .map(|i| (FilterKey(Box::new(i)), i))
+            .collect::<Vec<_>>(),
+    );
+    let keys = |m: &M| m.iter().map(|(k, _)| *k.0).collect::<Vec<_>>();
+    // one key in 7 survives, from blocks and pivots alike
+    let want: Vec<u64> = (0..N).filter(|k| k % 7 == 0).collect();
+    let (clones, f) = clones_of(&SURVIVOR_CLONES, || m.clone().filter(|k, _| *k.0 % 7 == 0));
+    assert_eq!(keys(&f), want);
+    assert_eq!(clones, want.len(), "{} survivors", want.len());
+    f.check_invariants().unwrap();
+    // nothing survives: a rejected pivot is not cloned either
+    let (clones, none) = clones_of(&SURVIVOR_CLONES, || m.clone().filter(|_, _| false));
+    assert!(none.is_empty());
+    assert_eq!(clones, 0);
+    // the source is intact, and unshared it filters without a clone
+    assert_eq!(keys(&m), (0..N).collect::<Vec<_>>());
+    let (clones, f) = clones_of(&SURVIVOR_CLONES, || m.filter(|k, _| *k.0 % 7 == 0));
+    assert_eq!(keys(&f), want);
+    assert_eq!(clones, 0);
 }
 
 /// Every element's ID goes in here when it is dropped, and a drop of an

@@ -2,11 +2,12 @@
 //! quantifies.
 
 use pam::balance::leaf_cap;
+use pam::spec::Capped;
 use pam::stats::{node_size, shared_with, unique_nodes};
-use pam::{AugMap, Balance, EntryOwned, NoAug, SumAug, WeightBalanced, WeightBalancedCap};
+use pam::{AugMap, AugSpec, EntryOwned, NoAug, SumAug};
 
 type Spec = SumAug<u64, u64>;
-type M = AugMap<Spec, WeightBalanced>;
+type M = AugMap<Spec>;
 
 #[test]
 fn snapshots_survive_heavy_mutation() {
@@ -29,11 +30,11 @@ fn snapshots_survive_heavy_mutation() {
 /// at 128 entries per block the whole larger tree is fewer nodes than
 /// the bound over entries, which a union that copied everything would
 /// then meet. (The paper's one-entry-per-node layout,
-/// `WeightBalancedCap<1>`, uses 0.53–0.55 of the bound on these inputs.)
-fn check_union_fresh_nodes<B: Balance>(n: u64, m: u64) {
-    let big: AugMap<Spec, B> = AugMap::build((0..n).map(|i| (i * 2, 1)).collect());
+/// `Capped<Spec, 1>`, uses 0.53–0.55 of the bound on these inputs.)
+fn check_union_fresh_nodes<S: AugSpec<K = u64, V = u64>>(n: u64, m: u64) {
+    let big: AugMap<S> = AugMap::build((0..n).map(|i| (i * 2, 1)).collect());
     let step = 2 * n / m + 1;
-    let small: AugMap<Spec, B> = AugMap::build((0..m).map(|i| (i * step, 1)).collect());
+    let small: AugMap<S> = AugMap::build((0..m).map(|i| (i * step, 1)).collect());
     let out = big.clone().union_with(small, |a, b| a + b);
     let (total, shared) = shared_with(out.root(), &[big.root()]);
     // with blocked leaves a node covers up to a block of entries, so the
@@ -43,7 +44,7 @@ fn check_union_fresh_nodes<B: Balance>(n: u64, m: u64) {
         "{total} nodes for {} entries",
         out.len()
     );
-    let cap = leaf_cap::<Spec, B>();
+    let cap = leaf_cap::<S>();
     let blocks_per_key = n as f64 / (m as f64 * cap as f64);
     let bound = 3.0 * m as f64 * ((blocks_per_key + 1.0).log2() + 1.0);
     let fresh = total - shared;
@@ -61,8 +62,8 @@ fn union_shares_nodes_with_larger_input() {
     // over the whole key range, at the default's capacity for these
     // entries (128) and at the owning entries' 32.
     for m in [10, 100] {
-        check_union_fresh_nodes::<WeightBalanced>(100_000, m);
-        check_union_fresh_nodes::<WeightBalancedCap<32>>(100_000, m);
+        check_union_fresh_nodes::<Spec>(100_000, m);
+        check_union_fresh_nodes::<Capped<Spec, 32>>(100_000, m);
     }
 }
 
@@ -96,8 +97,8 @@ fn range_extraction_shares_with_source() {
 #[test]
 fn augmentation_space_overhead_matches_paper_shape() {
     // Paper: 48B vs 40B per node (+20%) for u64 keys/values.
-    let with_aug = node_size::<SumAug<u64, u64>, WeightBalanced>();
-    let without = node_size::<NoAug<u64, u64>, WeightBalanced>();
+    let with_aug = node_size::<SumAug<u64, u64>>();
+    let without = node_size::<NoAug<u64, u64>>();
     assert_eq!(with_aug - without, 8, "aug adds exactly one u64");
     assert!(
         with_aug <= 64,
@@ -110,7 +111,7 @@ fn node_and_entry_layout_are_pinned() {
     // Measured at the commit before the balance metadata was deleted (its
     // `()` fields were zero-sized). The gate's `mem_bytes_per_entry` is a
     // function of these two numbers, so a layout change fails here first.
-    assert_eq!(node_size::<SumAug<u64, u64>, WeightBalanced>(), 56);
+    assert_eq!(node_size::<SumAug<u64, u64>>(), 56);
     assert_eq!(std::mem::size_of::<EntryOwned<SumAug<u64, u64>>>(), 16);
 }
 
@@ -145,7 +146,7 @@ fn unique_trees_mutate_without_copying_everything() {
     let nodes = unique_nodes(&[m.root()]);
     assert!(nodes <= m.len(), "{nodes} nodes for {} entries", m.len());
     assert!(
-        nodes * leaf_cap::<Spec, WeightBalanced>() >= m.len(),
+        nodes * leaf_cap::<Spec>() >= m.len(),
         "{nodes} nodes cannot cover {} entries",
         m.len()
     );

@@ -3,7 +3,8 @@
 //! default's inputs span `0..5_000` with up to 1 500 entries, so its maps
 //! hold several blocks and join, split, rotate and re-pack them.
 
-use pam::{AugMap, Balance, SumAug, WeightBalanced, WeightBalancedCap};
+use pam::spec::Capped;
+use pam::{AugMap, AugSpec, SumAug};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -100,7 +101,7 @@ fn apply_model(model: &mut BTreeMap<u32, u64>, op: &Op) {
     }
 }
 
-fn apply_map<B: Balance>(m: AugMap<Spec, B>, op: &Op) -> AugMap<Spec, B> {
+fn apply_map<S: AugSpec<K = u32, V = u64, A = u64>>(m: AugMap<S>, op: &Op) -> AugMap<S> {
     let mut m = m;
     match op {
         Op::Insert(k, v) => {
@@ -121,15 +122,15 @@ fn apply_map<B: Balance>(m: AugMap<Spec, B>, op: &Op) -> AugMap<Spec, B> {
         }
         Op::UnionWith(ps) => {
             // build (last value wins) then union with wrapping-add combine
-            let other: AugMap<Spec, B> = AugMap::build(ps.clone());
+            let other: AugMap<S> = AugMap::build(ps.clone());
             m.union_with(other, |a, b| a.wrapping_add(*b))
         }
         Op::IntersectWith(ps) => {
-            let other: AugMap<Spec, B> = AugMap::build(ps.clone());
+            let other: AugMap<S> = AugMap::build(ps.clone());
             m.intersect_with(other, |a, b| a.wrapping_add(*b))
         }
         Op::DifferenceWith(ps) => {
-            let other: AugMap<Spec, B> = AugMap::build(ps.clone());
+            let other: AugMap<S> = AugMap::build(ps.clone());
             m.difference(other)
         }
         Op::Filter(d) => {
@@ -149,12 +150,12 @@ fn apply_map<B: Balance>(m: AugMap<Spec, B>, op: &Op) -> AugMap<Spec, B> {
     }
 }
 
-fn run_sequence<B: Balance>(init: Vec<(u32, u64)>, ops: Vec<Op>) {
+fn run_sequence<S: AugSpec<K = u32, V = u64, A = u64>>(init: Vec<(u32, u64)>, ops: Vec<Op>) {
     let mut model: BTreeMap<u32, u64> = init.iter().copied().collect();
-    let mut map: AugMap<Spec, B> = AugMap::build(init);
+    let mut map: AugMap<S> = AugMap::build(init);
     // keep every intermediate version: persistence must keep them intact
-    type Version<B> = (AugMap<Spec, B>, Vec<(u32, u64)>);
-    let mut versions: Vec<Version<B>> = Vec::new();
+    type Version<S> = (AugMap<S>, Vec<(u32, u64)>);
+    let mut versions: Vec<Version<S>> = Vec::new();
     for op in &ops {
         versions.push((map.clone(), model.iter().map(|(&k, &v)| (k, v)).collect()));
         map = apply_map(map, op);
@@ -179,7 +180,7 @@ proptest! {
         init in proptest::collection::vec((0u32..5000, 0u64..1000), 0..1500),
         ops in proptest::collection::vec(op_strategy(5000, 600), 1..25),
     ) {
-        run_sequence::<WeightBalanced>(init, ops);
+        run_sequence::<Spec>(init, ops);
     }
 
     #[test]
@@ -187,7 +188,7 @@ proptest! {
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
         ops in proptest::collection::vec(op_strategy(300, 40), 1..25),
     ) {
-        run_sequence::<WeightBalancedCap<1>>(init, ops);
+        run_sequence::<Capped<Spec, 1>>(init, ops);
     }
 
     #[test]
@@ -195,7 +196,7 @@ proptest! {
         init in proptest::collection::vec((0u32..300, 0u64..1000), 0..120),
         ops in proptest::collection::vec(op_strategy(300, 40), 1..25),
     ) {
-        run_sequence::<WeightBalancedCap<2>>(init, ops);
+        run_sequence::<Capped<Spec, 2>>(init, ops);
     }
 
     #[test]
@@ -204,7 +205,7 @@ proptest! {
         probes in proptest::collection::vec((0u32..5200, 0u32..5200), 1..20),
     ) {
         let model: BTreeMap<u32, u64> = init.iter().copied().collect();
-        let map: AugMap<Spec, WeightBalanced> = AugMap::build(init);
+        let map: AugMap<Spec> = AugMap::build(init);
         for (a, b) in probes {
             let (lo, hi) = (a.min(b), a.max(b));
             let want: u64 = model.range(lo..=hi).fold(0u64, |s, (_, &v)| s.wrapping_add(v));
@@ -221,8 +222,8 @@ proptest! {
         p1 in proptest::collection::vec((0u32..5000, 0u64..100), 0..1500),
         p2 in proptest::collection::vec((0u32..5000, 0u64..100), 0..1500),
     ) {
-        let m1: AugMap<Spec, WeightBalanced> = AugMap::build(p1);
-        let m2: AugMap<Spec, WeightBalanced> = AugMap::build(p2);
+        let m1: AugMap<Spec> = AugMap::build(p1);
+        let m2: AugMap<Spec> = AugMap::build(p2);
         // with a commutative combine, union is fully symmetric
         let u12 = m1.clone().union_with(m2.clone(), |a, b| a.wrapping_add(*b));
         let u21 = m2.union_with(m1, |a, b| a.wrapping_add(*b));
@@ -234,7 +235,7 @@ proptest! {
         init in proptest::collection::vec((0u32..5000, 0u64..100), 1..1500),
         pivot in 0u32..5200,
     ) {
-        let m: AugMap<Spec, WeightBalanced> = AugMap::build(init);
+        let m: AugMap<Spec> = AugMap::build(init);
         let lo = m.up_to(&pivot);
         let hi = m.down_to(&(pivot + 1));
         let back = lo.union_with(hi, |_, _| unreachable!("disjoint"));
