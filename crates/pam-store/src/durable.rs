@@ -34,10 +34,10 @@
 //! complete checkpoint; the next attempt deletes them first.
 //!
 //! Recovery ([`crate::Store::open`]) loads the newest complete checkpoint
-//! whose N files all validate — the files in parallel, each chunk with
-//! the O(n)-work `AugMap::from_sorted_distinct`, which moves the decoded
-//! entries into the tree, once its keys are checked to ascend (a file
-//! whose keys do not is refused like one that fails its CRC) — unions
+//! whose N files all validate — the files in parallel, each streamed as
+//! it decodes into its own O(n)-work [`pam::Appender`], every entry moved
+//! once into its leaf once its key is checked to ascend (a file whose
+//! keys do not is refused like one that fails its CRC) — unions
 //! the N disjoint ranges into one map, then replays the log
 //! once from E on through the same one-walk `op::apply` the committer
 //! uses. It never mixes files of two epochs: ranges are cut by rank, so
@@ -52,7 +52,7 @@ use crate::config::DurabilityConfig;
 use crate::op::{self, NormalizedBatch};
 use crate::registry::{Registry, VersionId};
 use crate::stats::DurabilityStats;
-use pam::{AugMap, AugSpec};
+use pam::{Appender, AugMap, AugSpec};
 use pam_obs::{event, Health, Histogram, Level};
 use pam_wal::wal::WalObs;
 use pam_wal::{checkpoint, manifest, record, Codec, DirLock, EpochRecord, Wal, WalConfig};
@@ -492,45 +492,43 @@ where
     }
 
     // 1. the newest complete checkpoint whose N files all validate, the
-    //    files in parallel: each streams into its own map chunk by chunk
-    //    — a decoded chunk is moved into the O(chunk) `from_sorted_distinct`
-    //    (each entry once, none copied) and unions onto the accumulated
-    //    map's right edge, once one pass has checked that its keys ascend
-    //    past that edge — so peak memory is one chunk per file, never a
-    //    whole file
+    //    files in parallel: each streams into its own `pam::Appender` as
+    //    its chunks decode, every entry moved once into its leaf after a
+    //    check that its key ascends past the last one appended — so peak
+    //    memory is one decoded chunk per file, and no chunk is merged
     let mut loaded = None;
     for epoch in complete_epochs(dir, shards)? {
         let files = parlay::tabulate(shards, |i| {
             let start = Instant::now();
             let shard_dir = manifest::shard_dir(dir, i);
-            let (entries, map) = checkpoint::load_at::<S::K, S::V, _>(
+            let (entries, appended) = checkpoint::load_at::<S::K, S::V, _>(
                 &shard_dir,
                 epoch,
-                AugMap::new(),
-                |m: &mut AugMap<S>, chunk| {
-                    // a bulk load trusts the order, so check it: keys
-                    // ascend strictly within the chunk and past the map
-                    let after = |a: &S::K, b: &S::K| S::compare(a, b).is_lt();
-                    let sorted = chunk.windows(2).all(|w| after(&w[0].0, &w[1].0));
-                    let above = match (m.last(), chunk.first()) {
-                        (Some((last, _)), Some((first, _))) => after(last, first),
-                        _ => true,
-                    };
-                    if !(sorted && above) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "keys out of order in checkpoint {epoch} in {}",
-                                shard_dir.display()
-                            ),
-                        ));
+                Appender::<S>::new(),
+                |a, chunk| {
+                    for (key, val) in chunk {
+                        // a bulk load trusts the order, so check it
+                        if a.last_key()
+                            .is_some_and(|last| S::compare(last, &key).is_ge())
+                        {
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!(
+                                    "keys out of order in checkpoint {epoch} in {}",
+                                    shard_dir.display()
+                                ),
+                            ));
+                        }
+                        a.push(key, val);
                     }
-                    let right = AugMap::from_sorted_distinct(chunk);
-                    *m = std::mem::take(m).union(right);
                     Ok(())
                 },
             )?;
-            Ok((entries, map, start.elapsed()))
+            Ok((
+                entries,
+                AugMap::from_root(appended.finish()),
+                start.elapsed(),
+            ))
         });
         match files.into_iter().collect::<io::Result<Vec<_>>>() {
             Ok(files) => {

@@ -74,6 +74,7 @@
 //! oracle suites instantiate several capacities side by side).
 
 use crate::node::{expose, flatten_into, size, EntryOwned, Node, Tree};
+use crate::ops::split::join2;
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if, OwnedSlice};
 use std::sync::Arc;
@@ -293,44 +294,295 @@ fn pack_block<S: AugSpec>(mut entries: Vec<EntryOwned<S>>) -> Arc<Node<S>> {
     )
 }
 
-/// Build a tree from sorted, strictly-increasing entries by packing full
-/// blocks bottom-up (median recursion, so every leaf lands in
-/// `cap/2 ..= cap`). Every re-pack of a merged or filtered block builds
-/// through it: the leaf merges under `update_sorted` (which can hand it a
-/// whole batch slice) and the set operations, the filters' leaf paths,
-/// and the double rotation's fallback.
+/// Build a tree from sorted, strictly-increasing entries. Up to two
+/// blocks' worth (`2·cap + 1`) is a re-pack of a merged or filtered
+/// block — the leaf merges under `update_sorted`, the set operations, the
+/// filters' leaf paths, the double rotation's fallback — and
+/// [`pack_block`] splits the `Vec` in place; anything longer streams
+/// through [`build_sorted`] into full leaves.
 pub(crate) fn from_sorted_entries<S: AugSpec>(mut entries: Vec<EntryOwned<S>>) -> Tree<S> {
-    if at_most_two_blocks::<S>(entries.len()) {
-        // the Vec as it is: one block, or the left one of two
-        return (!entries.is_empty()).then(|| pack_block::<S>(entries));
-    }
-    build_blocks::<S>(OwnedSlice::new(&mut entries))
-}
-
-/// Do `n` entries make one block, or two around their median? Then
-/// [`pack_block`] builds them as the median recursion would, without
-/// building two leaves only for `join_blocked` to flatten and re-pack.
-fn at_most_two_blocks<S: AugSpec>(n: usize) -> bool {
     let cap = leaf_cap::<S>();
-    n <= cap.max(1) || (cap >= 2 && n <= 2 * cap + 1)
+    match entries.len() {
+        0 => None,
+        n if n <= cap.max(1) || (cap >= 2 && n <= 2 * cap + 1) => Some(pack_block::<S>(entries)),
+        _ => build_sorted(OwnedSlice::new(&mut entries), &Some),
+    }
 }
 
-/// [`from_sorted_entries`] over an owned view: split by index at the
-/// median, each entry moved once into its leaf or its pivot, the halves
-/// forked as the batch recursion's median split forks them.
-fn build_blocks<S: AugSpec>(entries: OwnedSlice<'_, EntryOwned<S>>) -> Tree<S> {
-    let n = entries.len();
-    if at_most_two_blocks::<S>(n) {
-        return (n > 0).then(|| pack_block::<S>(entries.into_vec()));
+/// Slots of an [`Appender`]'s spine: slot `k` holds `2^k` leaves, and no
+/// input has `2^64` of them.
+const SPINE: usize = usize::BITS as usize;
+
+/// Closed leaves an [`Appender`] holds before it allocates their nodes,
+/// all together: a walk then finds a group's leaf and internal nodes in
+/// a few adjacent cache lines, where nodes allocated one by one between
+/// the blocks cost it a cache miss each (a 4·10⁶-entry scan: +20 %).
+const GROUP: usize = 16;
+
+/// The one bulk loader: a tree built from entries pushed in strictly
+/// ascending key order, in O(n) work, each entry moved once.
+///
+/// An entry goes into the open leaf, a buffer allocated at exactly the
+/// leaf capacity, so the leaf takes it over without a copy. The entry
+/// after a full leaf is the pivot after it; closed leaves, a group at a
+/// time, pair up into perfect subtrees on a right spine, as a binary
+/// counter carries (slot `k` holds `2^k` leaves).
+/// [`finish`](Self::finish) re-splits the last two leaves so each holds
+/// `cap/2 ..= cap` entries and joins the spine from its smallest subtree
+/// up, O(log n) joins. Every leaf but the last two is full.
+///
+/// Every sorted build reaches it: `from_sorted_distinct`, `build` of
+/// sorted input, a batch update of an empty map, the re-pack of more than
+/// two blocks, and a store's recovery, which feeds one appender per
+/// checkpoint file as the file decodes.
+///
+/// ```
+/// use pam::{Appender, AugMap, SumAug};
+///
+/// let mut a = Appender::<SumAug<u64, u64>>::new();
+/// for k in 0..1000 {
+///     a.push(k, 1);
+/// }
+/// assert_eq!(a.last_key(), Some(&999));
+/// let m = AugMap::from_root(a.finish());
+/// assert_eq!((m.len(), m.aug_val()), (1000, 1000));
+/// m.check_invariants().unwrap();
+/// ```
+pub struct Appender<S: AugSpec> {
+    /// Slot `k`: a perfect subtree of `2^k` full leaves and the entry
+    /// after it.
+    #[allow(clippy::type_complexity)]
+    spine: [Option<(Arc<Node<S>>, EntryOwned<S>)>; SPINE],
+    /// Closed leaves not yet on the spine, each with the entry after it:
+    /// `closed[..group]`. The last stays until another closes, so
+    /// `finish` can re-split it with the open leaf.
+    #[allow(clippy::type_complexity)]
+    closed: [Option<(Vec<EntryOwned<S>>, EntryOwned<S>)>; GROUP],
+    group: usize,
+    /// The open leaf; it closes at `want` entries (0: none is open).
+    open: Vec<EntryOwned<S>>,
+    want: usize,
+    /// At least the number of entries still to come (`usize::MAX` when
+    /// nobody said), so the last two leaves can be sized as they open.
+    rest: usize,
+}
+
+impl<S: AugSpec> Default for Appender<S> {
+    fn default() -> Self {
+        Self::with_len(usize::MAX)
     }
-    let (left, mut right) = entries.split_at(n / 2);
-    let pivot = right.next().expect("the right half holds the median");
-    let (l, r) = par2_if(
-        n > granularity(),
-        move || build_blocks::<S>(left),
-        move || build_blocks::<S>(right),
-    );
-    Some(join_blocked(l, pivot, r))
+}
+
+impl<S: AugSpec> Appender<S> {
+    /// An empty appender.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty appender that will be given at most `n` entries: the
+    /// last two leaves are then allocated at the sizes `finish` gives them.
+    fn with_len(n: usize) -> Self {
+        Appender {
+            spine: std::array::from_fn(|_| None),
+            closed: std::array::from_fn(|_| None),
+            group: 0,
+            open: Vec::new(),
+            want: 0,
+            rest: n,
+        }
+    }
+
+    /// Append `(key, val)`. `key` must be greater than every key appended
+    /// before it ([`last_key`](Self::last_key)); the appender does not
+    /// check.
+    pub fn push(&mut self, key: S::K, val: S::V) {
+        self.push_entry(EntryOwned { key, val });
+    }
+
+    /// The key appended last.
+    pub fn last_key(&self) -> Option<&S::K> {
+        let closed = self
+            .group
+            .checked_sub(1)
+            .and_then(|i| self.closed[i].as_ref());
+        match (self.open.last(), closed) {
+            (Some(e), _) | (None, Some((_, e))) => Some(&e.key),
+            (None, None) => None,
+        }
+    }
+
+    fn push_entry(&mut self, e: EntryOwned<S>) {
+        debug_assert!(self.rest > 0, "more entries than promised");
+        if self.open.len() < self.want {
+            self.open.push(e);
+        } else if self.want > 0 {
+            // the open leaf is full: `e` is the pivot after it
+            if self.group == GROUP {
+                self.flush(GROUP);
+                self.group = 0;
+            }
+            self.closed[self.group] = Some((std::mem::take(&mut self.open), e));
+            self.group += 1;
+            self.want = 0;
+        } else {
+            self.want = self.leaf_size();
+            self.open = Vec::with_capacity(self.want);
+            self.open.push(e);
+        }
+        self.rest = self.rest.saturating_sub(1);
+    }
+
+    /// The size of the leaf opening now: full, except that the last two
+    /// leaves share what is left when a full one would leave the last
+    /// under half full.
+    fn leaf_size(&self) -> usize {
+        let cap = leaf_cap::<S>().max(1);
+        match self.rest {
+            rest if rest <= cap => rest.max(1),
+            rest if rest <= 2 * cap + 1 && rest - cap - 1 < cap / 2 => rest / 2,
+            _ => cap,
+        }
+    }
+
+    /// Allocate the nodes of the first `k` closed leaves, one after
+    /// another, and put them on the spine.
+    fn flush(&mut self, k: usize) {
+        for i in 0..k {
+            let (leaf, after) = self.closed[i].take().expect("a closed leaf");
+            self.carry(Node::make_leaf(leaf), after);
+        }
+    }
+
+    /// Put a closed leaf (or a perfect subtree) and the entry after it on
+    /// the spine, pairing it with its equal as a binary counter carries.
+    fn carry(&mut self, mut t: Arc<Node<S>>, after: EntryOwned<S>) {
+        for slot in &mut self.spine {
+            match slot.take() {
+                None => {
+                    *slot = Some((t, after));
+                    return;
+                }
+                Some((l, pivot)) => t = Node::make(Some(l), pivot, Some(t)),
+            }
+        }
+        unreachable!("{SPINE} spine slots hold every input");
+    }
+
+    /// The tree of every entry appended.
+    pub fn finish(mut self) -> Tree<S> {
+        let open = std::mem::take(&mut self.open);
+        let tail = match self.group.checked_sub(1) {
+            None => (!open.is_empty()).then(|| Node::make_leaf(open)),
+            Some(last) => {
+                self.flush(last);
+                let (prev, after) = self.closed[last].take().expect("a closed leaf");
+                Some(close_tail::<S>(prev, after, open))
+            }
+        };
+        let spine = self.spine.into_iter().flatten();
+        spine.fold(tail, |t, (l, pivot)| Some(attach(l, pivot, t)))
+    }
+}
+
+/// `join(t, pivot, r)` for a fresh perfect subtree `t` of full leaves and
+/// an `r` no heavier than about `t` (the rest of an appender's input):
+/// `r` hangs on `t`'s right spine where it is like the subtree it pairs
+/// with, and as `t` is unshared the nodes above it are updated in place.
+/// No rotation is needed, and the one node allocated is `pivot`'s.
+fn attach<S: AugSpec>(mut t: Arc<Node<S>>, pivot: EntryOwned<S>, r: Tree<S>) -> Arc<Node<S>> {
+    if !heavy(t.size_of() as u64 + 1, weight(&r)) {
+        return join(Some(t), pivot, r);
+    }
+    match Arc::get_mut(&mut t) {
+        Some(Node::Internal(x)) => {
+            let near = x.right.take().expect("a perfect subtree has both children");
+            x.right = Some(attach(near, pivot, r));
+            x.refresh();
+            t
+        }
+        _ => join(Some(t), pivot, r),
+    }
+}
+
+/// An appender's last two leaves: `prev`, the entry `after` it, and
+/// `last`. As they are when `last` is at least half full; otherwise, as
+/// only an input shorter than promised leaves them, re-packed by
+/// [`pack_block`].
+fn close_tail<S: AugSpec>(
+    mut prev: Vec<EntryOwned<S>>,
+    after: EntryOwned<S>,
+    last: Vec<EntryOwned<S>>,
+) -> Arc<Node<S>> {
+    if last.len() >= leaf_cap::<S>() / 2 {
+        let last = (!last.is_empty()).then(|| Node::make_leaf(last));
+        return Node::make(Some(Node::make_leaf(prev)), after, last);
+    }
+    prev.push(after);
+    prev.extend(last);
+    pack_block::<S>(prev)
+}
+
+/// A sorted input [`build_sorted`] can cut by index and then stream: an
+/// owned view of a batch, or a borrowed slice.
+pub(crate) trait SortedInput: IntoIterator + Send + Sized {
+    fn len(&self) -> usize;
+    fn split_at(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Send> SortedInput for OwnedSlice<'_, T> {
+    fn len(&self) -> usize {
+        OwnedSlice::len(self)
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        OwnedSlice::split_at(self, mid)
+    }
+}
+
+impl<T: Sync> SortedInput for &[T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        <[T]>::split_at(self, mid)
+    }
+}
+
+/// Build a tree from `items`, sorted by key with no two equal, each
+/// mapped through `entry` (`None` leaves it out) and streamed into an
+/// [`Appender`]. Above the grain the input is cut by index after a whole
+/// number of full leaves and the pivots between them, and the two parts
+/// build in parallel around the entry at the cut, so every leaf but the
+/// input's last two is full unless `entry` leaves entries out. O(n) work.
+pub(crate) fn build_sorted<S, I, F>(items: I, entry: &F) -> Tree<S>
+where
+    S: AugSpec,
+    I: SortedInput,
+    F: Fn(I::Item) -> Option<EntryOwned<S>> + Sync,
+{
+    let n = items.len();
+    // a full leaf and the pivot after it; `n` entries make `leaves`
+    // leaves and the pivots between them
+    let stride = leaf_cap::<S>().max(1) + 1;
+    let leaves = (n + 1).div_ceil(stride);
+    if n > granularity() && leaves >= 2 {
+        // half the leaves, whole, on the left
+        let (left, right) = items.split_at(leaves / 2 * stride - 1);
+        let (seam, right) = right.split_at(1);
+        let (l, r) = par2_if(
+            true,
+            move || build_sorted(left, entry),
+            move || build_sorted(right, entry),
+        );
+        return match seam.into_iter().next().and_then(entry) {
+            Some(e) => join_tree(l, e, r),
+            None => join2(l, r),
+        };
+    }
+    let mut appender = Appender::with_len(n);
+    for e in items.into_iter().filter_map(entry) {
+        appender.push_entry(e);
+    }
+    appender.finish()
 }
 
 /// Flatten `(l, e, r)` into sorted entries and re-pack into a perfectly

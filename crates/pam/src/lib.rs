@@ -64,7 +64,7 @@ pub mod spec;
 pub mod stats;
 pub mod validate;
 
-pub use balance::DEFAULT_LEAF_B;
+pub use balance::{Appender, DEFAULT_LEAF_B};
 pub use cursor::Cursor;
 pub use iter::{Iter, RangeIter};
 pub use map::AugMap;

@@ -87,16 +87,18 @@ impl<S: AugSpec> AugMap<S> {
         }
     }
 
-    /// Build from pairs already sorted by key with distinct keys (O(n)
-    /// work, O(log n) span). An owned `Vec` is moved into the map, each
-    /// entry once; a borrowed slice (`&v`) is cloned once first.
+    /// Build from pairs already sorted by key with distinct keys, in O(n)
+    /// work through [`crate::Appender`]: every leaf but the last two is
+    /// full. An owned `Vec` is moved into the leaves, each entry once; a
+    /// borrowed slice (`&v`) is cloned straight into them.
     pub fn from_sorted_distinct<'a>(items: impl Into<Cow<'a, [(S::K, S::V)]>>) -> Self {
         AugMap {
             root: ops::from_sorted_distinct::<S>(items),
         }
     }
 
-    /// Wrap a raw tree (advanced; used by the stats helpers and tests).
+    /// Wrap a raw tree, such as [`crate::Appender::finish`]'s (advanced;
+    /// also used by the stats helpers and tests).
     pub fn from_root(root: Tree<S>) -> Self {
         AugMap { root }
     }

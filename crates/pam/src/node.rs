@@ -72,6 +72,30 @@ pub struct InternalNode<S: AugSpec> {
     pub(crate) right: Tree<S>,
 }
 
+impl<S: AugSpec> InternalNode<S> {
+    /// Recompute `size` and `aug` after a child was replaced in place.
+    pub(crate) fn refresh(&mut self) {
+        (self.size, self.aug) = summary(&self.left, &self.key, &self.val, &self.right);
+    }
+}
+
+/// The size and augmented value of an internal node over `left`,
+/// `(key, val)` and `right`.
+#[inline]
+fn summary<S: AugSpec>(left: &Tree<S>, key: &S::K, val: &S::V, right: &Tree<S>) -> (usize, S::A) {
+    let mid = S::base(key, val);
+    // f(A(L), f(g(k,v), A(R))); absent children contribute nothing
+    // (skipping the identity keeps combine cheap when A is itself a
+    // large structure such as the range tree's inner map).
+    let aug = match (left, right) {
+        (None, None) => mid,
+        (Some(l), None) => S::combine(l.aug(), &mid),
+        (None, Some(r)) => S::combine(&mid, r.aug()),
+        (Some(l), Some(r)) => S::combine3(l.aug(), mid, r.aug()),
+    };
+    (size(left) + size(right) + 1, aug)
+}
+
 /// An entry (key, value) detached from a node — what the paper's `expose`
 /// yields between the two subtrees, what `join` takes as its middle
 /// argument, and what leaf blocks store contiguously.
@@ -138,17 +162,7 @@ impl<S: AugSpec> Node<S> {
     /// Create an internal node, computing `size` and the augmented value
     /// from the children.
     pub(crate) fn make(left: Tree<S>, entry: EntryOwned<S>, right: Tree<S>) -> Arc<Self> {
-        let size = size(&left) + size(&right) + 1;
-        let mid = S::base(&entry.key, &entry.val);
-        // f(A(L), f(g(k,v), A(R))); absent children contribute nothing
-        // (skipping the identity keeps combine cheap when A is itself a
-        // large structure such as the range tree's inner map).
-        let aug = match (&left, &right) {
-            (None, None) => mid,
-            (Some(l), None) => S::combine(l.aug(), &mid),
-            (None, Some(r)) => S::combine(&mid, r.aug()),
-            (Some(l), Some(r)) => S::combine3(l.aug(), mid, r.aug()),
-        };
+        let (size, aug) = summary(&left, &entry.key, &entry.val, &right);
         Arc::new(Node::Internal(InternalNode {
             size,
             key: entry.key,

@@ -11,9 +11,10 @@
 //! — and bottoms out at leaf blocks with a linear sorted merge of the
 //! batch slice into the block. What a key keeps is its caller's
 //! `resolve`: `multi_insert`, `multi_delete` and `multi_update` here,
-//! the point updates of [`mod@crate::ops::insert`] with a one-element
-//! batch, and `from_sorted_distinct` on an empty tree, where the
-//! recursion is the median-split build.
+//! and the point updates of [`mod@crate::ops::insert`] with a one-element
+//! batch. On an empty tree it is no recursion: the batch streams through
+//! `resolve` into [`crate::Appender`], the one sorted build, which
+//! `from_sorted_distinct` reaches too.
 //!
 //! The recursion owns its batch (a [`parlay::OwnedSlice`] over the
 //! caller's sorted `Vec`), so the paper's reuse rule holds for the batch
@@ -22,8 +23,8 @@
 //! none is cloned. The sort and the dedup in front of it move too, and
 //! the internal `combine`s and `resolve`s take their values by value.
 
-use crate::balance::{from_sorted_entries, join_tree, leaf_cap};
-use crate::node::{expose, size, take_leaf_entries, EntryOwned, Tree};
+use crate::balance::{build_sorted, from_sorted_entries, join_tree};
+use crate::node::{expose, take_leaf_entries, EntryOwned, Tree};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if, OwnedSlice};
@@ -65,16 +66,26 @@ where
 }
 
 /// Construct a map from pairs already sorted by key with distinct keys.
-/// An owned `Vec` is moved into the tree; a borrowed slice is cloned
-/// once first. Work O(n) joins (each O(1) amortized on balanced halves),
-/// span O(log n).
+/// An owned `Vec` is moved into the tree's leaves; a borrowed slice is
+/// cloned straight into them. O(n) work: every leaf but the last two is
+/// full.
 pub fn from_sorted_distinct<'a, S>(items: impl Into<Cow<'a, [(S::K, S::V)]>>) -> Tree<S>
 where
     S: AugSpec,
 {
-    let mut items = items.into().into_owned();
+    let items = items.into();
     debug_assert!(strictly_increasing(&items, |a, b| S::compare(&a.0, &b.0)));
-    update_sorted(None, OwnedSlice::new(&mut items), &|_, v| Some(v))
+    match items {
+        Cow::Owned(mut items) => build_sorted(OwnedSlice::new(&mut items), &|(key, val)| {
+            Some(EntryOwned { key, val })
+        }),
+        Cow::Borrowed(items) => build_sorted(items, &|(key, val): &(S::K, S::V)| {
+            Some(EntryOwned {
+                key: key.clone(),
+                val: val.clone(),
+            })
+        }),
+    }
 }
 
 /// Fewest batch keys either side of a partition must carry before a
@@ -164,35 +175,27 @@ where
     if batch.is_empty() {
         return t;
     }
-    let work = size(&t) + batch.len();
-    let (l, root, r, lo, hi) = match t {
+    let n = match t {
+        // an empty tree: the batch streams into an appender
+        None => return build_sorted(batch, &|x| resolved(None, x, resolve)),
         Some(n) if n.is_leaf() => return merge_block(take_leaf_entries(n), batch, resolve),
-        None if batch.len() <= leaf_cap::<S>().max(1) => {
-            return merge_block(Vec::new(), batch, resolve)
-        }
-        // an empty tree splits the batch at its median: a balanced build
-        None => {
-            let mid = batch.len() / 2;
-            (None, None, None, mid, mid + 1)
-        }
-        Some(n) => {
-            let (l, e, r) = expose(n);
-            let items = batch.as_slice();
-            let lo = items.partition_point(|x| S::compare(&x.0, &e.key).is_lt());
-            let found = lo < items.len() && S::compare(&items[lo].0, &e.key).is_eq();
-            (l, Some(e), r, lo, lo + usize::from(found))
-        }
+        Some(n) => n,
     };
+    let work = n.size_of() + batch.len();
+    let (l, e, r) = expose(n);
+    let items = batch.as_slice();
+    let lo = items.partition_point(|x| S::compare(&x.0, &e.key).is_lt());
+    let found = lo < items.len() && S::compare(&items[lo].0, &e.key).is_eq();
     let (bl, mut br) = batch.split_at(lo);
-    let x = if hi > lo { br.next() } else { None };
+    let x = if found { br.next() } else { None };
     let (l2, r2) = par2_if(
         worth_forking(work, bl.len(), br.len()),
         move || update_sorted::<S, X, R>(l, bl, resolve),
         move || update_sorted::<S, X, R>(r, br, resolve),
     );
     let mid = match x {
-        Some(x) => resolved(root, x, resolve),
-        None => root,
+        Some(x) => resolved(Some(e), x, resolve),
+        None => Some(e),
     };
     match mid {
         Some(e) => join_tree(l2, e, r2),
@@ -245,6 +248,7 @@ mod tests {
     use crate::ops::counting::{compares_of, CountingOrder};
     use crate::spec::SumAug;
     use crate::AugMap;
+    use std::collections::BTreeMap;
 
     type M = AugMap<SumAug<u64, u64>>;
 
@@ -392,6 +396,126 @@ mod tests {
         assert_eq!(m.len(), 1);
         let e = M::build(vec![]);
         assert!(e.is_empty());
+    }
+
+    /// Each leaf's length and depth (a root leaf's is 1), in key order.
+    fn leaves<S: crate::AugSpec>(
+        t: &crate::node::Tree<S>,
+        depth: u32,
+        out: &mut Vec<(usize, u32)>,
+    ) {
+        let Some(n) = t.as_deref() else { return };
+        match n.children() {
+            None => out.push((n.size_of(), depth + 1)),
+            Some((l, r)) => {
+                leaves(l, depth + 1, out);
+                leaves(r, depth + 1, out);
+            }
+        }
+    }
+
+    /// A valid tree holding `want`, with every leaf but the last two
+    /// full, and no taller than its number of leaves requires.
+    fn check_sorted_build<S>(m: &AugMap<S>, want: &[(u64, u64)], what: &str)
+    where
+        S: crate::AugSpec<K = u64, V = u64, A = u64>,
+    {
+        m.check_invariants()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(m.to_vec(), want, "{what}");
+        let mut ls = Vec::new();
+        leaves(m.root(), 0, &mut ls);
+        let cap = crate::balance::leaf_cap::<S>();
+        let full = ls.len().saturating_sub(2);
+        assert!(ls[..full].iter().all(|l| l.0 == cap), "{what}: {ls:?}");
+        let height = ls.iter().map(|l| l.1).max().unwrap_or(0);
+        // with one entry a leaf, an internal node may have one child
+        let least = match cap {
+            1 => (want.len() + 1).next_power_of_two().trailing_zeros(),
+            _ => ls.len().next_power_of_two().trailing_zeros() + 1,
+        };
+        assert!(ls.is_empty() || height == least, "{what}: height {height}");
+    }
+
+    /// Every size from empty to five blocks and a few entries, through
+    /// every entry point that builds from sorted input, against a
+    /// `BTreeMap`.
+    fn sorted_builds_at_cap<const CAP: usize>() {
+        type C<const CAP: usize> = AugMap<crate::spec::Capped<SumAug<u64, u64>, CAP>>;
+        for n in 0..=5 * CAP as u64 + 3 {
+            let what = |op: &str| format!("{op}, cap {CAP}, {n} entries");
+            let sorted: Vec<(u64, u64)> = (0..n).map(|i| (2 * i, i)).collect();
+            let m = C::<CAP>::from_sorted_distinct(sorted.clone());
+            check_sorted_build(&m, &sorted, &what("from_sorted_distinct(Vec)"));
+            let m = C::<CAP>::from_sorted_distinct(&sorted);
+            check_sorted_build(&m, &sorted, &what("from_sorted_distinct(&slice)"));
+            // pushed one by one with no length given, as recovery does
+            let mut a = crate::Appender::new();
+            for &(k, v) in &sorted {
+                a.push(k, v);
+            }
+            let m = C::<CAP>::from_root(a.finish());
+            check_sorted_build(&m, &sorted, &what("Appender"));
+            let mut m = C::<CAP>::new();
+            m.multi_insert(sorted.clone());
+            check_sorted_build(&m, &sorted, &what("multi_insert"));
+            // every third key a delete, which `resolve` drops on an empty
+            // map; then deletes only
+            let batch: Vec<(u64, Option<u64>)> = sorted
+                .iter()
+                .map(|&(k, v)| (k, (v % 3 != 1).then_some(v)))
+                .collect();
+            let oracle: BTreeMap<u64, u64> =
+                batch.iter().filter_map(|&(k, v)| Some((k, v?))).collect();
+            let mut m = C::<CAP>::new();
+            m.multi_update(batch.clone());
+            let kept: Vec<(u64, u64)> = oracle.into_iter().collect();
+            check_sorted_build(&m, &kept, &what("multi_update with deletes"));
+            let mut m = C::<CAP>::new();
+            m.multi_update(batch.into_iter().map(|(k, _)| (k, None)).collect());
+            assert!(m.is_empty(), "{}", what("multi_update of deletes only"));
+        }
+    }
+
+    #[test]
+    fn sorted_builds_of_every_small_size_fill_all_leaves_but_the_last_two() {
+        sorted_builds_at_cap::<1>();
+        sorted_builds_at_cap::<2>();
+        sorted_builds_at_cap::<8>();
+        sorted_builds_at_cap::<32>();
+        sorted_builds_at_cap::<128>();
+    }
+
+    #[test]
+    fn sorted_builds_above_the_grain_agree_at_every_thread_count() {
+        // 16 full leaves of 128 and their pivots, just above the grain
+        // (a cut that is not at half the leaves leaves the tree a level
+        // too tall), and a larger input cut several times
+        for n in [16 * 129 - 1, 20_000u64] {
+            let sorted: Vec<(u64, u64)> = (0..n).map(|i| (2 * i, i)).collect();
+            let batch: Vec<(u64, Option<u64>)> = sorted
+                .iter()
+                .map(|&(k, v)| (k, (v % 3 != 1).then_some(v)))
+                .collect();
+            let kept: Vec<(u64, u64)> = batch.iter().filter_map(|&(k, v)| Some((k, v?))).collect();
+            for threads in [1, 2, 3] {
+                parlay::with_threads(threads, || {
+                    let what = |op: &str| format!("{op}, {n} entries, {threads} threads");
+                    let m = M::from_sorted_distinct(sorted.clone());
+                    check_sorted_build(&m, &sorted, &what("from_sorted_distinct(Vec)"));
+                    let m = M::from_sorted_distinct(&sorted);
+                    check_sorted_build(&m, &sorted, &what("from_sorted_distinct(&slice)"));
+                    let mut m = M::new();
+                    m.multi_insert(sorted.clone());
+                    check_sorted_build(&m, &sorted, &what("multi_insert"));
+                    // the cut's parts each drop entries: valid, not full
+                    let mut m = M::new();
+                    m.multi_update(batch.clone());
+                    m.check_invariants().unwrap();
+                    assert_eq!(m.to_vec(), kept, "{}", what("multi_update with deletes"));
+                });
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! An owned, splittable view of a buffer's elements.
 //!
 //! A bulk operation that partitions its input and recurses on the parts
-//! — PAM's batch update, the median-split build — wants each part to
-//! *own* its elements, so the recursion can move every element to where
-//! it ends up exactly once instead of cloning it out of a borrowed
-//! slice. [`OwnedSlice`] is that part: it takes the elements of a `Vec`
+//! — PAM's batch update, the sorted build's leaf-aligned cuts — wants
+//! each part to *own* its elements, so the recursion can move every
+//! element to where it ends up exactly once instead of cloning it out of
+//! a borrowed slice. [`OwnedSlice`] is that part: it takes the elements of a `Vec`
 //! (leaving the `Vec` empty, holding only the allocation), splits into
 //! disjoint owned halves that can be sent to other threads, hands its
-//! elements out by value (one at a time as an iterator, or all at once
-//! into a `Vec` of their own), and drops only the elements not yet
-//! taken. The `Vec` stays borrowed while any view lives and frees the
+//! elements out by value as an iterator, and drops only the elements not
+//! yet taken. The `Vec` stays borrowed while any view lives and frees the
 //! buffer afterwards.
 //!
 //! The contract on a panic is `par_sort_by`'s: a view that unwinds drops
@@ -98,22 +97,6 @@ impl<'a, T> OwnedSlice<'a, T> {
         let rest = unsafe { whole.ptr.add(mid) };
         (part(whole.ptr, mid), part(rest, whole.len - mid))
     }
-
-    /// Move the elements not yet taken into a `Vec` of exactly their
-    /// number, in one copy.
-    pub fn into_vec(self) -> Vec<T> {
-        // the Vec takes over the elements: this view must not drop them
-        let view = ManuallyDrop::new(self);
-        let mut v = Vec::with_capacity(view.len);
-        // SAFETY: the view's `len` slots are initialized and its own, and
-        // `v` has room for `len` elements in a separate allocation; the
-        // view is forgotten, so each element now lives in `v` alone
-        unsafe {
-            ptr::copy_nonoverlapping(view.ptr.as_ptr(), v.as_mut_ptr(), view.len);
-            v.set_len(view.len);
-        }
-        v
-    }
 }
 
 impl<T> Iterator for OwnedSlice<'_, T> {
@@ -199,12 +182,9 @@ mod tests {
             assert!(empty.is_empty());
             let (b, c) = b.split_at(3);
             assert_eq!(b.map(|t| t.0).collect::<Vec<_>>(), [4, 5, 6]);
-            // moved into a Vec of their own, still undropped
-            let rest = c.into_vec();
-            assert_eq!(rest.iter().map(|t| t.0).collect::<Vec<_>>(), [7, 8, 9]);
-            assert_eq!(rest.capacity(), 3);
+            assert_eq!(c.len(), 3);
             assert_eq!(dropped.lock().unwrap().len(), 4);
-            // `a` still holds 1, 2, 3 and drops them here, as `rest` does 7, 8, 9
+            // `a` still holds 1, 2, 3 and drops them here, as `c` does 7, 8, 9
         }
         assert_eq!(dropped.lock().unwrap().len(), 10);
         // the Vec kept its buffer and no element
