@@ -37,7 +37,7 @@
 //! * if both sides fit in a block, the result is flattened and re-packed
 //!   into one full leaf (or one internal node over two half-full leaves);
 //! * if one side is an *underfull* block (fewer than `cap / 2`
-//!   entries, e.g. a fragment produced by exposing a leaf), the join
+//!   entries, e.g. a fragment produced by splitting a leaf), the join
 //!   descends the other side's spine so the fragment merges into its
 //!   boundary blocks;
 //! * otherwise both sides satisfy the fill invariant and the raw join
@@ -229,7 +229,7 @@ fn join_heavy<S: AugSpec, const FLIP: bool>(
 ///
 /// Preconditions: `max(L) < e.key < min(R)`, and both sides are either
 /// valid trees or block fragments (leaves of any fill produced by
-/// `expose`). The result restores all fill invariants. `join` is the
+/// splitting a leaf). The result restores all fill invariants. `join` is the
 /// **only** operation that creates or restructures interior nodes, so it
 /// is also where augmented values get recomputed (inside `Node::make`)
 /// and where persistence-driven path copying happens (via
@@ -248,7 +248,7 @@ fn join_blocked<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Arc<Nod
     let nr = size(&r);
     if nl <= cap && nr <= cap {
         // Both sides are blocks (by the size<=cap => leaf invariant, or
-        // fragments from exposing a leaf): flatten the <= 2*cap+1 entries
+        // fragments from splitting a leaf): flatten the <= 2*cap+1 entries
         // and re-pack into one leaf or two half-full leaves.
         let mut entries = Vec::with_capacity(nl + nr + 1);
         flatten_into(l, &mut entries);

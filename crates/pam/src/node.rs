@@ -27,9 +27,9 @@
 //! the current node instead of collecting it and allocating a new one"*
 //! (§4, Persistence) — is reproduced by [`expose`]: algorithms take trees
 //! **by value**, and destructuring a uniquely-owned node moves its fields
-//! out (`Arc::try_unwrap`) instead of cloning them. Exposing a multi-entry
-//! leaf splits its block at the median, so every join-based algorithm
-//! remains correct unmodified; hot paths add per-block fast arms instead.
+//! out (`Arc::try_unwrap`) instead of cloning them. A multi-entry leaf is
+//! never exposed: every algorithm that can reach one handles the whole
+//! block in a per-block arm (a split by key, a merge, a filter).
 //!
 //! Every node caches the augmented value of its subtree. For internal
 //! nodes it is computed in `Node::make` as `f(A(L), f(g(k,v), A(R)))`; for
@@ -226,27 +226,6 @@ impl<S: AugSpec> Node<S> {
     }
 }
 
-/// Split leaf entries at the median: `(left, pivot, right)` where both
-/// sides stay sorted. For a single entry both sides are empty.
-#[allow(clippy::type_complexity)]
-fn split_block<S: AugSpec>(mut entries: Vec<EntryOwned<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) {
-    debug_assert!(!entries.is_empty());
-    let mid = entries.len() / 2;
-    let mut right = entries.split_off(mid);
-    let pivot = right.remove(0);
-    let l = if entries.is_empty() {
-        None
-    } else {
-        Some(Node::make_leaf(entries))
-    };
-    let r = if right.is_empty() {
-        None
-    } else {
-        Some(Node::make_leaf(right))
-    };
-    (l, pivot, r)
-}
-
 /// Destructure a node into `(left, entry, right)` — the paper's `expose`,
 /// plus the persistence machinery.
 ///
@@ -255,9 +234,11 @@ fn split_block<S: AugSpec>(mut entries: Vec<EntryOwned<S>>) -> (Tree<S>, EntryOw
 /// is shared, the fields are cloned (path copying), leaving every other
 /// snapshot untouched.
 ///
-/// Exposing a multi-entry **leaf** splits its block at the median into two
-/// smaller leaves around the median entry. This keeps every join-based algorithm correct on blocked trees; the rebuilding
-/// `join_tree` re-packs underfull blocks on the way up.
+/// Only internal nodes and the one-entry leaves of a capacity-1 tree
+/// (`Capped<_, 1>`) are exposed; a leaf of such a tree yields its entry
+/// between two empty trees. Every caller reaches a multi-entry leaf
+/// through a per-block arm instead: `split` slices the block by key, and
+/// `set_op` merges whole blocks or exposes the internal side.
 #[inline]
 #[allow(clippy::type_complexity)]
 pub fn expose<S: AugSpec>(n: Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) {
@@ -270,7 +251,10 @@ pub fn expose<S: AugSpec>(n: Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) 
             },
             x.right,
         ),
-        Ok(Node::Leaf(l)) => split_block(l.entries.into_vec()),
+        Ok(Node::Leaf(l)) => {
+            debug_assert_eq!(l.entries.len(), 1, "exposed a multi-entry leaf");
+            (None, l.entries.into_vec().swap_remove(0), None)
+        }
         Err(shared) => clone_out(&shared),
     }
 }
@@ -286,7 +270,10 @@ fn clone_out<S: AugSpec>(n: &Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) 
             },
             x.right.clone(),
         ),
-        Node::Leaf(l) => split_block(l.entries.to_vec()),
+        Node::Leaf(l) => {
+            debug_assert_eq!(l.entries.len(), 1, "exposed a multi-entry leaf");
+            (None, l.entries[0].clone(), None)
+        }
     }
 }
 
@@ -364,34 +351,34 @@ pub(crate) fn take_child<S: AugSpec>(n: Arc<Node<S>>, right: bool) -> Tree<S> {
 
 /// Append every entry of `t` to `out` in key order, reusing uniquely-owned
 /// allocations. Used by the blocked join to flatten small trees before
-/// re-packing them into full blocks.
-pub(crate) fn flatten_into<S: AugSpec>(t: Tree<S>, out: &mut Vec<EntryOwned<S>>) {
+/// re-packing them into full blocks, and by the set operations' merge.
+pub(crate) fn flatten_into<S: AugSpec>(t: Tree<S>, out: &mut impl Extend<EntryOwned<S>>) {
     let Some(n) = t else { return };
     match Arc::try_unwrap(n) {
         Ok(Node::Leaf(l)) => out.extend(l.entries.into_vec()),
         Ok(Node::Internal(x)) => {
             flatten_into(x.left, out);
-            out.push(EntryOwned {
+            out.extend([EntryOwned {
                 key: x.key,
                 val: x.val,
-            });
+            }]);
             flatten_into(x.right, out);
         }
         Err(shared) => flatten_ref(&shared, out),
     }
 }
 
-fn flatten_ref<S: AugSpec>(n: &Node<S>, out: &mut Vec<EntryOwned<S>>) {
+fn flatten_ref<S: AugSpec>(n: &Node<S>, out: &mut impl Extend<EntryOwned<S>>) {
     match n {
         Node::Leaf(l) => out.extend(l.entries.iter().cloned()),
         Node::Internal(x) => {
             if let Some(l) = x.left.as_deref() {
                 flatten_ref(l, out);
             }
-            out.push(EntryOwned {
+            out.extend([EntryOwned {
                 key: x.key.clone(),
                 val: x.val.clone(),
-            });
+            }]);
             if let Some(r) = x.right.as_deref() {
                 flatten_ref(r, out);
             }
@@ -466,15 +453,34 @@ mod tests {
     }
 
     #[test]
-    fn expose_splits_leaf_block_at_median() {
-        let n: Arc<Node<S>> =
-            Node::make_leaf(vec![entry(1, 1), entry(2, 2), entry(3, 3), entry(4, 4)]);
+    fn expose_takes_the_entry_of_a_one_entry_leaf_or_an_internal_node() {
+        // a one-entry leaf, unique and shared: its entry between two
+        // empty trees
+        let n = leaf(5, 50);
+        let (l, e, r) = expose(n.clone());
+        assert!(l.is_none() && r.is_none());
+        assert_eq!((e.key, e.val), (5, 50));
         let (l, e, r) = expose(n);
-        assert_eq!(e.key, 3);
-        assert_eq!(size(&l), 2);
-        assert_eq!(size(&r), 1);
-        assert_eq!(aug_val(&l), 3);
-        assert_eq!(aug_val(&r), 4);
+        assert!(l.is_none() && r.is_none());
+        assert_eq!((e.key, e.val), (5, 50));
+        // an internal node over two blocks: its pivot, and the blocks
+        // whole, not re-split
+        let l = Node::make_leaf(vec![entry(1, 1), entry(2, 2)]);
+        let r = Node::make_leaf(vec![entry(4, 4), entry(5, 5), entry(6, 6)]);
+        let n = Node::make(Some(l), entry(3, 3), Some(r));
+        let (l, e, r) = expose(n);
+        assert_eq!((e.key, e.val), (3, 3));
+        assert!(l.as_deref().is_some_and(Node::is_leaf) && size(&l) == 2);
+        assert!(r.as_deref().is_some_and(Node::is_leaf) && size(&r) == 3);
+        assert_eq!((aug_val(&l), aug_val(&r)), (3, 15));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exposed a multi-entry leaf")]
+    fn expose_refuses_a_multi_entry_leaf() {
+        let n: Arc<Node<S>> = Node::make_leaf(vec![entry(1, 1), entry(2, 2)]);
+        let _ = expose(n);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! A sorted build allocates each node once, at its final size: one
 //! allocation per node, plus one per leaf for its entry block, and no
 //! `realloc`. Nothing is built only to be flattened and re-packed, and
-//! no leaf buffer is shrunk into its block.
+//! no leaf buffer is shrunk into its block. A union of two fresh builds
+//! allocates within a fixed multiple of its result's nodes and blocks.
 //!
 //! The counting allocator below counts only the thread that sets
-//! `COUNTING`, and every build runs at one thread, so the numbers are
-//! exact.
+//! `COUNTING`, and every build and union runs at one thread, so the
+//! numbers are exact.
 
 use pam::node::Tree;
 use pam::spec::Capped;
@@ -13,6 +14,7 @@ use pam::{AugMap, AugSpec, SumAug};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
 struct Counting;
 
@@ -61,6 +63,10 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Held by each test for its whole run: the counts are exact only while
+/// no other test runs (two tests side by side read high).
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// The allocations and reallocations `f` makes on this thread.
 fn allocs_of<T>(f: impl FnOnce() -> T) -> (usize, usize, T) {
@@ -141,7 +147,54 @@ fn builds_allocate_each_node_once<const CAP: usize>() {
 
 #[test]
 fn a_sorted_build_allocates_each_node_once_at_its_final_size() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     builds_allocate_each_node_once::<2>();
     builds_allocate_each_node_once::<32>();
     builds_allocate_each_node_once::<128>();
+}
+
+/// A union's allocations per node and block of its result: `ALLOCS_NUM /
+/// ALLOCS_DEN` = 3.25. Each block of the result is merged once from the
+/// operands' entries and packed once; the rest is the operands' split
+/// leaves and path copies. A union that also splits a full block at its
+/// median to expose it pays a fresh `Vec` and two leaves for each, and
+/// reads 3.6 or more on these inputs.
+const ALLOCS_NUM: usize = 13;
+const ALLOCS_DEN: usize = 4;
+
+/// A one-thread `union` of two interleaved fresh builds whose operands
+/// stay shared, as the benchmark's do, within [`ALLOCS_NUM`] /
+/// [`ALLOCS_DEN`] allocations per node and block of the result.
+fn union_allocates_within_a_bound<const CAP: usize>() {
+    // scattered keys, so the two operands' leaves overlap at random
+    // offsets, as two uniformly picked key sets do
+    let keys = |n: u64, salt: u64| {
+        let mut k: Vec<(u64, u64)> = (0..n)
+            .map(|i| ((i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20, i))
+            .collect();
+        k.sort();
+        k.dedup_by_key(|p| p.0);
+        k
+    };
+    for n in [20_000, 50_000] {
+        let a = M::<CAP>::from_sorted_distinct(keys(n, 0));
+        let b = M::<CAP>::from_sorted_distinct(keys(n, 0x5555_5555));
+        let (x, y) = (a.clone(), b.clone());
+        let (allocs, _, u) = parlay::with_threads(1, || allocs_of(|| x.union(y)));
+        let at = format!("cap {CAP}, operands of {} and {}", a.len(), b.len());
+        u.check_invariants().unwrap();
+        let (leaves, internal) = nodes(u.root());
+        let nodes_and_blocks = leaves + internal + leaves;
+        assert!(
+            ALLOCS_DEN * allocs <= ALLOCS_NUM * nodes_and_blocks,
+            "{at}: {allocs} allocations for {nodes_and_blocks} nodes and blocks"
+        );
+    }
+}
+
+#[test]
+fn a_union_of_shared_fresh_builds_allocates_within_a_bound_per_node() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    union_allocates_within_a_bound::<32>();
+    union_allocates_within_a_bound::<128>();
 }

@@ -2,7 +2,8 @@
 //! insert clones a key or value of its input on an unshared map, and a
 //! `combine` or `resolve` that panics part-way drops no element twice.
 //! A range extracted from or a filter of a shared map clones only the
-//! entries it keeps.
+//! entries it keeps. A union, intersection or difference clones nothing
+//! of unshared maps and at most one copy of each entry of shared ones.
 //!
 //! Each test owns its element type and the global counter behind it, so
 //! tests running side by side do not see each other's elements.
@@ -211,6 +212,85 @@ fn a_filter_of_a_shared_map_clones_only_the_survivors() {
     let (clones, f) = clones_of(&SURVIVOR_CLONES, || m.filter(|k, _| *k.0 % 7 == 0));
     assert_eq!(keys(&f), want);
     assert_eq!(clones, 0);
+}
+
+static SETOP_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A key or value that owns a buffer and counts its clones, for the set
+/// operation test.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct SetOpCounted(Box<u64>);
+
+impl Clone for SetOpCounted {
+    fn clone(&self) -> Self {
+        SETOP_CLONES.fetch_add(1, Relaxed);
+        SetOpCounted(self.0.clone())
+    }
+}
+
+#[test]
+fn set_operations_clone_nothing_unshared_and_each_entry_at_most_once_shared() {
+    // above the grain, so the recursion forks on a pool of two or three
+    const N: u64 = 20_000;
+    type M = AugMap<NoAug<SetOpCounted, SetOpCounted>>;
+    let s = |n: u64| SetOpCounted(Box::new(n));
+    // scattered keys over 3N, so the operands share about a third of
+    // theirs and their blocks overlap at every offset
+    let keys = |salt: u64| {
+        let mut k: Vec<u64> = (0..N)
+            .map(|i| (i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) % (3 * N))
+            .collect();
+        k.sort_unstable();
+        k.dedup();
+        k
+    };
+    let (ka, kb) = (keys(0), keys(0x5555));
+    let build = |ks: &[u64], salt: u64| {
+        M::from_sorted_distinct(ks.iter().map(|&k| (s(k), s(k + salt))).collect::<Vec<_>>())
+    };
+    fn sum(a: &SetOpCounted, b: &SetOpCounted) -> SetOpCounted {
+        SetOpCounted(Box::new(*a.0 + *b.0))
+    }
+    let both: HashSet<u64> = ka
+        .iter()
+        .copied()
+        .filter(|k| kb.binary_search(k).is_ok())
+        .collect();
+    let union: Vec<u64> = {
+        let mut u = [ka.as_slice(), kb.as_slice()].concat();
+        u.sort_unstable();
+        u.dedup();
+        u
+    };
+    let meet: Vec<u64> = ka.iter().copied().filter(|k| both.contains(k)).collect();
+    let rest: Vec<u64> = ka.iter().copied().filter(|k| !both.contains(k)).collect();
+    let keys_of = |m: &M| m.iter().map(|(k, _)| *k.0).collect::<Vec<_>>();
+    for threads in [1, 2, 3] {
+        parlay::with_threads(threads, || {
+            let (a, b) = (build(&ka, 1), build(&kb, 1_000_000));
+            // a copy of one key and one value per operand entry
+            let at_most = 2 * (a.len() + b.len());
+            type Op = fn(M, M) -> M;
+            let ops: [(&str, Op, &[u64]); 3] = [
+                ("union", |x, y| x.union_with(y, sum), &union),
+                ("intersect", |x, y| x.intersect_with(y, sum), &meet),
+                ("difference", |x, y| x.difference(y), &rest),
+            ];
+            for (what, op, want) in ops {
+                let at = format!("{what}, {threads} threads");
+                let (n, shared) = clones_of(&SETOP_CLONES, || op(a.clone(), b.clone()));
+                assert!(n <= at_most, "{at}, shared: {n} clones for {at_most}");
+                assert_eq!(keys_of(&shared), want, "{at}, shared");
+                shared.check_invariants().unwrap();
+                let (x, y) = (build(&ka, 1), build(&kb, 1_000_000));
+                let (n, unshared) = clones_of(&SETOP_CLONES, || op(x, y));
+                assert_eq!(n, 0, "{at}, unshared");
+                assert_eq!(keys_of(&unshared), want, "{at}, unshared");
+            }
+            // the shared operands are intact
+            assert_eq!((keys_of(&a), keys_of(&b)), (ka.clone(), kb.clone()));
+        });
+    }
 }
 
 /// Every element's ID goes in here when it is dropped, and a drop of an
