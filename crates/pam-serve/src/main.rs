@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pam-serve --dir DIR [--addr 127.0.0.1:7878] [--shards 4] [--workers 4]
-//!           [--sync each|none|every:N|bytes:N] [--batch-window-us 200]
+//!           [--sync each|none] [--batch-window-us 200]
 //!           [--obs-addr ADDR]
 //! ```
 //!
@@ -62,19 +62,7 @@ fn parse_sync(s: &str) -> Result<SyncPolicy, String> {
     match s {
         "each" => Ok(SyncPolicy::SyncEachEpoch),
         "none" => Ok(SyncPolicy::NoSync),
-        _ => {
-            if let Some(n) = s.strip_prefix("every:") {
-                n.parse()
-                    .map(SyncPolicy::SyncEveryN)
-                    .map_err(|e| format!("--sync every:N: {e}"))
-            } else if let Some(n) = s.strip_prefix("bytes:") {
-                n.parse()
-                    .map(SyncPolicy::SyncEveryBytes)
-                    .map_err(|e| format!("--sync bytes:N: {e}"))
-            } else {
-                Err(format!("unknown --sync policy: {s}"))
-            }
-        }
+        _ => Err(format!("unknown --sync policy: {s} (each|none)")),
     }
 }
 
@@ -112,15 +100,8 @@ fn run() -> Result<(), String> {
     let store = Arc::new(
         Store::<Spec>::open(dir, cfg, dur.build()).map_err(|e| format!("open {dir}: {e}"))?,
     );
-    let mut server = serve(
-        Arc::clone(&store),
-        addr,
-        ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind {addr}: {e}"))?;
+    let mut server = serve(Arc::clone(&store), addr, ServeConfig { workers })
+        .map_err(|e| format!("bind {addr}: {e}"))?;
 
     println!("pam-serve listening on {}", server.local_addr());
     if let Some(obs) = store.obs_addr() {

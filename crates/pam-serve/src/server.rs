@@ -50,23 +50,17 @@ pub struct ServeConfig {
     /// also the concurrent-connection limit; further accepted
     /// connections queue).
     pub workers: usize,
-    /// Accepted connections that may queue for a free worker before the
-    /// acceptor blocks.
-    pub backlog: usize,
-    /// Maximum accepted frame payload in bytes (see
-    /// [`crate::wire::read_frame_capped`]).
-    pub max_frame: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            workers: 4,
-            backlog: 64,
-            max_frame: MAX_FRAME,
-        }
+        ServeConfig { workers: 4 }
     }
 }
+
+/// Accepted connections that may queue for a free worker before the
+/// acceptor blocks.
+const BACKLOG: usize = 64;
 
 /// A running server. Dropping it drains gracefully ([`Server::drain`]).
 pub struct Server {
@@ -123,7 +117,7 @@ where
     });
     let pins: Arc<Pins<S>> = Arc::new(Mutex::new(HashMap::new()));
 
-    let (tx, rx) = sync_channel::<(u64, TcpStream)>(cfg.backlog.max(1));
+    let (tx, rx) = sync_channel::<(u64, TcpStream)>(BACKLOG);
     let rx = Arc::new(Mutex::new(rx));
 
     let workers = (0..cfg.workers.max(1))
@@ -132,10 +126,9 @@ where
             let store = Arc::clone(&store);
             let shared = Arc::clone(&shared);
             let pins = Arc::clone(&pins);
-            let max_frame = cfg.max_frame;
             thread::Builder::new()
                 .name(format!("pam-serve-worker-{i}"))
-                .spawn(move || worker_loop(rx, store, shared, pins, max_frame))
+                .spawn(move || worker_loop(rx, store, shared, pins))
         })
         .collect::<io::Result<Vec<_>>>()?;
 
@@ -225,7 +218,6 @@ fn worker_loop<S>(
     store: Arc<Store<S>>,
     shared: Arc<Shared>,
     pins: Arc<Pins<S>>,
-    max_frame: usize,
 ) where
     S: AugSpec<K = Bytes, V = Bytes>,
 {
@@ -233,7 +225,7 @@ fn worker_loop<S>(
         // hold the receiver lock only for the dequeue, not the serve
         let next = rx.lock().recv();
         let Ok((id, stream)) = next else { break };
-        serve_connection(&store, &pins, stream, max_frame);
+        serve_connection(&store, &pins, stream);
         shared.conns.lock().remove(&id);
     }
 }
@@ -258,7 +250,7 @@ const POLL_BEFORE_BLOCK: Duration = Duration::from_micros(50);
 /// Every reply is framed in place in one buffer the connection reuses,
 /// and sent with one `write_all`; then the worker polls for the next
 /// request for up to [`POLL_BEFORE_BLOCK`] before it blocks.
-fn serve_connection<S>(store: &Store<S>, pins: &Pins<S>, mut stream: TcpStream, max_frame: usize)
+fn serve_connection<S>(store: &Store<S>, pins: &Pins<S>, mut stream: TcpStream)
 where
     S: AugSpec<K = Bytes, V = Bytes>,
 {
@@ -266,7 +258,7 @@ where
     let mut session: Option<Arc<Snapshot<S>>> = None;
     let mut reply = Vec::new();
     loop {
-        let (start, close) = match read_frame_capped(&mut stream, max_frame) {
+        let (start, close) = match read_frame_capped(&mut stream, MAX_FRAME) {
             Ok(None) => break,
             Ok(Some(payload)) => match decode_message::<Request>(&payload) {
                 Ok(req) => {

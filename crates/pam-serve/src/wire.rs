@@ -15,7 +15,7 @@
 //! allocates a length it has not capped. `pam_wal::frame::read_frame`
 //! trusts lengths up to `MAX_PAYLOAD` (1 GiB) because the WAL is
 //! self-written; a network peer is hostile, so [`read_frame_capped`]
-//! rejects anything over its cap (default [`MAX_FRAME`], 16 MiB) *before*
+//! rejects anything over its cap ([`MAX_FRAME`], 16 MiB) *before*
 //! allocating.
 
 use pam_wal::codec::put_run;
@@ -306,9 +306,9 @@ pub fn write_message<W: Write, M: Codec>(w: &mut W, msg: &M) -> io::Result<()> {
 
 /// The hostile-peer frame reader, now shared workspace-wide from
 /// [`pam_wal::frame`]: enforces the cap on the announced payload length
-/// **before allocating**. The server passes [`MAX_FRAME`] (or the
-/// configured `ServeConfig::max_frame`) so a malicious 4 GiB length
-/// field costs a closed connection, not an allocation.
+/// **before allocating**. The server passes [`MAX_FRAME`] so a
+/// malicious 4 GiB length field costs a closed connection, not an
+/// allocation.
 pub use pam_wal::frame::read_frame_capped;
 
 /// Decode one complete message from a frame payload, rejecting trailing

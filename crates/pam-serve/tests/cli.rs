@@ -42,6 +42,14 @@ fn trailing_flag_without_value_is_rejected_by_name() {
 }
 
 #[test]
+fn a_sync_policy_that_acks_before_the_fsync_is_rejected() {
+    // only `each` and `none` are policies: an acked write is either
+    // fsynced or never promised to be
+    rejected("every", &["--sync", "every:4"], "every:4");
+    rejected("bytes", &["--sync", "bytes:4096"], "bytes:4096");
+}
+
+#[test]
 fn the_benchmarks_flag_set_starts_and_drains() {
     // exactly what benchmark/src/remote.rs passes (SHARDS = 2, WINDOW_US = 200)
     let dir = scratch_dir("bench");

@@ -12,7 +12,7 @@
 //!     .batch_window(std::time::Duration::from_micros(100))
 //!     .build();
 //! let dur = DurabilityConfig::builder()
-//!     .sync(SyncPolicy::SyncEveryN(8))
+//!     .sync(SyncPolicy::NoSync)
 //!     .obs_addr("127.0.0.1:0")
 //!     .build();
 //! # let _ = (cfg, dur);
@@ -169,7 +169,7 @@ pub struct DurabilityConfigBuilder {
 }
 
 impl DurabilityConfigBuilder {
-    /// Set the WAL fsync cadence (see [`DurabilityConfig::sync`]).
+    /// Set the WAL fsync policy (see [`DurabilityConfig::sync`]).
     pub fn sync(mut self, sync: SyncPolicy) -> Self {
         self.cfg.sync = sync;
         self
@@ -225,12 +225,12 @@ mod tests {
         assert_eq!(cfg.max_batch, 512);
 
         let dur = DurabilityConfig::builder()
-            .sync(SyncPolicy::SyncEveryN(8))
+            .sync(SyncPolicy::NoSync)
             .segment_bytes(1 << 20)
             .checkpoint_every_bytes(4 << 20)
             .obs_addr("127.0.0.1:0")
             .build();
-        assert!(matches!(dur.sync, SyncPolicy::SyncEveryN(8)));
+        assert_eq!(dur.sync, SyncPolicy::NoSync);
         assert_eq!(dur.segment_bytes, 1 << 20);
         assert_eq!(dur.checkpoint_every_bytes, Some(4 << 20));
         assert_eq!(dur.obs_addr.as_deref(), Some("127.0.0.1:0"));

@@ -38,18 +38,20 @@
 //! it decodes into its own O(n)-work [`pam::Appender`], every entry moved
 //! once into its leaf once its key is checked to ascend (a file whose
 //! keys do not is refused like one that fails its CRC) — unions
-//! the N disjoint ranges into one map, then replays the log
-//! once from E on through the same one-walk `op::apply` the committer
-//! uses. It never mixes files of two epochs: ranges are cut by rank, so
-//! two epochs' cuts differ, and a key no write touched in between can sit
-//! outside both files — where replay would not restore it either. Logged
-//! epochs are normalized (sorted, LWW-resolved), so replay is idempotent
-//! and may overlap a checkpoint's coverage, and a torn final record — the
-//! signature of a crash mid-append — is truncated away by
-//! [`pam_wal::Wal::open`].
+//! the N disjoint ranges into one map, then replays the whole log tail
+//! from E on as one bulk update: every epoch after E is decoded in
+//! parallel, its puts and deletes appended in epoch order, and the lot
+//! applied by one `multi_update`, whose stable sort and keep-the-later
+//! dedup make the last epoch to write a key win. It never mixes files of
+//! two epochs: ranges are cut by rank, so two epochs' cuts differ, and a
+//! key no write touched in between can sit outside both files — where
+//! replay would not restore it either. Logged epochs are normalized
+//! (sorted, LWW-resolved), so replay is idempotent and may overlap a
+//! checkpoint's coverage, and a torn final record — the signature of a
+//! crash mid-append — is truncated away by [`pam_wal::Wal::open`].
 
 use crate::config::DurabilityConfig;
-use crate::op::{self, NormalizedBatch};
+use crate::op::NormalizedBatch;
 use crate::registry::{Registry, VersionId};
 use crate::stats::DurabilityStats;
 use pam::{Appender, AugMap, AugSpec};
@@ -115,7 +117,6 @@ impl RecoveryTimings {
 struct DurCounters {
     records: AtomicU64,
     bytes: AtomicU64,
-    fsyncs: AtomicU64,
     checkpoints: AtomicU64,
     ckpt_bytes: AtomicU64,
     last_ckpt_epoch: AtomicU64,
@@ -167,17 +168,18 @@ impl WalPart {
 
     pub(crate) fn durability_stats(&self) -> DurabilityStats {
         let segments = self.wal.lock().segments() as u64;
+        let wal_fsync = self.wal_obs.fsync_nanos.snapshot();
         DurabilityStats {
             // relaxed: a monitoring snapshot — each counter is
             // independently meaningful and slight skew between them is
             // inherent to sampling live writers (all loads below alike)
             wal_records: self.counters.records.load(Ordering::Relaxed),
             wal_bytes: self.counters.bytes.load(Ordering::Relaxed), // relaxed: see above
-            wal_fsyncs: self.counters.fsyncs.load(Ordering::Relaxed), // relaxed: see above
+            wal_fsyncs: wal_fsync.count(),
             wal_segments: segments,
             wal_rotations: self.wal_obs.rotations(),
             wal_append: self.wal_obs.append_nanos.snapshot(),
-            wal_fsync: self.wal_obs.fsync_nanos.snapshot(),
+            wal_fsync,
             checkpoints: self.counters.checkpoints.load(Ordering::Relaxed), // relaxed: see above
             checkpoint_bytes: self.counters.ckpt_bytes.load(Ordering::Relaxed), // relaxed: see above
             checkpoint: self.counters.ckpt_nanos.snapshot(),
@@ -201,15 +203,11 @@ impl WalPart {
     {
         let mut body = Vec::with_capacity(16 * batch.len() + 16);
         record::encode_epoch_body(&batch.puts, &batch.deletes, &mut body);
-        let info = self.wal.lock().append(epoch, &body)?;
+        let bytes = self.wal.lock().append(epoch, &body)?;
         // relaxed: monitoring counters; durability is carried by the
         // append (and its sync, per the policy), not by these
         self.counters.records.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes.fetch_add(info.bytes, Ordering::Relaxed); // relaxed: see above
-        if info.synced {
-            // relaxed: see above
-            self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
-        }
+        self.counters.bytes.fetch_add(bytes, Ordering::Relaxed); // relaxed: see above
         Ok(())
     }
 
@@ -562,30 +560,34 @@ where
         sync: durability.sync,
     };
     let phase_start = Instant::now();
-    let (wal, records) = Wal::open(dir, wal_config)?;
+    let (wal, mut records) = Wal::open(dir, wal_config)?;
     let segment_scan = phase_start.elapsed();
     check_contiguous(&records, from)?;
-    // Decode epoch bodies in parallel (CPU-bound varint parsing),
-    // then apply them in epoch order — application must stay
-    // sequential because later epochs overwrite earlier ones. Decode
-    // in bounded windows so peak memory is the raw records plus one
-    // window of decoded bodies, not a second full copy of the log.
-    const DECODE_WINDOW: usize = 64;
+    // Decode the epoch bodies in parallel (CPU-bound varint parsing),
+    // then apply the whole tail in one `multi_update`. An epoch's puts
+    // and deletes are disjoint; appended in epoch order, a key's
+    // operations keep that order through the stable sort, and the dedup
+    // keeps the last: the latest epoch's write, as applying the epochs
+    // one by one would leave it.
     let phase_start = Instant::now();
-    let to_replay: Vec<&EpochRecord> = records.iter().filter(|r| r.epoch > from).collect();
-    for window in to_replay.chunks(DECODE_WINDOW) {
-        let bodies = parlay::tabulate(window.len(), |i| {
-            record::decode_epoch_body::<S::K, S::V>(&window[i].body)
-        });
-        for body in bodies {
-            let body = body?;
-            op::apply(&mut map, body.puts, body.deletes);
-        }
+    records.retain(|r| r.epoch > from);
+    let replayed = records.len();
+    let bodies = parlay::tabulate(replayed, |i| {
+        record::decode_epoch_body::<S::K, S::V>(&records[i].body)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    drop(records);
+    let mut tail = Vec::with_capacity(bodies.iter().map(|b| b.puts.len() + b.deletes.len()).sum());
+    for body in bodies {
+        tail.extend(body.puts.into_iter().map(|(k, v)| (k, Some(v))));
+        tail.extend(body.deletes.into_iter().map(|k| (k, None)));
     }
+    map.multi_update(tail);
     let replay = phase_start.elapsed();
     let last_epoch = from.max(wal.last_epoch());
     for info in &mut recovery {
-        info.replayed_epochs = to_replay.len() as u64;
+        info.replayed_epochs = replayed as u64;
         info.last_epoch = last_epoch;
         info.timings.segment_scan = segment_scan;
         info.timings.replay = replay;
@@ -594,11 +596,9 @@ where
         Level::Info,
         "pam_store::recovery",
         "recovered {}: a {shards}-file checkpoint at epoch {from}, wal scan \
-         {segment_scan:?}, replayed {} epochs in {replay:?}",
+         {segment_scan:?}, replayed {replayed} epochs in {replay:?}",
         dir.display(),
-        to_replay.len()
     );
-    drop(records);
 
     let wal_obs = wal.obs();
     Ok(Recovered {

@@ -30,8 +30,9 @@
 //!   is applied or acked, so a batch is whole in the log or absent;
 //!   non-blocking snapshot checkpoints, each cut by rank into N
 //!   contiguous key ranges; recovery bulk-loads the newest complete
-//!   checkpoint's N files in parallel, unions them and replays the log
-//!   once, tolerating a torn final record.
+//!   checkpoint's N files in parallel, unions them and replays the
+//!   whole log tail as one `multi_update`, tolerating a torn final
+//!   record.
 //! * **Stats surface** ([`stats`]) — per-stage commit latency histograms,
 //!   batch sizes, live versions, WAL/checkpoint counters, and a
 //!   node-exact memory footprint built on `pam::stats`.

@@ -115,8 +115,8 @@ pub fn normalize<S: AugSpec>(mut ops: Vec<(u64, WriteOp<S>)>) -> NormalizedBatch
 /// Apply one normalized epoch (`puts` and `deletes` sorted, distinct,
 /// disjoint) to `map` in one walk of the tree: a linear merge moves the
 /// two lists into one sorted stream for `multi_update`, which moves each
-/// key and value into the tree. The committer and recovery's replay
-/// both apply through here.
+/// key and value into the tree. The committer applies every epoch
+/// through here.
 pub(crate) fn apply<S: AugSpec>(map: &mut AugMap<S>, puts: Vec<(S::K, S::V)>, deletes: Vec<S::K>) {
     let mut batch = Vec::with_capacity(puts.len() + deletes.len());
     let mut deletes = deletes.into_iter().peekable();

@@ -139,8 +139,9 @@ pub struct DurabilityStats {
     pub wal_records: u64,
     /// Bytes appended to the write-ahead log (framing included).
     pub wal_bytes: u64,
-    /// Fsyncs issued by the log (group commit amortizes these: one per
-    /// epoch at most, regardless of writer count).
+    /// Fsyncs issued by the log: at most one per epoch, regardless of
+    /// writer count (group commit), plus those that seal a segment or
+    /// close the log: the count of [`Self::wal_fsync`].
     pub wal_fsyncs: u64,
     /// Live WAL segment files.
     pub wal_segments: u64,

@@ -12,7 +12,7 @@
 use pam::{NoAug, SumAug};
 use pam_obs::json::Json;
 use pam_obs::Health;
-use pam_store::{Codec, DurabilityConfig, ShardedConfig, Store};
+use pam_store::{Codec, DurabilityConfig, ShardedConfig, Store, SyncPolicy};
 use pam_wal::{CodecError, Reader};
 use std::fs;
 use std::io::{Read, Write};
@@ -149,6 +149,53 @@ fn obs_endpoints_serve_live_store() {
 
     drop(store);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `pam_wal_fsyncs_total` counts every fsync the log issues — the one
+/// after an append and the one sealing a rotated segment alike — so it
+/// reads the count of `pam_wal_fsync_nanos` under either policy.
+#[test]
+fn the_fsync_counter_is_the_fsync_histograms_count() {
+    for sync in [SyncPolicy::NoSync, SyncPolicy::SyncEachEpoch] {
+        let dir = fresh_dir(&format!("fsyncs-{sync:?}"));
+        let durability = DurabilityConfig {
+            sync,
+            segment_bytes: 128, // rotate every ten epochs
+            checkpoint_every_bytes: None,
+            ..with_obs()
+        };
+        let store: Store<Spec> = Store::open(&dir, eager(1), durability).expect("open");
+        for e in 1..=60u64 {
+            store.put(e, e).wait();
+        }
+        let d = store.stats().durability;
+        assert!(d.wal_rotations > 3, "{sync:?}: tiny segments must rotate");
+        let per_append = if sync == SyncPolicy::SyncEachEpoch {
+            d.wal_records
+        } else {
+            0
+        };
+        assert_eq!(d.wal_fsyncs, d.wal_rotations + per_append, "{sync:?}");
+
+        let (code, mj) = http_get(store.obs_addr().expect("obs bound"), "/metrics.json");
+        assert_eq!(code, 200);
+        let v = Json::parse(&mj).expect("/metrics.json parses");
+        let total = v
+            .get("counters")
+            .and_then(|c| c.get("pam_wal_fsyncs_total"))
+            .and_then(Json::as_f64)
+            .expect("counters.pam_wal_fsyncs_total");
+        let timed = v
+            .get("histograms")
+            .and_then(|h| h.get("pam_wal_fsync_nanos"))
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_f64)
+            .expect("histograms.pam_wal_fsync_nanos.count");
+        assert!(total > 0.0, "{sync:?}: rotations fsync");
+        assert_eq!(total, timed, "{sync:?}");
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

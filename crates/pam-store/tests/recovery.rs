@@ -10,6 +10,10 @@
 
 use pam::{NoAug, SumAug};
 use pam_store::{DurabilityConfig, ShardedConfig, SyncPolicy, WriteOp};
+use pam_wal::frame::{self, Frame};
+use pam_wal::wal::SEGMENT_MAGIC;
+use pam_wal::Reader;
+use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -377,5 +381,115 @@ fn kill_and_recover() {
         40 + if tail.is_empty() { 0 } else { 10 }
     );
     drop(store);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Put/Delete over a key space of eight, so a key is put, deleted and
+/// put again across the epochs of one history.
+fn op_strategy() -> impl Strategy<Value = WriteOp<SumAug<u64, u64>>> {
+    prop_oneof![
+        (0u64..8, 0u64..1_000).prop_map(|(k, v)| WriteOp::Put(k, v)),
+        (0u64..8).prop_map(WriteOp::Delete),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Recovery replays the whole log tail after the checkpoint as one
+    // bulk update. After every epoch of a random history, with a
+    // checkpoint somewhere in it and segments small enough that the
+    // log keeps epochs the checkpoint covers, the reopened store must
+    // equal the epochs applied one by one, in order.
+    #[test]
+    fn a_reopen_after_every_epoch_equals_the_epochs_applied_in_order(
+        epochs in collection::vec(collection::vec(op_strategy(), 1..6), 1..14),
+        checkpoint_after in 0usize..14,
+        shards in 1usize..4,
+    ) {
+        let dir = fresh_dir("replay-prop");
+        let cfg = ShardedConfig::builder()
+            .shards(shards)
+            .batch_window(Duration::ZERO)
+            .build();
+        let durability = DurabilityConfig::builder()
+            .sync(SyncPolicy::NoSync)
+            .segment_bytes(96)
+            .manual_checkpoints_only()
+            .build();
+        let reopen = || Store::open(&dir, cfg.clone(), durability.clone()).expect("reopen");
+        let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut store = reopen();
+        let mut checkpoint = 0;
+        for (i, ops) in epochs.into_iter().enumerate() {
+            for op in &ops {
+                match *op {
+                    WriteOp::Put(k, v) => oracle.insert(k, v),
+                    WriteOp::Delete(k) => oracle.remove(&k),
+                };
+            }
+            let epoch = i as u64 + 1;
+            prop_assert_eq!(store.write_batch(ops).wait(), epoch);
+            if i == checkpoint_after {
+                checkpoint = store.checkpoint().expect("checkpoint");
+            }
+            drop(store);
+            store = reopen();
+            let rec = store.recovery()[0].clone();
+            prop_assert_eq!(rec.checkpoint_epoch, checkpoint);
+            prop_assert_eq!(rec.last_epoch, epoch);
+            prop_assert_eq!(rec.replayed_epochs, epoch - checkpoint);
+            let snap = store.snapshot();
+            snap.map().check_invariants().unwrap();
+            prop_assert_eq!(
+                snap.map().to_vec(),
+                oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+            );
+        }
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A record whose frame passes its CRC but whose body is no epoch body
+/// — written by something speaking another schema — fails the open
+/// with `InvalidData` when later records follow it: replay never skips
+/// an epoch, nor serves the epochs around it.
+#[test]
+fn an_undecodable_record_mid_tail_fails_the_open() {
+    let dir = fresh_dir("undecodable");
+    let manual = DurabilityConfig {
+        checkpoint_every_bytes: None,
+        ..DurabilityConfig::default()
+    };
+    {
+        let store = open(&dir, manual.clone());
+        for e in 1..=6u64 {
+            store.put(e, e).wait();
+        }
+    }
+    // rewrite the log with epoch 3's body followed by a stray byte, in
+    // a frame whose CRC covers it
+    let seg = active_segment(&dir);
+    let bytes = fs::read(&seg).unwrap();
+    let mut rewritten = SEGMENT_MAGIC.to_vec();
+    let mut pos = SEGMENT_MAGIC.len();
+    while pos < bytes.len() {
+        let Frame::Ok { payload, consumed } = frame::next_frame(&bytes[pos..]) else {
+            panic!("the log holds whole frames");
+        };
+        let epoch = Reader::new(payload).varint().unwrap();
+        let mut payload = payload.to_vec();
+        if epoch == 3 {
+            payload.push(0);
+        }
+        frame::put_frame(&mut rewritten, &payload);
+        pos += consumed;
+    }
+    fs::write(&seg, rewritten).unwrap();
+    match Store::open(&dir, eager(), manual) {
+        Ok(_) => panic!("an undecodable record mid-tail must fail the open"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -52,9 +52,9 @@ use std::time::Instant;
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"PAMWAL03";
 
-/// When the WAL issues `fsync` for appended epoch records.
+/// Whether the WAL issues `fsync` for appended epoch records.
 ///
-/// Group commit makes every policy a *group* fsync: one record (and at
+/// Group commit makes the fsync a *group* fsync: one record (and at
 /// most one fsync) covers all writers batched into the epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
@@ -64,14 +64,6 @@ pub enum SyncPolicy {
     /// Fsync after every epoch record: an acked write is on stable
     /// storage before the ticket holder wakes.
     SyncEachEpoch,
-    /// Fsync once every N epoch records: bounded loss (at most the last
-    /// N-1 epochs) at a fraction of the fsync count.
-    SyncEveryN(u64),
-    /// Fsync once at least N bytes have been appended since the last
-    /// sync: bounds loss by *data volume* instead of epoch count, which
-    /// is the useful knob when epoch sizes vary wildly (a burst of tiny
-    /// epochs syncs rarely; one huge epoch syncs immediately).
-    SyncEveryBytes(u64),
 }
 
 /// Tuning for a [`Wal`].
@@ -111,8 +103,9 @@ pub struct WalObs {
     /// Latency of whole [`Wal::append`] calls, nanoseconds (includes
     /// any rotation and fsync the append performed).
     pub append_nanos: Histogram,
-    /// Latency of each `fsync` (`sync_data`) on the append path,
-    /// nanoseconds.
+    /// Latency of each `fsync` (`sync_data`) the log issues — after an
+    /// append, at a rotation, or in [`Wal::sync`] — nanoseconds. Its
+    /// count is the log's fsync count.
     pub fsync_nanos: Histogram,
     /// Segment rotations performed since open.
     pub rotations: AtomicU64,
@@ -124,15 +117,6 @@ impl WalObs {
         // relaxed: monitoring counter; no data is published through it
         self.rotations.load(Ordering::Relaxed)
     }
-}
-
-/// Outcome of one [`Wal::append`].
-#[derive(Debug, Clone, Copy)]
-pub struct AppendInfo {
-    /// Bytes this append added to the log (frame included).
-    pub bytes: u64,
-    /// Whether this append ended with an fsync.
-    pub synced: bool,
 }
 
 struct Segment {
@@ -150,8 +134,8 @@ pub struct Wal {
     /// The active tail: file handle, metadata, current byte size.
     current: Option<(File, Segment, u64)>,
     last_epoch: u64,
-    epochs_since_sync: u64,
-    bytes_since_sync: u64,
+    /// Records were written to the active segment since its last fsync.
+    unsynced: bool,
     obs: Arc<WalObs>,
 }
 
@@ -294,15 +278,15 @@ impl Wal {
                 sealed,
                 current,
                 last_epoch,
-                epochs_since_sync: 0,
-                bytes_since_sync: 0,
+                unsynced: false,
                 obs: Arc::new(WalObs::default()),
             },
             records,
         ))
     }
 
-    /// Append one epoch record. `epoch` must be greater than every epoch
+    /// Append one epoch record and return the bytes it added to the log
+    /// (frame included). `epoch` must be greater than every epoch
     /// appended or recovered so far. Applies the configured
     /// [`SyncPolicy`] and rotates segments as needed.
     ///
@@ -311,7 +295,7 @@ impl Wal {
     /// Propagates filesystem errors from the write, fsync, or rotation.
     /// The caller (the store's committer) treats any failure as
     /// fail-stop.
-    pub fn append(&mut self, epoch: u64, body: &[u8]) -> io::Result<AppendInfo> {
+    pub fn append(&mut self, epoch: u64, body: &[u8]) -> io::Result<u64> {
         debug_assert!(epoch > self.last_epoch, "epochs must be monotone");
         let append_start = Instant::now();
         // Rotate a full active segment *before* the append so a segment
@@ -319,8 +303,7 @@ impl Wal {
         if let Some((file, seg, size)) = self.current.take() {
             if size >= self.config.segment_bytes {
                 self.timed_fsync(&file)?; // sealed segments are always durable
-                self.epochs_since_sync = 0;
-                self.bytes_since_sync = 0;
+                self.unsynced = false;
                 // relaxed: monitoring counter; the fsync above is what
                 // actually seals the segment
                 self.obs.rotations.fetch_add(1, Ordering::Relaxed);
@@ -363,48 +346,28 @@ impl Wal {
         file.write_all(&buf)?;
         *size += framed;
         self.last_epoch = epoch;
-        self.epochs_since_sync += 1;
-        self.bytes_since_sync += framed;
-
-        let synced = match self.config.sync {
-            SyncPolicy::NoSync => false,
-            SyncPolicy::SyncEachEpoch => true,
-            SyncPolicy::SyncEveryN(n) => self.epochs_since_sync >= n.max(1),
-            SyncPolicy::SyncEveryBytes(n) => self.bytes_since_sync >= n.max(1),
-        };
-        if synced {
-            let t = Instant::now();
-            file.sync_data()?;
-            self.obs.fsync_nanos.record_duration(t.elapsed());
-            self.epochs_since_sync = 0;
-            self.bytes_since_sync = 0;
+        self.unsynced = true;
+        if self.config.sync == SyncPolicy::SyncEachEpoch {
+            self.sync()?;
         }
         self.obs
             .append_nanos
             .record_duration(append_start.elapsed());
-        Ok(AppendInfo {
-            bytes: framed,
-            synced,
-        })
+        Ok(framed)
     }
 
-    /// Force an fsync of the active segment (no-op when nothing is open).
+    /// Fsync the active segment if records were written to it since its
+    /// last fsync (a no-op otherwise).
     ///
     /// # Errors
     ///
     /// Propagates the fsync failure.
-    pub fn sync(&mut self) -> io::Result<bool> {
-        if let Some((file, _, _)) = self.current.as_mut() {
-            if self.epochs_since_sync > 0 {
-                let t = Instant::now();
-                file.sync_data()?;
-                self.obs.fsync_nanos.record_duration(t.elapsed());
-                self.epochs_since_sync = 0;
-                self.bytes_since_sync = 0;
-                return Ok(true);
-            }
+    pub fn sync(&mut self) -> io::Result<()> {
+        if let Some((file, _, _)) = self.current.as_ref().filter(|_| self.unsynced) {
+            self.timed_fsync(file)?;
+            self.unsynced = false;
         }
-        Ok(false)
+        Ok(())
     }
 
     /// `sync_data` with the latency recorded into the fsync histogram.
@@ -508,9 +471,9 @@ mod tests {
             let (mut wal, recs) = Wal::open(&dir, WalConfig::default()).unwrap();
             assert!(recs.is_empty());
             for e in 1..=5u64 {
-                let info = wal.append(e, &body(e)).unwrap();
-                assert!(info.synced);
-                assert!(info.bytes > 0);
+                assert!(wal.append(e, &body(e)).unwrap() > 0);
+                // the default policy fsyncs each epoch
+                assert_eq!(wal.obs().fsync_nanos.count(), e);
             }
             assert_eq!(wal.last_epoch(), 5);
         }
@@ -612,50 +575,36 @@ mod tests {
     }
 
     #[test]
-    fn sync_every_bytes_counts_fsyncs() {
-        let dir = tmp_dir("every-bytes");
-        let one_record = {
-            let mut payload = Vec::new();
-            crate::codec::put_varint(&mut payload, 1);
-            payload.extend_from_slice(&body(1));
-            (frame::HEADER_LEN + payload.len()) as u64
-        };
-        // threshold = two records: every second append syncs
-        let cfg = WalConfig {
-            segment_bytes: 1 << 20,
-            sync: SyncPolicy::SyncEveryBytes(2 * one_record),
-        };
-        let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
-        let synced: Vec<bool> = (1..=6u64)
-            .map(|e| wal.append(e, &body(e)).unwrap().synced)
-            .collect();
-        assert_eq!(synced, vec![false, true, false, true, false, true]);
-        assert!(
-            !wal.sync().unwrap(),
-            "nothing pending after a synced append"
-        );
-        wal.append(7, &body(7)).unwrap();
-        assert!(wal.sync().unwrap(), "pending bytes need a final sync");
-        drop(wal);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sync_every_n_counts_fsyncs() {
-        let dir = tmp_dir("every-n");
-        let cfg = WalConfig {
-            segment_bytes: 1 << 20,
-            sync: SyncPolicy::SyncEveryN(3),
-        };
-        let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
-        let synced: Vec<bool> = (1..=7u64)
-            .map(|e| wal.append(e, &body(e)).unwrap().synced)
-            .collect();
-        assert_eq!(synced, vec![false, false, true, false, false, true, false]);
-        assert!(wal.sync().unwrap(), "pending epochs need a final sync");
-        assert!(!wal.sync().unwrap(), "nothing pending after sync");
-        drop(wal);
-        fs::remove_dir_all(&dir).unwrap();
+    fn every_fsync_is_counted_under_each_policy() {
+        for sync in [SyncPolicy::NoSync, SyncPolicy::SyncEachEpoch] {
+            let dir = tmp_dir(&format!("fsyncs-{sync:?}"));
+            let cfg = WalConfig {
+                segment_bytes: 64, // rotate every couple of epochs
+                sync,
+            };
+            let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
+            for e in 1..=20u64 {
+                wal.append(e, &body(e)).unwrap();
+            }
+            let obs = wal.obs();
+            let rotations = obs.rotations();
+            assert!(rotations > 3, "tiny segments must have rotated");
+            // a sealed segment is fsynced under either policy
+            let appends = if sync == SyncPolicy::SyncEachEpoch {
+                20
+            } else {
+                0
+            };
+            assert_eq!(obs.fsync_nanos.count(), rotations + appends, "{sync:?}");
+            // an explicit sync fsyncs only what no fsync covers yet
+            wal.sync().unwrap();
+            let pending = u64::from(sync == SyncPolicy::NoSync);
+            assert_eq!(obs.fsync_nanos.count(), rotations + appends + pending);
+            wal.sync().unwrap();
+            assert_eq!(obs.fsync_nanos.count(), rotations + appends + pending);
+            drop(wal);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// Write a raw segment of an earlier format: the magic with version
