@@ -3,16 +3,18 @@
 //! A [`Cursor`] holds a stack of internal nodes plus the not-yet-consumed
 //! suffix of the current leaf block. Advancing inside a block is one slice
 //! `split_first` — no tree descent — so a full scan touches each internal
-//! node once and streams each leaf block linearly. Seeking costs one
-//! root-to-leaf descent plus a binary search inside the landing block.
+//! node once and streams each leaf block linearly. Seeking is the point
+//! queries' one walk to a gap (`ops::basic::descend`), which stacks the
+//! pivots it passes on its way left: one root-to-leaf descent plus a
+//! binary search inside the landing block.
 //!
 //! Because trees are persistent, a cursor pins a *snapshot*: the borrowed
 //! `Tree` cannot change underneath it, and mutations to clones of the map
 //! (path copying) never disturb the blocks the cursor walks.
 
 use crate::node::{EntryOwned, InternalNode, Node, Tree};
+use crate::ops::basic::{descend, Gap};
 use crate::spec::AugSpec;
-use std::cmp::Ordering;
 
 /// An in-order streaming position in a tree. Created via
 /// [`AugMap::cursor`](crate::AugMap::cursor) /
@@ -38,12 +40,9 @@ impl<'a, S: AugSpec> Cursor<'a, S> {
 
     /// A cursor positioned at the smallest key `>= lo`.
     pub fn seek(t: &'a Tree<S>, lo: &S::K) -> Self {
-        let mut c = Cursor {
-            stack: Vec::with_capacity(16),
-            block: &[],
-        };
-        c.descend_ge(t, lo);
-        c
+        let mut stack = Vec::with_capacity(16);
+        let block = descend(t, Gap::Below(lo), true, |x| stack.push(x)).rest;
+        Cursor { stack, block }
     }
 
     fn descend_left(&mut self, mut t: &'a Tree<S>) {
@@ -56,28 +55,6 @@ impl<'a, S: AugSpec> Cursor<'a, S> {
                 Node::Internal(x) => {
                     self.stack.push(x);
                     t = &x.left;
-                }
-            }
-        }
-    }
-
-    fn descend_ge(&mut self, mut t: &'a Tree<S>, lo: &S::K) {
-        while let Some(n) = t.as_deref() {
-            match n {
-                Node::Leaf(l) => {
-                    let idx = l
-                        .entries()
-                        .partition_point(|e| S::compare(&e.key, lo) == Ordering::Less);
-                    self.block = &l.entries()[idx..];
-                    return;
-                }
-                Node::Internal(x) => {
-                    if S::compare(&x.key, lo) == Ordering::Less {
-                        t = &x.right;
-                    } else {
-                        self.stack.push(x);
-                        t = &x.left;
-                    }
                 }
             }
         }

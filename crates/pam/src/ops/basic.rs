@@ -1,35 +1,166 @@
-//! Point queries: `find`, order statistics, neighbors. All O(log n),
-//! borrowing (they never restructure the tree). Blocked leaves end the
-//! descent with one binary search inside the block.
+//! Point queries — `find`, order statistics, neighbors — and the one
+//! borrowed walk to a position that they and
+//! [`Cursor::seek`](crate::cursor::Cursor::seek) share.
+//!
+//! A position is a `Gap`: the place between two adjacent entries, named
+//! by a key or by a rank. `descend` walks from the root to a gap and
+//! reports the rank there and the entries on either side; each query
+//! reads what it needs of that. The owned walk to the same gaps is
+//! `cut`, in [`split`](mod@super::split). Both are O(log n), never
+//! restructure on the way down, and end in a blocked leaf with one
+//! binary search inside the block.
 
-use crate::node::{EntryOwned, Node, Tree};
+use crate::node::{size, EntryOwned, InternalNode, Node, Tree};
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
 
-/// Binary-search a sorted block for `k`.
-#[inline]
-fn block_search<S: AugSpec>(entries: &[EntryOwned<S>], k: &S::K) -> Result<usize, usize> {
-    entries.binary_search_by(|e| S::compare(&e.key, k))
+/// The place between two adjacent entries of a map, or before the first
+/// or after the last.
+pub(crate) enum Gap<'k, K> {
+    /// Between the keys less than `k` and the others. Its own entry is
+    /// the one with key `k`.
+    Below(&'k K),
+    /// Between the keys up to `k` and the greater ones. It owns no entry.
+    Above(&'k K),
+    /// After the first `i` entries. Its own entry is the one of rank `i`.
+    Rank(usize),
+}
+
+impl<K> Clone for Gap<'_, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K> Copy for Gap<'_, K> {}
+
+impl<K> Gap<'_, K> {
+    /// The gap against a pivot with key `key` and `left` entries to its
+    /// left: `Less` before it, `Greater` after it, and `Equal` just
+    /// before it when the pivot is the gap's own entry. One key compare
+    /// for a key gap.
+    #[inline]
+    pub(crate) fn cmp_pivot<S: AugSpec<K = K>>(self, key: &K, left: usize) -> Ordering {
+        match self {
+            Gap::Below(k) => S::compare(k, key),
+            Gap::Above(k) => S::compare(k, key).then(Ordering::Greater),
+            Gap::Rank(i) => i.cmp(&left),
+        }
+    }
+
+    /// The same gap, seen past the first `n` entries.
+    #[inline]
+    pub(crate) fn skip(self, n: usize) -> Self {
+        match self {
+            Gap::Rank(i) => Gap::Rank(i - n),
+            key => key,
+        }
+    }
+
+    /// The gap's index in the sorted block `es`, and whether the entry
+    /// there is the gap's own.
+    #[inline]
+    pub(crate) fn index<S: AugSpec<K = K>>(self, es: &[EntryOwned<S>]) -> (usize, bool) {
+        match self {
+            Gap::Below(k) => match es.binary_search_by(|e| S::compare(&e.key, k)) {
+                Ok(i) => (i, true),
+                Err(i) => (i, false),
+            },
+            Gap::Above(k) => (es.partition_point(|e| S::compare(&e.key, k).is_le()), false),
+            Gap::Rank(i) => (i.min(es.len()), i < es.len()),
+        }
+    }
+}
+
+/// A borrowed entry.
+type Entry<'a, S> = (&'a <S as AugSpec>::K, &'a <S as AugSpec>::V);
+
+/// What [`descend`] finds at a gap.
+pub(crate) struct Spot<'a, S: AugSpec> {
+    /// The number of entries before the gap.
+    pub(crate) rank: usize,
+    /// The entry just before the gap.
+    pub(crate) before: Option<Entry<'a, S>>,
+    /// The entry just after the gap.
+    pub(crate) after: Option<Entry<'a, S>>,
+    /// `after` is the gap's own entry.
+    pub(crate) own: bool,
+    /// The block the walk ended in, from the gap on; empty when it ended
+    /// at a pivot.
+    pub(crate) rest: &'a [EntryOwned<S>],
+}
+
+/// Walk from the root of `t` to `gap`. With `stop`, the walk ends at a
+/// pivot that is the gap's own entry, as `before` is then not needed;
+/// without it, the walk goes on through that pivot's left subtree.
+/// `on_left` sees each pivot the walk leaves on its right, root first.
+///
+/// Inlined, so a caller that reads one field of the [`Spot`] compiles
+/// the tracking of the others away.
+#[inline(always)]
+pub(crate) fn descend<'a, S: AugSpec>(
+    t: &'a Tree<S>,
+    mut gap: Gap<'_, S::K>,
+    stop: bool,
+    mut on_left: impl FnMut(&'a InternalNode<S>),
+) -> Spot<'a, S> {
+    let mut spot = Spot {
+        rank: 0,
+        before: None,
+        after: None,
+        own: false,
+        rest: &[],
+    };
+    let mut cur = t;
+    while let Some(n) = cur.as_deref() {
+        let x = match n {
+            Node::Leaf(l) => {
+                let es = l.entries();
+                let (i, own) = gap.index::<S>(es);
+                spot.rank += i;
+                spot.own |= own;
+                // `get`, not indexing: a bounds check that can panic
+                // would survive in a caller that reads none of these
+                if let Some(e) = i.checked_sub(1).and_then(|b| es.get(b)) {
+                    spot.before = Some((&e.key, &e.val));
+                }
+                if let Some(e) = es.get(i) {
+                    spot.after = Some((&e.key, &e.val));
+                }
+                spot.rest = es.get(i..).unwrap_or_default();
+                return spot;
+            }
+            Node::Internal(x) => x,
+        };
+        let ls = size(&x.left);
+        match gap.cmp_pivot::<S>(&x.key, ls) {
+            Ordering::Greater => {
+                spot.before = Some((&x.key, &x.val));
+                spot.rank += ls + 1;
+                gap = gap.skip(ls + 1);
+                cur = &x.right;
+            }
+            ord => {
+                spot.after = Some((&x.key, &x.val));
+                on_left(x);
+                if ord.is_eq() {
+                    spot.own = true;
+                    if stop {
+                        spot.rank += ls;
+                        return spot;
+                    }
+                }
+                cur = &x.left;
+            }
+        }
+    }
+    spot
 }
 
 /// Look up the value stored at `k`.
 pub fn find<'a, S: AugSpec>(t: &'a Tree<S>, k: &S::K) -> Option<&'a S::V> {
-    let mut cur = t;
-    while let Some(n) = cur.as_deref() {
-        match n {
-            Node::Leaf(l) => {
-                return block_search(l.entries(), k)
-                    .ok()
-                    .map(|i| &l.entries()[i].val)
-            }
-            Node::Internal(x) => match S::compare(k, &x.key) {
-                Ordering::Equal => return Some(&x.val),
-                Ordering::Less => cur = &x.left,
-                Ordering::Greater => cur = &x.right,
-            },
-        }
-    }
-    None
+    let spot = descend(t, Gap::Below(k), true, |_| {});
+    spot.after.filter(|_| spot.own).map(|(_, v)| v)
 }
 
 /// Is `k` present?
@@ -39,144 +170,32 @@ pub fn contains<S: AugSpec>(t: &Tree<S>, k: &S::K) -> bool {
 
 /// The minimum entry.
 pub fn first<S: AugSpec>(t: &Tree<S>) -> Option<(&S::K, &S::V)> {
-    let mut n: &Node<S> = t.as_deref()?;
-    loop {
-        match n {
-            Node::Leaf(l) => {
-                let e = &l.entries()[0];
-                return Some((&e.key, &e.val));
-            }
-            Node::Internal(x) => match x.left.as_deref() {
-                Some(l) => n = l,
-                None => return Some((&x.key, &x.val)),
-            },
-        }
-    }
+    descend(t, Gap::Rank(0), true, |_| {}).after
 }
 
 /// The maximum entry.
 pub fn last<S: AugSpec>(t: &Tree<S>) -> Option<(&S::K, &S::V)> {
-    let mut n: &Node<S> = t.as_deref()?;
-    loop {
-        match n {
-            Node::Leaf(l) => {
-                let e = l.entries().last().expect("leaf blocks are never empty");
-                return Some((&e.key, &e.val));
-            }
-            Node::Internal(x) => match x.right.as_deref() {
-                Some(r) => n = r,
-                None => return Some((&x.key, &x.val)),
-            },
-        }
-    }
+    descend(t, Gap::Rank(size(t)), true, |_| {}).before
 }
 
 /// The entry with the largest key strictly less than `k`.
 pub fn previous<'a, S: AugSpec>(t: &'a Tree<S>, k: &S::K) -> Option<(&'a S::K, &'a S::V)> {
-    let mut best: Option<(&S::K, &S::V)> = None;
-    let mut cur = t;
-    while let Some(n) = cur.as_deref() {
-        match n {
-            Node::Leaf(l) => {
-                // index of the first key >= k: its predecessor (if any)
-                // is the best in-block candidate
-                let i = l
-                    .entries()
-                    .partition_point(|e| S::compare(&e.key, k) == Ordering::Less);
-                if i > 0 {
-                    let e = &l.entries()[i - 1];
-                    best = Some((&e.key, &e.val));
-                }
-                return best;
-            }
-            Node::Internal(x) => {
-                if S::compare(&x.key, k) == Ordering::Less {
-                    best = Some((&x.key, &x.val));
-                    cur = &x.right;
-                } else {
-                    cur = &x.left;
-                }
-            }
-        }
-    }
-    best
+    descend(t, Gap::Below(k), false, |_| {}).before
 }
 
 /// The entry with the smallest key strictly greater than `k`.
 pub fn next<'a, S: AugSpec>(t: &'a Tree<S>, k: &S::K) -> Option<(&'a S::K, &'a S::V)> {
-    let mut best: Option<(&S::K, &S::V)> = None;
-    let mut cur = t;
-    while let Some(n) = cur.as_deref() {
-        match n {
-            Node::Leaf(l) => {
-                let i = l
-                    .entries()
-                    .partition_point(|e| S::compare(&e.key, k) != Ordering::Greater);
-                if i < l.entries().len() {
-                    let e = &l.entries()[i];
-                    best = Some((&e.key, &e.val));
-                }
-                return best;
-            }
-            Node::Internal(x) => {
-                if S::compare(&x.key, k) == Ordering::Greater {
-                    best = Some((&x.key, &x.val));
-                    cur = &x.left;
-                } else {
-                    cur = &x.right;
-                }
-            }
-        }
-    }
-    best
+    descend(t, Gap::Above(k), true, |_| {}).after
 }
 
 /// Number of entries with keys strictly less than `k`.
 pub fn rank<S: AugSpec>(t: &Tree<S>, k: &S::K) -> usize {
-    let mut acc = 0;
-    let mut cur = t;
-    while let Some(n) = cur.as_deref() {
-        match n {
-            Node::Leaf(l) => {
-                return acc
-                    + l.entries()
-                        .partition_point(|e| S::compare(&e.key, k) == Ordering::Less)
-            }
-            Node::Internal(x) => match S::compare(k, &x.key) {
-                Ordering::Equal => return acc + crate::node::size(&x.left),
-                Ordering::Less => cur = &x.left,
-                Ordering::Greater => {
-                    acc += crate::node::size(&x.left) + 1;
-                    cur = &x.right;
-                }
-            },
-        }
-    }
-    acc
+    descend(t, Gap::Below(k), true, |_| {}).rank
 }
 
 /// The `i`-th smallest entry (0-based), if `i < size`.
-pub fn select<S: AugSpec>(t: &Tree<S>, mut i: usize) -> Option<(&S::K, &S::V)> {
-    let mut cur = t;
-    while let Some(n) = cur.as_deref() {
-        match n {
-            Node::Leaf(l) => {
-                return l.entries().get(i).map(|e| (&e.key, &e.val));
-            }
-            Node::Internal(x) => {
-                let ls = crate::node::size(&x.left);
-                match i.cmp(&ls) {
-                    Ordering::Less => cur = &x.left,
-                    Ordering::Equal => return Some((&x.key, &x.val)),
-                    Ordering::Greater => {
-                        i -= ls + 1;
-                        cur = &x.right;
-                    }
-                }
-            }
-        }
-    }
-    None
+pub fn select<S: AugSpec>(t: &Tree<S>, i: usize) -> Option<(&S::K, &S::V)> {
+    descend(t, Gap::Rank(i), true, |_| {}).after
 }
 
 #[cfg(test)]

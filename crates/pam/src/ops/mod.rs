@@ -11,10 +11,17 @@
 //! [`setops`]'s `set_op` (`union` / `intersect` / `difference`),
 //! [`aug`]'s `fold_range` (`aug_left` / `aug_right` / `aug_range` /
 //! `aug_project`; a loop that walks both boundary paths at once) and
-//! `filter_by` (`filter` / `aug_filter` / `aug_filter_with_all`), and
-//! [`mod@range`]'s `extract` (`up_to` / `down_to` / `range`). A range
-//! end is a type, a key or `Open`, so a one-sided query compiles to its
-//! own copy of the body.
+//! `filter_by` (`filter` / `aug_filter` / `aug_filter_with_all`),
+//! [`mod@range`]'s `extract` (`up_to` / `down_to` / `range`), and the
+//! two walks to a position, a `Gap` below or above a key or after a
+//! rank: [`basic`]'s `descend`, which borrows (`find` / `contains` /
+//! `first` / `last` / `previous` / `next` / `rank` / `select` /
+//! [`Cursor::seek`](crate::cursor::Cursor::seek)), and [`mod@split`]'s
+//! `cut`, which owns (`split` / `split_rank` / `split_first` /
+//! `split_last`, and so `join2`). A range end is a type, a key or
+//! `Open`, so a one-sided query compiles to its own copy of the body;
+//! `descend` is inlined, so each point query keeps only the state it
+//! reads.
 //!
 //! These free functions are the low-level interface; most users want the
 //! [`crate::AugMap`] wrapper.

@@ -1,21 +1,71 @@
 //! `split`, `join2` and their helpers — the glue between `join` and the
-//! bulk algorithms (§4, "Join, Split, Join2 and Union"). Splitting a leaf
-//! block slices it in O(leaf_cap); the halves stay legal because a
-//! *root* leaf may hold any number of entries, and every non-root
-//! position is re-joined through the repairing `join_tree`.
+//! bulk algorithms (§4, "Join, Split, Join2 and Union"). All four splits
+//! are one owned walk, `cut`, to a [`basic`](super::basic) gap: below a
+//! key or after a rank. Cutting a leaf block slices it in O(leaf_cap);
+//! the halves stay legal because a *root* leaf may hold any number of
+//! entries, and every non-root position is re-joined through the
+//! repairing `join_tree`.
 
 use crate::balance::join_tree;
-use crate::node::{expose, take_leaf_entries, EntryOwned, Node, Tree};
+use crate::node::{expose, size, take_leaf_entries, EntryOwned, Node, Tree};
+use crate::ops::basic::Gap;
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Wrap entries as a leaf, or `None` when empty.
-fn leaf_or_empty<S: AugSpec>(entries: Vec<EntryOwned<S>>) -> Tree<S> {
-    if entries.is_empty() {
-        None
-    } else {
-        Some(Node::make_leaf(entries))
+/// Cut `t` at `gap`: the entries before it, the gap's own entry if
+/// `take` and `t` holds it, and the entries after it. A walk that meets
+/// the entry it takes as a pivot stops there, and a subtree or block
+/// that the cut leaves whole is kept as it is. O(log n).
+#[allow(clippy::type_complexity)]
+pub(crate) fn cut<S: AugSpec>(
+    t: Tree<S>,
+    gap: Gap<'_, S::K>,
+    take: bool,
+) -> (Tree<S>, Option<EntryOwned<S>>, Tree<S>) {
+    let Some(n) = t else {
+        return (None, None, None);
+    };
+    if let Gap::Rank(i) = gap {
+        if i == 0 && !take {
+            return (None, None, Some(n));
+        }
+        if i >= n.size_of() {
+            return (Some(n), None, None);
+        }
+    }
+    let (ls, ord) = match &*n {
+        Node::Leaf(l) => {
+            let (i, own) = gap.index::<S>(l.entries());
+            let j = i + usize::from(take && own);
+            if j == 0 {
+                return (None, None, Some(n));
+            }
+            if i == l.entries().len() {
+                return (Some(n), None, None);
+            }
+            let mut es = take_leaf_entries(n);
+            let after = es.split_off(j);
+            let mid = if j > i { es.pop() } else { None };
+            let leaf = |es: Vec<_>| (!es.is_empty()).then(|| Node::make_leaf(es));
+            return (leaf(es), mid, leaf(after));
+        }
+        Node::Internal(x) => {
+            let ls = size(&x.left);
+            (ls, gap.cmp_pivot::<S>(&x.key, ls))
+        }
+    };
+    let (l, e, r) = expose(n);
+    match ord {
+        Ordering::Greater => {
+            let (rl, mid, rr) = cut(r, gap.skip(ls + 1), take);
+            (join_tree(l, e, rl), mid, rr)
+        }
+        Ordering::Equal if take => (l, Some(e), r),
+        _ => {
+            let (ll, mid, lr) = cut(l, gap, take);
+            (ll, mid, join_tree(lr, e, r))
+        }
     }
 }
 
@@ -23,69 +73,21 @@ fn leaf_or_empty<S: AugSpec>(entries: Vec<EntryOwned<S>>) -> Tree<S> {
 /// present), and entries greater than `k`. O(log n).
 #[allow(clippy::type_complexity)]
 pub fn split<S: AugSpec>(t: Tree<S>, k: &S::K) -> (Tree<S>, Option<S::V>, Tree<S>) {
-    match t {
-        None => (None, None, None),
-        Some(n) if n.is_leaf() => {
-            let mut entries = take_leaf_entries(n);
-            let (v, right) = match entries.binary_search_by(|x| S::compare(&x.key, k)) {
-                Ok(i) => {
-                    let mut right = entries.split_off(i);
-                    let at = right.remove(0);
-                    (Some(at.val), right)
-                }
-                Err(i) => (None, entries.split_off(i)),
-            };
-            (leaf_or_empty(entries), v, leaf_or_empty(right))
-        }
-        Some(n) => {
-            let (l, e, r) = expose(n);
-            match S::compare(k, &e.key) {
-                Ordering::Equal => (l, Some(e.val), r),
-                Ordering::Less => {
-                    let (ll, b, lr) = split(l, k);
-                    (ll, b, join_tree(lr, e, r))
-                }
-                Ordering::Greater => {
-                    let (rl, b, rr) = split(r, k);
-                    (join_tree(l, e, rl), b, rr)
-                }
-            }
-        }
-    }
+    let (l, e, r) = cut(t, Gap::Below(k), true);
+    (l, e.map(|e| e.val), r)
 }
 
 /// Remove and return the maximum entry. O(log n).
 pub fn split_last<S: AugSpec>(n: Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>) {
-    if n.is_leaf() {
-        let mut entries = take_leaf_entries(n);
-        let last = entries.pop().expect("leaf blocks are never empty");
-        return (leaf_or_empty(entries), last);
-    }
-    let (l, e, r) = expose(n);
-    match r {
-        None => (l, e),
-        Some(rn) => {
-            let (rrest, last) = split_last(rn);
-            (join_tree(l, e, rrest), last)
-        }
-    }
+    let i = n.size_of() - 1;
+    let (l, e, _) = cut(Some(n), Gap::Rank(i), true);
+    (l, e.expect("a tree holds its last entry"))
 }
 
 /// Remove and return the minimum entry. O(log n).
 pub fn split_first<S: AugSpec>(n: Arc<Node<S>>) -> (EntryOwned<S>, Tree<S>) {
-    if n.is_leaf() {
-        let mut entries = take_leaf_entries(n);
-        let first = entries.remove(0);
-        return (first, leaf_or_empty(entries));
-    }
-    let (l, e, r) = expose(n);
-    match l {
-        None => (e, r),
-        Some(ln) => {
-            let (first, lrest) = split_first(ln);
-            (first, join_tree(lrest, e, r))
-        }
-    }
+    let (_, e, r) = cut(Some(n), Gap::Rank(0), true);
+    (e.expect("a tree holds its first entry"), r)
 }
 
 /// Join without a middle entry: all keys of `l` must be less than all keys
@@ -104,36 +106,8 @@ pub fn join2<S: AugSpec>(l: Tree<S>, r: Tree<S>) -> Tree<S> {
 /// O(log n) — the ordinal counterpart of [`split`], built on the stored
 /// subtree sizes.
 pub fn split_rank<S: AugSpec>(t: Tree<S>, i: usize) -> (Tree<S>, Tree<S>) {
-    match t {
-        None => (None, None),
-        Some(n) => {
-            if i == 0 {
-                return (None, Some(n));
-            }
-            if i >= n.size_of() {
-                return (Some(n), None);
-            }
-            if n.is_leaf() {
-                let mut entries = take_leaf_entries(n);
-                let right = entries.split_off(i);
-                return (leaf_or_empty(entries), leaf_or_empty(right));
-            }
-            let (l, e, r) = expose(n);
-            let ls = crate::node::size(&l);
-            match i.cmp(&(ls + 1)) {
-                Ordering::Less => {
-                    // split falls inside the left subtree
-                    let (ll, lr) = split_rank(l, i);
-                    (ll, join_tree(lr, e, r))
-                }
-                Ordering::Equal => (join_tree(l, e, None), r),
-                Ordering::Greater => {
-                    let (rl, rr) = split_rank(r, i - ls - 1);
-                    (join_tree(l, e, rl), rr)
-                }
-            }
-        }
-    }
+    let (l, _, r) = cut(t, Gap::Rank(i), false);
+    (l, r)
 }
 
 #[cfg(test)]

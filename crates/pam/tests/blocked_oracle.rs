@@ -14,7 +14,8 @@
 //! so a combine with its operands swapped cannot pass.
 
 use pam::balance::leaf_cap;
-use pam::ops::split::{join2, split};
+use pam::node::Tree;
+use pam::ops::split::{join2, split, split_first, split_last, split_rank};
 use pam::spec::Capped;
 use pam::{AugMap, AugSpec, SumAug};
 use proptest::prelude::*;
@@ -542,4 +543,165 @@ proptest! {
     fn hash_oracle_block_size_128(init in proptest::collection::vec((0u32..2000, 0u64..1000), 0..1200)) {
         hash_oracle::<128>(init);
     }
+}
+
+/// `CAP`-entry blocks of the order-sensitive hash: a map's augmented
+/// value names its entries and their order.
+type Hashed<const CAP: usize> = Capped<HashSpec, CAP>;
+
+/// The hash of `parts`' entries in order, as `Hashed` folds them.
+fn hash_of(parts: &[&[(u32, u64)]]) -> (u64, u64) {
+    let es = parts.iter().flat_map(|p| p.iter());
+    es.fold(HashSpec::identity(), |a, (k, v)| {
+        HashSpec::combine(&a, &HashSpec::base(k, v))
+    })
+}
+
+/// `t` is a legal tree holding exactly the entries of `parts`, in order;
+/// handed back for reuse. The invariant check recomputes every stored
+/// hash, so the root's names the entries.
+fn holds<const CAP: usize>(
+    t: Tree<Hashed<CAP>>,
+    parts: &[&[(u32, u64)]],
+    what: &dyn Fn() -> String,
+) -> Tree<Hashed<CAP>> {
+    let m = AugMap::from_root(t);
+    if let Err(e) = m.check_invariants() {
+        panic!("{}: {e}", what());
+    }
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    assert_eq!((m.len(), m.aug_val()), (len, hash_of(parts)), "{}", what());
+    m.into_root()
+}
+
+/// Every position of every map of up to three blocks and two entries,
+/// against a `BTreeMap`: each rank from 0 to n and each probe key (every
+/// key held, one in each gap between them, and keys below the minimum
+/// and above the maximum) through the twelve functions that walk to a
+/// position (`find`, `contains`, `first`, `last`, `previous`, `next`,
+/// `rank`, `select`, `split`, `split_rank`, `split_first`, `split_last`),
+/// plus `join2` and the first entry of `iter_range` and of `cursor_at`.
+/// Each split runs on a shared tree (the map stays alive beside it) and
+/// on an unshared one, which the previous probe's pieces were joined back
+/// into by `join2`; every tree a split or a join returns is
+/// invariant-checked. The sizes run from `first` to `3·CAP + 2` in steps
+/// of `step`.
+fn every_position<const CAP: usize>(first: usize, step: usize) {
+    for n in (first..=3 * CAP + 2).step_by(step) {
+        let model: BTreeMap<u32, u64> = (1..=n as u32)
+            .map(|i| (2 * i, u64::from(i) * 7 + 1))
+            .collect();
+        let want: Vec<(u32, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        // keys 2, 4, .., 2n: every other one bulk-built and the rest
+        // inserted, for uneven blocks
+        let build = || {
+            let mut m: AugMap<Hashed<CAP>> =
+                AugMap::build(want.iter().copied().step_by(2).collect());
+            for &(k, v) in want.iter().skip(1).step_by(2) {
+                m.insert(k, v);
+            }
+            m
+        };
+        let m = build();
+        let mut unshared = build().into_root();
+        let at = |what: String| move || format!("B={CAP}, n={n}: {what}");
+        let one = |(k, v): (u32, u64)| AugMap::<Hashed<CAP>>::singleton(k, v).into_root();
+        assert_eq!(m.first(), model.iter().next(), "B={CAP}, n={n}: first");
+        assert_eq!(m.last(), model.iter().next_back(), "B={CAP}, n={n}: last");
+        if n > 0 {
+            for (how, t) in [("shared", m.root().clone()), ("unshared", unshared.take())] {
+                let what = at(format!("split_first / split_last, {how}"));
+                let (e, rest) = split_first(t.unwrap());
+                assert_eq!((e.key, e.val), want[0], "{}", what());
+                let rest = holds(rest, &[&want[1..]], &what);
+                let (rest, e) = split_last(join2(one(want[0]), rest).unwrap());
+                assert_eq!((e.key, e.val), want[n - 1], "{}", what());
+                let rest = holds(rest, &[&want[..n - 1]], &what);
+                let whole = holds(join2(rest, one(want[n - 1])), &[&want], &what);
+                if how == "unshared" {
+                    unshared = whole;
+                }
+            }
+        }
+        for i in 0..=n {
+            let what = at(format!("rank {i}"));
+            assert_eq!(m.select(i), model.iter().nth(i), "select: {}", what());
+            let (l, r) = split_rank(m.root().clone(), i);
+            holds(l, &[&want[..i]], &what);
+            holds(r, &[&want[i..]], &what);
+            let (l, r) = split_rank(unshared.take(), i);
+            let (l, r) = (
+                holds(l, &[&want[..i]], &what),
+                holds(r, &[&want[i..]], &what),
+            );
+            unshared = holds(join2(l, r), &[&want], &what);
+        }
+        for k in 0..=2 * n as u32 + 2 {
+            let what = at(format!("key {k}"));
+            let own = model.get(&k).copied();
+            assert_eq!(m.get(&k).copied(), own, "get: {}", what());
+            assert_eq!(m.contains_key(&k), own.is_some(), "contains: {}", what());
+            let below = model.range(..k).count();
+            assert_eq!(m.rank(&k), below, "rank: {}", what());
+            let previous = model.range(..k).next_back();
+            assert_eq!(m.previous(&k), previous, "previous: {}", what());
+            let next = model.range(k + 1..).next();
+            assert_eq!(m.next(&k), next, "next: {}", what());
+            let from = model.range(k..).next();
+            assert_eq!(
+                m.iter_range(&k, &u32::MAX).next(),
+                from,
+                "iter_range: {}",
+                what()
+            );
+            assert_eq!(m.cursor_at(&k).peek(), from, "cursor_at: {}", what());
+            let above = below + usize::from(own.is_some());
+            let (lo, hi) = (&want[..below], &want[above..]);
+            for (how, t) in [("shared", m.root().clone()), ("unshared", unshared.take())] {
+                let what = at(format!("split({k}), {how}"));
+                let (l, v, r) = split(t, &k);
+                assert_eq!(v, own, "{}", what());
+                let l = holds(l, &[lo], &what);
+                let r = holds(r, &[hi], &what);
+                if how == "unshared" {
+                    let mut joined = AugMap::from_root(holds(join2(l, r), &[lo, hi], &what));
+                    if let Some(v) = v {
+                        joined.insert(k, v);
+                    }
+                    unshared = joined.into_root();
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_position_block_size_1() {
+    every_position::<1>(0, 1);
+}
+
+#[test]
+fn every_position_block_size_2() {
+    every_position::<2>(0, 1);
+}
+
+#[test]
+fn every_position_block_size_8() {
+    every_position::<8>(0, 1);
+}
+
+#[test]
+fn every_position_block_size_32() {
+    every_position::<32>(0, 1);
+}
+
+// the largest block's sizes in two halves, so they run side by side
+#[test]
+fn every_position_block_size_128_even_sizes() {
+    every_position::<128>(0, 2);
+}
+
+#[test]
+fn every_position_block_size_128_odd_sizes() {
+    every_position::<128>(1, 2);
 }

@@ -4,10 +4,15 @@
 //! A range extracted from or a filter of a shared map clones only the
 //! entries it keeps. A union, intersection or difference clones nothing
 //! of unshared maps and at most one copy of each entry of shared ones.
+//! A split by key or rank, and a `join2`, clone nothing of an unshared
+//! map and at most three blocks and two paths of a shared one.
 //!
 //! Each test owns its element type and the global counter behind it, so
 //! tests running side by side do not see each other's elements.
 
+use pam::balance::leaf_cap;
+use pam::node::{size, Tree};
+use pam::ops::split::{join2, split, split_rank};
 use pam::{AugMap, NoAug};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -291,6 +296,80 @@ fn set_operations_clone_nothing_unshared_and_each_entry_at_most_once_shared() {
             assert_eq!((keys_of(&a), keys_of(&b)), (ka.clone(), kb.clone()));
         });
     }
+}
+
+static SPLIT_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A key or value that owns a buffer and counts its clones, for the
+/// split test.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct SplitCounted(Box<u64>);
+
+impl Clone for SplitCounted {
+    fn clone(&self) -> Self {
+        SPLIT_CLONES.fetch_add(1, Relaxed);
+        SplitCounted(self.0.clone())
+    }
+}
+
+#[test]
+fn splits_and_join2_clone_nothing_unshared_and_a_few_blocks_and_paths_shared() {
+    const N: usize = 10_000;
+    type S = NoAug<SplitCounted, SplitCounted>;
+    type M = AugMap<S>;
+    let s = |n: usize| SplitCounted(Box::new(n as u64));
+    fn height(t: &Tree<S>) -> usize {
+        match t.as_deref().and_then(|n| n.children()) {
+            Some((l, r)) => 1 + height(l).max(height(r)),
+            None => 0,
+        }
+    }
+    let build = || M::from_sorted_distinct((0..N).map(|i| (s(2 * i), s(i))).collect::<Vec<_>>());
+    let m = build();
+    // a key and a value per entry of three blocks and per pivot of two
+    // root-to-leaf paths: the block the cut falls in and a pivot per
+    // level it passes, and what the repairing joins on the way back up
+    // copy — a fragment re-packed with a neighbouring block, and a spine
+    // descended to attach it
+    let at_most = 2 * (3 * leaf_cap::<S>() + 2 * height(m.root()));
+    let mut unshared = build().into_root();
+    let sizes = |l: &Tree<S>, r: &Tree<S>| (size(l), size(r));
+    // every 37th rank, so the cuts land inside blocks, at their ends and
+    // on pivots; the keys alternate between held and absent
+    for i in (0..=N).step_by(37) {
+        let held = i % 2 == 0 && i < N;
+        let k = s(2 * i - i % 2);
+        // shared: `m` keeps every node alive
+        let (n, (l, v, r)) = clones_of(&SPLIT_CLONES, || split(m.root().clone(), &k));
+        assert_eq!(
+            (sizes(&l, &r), v.is_some()),
+            ((i, N - i - usize::from(held)), held)
+        );
+        let (j, _) = clones_of(&SPLIT_CLONES, || join2(l, r));
+        let (n2, (l, r)) = clones_of(&SPLIT_CLONES, || split_rank(m.root().clone(), i));
+        assert_eq!(sizes(&l, &r), (i, N - i));
+        let (j2, _) = clones_of(&SPLIT_CLONES, || join2(l, r));
+        for (what, c) in [
+            ("split", n),
+            ("join2", j),
+            ("split_rank", n2),
+            ("join2", j2),
+        ] {
+            assert!(c <= at_most, "{what} at {i}: {c} clones for {at_most}");
+        }
+        // unshared: the pieces of the last cut joined back
+        let (n, (l, v, r)) = clones_of(&SPLIT_CLONES, || split(unshared.take(), &k));
+        let (j, joined) = clones_of(&SPLIT_CLONES, || join2(l, r));
+        let mut joined = M::from_root(joined);
+        if let Some(v) = v {
+            joined.insert(s(2 * i), v);
+        }
+        let (n2, (l, r)) = clones_of(&SPLIT_CLONES, || split_rank(joined.into_root(), i));
+        let (j2, joined) = clones_of(&SPLIT_CLONES, || join2(l, r));
+        assert_eq!([n, j, n2, j2], [0; 4], "unshared at {i}");
+        unshared = joined;
+    }
+    assert_eq!(size(&unshared), N);
 }
 
 /// Every element's ID goes in here when it is dropped, and a drop of an
