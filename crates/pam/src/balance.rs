@@ -34,14 +34,18 @@
 //! join is `join_tree`, which wraps the raw rotation join with block
 //! maintenance when the capacity `cap` = [`leaf_cap`] is `>= 2`:
 //!
-//! * if both sides fit in a block, the result is flattened and re-packed
+//! * if neither side is a *fragment* (a block of fewer than `cap / 2`
+//!   entries, e.g. a piece produced by splitting a leaf), both satisfy
+//!   the fill invariant and the raw join applies unchanged: it attaches
+//!   blocks whole, so two legal blocks become siblings as they are;
+//! * if a fragment meets a block, the two are flattened and re-packed
 //!   into one full leaf (or one internal node over two half-full leaves);
-//! * if one side is an *underfull* block (fewer than `cap / 2`
-//!   entries, e.g. a fragment produced by splitting a leaf), the join
-//!   descends the other side's spine so the fragment merges into its
-//!   boundary blocks;
-//! * otherwise both sides satisfy the fill invariant and the raw join
-//!   applies unchanged.
+//! * if a fragment meets a larger tree, the join descends that tree's
+//!   spine so the fragment merges into its boundary block.
+//!
+//! Only a fragment and the one block it lands next to are ever
+//! re-packed, so on a shared tree a join copies no block that was legal
+//! already.
 //!
 //! This preserves, inductively, the invariants `validate` checks: any
 //! tree of `<= cap` entries is a single leaf, internal nodes root
@@ -73,7 +77,8 @@
 //! [`Capped<S, CAP>`](crate::spec::Capped) sets it on any spec (the
 //! oracle suites instantiate several capacities side by side).
 
-use crate::node::{expose, flatten_into, size, EntryOwned, Node, Tree};
+use crate::node::{expose, size, EntryOwned, Node, Tree};
+use crate::ops::merge::flatten;
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if, OwnedSlice};
@@ -240,23 +245,22 @@ pub(crate) fn join_tree<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) ->
 
 fn join_blocked<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Arc<Node<S>> {
     let cap = leaf_cap::<S>();
-    if cap <= 1 {
-        // Degenerate blocks: the raw join is already the whole story.
-        return join(l, e, r);
-    }
+    let min_fill = cap / 2;
     let nl = size(&l);
     let nr = size(&r);
-    if nl <= cap && nr <= cap {
-        // Both sides are blocks (by the size<=cap => leaf invariant, or
-        // fragments from splitting a leaf): flatten the <= 2*cap+1 entries
-        // and re-pack into one leaf or two half-full leaves.
-        let mut entries = Vec::with_capacity(nl + nr + 1);
-        flatten_into(l, &mut entries);
-        entries.push(e);
-        flatten_into(r, &mut entries);
-        return pack_block::<S>(entries);
+    if nl >= min_fill && nr >= min_fill {
+        // Neither side is a fragment (with `cap <= 1` none ever is): the
+        // raw join attaches whole blocks without looking inside them. Two
+        // legal blocks hold more than `cap` entries together and weigh
+        // within 2x of each other, so they become siblings as they are.
+        return join(l, e, r);
     }
-    let min_fill = cap / 2;
+    if nl <= cap && nr <= cap {
+        // A fragment and a block (by the size<=cap => leaf invariant):
+        // re-pack the <= 2*cap+1 entries into one leaf or two half-full
+        // leaves.
+        return repack_region(l, e, r);
+    }
     if nr < min_fill {
         // Right side is an underfull fragment and the left is internal
         // (nl > cap): peel the left root and push the fragment down the
@@ -265,14 +269,9 @@ fn join_blocked<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Arc<Nod
         let t = join_blocked(b, e, r);
         return join(a, p, Some(t));
     }
-    if nl < min_fill {
-        let (a, p, b) = expose(r.expect("nr > cap implies nonempty"));
-        let t = join_blocked(l, e, a);
-        return join(Some(t), p, b);
-    }
-    // Both sides satisfy the fill invariant: the raw join attaches whole
-    // blocks without ever looking inside them.
-    join(l, e, r)
+    let (a, p, b) = expose(r.expect("nr > cap implies nonempty"));
+    let t = join_blocked(l, e, a);
+    join(Some(t), p, b)
 }
 
 /// Pack `1..=2*cap+1` sorted entries into a single leaf, or an
@@ -585,17 +584,14 @@ where
     appender.finish()
 }
 
-/// Flatten `(l, e, r)` into sorted entries and re-pack into a perfectly
-/// balanced blocked tree — the double rotation's fallback in
-/// [`join_heavy`]. Callers only reach this with O(cap)-sized
-/// regions, and the re-pack's internal joins are all trivially balanced
-/// (equal-weight halves), so this never re-enters a rotation.
+/// Flatten `(l, e, r)` into sorted entries and re-pack them: the
+/// repairing join's re-pack of a fragment with its neighbouring block,
+/// and the double rotation's fallback in [`join_heavy`]. Callers only
+/// reach this with O(cap)-sized regions, and the re-pack's internal
+/// joins are all trivially balanced (equal-weight halves), so this never
+/// re-enters a rotation.
 fn repack_region<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Arc<Node<S>> {
-    let mut entries = Vec::with_capacity(size(&l) + size(&r) + 1);
-    flatten_into(l, &mut entries);
-    entries.push(e);
-    flatten_into(r, &mut entries);
-    from_sorted_entries::<S>(entries).expect("region is nonempty")
+    from_sorted_entries::<S>(flatten(l, e, r)).expect("region is nonempty")
 }
 
 /// Build a singleton map (a one-entry leaf block).

@@ -23,8 +23,9 @@
 //!   O(k log(n/k + 1)) work for k results when an augmented value can
 //!   prune a subtree.
 
-use crate::balance::{from_sorted_entries, join_tree};
-use crate::node::{expose, take_children, take_leaf_where, EntryOwned, InternalNode, Node, Tree};
+use crate::balance::join_tree;
+use crate::node::{expose, take_children, EntryOwned, InternalNode, Node, Tree};
+use crate::ops::merge::Merge;
 use crate::ops::range::{run, Bound, Open};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
@@ -265,8 +266,7 @@ where
     }
     let kept = match &*n {
         Node::Leaf(_) => {
-            let entries = take_leaf_where(n, |e| keep(&e.key, &e.val));
-            return from_sorted_entries::<S>(entries);
+            return Merge::new(Some(n), &mut Vec::new(), 0, keep).finish();
         }
         Node::Internal(x) => keep(&x.key, &x.val),
     };

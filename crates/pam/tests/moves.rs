@@ -2,10 +2,12 @@
 //! insert clones a key or value of its input on an unshared map, and a
 //! `combine` or `resolve` that panics part-way drops no element twice.
 //! A range extracted from or a filter of a shared map clones only the
-//! entries it keeps. A union, intersection or difference clones nothing
-//! of unshared maps and at most one copy of each entry of shared ones.
-//! A split by key or rank, and a `join2`, clone nothing of an unshared
-//! map and at most three blocks and two paths of a shared one.
+//! entries it keeps, and an update of a shared map one block and one
+//! path per key. A union, intersection or difference clones nothing of
+//! unshared maps; of shared ones, an intersection or difference clones
+//! what survives and a pivot per node it takes apart. A split by key or
+//! rank, and a `join2`, clone nothing of an unshared map and at most two
+//! blocks and two paths of a shared one.
 //!
 //! Each test owns its element type and the global counter behind it, so
 //! tests running side by side do not see each other's elements.
@@ -273,15 +275,29 @@ fn set_operations_clone_nothing_unshared_and_each_entry_at_most_once_shared() {
     for threads in [1, 2, 3] {
         parlay::with_threads(threads, || {
             let (a, b) = (build(&ka, 1), build(&kb, 1_000_000));
-            // a copy of one key and one value per operand entry
-            let at_most = 2 * (a.len() + b.len());
+            // union: a copy of one key and one value per operand entry;
+            // intersection and difference: a key and a value per entry
+            // they keep, and half that per operand entry for the pivots
+            // the recursion takes apart and the blocks its splits cut
+            let operands = a.len() + b.len();
+            let kept = |n: usize| 2 * n + operands;
             type Op = fn(M, M) -> M;
-            let ops: [(&str, Op, &[u64]); 3] = [
-                ("union", |x, y| x.union_with(y, sum), &union),
-                ("intersect", |x, y| x.intersect_with(y, sum), &meet),
-                ("difference", |x, y| x.difference(y), &rest),
+            let ops: [(&str, Op, &[u64], usize); 3] = [
+                ("union", |x, y| x.union_with(y, sum), &union, 2 * operands),
+                (
+                    "intersect",
+                    |x, y| x.intersect_with(y, sum),
+                    &meet,
+                    kept(meet.len()),
+                ),
+                (
+                    "difference",
+                    |x, y| x.difference(y),
+                    &rest,
+                    kept(rest.len()),
+                ),
             ];
-            for (what, op, want) in ops {
+            for (what, op, want, at_most) in ops {
                 let at = format!("{what}, {threads} threads");
                 let (n, shared) = clones_of(&SETOP_CLONES, || op(a.clone(), b.clone()));
                 assert!(n <= at_most, "{at}, shared: {n} clones for {at_most}");
@@ -296,6 +312,38 @@ fn set_operations_clone_nothing_unshared_and_each_entry_at_most_once_shared() {
             assert_eq!((keys_of(&a), keys_of(&b)), (ka.clone(), kb.clone()));
         });
     }
+    // even keys against odd keys: nothing survives, so nothing of a block
+    // a merge reads is cloned. What is cloned is the pivot of each node
+    // the recursion takes apart, and per split it makes one block: each
+    // split here lands at a block's edge, and its dangling pivot and that
+    // block make no valid block, so the repairing join re-packs them.
+    let stepped = |from: u64| {
+        M::from_sorted_distinct((0..N).map(|i| (s(2 * i + from), s(i))).collect::<Vec<_>>())
+    };
+    let (even, odd) = (stepped(0), stepped(1));
+    fn internal(t: &Tree<NoAug<SetOpCounted, SetOpCounted>>) -> usize {
+        match t.as_deref().and_then(|n| n.children()) {
+            Some((l, r)) => 1 + internal(l) + internal(r),
+            None => 0,
+        }
+    }
+    let (ie, io) = (internal(even.root()), internal(odd.root()));
+    let cap = leaf_cap::<NoAug<SetOpCounted, SetOpCounted>>();
+    let at_most = 2 * (ie + io) + 2 * cap * io;
+    for threads in [1, 2, 3] {
+        parlay::with_threads(threads, || {
+            let (n, none) = clones_of(&SETOP_CLONES, || {
+                even.clone().intersect_with(odd.clone(), sum)
+            });
+            assert!(none.is_empty());
+            assert!(
+                n <= at_most,
+                "even and odd keys, {threads} threads: {n} clones for {at_most}"
+            );
+        });
+    }
+    assert_eq!(keys_of(&even), (0..N).map(|i| 2 * i).collect::<Vec<_>>());
+    assert_eq!(keys_of(&odd), (0..N).map(|i| 2 * i + 1).collect::<Vec<_>>());
 }
 
 static SPLIT_CLONES: AtomicUsize = AtomicUsize::new(0);
@@ -326,12 +374,12 @@ fn splits_and_join2_clone_nothing_unshared_and_a_few_blocks_and_paths_shared() {
     }
     let build = || M::from_sorted_distinct((0..N).map(|i| (s(2 * i), s(i))).collect::<Vec<_>>());
     let m = build();
-    // a key and a value per entry of three blocks and per pivot of two
+    // a key and a value per entry of two blocks and per pivot of two
     // root-to-leaf paths: the block the cut falls in and a pivot per
     // level it passes, and what the repairing joins on the way back up
-    // copy — a fragment re-packed with a neighbouring block, and a spine
-    // descended to attach it
-    let at_most = 2 * (3 * leaf_cap::<S>() + 2 * height(m.root()));
+    // copy — the one neighbouring block a fragment re-packs with, and a
+    // spine descended to attach it; two legal blocks are attached whole
+    let at_most = 2 * (2 * leaf_cap::<S>() + 2 * height(m.root()));
     let mut unshared = build().into_root();
     let sizes = |l: &Tree<S>, r: &Tree<S>| (size(l), size(r));
     // every 37th rank, so the cuts land inside blocks, at their ends and
@@ -370,6 +418,86 @@ fn splits_and_join2_clone_nothing_unshared_and_a_few_blocks_and_paths_shared() {
         unshared = joined;
     }
     assert_eq!(size(&unshared), N);
+}
+
+static UPDATE_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A key or value that owns a buffer and counts its clones, for the
+/// shared update test.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct UpdateCounted(Box<u64>);
+
+impl Clone for UpdateCounted {
+    fn clone(&self) -> Self {
+        UPDATE_CLONES.fetch_add(1, Relaxed);
+        UpdateCounted(self.0.clone())
+    }
+}
+
+#[test]
+fn an_update_of_a_shared_map_copies_one_block_and_one_path_per_key() {
+    const N: u64 = 16_040;
+    type S = NoAug<UpdateCounted, UpdateCounted>;
+    type M = AugMap<S>;
+    fn u(n: u64) -> UpdateCounted {
+        UpdateCounted(Box::new(n))
+    }
+    fn height(t: &Tree<S>) -> usize {
+        match t.as_deref().and_then(|n| n.children()) {
+            Some((l, r)) => 1 + height(l).max(height(r)),
+            None => 0,
+        }
+    }
+    let pairs = |m: &M| m.iter().map(|(k, v)| (*k.0, *v.0)).collect::<Vec<_>>();
+    let m = M::from_sorted_distinct((0..N).map(|i| (u(2 * i), u(i))).collect::<Vec<_>>());
+    let before = pairs(&m);
+    let per_key = leaf_cap::<S>() + height(m.root());
+    // each op as the map does it and as a `BTreeMap` does it: a key
+    // written gets the value 7, and `multi_update` puts its even-indexed
+    // keys and deletes the others
+    let ops = ["insert", "remove", "multi_update", "multi_delete"];
+    for keys_per_op in [1, 16] {
+        for held in [true, false] {
+            // spread over the map; the map's keys are even
+            let stride = N / keys_per_op;
+            let keys: Vec<u64> = (0..keys_per_op)
+                .map(|j| 2 * (j * stride + stride / 2) + u64::from(!held))
+                .collect();
+            for what in ops {
+                let mut x = m.clone();
+                let mut want: std::collections::BTreeMap<u64, u64> =
+                    before.iter().copied().collect();
+                let (n, ()) = clones_of(&UPDATE_CLONES, || match what {
+                    "insert" => keys.iter().for_each(|&k| x.insert(u(k), u(7))),
+                    "remove" => keys.iter().for_each(|&k| x.remove(&u(k))),
+                    "multi_update" => x.multi_update(
+                        (keys.iter().enumerate())
+                            .map(|(j, &k)| (u(k), (j % 2 == 0).then(|| u(7))))
+                            .collect(),
+                    ),
+                    _ => x.multi_delete(keys.iter().map(|&k| u(k)).collect()),
+                });
+                for (j, &k) in keys.iter().enumerate() {
+                    match what {
+                        "insert" => want.insert(k, 7),
+                        "multi_update" if j % 2 == 0 => want.insert(k, 7),
+                        _ => want.remove(&k),
+                    };
+                }
+                let at = format!("{what} of {keys_per_op} keys, held {held}");
+                // and a point `remove` clones its borrowed key once, for
+                // the batch of one it runs
+                let argument = usize::from(what == "remove");
+                let at_most = keys_per_op as usize * (2 * per_key + argument);
+                assert!(n <= at_most, "{at}: {n} clones for {at_most}");
+                assert_eq!(pairs(&x), want.into_iter().collect::<Vec<_>>(), "{at}");
+                x.check_invariants().unwrap();
+            }
+        }
+    }
+    // the shared map reads back unchanged
+    assert_eq!(pairs(&m), before);
+    m.check_invariants().unwrap();
 }
 
 /// Every element's ID goes in here when it is dropped, and a drop of an
