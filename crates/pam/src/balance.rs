@@ -43,9 +43,10 @@
 //! * if a fragment meets a larger tree, the join descends that tree's
 //!   spine so the fragment merges into its boundary block.
 //!
-//! Only a fragment and the one block it lands next to are ever
-//! re-packed, so on a shared tree a join copies no block that was legal
-//! already.
+//! Besides the O(cap) region of a double rotation that would cut a
+//! block (`join_heavy`), only a fragment and the one block it lands
+//! next to are re-packed, so on a shared tree a join copies no other
+//! block.
 //!
 //! This preserves, inductively, the invariants `validate` checks: any
 //! tree of `<= cap` entries is a single leaf, internal nodes root
@@ -77,8 +78,7 @@
 //! [`Capped<S, CAP>`](crate::spec::Capped) sets it on any spec (the
 //! oracle suites instantiate several capacities side by side).
 
-use crate::node::{expose, size, EntryOwned, Node, Tree};
-use crate::ops::merge::flatten;
+use crate::node::{expose, flatten_into, size, EntryOwned, Node, Tree};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if, OwnedSlice};
@@ -591,7 +591,11 @@ where
 /// joins are all trivially balanced (equal-weight halves), so this never
 /// re-enters a rotation.
 fn repack_region<S: AugSpec>(l: Tree<S>, e: EntryOwned<S>, r: Tree<S>) -> Arc<Node<S>> {
-    from_sorted_entries::<S>(flatten(l, e, r)).expect("region is nonempty")
+    let mut entries = Vec::with_capacity(size(&l) + size(&r) + 1);
+    flatten_into(l, &mut entries);
+    entries.push(e);
+    flatten_into(r, &mut entries);
+    from_sorted_entries::<S>(entries).expect("region is nonempty")
 }
 
 /// Build a singleton map (a one-entry leaf block).

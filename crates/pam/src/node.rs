@@ -277,10 +277,17 @@ fn clone_out<S: AugSpec>(n: &Arc<Node<S>>) -> (Tree<S>, EntryOwned<S>, Tree<S>) 
     }
 }
 
+/// Take ownership of a **leaf** node's entry block: moves the entries out
+/// when the `Arc` is unique, clones them when shared (same policy as
+/// [`expose`]). Panics on an internal node — callers check `is_leaf`
+/// first. This is the entry point of the per-block fast paths in `ops`.
+pub(crate) fn take_leaf_entries<S: AugSpec>(n: Arc<Node<S>>) -> Vec<EntryOwned<S>> {
+    let len = n.size_of();
+    take_leaf_run(n, 0..len)
+}
+
 /// The run `run` of a **leaf** node's entry block: moved out when the
-/// `Arc` is unique, and only the run cloned when it is shared (a split
-/// takes the whole block this way, and an extraction the part of it in
-/// range).
+/// `Arc` is unique, and only the run cloned when it is shared.
 pub(crate) fn take_leaf_run<S: AugSpec>(n: Arc<Node<S>>, run: Range<usize>) -> Vec<EntryOwned<S>> {
     match Arc::try_unwrap(n) {
         Ok(Node::Leaf(l)) => {
@@ -291,6 +298,26 @@ pub(crate) fn take_leaf_run<S: AugSpec>(n: Arc<Node<S>>, run: Range<usize>) -> V
         }
         Ok(Node::Internal(_)) => unreachable!("take_leaf_run on internal node"),
         Err(shared) => shared.as_leaf().expect("a leaf").entries[run].to_vec(),
+    }
+}
+
+/// The entries of a **leaf** node's block that `keep` admits: moved out
+/// when the `Arc` is unique, and only those cloned when it is shared.
+pub(crate) fn take_leaf_where<S: AugSpec>(
+    n: Arc<Node<S>>,
+    keep: impl Fn(&EntryOwned<S>) -> bool,
+) -> Vec<EntryOwned<S>> {
+    match Arc::try_unwrap(n) {
+        Ok(Node::Leaf(l)) => {
+            let mut es = l.entries.into_vec();
+            es.retain(keep);
+            es
+        }
+        Ok(Node::Internal(_)) => unreachable!("take_leaf_where on internal node"),
+        Err(shared) => {
+            let es = shared.as_leaf().expect("a leaf").entries.iter();
+            es.filter(|e| keep(e)).cloned().collect()
+        }
     }
 }
 
@@ -318,6 +345,43 @@ pub(crate) fn take_child<S: AugSpec>(n: Arc<Node<S>>, right: bool) -> Tree<S> {
         Err(shared) => {
             let (l, r) = shared.children().expect("an internal node");
             if right { r } else { l }.clone()
+        }
+    }
+}
+
+/// Append every entry of `t` to `out` in key order, reusing uniquely-owned
+/// allocations. Used by the blocked join to flatten small trees before
+/// re-packing them into full blocks, and by the set operations' merge.
+pub(crate) fn flatten_into<S: AugSpec>(t: Tree<S>, out: &mut impl Extend<EntryOwned<S>>) {
+    let Some(n) = t else { return };
+    match Arc::try_unwrap(n) {
+        Ok(Node::Leaf(l)) => out.extend(l.entries.into_vec()),
+        Ok(Node::Internal(x)) => {
+            flatten_into(x.left, out);
+            out.extend([EntryOwned {
+                key: x.key,
+                val: x.val,
+            }]);
+            flatten_into(x.right, out);
+        }
+        Err(shared) => flatten_ref(&shared, out),
+    }
+}
+
+fn flatten_ref<S: AugSpec>(n: &Node<S>, out: &mut impl Extend<EntryOwned<S>>) {
+    match n {
+        Node::Leaf(l) => out.extend(l.entries.iter().cloned()),
+        Node::Internal(x) => {
+            if let Some(l) = x.left.as_deref() {
+                flatten_ref(l, out);
+            }
+            out.extend([EntryOwned {
+                key: x.key.clone(),
+                val: x.val.clone(),
+            }]);
+            if let Some(r) = x.right.as_deref() {
+                flatten_ref(r, out);
+            }
         }
     }
 }
@@ -428,6 +492,17 @@ mod tests {
         // the shared copy is untouched
         assert_eq!(n2.size_of(), 1);
         assert_eq!(*n2.aug(), 70);
+    }
+
+    #[test]
+    fn flatten_preserves_order() {
+        let l = Node::make_leaf(vec![entry(1, 1), entry(2, 2)]);
+        let r = leaf(4, 4);
+        let n = Node::make(Some(l), entry(3, 3), Some(r));
+        let mut out = Vec::new();
+        flatten_into(Some(n), &mut out);
+        let keys: Vec<u64> = out.iter().map(|e| e.key).collect();
+        assert_eq!(keys, vec![1, 2, 3, 4]);
     }
 
     #[test]

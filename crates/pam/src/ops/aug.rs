@@ -23,9 +23,8 @@
 //!   O(k log(n/k + 1)) work for k results when an augmented value can
 //!   prune a subtree.
 
-use crate::balance::join_tree;
-use crate::node::{expose, take_children, EntryOwned, InternalNode, Node, Tree};
-use crate::ops::merge::Merge;
+use crate::balance::{from_sorted_entries, join_tree};
+use crate::node::{expose, take_children, take_leaf_where, EntryOwned, InternalNode, Node, Tree};
 use crate::ops::range::{run, Bound, Open};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
@@ -266,7 +265,8 @@ where
     }
     let kept = match &*n {
         Node::Leaf(_) => {
-            return Merge::new(Some(n), &mut Vec::new(), 0, keep).finish();
+            let entries = take_leaf_where(n, |e| keep(&e.key, &e.val));
+            return from_sorted_entries::<S>(entries);
         }
         Node::Internal(x) => keep(&x.key, &x.val),
     };

@@ -8,13 +8,12 @@
 //! `update_sorted` is every update: it partitions a sorted batch around
 //! the tree root and descends both sides in parallel — PAM's mechanism
 //! for applying accumulated concurrent updates in bulk (§4, Concurrency)
-//! — and bottoms out at leaf blocks with the one block merge
-//! (`ops::merge`) of the batch slice into the block. What a key keeps is
-//! its caller's `resolve`: `multi_insert`, `multi_delete` and
-//! `multi_update` here, and the point updates of
-//! [`mod@crate::ops::insert`] with a one-element batch. On an empty tree
-//! it is no recursion: the batch streams through `resolve` into
-//! [`crate::Appender`], the one sorted build, which
+//! — and bottoms out at leaf blocks with a linear sorted merge of the
+//! batch slice into the block. What a key keeps is its caller's
+//! `resolve`: `multi_insert`, `multi_delete` and `multi_update` here,
+//! and the point updates of [`mod@crate::ops::insert`] with a one-element
+//! batch. On an empty tree it is no recursion: the batch streams through
+//! `resolve` into [`crate::Appender`], the one sorted build, which
 //! `from_sorted_distinct` reaches too.
 //!
 //! The recursion owns its batch (a [`parlay::OwnedSlice`] over the
@@ -23,14 +22,9 @@
 //! into a leaf entry or a pivot, or into `resolve` — or dropped, and
 //! none is cloned. The sort and the dedup in front of it move too, and
 //! the internal `combine`s and `resolve`s take their values by value.
-//! A shared block is read where it lies: its entries outside the batch
-//! are cloned into the new block, and a batch key's old value is cloned
-//! for `resolve`, so an update of a shared map copies one block and one
-//! path per key.
 
-use crate::balance::{build_sorted, join_tree};
-use crate::node::{expose, EntryOwned, Tree};
-use crate::ops::merge::{Held, Merge};
+use crate::balance::{build_sorted, from_sorted_entries, join_tree};
+use crate::node::{expose, take_leaf_entries, EntryOwned, Tree};
 use crate::ops::split::join2;
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if, OwnedSlice};
@@ -181,21 +175,10 @@ where
     if batch.is_empty() {
         return t;
     }
-    // a batch key the tree does not hold moves into the entry `resolve`
-    // makes; one it holds keeps the tree's key
-    let added = |(key, x): (S::K, X)| resolve(None, x).map(|val| EntryOwned { key, val });
-    let updated = |e: Held<'_, S>, (_, x): (S::K, X)| e.map_val(|old| resolve(Some(old), x));
     let n = match t {
         // an empty tree: the batch streams into an appender
-        None => return build_sorted(batch, &added),
-        Some(n) if n.is_leaf() => {
-            let mut shared = Vec::new();
-            let mut m = Merge::new(Some(n), &mut shared, batch.len(), |_, _| true);
-            for x in batch {
-                m.push(x, |x| &x.0, added, updated);
-            }
-            return m.finish();
-        }
+        None => return build_sorted(batch, &|x| resolved(None, x, resolve)),
+        Some(n) if n.is_leaf() => return merge_block(take_leaf_entries(n), batch, resolve),
         Some(n) => n,
     };
     let work = n.size_of() + batch.len();
@@ -211,13 +194,53 @@ where
         move || update_sorted::<S, X, R>(r, br, resolve),
     );
     let mid = match x {
-        Some(x) => updated(Held::Moved(e), x),
+        Some(x) => resolved(Some(e), x, resolve),
         None => Some(e),
     };
     match mid {
         Some(e) => join_tree(l2, e, r2),
         None => join2(l2, r2),
     }
+}
+
+/// The entry `resolve` leaves at `x`'s key, given the entry there, if
+/// any: the tree's key stays, or `x`'s key moves in.
+fn resolved<S, X, R>(old: Option<EntryOwned<S>>, x: (S::K, X), resolve: &R) -> Option<EntryOwned<S>>
+where
+    S: AugSpec,
+    R: Fn(Option<S::V>, X) -> Option<S::V>,
+{
+    let (key, x) = x;
+    match old {
+        Some(e) => resolve(Some(e.val), x).map(|val| EntryOwned { key: e.key, val }),
+        None => resolve(None, x).map(|val| EntryOwned { key, val }),
+    }
+}
+
+/// [`update_sorted`]'s bottom: a sorted merge of the batch into one
+/// block's entries, then a re-pack.
+fn merge_block<S, X, R>(
+    entries: Vec<EntryOwned<S>>,
+    batch: OwnedSlice<'_, (S::K, X)>,
+    resolve: &R,
+) -> Tree<S>
+where
+    S: AugSpec,
+    R: Fn(Option<S::V>, X) -> Option<S::V>,
+{
+    let mut out = Vec::with_capacity(entries.len() + batch.len());
+    let mut items = batch.peekable();
+    for e in entries {
+        while let Some(x) = items.next_if(|x| S::compare(&x.0, &e.key).is_lt()) {
+            out.extend(resolved(None, x, resolve));
+        }
+        match items.next_if(|x| S::compare(&x.0, &e.key).is_eq()) {
+            Some(x) => out.extend(resolved(Some(e), x, resolve)),
+            None => out.push(e),
+        }
+    }
+    out.extend(items.filter_map(|x| resolved(None, x, resolve)));
+    from_sorted_entries::<S>(out)
 }
 
 #[cfg(test)]

@@ -18,11 +18,7 @@
 //! `first` / `last` / `previous` / `next` / `rank` / `select` /
 //! [`Cursor::seek`](crate::cursor::Cursor::seek)), and [`mod@split`]'s
 //! `cut`, which owns (`split` / `split_rank` / `split_first` /
-//! `split_last`, and so `join2`). Every rewrite of whole blocks is one
-//! block merge, `merge::Merge`: `update_sorted`'s leaf arm, `set_op`'s
-//! base case and `filter_by`'s leaf arm differ only in what an entry
-//! found on one side or on both becomes, and the repairing join's
-//! re-packs flatten with its walk. A range end is a type, a key or
+//! `split_last`, and so `join2`). A range end is a type, a key or
 //! `Open`, so a one-sided query compiles to its own copy of the body;
 //! `descend` is inlined, so each point query keeps only the state it
 //! reads.
@@ -35,7 +31,6 @@ pub mod basic;
 pub mod build;
 pub mod insert;
 pub mod mapreduce;
-pub(crate) mod merge;
 pub mod range;
 pub mod setops;
 pub mod split;

@@ -10,19 +10,80 @@
 //! parallel.
 //!
 //! With blocked leaves, the recursion bottoms out when the two sides
-//! together fit in three blocks: the one block merge (`ops::merge`),
-//! re-packed once, replaces further splitting. It reads a shared side
-//! where it lies, so an entry of a shared operand is cloned only if it
-//! survives. Above that, a leaf is never exposed:
+//! together fit in three blocks: one sequential sorted merge, re-packed
+//! once, replaces further splitting. Above that, a leaf is never exposed:
 //! when `t2` is a leaf, the recursion exposes `t1` (internal, since it
 //! holds more than two blocks' worth) and splits the leaf by key.
 
-use crate::balance::{join_tree, leaf_cap};
-use crate::node::{expose, EntryOwned, Tree};
-use crate::ops::merge::{walk, Held, Merge};
+use crate::balance::{from_sorted_entries, join_tree, leaf_cap};
+use crate::node::{expose, flatten_into, size, EntryOwned, Tree};
 use crate::ops::split::{join2, split};
 use crate::spec::AugSpec;
 use parlay::{granularity, par2_if};
+use std::iter::Peekable;
+use std::vec;
+
+/// Merge two small trees in one pass, resolving duplicate keys with
+/// `resolve` (`None` drops the key), and re-pack the result once:
+/// [`from_sorted_entries`] packs up to two blocks' worth in place and
+/// streams more through the appender. `t1` is flattened into a buffer;
+/// `t2`'s entries go straight into the merge.
+fn merge_blocks<S, F>(t1: Tree<S>, t2: Tree<S>, keep: MergeKeep, resolve: &F) -> Tree<S>
+where
+    S: AugSpec,
+    F: Fn(&S::V, &S::V) -> Option<S::V>,
+{
+    let mut left = Vec::with_capacity(size(&t1));
+    let out = Vec::with_capacity(left.capacity() + size(&t2));
+    flatten_into(t1, &mut left);
+    let mut merge = Merge {
+        left: left.into_iter().peekable(),
+        out,
+        keep,
+        resolve,
+    };
+    flatten_into(t2, &mut merge);
+    let Merge { left, mut out, .. } = merge;
+    if keep.left {
+        out.extend(left);
+    }
+    from_sorted_entries::<S>(out)
+}
+
+/// What [`merge_blocks`] flattens `t2` into: each entry of `t2`, in key
+/// order, first passes the entries of `t1` below it to the output.
+struct Merge<'a, S: AugSpec, F> {
+    left: Peekable<vec::IntoIter<EntryOwned<S>>>,
+    out: Vec<EntryOwned<S>>,
+    keep: MergeKeep,
+    resolve: &'a F,
+}
+
+impl<S, F> Extend<EntryOwned<S>> for Merge<'_, S, F>
+where
+    S: AugSpec,
+    F: Fn(&S::V, &S::V) -> Option<S::V>,
+{
+    fn extend<I: IntoIterator<Item = EntryOwned<S>>>(&mut self, right: I) {
+        for e2 in right {
+            let below = |e1: &EntryOwned<S>| S::compare(&e1.key, &e2.key).is_lt();
+            while let Some(e1) = self.left.next_if(below) {
+                if self.keep.left {
+                    self.out.push(e1);
+                }
+            }
+            match self.left.next_if(|e1| S::compare(&e1.key, &e2.key).is_eq()) {
+                Some(e1) => {
+                    if let Some(val) = (self.resolve)(&e1.val, &e2.val) {
+                        self.out.push(EntryOwned { key: e1.key, val });
+                    }
+                }
+                None if self.keep.right => self.out.push(e2),
+                None => {}
+            }
+        }
+    }
+}
 
 /// The most entries two subtrees may hold together for [`set_op`] to
 /// merge them in one pass: three blocks' worth. A leaf then only ever
@@ -56,16 +117,7 @@ where
         (Some(n1), Some(n2)) => {
             let work = n1.size_of() + n2.size_of();
             if work <= merge_limit::<S>() {
-                let mut shared = Vec::new();
-                let mut m = Merge::new(Some(n1), &mut shared, n2.size_of(), |_, _| keep.left);
-                walk(Some(n2), &mut |e2| {
-                    let add = |e2: Held<'_, S>| keep.right.then(|| e2.into_entry());
-                    let both = |e1: Held<'_, S>, e2: Held<'_, S>| {
-                        resolve(e1.val(), e2.val()).map(|v| e1.with_val(v))
-                    };
-                    m.push(e2, Held::key, add, both)
-                });
-                return m.finish();
+                return merge_blocks(Some(n1), Some(n2), keep, resolve);
             }
             // Expose an internal node, never a leaf: with `t2` a leaf,
             // `t1` holds over two blocks' worth, so it is internal.

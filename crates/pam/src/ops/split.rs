@@ -7,7 +7,7 @@
 //! repairing `join_tree`.
 
 use crate::balance::join_tree;
-use crate::node::{expose, size, take_leaf_run, EntryOwned, Node, Tree};
+use crate::node::{expose, size, take_leaf_entries, EntryOwned, Node, Tree};
 use crate::ops::basic::Gap;
 use crate::spec::AugSpec;
 use std::cmp::Ordering;
@@ -44,8 +44,7 @@ pub(crate) fn cut<S: AugSpec>(
             if i == l.entries().len() {
                 return (Some(n), None, None);
             }
-            let all = 0..l.entries().len();
-            let mut es = take_leaf_run(n, all);
+            let mut es = take_leaf_entries(n);
             let after = es.split_off(j);
             let mid = if j > i { es.pop() } else { None };
             let leaf = |es: Vec<_>| (!es.is_empty()).then(|| Node::make_leaf(es));

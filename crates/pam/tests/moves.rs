@@ -4,10 +4,9 @@
 //! A range extracted from or a filter of a shared map clones only the
 //! entries it keeps, and an update of a shared map one block and one
 //! path per key. A union, intersection or difference clones nothing of
-//! unshared maps; of shared ones, an intersection or difference clones
-//! what survives and a pivot per node it takes apart. A split by key or
-//! rank, and a `join2`, clone nothing of an unshared map and at most two
-//! blocks and two paths of a shared one.
+//! unshared maps and at most one copy of each entry of shared ones. A
+//! split by key or rank, and a `join2`, clone nothing of an unshared map
+//! and at most two blocks and two paths of a shared one.
 //!
 //! Each test owns its element type and the global counter behind it, so
 //! tests running side by side do not see each other's elements.
@@ -275,29 +274,15 @@ fn set_operations_clone_nothing_unshared_and_each_entry_at_most_once_shared() {
     for threads in [1, 2, 3] {
         parlay::with_threads(threads, || {
             let (a, b) = (build(&ka, 1), build(&kb, 1_000_000));
-            // union: a copy of one key and one value per operand entry;
-            // intersection and difference: a key and a value per entry
-            // they keep, and half that per operand entry for the pivots
-            // the recursion takes apart and the blocks its splits cut
-            let operands = a.len() + b.len();
-            let kept = |n: usize| 2 * n + operands;
+            // a copy of one key and one value per operand entry
+            let at_most = 2 * (a.len() + b.len());
             type Op = fn(M, M) -> M;
-            let ops: [(&str, Op, &[u64], usize); 3] = [
-                ("union", |x, y| x.union_with(y, sum), &union, 2 * operands),
-                (
-                    "intersect",
-                    |x, y| x.intersect_with(y, sum),
-                    &meet,
-                    kept(meet.len()),
-                ),
-                (
-                    "difference",
-                    |x, y| x.difference(y),
-                    &rest,
-                    kept(rest.len()),
-                ),
+            let ops: [(&str, Op, &[u64]); 3] = [
+                ("union", |x, y| x.union_with(y, sum), &union),
+                ("intersect", |x, y| x.intersect_with(y, sum), &meet),
+                ("difference", |x, y| x.difference(y), &rest),
             ];
-            for (what, op, want, at_most) in ops {
+            for (what, op, want) in ops {
                 let at = format!("{what}, {threads} threads");
                 let (n, shared) = clones_of(&SETOP_CLONES, || op(a.clone(), b.clone()));
                 assert!(n <= at_most, "{at}, shared: {n} clones for {at_most}");
@@ -312,38 +297,6 @@ fn set_operations_clone_nothing_unshared_and_each_entry_at_most_once_shared() {
             assert_eq!((keys_of(&a), keys_of(&b)), (ka.clone(), kb.clone()));
         });
     }
-    // even keys against odd keys: nothing survives, so nothing of a block
-    // a merge reads is cloned. What is cloned is the pivot of each node
-    // the recursion takes apart, and per split it makes one block: each
-    // split here lands at a block's edge, and its dangling pivot and that
-    // block make no valid block, so the repairing join re-packs them.
-    let stepped = |from: u64| {
-        M::from_sorted_distinct((0..N).map(|i| (s(2 * i + from), s(i))).collect::<Vec<_>>())
-    };
-    let (even, odd) = (stepped(0), stepped(1));
-    fn internal(t: &Tree<NoAug<SetOpCounted, SetOpCounted>>) -> usize {
-        match t.as_deref().and_then(|n| n.children()) {
-            Some((l, r)) => 1 + internal(l) + internal(r),
-            None => 0,
-        }
-    }
-    let (ie, io) = (internal(even.root()), internal(odd.root()));
-    let cap = leaf_cap::<NoAug<SetOpCounted, SetOpCounted>>();
-    let at_most = 2 * (ie + io) + 2 * cap * io;
-    for threads in [1, 2, 3] {
-        parlay::with_threads(threads, || {
-            let (n, none) = clones_of(&SETOP_CLONES, || {
-                even.clone().intersect_with(odd.clone(), sum)
-            });
-            assert!(none.is_empty());
-            assert!(
-                n <= at_most,
-                "even and odd keys, {threads} threads: {n} clones for {at_most}"
-            );
-        });
-    }
-    assert_eq!(keys_of(&even), (0..N).map(|i| 2 * i).collect::<Vec<_>>());
-    assert_eq!(keys_of(&odd), (0..N).map(|i| 2 * i + 1).collect::<Vec<_>>());
 }
 
 static SPLIT_CLONES: AtomicUsize = AtomicUsize::new(0);
